@@ -330,7 +330,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			return nil
 		}
 		lastErr = err
-		if !c.retryable(err, idempotent) {
+		if !Retryable(err, idempotent) {
 			return err
 		}
 	}

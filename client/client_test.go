@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -168,23 +169,29 @@ func TestTransportErrorRetriesIdempotent(t *testing.T) {
 }
 
 // TestNonIdempotentNoTransportRetry: the classification keeps ambiguous
-// failures un-retried for non-idempotent calls.
+// failures un-retried for non-idempotent calls, always retries shed
+// requests, and never retries definitive outcomes — a response that
+// arrived but does not decode included.
 func TestNonIdempotentNoTransportRetry(t *testing.T) {
-	c, err := New(Config{BaseURL: "http://example.invalid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.retryable(&transportError{err: errors.New("reset")}, false) {
-		t.Fatal("transport error retried for non-idempotent call")
-	}
-	if !c.retryable(&APIError{Status: 503}, false) {
-		t.Fatal("503 must be retryable even when non-idempotent")
-	}
-	if c.retryable(&APIError{Status: 504}, false) {
-		t.Fatal("504 retried for non-idempotent call")
-	}
-	if !c.retryable(&APIError{Status: 504}, true) {
-		t.Fatal("504 must be retryable for idempotent call")
+	decodeErr := fmt.Errorf("client: decoding 200 response: %w", &json.SyntaxError{})
+	for _, tc := range []struct {
+		name       string
+		err        error
+		idempotent bool
+		want       bool
+	}{
+		{"transport error, non-idempotent", &transportError{err: errors.New("reset")}, false, false},
+		{"transport error, idempotent", &transportError{err: errors.New("reset")}, true, true},
+		{"503, non-idempotent", &APIError{Status: 503}, false, true},
+		{"504, non-idempotent", &APIError{Status: 504}, false, false},
+		{"504, idempotent", &APIError{Status: 504}, true, true},
+		{"404, idempotent", &APIError{Status: 404}, true, false},
+		{"decode error, idempotent", decodeErr, true, false},
+		{"context expiry, idempotent", context.DeadlineExceeded, true, false},
+	} {
+		if got := Retryable(tc.err, tc.idempotent); got != tc.want {
+			t.Errorf("%s: Retryable = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -21,7 +21,9 @@ func (e *transportError) Unwrap() error { return e.err }
 // tests can pin it.
 var jitter = rand.Float64
 
-// retryable classifies an attempt error.
+// Retryable classifies an attempt error: whether sending the same
+// request again — to this server or, at the router tier, to another
+// backend — can change the outcome.
 //
 //   - 429 and 503 are always retryable: the server shed the request
 //     before doing any work, so even a non-idempotent call is safe.
@@ -30,7 +32,7 @@ var jitter = rand.Float64
 //     call is idempotent.
 //   - Everything else (4xx, decode errors, context expiry) is
 //     definitive: retrying cannot change the answer.
-func (c *Client) retryable(err error, idempotent bool) bool {
+func Retryable(err error, idempotent bool) bool {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		switch apiErr.Status {

@@ -44,8 +44,6 @@ func main() {
 		methodsArg = flag.String("methods", "", "comma-separated method subset (default: all eight)")
 		workers    = flag.Int("workers", 1, "combined concurrency budget (scenario workers × check-workers)")
 		checkWkrs  = flag.Int("check-workers", 1, "parallel CHECK workers per query, carved out of -workers")
-		deltaCheck = flag.Bool("delta-check", false, "screen CHECKs with warm-start delta pushes from the cached base state")
-		deltaEdits = flag.Int("delta-max-edits", 0, "edit-set size above which a delta CHECK falls back to a full recompute (0 = default)")
 		sweepFlag  = flag.Bool("sweep", false, "run an α/β hyper-parameter sweep (remove_ex + add_incremental) instead of the figures")
 		quiet      = flag.Bool("quiet", false, "suppress the progress meter")
 		metricsOut = flag.String("metrics-out", "", "dump the run's metrics (Prometheus text format) to this file on exit")
@@ -81,8 +79,6 @@ func main() {
 		AllowedEdgeTypes: ds.UserActionEdgeTypes(),
 		AddEdgeType:      ds.Types.Reviewed,
 		MaxTests:         *maxTests,
-		DeltaCheck:       *deltaCheck,
-		DeltaMaxEdits:    *deltaEdits,
 	}
 	brute := base
 	brute.MaxTests = *bruteTests

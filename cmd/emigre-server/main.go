@@ -49,11 +49,6 @@ func main() {
 		beta      = flag.Float64("beta", 1, "transition mix: 1=weighted walk, 0=uniform")
 		maxTests  = flag.Int("max-tests", 200, "CHECK budget per explanation request")
 
-		deltaCheck = flag.Bool("delta-check", false,
-			"screen explanation CHECKs with warm-start delta pushes from the cached base push state (composes with -explain-workers)")
-		deltaEdits = flag.Int("delta-max-edits", emigre.DefaultDeltaMaxEdits,
-			"edit-set size above which a delta CHECK falls back to a full recompute")
-
 		explainTimeout = flag.Duration("explain-timeout", server.DefaultExplainTimeout,
 			"deadline per /explain or /diagnose request (0 = no deadline)")
 		maxConcurrent = flag.Int("max-concurrent", server.DefaultMaxConcurrent,
@@ -139,8 +134,6 @@ func main() {
 			AllowedEdgeTypes: emigre.NewEdgeTypeSet(allowed...),
 			AddEdgeType:      addIDs[0],
 			MaxTests:         *maxTests,
-			DeltaCheck:       *deltaCheck,
-			DeltaMaxEdits:    *deltaEdits,
 		},
 		ExplainTimeout:  timeout,
 		MaxConcurrent:   *maxConcurrent,

@@ -252,11 +252,6 @@ var (
 // before the search was interrupted.
 type CanceledError = core.CanceledError
 
-// DefaultDeltaMaxEdits is the edit-set size above which a delta-screened
-// CHECK (Options.DeltaCheck) steps aside for a full recompute,
-// re-exported for flag defaults.
-const DefaultDeltaMaxEdits = core.DefaultDeltaMaxEdits
-
 // NewExplainer builds a Why-Not explainer over g and its recommender.
 func NewExplainer(g *Graph, r *Recommender, opts Options) *Explainer {
 	return core.New(g, r, opts)

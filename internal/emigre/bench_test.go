@@ -43,29 +43,6 @@ func BenchmarkSearchSpaceDefinition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheckEngines compares the static and dynamic CHECK
-// paths over an identical query stream.
-func BenchmarkAblationCheckEngines(b *testing.B) {
-	b.Run("static", func(b *testing.B) {
-		f := newBenchFixture(b, Options{})
-		q := f.query()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.ex.ExplainWith(q, Remove, Powerset); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dynamic", func(b *testing.B) {
-		f := newBenchFixture(b, Options{DynamicCheck: true})
-		q := f.query()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.ex.ExplainWith(q, Remove, Powerset); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkDiagnose(b *testing.B) {
 	f := newBenchFixture(b, Options{})
 	q := Query{User: f.ids["u"], WNI: f.ids["f3"]}

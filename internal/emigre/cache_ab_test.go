@@ -1,9 +1,11 @@
 package emigre
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/pprcache"
 	"github.com/why-not-xai/emigre/internal/rec"
 )
@@ -67,6 +69,26 @@ func TestCacheABTopNIdentical(t *testing.T) {
 	}
 	if s := cachedRec.Cache().Stats(); s.Hits == 0 || s.Misses == 0 {
 		t.Fatalf("cached recommender did not exercise both paths: %+v", s)
+	}
+}
+
+// TestUncachedSessionRunsOneForwardPush pins the set-up cost of a
+// session without a cache: the base push pair is the only forward push,
+// and both the baseline top-1 and the TargetRank > 1 rank are read off
+// its estimates instead of re-running the recommender.
+func TestUncachedSessionRunsOneForwardPush(t *testing.T) {
+	runs := obs.Default().Counter("emigre_ppr_runs_total",
+		"PPR engine runs by engine.", obs.L("engine", "forward_push"))
+	for _, rank := range []int{1, 2} {
+		f := newFixture(t, Options{DisableCache: true, TargetRank: rank})
+		q := Query{User: f.ids["u"], WNI: f.ids["f3"]}
+		before := runs.Value()
+		if _, err := f.ex.newSession(context.Background(), q, Remove); err != nil {
+			t.Fatal(err)
+		}
+		if got := runs.Value() - before; got != 1 {
+			t.Errorf("TargetRank %d: session set-up ran %d forward pushes, want 1", rank, got)
+		}
 	}
 }
 

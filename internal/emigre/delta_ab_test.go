@@ -7,9 +7,17 @@ import (
 	"github.com/why-not-xai/emigre/internal/testleak"
 )
 
+// coldOnly turns a fixture's explainer into the cold-recompute
+// reference the A/B suites compare against: no warm screen, one full
+// PPR run per CHECK.
+func coldOnly(f *fixture) *fixture {
+	f.ex.coldOnly = true
+	return f
+}
+
 // stripVariance zeroes the Explanation fields allowed to differ between
-// a delta-screened run and a full-recompute run: wall-clock and the
-// delta screen's own activity tallies. Everything else — the candidate
+// a warm-screened run and a full-recompute run: wall-clock and the
+// warm screen's own activity tallies. Everything else — the candidate
 // set, the verdicts behind it, Tests, CombosExamined — must match.
 func stripVariance(e Explanation) Explanation {
 	e.Stats.Duration = 0
@@ -19,22 +27,20 @@ func stripVariance(e Explanation) Explanation {
 }
 
 // TestDeltaABExplanationsIdentical is the acceptance A/B for the
-// warm-start CHECK screen: across modes × methods × worker counts,
-// DeltaCheck may only change how a rejection is computed, never which
+// warm-start CHECK screen: across modes × methods × worker counts, the
+// screen may only change how a rejection is computed, never which
 // candidate set is returned, what its stats say, or which error comes
 // back. The warm estimates carry a different (but ε-bounded) error than
 // a cold push, so this is the test that the screen's verdict rule and
-// its static pass confirmation together preserve exact output equality.
+// its cold pass confirmation together preserve exact output equality.
 func TestDeltaABExplanationsIdentical(t *testing.T) {
 	testleak.Check(t)
 	for _, mode := range []Mode{Remove, Add, Combined, Reweight} {
 		for _, method := range allMethods(mode) {
-			cold := newFixture(t, Options{Mode: mode, Method: method})
+			cold := coldOnly(newFixture(t, Options{Mode: mode, Method: method}))
 			want, errW := cold.ex.Explain(cold.query())
 			for _, workers := range []int{0, 2, 4} {
-				warm := newFixture(t, Options{
-					Mode: mode, Method: method, DeltaCheck: true, Parallelism: workers,
-				})
+				warm := newFixture(t, Options{Mode: mode, Method: method, Parallelism: workers})
 				got, errG := warm.ex.Explain(warm.query())
 				if (errW == nil) != (errG == nil) {
 					t.Fatalf("%v/%v w=%d: cold err=%v delta err=%v", mode, method, workers, errW, errG)
@@ -69,15 +75,13 @@ func TestDeltaABExplanationsIdentical(t *testing.T) {
 func TestDeltaStatsDeterministicAcrossWorkers(t *testing.T) {
 	testleak.Check(t)
 	for _, method := range []Method{Powerset, BruteForce} {
-		seq := newFixture(t, Options{Mode: Remove, Method: method, DeltaCheck: true})
+		seq := newFixture(t, Options{Mode: Remove, Method: method})
 		want, err := seq.ex.Explain(seq.query())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par := newFixture(t, Options{
-				Mode: Remove, Method: method, DeltaCheck: true, Parallelism: workers,
-			})
+			par := newFixture(t, Options{Mode: Remove, Method: method, Parallelism: workers})
 			got, err := par.ex.Explain(par.query())
 			if err != nil {
 				t.Fatal(err)
@@ -92,8 +96,8 @@ func TestDeltaStatsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbackOnLargeEditSets forces the DeltaMaxEdits guard: with
-// a cap of one weight change, every multi-candidate set the brute-force
+// TestDeltaFallbackOnLargeEditSets forces the edit-cap guard: with a
+// cap of one weight change, every multi-candidate set the brute-force
 // stream reaches (a pair = two changes) must take the full-recompute
 // fallback. The u→f3 query has no removal explanation, so the stream
 // exhausts all 7 subsets of |A|=3 — three screened singles, four
@@ -102,13 +106,14 @@ func TestDeltaStatsDeterministicAcrossWorkers(t *testing.T) {
 // read off the process-global obs counters because a no-explanation
 // result carries no Stats.
 func TestDeltaFallbackOnLargeEditSets(t *testing.T) {
-	cold := newFixture(t, Options{})
+	cold := coldOnly(newFixture(t, Options{}))
 	q := Query{User: cold.ids["u"], WNI: cold.ids["f3"]}
 	_, errW := cold.ex.ExplainWith(q, Remove, BruteForce)
 	if errW == nil {
 		t.Fatal("fixture unexpectedly found a removal explanation for f3")
 	}
-	warm := newFixture(t, Options{DeltaCheck: true, DeltaMaxEdits: 1})
+	warm := newFixture(t, Options{})
+	warm.ex.maxEdits = 1
 	screens0, fallbacks0 := deltaScreens.Value(), deltaFallbacksC.Value()
 	_, errG := warm.ex.ExplainWith(q, Remove, BruteForce)
 	if errG == nil || errW.Error() != errG.Error() {
@@ -121,32 +126,12 @@ func TestDeltaFallbackOnLargeEditSets(t *testing.T) {
 	}
 }
 
-// TestDeltaDynamicPrecedence pins the documented precedence: with both
-// options set, the serial dynamic-push path runs and the delta screen
-// stays cold (no base fetch, no screen tallies, sequential evaluator).
-func TestDeltaDynamicPrecedence(t *testing.T) {
-	f := newFixture(t, Options{
-		Mode: Remove, Method: Powerset, DeltaCheck: true, DynamicCheck: true, Parallelism: 4,
-	})
-	expl, err := f.ex.Explain(f.query())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expl.Stats.DeltaScreened != 0 || expl.Stats.DeltaFallbacks != 0 {
-		t.Fatalf("delta tallies %d/%d under DynamicCheck, want 0/0",
-			expl.Stats.DeltaScreened, expl.Stats.DeltaFallbacks)
-	}
-	if ps := f.ex.PipelineStats(); ps.ParallelRuns != 0 {
-		t.Fatalf("ParallelRuns = %d, want 0 (DynamicCheck forces sequential)", ps.ParallelRuns)
-	}
-}
-
 // TestDeltaScreenActuallyScreens guards against the screen silently
 // never engaging (which would make every A/B above pass trivially):
 // a standard Remove/Powerset search must resolve most of its checks on
 // warm estimates.
 func TestDeltaScreenActuallyScreens(t *testing.T) {
-	f := newFixture(t, Options{Mode: Remove, Method: Powerset, DeltaCheck: true})
+	f := newFixture(t, Options{Mode: Remove, Method: Powerset})
 	expl, err := f.ex.Explain(f.query())
 	if err != nil {
 		t.Fatal(err)
@@ -158,26 +143,31 @@ func TestDeltaScreenActuallyScreens(t *testing.T) {
 		t.Fatalf("stats = %+v: delta screen never engaged", expl.Stats)
 	}
 	if expl.Stats.DeltaFallbacks != 0 {
-		t.Fatalf("stats = %+v: single-candidate removals should never exceed DeltaMaxEdits", expl.Stats)
+		t.Fatalf("stats = %+v: single-candidate removals should never exceed the edit cap", expl.Stats)
 	}
 }
 
 // TestDeltaVerifyAgrees runs the explainer's own Verify over a
-// delta-screened explanation: the verification CHECK re-runs cold, so
-// agreement here is an end-to-end soundness check on warm verdicts.
+// warm-screened explanation. Verify is one cold rank check — no warm
+// push, no screen tally — so agreement here is an end-to-end soundness
+// check on warm verdicts by an independent judge.
 func TestDeltaVerifyAgrees(t *testing.T) {
 	for _, mode := range []Mode{Remove, Add} {
-		f := newFixture(t, Options{Mode: mode, Method: Powerset, DeltaCheck: true, Parallelism: 2})
+		f := newFixture(t, Options{Mode: mode, Method: Powerset, Parallelism: 2})
 		expl, err := f.ex.Explain(f.query())
 		if err != nil {
 			t.Fatal(err)
 		}
+		screens0, fallbacks0 := deltaScreens.Value(), deltaFallbacksC.Value()
 		ok, err := f.ex.Verify(expl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			t.Fatalf("%v: delta-screened explanation failed cold verification: %+v", mode, expl)
+			t.Fatalf("%v: warm-screened explanation failed cold verification: %+v", mode, expl)
+		}
+		if s, fb := deltaScreens.Value()-screens0, deltaFallbacksC.Value()-fallbacks0; s != 0 || fb != 0 {
+			t.Fatalf("%v: Verify moved the screen counters (screened %d, fallbacks %d), want a bare cold check", mode, s, fb)
 		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 
 // BenchmarkDeltaCheckPhase measures one CHECK evaluation on the Amazon
 // Lite graph — counterfactual overlay construction plus verdict — with
-// the cold recompute-per-candidate path versus the warm-start delta
-// screen. Both sessions share one base query; the delta session's base
-// push state is fetched once outside the timer, exactly as the cached
-// serving path provides it for free.
+// the cold recompute-per-candidate reference versus the warm-start
+// screen. Both sessions share one base query; the base push state is
+// fetched once outside the timer, exactly as the cached serving path
+// provides it for free.
 //
 // The stream cycles over the query's rejecting single-edge candidates:
 // rejections dominate every long CHECK stream (the paper's bottleneck
@@ -27,17 +27,20 @@ func BenchmarkDeltaCheckPhase(b *testing.B) {
 	g, r, q, te := liteScenario(b)
 	ctx := context.Background()
 
+	opts := Options{AllowedEdgeTypes: te, DisableCache: true, MaxSearchSpace: 12}
+
 	// Decide pass/reject once, on the cold path, so both rows cycle the
 	// identical rejection stream (the A/B suite pins that delta verdicts
 	// agree).
-	cold := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true, MaxSearchSpace: 12})
+	cold := New(g, r, opts)
+	cold.coldOnly = true
 	cs, err := cold.newSession(ctx, q, Remove)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var rejs []candidate
 	for _, c := range cs.cands {
-		ok, _, _, err := cs.checkOnce(ctx, []candidate{c}, nil)
+		ok, _, _, err := cs.checkOnce(ctx, []candidate{c}, &cs.dsc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,16 +53,12 @@ func BenchmarkDeltaCheckPhase(b *testing.B) {
 	}
 
 	for _, cfg := range []struct {
-		name  string
-		delta bool
-	}{{"cold", false}, {"delta", true}} {
+		name string
+		cold bool
+	}{{"cold", true}, {"delta", false}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			ex := New(g, r, Options{
-				AllowedEdgeTypes: te,
-				DisableCache:     true,
-				MaxSearchSpace:   12,
-				DeltaCheck:       cfg.delta,
-			})
+			ex := New(g, r, opts)
+			ex.coldOnly = cfg.cold
 			s, err := ex.newSession(ctx, q, Remove)
 			if err != nil {
 				b.Fatal(err)

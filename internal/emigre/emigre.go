@@ -27,8 +27,10 @@
 //
 // Every non-direct strategy verifies its answer with the paper's CHECK
 // step: the candidate edit is applied as a copy-on-write overlay and
-// the recommender is re-run; the edit is an explanation iff the new
-// top-1 equals WNI.
+// the recommender is re-scored; the edit is an explanation iff the new
+// top-1 equals WNI. Scoring a counterfactual is a warm-start repair of
+// the user's base push state (rejections end there); a pass is
+// confirmed by one cold PPR run (DESIGN.md §3.15).
 package emigre
 
 import (
@@ -251,51 +253,13 @@ type Options struct {
 	// without the cache; only the work performed differs.
 	DisableCache bool
 
-	// DynamicCheck accelerates the CHECK step with the dynamic
-	// forward-push engine (ppr.DynamicForwardPush): instead of
-	// re-running PPR from scratch on every counterfactual overlay, the
-	// push state is repaired locally for the changed user row — the
-	// optimization avenue the paper points at in §5.3 via Zhang,
-	// Lofgren & Goel. Rejections are decided dynamically; passes are
-	// confirmed with one static run, so returned explanations are
-	// exactly as sound as without the option. A rejection may disagree
-	// with the static path on tolerance-level near-ties.
-	//
-	// DynamicCheck forces sequential CHECK evaluation: the push state
-	// is repaired incrementally from one counterfactual to the next,
-	// which is inherently a serial walk of the candidate stream.
-	DynamicCheck bool
-
-	// DeltaCheck accelerates the CHECK step with stateless warm-start
-	// pushes (ppr.ForwardPush.UpdateForEdit): the session fetches the
-	// user's full base push state — estimates AND residuals — once
-	// through the result cache, and every counterfactual CHECK repairs
-	// that shared immutable base at the user's edited row instead of
-	// re-running PPR from scratch, O(Δ) per check. Unlike DynamicCheck
-	// the base is never mutated, so DeltaCheck composes with
-	// Parallelism: each speculative worker warm-starts from the same
-	// base with its own scratch. Rejections are decided on the warm
-	// estimates; passes are confirmed with one static run, so returned
-	// explanations are exactly as sound as without the option. When a
-	// counterfactual's edit set exceeds DeltaMaxEdits the screen is
-	// skipped and the full recompute runs (Stats.DeltaFallbacks).
-	//
-	// DynamicCheck takes precedence when both options are set.
-	DeltaCheck bool
-
-	// DeltaMaxEdits caps the per-counterfactual edit-set size (total
-	// weight changes across edited rows) the delta screen will repair;
-	// larger edit sets fall back to the full recompute, whose cost the
-	// repair would approach anyway. Default 32.
-	DeltaMaxEdits int
-
 	// Parallelism is the number of CHECK evaluations run concurrently
 	// per query. The strategies emit their candidate sets as an ordered
 	// stream; with Parallelism > 1 a worker pool verifies sets
 	// speculatively while results are committed in stream order, so
 	// explanations, Stats and budget errors are byte-identical to the
 	// sequential search (see pipeline.go). 0 or 1 (the default) runs
-	// the classic sequential path; DynamicCheck forces it.
+	// the classic sequential path.
 	Parallelism int
 }
 
@@ -307,8 +271,13 @@ const (
 	DefaultMaxTests           = 2000
 	DefaultAddEdgeWeight      = 1.0
 	DefaultReweightTo         = 1.0
-	DefaultDeltaMaxEdits      = 32
 )
+
+// deltaMaxEdits caps the per-counterfactual edit-set size (total weight
+// changes across edited rows) the warm screen will repair; larger edit
+// sets go straight to the cold recompute, whose cost the repair would
+// approach anyway.
+const deltaMaxEdits = 32
 
 func (o Options) withDefaults() Options {
 	if fmath.Eq(o.AddEdgeWeight, 0) {
@@ -328,9 +297,6 @@ func (o Options) withDefaults() Options {
 	}
 	if fmath.Eq(o.ReweightTo, 0) {
 		o.ReweightTo = DefaultReweightTo
-	}
-	if o.DeltaMaxEdits == 0 {
-		o.DeltaMaxEdits = DefaultDeltaMaxEdits
 	}
 	if o.TargetRank == 0 {
 		o.TargetRank = 1
@@ -352,15 +318,16 @@ type Stats struct {
 	// CombosExamined counts candidate combinations inspected (before
 	// threshold filtering).
 	CombosExamined int
-	// Tests counts CHECK invocations (each one is a full PPR run on a
-	// counterfactual overlay — or a warm-start repair under DeltaCheck).
+	// Tests counts CHECK invocations (each one is a warm-start repair of
+	// the base push state on a counterfactual overlay, plus one full PPR
+	// run when the repair passes or the edit set is over the cap).
 	Tests int
-	// DeltaScreened counts CHECKs evaluated by the warm-start delta
-	// screen (Options.DeltaCheck): rejections it decided outright plus
-	// passes it forwarded to the static confirmation run.
+	// DeltaScreened counts CHECKs evaluated on warm-start estimates:
+	// rejections decided outright plus passes forwarded to the cold
+	// confirmation run.
 	DeltaScreened int
-	// DeltaFallbacks counts CHECKs where the delta screen stepped aside
-	// for the full recompute (edit set larger than DeltaMaxEdits).
+	// DeltaFallbacks counts CHECKs whose edit set exceeded the warm
+	// screen's cap and ran the full recompute alone.
 	DeltaFallbacks int
 	// Duration is the wall-clock time of the Explain call.
 	Duration time.Duration
@@ -467,6 +434,13 @@ type Explainer struct {
 	rev     *ppr.ReversePush
 	cache   *pprcache.Cache // nil when Options.DisableCache
 	metrics *pipelineMetrics
+	// Test seams, set only from _test.go files. coldOnly skips the warm
+	// screen, so every CHECK is one cold rank check: the reference the
+	// A/B suites and BenchmarkDeltaCheckPhase/cold compare against.
+	// maxEdits is the screen's edit-set cap (deltaMaxEdits), lowered to
+	// force the over-cap fallback.
+	coldOnly bool
+	maxEdits int
 }
 
 // New builds an explainer. The recommender must have been built over g
@@ -490,12 +464,13 @@ func New(g *hin.Graph, r *rec.Recommender, opts Options) *Explainer {
 		r = r.WithCache(cache)
 	}
 	return &Explainer{
-		g:       g,
-		r:       r,
-		opts:    o,
-		rev:     ppr.NewReversePush(r.Config().PPR),
-		cache:   cache,
-		metrics: &pipelineMetrics{},
+		g:        g,
+		r:        r,
+		opts:     o,
+		rev:      ppr.NewReversePush(r.Config().PPR),
+		cache:    cache,
+		metrics:  &pipelineMetrics{},
+		maxEdits: deltaMaxEdits,
 	}
 }
 
@@ -596,16 +571,17 @@ func (e *Explainer) CurrentRecommendation(u hin.NodeID) (hin.NodeID, error) {
 
 // Verify re-runs the CHECK step for an explanation: it applies the
 // edges to a fresh overlay and reports whether the Why-Not item becomes
-// the top-1 recommendation. It is used by the evaluation harness to
-// audit ExhaustiveDirect results.
+// the top-1 recommendation. It is one cold PPR run — no warm start, no
+// session state shared with the search that produced the explanation —
+// which is what makes it an independent judge: the evaluation harness
+// audits ExhaustiveDirect results with it.
 func (e *Explainer) Verify(expl *Explanation) (bool, error) {
 	return e.VerifyContext(context.Background(), expl)
 }
 
 // VerifyContext is Verify with cancellation.
 func (e *Explainer) VerifyContext(ctx context.Context, expl *Explanation) (bool, error) {
-	s, err := e.newSession(ctx, expl.Query, expl.Mode)
-	if err != nil {
+	if err := e.validate(expl.Query); err != nil {
 		return false, err
 	}
 	var cands []candidate
@@ -625,8 +601,13 @@ func (e *Explainer) VerifyContext(ctx context.Context, expl *Explanation) (bool,
 			cands = append(cands, candidate{edge: edge, op: expl.Mode})
 		}
 	}
-	ok, _, err := s.check(cands)
-	return ok, err
+	s := &session{ex: e, ctx: ctx, q: expl.Query, mode: expl.Mode}
+	r2, _, err := s.counterfactual(cands)
+	if err != nil {
+		return false, err
+	}
+	ok, _, err := s.rankCheck(ctx, r2)
+	return ok, s.wrapCtx(err)
 }
 
 // session carries the per-query state shared by the strategies.
@@ -648,13 +629,10 @@ type session struct {
 	// accept optionally widens the CHECK success criterion to a set of
 	// items (group-granularity queries); nil means {WNI}.
 	accept map[hin.NodeID]bool
-	// dyn is the lazily created dynamic-push state used when
-	// Options.DynamicCheck is set.
-	dyn *ppr.DynamicForwardPush
 	// base is the user's full forward push state over the unedited view,
-	// fetched once (through the result cache) when Options.DeltaCheck is
-	// active. Immutable and shared: every delta screen — sequential or
-	// on a pipeline worker — warm-starts from it with its own scratch.
+	// fetched once (through the result cache) at session set-up.
+	// Immutable and shared: every warm screen — sequential or on a
+	// pipeline worker — warm-starts from it with its own scratch.
 	base *ppr.PushResult
 	// dsc is the sequential evaluator's reusable delta scratch; pipeline
 	// workers allocate their own per goroutine.
@@ -680,40 +658,35 @@ type candidate struct {
 	transDelta float64
 }
 
-func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*session, error) {
+// validate rejects queries that violate Definition 4.1.
+func (e *Explainer) validate(q Query) error {
 	if q.User < 0 || int(q.User) >= e.g.NumNodes() || q.WNI < 0 || int(q.WNI) >= e.g.NumNodes() {
-		return nil, fmt.Errorf("%w: node out of range", ErrNotWhyNotItem)
+		return fmt.Errorf("%w: node out of range", ErrNotWhyNotItem)
 	}
 	if !e.r.IsCandidate(q.User, q.WNI) {
-		return nil, fmt.Errorf("%w: node %d is not a recommendable item for user %d (Definition 4.1 requires an item the user has not interacted with)",
+		return fmt.Errorf("%w: node %d is not a recommendable item for user %d (Definition 4.1 requires an item the user has not interacted with)",
 			ErrNotWhyNotItem, q.WNI, q.User)
 	}
-	var base *ppr.PushResult
-	if e.deltaActive() {
-		// Fetch the base pair before the baseline recommendation: the
-		// result-level fill populates (or upgrades) the cache entry the
-		// RecommendContext below then hits, so the session still runs
-		// one full forward push in total. Without a cache this costs one
-		// extra push — DeltaCheck is built for the cached serving path.
-		var err error
-		base, err = e.r.ForwardResultContext(ctx, q.User)
-		if err != nil {
-			return nil, wrapCtxErr(err, Stats{})
-		}
+	return nil
+}
+
+func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*session, error) {
+	if err := e.validate(q); err != nil {
+		return nil, err
 	}
-	current, err := e.r.RecommendContext(ctx, q.User)
+	// The base push pair is the session's one forward push: the baseline
+	// ranking is read off its estimates and every CHECK warm-starts from
+	// it. (WNI is a candidate, so the ranking is never empty.)
+	base, err := e.r.ForwardResultContext(ctx, q.User)
 	if err != nil {
 		return nil, wrapCtxErr(err, Stats{})
 	}
+	current := topCandidate(e.r, q.User, base.Estimates)
 	if current == q.WNI {
 		return nil, fmt.Errorf("%w: item %d", ErrAlreadyTop, q.WNI)
 	}
 	if k := e.opts.TargetRank; k > 1 {
-		rank, err := e.r.RankOfContext(ctx, q.User, q.WNI)
-		if err != nil {
-			return nil, wrapCtxErr(err, Stats{})
-		}
-		if rank <= k {
+		if rank := rankWithin(e.r, q.User, base.Estimates, q.WNI, k); rank > 0 {
 			return nil, fmt.Errorf("%w: item %d already at rank %d ≤ target %d", ErrAlreadyTop, q.WNI, rank, k)
 		}
 	}
@@ -782,13 +755,6 @@ func (s *session) canceled() error {
 // recommender call with the session's partial stats.
 func (s *session) wrapCtx(err error) error { return wrapCtxErr(err, s.stats) }
 
-// deltaActive reports whether the warm-start delta screen runs for
-// this explainer's sessions. DynamicCheck takes precedence: its serial
-// repaired state subsumes the stateless screen.
-func (e *Explainer) deltaActive() bool {
-	return e.opts.DeltaCheck && !e.opts.DynamicCheck
-}
-
 // deltaScratch is one evaluator's reusable warm-start working set: the
 // push scratch plus the edited-row list. The session owns one for the
 // sequential path; each pipeline worker goroutine owns its own.
@@ -797,70 +763,38 @@ type deltaScratch struct {
 	rows []hin.NodeID
 }
 
-// deltaFlags records how the delta screen participated in one CHECK,
+// deltaFlags records how the warm screen participated in one CHECK,
 // so the parallel committer can fold per-check outcomes into Stats in
 // stream order (worker-count-deterministic, like Tests).
 type deltaFlags struct {
 	// screened: the warm screen produced the verdict (a rejection) or
-	// forwarded a tentative pass to the static confirmation.
+	// forwarded a tentative pass to the cold confirmation.
 	screened bool
-	// fallback: the edit set exceeded DeltaMaxEdits; full recompute ran.
+	// fallback: the edit set exceeded the cap; full recompute ran alone.
 	fallback bool
 }
 
 // check is the paper's CHECK/TEST step with the session's sequential
-// bookkeeping: cancellation poll, CHECK budget, Tests tally, and the
-// optional dynamic-push or delta-screen fast rejection. The parallel
-// pipeline performs the same bookkeeping at commit time and calls
-// checkOnce instead.
+// bookkeeping around checkOnce: cancellation poll, CHECK budget, Tests
+// and delta tallies. The parallel pipeline performs the same
+// bookkeeping at commit time.
 func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 	if err := s.canceled(); err != nil {
 		return false, hin.InvalidNode, err
-	}
-	if err := checkSite.Hit(s.ctx); err != nil {
-		return false, hin.InvalidNode, s.wrapCtx(err)
 	}
 	if s.stats.Tests >= s.ex.opts.MaxTests {
 		return false, hin.InvalidNode, budgetExhausted(s.stats.Tests)
 	}
 	s.stats.Tests++
-	r2, o, err := s.counterfactual(cands)
-	if err != nil {
-		return false, hin.InvalidNode, err
-	}
-	if s.ex.opts.DynamicCheck {
-		ok, _, err := s.dynamicCheck(r2)
-		if err != nil {
-			return false, hin.InvalidNode, s.wrapCtx(err)
-		}
-		if !ok {
-			// Fast rejection: the overwhelming majority of CHECK calls
-			// end here, each for the price of a local push repair.
-			return false, hin.InvalidNode, nil
-		}
-		// A dynamic PASS is confirmed with one static run so returned
-		// explanations stay sound even on tolerance-level near-ties.
-	} else if s.ex.deltaActive() {
-		ok, _, flags, err := s.deltaScreen(s.ctx, r2, o, &s.dsc)
-		if err != nil {
-			return false, hin.InvalidNode, s.wrapCtx(err)
-		}
-		s.tallyDelta(flags)
-		if flags.screened && !ok {
-			// Warm rejection: decided on the repaired estimates alone,
-			// no full PPR run. Passes fall through to the static
-			// confirmation below, mirroring DynamicCheck soundness.
-			return false, hin.InvalidNode, nil
-		}
-	}
-	ok, top, err := s.rankCheck(s.ctx, r2)
+	ok, top, flags, err := s.checkOnce(s.ctx, cands, &s.dsc)
 	if err != nil {
 		return false, hin.InvalidNode, s.wrapCtx(err)
 	}
+	s.tallyDelta(flags)
 	return ok, top, nil
 }
 
-// tallyDelta folds one CHECK's delta-screen outcome into the session
+// tallyDelta folds one CHECK's warm-screen outcome into the session
 // stats. The sequential evaluator calls it at check time; the parallel
 // committer calls it per committed job, in stream order.
 func (s *session) tallyDelta(flags deltaFlags) {
@@ -872,18 +806,20 @@ func (s *session) tallyDelta(flags deltaFlags) {
 	}
 }
 
-// checkOnce is one stateless CHECK: overlay, patched recommender,
-// optional delta screen, rank comparison. It performs no budget or
-// Tests accounting, never touches the session's dynamic-push state,
+// checkOnce is one stateless CHECK: overlay, patched recommender, warm
+// screen, and — when the screen passes or steps aside — the cold rank
+// comparison. Rejections, the overwhelming majority of any CHECK
+// stream, end at the screen for the price of a local push repair; a
+// warm PASS is confirmed cold so returned explanations stay sound on
+// tolerance-level near-ties. It performs no budget or Tests accounting
 // and returns context errors raw (the caller wraps them with the stats
 // it has committed) — which makes it safe to run from many pipeline
 // workers at once. The shared state it reads (graph, recommender
 // snapshot, accept set, base push state, cache) is read-only for the
-// session's lifetime; dsc is the caller's own scratch (nil for an
-// uncached one-shot).
+// session's lifetime; dsc is the caller's own scratch.
 func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaScratch) (bool, hin.NodeID, deltaFlags, error) {
-	// The same CHECK seam the sequential path gates in check(): one
-	// failpoint hit per evaluation, whichever pipeline runs it.
+	// The CHECK seam: one failpoint hit per evaluation, whichever
+	// evaluator runs it.
 	if err := checkSite.Hit(ctx); err != nil {
 		return false, hin.InvalidNode, deltaFlags{}, err
 	}
@@ -892,38 +828,32 @@ func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaSc
 		return false, hin.InvalidNode, deltaFlags{}, err
 	}
 	var flags deltaFlags
-	if s.ex.deltaActive() {
-		if dsc == nil {
-			dsc = &deltaScratch{}
-		}
-		ok, _, f, err := s.deltaScreen(ctx, r2, o, dsc)
-		if err != nil {
-			return false, hin.InvalidNode, deltaFlags{}, err
-		}
-		flags = f
-		if flags.screened && !ok {
-			return false, hin.InvalidNode, flags, nil
+	if !s.ex.coldOnly {
+		var ok bool
+		ok, flags, err = s.warmScreen(ctx, r2, o, dsc)
+		if err != nil || (flags.screened && !ok) {
+			return false, hin.InvalidNode, flags, err
 		}
 	}
 	ok, top, err := s.rankCheck(ctx, r2)
 	return ok, top, flags, err
 }
 
-// deltaScreen evaluates the counterfactual on warm-start estimates:
-// the overlay's edited rows are repaired against the session's shared
-// base push state and the verdict is read off the resulting estimate
-// vector — the same decision rule as dynamicCheck, but stateless, so
-// any number of workers can screen concurrently. Edit sets larger than
-// DeltaMaxEdits fall back (screened=false) to the full recompute.
-func (s *session) deltaScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Overlay, dsc *deltaScratch) (bool, hin.NodeID, deltaFlags, error) {
+// warmScreen evaluates the counterfactual on warm-start estimates: the
+// overlay's edited rows are repaired against the session's shared base
+// push state and the verdict is read off the resulting estimate vector.
+// It is stateless, so any number of workers can screen concurrently.
+// Edit sets over the cap fall back (screened=false) to the full
+// recompute.
+func (s *session) warmScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Overlay, dsc *deltaScratch) (bool, deltaFlags, error) {
 	edits := o.RowEdits()
 	changes := 0
 	for _, re := range edits {
 		changes += len(re.Changes)
 	}
-	if changes > s.ex.opts.DeltaMaxEdits {
+	if changes > s.ex.maxEdits {
 		recordDeltaFallback()
-		return false, hin.InvalidNode, deltaFlags{fallback: true}, nil
+		return false, deltaFlags{fallback: true}, nil
 	}
 	dsc.rows = dsc.rows[:0]
 	for _, re := range edits {
@@ -934,18 +864,17 @@ func (s *session) deltaScreen(ctx context.Context, r2 *rec.Recommender, o *hin.O
 	// the counterfactual's scoring view, which differs only at rows.
 	res, err := r2.WarmScoresContext(ctx, s.ex.r.ScoringView(), s.base, dsc.rows, &dsc.sc)
 	if err != nil {
-		return false, hin.InvalidNode, deltaFlags{}, err
+		return false, deltaFlags{}, err
 	}
-	ok, top := s.estimateVerdict(r2, res.Estimates)
 	recordDeltaScreen()
-	return ok, top, deltaFlags{screened: true}, nil
+	return s.estimateVerdict(r2, res.Estimates), deltaFlags{screened: true}, nil
 }
 
 // counterfactual applies the candidate selection as an overlay and
 // binds the recommender to it. Counterfactuals only touch the user's
 // outgoing row, so the recommender scores over a one-row patch of its
 // flat snapshot instead of re-flattening the overlay; the overlay is
-// returned alongside so the delta screen can enumerate its row edits.
+// returned alongside so the warm screen can enumerate its row edits.
 func (s *session) counterfactual(cands []candidate) (*rec.Recommender, *hin.Overlay, error) {
 	removals, additions, reweights := splitOps(cands)
 	// A reweight is expressed as removing the typed edge and re-adding
@@ -984,85 +913,63 @@ func (s *session) accepted(top hin.NodeID) bool {
 	return top == s.q.WNI || (s.accept != nil && s.accept[top])
 }
 
-// dynamicCheck evaluates the counterfactual with the maintained
-// dynamic-push state instead of a fresh PPR run. Successive
-// counterfactuals all differ from each other only in the user's
-// outgoing row, which is exactly the update shape
-// ppr.DynamicForwardPush repairs locally.
-func (s *session) dynamicCheck(r2 *rec.Recommender) (bool, hin.NodeID, error) {
-	view := r2.ScoringView()
-	if s.dyn == nil {
-		var err error
-		s.dyn, err = ppr.NewDynamicForwardPushContext(s.ctx, s.ex.r.Config().PPR, s.ex.r.View(), s.q.User)
-		if err != nil {
-			return false, hin.InvalidNode, err
-		}
-	}
-	if err := s.dyn.UpdateContext(s.ctx, view, s.q.User); err != nil {
-		return false, hin.InvalidNode, err
-	}
-	ok, top := s.estimateVerdict(r2, s.dyn.Estimates())
-	return ok, top, nil
-}
-
 // estimateVerdict reads a CHECK verdict off an estimate vector for the
-// patched recommender r2: the tolerance-ordered top candidate, and
-// whether an accepted item reaches the target rank. Shared by the
-// serial dynamic-push path and the stateless delta screen.
-func (s *session) estimateVerdict(r2 *rec.Recommender, est ppr.Vector) (bool, hin.NodeID) {
-	top := hin.InvalidNode
-	best := 0.0
-	for v := range est {
-		id := hin.NodeID(v)
-		if !r2.IsCandidate(s.q.User, id) {
-			continue
-		}
-		if top == hin.InvalidNode || fmath.Before(est[v], best, int(id), int(top)) {
-			top = id
-			best = est[v]
-		}
+// patched recommender r2: whether an accepted item reaches the target
+// rank in the recommender's own ordering.
+func (s *session) estimateVerdict(r2 *rec.Recommender, est ppr.Vector) bool {
+	k := s.ex.opts.TargetRank
+	if k == 1 {
+		top := topCandidate(r2, s.q.User, est)
+		return top != hin.InvalidNode && s.accepted(top)
 	}
-	if top == hin.InvalidNode {
-		return false, hin.InvalidNode
+	reaches := func(a hin.NodeID) bool {
+		return r2.IsCandidate(s.q.User, a) && rankWithin(r2, s.q.User, est, a, k) > 0
 	}
-	if k := s.ex.opts.TargetRank; k > 1 {
-		return s.dynamicRankAccepted(r2, est, k), top
+	if reaches(s.q.WNI) {
+		return true
 	}
-	return s.accepted(top), top
-}
-
-// dynamicRankAccepted reports whether any accepted item sits within the
-// top-k of the dynamic estimates.
-func (s *session) dynamicRankAccepted(r2 *rec.Recommender, est ppr.Vector, k int) bool {
-	targets := []hin.NodeID{s.q.WNI}
 	for a := range s.accept {
-		if a != s.q.WNI {
-			targets = append(targets, a)
-		}
-	}
-	for _, a := range targets {
-		if !r2.IsCandidate(s.q.User, a) {
-			continue
-		}
-		better := 0
-		sa := est[a]
-		for v := range est {
-			id := hin.NodeID(v)
-			if id == a || !r2.IsCandidate(s.q.User, id) {
-				continue
-			}
-			if fmath.Before(est[v], sa, int(id), int(a)) {
-				better++
-				if better >= k {
-					break
-				}
-			}
-		}
-		if better < k {
+		if reaches(a) {
 			return true
 		}
 	}
 	return false
+}
+
+// topCandidate returns the first entry of r's ranking of u's candidates
+// on the estimate vector est — r.TopN's order, without the sort — or
+// hin.InvalidNode when u has no candidate.
+func topCandidate(r *rec.Recommender, u hin.NodeID, est ppr.Vector) hin.NodeID {
+	top := hin.InvalidNode
+	for v := range est {
+		id := hin.NodeID(v)
+		if !r.IsCandidate(u, id) {
+			continue
+		}
+		if top == hin.InvalidNode || fmath.Before(est[v], est[top], int(id), int(top)) {
+			top = id
+		}
+	}
+	return top
+}
+
+// rankWithin returns candidate a's 1-based rank among u's candidates on
+// est (r.RankOf's order) when that rank is at most k, and 0 otherwise.
+func rankWithin(r *rec.Recommender, u hin.NodeID, est ppr.Vector, a hin.NodeID, k int) int {
+	better := 0
+	for v := range est {
+		id := hin.NodeID(v)
+		if id == a || !r.IsCandidate(u, id) {
+			continue
+		}
+		if fmath.Before(est[v], est[a], int(id), int(a)) {
+			better++
+			if better >= k {
+				return 0
+			}
+		}
+	}
+	return better + 1
 }
 
 // gapFlipped reports whether a running gap estimate has crossed zero,

@@ -12,7 +12,7 @@ var (
 	deltaScreens = obs.Default().Counter("emigre_check_delta_screened_total",
 		"CHECK evaluations decided or pre-screened on warm-start delta estimates.")
 	deltaFallbacksC = obs.Default().Counter("emigre_check_delta_fallbacks_total",
-		"CHECK evaluations that exceeded DeltaMaxEdits and ran a full recompute.")
+		"CHECK evaluations whose edit set exceeded the warm screen's cap and ran a full recompute.")
 )
 
 func recordDeltaScreen() {

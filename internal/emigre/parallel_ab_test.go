@@ -121,13 +121,11 @@ func TestParallelPipelineStatsAccounting(t *testing.T) {
 }
 
 // TestParallelSequentialFallbacks pins the degradation contract:
-// Parallelism <= 1 and DynamicCheck must not touch the parallel
-// evaluator at all.
+// Parallelism <= 1 must not touch the parallel evaluator at all.
 func TestParallelSequentialFallbacks(t *testing.T) {
 	for _, opts := range []Options{
 		{Mode: Remove, Method: Powerset},
 		{Mode: Remove, Method: Powerset, Parallelism: 1},
-		{Mode: Remove, Method: Powerset, Parallelism: 8, DynamicCheck: true},
 	} {
 		f := newFixture(t, opts)
 		if _, err := f.ex.Explain(f.query()); err != nil {

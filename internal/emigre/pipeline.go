@@ -12,7 +12,7 @@ import (
 )
 
 // Failpoint sites on the CHECK path. checkSite fires at the head of
-// every sequential CHECK (session.check); workerSite fires in each
+// every CHECK evaluation (session.checkOnce); workerSite fires in each
 // parallel pipeline worker before its speculative checkOnce. With a
 // sleep action either one deterministically stretches CHECK latency —
 // the lever the chaos suite and the CI chaos-smoke job use to force the
@@ -61,10 +61,6 @@ var (
 //     cancellation); the generator must return promptly. Its own error —
 //     typically a CanceledError from a loop-boundary poll — is surfaced
 //     only when the evaluator itself did not decide first.
-//
-// Options.DynamicCheck forces the sequential evaluator: the dynamic
-// push state is repaired incrementally from one counterfactual to the
-// next, which is inherently a serial walk of the stream.
 
 // checkStream is a strategy rendered as a generator: it yields candidate
 // sets in sequential CHECK order until yield returns false or the stream
@@ -95,15 +91,14 @@ func budgetExhausted(tests int) error {
 // selected by Options.Parallelism; both produce identical outcomes,
 // stats and errors.
 func (s *session) runChecks(gen checkStream) (pipelineOutcome, error) {
-	if w := s.ex.opts.Parallelism; w > 1 && !s.ex.opts.DynamicCheck {
+	if w := s.ex.opts.Parallelism; w > 1 {
 		return s.runChecksParallel(w, gen)
 	}
 	return s.runChecksSeq(gen)
 }
 
 // runChecksSeq is the inline evaluator: the pre-split sequential code
-// path, shared by every strategy. Parallelism <= 1 and DynamicCheck
-// degrade to it.
+// path, shared by every strategy. Parallelism <= 1 degrades to it.
 func (s *session) runChecksSeq(gen checkStream) (pipelineOutcome, error) {
 	var (
 		out     pipelineOutcome
@@ -152,7 +147,7 @@ type checkDone struct {
 	checkJob
 	ok  bool
 	top hin.NodeID
-	// flags records the delta screen's participation; the committer
+	// flags records the warm screen's participation; the committer
 	// folds it into Stats only for committed verdicts, so the tallies
 	// stay identical across worker counts (like Tests).
 	flags deltaFlags
@@ -190,13 +185,10 @@ func (s *session) runChecksParallel(workers int, gen checkStream) (pipelineOutco
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker warm-start scratch: the delta screen repairs
+			// Per-worker warm-start scratch: the warm screen repairs
 			// residuals into it, so it must never be shared across
 			// concurrently running checks.
-			var dsc *deltaScratch
-			if s.ex.deltaActive() {
-				dsc = &deltaScratch{}
-			}
+			dsc := &deltaScratch{}
 			for job := range jobs {
 				d := checkDone{checkJob: job}
 				switch {

@@ -2,6 +2,7 @@ package emigre
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -55,20 +56,24 @@ func TestTargetRankRelaxedSuccess(t *testing.T) {
 	}
 }
 
-func TestTargetRankDynamicCheckAgrees(t *testing.T) {
+// TestTargetRankWarmScreenAgrees covers the rank-k verdict of the warm
+// screen: with TargetRank 2 the default CHECK must answer exactly like
+// the cold-only reference.
+func TestTargetRankWarmScreenAgrees(t *testing.T) {
 	q := func(f *fixture) Query { return Query{User: f.ids["u"], WNI: f.ids["f3"]} }
-	fs := newFixture(t, Options{TargetRank: 2})
-	fd := newFixture(t, Options{TargetRank: 2, DynamicCheck: true})
-	es, errS := fs.ex.ExplainWith(q(fs), Remove, Exhaustive)
-	ed, errD := fd.ex.ExplainWith(q(fd), Remove, Exhaustive)
-	if (errS == nil) != (errD == nil) {
-		t.Fatalf("static err %v vs dynamic err %v", errS, errD)
+	fc := coldOnly(newFixture(t, Options{TargetRank: 2}))
+	fw := newFixture(t, Options{TargetRank: 2})
+	ec, errC := fc.ex.ExplainWith(q(fc), Remove, Exhaustive)
+	ew, errW := fw.ex.ExplainWith(q(fw), Remove, Exhaustive)
+	if errC != nil || errW != nil {
+		t.Fatalf("cold err %v, warm err %v: the top-2 question is answerable on this fixture", errC, errW)
 	}
-	if errS != nil {
-		t.Skip("no explanation at rank 2 in this fixture")
+	if ew.Stats.DeltaScreened == 0 {
+		t.Fatalf("stats = %+v: rank-2 search never reached the warm screen", ew.Stats)
 	}
-	if es.Size() != ed.Size() {
-		t.Fatalf("sizes differ: %d vs %d", es.Size(), ed.Size())
+	c, w := stripVariance(*ec), stripVariance(*ew)
+	if !reflect.DeepEqual(&c, &w) {
+		t.Fatalf("explanations diverge:\ncold: %+v\nwarm: %+v", &c, &w)
 	}
 }
 

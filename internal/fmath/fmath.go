@@ -28,7 +28,7 @@ func Eq(a, b float64) bool { return a == b }
 // Before reports whether a score/tie pair ranks strictly before
 // another: higher score first, exact score ties broken toward the
 // lower tie key (node ID). This is the single ordering contract used
-// by the recommender's TopN/RankOf, the explainer's dynamic check and
+// by the recommender's TopN/RankOf, the explainer's warm CHECK screen and
 // the PRINCE action ranking; the exact tie keeps rankings
 // deterministic and byte-identical with caching on and off.
 //

@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -93,13 +94,13 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDynamicVsStatic is the ablation for the §5.3
+// BenchmarkAblationWarmVsCold is the ablation for the §5.3
 // optimization: the cost of evaluating a counterfactual (one user
-// out-row edit) with a fresh forward push versus the dynamic repair.
-func BenchmarkAblationDynamicVsStatic(b *testing.B) {
+// out-row edit) with a fresh forward push versus a warm-start repair of
+// the base push state.
+func BenchmarkAblationWarmVsCold(b *testing.B) {
 	g, csr := benchGraph(5000, 20000)
 	params := DefaultParams()
-	rng := rand.New(rand.NewSource(9))
 	s := hin.NodeID(3)
 	u := s
 	et, _ := g.Types().LookupEdgeType("e")
@@ -118,24 +119,25 @@ func BenchmarkAblationDynamicVsStatic(b *testing.B) {
 	if len(overlays) == 0 {
 		b.Skip("no overlays constructible")
 	}
-	_ = rng
+	e := NewForwardPush(params)
 
-	b.Run("static-recompute", func(b *testing.B) {
-		e := NewForwardPush(params)
+	b.Run("cold-recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := e.FromSource(overlays[i%len(overlays)], s); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("dynamic-update", func(b *testing.B) {
-		dyn, err := NewDynamicForwardPush(params, csr, s)
+	b.Run("warm-update", func(b *testing.B) {
+		base, err := e.Run(csr, s)
 		if err != nil {
 			b.Fatal(err)
 		}
+		ctx := context.Background()
+		sc := &UpdateScratch{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := dyn.Update(overlays[i%len(overlays)], u); err != nil {
+			if _, err := e.UpdateForEdit(ctx, csr, overlays[i%len(overlays)], base, []hin.NodeID{u}, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

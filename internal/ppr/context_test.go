@@ -47,18 +47,6 @@ func TestEnginesHonorCanceledContext(t *testing.T) {
 			_, err := NewMonteCarlo(p).FromSourceContext(ctx, g, s)
 			return err
 		}},
-		{"NewDynamicForwardPush", func(ctx context.Context) error {
-			_, err := NewDynamicForwardPushContext(ctx, p, g, s)
-			return err
-		}},
-		{"DynamicForwardPush.Update", func(ctx context.Context) error {
-			dyn, err := NewDynamicForwardPush(p, g, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := applyUserEdits(t, g, s, rng)
-			return dyn.UpdateContext(ctx, o, s)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

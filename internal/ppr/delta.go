@@ -3,6 +3,7 @@ package ppr
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/why-not-xai/emigre/internal/fault"
 	"github.com/why-not-xai/emigre/internal/fmath"
@@ -14,13 +15,12 @@ import (
 // new view that differs only in the outgoing rows of a known node set,
 // UpdateForEdit repairs the push invariant at the edited rows and
 // resumes the push loop over the perturbation only — O(Δ) work instead
-// of a full O(push) recomputation. It is the stateless sibling of
-// DynamicForwardPush: the base state is never mutated, so any number
-// of concurrent callers can warm-start from one shared base result as
-// long as each brings its own UpdateScratch. EMiGRe's CHECK step uses
-// exactly this shape — every counterfactual differs from the base
-// graph in the query user's row alone — and hands one scratch to each
-// speculative pipeline worker.
+// of a full O(push) recomputation. The base state is never mutated, so
+// any number of concurrent callers can warm-start from one shared base
+// result as long as each brings its own UpdateScratch. EMiGRe's CHECK
+// step uses exactly this shape — every counterfactual differs from the
+// base graph in the query user's row alone — and hands one scratch to
+// each speculative pipeline worker.
 //
 // Update rules (Zhang, Lofgren & Goel, KDD'16; DESIGN.md §3.15). With
 // Z = α(I − (1−α)W)⁻¹ and ΔW = W′ − W supported on the edited rows:
@@ -73,8 +73,7 @@ func (sc *UpdateScratch) ensure(n int) {
 
 // deltaAcc is a sparse signed accumulator over node IDs: a dense value
 // slice plus the touched-ID list, so repeated use never re-allocates
-// and reset is O(touched) — the slice-based replacement for the
-// per-call map the dynamic engine's transitionDelta used to allocate.
+// and reset is O(touched).
 type deltaAcc struct {
 	val     []float64
 	mark    []bool
@@ -249,9 +248,8 @@ func (e *ReversePush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 // signedForwardPush drains residuals above eps in absolute value over
 // view, updating p and r in place. The queue must be pre-seeded with
 // every node whose |r| exceeds eps (inQueue marking them); during the
-// drain new nodes enqueue as usual. Shared by the warm-start forward
-// update (updateLoopSite) and the dynamic engine's resume loop
-// (dynamicLoopSite), each gating its own failpoint.
+// drain new nodes enqueue as usual; site is the caller's failpoint,
+// consulted on the cancellation-poll cadence.
 func signedForwardPush(ctx context.Context, params Params, view hin.View, p, r Vector, queue *nodeQueue, inQueue []bool, site *fault.Site) (int, error) {
 	alpha := params.Alpha
 	eps := params.Epsilon
@@ -360,4 +358,11 @@ func signedReversePush(ctx context.Context, params Params, view hin.View, p, r V
 		})
 	}
 	return pushes, nil
+}
+
+// abs delegates to the math.Abs intrinsic (a single sign-bit clear):
+// a branching |x| mispredicts heavily inside the signed push loops,
+// where residual signs are effectively random.
+func abs(x float64) float64 {
+	return math.Abs(x)
 }

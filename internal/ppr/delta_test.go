@@ -9,6 +9,42 @@ import (
 	"github.com/why-not-xai/emigre/internal/hin"
 )
 
+// applyUserEdits builds an overlay removing some of u's out-edges and
+// adding new ones, returning it with the edit lists.
+func applyUserEdits(t *testing.T, g *hin.Graph, u hin.NodeID, rng *rand.Rand) *hin.Overlay {
+	t.Helper()
+	et, _ := g.Types().LookupEdgeType("e")
+	var removals, additions []hin.Edge
+	for _, e := range g.OutEdgesOfType(u, hin.NewEdgeTypeSet()) {
+		if rng.Float64() < 0.4 {
+			removals = append(removals, e)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		v := hin.NodeID(rng.Intn(g.NumNodes()))
+		if v == u {
+			continue
+		}
+		if _, exists := g.EdgeWeight(u, v, et); exists {
+			continue
+		}
+		dup := false
+		for _, e := range additions {
+			if e.To == v {
+				dup = true
+			}
+		}
+		if !dup {
+			additions = append(additions, hin.Edge{From: u, To: v, Type: et, Weight: rng.Float64() + 0.2})
+		}
+	}
+	o, err := hin.NewOverlay(g, removals, additions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 // toggleRowOverlay returns an overlay over view editing exactly node
 // u's out-row: the first existing out-edge removed and one new edge
 // added toward a non-neighbor. Unlike applyUserEdits it accepts any
@@ -191,37 +227,6 @@ func TestReverseUpdateForEditCSRFastPath(t *testing.T) {
 	}
 }
 
-func TestDynamicUpdateForEditMultiRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(85))
-	for trial := 0; trial < 8; trial++ {
-		g := randomBidirGraph(rng, 15+rng.Intn(15), 30+rng.Intn(30))
-		params := testParams()
-		s := hin.NodeID(rng.Intn(g.NumNodes()))
-		u1 := hin.NodeID(rng.Intn(g.NumNodes()))
-		u2 := hin.NodeID((int(u1) + 1 + rng.Intn(g.NumNodes()-1)) % g.NumNodes())
-		dyn, err := NewDynamicForwardPush(params, g, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o1 := applyUserEdits(t, g, u1, rng)
-		o2 := toggleRowOverlay(t, g, o1, u2, rng)
-		if err := dyn.UpdateForEdit(context.Background(), o2, []hin.NodeID{u1, u2}); err != nil {
-			t.Fatal(err)
-		}
-		exact, err := NewPower(params).FromSource(o2, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := dyn.Estimates()
-		for v := range exact {
-			if diff := math.Abs(exact[v] - got[v]); diff > 1e-6 {
-				t.Fatalf("trial %d: PPR(%d,%d) dynamic %g vs exact %g (diff %g)",
-					trial, s, v, got[v], exact[v], diff)
-			}
-		}
-	}
-}
-
 func TestUpdateForEditRejectsBadInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	g := randomBidirGraph(rng, 10, 20)
@@ -292,9 +297,7 @@ func updateAllocs(t *testing.T, nodes, extra int) float64 {
 // TestUpdateForEditAllocsConstant pins the warm-start path's allocation
 // shape: with a warmed scratch, UpdateForEdit allocates only the result
 // struct plus loop-closure bookkeeping — a small constant independent of
-// graph size. This is the satellite guarantee that replaced the per-call
-// map of the old transitionDelta (internal/ppr/dynamic.go) with
-// slice-based reusable scratch.
+// graph size.
 func TestUpdateForEditAllocsConstant(t *testing.T) {
 	small := updateAllocs(t, 50, 100)
 	large := updateAllocs(t, 2000, 8000)
@@ -303,43 +306,5 @@ func TestUpdateForEditAllocsConstant(t *testing.T) {
 	}
 	if small > 4 {
 		t.Errorf("allocs per warm update = %.1f, want <= 4 (result struct + loop bookkeeping)", small)
-	}
-}
-
-// dynamicUpdateAllocs measures per-call allocations of the dynamic
-// engine's maintenance path, toggling between two views.
-func dynamicUpdateAllocs(t *testing.T, nodes, extra int) float64 {
-	t.Helper()
-	rng := rand.New(rand.NewSource(9))
-	g := randomBidirGraph(rng, nodes, extra)
-	oldCSR := hin.NewCSR(g)
-	o := applyUserEdits(t, g, 0, rng)
-	newCSR := hin.NewCSR(o)
-	dyn, err := NewDynamicForwardPush(DefaultParams(), oldCSR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := [2]hin.View{newCSR, oldCSR}
-	i := 0
-	return testing.AllocsPerRun(50, func() {
-		if err := dyn.Update(views[i%2], 0); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-}
-
-// TestDynamicUpdateAllocsConstant pins the dynamic engine's update path
-// at a size-independent allocation count: the transition delta now
-// accumulates into struct-owned slices and the push queue is reused, so
-// repeated updates allocate (close to) nothing.
-func TestDynamicUpdateAllocsConstant(t *testing.T) {
-	small := dynamicUpdateAllocs(t, 50, 100)
-	large := dynamicUpdateAllocs(t, 2000, 8000)
-	if small != large {
-		t.Errorf("allocs per dynamic update: %.1f on 50 nodes vs %.1f on 2000 nodes; scratch is not being reused", small, large)
-	}
-	if small > 2 {
-		t.Errorf("allocs per dynamic update = %.1f, want <= 2 (loop bookkeeping only)", small)
 	}
 }

@@ -40,7 +40,6 @@ var (
 
 	pushesForward       = pushesCounter("forward_push")
 	pushesReverse       = pushesCounter("reverse_push")
-	pushesDynamic       = pushesCounter("dynamic")
 	pushesForwardUpdate = pushesCounter("forward_update")
 	pushesReverseUpdate = pushesCounter("reverse_update")
 
@@ -48,8 +47,6 @@ var (
 		"Power-iteration sweeps (each O(E)) across both directions.")
 	walkChunks = obs.Default().Counter("emigre_ppr_walks_total",
 		"Monte Carlo random walks sampled.")
-	dynamicUpdates = obs.Default().Counter("emigre_ppr_dynamic_updates_total",
-		"Dynamic forward-push incremental updates applied.")
 
 	residualMassForward       = residualMassHistogram("forward_push")
 	residualMassReverse       = residualMassHistogram("reverse_push")

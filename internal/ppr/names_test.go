@@ -1,11 +1,6 @@
 package ppr
 
-import (
-	"math/rand"
-	"testing"
-
-	"github.com/why-not-xai/emigre/internal/hin"
-)
+import "testing"
 
 func TestEngineNames(t *testing.T) {
 	p := DefaultParams()
@@ -20,17 +15,5 @@ func TestEngineNames(t *testing.T) {
 		if got != want {
 			t.Fatalf("engine name %q, want %q", got, want)
 		}
-	}
-}
-
-func TestDynamicSourceAccessor(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := randomBidirGraph(rng, 8, 12)
-	dyn, err := NewDynamicForwardPush(testParams(), g, hin.NodeID(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dyn.Source() != 3 {
-		t.Fatalf("Source = %d, want 3", dyn.Source())
 	}
 }

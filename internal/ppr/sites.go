@@ -13,6 +13,5 @@ var (
 	reverseLoopSite = fault.Register("ppr.reverse.loop")
 	powerSweepSite  = fault.Register("ppr.power.sweep")
 	mcWalkSite      = fault.Register("ppr.montecarlo.walk")
-	dynamicLoopSite = fault.Register("ppr.dynamic.loop")
 	updateLoopSite  = fault.Register("ppr.update.loop")
 )

@@ -86,7 +86,10 @@ func (rt *Router) raceUpstream(ctx context.Context, op string, candidates []stri
 				return res
 			}
 			lastErr = pickErr(lastErr, res)
-			if !failoverable(res.err, idempotent) {
+			// One classification for both tiers: what the client would
+			// retry against the same server, the router moves to the next
+			// backend; everything else (4xx, decode errors) is the answer.
+			if !client.Retryable(res.err, idempotent) {
 				return res
 			}
 			if launched < len(candidates) {
@@ -96,27 +99,6 @@ func (rt *Router) raceUpstream(ctx context.Context, op string, candidates []stri
 		}
 	}
 	return lastErr
-}
-
-// failoverable mirrors client.retryable's classification at the
-// router tier: 429/503 always move on (the backend did no work);
-// transport errors and ambiguous 5xx move on only for idempotent
-// calls; everything else (4xx, decode errors) is the answer.
-func failoverable(err error, idempotent bool) bool {
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		switch apiErr.Status {
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			return true
-		case http.StatusInternalServerError, http.StatusBadGateway,
-			http.StatusGatewayTimeout:
-			return idempotent
-		default:
-			return false
-		}
-	}
-	// Anything non-API (transport, context) is ambiguous.
-	return idempotent && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 // pickErr keeps the most informative failure: an upstream *APIError

@@ -28,6 +28,7 @@ type fakeBackend struct {
 	ready    atomic.Bool
 	delay    atomic.Int64 // nanoseconds
 	status   atomic.Int64 // 0 = 200
+	garbled  atomic.Bool  // answer 200 with a body that is not JSON
 	served   atomic.Int64
 	canceled atomic.Int64 // requests whose context died mid-delay
 }
@@ -60,6 +61,10 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 		}
 		if s := int(b.status.Load()); s != 0 {
 			writeJSON(w, s, map[string]string{"error": "scripted failure"})
+			return
+		}
+		if b.garbled.Load() {
+			io.WriteString(w, "{not json")
 			return
 		}
 		b.served.Add(1)
@@ -212,23 +217,36 @@ func TestFailoverOn503(t *testing.T) {
 	}
 }
 
-// TestBadRequestDoesNotFailOver: a 4xx is the answer — the router must
-// not burn a second backend on it.
+// TestBadRequestDoesNotFailOver: a definitive outcome is the answer —
+// a 4xx the backend meant, or a 200 whose body does not decode (the
+// request was served; asking another backend cannot un-serve it). The
+// router must not burn a second backend on either, even though explain
+// is idempotent.
 func TestBadRequestDoesNotFailOver(t *testing.T) {
-	testleak.Check(t)
-	b1, b2 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2")
-	rt := newTestRouter(t, nil, b1, b2)
-	byURL := map[string]*fakeBackend{b1.url(): b1, b2.url(): b2}
-	user := "bad-request-user"
-	owner := byURL[rt.ring.owner(user)]
-	owner.status.Store(http.StatusNotFound)
+	for _, tc := range []struct {
+		name   string
+		script func(owner *fakeBackend)
+		want   int
+	}{
+		{"4xx", func(b *fakeBackend) { b.status.Store(http.StatusNotFound) }, http.StatusNotFound},
+		{"decode error", func(b *fakeBackend) { b.garbled.Store(true) }, http.StatusBadGateway},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testleak.Check(t)
+			b1, b2 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2")
+			rt := newTestRouter(t, nil, b1, b2)
+			byURL := map[string]*fakeBackend{b1.url(): b1, b2.url(): b2}
+			user := "bad-request-user"
+			tc.script(byURL[rt.ring.owner(user)])
 
-	rec := postExplain(t, rt.Handler(), user)
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("status %d, want mirrored 404: %s", rec.Code, rec.Body.String())
-	}
-	if rt.m.failovers.Value() != 0 {
-		t.Fatal("4xx triggered a failover")
+			rec := postExplain(t, rt.Handler(), user)
+			if rec.Code != tc.want {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.want, rec.Body.String())
+			}
+			if rt.m.failovers.Value() != 0 {
+				t.Fatal("definitive outcome triggered a failover")
+			}
+		})
 	}
 }
 

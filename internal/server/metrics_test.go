@@ -95,6 +95,31 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 }
 
+// TestDefaultServerScreensWarm pins the shipped configuration: a
+// default-configured server evaluates its CHECKs on warm-start
+// estimates, visible as emigre_check_delta_screened_total moving across
+// one /explain.
+func TestDefaultServerScreensWarm(t *testing.T) {
+	srv, _ := newTestServer(t)
+	h := srv.Handler()
+	scrape := func() *obs.Exposition {
+		t.Helper()
+		e, err := obs.ParseExposition(do(t, h, "GET", "/metrics", nil).Body.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	before := scrape()
+	body := map[string]any{"user": "Paul", "wni": "Harry Potter", "mode": "remove", "method": "powerset"}
+	if rec := do(t, h, "POST", "/explain", body); rec.Code != http.StatusOK {
+		t.Fatalf("explain status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if d := obs.CounterDeltas(before, scrape())["emigre_check_delta_screened_total"]; d <= 0 {
+		t.Fatalf("emigre_check_delta_screened_total moved by %v across an explain, want > 0", d)
+	}
+}
+
 // TestMetricsDefaultRegistry pins that a nil Config.Metrics falls back
 // to the process-global registry and /metrics does not render it twice
 // (duplicate TYPE lines are a format violation the validator rejects).
