@@ -11,8 +11,8 @@
 // The package re-exports the library's building blocks:
 //
 //   - the heterogeneous information network (Graph, Overlay, View);
-//   - Personalized PageRank engines (PowerEngine, ForwardPushEngine,
-//     ReversePushEngine, MonteCarloEngine);
+//   - Personalized PageRank engines (ForwardPushEngine and
+//     ReversePushEngine, plus PowerEngine as the dense reference);
 //   - the PPR recommender (Recommender);
 //   - the EMiGRe explainer (Explainer) with its Remove/Add modes and
 //     Incremental/Powerset/Exhaustive strategies plus the
@@ -123,8 +123,6 @@ type (
 	ForwardPushEngine = ppr.ForwardPush
 	// ReversePushEngine is Reverse Local Push (Eq. 4).
 	ReversePushEngine = ppr.ReversePush
-	// MonteCarloEngine estimates PPR with α-terminated random walks.
-	MonteCarloEngine = ppr.MonteCarlo
 )
 
 // DefaultPPRParams returns the paper's hyper-parameters: α = 0.15,

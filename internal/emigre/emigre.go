@@ -849,7 +849,7 @@ func (s *session) warmScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Ov
 	edits := o.RowEdits()
 	changes := 0
 	for _, re := range edits {
-		changes += len(re.Changes)
+		changes += re.Changes
 	}
 	if changes > s.ex.maxEdits {
 		recordDeltaFallback()
@@ -859,10 +859,9 @@ func (s *session) warmScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Ov
 	for _, re := range edits {
 		dsc.rows = append(dsc.rows, re.Node)
 	}
-	// The base pair was pushed over the unpatched scoring view (the
-	// β-mixed transition view, not the raw flat snapshot): pair it with
-	// the counterfactual's scoring view, which differs only at rows.
-	res, err := r2.WarmScoresContext(ctx, s.ex.r.ScoringView(), s.base, dsc.rows, &dsc.sc)
+	// The base pair was pushed over the unpatched snapshot: pair it
+	// with the counterfactual's, which differs only at rows.
+	res, err := r2.WarmScoresContext(ctx, s.view, s.base, dsc.rows, &dsc.sc)
 	if err != nil {
 		return false, deltaFlags{}, err
 	}

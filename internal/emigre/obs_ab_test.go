@@ -59,7 +59,7 @@ func TestObsDisabledRecordsNothing(t *testing.T) {
 
 	// Sum runs across every engine so the probe is agnostic to which
 	// engines a particular search configuration exercises.
-	engines := []string{"forward_push", "reverse_push", "power", "monte_carlo"}
+	engines := []string{"forward_push", "reverse_push", "forward_update", "power"}
 	runs := func() int64 {
 		var total int64
 		for _, e := range engines {

@@ -18,6 +18,17 @@ func TestTargetRankAlreadySatisfied(t *testing.T) {
 	}
 }
 
+// TestTargetRankNegativeIsAnError: a negative TargetRank reaches the
+// cold rank check as a list size; it must come back as an error, not a
+// slice-bounds panic.
+func TestTargetRankNegativeIsAnError(t *testing.T) {
+	f := newFixture(t, Options{TargetRank: -1})
+	ok, err := f.ex.Verify(&Explanation{Query: f.query(), Mode: Remove})
+	if err == nil {
+		t.Fatalf("Verify with TargetRank -1 = %v, want an error", ok)
+	}
+}
+
 func TestTargetRankRelaxedSuccess(t *testing.T) {
 	// f3's single-item top-1 question is unanswerable in Remove mode
 	// (f2 intercepts the top spot); asking only for the top-2 makes it

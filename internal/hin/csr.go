@@ -1,10 +1,20 @@
 package hin
 
-// CSR is an immutable, flat (compressed sparse row) snapshot of a View.
-// PPR push loops over a CSR run several times faster than over a Graph
-// or Overlay because adjacency is contiguous and the per-node weight
-// sums are precomputed — the recommender flattens each (overlay) view
-// once before scoring it.
+import "errors"
+
+// CSR is an immutable, flat (compressed sparse row) snapshot of a View,
+// optionally with one node's outgoing row replaced (WithOutRow). It is
+// the only shape the PPR push kernels iterate: adjacency is contiguous
+// and the per-node weight sums are precomputed. EMiGRe's
+// counterfactuals only ever edit the query user's out-edges, so the
+// CHECK step scores an overlay by patching the user's new row
+// (O(deg u)) into the shared base snapshot instead of re-flattening
+// the whole graph.
+//
+// Every View method is exact under a row patch. The in-row accessors
+// (InSlice, OutWeightSums) are what a patch cannot serve from shared
+// arrays; NewCSR re-flattens a row-patched snapshot into a plain one
+// for callers that need them.
 type CSR struct {
 	reg   *TypeRegistry
 	ntype []NodeTypeID
@@ -15,25 +25,34 @@ type CSR struct {
 	inHalf   []HalfEdge
 	outSum   []float64
 
+	// patchNode's outgoing row is patchOut (weight sum patchSum) instead
+	// of the arrays' entry; InvalidNode when the snapshot is unpatched.
+	patchNode NodeID
+	patchOut  []HalfEdge
+	patchSum  float64
+
 	// version is the source view's version captured at flatten time: a
 	// CSR is a frozen snapshot, so it keeps identifying that state even
-	// if the source graph mutates afterwards.
+	// if the source graph mutates afterwards. A row-patched snapshot is
+	// unversioned: it shares its base's arrays, never its identity.
 	version   Version
 	versioned bool
 }
 
-// NewCSR flattens v. If v is already a *CSR it is returned as-is.
+// NewCSR flattens v. A *CSR without a row patch is returned as-is; a
+// row-patched one is re-flattened into a plain snapshot.
 func NewCSR(v View) *CSR {
-	if c, ok := v.(*CSR); ok {
+	if c, ok := v.(*CSR); ok && c.patchNode == InvalidNode {
 		return c
 	}
 	n := v.NumNodes()
 	c := &CSR{
-		reg:      v.Types(),
-		ntype:    make([]NodeTypeID, n),
-		outStart: make([]int32, n+1),
-		inStart:  make([]int32, n+1),
-		outSum:   make([]float64, n),
+		reg:       v.Types(),
+		ntype:     make([]NodeTypeID, n),
+		outStart:  make([]int32, n+1),
+		inStart:   make([]int32, n+1),
+		outSum:    make([]float64, n),
+		patchNode: InvalidNode,
 	}
 	c.version, c.versioned = ViewVersion(v)
 	outDeg := make([]int32, n)
@@ -71,6 +90,22 @@ func NewCSR(v View) *CSR {
 	return c
 }
 
+// WithOutRow returns a snapshot sharing c's arrays with node's outgoing
+// row replaced by out (weight sum outSum). The slice is retained;
+// callers must not mutate it afterwards. c is not modified. The result
+// is unversioned, so it can never be served from (or stored under) c's
+// cache keys.
+func (c *CSR) WithOutRow(node NodeID, out []HalfEdge, outSum float64) *CSR {
+	base := c
+	if c.patchNode != InvalidNode && c.patchNode != node {
+		base = NewCSR(c) // one patch per snapshot: materialize the other row first
+	}
+	p := *base
+	p.patchNode, p.patchOut, p.patchSum = node, out, outSum
+	p.version, p.versioned = Version{}, false
+	return &p
+}
+
 // Version implements Versioned: the version of the view the snapshot
 // was flattened from.
 func (c *CSR) Version() (Version, bool) { return c.version, c.versioned }
@@ -86,46 +121,82 @@ func (c *CSR) Types() *TypeRegistry { return c.reg }
 
 // OutEdges implements View.
 func (c *CSR) OutEdges(v NodeID, yield func(HalfEdge) bool) {
-	for _, h := range c.outHalf[c.outStart[v]:c.outStart[v+1]] {
+	for _, h := range c.OutSlice(v) {
 		if !yield(h) {
 			return
 		}
 	}
 }
 
-// InEdges implements View.
+// InEdges implements View. Under a row patch, base in-edges originating
+// at the patched node are suppressed and the patched row's entries
+// follow the rest.
 func (c *CSR) InEdges(v NodeID, yield func(HalfEdge) bool) {
 	for _, h := range c.inHalf[c.inStart[v]:c.inStart[v+1]] {
+		if h.Node == c.patchNode {
+			continue
+		}
 		if !yield(h) {
+			return
+		}
+	}
+	for _, h := range c.patchOut {
+		if h.Node == v && !yield(HalfEdge{Node: c.patchNode, Type: h.Type, Weight: h.Weight}) {
 			return
 		}
 	}
 }
 
 // OutDegree implements View.
-func (c *CSR) OutDegree(v NodeID) int { return int(c.outStart[v+1] - c.outStart[v]) }
+func (c *CSR) OutDegree(v NodeID) int { return len(c.OutSlice(v)) }
 
 // OutWeightSum implements View.
-func (c *CSR) OutWeightSum(v NodeID) float64 { return c.outSum[v] }
+func (c *CSR) OutWeightSum(v NodeID) float64 {
+	if v == c.patchNode {
+		return c.patchSum
+	}
+	return c.outSum[v]
+}
 
-// OutSlice returns v's outgoing adjacency as a shared slice. Callers
-// must not mutate it; it exists so hot loops (PPR pushes) can avoid the
-// callback overhead of OutEdges.
+// OutSlice returns v's outgoing adjacency as a shared slice (the
+// patched row for a patched node). Callers must not mutate it; it
+// exists so hot loops (PPR pushes) can avoid the callback overhead of
+// OutEdges.
 func (c *CSR) OutSlice(v NodeID) []HalfEdge {
+	if v == c.patchNode {
+		return c.patchOut
+	}
 	return c.outHalf[c.outStart[v]:c.outStart[v+1]]
 }
 
+var errPatchedInRows = errors.New("hin: in-row access on a row-patched CSR (flatten it with NewCSR first)")
+
 // InSlice returns v's incoming adjacency as a shared slice (see
-// OutSlice).
+// OutSlice). The in-arrays are the base's, so a row-patched snapshot
+// cannot answer: flatten it with NewCSR first.
 func (c *CSR) InSlice(v NodeID) []HalfEdge {
+	if c.patchNode != InvalidNode {
+		panic(errPatchedInRows)
+	}
 	return c.inHalf[c.inStart[v]:c.inStart[v+1]]
+}
+
+// OutWeightSums returns every node's out-weight sum as a shared slice
+// indexed by NodeID — InSlice's companion for loops that divide each
+// in-edge by its source's sum (reverse push) and must not pay
+// OutWeightSum's patch check per edge. Same restriction as InSlice.
+func (c *CSR) OutWeightSums() []float64 {
+	if c.patchNode != InvalidNode {
+		panic(errPatchedInRows)
+	}
+	return c.outSum
 }
 
 // HasEdge implements View by scanning v's out list (CSR is built for
 // push loops; candidate filtering keeps using the underlying graph's
 // indexed lookup).
 func (c *CSR) HasEdge(from, to NodeID) bool {
-	for _, h := range c.outHalf[c.outStart[from]:c.outStart[from+1]] {
+	for _, h := range c.OutSlice(from) {
 		if h.Node == to {
 			return true
 		}

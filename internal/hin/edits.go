@@ -2,44 +2,25 @@ package hin
 
 import "sort"
 
-// WeightChange is one typed edge's weight transition under an overlay:
-// OldWeight == 0 marks a pure addition, NewWeight == 0 a pure removal,
-// and both non-zero a reweight (a removal re-added at a different
-// weight, the Reweight-mode shape).
-type WeightChange struct {
-	To        NodeID
-	Type      EdgeTypeID
-	OldWeight float64
-	NewWeight float64
-}
-
-// RowEdit aggregates every outgoing-edge change of one node under an
-// overlay, together with the row-level quantities a warm-started PPR
-// update needs: the out-degree and out-weight-sum before and after the
-// edit. Degree and sum changes matter because the recommender's β-mix
-// spreads a uniform term over the whole row — a single edge edit
-// perturbs every transition probability of the row, and the consumer
-// must know the row changed without re-walking composed adjacency.
+// RowEdit is one edited source row of an overlay: the unit a
+// warm-started PPR update repairs. Any edge edit perturbs every
+// transition probability of its row (the recommender's β-mix spreads a
+// uniform term over the whole row), so the consumer needs to know which
+// rows changed and how large the edit is — not the individual weights,
+// which it re-reads from the patched row.
 type RowEdit struct {
 	// Node is the edited row's source node.
 	Node NodeID
-	// Changes lists the typed-edge weight transitions of the row,
-	// ordered by (To, Type).
-	Changes []WeightChange
-	// OldDeg/NewDeg are the row's out-degrees before/after the edit.
-	OldDeg, NewDeg int
-	// OldSum/NewSum are the row's out-weight sums before/after the
-	// edit (NewSum clamped at zero like OutWeightSum).
-	OldSum, NewSum float64
+	// Changes counts the row's typed edges whose weight changed. A
+	// removal re-added at a different weight (the Reweight-mode shape)
+	// is one change, not two.
+	Changes int
 }
 
-// RowEdits enumerates the overlay's edits grouped by source node, in
-// ascending node order, with each row's changes ordered by (To, Type).
-// This is the first-class edit set the delta-PPR path consumes: the
-// engines learn which rows changed (and by how much) in O(|edits|)
-// instead of re-walking overlay adjacency. Only directly edited rows
-// appear; the enumeration covers this overlay's own edits relative to
-// its base view (which may itself be an overlay).
+// RowEdits enumerates the overlay's edited rows in ascending node
+// order, in O(|edits|) instead of re-walking overlay adjacency. Only
+// directly edited rows appear; the enumeration covers this overlay's
+// own edits relative to its base view (which may itself be an overlay).
 //
 // The result is built fresh on every call and owned by the caller; an
 // Overlay stays immutable and safe for concurrent readers.
@@ -47,72 +28,21 @@ func (o *Overlay) RowEdits() []RowEdit {
 	if len(o.outWeight) == 0 {
 		return nil
 	}
-	type rowKey struct {
-		to  NodeID
-		typ EdgeTypeID
-	}
-	changes := make(map[NodeID]map[rowKey]*WeightChange, len(o.outWeight))
-	rowChange := func(from NodeID, k rowKey) *WeightChange {
-		row := changes[from]
-		if row == nil {
-			row = make(map[rowKey]*WeightChange)
-			changes[from] = row
-		}
-		c := row[k]
-		if c == nil {
-			c = &WeightChange{To: k.to, Type: k.typ}
-			row[k] = c
-		}
-		return c
-	}
-	removedCount := make(map[NodeID]int, len(o.outWeight))
-	for k, w := range o.removed {
-		c := rowChange(k.from, rowKey{k.to, k.typ})
-		c.OldWeight = w
-		removedCount[k.from]++
+	changes := make(map[NodeID]int, len(o.outWeight))
+	for k := range o.removed {
+		changes[k.from]++
 	}
 	for from, halves := range o.added {
 		for _, h := range halves {
-			c := rowChange(from, rowKey{h.Node, h.Type})
-			c.NewWeight = h.Weight
+			if _, reweight := o.removed[typedKey{from, h.Node, h.Type}]; !reweight {
+				changes[from]++
+			}
 		}
 	}
 	edits := make([]RowEdit, 0, len(changes))
-	for from, row := range changes {
-		e := RowEdit{
-			Node:    from,
-			Changes: make([]WeightChange, 0, len(row)),
-			OldDeg:  o.base.OutDegree(from),
-			OldSum:  o.base.OutWeightSum(from),
-			NewSum:  o.OutWeightSum(from),
-		}
-		e.NewDeg = e.OldDeg - removedCount[from] + len(o.added[from])
-		for _, c := range row {
-			e.Changes = append(e.Changes, *c)
-		}
-		sort.Slice(e.Changes, func(i, j int) bool {
-			a, b := e.Changes[i], e.Changes[j]
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			return a.Type < b.Type
-		})
-		edits = append(edits, e)
+	for from, n := range changes {
+		edits = append(edits, RowEdit{Node: from, Changes: n})
 	}
 	sort.Slice(edits, func(i, j int) bool { return edits[i].Node < edits[j].Node })
 	return edits
-}
-
-// EditedRows returns the edited source nodes of RowEdits in ascending
-// order — the row set a warm-started push must repair.
-func (o *Overlay) EditedRows() []NodeID {
-	if len(o.outWeight) == 0 {
-		return nil
-	}
-	rows := make([]NodeID, 0, len(o.outWeight))
-	for v := range o.outWeight {
-		rows = append(rows, v)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	return rows
 }

@@ -2,13 +2,15 @@ package hin
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// TestPatchedCSRMatchesOverlay verifies that patching a single node's
+// TestCSRRowPatchMatchesOverlay verifies that patching a single node's
 // out-row into a CSR is observationally identical to the overlay it
-// models, across every View method.
-func TestPatchedCSRMatchesOverlay(t *testing.T) {
+// models, across every View method — and that re-flattening the patched
+// snapshot yields a plain one that still agrees.
+func TestCSRRowPatchMatchesOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 15; trial++ {
 		g := randomGraph(rng, 4+rng.Intn(12), 10+rng.Intn(40))
@@ -48,17 +50,32 @@ func TestPatchedCSRMatchesOverlay(t *testing.T) {
 		// Build the patch from the overlay's u-row.
 		var row []HalfEdge
 		o.OutEdges(u, func(h HalfEdge) bool { row = append(row, h); return true })
-		p := NewPatchedCSR(NewCSR(g), u, row, o.OutWeightSum(u))
+		base := NewCSR(g)
+		p := base.WithOutRow(u, row, o.OutWeightSum(u))
 
 		viewsAgree(t, o, p)
+		viewsAgree(t, g, base) // the shared arrays are untouched
+		flat := NewCSR(p)
+		if flat == p {
+			t.Fatal("NewCSR must re-flatten a row-patched snapshot")
+		}
+		viewsAgree(t, o, flat)
+		// Same in-row order as flattening the overlay itself: what keeps
+		// a reverse push over either bit-identical.
+		direct := NewCSR(o)
+		for v := 0; v < flat.NumNodes(); v++ {
+			if !reflect.DeepEqual(flat.InSlice(NodeID(v)), direct.InSlice(NodeID(v))) {
+				t.Fatalf("trial %d: re-flattened in-row %d differs from NewCSR(overlay)", trial, v)
+			}
+		}
 	}
 }
 
-func TestPatchedCSRDanglingPatch(t *testing.T) {
+func TestCSRRowPatchDangling(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	g := randomGraph(rng, 8, 20)
 	u := NodeID(0)
-	p := NewPatchedCSR(NewCSR(g), u, nil, 0)
+	p := NewCSR(g).WithOutRow(u, nil, 0)
 	if p.OutDegree(u) != 0 || p.OutWeightSum(u) != 0 {
 		t.Fatal("empty patch should make the node dangling")
 	}
@@ -83,13 +100,13 @@ func TestPatchedCSRDanglingPatch(t *testing.T) {
 	}
 }
 
-func TestPatchedCSREarlyStop(t *testing.T) {
+func TestCSRRowPatchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	g := randomGraph(rng, 8, 30)
 	u := NodeID(0)
 	et, _ := g.Types().LookupEdgeType("e")
 	row := []HalfEdge{{Node: 1, Type: et, Weight: 1}, {Node: 2, Type: et, Weight: 1}}
-	p := NewPatchedCSR(NewCSR(g), u, row, 2)
+	p := NewCSR(g).WithOutRow(u, row, 2)
 	n := 0
 	p.OutEdges(u, func(HalfEdge) bool { n++; return false })
 	if n != 1 {
@@ -99,5 +116,68 @@ func TestPatchedCSREarlyStop(t *testing.T) {
 	p.InEdges(1, func(HalfEdge) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("in-edge early stop visited %d edges", n)
+	}
+}
+
+// TestCSRRowPatchOnPatch: a second patch at the same node replaces the
+// first; one at a different node keeps both (the first is materialized).
+func TestCSRRowPatchOnPatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	g := randomGraph(rng, 8, 30)
+	et, _ := g.Types().LookupEdgeType("e")
+	rowA := []HalfEdge{{Node: 3, Type: et, Weight: 2}}
+	rowB := []HalfEdge{{Node: 4, Type: et, Weight: 5}}
+	p := NewCSR(g).WithOutRow(0, rowA, 2)
+
+	same := p.WithOutRow(0, rowB, 5)
+	if same.OutDegree(0) != 1 || same.OutSlice(0)[0] != rowB[0] || same.OutWeightSum(0) != 5 {
+		t.Fatalf("re-patching node 0 kept the old row: %+v", same.OutSlice(0))
+	}
+	other := p.WithOutRow(1, rowB, 5)
+	if other.OutSlice(0)[0] != rowA[0] || other.OutWeightSum(0) != 2 {
+		t.Fatalf("patching node 1 lost node 0's patch: %+v", other.OutSlice(0))
+	}
+	if other.OutSlice(1)[0] != rowB[0] || other.OutWeightSum(1) != 5 {
+		t.Fatalf("node 1's patch missing: %+v", other.OutSlice(1))
+	}
+}
+
+// TestCSRRowPatchIsUnversioned: a row-patched snapshot shares its
+// base's arrays but must never answer its base's version — a cache
+// keyed on it would serve the base graph's vectors for a counterfactual.
+func TestCSRRowPatchIsUnversioned(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	g := randomGraph(rng, 8, 30)
+	base := NewCSR(g)
+	if _, ok := base.Version(); !ok {
+		t.Fatal("a snapshot of a Graph must be versioned")
+	}
+	p := base.WithOutRow(0, nil, 0)
+	if v, ok := p.Version(); ok {
+		t.Fatalf("row-patched snapshot reports version %+v", v)
+	}
+	if _, ok := NewCSR(p).Version(); ok {
+		t.Fatal("re-flattening must not resurrect a version")
+	}
+	if _, ok := base.Version(); !ok {
+		t.Fatal("patching mutated the base snapshot's version")
+	}
+}
+
+func TestCSRRowPatchInRowAccessPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	p := NewCSR(randomGraph(rng, 6, 12)).WithOutRow(0, nil, 0)
+	for name, access := range map[string]func(){
+		"InSlice":       func() { p.InSlice(1) },
+		"OutWeightSums": func() { p.OutWeightSums() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s of a row-patched snapshot must panic, not answer from the base's arrays", name)
+				}
+			}()
+			access()
+		}()
 	}
 }

@@ -11,11 +11,15 @@
 //   - Overlay: a copy-on-write counterfactual view over a base graph that
 //     applies a set of edge additions and removals without copying the
 //     graph — the workhorse of EMiGRe's CHECK step;
+//   - CSR: an immutable flat snapshot of any View, optionally with one
+//     node's out-row patched — the one shape the PPR push kernels
+//     iterate;
 //   - degree statistics per node type (the paper's Table 4);
 //   - JSON and TSV serialization.
 //
-// All PPR and recommendation code operates on the read-only View
-// interface, so a Graph and an Overlay are interchangeable.
+// PPR and recommendation code accepts the read-only View interface, so
+// a Graph, an Overlay and a CSR are interchangeable as arguments; the
+// push engines flatten whatever they are handed to a CSR once at entry.
 package hin
 
 import "fmt"

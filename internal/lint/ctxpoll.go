@@ -17,8 +17,7 @@ var ctxPollPackages = map[string]bool{"ppr": true, "emigre": true}
 // to ctx.Err/ctx.Done, a call that receives a context.Context (the
 // callee polls), or a call to a `canceled` method — either in its own
 // body or in the body of an enclosing loop of the same function (the
-// outer loop then polls between runs of the inner one, the Monte Carlo
-// walk pattern).
+// outer loop then polls between runs of the inner one).
 func CtxPoll() *Analyzer {
 	a := &Analyzer{
 		Name: "ctxpoll",

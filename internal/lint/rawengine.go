@@ -12,10 +12,10 @@ import (
 var rawEnginePackages = map[string]bool{"emigre": true, "rec": true}
 
 // rawEngineMethods are the engine entry points that compute a vector
-// or a full push state, including the warm-start ("delta") entry
-// points: UpdateForEdit must be reached through the routing helpers so
-// its base pair always comes from the cache, never from an ad-hoc raw
-// run alongside it.
+// or a full push state, including the one warm-start ("delta") entry
+// point, ForwardPush.UpdateForEdit: it must be reached through the
+// routing helpers so its base pair always comes from the cache, never
+// from an ad-hoc raw run alongside it.
 var rawEngineMethods = map[string]bool{
 	"FromSource":        true,
 	"FromSourceContext": true,

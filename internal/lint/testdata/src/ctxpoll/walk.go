@@ -47,7 +47,7 @@ func pollHelper(ctx context.Context) error {
 }
 
 // good: the inner unbounded loop is covered by the poll in the
-// enclosing bounded loop (the Monte Carlo walk pattern).
+// enclosing bounded loop.
 func pollOuter(ctx context.Context, steps int) error {
 	for i := 0; i < steps; i++ {
 		if err := ctx.Err(); err != nil {

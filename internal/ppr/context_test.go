@@ -43,10 +43,6 @@ func TestEnginesHonorCanceledContext(t *testing.T) {
 			_, err := NewReversePush(p).ToTargetContext(ctx, g, s)
 			return err
 		}},
-		{"MonteCarlo", func(ctx context.Context) error {
-			_, err := NewMonteCarlo(p).FromSourceContext(ctx, g, s)
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/why-not-xai/emigre/internal/fault"
 	"github.com/why-not-xai/emigre/internal/fmath"
 	"github.com/why-not-xai/emigre/internal/hin"
 )
 
-// This file is the warm-start ("delta-PPR") entry point of the static
-// push engines: given a completed base PushResult over one view and a
+// This file is the warm-start ("delta-PPR") entry point of the forward
+// push engine: given a completed base PushResult over one view and a
 // new view that differs only in the outgoing rows of a known node set,
 // UpdateForEdit repairs the push invariant at the edited rows and
 // resumes the push loop over the perturbation only — O(Δ) work instead
@@ -22,17 +21,12 @@ import (
 // base graph in the query user's row alone — and hands one scratch to
 // each speculative pipeline worker.
 //
-// Update rules (Zhang, Lofgren & Goel, KDD'16; DESIGN.md §3.15). With
-// Z = α(I − (1−α)W)⁻¹ and ΔW = W′ − W supported on the edited rows:
-//
-//   - forward (row vector p ≈ PPR(s,·), invariant p = Zᵀ(e_s − r)):
-//     keeping p fixed, r′ = r + (1−α)/α · ΔWᵀ p re-establishes the
-//     invariant on W′; only the edited rows' out-neighborhood unions
-//     are touched, each scaled by the row's estimate p(u).
-//   - reverse (column p ≈ PPR(·,t), invariant Z(e_t − r) = p): keeping
-//     p fixed, r′ = r + (1−α)/α · ΔW p; (ΔW p)(x) is non-zero only at
-//     the edited rows x = u, so each row repairs a single residual by
-//     the inner product of its transition delta with the estimates.
+// Update rule (Zhang, Lofgren & Goel, KDD'16; DESIGN.md §3.15). With
+// Z = α(I − (1−α)W)⁻¹ and ΔW = W′ − W supported on the edited rows, the
+// row vector p ≈ PPR(s,·) satisfies p = Zᵀ(e_s − r); keeping p fixed,
+// r′ = r + (1−α)/α · ΔWᵀ p re-establishes the invariant on W′. Only
+// the edited rows' out-neighborhood unions are touched, each scaled by
+// the row's estimate p(u).
 //
 // Residuals may turn negative after a repair; the push rule is linear
 // and applies unchanged (the signed loop drains |r| > ε).
@@ -109,18 +103,16 @@ func (d *deltaAcc) reset() {
 // union of u's old and new out-neighborhoods, and sorts the touched
 // IDs ascending so every consumer iterates deterministically (the
 // same order a full residual scan would visit).
-func transitionDeltaInto(d *deltaAcc, oldView, newView hin.View, u hin.NodeID) {
+func transitionDeltaInto(d *deltaAcc, oldView, newView *hin.CSR, u hin.NodeID) {
 	if total := oldView.OutWeightSum(u); total > 0 {
-		oldView.OutEdges(u, func(h hin.HalfEdge) bool {
+		for _, h := range oldView.OutSlice(u) {
 			d.add(h.Node, -h.Weight/total)
-			return true
-		})
+		}
 	}
 	if total := newView.OutWeightSum(u); total > 0 {
-		newView.OutEdges(u, func(h hin.HalfEdge) bool {
+		for _, h := range newView.OutSlice(u) {
 			d.add(h.Node, h.Weight/total)
-			return true
-		})
+		}
 	}
 	// Insertion sort: touched lists are O(row degree) and sort.Slice
 	// would allocate its closure on every repair.
@@ -131,8 +123,8 @@ func transitionDeltaInto(d *deltaAcc, oldView, newView hin.View, u hin.NodeID) {
 	}
 }
 
-// checkUpdateInputs validates the shared preconditions of the
-// warm-start entry points.
+// checkUpdateInputs validates the preconditions of the warm-start
+// entry point.
 func checkUpdateInputs(params Params, oldView, newView hin.View, base *PushResult) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -165,18 +157,18 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 	if sc == nil {
 		sc = &UpdateScratch{}
 	}
-	n := newView.NumNodes()
-	sc.ensure(n)
+	oldCSR, newCSR := flatten(oldView), flatten(newView)
+	sc.ensure(newCSR.NumNodes())
 	copy(sc.p, base.Estimates)
 	copy(sc.r, base.Residuals)
 	alpha := e.Params.Alpha
 	eps := e.Params.Epsilon
 	for _, u := range rows {
-		if err := checkNode(newView, u); err != nil {
+		if err := checkNode(newCSR, u); err != nil {
 			return nil, err
 		}
 		sc.delta.reset()
-		transitionDeltaInto(&sc.delta, oldView, newView, u)
+		transitionDeltaInto(&sc.delta, oldCSR, newCSR, u)
 		scale := (1 - alpha) / alpha * sc.p[u]
 		if fmath.Eq(scale, 0) {
 			continue
@@ -189,7 +181,7 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 			}
 		}
 	}
-	pushes, err := signedForwardPush(ctx, e.Params, newView, sc.p, sc.r, &sc.queue, sc.inQueue, updateLoopSite)
+	pushes, err := signedForwardPush(ctx, e.Params, newCSR, sc.p, sc.r, &sc.queue, sc.inQueue)
 	if err != nil {
 		return nil, err
 	}
@@ -198,62 +190,13 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 	return res, nil
 }
 
-// UpdateForEdit warm-starts a reverse push: base must be a completed
-// run of this engine toward t over oldView, and newView must differ
-// from oldView only in the outgoing rows listed in rows. Each edited
-// row repairs exactly one residual — its own — by the inner product of
-// its transition delta with the base estimates; the signed reverse
-// loop then restores the ε contract on newView.
-//
-// base is never mutated; the result aliases sc's buffers (see
-// UpdateScratch). sc may be nil for one-shot use.
-func (e *ReversePush) UpdateForEdit(ctx context.Context, oldView, newView hin.View, base *PushResult, rows []hin.NodeID, sc *UpdateScratch) (*PushResult, error) {
-	if err := checkUpdateInputs(e.Params, oldView, newView, base); err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		sc = &UpdateScratch{}
-	}
-	n := newView.NumNodes()
-	sc.ensure(n)
-	copy(sc.p, base.Estimates)
-	copy(sc.r, base.Residuals)
-	alpha := e.Params.Alpha
-	eps := e.Params.Epsilon
-	for _, u := range rows {
-		if err := checkNode(newView, u); err != nil {
-			return nil, err
-		}
-		sc.delta.reset()
-		transitionDeltaInto(&sc.delta, oldView, newView, u)
-		dot := 0.0
-		for _, y := range sc.delta.touched {
-			dot += sc.delta.val[y] * sc.p[y]
-		}
-		sc.r[u] += (1 - alpha) / alpha * dot
-		if abs(sc.r[u]) > eps && !sc.inQueue[u] {
-			sc.queue.push(u)
-			sc.inQueue[u] = true
-		}
-	}
-	pushes, err := signedReversePush(ctx, e.Params, newView, sc.p, sc.r, &sc.queue, sc.inQueue, updateLoopSite)
-	if err != nil {
-		return nil, err
-	}
-	res := &PushResult{Estimates: sc.p, Residuals: sc.r, Pushes: pushes}
-	recordPush(runsReverseUpdate, pushesReverseUpdate, residualMassReverseUpdate, res)
-	return res, nil
-}
-
 // signedForwardPush drains residuals above eps in absolute value over
-// view, updating p and r in place. The queue must be pre-seeded with
+// csr, updating p and r in place. The queue must be pre-seeded with
 // every node whose |r| exceeds eps (inQueue marking them); during the
-// drain new nodes enqueue as usual; site is the caller's failpoint,
-// consulted on the cancellation-poll cadence.
-func signedForwardPush(ctx context.Context, params Params, view hin.View, p, r Vector, queue *nodeQueue, inQueue []bool, site *fault.Site) (int, error) {
+// drain new nodes enqueue as usual.
+func signedForwardPush(ctx context.Context, params Params, csr *hin.CSR, p, r Vector, queue *nodeQueue, inQueue []bool) (int, error) {
 	alpha := params.Alpha
 	eps := params.Epsilon
-	csr, _ := view.(OutSliceView)
 	pushes := 0
 	steps := 0
 	for !queue.empty() {
@@ -261,7 +204,7 @@ func signedForwardPush(ctx context.Context, params Params, view hin.View, p, r V
 			if err := ctxErr(ctx); err != nil {
 				return pushes, err
 			}
-			if err := site.Hit(ctx); err != nil {
+			if err := updateLoopSite.Hit(ctx); err != nil {
 				return pushes, err
 			}
 		}
@@ -275,93 +218,24 @@ func signedForwardPush(ctx context.Context, params Params, view hin.View, p, r V
 		r[v] = 0
 		p[v] += alpha * rv
 		pushes++
-		total := view.OutWeightSum(v)
+		total := csr.OutWeightSum(v)
 		if total <= 0 {
 			continue
 		}
 		scale := (1 - alpha) * rv / total
-		if csr != nil { // fast path inlined: the closure below escapes
-			for _, h := range csr.OutSlice(v) {
-				r[h.Node] += scale * h.Weight
-				if abs(r[h.Node]) > eps && !inQueue[h.Node] {
-					queue.push(h.Node)
-					inQueue[h.Node] = true
-				}
-			}
-			continue
-		}
-		view.OutEdges(v, func(h hin.HalfEdge) bool {
+		for _, h := range csr.OutSlice(v) {
 			r[h.Node] += scale * h.Weight
 			if abs(r[h.Node]) > eps && !inQueue[h.Node] {
 				queue.push(h.Node)
 				inQueue[h.Node] = true
 			}
-			return true
-		})
-	}
-	return pushes, nil
-}
-
-// signedReversePush is signedForwardPush's reverse twin: mass flows
-// backward over incoming edges, each scaled by the *source's* outgoing
-// weight sum under the new view.
-func signedReversePush(ctx context.Context, params Params, view hin.View, p, r Vector, queue *nodeQueue, inQueue []bool, site *fault.Site) (int, error) {
-	alpha := params.Alpha
-	eps := params.Epsilon
-	csr, _ := view.(*hin.CSR)
-	pushes := 0
-	steps := 0
-	for !queue.empty() {
-		if steps%ctxCheckInterval == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return pushes, err
-			}
-			if err := site.Hit(ctx); err != nil {
-				return pushes, err
-			}
 		}
-		steps++
-		v := queue.pop()
-		inQueue[v] = false
-		rv := r[v]
-		if abs(rv) <= eps {
-			continue
-		}
-		r[v] = 0
-		p[v] += alpha * rv
-		pushes++
-		if csr != nil { // fast path inlined: the closure below escapes
-			for _, h := range csr.InSlice(v) {
-				total := view.OutWeightSum(h.Node)
-				if total <= 0 {
-					continue
-				}
-				r[h.Node] += (1 - alpha) * rv * h.Weight / total
-				if abs(r[h.Node]) > eps && !inQueue[h.Node] {
-					queue.push(h.Node)
-					inQueue[h.Node] = true
-				}
-			}
-			continue
-		}
-		view.InEdges(v, func(h hin.HalfEdge) bool {
-			total := view.OutWeightSum(h.Node)
-			if total <= 0 {
-				return true
-			}
-			r[h.Node] += (1 - alpha) * rv * h.Weight / total
-			if abs(r[h.Node]) > eps && !inQueue[h.Node] {
-				queue.push(h.Node)
-				inQueue[h.Node] = true
-			}
-			return true
-		})
 	}
 	return pushes, nil
 }
 
 // abs delegates to the math.Abs intrinsic (a single sign-bit clear):
-// a branching |x| mispredicts heavily inside the signed push loops,
+// a branching |x| mispredicts heavily inside the signed push loop,
 // where residual signs are effectively random.
 func abs(x float64) float64 {
 	return math.Abs(x)

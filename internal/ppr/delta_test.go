@@ -82,20 +82,80 @@ func toggleRowOverlay(t *testing.T, g *hin.Graph, view hin.View, u hin.NodeID, r
 	return o
 }
 
-// exactReverseColumn computes the exact PPR(·, t) column by running the
-// power solver from every source (graphs in these tests are small).
-func exactReverseColumn(t *testing.T, g hin.View, target hin.NodeID) Vector {
-	t.Helper()
-	col := make(Vector, g.NumNodes())
-	solver := NewPower(testParams())
-	for s := 0; s < g.NumNodes(); s++ {
-		vec, err := solver.FromSource(g, hin.NodeID(s))
+// patchRow returns base with u's out-row replaced by u's row under o —
+// the row-patched snapshot CHECK hands the engines for the view o.
+func patchRow(base *hin.CSR, o hin.View, u hin.NodeID) *hin.CSR {
+	var row []hin.HalfEdge
+	o.OutEdges(u, func(h hin.HalfEdge) bool { row = append(row, h); return true })
+	return base.WithOutRow(u, row, o.OutWeightSum(u))
+}
+
+// TestPushShapesBitIdentical is the one equivalence test behind the
+// single-shape kernels: a push entry point normalises whatever view it
+// is handed to a flat snapshot, so the same graph presented as a
+// *Graph, an *Overlay, NewCSR(overlay) or a row-patched snapshot must
+// produce bit-identical estimates, residuals and push counts — forward
+// cold, forward warm and reverse cold (the row-patched reverse push has
+// no production caller; it is exact by re-flattening).
+func TestPushShapesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	ctx := context.Background()
+	same := func(t *testing.T, what string, want, got *PushResult) {
+		t.Helper()
+		if want.Pushes != got.Pushes {
+			t.Fatalf("%s: %d pushes, want %d", what, got.Pushes, want.Pushes)
+		}
+		for v := range want.Estimates {
+			if want.Estimates[v] != got.Estimates[v] || want.Residuals[v] != got.Residuals[v] {
+				t.Fatalf("%s: node %d (p,r) = (%g,%g), want (%g,%g)", what, v,
+					got.Estimates[v], got.Residuals[v], want.Estimates[v], want.Residuals[v])
+			}
+		}
+	}
+	for trial := 0; trial < 10; trial++ {
+		g := randomBidirGraph(rng, 12+rng.Intn(20), 20+rng.Intn(40))
+		s := hin.NodeID(rng.Intn(g.NumNodes()))
+		u := hin.NodeID(rng.Intn(g.NumNodes()))
+		o := applyUserEdits(t, g, u, rng)
+		base := hin.NewCSR(g)
+		fwd, rev := NewForwardPush(testParams()), NewReversePush(testParams())
+
+		cold, err := fwd.Run(base, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		col[s] = vec[target]
+		type shape struct {
+			name string
+			view hin.View
+		}
+		// Each group presents one graph; its first shape is the reference.
+		for _, group := range [][]shape{
+			{{"NewCSR(graph)", base}, {"*Graph", g}},
+			{{"NewCSR(overlay)", hin.NewCSR(o)}, {"*Overlay", o}, {"row-patched", patchRow(base, o, u)}},
+		} {
+			var want [3]*PushResult
+			for i, sh := range group {
+				var got [3]*PushResult
+				if got[0], err = fwd.Run(sh.view, s); err != nil {
+					t.Fatal(err)
+				}
+				// A nil scratch per call: warm results alias their scratch.
+				if got[1], err = fwd.UpdateForEdit(ctx, g, sh.view, cold, []hin.NodeID{u}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if got[2], err = rev.Run(sh.view, s); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					want = got
+					continue
+				}
+				for k, kernel := range []string{"forward cold", "forward warm", "reverse cold"} {
+					same(t, kernel+" over "+sh.name, want[k], got[k])
+				}
+			}
+		}
 	}
-	return col
 }
 
 func TestForwardUpdateForEditMatchesRecompute(t *testing.T) {
@@ -168,61 +228,6 @@ func TestForwardUpdateForEditMultiRow(t *testing.T) {
 				t.Fatalf("trial %d: PPR(%d,%d) warm %g vs exact %g (diff %g)",
 					trial, s, v, warm.Estimates[v], exact[v], diff)
 			}
-		}
-	}
-}
-
-func TestReverseUpdateForEditMatchesRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	sc := &UpdateScratch{}
-	for trial := 0; trial < 10; trial++ {
-		g := randomBidirGraph(rng, 10+rng.Intn(12), 15+rng.Intn(25))
-		params := testParams()
-		target := hin.NodeID(rng.Intn(g.NumNodes()))
-		u := hin.NodeID(rng.Intn(g.NumNodes()))
-		e := NewReversePush(params)
-		base, err := e.Run(g, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := applyUserEdits(t, g, u, rng)
-		warm, err := e.UpdateForEdit(context.Background(), g, o, base, []hin.NodeID{u}, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := exactReverseColumn(t, o, target)
-		for v := range exact {
-			if diff := math.Abs(exact[v] - warm.Estimates[v]); diff > 1e-6 {
-				t.Fatalf("trial %d: PPR(%d,%d) warm %g vs exact %g (diff %g)",
-					trial, v, target, warm.Estimates[v], exact[v], diff)
-			}
-		}
-	}
-}
-
-func TestReverseUpdateForEditCSRFastPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(84))
-	g := randomBidirGraph(rng, 25, 60)
-	params := testParams()
-	target := hin.NodeID(3)
-	u := hin.NodeID(7)
-	e := NewReversePush(params)
-	oldCSR := hin.NewCSR(g)
-	base, err := e.Run(oldCSR, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := applyUserEdits(t, g, u, rng)
-	newCSR := hin.NewCSR(o)
-	warm, err := e.UpdateForEdit(context.Background(), oldCSR, newCSR, base, []hin.NodeID{u}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := exactReverseColumn(t, o, target)
-	for v := range exact {
-		if diff := math.Abs(exact[v] - warm.Estimates[v]); diff > 1e-6 {
-			t.Fatalf("PPR(%d,%d) warm %g vs exact %g (diff %g)",
-				v, target, warm.Estimates[v], exact[v], diff)
 		}
 	}
 }

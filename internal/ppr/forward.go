@@ -73,7 +73,8 @@ func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) 
 	if err := checkNode(g, s); err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
+	csr := flatten(g)
+	n := csr.NumNodes()
 	alpha := e.Params.Alpha
 	eps := e.Params.Epsilon
 
@@ -86,8 +87,6 @@ func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) 
 	queue.push(s)
 	inQueue[s] = true
 	pushes := 0
-
-	csr, _ := g.(OutSliceView) // fast path: direct slice iteration
 
 	steps := 0
 	for !queue.empty() {
@@ -109,29 +108,18 @@ func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) 
 		r[v] = 0
 		p[v] += alpha * rv
 		pushes++
-		total := g.OutWeightSum(v)
+		total := csr.OutWeightSum(v)
 		if total <= 0 {
 			continue // dangling: remaining mass absorbed
 		}
 		scale := (1 - alpha) * rv / total
-		if csr != nil {
-			for _, h := range csr.OutSlice(v) {
-				r[h.Node] += scale * h.Weight
-				if r[h.Node] > eps && !inQueue[h.Node] {
-					queue.push(h.Node)
-					inQueue[h.Node] = true
-				}
-			}
-			continue
-		}
-		g.OutEdges(v, func(h hin.HalfEdge) bool {
+		for _, h := range csr.OutSlice(v) {
 			r[h.Node] += scale * h.Weight
 			if r[h.Node] > eps && !inQueue[h.Node] {
 				queue.push(h.Node)
 				inQueue[h.Node] = true
 			}
-			return true
-		})
+		}
 	}
 	res := &PushResult{Estimates: p, Residuals: r, Pushes: pushes}
 	recordPush(runsForward, pushesForward, residualMassForward, res)

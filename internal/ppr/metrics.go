@@ -4,7 +4,7 @@ import "github.com/why-not-xai/emigre/internal/obs"
 
 // Engine-level metrics, exported on the process-global obs registry:
 // the engines already tally their work locally (push counts, power
-// sweeps, walk counts), so instrumentation is a handful of batched
+// sweeps), so instrumentation is a handful of batched
 // counter adds at the end of each run — never inside the hot loops.
 // The residual-mass histogram needs an O(n) sum the engines do not
 // otherwise compute; it is gated on obs.Enabled so disabling metrics
@@ -34,24 +34,18 @@ var (
 	runsForward       = runsCounter("forward_push")
 	runsReverse       = runsCounter("reverse_push")
 	runsPower         = runsCounter("power")
-	runsMonteCarlo    = runsCounter("monte_carlo")
 	runsForwardUpdate = runsCounter("forward_update")
-	runsReverseUpdate = runsCounter("reverse_update")
 
 	pushesForward       = pushesCounter("forward_push")
 	pushesReverse       = pushesCounter("reverse_push")
 	pushesForwardUpdate = pushesCounter("forward_update")
-	pushesReverseUpdate = pushesCounter("reverse_update")
 
 	powerIterations = obs.Default().Counter("emigre_ppr_iterations_total",
 		"Power-iteration sweeps (each O(E)) across both directions.")
-	walkChunks = obs.Default().Counter("emigre_ppr_walks_total",
-		"Monte Carlo random walks sampled.")
 
 	residualMassForward       = residualMassHistogram("forward_push")
 	residualMassReverse       = residualMassHistogram("reverse_push")
 	residualMassForwardUpdate = residualMassHistogram("forward_update")
-	residualMassReverseUpdate = residualMassHistogram("reverse_update")
 )
 
 // recordPush tallies one completed static push run.

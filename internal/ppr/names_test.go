@@ -8,7 +8,6 @@ func TestEngineNames(t *testing.T) {
 		NewPower(p).Name():       "power",
 		NewForwardPush(p).Name(): "forward-push",
 		NewReversePush(p).Name(): "reverse-push",
-		NewMonteCarlo(p).Name():  "monte-carlo",
 		NewExact(p).Name():       "exact",
 	}
 	for got, want := range names {

@@ -4,16 +4,22 @@
 //	PPR(s,·) = α·e_s + (1−α)·PPR(s,·)·W           (Eq. 1)
 //
 // where W is the row-stochastic transition matrix induced by outgoing
-// edge weights. Four interchangeable engines are provided:
+// edge weights. The paper's method needs two primitives, and they are
+// the two production engines:
 //
-//   - Power: dense (reverse-)power iteration, the exact reference;
 //   - ForwardPush: Forward Local Push from a source node, maintaining the
-//     invariant of Eq. 3 of the paper (estimates + residuals);
+//     invariant of Eq. 3 of the paper (estimates + residuals), cold
+//     (RunContext) or warm-started from a completed run after a row
+//     edit (UpdateForEdit);
 //   - ReversePush: Reverse Local Push toward a target node, maintaining
 //     the invariant of Eq. 4 — the engine EMiGRe's Add mode uses to
-//     discover candidate neighbors;
-//   - MonteCarlo: terminal-node frequency of α-terminated random walks,
-//     used for ablations.
+//     discover candidate neighbors.
+//
+// Both accept any hin.View and normalise it once at entry to the one
+// shape their kernels iterate, a flat *hin.CSR (optionally carrying a
+// one-row patch): a *hin.CSR is used as is, anything else is flattened
+// with hin.NewCSR. Power (dense iteration) and Exact (Gauss–Seidel)
+// stay on hin.View as the test references.
 //
 // Dangling nodes (no outgoing edges) absorb the walk: the transition
 // matrix is sub-stochastic there and PPR mass is lost. This convention
@@ -70,10 +76,6 @@ type Params struct {
 	MaxIter int
 	// Tol is the L1 convergence tolerance of power iteration.
 	Tol float64
-	// Walks is the number of random walks of the Monte Carlo engine.
-	Walks int
-	// Seed seeds the Monte Carlo engine.
-	Seed int64
 }
 
 // DefaultParams returns the hyper-parameters used in the paper's
@@ -84,8 +86,6 @@ func DefaultParams() Params {
 		Epsilon: 2.7e-8,
 		MaxIter: 500,
 		Tol:     1e-12,
-		Walks:   100000,
-		Seed:    1,
 	}
 }
 
@@ -116,8 +116,8 @@ func checkNode(g hin.View, v hin.NodeID) error {
 	return nil
 }
 
-// ctxCheckInterval is the number of inner-loop steps between context
-// checks in the push and Monte Carlo engines: frequent enough that a
+// ctxCheckInterval is the number of queue steps between context
+// checks in the push engines: frequent enough that a
 // canceled computation stops within microseconds, rare enough that the
 // check never shows up in profiles. Power iteration checks once per
 // O(E) sweep instead.
@@ -149,19 +149,19 @@ type Engine interface {
 // identities are guaranteed to return the same vector for the same
 // (view, node) pair, so the identity is safe to use as a cache-key
 // component. Engines must include ONLY the parameters they actually
-// read — and ALL of them: the Monte Carlo engine's identity carries its
-// Walks and Seed because two differently seeded estimates differ, while
-// the deterministic push engines omit both.
+// read — and ALL of them: the push engines name α and ε, power
+// iteration α, MaxIter and Tol.
 type Identifier interface {
 	Identity() string
 }
 
-// OutSliceView is satisfied by flat views (hin.CSR, hin.PatchedCSR)
-// that expose outgoing adjacency as shared slices; the forward-push hot
-// loop uses it to skip callback overhead.
-type OutSliceView interface {
-	hin.View
-	OutSlice(v hin.NodeID) []hin.HalfEdge
+// flatten returns g in the shape the forward kernels iterate: a
+// *hin.CSR (plain or row-patched) as is, anything else flattened once.
+func flatten(g hin.View) *hin.CSR {
+	if c, ok := g.(*hin.CSR); ok {
+		return c
+	}
+	return hin.NewCSR(g)
 }
 
 // ReverseEngine computes the column PPR(·,t): the score of a fixed

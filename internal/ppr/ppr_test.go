@@ -244,51 +244,6 @@ func TestPPRLinearityOverOutEdges(t *testing.T) {
 	}
 }
 
-func TestMonteCarloApproximatesPower(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	g := randomBidirGraph(rng, 10, 15)
-	p := testParams()
-	p.Walks = 200000
-	p.Seed = 99
-	mc := NewMonteCarlo(p)
-	pw := NewPower(p)
-	s := hin.NodeID(2)
-	exact, err := pw.FromSource(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := mc.FromSource(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range exact {
-		if diff := math.Abs(exact[v] - approx[v]); diff > 0.01 {
-			t.Fatalf("MC error too large at %d: %g vs %g", v, exact[v], approx[v])
-		}
-	}
-}
-
-func TestMonteCarloDeterministicForSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	g := randomBidirGraph(rng, 8, 10)
-	p := testParams()
-	p.Walks = 1000
-	mc := NewMonteCarlo(p)
-	a, err := mc.FromSource(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mc.FromSource(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Monte Carlo not deterministic for fixed seed")
-		}
-	}
-}
-
 func TestPPRSumsToOneOnStochasticGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	g := randomBidirGraph(rng, 20, 40) // bidirectional: no dangling nodes
@@ -328,7 +283,7 @@ func TestParamValidation(t *testing.T) {
 func TestEngineNodeRangeErrors(t *testing.T) {
 	g, _ := lineGraph(t)
 	p := testParams()
-	engines := []Engine{NewPower(p), NewForwardPush(p), NewMonteCarlo(p)}
+	engines := []Engine{NewPower(p), NewForwardPush(p)}
 	for _, e := range engines {
 		if _, err := e.FromSource(g, -1); !errors.Is(err, ErrNodeOutOfRange) {
 			t.Fatalf("%s: err = %v, want ErrNodeOutOfRange", e.Name(), err)

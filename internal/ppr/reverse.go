@@ -64,7 +64,12 @@ func (e *ReversePush) RunContext(ctx context.Context, g hin.View, t hin.NodeID) 
 	if err := checkNode(g, t); err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
+	// Reverse push walks in-rows, which a row patch cannot serve from
+	// the shared arrays: NewCSR re-flattens a patched snapshot (no
+	// production caller reverses over one) and flattens any other view.
+	csr := hin.NewCSR(g)
+	outSum := csr.OutWeightSums()
+	n := csr.NumNodes()
 	alpha := e.Params.Alpha
 	eps := e.Params.Epsilon
 
@@ -77,8 +82,6 @@ func (e *ReversePush) RunContext(ctx context.Context, g hin.View, t hin.NodeID) 
 	queue.push(t)
 	inQueue[t] = true
 	pushes := 0
-
-	csr, _ := g.(*hin.CSR) // fast path: direct slice iteration
 
 	steps := 0
 	for !queue.empty() {
@@ -100,34 +103,19 @@ func (e *ReversePush) RunContext(ctx context.Context, g hin.View, t hin.NodeID) 
 		r[v] = 0
 		p[v] += alpha * rv
 		pushes++
-		if csr != nil {
-			for _, h := range csr.InSlice(v) {
-				total := csr.OutWeightSum(h.Node)
-				if total <= 0 {
-					continue
-				}
-				r[h.Node] += (1 - alpha) * rv * h.Weight / total
-				if r[h.Node] > eps && !inQueue[h.Node] {
-					queue.push(h.Node)
-					inQueue[h.Node] = true
-				}
-			}
-			continue
-		}
-		g.InEdges(v, func(h hin.HalfEdge) bool {
+		for _, h := range csr.InSlice(v) {
 			// h.Node is the source x of edge (x -> v); the transition
 			// probability W(x,v) uses x's outgoing weight sum.
-			total := g.OutWeightSum(h.Node)
+			total := outSum[h.Node]
 			if total <= 0 {
-				return true
+				continue
 			}
 			r[h.Node] += (1 - alpha) * rv * h.Weight / total
 			if r[h.Node] > eps && !inQueue[h.Node] {
 				queue.push(h.Node)
 				inQueue[h.Node] = true
 			}
-			return true
-		})
+		}
 	}
 	res := &PushResult{Estimates: p, Residuals: r, Pushes: pushes}
 	recordPush(runsReverse, pushesReverse, residualMassReverse, res)

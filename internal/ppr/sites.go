@@ -4,7 +4,7 @@ import "github.com/why-not-xai/emigre/internal/fault"
 
 // Failpoint sites inside each engine's inner loop, consulted on the
 // same cadence as the cancellation polls (every ctxCheckInterval queue
-// steps / walks, or once per power-iteration sweep) so an armed site
+// steps, or once per power-iteration sweep) so an armed site
 // costs nothing extra on the unarmed hot path and fires mid-computation
 // when armed — exactly where a real engine failure (OOM-killed shard,
 // corrupted snapshot read, scheduling stall) would surface.
@@ -12,6 +12,5 @@ var (
 	forwardLoopSite = fault.Register("ppr.forward.loop")
 	reverseLoopSite = fault.Register("ppr.reverse.loop")
 	powerSweepSite  = fault.Register("ppr.power.sweep")
-	mcWalkSite      = fault.Register("ppr.montecarlo.walk")
 	updateLoopSite  = fault.Register("ppr.update.loop")
 )

@@ -232,3 +232,36 @@ func TestKeyHelpersRequireVersionedViews(t *testing.T) {
 		t.Fatal("unversioned views must not produce keys")
 	}
 }
+
+// TestRowPatchedSnapshotNeverSharesBaseKey is the cache-safety
+// regression test for the merged CSR type: a row-patched snapshot is a
+// shallow copy of its base, so it would inherit the base's version —
+// and serve the base graph's vectors for a counterfactual — unless
+// WithOutRow drops it. Either no key, or a different one.
+func TestRowPatchedSnapshotNeverSharesBaseKey(t *testing.T) {
+	g := hin.NewGraph()
+	user := g.Types().NodeType("user")
+	et := g.Types().EdgeType("e")
+	a, b, c := g.AddNode(user, "a"), g.AddNode(user, "b"), g.AddNode(user, "c")
+	for _, e := range [][2]hin.NodeID{{a, b}, {b, c}, {c, a}} {
+		if err := g.AddEdge(e[0], e[1], et, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := hin.NewCSR(g)
+	patched := base.WithOutRow(a, []hin.HalfEdge{{Node: c, Type: et, Weight: 1}}, 1)
+	fwd, rev := ppr.NewForwardPush(ppr.DefaultParams()), ppr.NewReversePush(ppr.DefaultParams())
+	for node := hin.NodeID(0); int(node) < g.NumNodes(); node++ {
+		kb, ok := ForwardKey(base, fwd, node)
+		if !ok {
+			t.Fatal("the base snapshot of a Graph must be keyable")
+		}
+		if kp, ok := ForwardKey(patched, fwd, node); ok && kp == kb {
+			t.Fatalf("node %d: row-patched snapshot shares the base forward key %+v", node, kb)
+		}
+		kb, _ = ReverseKey(base, rev, node)
+		if kp, ok := ReverseKey(patched, rev, node); ok && kp == kb {
+			t.Fatalf("node %d: row-patched snapshot shares the base reverse key %+v", node, kb)
+		}
+	}
+}

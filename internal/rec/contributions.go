@@ -79,10 +79,10 @@ func (r *Recommender) reverseColumn(ctx context.Context, target hin.NodeID) (ppr
 	if r.cache != nil {
 		if k, ok := pprcache.ReverseKey(r.view, rev, target); ok {
 			vec, _, err := r.cache.GetOrCompute(ctx, k, func(cctx context.Context) (ppr.Vector, error) {
-				return rev.ToTargetContext(cctx, r.ScoringView(), target)
+				return rev.ToTargetContext(cctx, r.Flat(), target)
 			})
 			return vec, err
 		}
 	}
-	return rev.ToTargetContext(ctx, r.ScoringView(), target)
+	return rev.ToTargetContext(ctx, r.Flat(), target)
 }

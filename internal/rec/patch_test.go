@@ -1,7 +1,7 @@
 package rec
 
 import (
-	"math"
+	"reflect"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -9,7 +9,10 @@ import (
 
 // TestWithUserPatchEquivalentToWithView compares full scoring through a
 // re-flattened overlay against the O(deg u) patched binding, for both
-// β = 1 and the paper's β = 0.5 mix.
+// β = 1 and the paper's β = 0.5 mix. The patched row carries exactly
+// the β-mixed weights the flattened view does, so scores agree to the
+// bit — forward, and through the reverse column behind
+// Contributions (a reverse push over a row-patched snapshot).
 func TestWithUserPatchEquivalentToWithView(t *testing.T) {
 	for _, beta := range []float64{1, 0.5} {
 		g, cfg, ids := smallShop(t)
@@ -38,9 +41,20 @@ func TestWithUserPatchEquivalentToWithView(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := range sf {
-			if diff := math.Abs(sf[v] - sp[v]); diff > 1e-9 {
+			if sf[v] != sp[v] {
 				t.Fatalf("beta=%g: score[%d] full %g vs patched %g", beta, v, sf[v], sp[v])
 			}
+		}
+		cf, err := full.Contributions(u, ids["i3"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := patched.Contributions(u, ids["i3"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cf) == 0 || !reflect.DeepEqual(cf, cp) {
+			t.Fatalf("beta=%g: contributions full %+v vs patched %+v", beta, cf, cp)
 		}
 		tf, err := full.TopN(u, 5)
 		if err != nil {

@@ -91,9 +91,8 @@ type Scored struct {
 type Recommender struct {
 	cfg      Config
 	base     hin.View
-	view     hin.View        // base wrapped with the β-mix when Beta != 1
-	flat     *hin.CSR        // lazy CSR snapshot of view for fast push loops
-	scoring  *hin.PatchedCSR // set by WithUserPatch: single-row patch over a shared snapshot
+	view     hin.View // base wrapped with the β-mix when Beta != 1
+	flat     *hin.CSR // what pushes run over: lazy NewCSR(view), or the parent's with u's row patched
 	engine   *ppr.ForwardPush
 	itemMask []bool          // node type id -> recommendable
 	cache    *pprcache.Cache // optional shared vector cache (SetCache)
@@ -126,13 +125,13 @@ func (r *Recommender) WithView(g hin.View) *Recommender {
 	c.base = g
 	c.view = WrapBeta(g, r.cfg.Beta)
 	c.flat = nil
-	c.scoring = nil
 	return &c
 }
 
-// Flat returns a CSR snapshot of the scoring view, built on first use.
-// PPR engines (including EMiGRe's reverse pushes) should run over it:
-// it is equivalent to View() but several times faster to traverse.
+// Flat returns the CSR snapshot every push runs over, built on first
+// use: an exact materialization of View(), several times faster to
+// traverse. On a WithUserPatch recommender it is the parent's snapshot
+// with the user's row patched.
 //
 // The first call builds the snapshot without synchronization; warm it
 // single-threaded before sharing the recommender across goroutines.
@@ -148,33 +147,26 @@ func (r *Recommender) Flat() *hin.CSR {
 // WithUserPatch returns a recommender bound to view v, which must
 // differ from this recommender's base view only in the outgoing edges
 // of node u — the shape of every EMiGRe counterfactual. Unlike
-// WithView, the returned recommender scores over a PatchedCSR that
-// shares this recommender's flat snapshot, so binding costs O(deg u)
-// instead of O(V+E). The receiver is never mutated and the shared
-// snapshot is only read, so concurrent WithUserPatch calls over one
-// warm recommender are safe (the clone-safety contract the parallel
-// CHECK pipeline relies on).
+// WithView, the returned recommender scores over a one-row patch of
+// this recommender's flat snapshot (hin.CSR.WithOutRow), so binding
+// costs O(deg u) instead of O(V+E). The receiver is never mutated and
+// the shared snapshot is only read, so concurrent WithUserPatch calls
+// over one warm recommender are safe (the clone-safety contract the
+// parallel CHECK pipeline relies on).
 func (r *Recommender) WithUserPatch(v hin.View, u hin.NodeID) *Recommender {
 	c := *r
 	c.base = v
 	c.view = WrapBeta(v, r.cfg.Beta)
-	c.flat = nil
-	c.scoring = r.patchedRow(v, u)
+	c.flat = r.patchedRow(v, u)
 	return &c
 }
 
-// ScoringView returns the view PPR runs over: the patched snapshot
-// when one is bound (WithUserPatch), else the full flat snapshot.
-func (r *Recommender) ScoringView() hin.View {
-	if r.scoring != nil {
-		return r.scoring
-	}
-	return r.Flat()
-}
+// ScoringView returns Flat() as a hin.View.
+func (r *Recommender) ScoringView() hin.View { return r.Flat() }
 
 // patchedRow builds u's β-mixed outgoing row under v and patches it
 // into the base flat snapshot.
-func (r *Recommender) patchedRow(v hin.View, u hin.NodeID) *hin.PatchedCSR {
+func (r *Recommender) patchedRow(v hin.View, u hin.NodeID) *hin.CSR {
 	total := v.OutWeightSum(u)
 	deg := v.OutDegree(u)
 	var row []hin.HalfEdge
@@ -197,7 +189,7 @@ func (r *Recommender) patchedRow(v hin.View, u hin.NodeID) *hin.PatchedCSR {
 			sum = 1
 		}
 	}
-	return hin.NewPatchedCSR(r.Flat(), u, row, sum)
+	return r.Flat().WithOutRow(u, row, sum)
 }
 
 // Config returns the recommender's configuration.
@@ -257,19 +249,19 @@ func (r *Recommender) Scores(u hin.NodeID) (ppr.Vector, error) {
 //
 // When a cache is attached (SetCache) the vector may be shared with
 // concurrent callers and MUST be treated as read-only. The cache key is
-// derived from r.View() — the β-mixed transition view — which the
-// scoring snapshots (Flat, WithUserPatch's PatchedCSR) are exact
-// materializations of.
+// derived from r.View() — the β-mixed transition view — which Flat()
+// is an exact materialization of (a row-patched snapshot is itself
+// unversioned).
 func (r *Recommender) ScoresContext(ctx context.Context, u hin.NodeID) (ppr.Vector, error) {
 	if r.cache != nil {
 		if k, ok := pprcache.ForwardKey(r.view, r.engine, u); ok {
 			vec, _, err := r.cache.GetOrCompute(ctx, k, func(cctx context.Context) (ppr.Vector, error) {
-				return r.engine.FromSourceContext(cctx, r.ScoringView(), u)
+				return r.engine.FromSourceContext(cctx, r.Flat(), u)
 			})
 			return vec, err
 		}
 	}
-	return r.engine.FromSourceContext(ctx, r.ScoringView(), u)
+	return r.engine.FromSourceContext(ctx, r.Flat(), u)
 }
 
 // ForwardResult returns the full forward-push state (estimates and
@@ -293,16 +285,16 @@ func (r *Recommender) ForwardResultContext(ctx context.Context, u hin.NodeID) (*
 	if r.cache != nil {
 		if k, ok := pprcache.ForwardKey(r.view, r.engine, u); ok {
 			res, _, err := r.cache.GetOrComputeResult(ctx, k, func(cctx context.Context) (*ppr.PushResult, error) {
-				return r.engine.RunContext(cctx, r.ScoringView(), u)
+				return r.engine.RunContext(cctx, r.Flat(), u)
 			})
 			return res, err
 		}
 	}
-	return r.engine.RunContext(ctx, r.ScoringView(), u)
+	return r.engine.RunContext(ctx, r.Flat(), u)
 }
 
 // WarmScoresContext scores the personalized vector over this
-// recommender's scoring view by warm-starting from base, a completed
+// recommender's flat snapshot by warm-starting from base, a completed
 // push state over baseView (typically another recommender's
 // ForwardResultContext result, whose source node also fixes the
 // personalization here). The two views must differ only in the
@@ -315,7 +307,7 @@ func (r *Recommender) ForwardResultContext(ctx context.Context, u hin.NodeID) (*
 // until sc's next use, must not be retained, and is therefore never
 // routed through the cache. base is not mutated.
 func (r *Recommender) WarmScoresContext(ctx context.Context, baseView hin.View, base *ppr.PushResult, rows []hin.NodeID, sc *ppr.UpdateScratch) (*ppr.PushResult, error) {
-	return r.engine.UpdateForEdit(ctx, baseView, r.ScoringView(), base, rows, sc)
+	return r.engine.UpdateForEdit(ctx, baseView, r.Flat(), base, rows, sc)
 }
 
 // Recommend returns the top-1 recommendation for u per Eq. 2. It
@@ -336,7 +328,7 @@ func (r *Recommender) RecommendContext(ctx context.Context, u hin.NodeID) (hin.N
 // TopN returns the n best-scoring candidate items for u in descending
 // score order (ties broken toward the lower node ID). Fewer than n
 // entries are returned when the graph has fewer candidates; zero
-// candidates is ErrNoCandidates.
+// candidates is ErrNoCandidates and n < 1 is an error.
 func (r *Recommender) TopN(u hin.NodeID, n int) ([]Scored, error) {
 	return r.TopNContext(context.Background(), u, n)
 }
@@ -344,6 +336,9 @@ func (r *Recommender) TopN(u hin.NodeID, n int) ([]Scored, error) {
 // TopNContext is TopN with cancellation: the PPR pass behind the
 // ranking aborts with ctx.Err() once ctx is done.
 func (r *Recommender) TopNContext(ctx context.Context, u hin.NodeID, n int) ([]Scored, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("rec: top-n size must be at least 1, got %d", n)
+	}
 	scores, err := r.ScoresContext(ctx, u)
 	if err != nil {
 		return nil, err

@@ -121,6 +121,12 @@ func TestTopNOrderingAndExclusion(t *testing.T) {
 			t.Fatalf("non-candidate %d in TopN", s.Node)
 		}
 	}
+	// A list size below 1 is an error, never a slice-bounds panic.
+	for _, n := range []int{0, -1} {
+		if top, err := r.TopN(ids["u1"], n); err == nil {
+			t.Fatalf("TopN(n=%d) = %v, want an error", n, top)
+		}
+	}
 }
 
 func TestRankOf(t *testing.T) {
