@@ -186,6 +186,10 @@ func TestNonIdempotentNoTransportRetry(t *testing.T) {
 		{"504, non-idempotent", &APIError{Status: 504}, false, false},
 		{"504, idempotent", &APIError{Status: 504}, true, true},
 		{"404, idempotent", &APIError{Status: 404}, true, false},
+		// /recommend for a user with no candidate item: the server answers
+		// 404 (it used to answer 500, which the next row shows is retried).
+		{"404 no candidates on /recommend, idempotent", &APIError{Status: 404, Message: "rec: user has no recommendable candidate items (user 0)"}, true, false},
+		{"500, idempotent", &APIError{Status: 500}, true, true},
 		{"decode error, idempotent", decodeErr, true, false},
 		{"context expiry, idempotent", context.DeadlineExceeded, true, false},
 	} {

@@ -205,6 +205,10 @@ type (
 // ErrEmptyGroup reports a group query with no valid Why-Not item.
 var ErrEmptyGroup = core.ErrEmptyGroup
 
+// ErrNoCandidates reports a user with no recommendable item left: every
+// item is already in the user's out-neighbourhood.
+var ErrNoCandidates = rec.ErrNoCandidates
+
 // Modes and methods.
 const (
 	// Remove explains with the user's past actions (A⁻).

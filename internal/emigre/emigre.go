@@ -681,12 +681,12 @@ func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*sessio
 	if err != nil {
 		return nil, wrapCtxErr(err, Stats{})
 	}
-	current := topCandidate(e.r, q.User, base.Estimates)
+	current := e.r.TopOf(q.User, base.Estimates)
 	if current == q.WNI {
 		return nil, fmt.Errorf("%w: item %d", ErrAlreadyTop, q.WNI)
 	}
 	if k := e.opts.TargetRank; k > 1 {
-		if rank := rankWithin(e.r, q.User, base.Estimates, q.WNI, k); rank > 0 {
+		if rank := e.r.RankWithin(q.User, q.WNI, base.Estimates, k); rank > 0 {
 			return nil, fmt.Errorf("%w: item %d already at rank %d ≤ target %d", ErrAlreadyTop, q.WNI, rank, k)
 		}
 	}
@@ -899,30 +899,19 @@ func (s *session) rankCheck(ctx context.Context, r2 *rec.Recommender) (bool, hin
 		return false, hin.InvalidNode, err
 	}
 	for _, sc := range list {
-		if s.accepted(sc.Node) {
+		if sc.Node == s.q.WNI || s.accept[sc.Node] { // WNI or a member of the group accept set
 			return true, list[0].Node, nil
 		}
 	}
 	return false, list[0].Node, nil
 }
 
-// accepted reports whether a counterfactual list entry satisfies the
-// query: it equals WNI, or falls in the group accept set.
-func (s *session) accepted(top hin.NodeID) bool {
-	return top == s.q.WNI || (s.accept != nil && s.accept[top])
-}
-
 // estimateVerdict reads a CHECK verdict off an estimate vector for the
 // patched recommender r2: whether an accepted item reaches the target
-// rank in the recommender's own ordering.
+// rank in its ordering (a rank read ends at the k-th item that beats it).
 func (s *session) estimateVerdict(r2 *rec.Recommender, est ppr.Vector) bool {
-	k := s.ex.opts.TargetRank
-	if k == 1 {
-		top := topCandidate(r2, s.q.User, est)
-		return top != hin.InvalidNode && s.accepted(top)
-	}
 	reaches := func(a hin.NodeID) bool {
-		return r2.IsCandidate(s.q.User, a) && rankWithin(r2, s.q.User, est, a, k) > 0
+		return r2.IsCandidate(s.q.User, a) && r2.RankWithin(s.q.User, a, est, s.ex.opts.TargetRank) > 0
 	}
 	if reaches(s.q.WNI) {
 		return true
@@ -933,42 +922,6 @@ func (s *session) estimateVerdict(r2 *rec.Recommender, est ppr.Vector) bool {
 		}
 	}
 	return false
-}
-
-// topCandidate returns the first entry of r's ranking of u's candidates
-// on the estimate vector est — r.TopN's order, without the sort — or
-// hin.InvalidNode when u has no candidate.
-func topCandidate(r *rec.Recommender, u hin.NodeID, est ppr.Vector) hin.NodeID {
-	top := hin.InvalidNode
-	for v := range est {
-		id := hin.NodeID(v)
-		if !r.IsCandidate(u, id) {
-			continue
-		}
-		if top == hin.InvalidNode || fmath.Before(est[v], est[top], int(id), int(top)) {
-			top = id
-		}
-	}
-	return top
-}
-
-// rankWithin returns candidate a's 1-based rank among u's candidates on
-// est (r.RankOf's order) when that rank is at most k, and 0 otherwise.
-func rankWithin(r *rec.Recommender, u hin.NodeID, est ppr.Vector, a hin.NodeID, k int) int {
-	better := 0
-	for v := range est {
-		id := hin.NodeID(v)
-		if id == a || !r.IsCandidate(u, id) {
-			continue
-		}
-		if fmath.Before(est[v], est[a], int(id), int(a)) {
-			better++
-			if better >= k {
-				return 0
-			}
-		}
-	}
-	return better + 1
 }
 
 // gapFlipped reports whether a running gap estimate has crossed zero,

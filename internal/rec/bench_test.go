@@ -1,10 +1,12 @@
 package rec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
+	"github.com/why-not-xai/emigre/internal/pprcache"
 )
 
 func benchGraph(b *testing.B) (*hin.Graph, []hin.NodeID, Config) {
@@ -32,6 +34,10 @@ func benchGraph(b *testing.B) (*hin.Graph, []hin.NodeID, Config) {
 	return g, users, DefaultConfig(item)
 }
 
+// BenchmarkTopN times a cold top-10 (push and selection, beta=...) and
+// the selection alone at three list sizes over a warm vector cache
+// (n=...): a max-scan, the serving default, and every candidate in
+// order.
 func BenchmarkTopN(b *testing.B) {
 	g, users, cfg := benchGraph(b)
 	for _, beta := range []float64{1, 0.5} {
@@ -49,6 +55,29 @@ func BenchmarkTopN(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.TopN(users[i%len(users)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	r, err := New(g, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r = r.WithCache(pprcache.New(pprcache.Config{}))
+	for _, u := range users {
+		if _, err := r.Scores(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"n=1", 1}, {"n=10", 10}, {"n=all", math.MaxInt32}} {
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.TopN(users[i%len(users)], size.n); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,13 +12,18 @@
 // walk; the paper's experimental setting uses β = 0.5). The mix is
 // exposed as a View decorator so PPR engines, the EMiGRe explainer and
 // the PRINCE baseline all see exactly the same transition matrix.
+//
+// Every ranking read — Recommend, TopN, RankOf, and TopOf / RankWithin
+// behind the explainer's CHECK — is one kernel over a score vector: a
+// walk of the candidate index (the item-typed node ids, built once in
+// New) minus the user's sorted out-row, under the order fmath.Before.
 package rec
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -78,8 +83,14 @@ type Scored struct {
 // Recommender ranks items for users over a fixed view. Use WithView to
 // rebind the same configuration to a counterfactual overlay.
 //
-// Concurrency contract: every scoring method (Recommend, TopN, RankOf
-// and their Context variants) only reads the recommender's state, so a
+// A recommender ranks a fixed node set: the candidate index is built in
+// New and shared read-only by every copy (WithView, WithUserPatch,
+// WithCache) — overlays change edges, never node types or the node
+// count. Nodes added to the graph later need a new recommender.
+//
+// Concurrency contract: every scoring method (Recommend, TopN, RankOf,
+// their Context variants, TopOf and RankWithin) only reads the
+// recommender's state and keeps its scratch on its own stack, so a
 // Recommender is safe for concurrent use once its flat snapshot exists —
 // call Flat() (or any scoring method) once before sharing it across
 // goroutines; the lazy build itself is not synchronized. The mutating
@@ -89,13 +100,13 @@ type Scored struct {
 // pipeline can call WithUserPatch from many workers over one warm
 // shared recommender.
 type Recommender struct {
-	cfg      Config
-	base     hin.View
-	view     hin.View // base wrapped with the β-mix when Beta != 1
-	flat     *hin.CSR // what pushes run over: lazy NewCSR(view), or the parent's with u's row patched
-	engine   *ppr.ForwardPush
-	itemMask []bool          // node type id -> recommendable
-	cache    *pprcache.Cache // optional shared vector cache (SetCache)
+	cfg    Config
+	base   hin.View
+	view   hin.View // base wrapped with the β-mix when Beta != 1
+	flat   *hin.CSR // what pushes run over: lazy NewCSR(view), or the parent's with u's row patched
+	engine *ppr.ForwardPush
+	items  []hin.NodeID    // candidate index: ascending ids of the item-typed nodes; immutable, shared by every copy
+	cache  *pprcache.Cache // optional shared vector cache (SetCache)
 }
 
 // New builds a recommender over g. It returns an error for an invalid
@@ -104,16 +115,18 @@ func New(g hin.View, cfg Config) (*Recommender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	mask := make([]bool, 256)
-	for _, t := range cfg.ItemTypes {
-		mask[t] = true
+	var items []hin.NodeID
+	for v := range hin.NodeID(g.NumNodes()) {
+		if slices.Contains(cfg.ItemTypes, g.NodeType(v)) {
+			items = append(items, v)
+		}
 	}
 	return &Recommender{
-		cfg:      cfg,
-		base:     g,
-		view:     WrapBeta(g, cfg.Beta),
-		engine:   ppr.NewForwardPush(cfg.PPR),
-		itemMask: mask,
+		cfg:    cfg,
+		base:   g,
+		view:   WrapBeta(g, cfg.Beta),
+		engine: ppr.NewForwardPush(cfg.PPR),
+		items:  items,
 	}, nil
 }
 
@@ -229,7 +242,8 @@ func (r *Recommender) View() hin.View { return r.view }
 
 // IsItem reports whether node v has a recommendable type.
 func (r *Recommender) IsItem(v hin.NodeID) bool {
-	return r.itemMask[r.base.NodeType(v)]
+	_, ok := slices.BinarySearch(r.items, v)
+	return ok
 }
 
 // IsCandidate reports whether v may appear in u's recommendation list:
@@ -310,6 +324,100 @@ func (r *Recommender) WarmScoresContext(ctx context.Context, baseView hin.View, 
 	return r.engine.UpdateForEdit(ctx, baseView, r.Flat(), base, rows, sc)
 }
 
+// exclusions returns, sorted into buf (a stack buffer: a longer row
+// costs an allocation), the nodes that cannot be recommended to u: u and
+// the neighbours on its row of the flat snapshot — the overlay's row on
+// a counterfactual; the β-mix rewrites weights, never the edge set.
+func (r *Recommender) exclusions(u hin.NodeID, buf []hin.NodeID) []hin.NodeID {
+	buf = append(buf, u)
+	for _, h := range r.Flat().OutSlice(u) {
+		buf = append(buf, h.Node)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// before is the ranking order on scored nodes (fmath.Before).
+func before(a, b Scored) bool {
+	return fmath.Before(a.Score, b.Score, int(a.Node), int(b.Node))
+}
+
+// siftDown restores heap order below slot i of h; the root ranks last.
+func siftDown(h []Scored, i int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && before(h[c], h[c+1]) {
+			c++
+		}
+		if !before(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+}
+
+// selectInto fills buf, up to its capacity (at least 1), with u's best
+// candidates on scores in ranking order. The best so far sit in a heap,
+// last-ranked at the root, so an item costs one comparison unless it
+// enters the list (capacity 1 is a max-scan); only then is it looked up
+// in the exclusions. A heap sort orders the survivors.
+func (r *Recommender) selectInto(u hin.NodeID, scores ppr.Vector, buf []Scored) []Scored {
+	var stack [256]hin.NodeID
+	excl := r.exclusions(u, stack[:0])
+	for _, id := range r.items {
+		s := Scored{Node: id, Score: scores[id]}
+		full := len(buf) == cap(buf)
+		if full && !before(s, buf[0]) {
+			continue
+		}
+		if _, out := slices.BinarySearch(excl, id); out {
+			continue
+		}
+		if full {
+			buf[0] = s
+			siftDown(buf, 0)
+			continue
+		}
+		buf = append(buf, s)
+		for i := len(buf) - 1; i > 0 && before(buf[(i-1)/2], buf[i]); i = (i - 1) / 2 {
+			buf[i], buf[(i-1)/2] = buf[(i-1)/2], buf[i]
+		}
+	}
+	for end := len(buf) - 1; end > 0; end-- {
+		buf[0], buf[end] = buf[end], buf[0]
+		siftDown(buf[:end], 0)
+	}
+	return buf
+}
+
+// TopOf returns the first entry of u's candidate ranking on scores (a
+// caller's estimates or ScoresContext's), hin.InvalidNode when there is
+// no candidate. It does not allocate.
+func (r *Recommender) TopOf(u hin.NodeID, scores ppr.Vector) hin.NodeID {
+	var one [1]Scored
+	if top := r.selectInto(u, scores, one[:0]); len(top) == 1 {
+		return top[0].Node
+	}
+	return hin.InvalidNode
+}
+
+// RankWithin returns candidate v's 1-based rank among u's candidates on
+// scores when that rank is at most k, else 0. It does not allocate.
+func (r *Recommender) RankWithin(u, v hin.NodeID, scores ppr.Vector, k int) int {
+	var stack [256]hin.NodeID
+	excl := r.exclusions(u, stack[:0])
+	rank := 1
+	for _, id := range r.items {
+		if fmath.Before(scores[id], scores[v], int(id), int(v)) {
+			if _, out := slices.BinarySearch(excl, id); !out {
+				if rank++; rank > k {
+					return 0
+				}
+			}
+		}
+	}
+	return rank
+}
+
 // Recommend returns the top-1 recommendation for u per Eq. 2. It
 // returns ErrNoCandidates when no item is recommendable.
 func (r *Recommender) Recommend(u hin.NodeID) (hin.NodeID, error) {
@@ -343,23 +451,11 @@ func (r *Recommender) TopNContext(ctx context.Context, u hin.NodeID, n int) ([]S
 	if err != nil {
 		return nil, err
 	}
-	var all []Scored
-	for v := range scores {
-		id := hin.NodeID(v)
-		if r.IsCandidate(u, id) {
-			all = append(all, Scored{Node: id, Score: scores[v]})
-		}
-	}
-	if len(all) == 0 {
+	top := r.selectInto(u, scores, make([]Scored, 0, min(n, len(r.items))))
+	if len(top) == 0 {
 		return nil, fmt.Errorf("%w (user %d)", ErrNoCandidates, u)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		return fmath.Before(all[i].Score, all[j].Score, int(all[i].Node), int(all[j].Node))
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n], nil
+	return top, nil
 }
 
 // RankOf returns the 1-based rank of item v in u's candidate ranking.
@@ -377,16 +473,5 @@ func (r *Recommender) RankOfContext(ctx context.Context, u, v hin.NodeID) (int, 
 	if err != nil {
 		return 0, err
 	}
-	rank := 1
-	sv := scores[v]
-	for x := range scores {
-		id := hin.NodeID(x)
-		if id == v || !r.IsCandidate(u, id) {
-			continue
-		}
-		if fmath.Before(scores[x], sv, int(id), int(v)) {
-			rank++
-		}
-	}
-	return rank, nil
+	return r.RankWithin(u, v, scores, len(r.items)), nil
 }

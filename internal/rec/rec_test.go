@@ -1,9 +1,13 @@
 package rec
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
@@ -120,6 +124,16 @@ func TestTopNOrderingAndExclusion(t *testing.T) {
 		if !r.IsCandidate(ids["u1"], s.Node) {
 			t.Fatalf("non-candidate %d in TopN", s.Node)
 		}
+	}
+	// A list size far above the candidate count returns every candidate
+	// in order: the selection buffer is sized by the item index, never
+	// by n.
+	all, err := r.TopN(ids["u1"], math.MaxInt32)
+	if err != nil || !reflect.DeepEqual(all, top) {
+		t.Fatalf("TopN(n=MaxInt32) = %v, %v, want %v", all, err, top)
+	}
+	if cap(all) > g.NumNodes() {
+		t.Fatalf("TopN(n=MaxInt32) reserved %d slots on a %d-node graph", cap(all), g.NumNodes())
 	}
 	// A list size below 1 is an error, never a slice-bounds panic.
 	for _, n := range []int{0, -1} {
@@ -398,5 +412,303 @@ func TestWithCacheClonesRecommender(t *testing.T) {
 	}
 	if cloned.Cache() != cache {
 		t.Fatal("WithCache(nil) mutated its receiver")
+	}
+}
+
+// topNBySort is the scan-and-sort ranking this package shipped before
+// the ranking kernel — every node probed with IsCandidate, the
+// survivors sorted whole — kept as the reference the kernel must agree
+// with entry for entry. An empty list stands for ErrNoCandidates.
+func topNBySort(r *Recommender, u hin.NodeID, scores ppr.Vector, n int) []Scored {
+	var all []Scored
+	for v := range scores {
+		if id := hin.NodeID(v); r.IsCandidate(u, id) {
+			all = append(all, Scored{Node: id, Score: scores[v]})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		return fmath.Before(all[i].Score, all[j].Score, int(all[i].Node), int(all[j].Node))
+	})
+	return all[:min(n, len(all))]
+}
+
+// rankGraph is a seeded random user–item–category graph with node
+// types interleaved (item ids are not contiguous) and the shapes a
+// ranking must get right: twin items with identical in-neighbourhoods
+// (exact score ties), isolated items (unreached, score 0, tied with each
+// other) and a user who rated every item (zero candidates).
+type rankGraph struct {
+	g            *hin.Graph
+	cfg          Config
+	rated        hin.EdgeTypeID
+	users, items []hin.NodeID
+	twins        [2]hin.NodeID
+	sated        hin.NodeID // rated every item
+}
+
+func newRankGraph(t testing.TB, seed int64, beta float64) *rankGraph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := hin.NewGraph()
+	user, item, cat := g.Types().NodeType("user"), g.Types().NodeType("item"), g.Types().NodeType("category")
+	rg := &rankGraph{g: g, rated: g.Types().EdgeType("rated")}
+	belongs := g.Types().EdgeType("belongs-to")
+	var cats, isolated []hin.NodeID
+	for i := 0; i < 90; i++ {
+		switch k := rng.Intn(9); {
+		case k < 2:
+			rg.users = append(rg.users, g.AddNode(user, ""))
+		case k < 8:
+			rg.items = append(rg.items, g.AddNode(item, ""))
+		default:
+			cats = append(cats, g.AddNode(cat, ""))
+		}
+	}
+	cats = append(cats, g.AddNode(cat, ""))
+	rg.users = append(rg.users, g.AddNode(user, ""))
+	link := func(a, b hin.NodeID, typ hin.EdgeTypeID, w float64) {
+		t.Helper()
+		if g.HasEdge(a, b) {
+			return
+		}
+		if err := g.AddBidirectional(a, b, typ, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, it := range rg.items {
+		link(it, cats[rng.Intn(len(cats))], belongs, 1)
+	}
+	for _, u := range rg.users {
+		for n := 2 + rng.Intn(8); n > 0; n-- {
+			link(u, rg.items[rng.Intn(len(rg.items))], rg.rated, 0.5+rng.Float64())
+		}
+	}
+	// Twins: one category and one rater each, the same ones at the same
+	// weights, added last so no random edge tells them apart.
+	rg.twins = [2]hin.NodeID{g.AddNode(item, ""), g.AddNode(item, "")}
+	for _, tw := range rg.twins {
+		link(tw, cats[0], belongs, 1)
+		link(tw, rg.users[0], rg.rated, 1)
+	}
+	for i := 0; i < 3; i++ {
+		isolated = append(isolated, g.AddNode(item, ""))
+	}
+	rg.sated = g.AddNode(user, "")
+	rg.items = append(append(rg.items, rg.twins[:]...), isolated...)
+	for _, it := range rg.items {
+		if err := g.AddEdge(rg.sated, it, rg.rated, 1); err != nil { // one-way: nobody reaches sated
+			t.Fatal(err)
+		}
+	}
+	rg.users = append(rg.users, rg.sated)
+	rg.cfg = DefaultConfig(item)
+	rg.cfg.Beta = beta
+	return rg
+}
+
+// checkRanking holds every ranking read of r for user u against the
+// scan-and-sort reference on r's own score vector.
+func checkRanking(t *testing.T, name string, r *Recommender, u hin.NodeID) {
+	t.Helper()
+	scores, err := r.Scores(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := topNBySort(r, u, scores, math.MaxInt)
+	if len(full) == 0 {
+		if top, err := r.TopN(u, 3); !errors.Is(err, ErrNoCandidates) {
+			t.Fatalf("%s user %d: TopN = %v, %v, want ErrNoCandidates", name, u, top, err)
+		}
+		if _, err := r.Recommend(u); !errors.Is(err, ErrNoCandidates) {
+			t.Fatalf("%s user %d: Recommend err = %v, want ErrNoCandidates", name, u, err)
+		}
+		if top := r.TopOf(u, scores); top != hin.InvalidNode {
+			t.Fatalf("%s user %d: TopOf = %d, want InvalidNode", name, u, top)
+		}
+		return
+	}
+	for _, n := range []int{1, 2, 10, len(full), len(full) + 3, math.MaxInt32} {
+		got, err := r.TopN(u, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := full[:min(n, len(full))]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s user %d n=%d:\n got %v\nwant %v", name, u, n, got, want)
+		}
+	}
+	if top := r.TopOf(u, scores); top != full[0].Node {
+		t.Fatalf("%s user %d: TopOf = %d, want %d", name, u, top, full[0].Node)
+	}
+	if top, err := r.Recommend(u); err != nil || top != full[0].Node {
+		t.Fatalf("%s user %d: Recommend = %d, %v, want %d", name, u, top, err, full[0].Node)
+	}
+	for i, sc := range full {
+		// The rank within a cut-off: found at the boundary k = rank and
+		// above it, cut one below.
+		for k, want := range map[int]int{i: 0, i + 1: i + 1, i + 2: i + 1, math.MaxInt: i + 1} {
+			if got := r.RankWithin(u, sc.Node, scores, k); k > 0 && got != want {
+				t.Fatalf("%s user %d: RankWithin(%d, k=%d) = %d, want %d", name, u, sc.Node, k, got, want)
+			}
+		}
+		if i%7 == 0 || i == len(full)-1 {
+			if rank, err := r.RankOf(u, sc.Node); err != nil || rank != i+1 {
+				t.Fatalf("%s user %d: RankOf(%d) = %d, %v, want %d", name, u, sc.Node, rank, err, i+1)
+			}
+		}
+	}
+}
+
+// TestRankingKernelMatchesScanAndSort: over seeded random graphs, every
+// ranking read — TopN at list sizes around the boundaries, Recommend,
+// RankOf and the vector-level TopOf / RankWithin — agrees with the
+// scan-and-sort reference, on recommenders from New, WithCache,
+// WithView and WithUserPatch, the last two over an overlay that adds an
+// edge (a candidate disappears) and one that removes an edge (a
+// candidate returns).
+func TestRankingKernelMatchesScanAndSort(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		beta := []float64{1, 0.5}[seed%2]
+		rg := newRankGraph(t, seed, beta)
+		r, err := New(rg.g, rg.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := r.WithCache(pprcache.New(pprcache.Config{}))
+		for i, u := range rg.users {
+			checkRanking(t, "WithCache", cached, u)
+			if i < 2 || u == rg.sated { // every uncached read is a push
+				checkRanking(t, "New", r, u)
+			}
+		}
+
+		// The fixture's shapes are really there: the twins tie exactly
+		// at a positive score for a user who rated neither, the isolated
+		// items tie at zero, and the lower id comes first.
+		u := rg.users[1]
+		scores, err := r.Scores(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := rg.twins[0], rg.twins[1]
+		if !(scores[a] > 0) || !fmath.Eq(scores[a], scores[b]) {
+			t.Fatalf("seed %d: twins score %g and %g, want an exact positive tie", seed, scores[a], scores[b])
+		}
+		ra, _ := r.RankOf(u, a)
+		rb, _ := r.RankOf(u, b)
+		if rb != ra+1 {
+			t.Fatalf("seed %d: tied twins at ranks %d and %d, want adjacent with the lower id first", seed, ra, rb)
+		}
+		all, err := r.TopN(u, math.MaxInt32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := all[len(all)-1]; !fmath.Eq(last.Score, 0) || last.Node != rg.items[len(rg.items)-1] {
+			t.Fatalf("seed %d: last entry %+v, want the highest-id unreached item at score 0", seed, last)
+		}
+
+		// Counterfactuals on u's row: drop a rated item, add an unrated one.
+		var gone, fresh hin.NodeID = hin.InvalidNode, all[len(all)/2].Node
+		rg.g.OutEdges(u, func(h hin.HalfEdge) bool { gone = h.Node; return false })
+		removal := []hin.Edge{{From: u, To: gone, Type: rg.rated}}
+		addition := []hin.Edge{{From: u, To: fresh, Type: rg.rated, Weight: 1}}
+		for name, edits := range map[string][2][]hin.Edge{
+			"remove": {removal, nil}, "add": {nil, addition}, "both": {removal, addition},
+		} {
+			o, err := hin.NewOverlay(rg.g, edits[0], edits[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, patch := cached.WithView(o), r.WithUserPatch(o, u)
+			checkRanking(t, "WithUserPatch/"+name, patch, u)
+			for _, x := range rg.users {
+				checkRanking(t, "WithView/"+name, view, x)
+			}
+			if name != "add" && !view.IsCandidate(u, gone) || name != "remove" && patch.IsCandidate(u, fresh) {
+				t.Fatalf("seed %d %s: overlay did not move the candidate set", seed, name)
+			}
+		}
+	}
+}
+
+// TestRankingConcurrentReaders: many handlers rank on one shared, warm
+// recommender (the server's shape); run under -race. The kernel keeps
+// its scratch on the caller's stack and only reads the shared index.
+func TestRankingConcurrentReaders(t *testing.T) {
+	rg := newRankGraph(t, 11, 0.5)
+	r, err := New(rg.g, rg.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = r.WithCache(pprcache.New(pprcache.Config{}))
+	r.Flat()
+	want := map[hin.NodeID][]Scored{}
+	for _, u := range rg.users[:len(rg.users)-1] {
+		scores, err := r.Scores(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[u] = topNBySort(r, u, scores, 10)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				u := rg.users[(w+i)%(len(rg.users)-1)]
+				got, err := r.TopNContext(context.Background(), u, 10)
+				if err != nil || !reflect.DeepEqual(got, want[u]) {
+					t.Errorf("user %d: TopNContext = %v, %v, want %v", u, got, err, want[u])
+					return
+				}
+				if top := r.TopOf(u, mustScores(t, r, u)); top != want[u][0].Node {
+					t.Errorf("user %d: TopOf = %d, want %d", u, top, want[u][0].Node)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+func mustScores(t *testing.T, r *Recommender, u hin.NodeID) ppr.Vector {
+	t.Helper()
+	scores, err := r.Scores(u)
+	if err != nil {
+		t.Error(err)
+	}
+	return scores
+}
+
+// TestRankingAllocations pins the kernel's allocation budget: the
+// vector-level top-1 and rank reads allocate nothing and a top-10 list
+// allocates its result and nothing else. TopNContext is ScoresContext
+// plus TopNOf, so on a warm cache that one slice is all it adds to the
+// cache lookup (whose own allocations — the engine identity string and
+// the compute closure — belong to ppr and pprcache).
+func TestRankingAllocations(t *testing.T) {
+	rg := newRankGraph(t, 3, 0.5)
+	r, err := New(rg.g, rg.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := rg.users[1]
+	scores, err := r.Scores(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenth := r.selectInto(u, scores, make([]Scored, 0, 10))[9].Node
+	for _, tc := range []struct {
+		name string
+		max  float64
+		read func()
+	}{
+		{"TopOf", 0, func() { r.TopOf(u, scores) }},
+		{"RankWithin", 0, func() { r.RankWithin(u, tenth, scores, 10) }},
+		{"top-10", 1, func() { r.selectInto(u, scores, make([]Scored, 0, 10)) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.read); got > tc.max {
+			t.Errorf("%s: %g allocations per run, want at most %g", tc.name, got, tc.max)
+		}
 	}
 }

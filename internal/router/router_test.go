@@ -78,6 +78,14 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 			DurationUS:  7,
 		})
 	})
+	mux.HandleFunc("GET /recommend", func(w http.ResponseWriter, r *http.Request) {
+		if s := int(b.status.Load()); s != 0 {
+			writeJSON(w, s, map[string]string{"error": "scripted failure"})
+			return
+		}
+		b.served.Add(1)
+		writeJSON(w, http.StatusOK, &client.RecommendResponse{Items: []client.ScoredItem{}})
+	})
 	b.ts = httptest.NewServer(mux)
 	t.Cleanup(b.ts.Close)
 	return b
@@ -223,13 +231,21 @@ func TestFailoverOn503(t *testing.T) {
 // router must not burn a second backend on either, even though explain
 // is idempotent.
 func TestBadRequestDoesNotFailOver(t *testing.T) {
+	recommend := func(t *testing.T, h http.Handler, user string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/recommend?user="+user, nil))
+		return rec
+	}
 	for _, tc := range []struct {
 		name   string
 		script func(owner *fakeBackend)
+		send   func(*testing.T, http.Handler, string) *httptest.ResponseRecorder
 		want   int
 	}{
-		{"4xx", func(b *fakeBackend) { b.status.Store(http.StatusNotFound) }, http.StatusNotFound},
-		{"decode error", func(b *fakeBackend) { b.garbled.Store(true) }, http.StatusBadGateway},
+		{"4xx", func(b *fakeBackend) { b.status.Store(http.StatusNotFound) }, postExplain, http.StatusNotFound},
+		{"decode error", func(b *fakeBackend) { b.garbled.Store(true) }, postExplain, http.StatusBadGateway},
+		// The backend's answer for a user with no candidate item.
+		{"recommend, no candidates", func(b *fakeBackend) { b.status.Store(http.StatusNotFound) }, recommend, http.StatusNotFound},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			testleak.Check(t)
@@ -239,7 +255,7 @@ func TestBadRequestDoesNotFailOver(t *testing.T) {
 			user := "bad-request-user"
 			tc.script(byURL[rt.ring.owner(user)])
 
-			rec := postExplain(t, rt.Handler(), user)
+			rec := tc.send(t, rt.Handler(), user)
 			if rec.Code != tc.want {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.want, rec.Body.String())
 			}

@@ -377,7 +377,7 @@ func statusFor(err error) int {
 		errors.Is(err, emigre.ErrAlreadyTop),
 		errors.Is(err, emigre.ErrEmptyGroup):
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, emigre.ErrNoExplanation):
+	case errors.Is(err, emigre.ErrNoExplanation), errors.Is(err, emigre.ErrNoCandidates):
 		return http.StatusNotFound
 	// Deadline first: a deadline-canceled search wraps both the
 	// sentinel and context.DeadlineExceeded.

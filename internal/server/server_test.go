@@ -25,6 +25,12 @@ func newTestServerCfg(t *testing.T, mutate func(*Config)) (*Server, *emigre.Book
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newServerOver(t, books, mutate), books
+}
+
+// newServerOver builds a server over books as the test left it.
+func newServerOver(t *testing.T, books *emigre.Books, mutate func(*Config)) *Server {
+	t.Helper()
 	cfg := emigre.DefaultRecommenderConfig(books.Types.Item)
 	cfg.Beta = 1
 	r, err := emigre.NewRecommender(books.Graph, cfg)
@@ -47,7 +53,7 @@ func newTestServerCfg(t *testing.T, mutate func(*Config)) (*Server, *emigre.Book
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, books
+	return srv
 }
 
 func do(t *testing.T, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
@@ -122,7 +128,22 @@ func TestRecommend(t *testing.T) {
 	if len(body.Items) != 3 || body.Items[0].Label != "Python" {
 		t.Fatalf("recommendations wrong: %+v", body)
 	}
-	_ = books
+	// A list size far above the item count returns every candidate; the
+	// selection buffer is sized by the graph, not by the request.
+	rec = do(t, srv.Handler(), "GET", "/recommend?user=Paul&n=1000000000", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("huge n status = %d: %s", rec.Code, rec.Body.String())
+	}
+	all, err := srv.r.TopN(books.Paul, books.Graph.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Items) != len(all) || body.Items[0].Label != "Python" {
+		t.Fatalf("huge n returned %d items, want all %d candidates: %+v", len(body.Items), len(all), body)
+	}
 	// Bad inputs.
 	if rec := do(t, srv.Handler(), "GET", "/recommend?user=Nobody", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown user status = %d", rec.Code)
@@ -134,6 +155,37 @@ func TestRecommend(t *testing.T) {
 	// Sscanf-style parsing would.
 	if rec := do(t, srv.Handler(), "GET", "/recommend?user=Paul&n=10abc", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("n=10abc status = %d, want 400", rec.Code)
+	}
+}
+
+// TestRecommendNoCandidatesIs404: a user who has rated every item has
+// nothing to be recommended. That is a definitive statement about the
+// graph — the class "no explanation" answers with — not a server fault:
+// a 500 would be retried by the client and failed over by the router.
+func TestRecommendNoCandidatesIs404(t *testing.T) {
+	books, err := emigre.NewBooks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range []emigre.NodeID{
+		books.HarryPotter, books.LordOfTheRings, books.TheHobbit,
+		books.Candide, books.TheAlchemist, books.Zadig,
+		books.C, books.Python, books.Java,
+	} {
+		if !books.Graph.HasEdge(books.Paul, item) {
+			if err := books.Graph.AddEdge(books.Paul, item, books.Types.Rated, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	srv := newServerOver(t, books, nil)
+	rec := do(t, srv.Handler(), "GET", "/recommend?user=Paul", nil)
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("status = %d, want 404: %s", rec.Code, rec.Body.String())
+	}
+	// Everyone else still gets a list.
+	if rec := do(t, srv.Handler(), "GET", "/recommend?user=Alice", nil); rec.Code != http.StatusOK {
+		t.Fatalf("Alice status = %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
