@@ -153,6 +153,11 @@ type APIError struct {
 	Message string
 	// RetryAfter is the server's retry hint, 0 when absent.
 	RetryAfter time.Duration
+	// BudgetExhausted is set on a "no explanation" 404 whose search ran
+	// out of CHECK budget before it ran out of search space. Either way
+	// the answer is definitive for this server configuration and is not
+	// retried.
+	BudgetExhausted bool
 }
 
 func (e *APIError) Error() string {
@@ -192,7 +197,9 @@ type ExplainResponse struct {
 	NewTop      int64  `json:"new_top"`
 	Verified    bool   `json:"verified"`
 	Checks      int    `json:"checks"`
-	DurationUS  int64  `json:"duration_us"`
+	// Gated is how many of Checks were rejected without a PPR push.
+	Gated      int   `json:"gated"`
+	DurationUS int64 `json:"duration_us"`
 	// Degraded is true when the server's degradation ladder served this
 	// response below full fidelity; DegradedLevel names the rung and
 	// Partial flags an unverified best-effort answer.
@@ -419,16 +426,25 @@ func (c *Client) attemptContext(ctx context.Context, attempt int) (context.Conte
 	return context.WithTimeout(ctx, slice)
 }
 
+// ErrorBody is the JSON payload of every non-2xx response, as this
+// package decodes it and as a proxy relaying an *APIError (the router)
+// writes it back out: budget_exhausted marks a "no explanation" 404 cut
+// short by the CHECK budget, retry_after_seconds repeats a shed
+// server's Retry-After hint.
+type ErrorBody struct {
+	Error             string `json:"error"`
+	BudgetExhausted   bool   `json:"budget_exhausted,omitempty"`
+	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
+}
+
 // newAPIError builds an *APIError from a non-2xx response, parsing the
 // JSON error body and any Retry-After header.
 func newAPIError(resp *http.Response, raw []byte) *APIError {
 	e := &APIError{Status: resp.StatusCode}
-	var body struct {
-		Error             string `json:"error"`
-		RetryAfterSeconds int    `json:"retry_after_seconds"`
-	}
+	var body ErrorBody
 	if json.Unmarshal(raw, &body) == nil && body.Error != "" {
 		e.Message = body.Error
+		e.BudgetExhausted = body.BudgetExhausted
 	} else {
 		e.Message = strings.TrimSpace(string(raw))
 	}

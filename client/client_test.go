@@ -69,22 +69,43 @@ func TestRetriesThenSucceeds(t *testing.T) {
 
 // TestNoRetryOn4xx: a definitive client error is returned immediately.
 func TestNoRetryOn4xx(t *testing.T) {
-	var calls atomic.Int64
-	c, _ := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, `{"error":"no such node"}`, http.StatusBadRequest)
-	}, nil)
+	for _, tc := range []struct {
+		name    string
+		status  int
+		body    string
+		message string
+		budget  bool
+	}{
+		{"bad request", http.StatusBadRequest, `{"error":"no such node"}`, "no such node", false},
+		{"no explanation", http.StatusNotFound, `{"error":"no explanation found"}`, "no explanation found", false},
+		// Out of budget is as definitive as out of search space: asking
+		// again runs the same search into the same budget.
+		{"no explanation, budget exhausted", http.StatusNotFound,
+			`{"error":"no explanation found","budget_exhausted":true}`, "no explanation found", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			c, _ := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				http.Error(w, tc.body, tc.status)
+			}, nil)
 
-	_, err := c.Explain(context.Background(), ExplainRequest{User: "u", WNI: "x"})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("err = %v, want *APIError 400", err)
-	}
-	if apiErr.Message != "no such node" {
-		t.Fatalf("message = %q", apiErr.Message)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("calls = %d, want 1 (no retries on 400)", calls.Load())
+			_, err := c.Explain(context.Background(), ExplainRequest{User: "u", WNI: "x"})
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != tc.status {
+				t.Fatalf("err = %v, want *APIError %d", err, tc.status)
+			}
+			if apiErr.Message != tc.message || apiErr.BudgetExhausted != tc.budget {
+				t.Fatalf("message = %q, budget exhausted = %v; want %q, %v",
+					apiErr.Message, apiErr.BudgetExhausted, tc.message, tc.budget)
+			}
+			if Retryable(err, true) {
+				t.Fatalf("a %d is classified retryable", tc.status)
+			}
+			if calls.Load() != 1 {
+				t.Fatalf("calls = %d, want 1 (no retries on %d)", calls.Load(), tc.status)
+			}
+		})
 	}
 }
 

@@ -239,6 +239,10 @@ const (
 var (
 	// ErrNoExplanation reports an exhausted search space.
 	ErrNoExplanation = core.ErrNoExplanation
+	// ErrBudgetExhausted is joined to ErrNoExplanation when a search
+	// budget (Options.MaxTests, ...) stopped the search before its space
+	// was exhausted: "not found in time", not "proved absent".
+	ErrBudgetExhausted = core.ErrBudgetExhausted
 	// ErrAlreadyTop reports that the Why-Not item already tops the list.
 	ErrAlreadyTop = core.ErrAlreadyTop
 	// ErrNotWhyNotItem reports a Definition-4.1 violation.

@@ -15,12 +15,22 @@ func coldOnly(f *fixture) *fixture {
 	return f
 }
 
+// noGate turns the rival gate off and leaves the warm screen on: the
+// reference the gate A/B suite compares against, and the setting of
+// tests that pin the screen/fallback split itself.
+func noGate(f *fixture) *fixture {
+	f.ex.noGate = true
+	return f
+}
+
 // stripVariance zeroes the Explanation fields allowed to differ between
-// a warm-screened run and a full-recompute run: wall-clock and the
-// warm screen's own activity tallies. Everything else — the candidate
-// set, the verdicts behind it, Tests, CombosExamined — must match.
+// a gated, warm-screened run and a full-recompute run: wall-clock and
+// the gate's and the warm screen's own activity tallies. Everything
+// else — the candidate set, the verdicts behind it, Tests,
+// CombosExamined — must match.
 func stripVariance(e Explanation) Explanation {
 	e.Stats.Duration = 0
+	e.Stats.Gated = 0
 	e.Stats.DeltaScreened = 0
 	e.Stats.DeltaFallbacks = 0
 	return e
@@ -58,20 +68,32 @@ func TestDeltaABExplanationsIdentical(t *testing.T) {
 						mode, method, workers, &w, &g)
 				}
 				if method != ExhaustiveDirect && got.Stats.Tests > 0 &&
-					got.Stats.DeltaScreened+got.Stats.DeltaFallbacks != got.Stats.Tests {
-					t.Errorf("%v/%v w=%d: %d checks but screened=%d fallbacks=%d",
+					got.Stats.Gated+got.Stats.DeltaScreened+got.Stats.DeltaFallbacks != got.Stats.Tests {
+					t.Errorf("%v/%v w=%d: %d checks but gated=%d screened=%d fallbacks=%d",
 						mode, method, workers, got.Stats.Tests,
-						got.Stats.DeltaScreened, got.Stats.DeltaFallbacks)
+						got.Stats.Gated, got.Stats.DeltaScreened, got.Stats.DeltaFallbacks)
 				}
 			}
 		}
 	}
 }
 
-// TestDeltaStatsDeterministicAcrossWorkers pins that the delta tallies
+// foldGate adds the gate's tally into the screen's and zeroes wall-clock:
+// which rejections meet an already-learned rival depends on worker
+// timing, so across worker counts only Gated + DeltaScreened is
+// deterministic (every other Stats field is, separately).
+func foldGate(e Explanation) Explanation {
+	e.Stats.Duration = 0
+	e.Stats.DeltaScreened += e.Stats.Gated
+	e.Stats.Gated = 0
+	return e
+}
+
+// TestDeltaStatsDeterministicAcrossWorkers pins that the work tallies
 // themselves — not just the explanation — are identical for any worker
 // count: the committer folds them in stream order for committed checks
-// only, exactly like Tests.
+// only, exactly like Tests. The gate/screen split is compared as its
+// sum (see foldGate).
 func TestDeltaStatsDeterministicAcrossWorkers(t *testing.T) {
 	testleak.Check(t)
 	for _, method := range []Method{Powerset, BruteForce} {
@@ -86,8 +108,7 @@ func TestDeltaStatsDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, g := *want, *got
-			w.Stats.Duration, g.Stats.Duration = 0, 0
+			w, g := foldGate(*want), foldGate(*got)
 			if !reflect.DeepEqual(&w, &g) {
 				t.Errorf("%v w=%d: stats diverge from sequential:\nseq: %+v\npar: %+v",
 					method, workers, w.Stats, g.Stats)
@@ -112,7 +133,7 @@ func TestDeltaFallbackOnLargeEditSets(t *testing.T) {
 	if errW == nil {
 		t.Fatal("fixture unexpectedly found a removal explanation for f3")
 	}
-	warm := newFixture(t, Options{})
+	warm := noGate(newFixture(t, Options{}))
 	warm.ex.maxEdits = 1
 	screens0, fallbacks0 := deltaScreens.Value(), deltaFallbacksC.Value()
 	_, errG := warm.ex.ExplainWith(q, Remove, BruteForce)
@@ -144,6 +165,9 @@ func TestDeltaScreenActuallyScreens(t *testing.T) {
 	}
 	if expl.Stats.DeltaFallbacks != 0 {
 		t.Fatalf("stats = %+v: single-candidate removals should never exceed the edit cap", expl.Stats)
+	}
+	if st := expl.Stats; st.Gated+st.DeltaScreened != st.Tests {
+		t.Fatalf("stats = %+v: gated + screened must add up to the checks run", st)
 	}
 }
 

@@ -17,7 +17,10 @@ import (
 // is precisely the rejected tests between explanations), and they are
 // the case the screen fully absorbs — a warm PASS still pays a cold
 // confirmation by design. Caching is disabled so the cold rows perform
-// their full PPR work instead of replaying residency.
+// their full PPR work instead of replaying residency, and the rival gate
+// is off so the delta row keeps timing the warm screen the committed
+// baseline timed (left on, it would settle every op after the first
+// without a push; BenchmarkRivalGate times that step).
 //
 // Results land in BENCH_deltappr.json; the acceptance bar is delta
 // running at least 3x faster than cold, since a warm screen drains only
@@ -58,7 +61,7 @@ func BenchmarkDeltaCheckPhase(b *testing.B) {
 	}{{"cold", true}, {"delta", false}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			ex := New(g, r, opts)
-			ex.coldOnly = cfg.cold
+			ex.coldOnly, ex.noGate = cfg.cold, true
 			s, err := ex.newSession(ctx, q, Remove)
 			if err != nil {
 				b.Fatal(err)

@@ -28,9 +28,10 @@
 // Every non-direct strategy verifies its answer with the paper's CHECK
 // step: the candidate edit is applied as a copy-on-write overlay and
 // the recommender is re-scored; the edit is an explanation iff the new
-// top-1 equals WNI. Scoring a counterfactual is a warm-start repair of
-// the user's base push state (rejections end there); a pass is
-// confirmed by one cold PPR run (DESIGN.md §3.15).
+// top-1 equals WNI. A counterfactual that provably still loses to the
+// winner of an earlier CHECK is rejected without a push; the rest are
+// scored by a warm-start repair of the user's base push state, and a
+// pass is confirmed by one cold PPR run (DESIGN.md §3.15).
 package emigre
 
 import (
@@ -318,10 +319,15 @@ type Stats struct {
 	// CombosExamined counts candidate combinations inspected (before
 	// threshold filtering).
 	CombosExamined int
-	// Tests counts CHECK invocations (each one is a warm-start repair of
-	// the base push state on a counterfactual overlay, plus one full PPR
-	// run when the repair passes or the edit set is over the cap).
+	// Tests counts CHECK invocations: every candidate set charged to the
+	// MaxTests budget, whichever step decided it. On a search without a
+	// hard error, Tests = Gated + DeltaScreened + DeltaFallbacks.
 	Tests int
+	// Gated counts CHECKs the rival gate rejected without a push. Which
+	// rejections meet an already-learned rival follows worker timing
+	// under Parallelism > 1: Tests is worker-count-deterministic, of its
+	// parts only Gated + DeltaScreened (+ DeltaFallbacks over the cap) is.
+	Gated int
 	// DeltaScreened counts CHECKs evaluated on warm-start estimates:
 	// rejections decided outright plus passes forwarded to the cold
 	// confirmation run.
@@ -434,12 +440,13 @@ type Explainer struct {
 	rev     *ppr.ReversePush
 	cache   *pprcache.Cache // nil when Options.DisableCache
 	metrics *pipelineMetrics
-	// Test seams, set only from _test.go files. coldOnly skips the warm
-	// screen, so every CHECK is one cold rank check: the reference the
-	// A/B suites and BenchmarkDeltaCheckPhase/cold compare against.
-	// maxEdits is the screen's edit-set cap (deltaMaxEdits), lowered to
-	// force the over-cap fallback.
+	// Test seams, set only from _test.go files. coldOnly skips the rival
+	// gate and the warm screen, so every CHECK is one cold rank check: the
+	// reference the A/B suites and BenchmarkDeltaCheckPhase/cold compare
+	// against. noGate skips the rival gate alone. maxEdits is the screen's
+	// edit-set cap (deltaMaxEdits), lowered to force the over-cap fallback.
 	coldOnly bool
+	noGate   bool
 	maxEdits int
 }
 
@@ -637,6 +644,8 @@ type session struct {
 	// dsc is the sequential evaluator's reusable delta scratch; pipeline
 	// workers allocate their own per goroutine.
 	dsc deltaScratch
+	// gate holds the winners of this session's rejected CHECKs (gate.go).
+	gate rivalGate
 	// lastAttempt is the most recent candidate set submitted to CHECK,
 	// kept so an interrupted search can surface it as an unverified
 	// partial explanation (see CanceledError.Partial). Written by the
@@ -763,10 +772,12 @@ type deltaScratch struct {
 	rows []hin.NodeID
 }
 
-// deltaFlags records how the warm screen participated in one CHECK,
+// deltaFlags records which step of the CHECK path decided one CHECK,
 // so the parallel committer can fold per-check outcomes into Stats in
-// stream order (worker-count-deterministic, like Tests).
+// stream order.
 type deltaFlags struct {
+	// gated: the rival gate rejected the set without a push.
+	gated bool
 	// screened: the warm screen produced the verdict (a rejection) or
 	// forwarded a tentative pass to the cold confirmation.
 	screened bool
@@ -794,10 +805,13 @@ func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 	return ok, top, nil
 }
 
-// tallyDelta folds one CHECK's warm-screen outcome into the session
-// stats. The sequential evaluator calls it at check time; the parallel
-// committer calls it per committed job, in stream order.
+// tallyDelta folds one CHECK's gate and warm-screen outcome into the
+// session stats. The sequential evaluator calls it at check time; the
+// parallel committer calls it per committed job, in stream order.
 func (s *session) tallyDelta(flags deltaFlags) {
+	if flags.gated {
+		s.stats.Gated++
+	}
 	if flags.screened {
 		s.stats.DeltaScreened++
 	}
@@ -806,17 +820,18 @@ func (s *session) tallyDelta(flags deltaFlags) {
 	}
 }
 
-// checkOnce is one stateless CHECK: overlay, patched recommender, warm
-// screen, and — when the screen passes or steps aside — the cold rank
-// comparison. Rejections, the overwhelming majority of any CHECK
-// stream, end at the screen for the price of a local push repair; a
-// warm PASS is confirmed cold so returned explanations stay sound on
+// checkOnce is one stateless CHECK: overlay, patched recommender, rival
+// gate, warm screen, and — when the screen passes or steps aside — the
+// cold rank comparison. Rejections, the overwhelming majority of any
+// CHECK stream, end at the gate for a few dot products or at the screen
+// for a local push repair, and teach the gate their winner; a warm PASS
+// is confirmed cold so returned explanations stay sound on
 // tolerance-level near-ties. It performs no budget or Tests accounting
 // and returns context errors raw (the caller wraps them with the stats
 // it has committed) — which makes it safe to run from many pipeline
-// workers at once. The shared state it reads (graph, recommender
-// snapshot, accept set, base push state, cache) is read-only for the
-// session's lifetime; dsc is the caller's own scratch.
+// workers at once. The shared state it reads is read-only for the
+// session's lifetime (the rival list is replaced, never written); dsc
+// is the caller's own scratch.
 func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaScratch) (bool, hin.NodeID, deltaFlags, error) {
 	// The CHECK seam: one failpoint hit per evaluation, whichever
 	// evaluator runs it.
@@ -827,6 +842,10 @@ func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaSc
 	if err != nil {
 		return false, hin.InvalidNode, deltaFlags{}, err
 	}
+	if s.gated(r2) {
+		record(gatedChecks)
+		return false, hin.InvalidNode, deltaFlags{gated: true}, nil
+	}
 	var flags deltaFlags
 	if !s.ex.coldOnly {
 		var ok bool
@@ -836,15 +855,18 @@ func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaSc
 		}
 	}
 	ok, top, err := s.rankCheck(ctx, r2)
+	if err == nil && !ok {
+		err = s.learn(ctx, top)
+	}
 	return ok, top, flags, err
 }
 
 // warmScreen evaluates the counterfactual on warm-start estimates: the
 // overlay's edited rows are repaired against the session's shared base
-// push state and the verdict is read off the resulting estimate vector.
-// It is stateless, so any number of workers can screen concurrently.
-// Edit sets over the cap fall back (screened=false) to the full
-// recompute.
+// push state and the verdict is read off the resulting estimate vector;
+// a rejection teaches the gate the item that won. It holds no state of
+// its own, so any number of workers can screen concurrently. Edit sets
+// over the cap fall back (screened=false) to the full recompute.
 func (s *session) warmScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Overlay, dsc *deltaScratch) (bool, deltaFlags, error) {
 	edits := o.RowEdits()
 	changes := 0
@@ -852,7 +874,7 @@ func (s *session) warmScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Ov
 		changes += re.Changes
 	}
 	if changes > s.ex.maxEdits {
-		recordDeltaFallback()
+		record(deltaFallbacksC)
 		return false, deltaFlags{fallback: true}, nil
 	}
 	dsc.rows = dsc.rows[:0]
@@ -865,8 +887,12 @@ func (s *session) warmScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Ov
 	if err != nil {
 		return false, deltaFlags{}, err
 	}
-	recordDeltaScreen()
-	return s.estimateVerdict(r2, res.Estimates), deltaFlags{screened: true}, nil
+	record(deltaScreens)
+	ok := s.estimateVerdict(r2, res.Estimates)
+	if !ok {
+		err = s.learn(ctx, r2.TopOf(s.q.User, res.Estimates))
+	}
+	return ok, deltaFlags{screened: true}, err
 }
 
 // counterfactual applies the candidate selection as an overlay and

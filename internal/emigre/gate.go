@@ -1,0 +1,173 @@
+package emigre
+
+import (
+	"context"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"github.com/why-not-xai/emigre/internal/hin"
+	"github.com/why-not-xai/emigre/internal/ppr"
+	"github.com/why-not-xai/emigre/internal/rec"
+)
+
+// The rival gate is the step of the CHECK path that rejects a
+// counterfactual without a push (derivation: DESIGN.md §3.15). Every
+// rejected CHECK names the item that won instead of WNI, and the winners
+// repeat, so the session keeps them — a short list seeded with rec —
+// each with its reverse column PPR(·,t), plus PPR(·,u). A counterfactual
+// only rewrites row u; splitting walks at their first return to u gives,
+// for the new row w′,
+//
+//	π′(WNI) − π′(t) = (1−α)/D′ · m_t ,  D′ ∈ [α, 1]
+//	m_t = Σ_x w′_x · [(PPR(x,WNI) − PPR(x,t)) − F(x)·(PPR(u,WNI) − PPR(u,t))]
+//	F(x) = PPR(x,u)/PPR(u,u)
+//
+// exactly. When TargetRank rivals lead by more than every estimate
+// involved can be wrong, the warm screen and the cold check would reject
+// too, so the gate rejects and spends the CHECK like they would.
+
+// maxRivals bounds the learned list: a session pays at most this many
+// reverse pushes however many distinct winners its stream names.
+const maxRivals = 16
+
+// rival is one learned winner.
+type rival struct {
+	node hin.NodeID
+	col  ppr.Vector // PPR(·, node), reverse-push estimates
+	// fwdErr bounds |π′(u,node) − est(node)| for any forward estimate
+	// drained to ε over a row-u counterfactual: the push invariant leaves
+	// ε·Σ_x PPR′(x,node), and the first-return split makes that sum
+	// Σ_x PPR(x,node) + (π′ − π)(u,node)·Σ_x F(x), with π′ ≤ 1−α and
+	// Σ_x F(x) ≤ Σ_x PPR(x,u)/α.
+	fwdErr float64
+}
+
+// rivalGate is what a session has learned: an immutable snapshot that
+// evaluations read lock-free and learning replaces. mu admits one
+// learner at a time, so workers rejecting toward one winner push its
+// column once; a worker that finds a learner mid-push moves on instead
+// of queueing behind a 7 ms column — a winner worth learning comes round
+// again. Verdicts do not depend on when a rival is learned, only how
+// many rejections end at the gate instead of the screen.
+type rivalGate struct {
+	mu   sync.Mutex
+	snap atomic.Pointer[rivals]
+}
+
+type rivals struct {
+	toU    ppr.Vector // PPR(·, u)
+	sumU   float64    // bound on Σ_x PPR(x, u)
+	wniErr float64    // fwdErr of the Why-Not item
+	list   []rival
+}
+
+func (rv *rivals) has(t hin.NodeID) bool {
+	return slices.ContainsFunc(rv.list, func(r rival) bool { return r.node == t })
+}
+
+// gated reports whether TargetRank learned rivals that are still
+// candidates of the counterfactual r2 provably outrank WNI on it. A
+// session that learns nothing (see learn), an empty row, a row that
+// reaches u itself and any gap inside the error margin answer false: on
+// to the warm screen. It does not allocate.
+func (s *session) gated(r2 *rec.Recommender) bool {
+	rv := s.gate.snap.Load()
+	k := s.ex.opts.TargetRank
+	if rv == nil || len(rv.list) < k {
+		return false
+	}
+	u, flat := s.q.User, r2.Flat()
+	row, total := flat.OutSlice(u), flat.OutWeightSum(u)
+	if len(row) == 0 || total <= 0 {
+		return false
+	}
+	p := s.ex.r.Config().PPR
+	// Every reverse-push entry satisfies P ≤ PPR ≤ P + ε, PPR(u,u) ≥ α
+	// and F ≤ 1: the two column differences are each off by at most ε
+	// and F by at most ε/α, against a difference of at most 1.
+	colErr := p.Epsilon * (2 + 1/p.Alpha)
+	ahead := 0
+	for i := range rv.list {
+		t := &rv.list[i]
+		m, candidate := rivalMargin(row, total, u, t.node, s.toWNI, t.col, rv.toU)
+		// D′ ≤ 1, so (1−α)·m_t bounds the score gap from above.
+		if candidate && (1-p.Alpha)*(m+colErr) < -(t.fwdErr+rv.wniErr) {
+			if ahead++; ahead >= k {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// rivalMargin evaluates m_t for rival t on u's new row (weights
+// row/total) from the columns PPR(·,WNI), PPR(·,t) and PPR(·,u);
+// candidate is false when the row reaches t (no longer recommendable) or u.
+func rivalMargin(row []hin.HalfEdge, total float64, u, t hin.NodeID, toWNI, toT, toU ppr.Vector) (m float64, candidate bool) {
+	gapU := (toWNI[u] - toT[u]) / toU[u]
+	candidate = true
+	for _, h := range row {
+		if h.Node == u || h.Node == t {
+			candidate = false
+		}
+		m += h.Weight * ((toWNI[h.Node] - toT[h.Node]) - toU[h.Node]*gapU)
+	}
+	return m / total, candidate
+}
+
+// learn remembers the winner of a rejected CHECK. The first rejection
+// also fetches PPR(·,u) and seeds the list with rec, whose column the
+// session already holds. This is the one place the gate is switched off:
+// under the test seams, and on group queries, whose accept set the
+// pairwise identity does not cover, nothing is learned and gated never
+// fires.
+func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
+	settled := func(rv *rivals) bool {
+		return rv != nil && (rv.has(winner) || len(rv.list) >= maxRivals)
+	}
+	off := s.ex.coldOnly || s.ex.noGate || s.accept != nil
+	if off || winner == hin.InvalidNode || settled(s.gate.snap.Load()) || !s.gate.mu.TryLock() {
+		return nil
+	}
+	defer s.gate.mu.Unlock()
+	old := s.gate.snap.Load()
+	if settled(old) { // another worker got here first
+		return nil
+	}
+	p := s.ex.r.Config().PPR
+	// colSum bounds Σ_x PPR(x,t): each estimate is at most ε short.
+	colSum := func(col ppr.Vector) float64 { return col.Sum() + float64(len(col))*p.Epsilon }
+	next := &rivals{}
+	fwdErr := func(col ppr.Vector) float64 {
+		return p.Epsilon * (colSum(col) + (1-p.Alpha)/p.Alpha*next.sumU)
+	}
+	if old != nil {
+		*next = *old
+		next.list = slices.Clip(old.list) // append copies: readers hold old
+	} else {
+		toU, err := s.gateColumn(ctx, s.q.User)
+		if err != nil {
+			return err
+		}
+		next.toU, next.sumU = toU, colSum(toU)
+		next.wniErr = fwdErr(s.toWNI)
+		next.list = []rival{{node: s.rec, col: s.toRec, fwdErr: fwdErr(s.toRec)}}
+	}
+	if !next.has(winner) {
+		col, err := s.gateColumn(ctx, winner)
+		if err != nil {
+			return err
+		}
+		next.list = append(next.list, rival{node: winner, col: col, fwdErr: fwdErr(col)})
+	}
+	s.gate.snap.Store(next)
+	return nil
+}
+
+// gateColumn computes PPR(·,t) for the gate straight off the engine:
+// routed through the vector cache its columns saved no CPU and cost
+// whynot-remove 18 % RSS (ISSUE 23); uncached they die with the session.
+func (s *session) gateColumn(ctx context.Context, t hin.NodeID) (ppr.Vector, error) {
+	return s.ex.rev.ToTargetContext(ctx, s.view, t)
+}

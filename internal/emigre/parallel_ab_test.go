@@ -15,7 +15,9 @@ import (
 // CHECK pipeline: every mode × method must produce byte-identical
 // explanations (and Stats) when evaluated sequentially and with 2, 4
 // and 8 speculative workers. Ordered commit may only change how much
-// work runs, never what is returned.
+// work runs, never what is returned — and, of the Stats, how the
+// rejections split between the rival gate and the warm screen, which
+// is compared as the sum Gated + DeltaScreened (foldGate).
 func TestParallelABExplanationsIdentical(t *testing.T) {
 	testleak.Check(t) // speculative CHECK workers must all be joined
 	for _, mode := range []Mode{Remove, Add, Combined, Reweight} {
@@ -35,9 +37,7 @@ func TestParallelABExplanationsIdentical(t *testing.T) {
 					}
 					continue
 				}
-				// Wall-clock is the only field allowed to differ.
-				w, g := *want, *got
-				w.Stats.Duration, g.Stats.Duration = 0, 0
+				w, g := foldGate(*want), foldGate(*got)
 				if !reflect.DeepEqual(&w, &g) {
 					t.Errorf("%v/%v w=%d: explanations diverge:\nseq: %+v\npar: %+v",
 						mode, method, workers, &w, &g)
@@ -80,8 +80,7 @@ func TestParallelABBudgetIdentical(t *testing.T) {
 						}
 						continue
 					}
-					w, g := *want, *got
-					w.Stats.Duration, g.Stats.Duration = 0, 0
+					w, g := foldGate(*want), foldGate(*got)
 					if !reflect.DeepEqual(&w, &g) {
 						t.Errorf("%v/%v b=%d w=%d: explanations diverge:\nseq: %+v\npar: %+v",
 							mode, method, maxTests, workers, &w, &g)
@@ -184,8 +183,7 @@ func TestParallelExplainUnderCacheChurn(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		w, g := *want, *expls[i]
-		w.Stats.Duration, g.Stats.Duration = 0, 0
+		w, g := foldGate(*want), foldGate(*expls[i])
 		if !reflect.DeepEqual(&w, &g) {
 			t.Errorf("goroutine %d diverged from sequential:\nseq: %+v\ngot: %+v", i, &w, &g)
 		}

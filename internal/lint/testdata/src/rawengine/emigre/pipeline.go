@@ -35,3 +35,15 @@ func (s *session) worker(ts []int) []ppr.Vector {
 func (s *session) deltaCheck(base *ppr.PushResult, rows []int) *ppr.PushResult {
 	return ppr.NewForwardPush().UpdateForEdit(base, rows) // want "cache"
 }
+
+// good: the rival gate's session-scoped columns are the one designated
+// uncached route.
+func (s *session) gateColumn(t int) ppr.Vector {
+	return s.rev.ToTarget(t)
+}
+
+// bad: learning a rival straight off the engine, outside gateColumn,
+// still trips — the allowance names one helper, not the gate.
+func (s *session) learn(winner int) ppr.Vector {
+	return s.rev.ToTarget(winner) // want "cache"
+}

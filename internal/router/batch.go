@@ -28,6 +28,9 @@ type BatchItem struct {
 	Status int                     `json:"status"`
 	Result *client.ExplainResponse `json:"result,omitempty"`
 	Error  string                  `json:"error,omitempty"`
+	// BudgetExhausted repeats the backend's mark on a 404 slot: the
+	// search ran out of CHECK budget, not out of search space.
+	BudgetExhausted bool `json:"budget_exhausted,omitempty"`
 }
 
 // BatchResponse answers /explain/batch. Results[i] answers
@@ -104,8 +107,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 					return c.Explain(ctx, s.req)
 				})
 				if err != nil {
-					status, msg, _ := upstreamError(legResult{err: err})
-					results[s.idx] = BatchItem{Status: status, Error: msg}
+					status, body := upstreamError(legResult{err: err})
+					results[s.idx] = BatchItem{Status: status, Error: body.Error, BudgetExhausted: body.BudgetExhausted}
 					continue
 				}
 				results[s.idx] = BatchItem{Status: http.StatusOK, Result: v.(*client.ExplainResponse)}

@@ -124,15 +124,20 @@ func (rt *Router) hedgeDelayFor(op string) time.Duration {
 }
 
 // upstreamError converts a terminal legResult into the HTTP response
-// the router owes its client: upstream API errors mirror their status
-// and message; transport-level failures become 502.
-func upstreamError(res legResult) (int, string, int) {
+// the router owes its client: upstream API errors mirror their status,
+// message and marks, so a routed failure reads like a direct one;
+// transport-level failures become 502.
+func upstreamError(res legResult) (int, client.ErrorBody) {
 	var apiErr *client.APIError
 	if errors.As(res.err, &apiErr) {
-		return apiErr.Status, apiErr.Message, int(apiErr.RetryAfter / time.Second)
+		return apiErr.Status, client.ErrorBody{
+			Error:             apiErr.Message,
+			BudgetExhausted:   apiErr.BudgetExhausted,
+			RetryAfterSeconds: int(apiErr.RetryAfter / time.Second),
+		}
 	}
 	if errors.Is(res.err, context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout, "upstream deadline exceeded", 0
+		return http.StatusGatewayTimeout, client.ErrorBody{Error: "upstream deadline exceeded"}
 	}
-	return http.StatusBadGateway, fmt.Sprintf("no backend available: %v", res.err), 0
+	return http.StatusBadGateway, client.ErrorBody{Error: fmt.Sprintf("no backend available: %v", res.err)}
 }

@@ -335,13 +335,11 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, op, user string,
 	res := rt.raceUpstream(ctx, op, rt.candidates(user), true, call)
 	if res.err != nil {
 		rt.m.errors[op].Inc()
-		status, msg, retryAfter := upstreamError(res)
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-			writeJSON(w, status, map[string]any{"error": msg, "retry_after_seconds": retryAfter})
-			return
+		status, body := upstreamError(res)
+		if body.RetryAfterSeconds > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(body.RetryAfterSeconds))
 		}
-		writeError(w, status, msg)
+		writeJSON(w, status, body)
 		return
 	}
 	meta := metaOf(res.val)
@@ -433,7 +431,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	writeJSON(w, status, client.ErrorBody{Error: msg})
 }
 
 // BackendHeader names the backend that served a routed response —

@@ -28,6 +28,7 @@ type fakeBackend struct {
 	ready    atomic.Bool
 	delay    atomic.Int64 // nanoseconds
 	status   atomic.Int64 // 0 = 200
+	budget   atomic.Bool  // a scripted /explain failure is marked budget_exhausted, as a real backend's 404 can be
 	garbled  atomic.Bool  // answer 200 with a body that is not JSON
 	served   atomic.Int64
 	canceled atomic.Int64 // requests whose context died mid-delay
@@ -60,7 +61,7 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 			}
 		}
 		if s := int(b.status.Load()); s != 0 {
-			writeJSON(w, s, map[string]string{"error": "scripted failure"})
+			writeJSON(w, s, client.ErrorBody{Error: "scripted failure", BudgetExhausted: b.budget.Load()})
 			return
 		}
 		if b.garbled.Load() {
@@ -139,11 +140,15 @@ func decodeExplain(t *testing.T, rec *httptest.ResponseRecorder) client.ExplainR
 }
 
 // TestRouteShardAffinity: every request for one user lands on that
-// user's ring owner, consistently across repeats.
+// user's ring owner, consistently across repeats. Hedging is pushed out
+// of reach: the adaptive delay settles at its 2 ms floor after eight
+// sub-millisecond answers, and on a loaded box a slower answer then
+// loses to its hedge leg on the ring successor — a property of the
+// hedge (TestHedgeSlowOwnerCancellationHygiene), not of the ring.
 func TestRouteShardAffinity(t *testing.T) {
 	testleak.Check(t)
 	b1, b2, b3 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2"), newFakeBackend(t, "b3")
-	rt := newTestRouter(t, nil, b1, b2, b3)
+	rt := newTestRouter(t, func(c *Config) { c.HedgeAfter = time.Minute }, b1, b2, b3)
 	for i := 0; i < 20; i++ {
 		user := fmt.Sprintf("user-%d", i)
 		owner := rt.ring.owner(user)
@@ -241,11 +246,19 @@ func TestBadRequestDoesNotFailOver(t *testing.T) {
 		script func(owner *fakeBackend)
 		send   func(*testing.T, http.Handler, string) *httptest.ResponseRecorder
 		want   int
+		// body, when set, is the exact payload the client must see.
+		body string
 	}{
-		{"4xx", func(b *fakeBackend) { b.status.Store(http.StatusNotFound) }, postExplain, http.StatusNotFound},
-		{"decode error", func(b *fakeBackend) { b.garbled.Store(true) }, postExplain, http.StatusBadGateway},
+		{"4xx", func(b *fakeBackend) { b.status.Store(http.StatusNotFound) }, postExplain, http.StatusNotFound,
+			`{"error":"scripted failure"}` + "\n"},
+		// A search cut short by its CHECK budget: the mark passes through
+		// and the answer stays definitive — another backend would run the
+		// same search into the same budget.
+		{"404, budget exhausted", func(b *fakeBackend) { b.status.Store(http.StatusNotFound); b.budget.Store(true) },
+			postExplain, http.StatusNotFound, `{"error":"scripted failure","budget_exhausted":true}` + "\n"},
+		{"decode error", func(b *fakeBackend) { b.garbled.Store(true) }, postExplain, http.StatusBadGateway, ""},
 		// The backend's answer for a user with no candidate item.
-		{"recommend, no candidates", func(b *fakeBackend) { b.status.Store(http.StatusNotFound) }, recommend, http.StatusNotFound},
+		{"recommend, no candidates", func(b *fakeBackend) { b.status.Store(http.StatusNotFound) }, recommend, http.StatusNotFound, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			testleak.Check(t)
@@ -258,6 +271,9 @@ func TestBadRequestDoesNotFailOver(t *testing.T) {
 			rec := tc.send(t, rt.Handler(), user)
 			if rec.Code != tc.want {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.want, rec.Body.String())
+			}
+			if tc.body != "" && rec.Body.String() != tc.body {
+				t.Fatalf("body %q, want the backend's %q", rec.Body.String(), tc.body)
 			}
 			if rt.m.failovers.Value() != 0 {
 				t.Fatal("definitive outcome triggered a failover")
@@ -355,31 +371,34 @@ func TestBatchOrderAndSharding(t *testing.T) {
 }
 
 // TestBatchPerItemFailure: one bad shard yields per-item errors, not a
-// voided batch.
+// voided batch — a 500 in its own slot, and a budget-cut "no
+// explanation" 404 with the backend's budget_exhausted mark in its.
 func TestBatchPerItemFailure(t *testing.T) {
 	testleak.Check(t)
-	b1, b2 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2")
-	rt := newTestRouter(t, nil, b1, b2)
-	byURL := map[string]*fakeBackend{b1.url(): b1, b2.url(): b2}
+	b1, b2, b3 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2"), newFakeBackend(t, "b3")
+	rt := newTestRouter(t, nil, b1, b2, b3)
+	backends := []*fakeBackend{b1, b2, b3}
 
-	// Find users on both shards.
-	var onB1, onB2 string
-	for i := 0; onB1 == "" || onB2 == ""; i++ {
+	// Find a user on every shard.
+	users := make([]string, len(backends))
+	for i, found := 0, 0; found < len(backends); i++ {
 		u := fmt.Sprintf("pf-user-%d", i)
-		if byURL[rt.ring.owner(u)] == b1 {
-			if onB1 == "" {
-				onB1 = u
+		for j, b := range backends {
+			if rt.ring.owner(u) == b.url() && users[j] == "" {
+				users[j] = u
+				found++
 			}
-		} else if onB2 == "" {
-			onB2 = u
 		}
 	}
 	b2.status.Store(http.StatusInternalServerError)
+	b3.status.Store(http.StatusNotFound)
+	b3.budget.Store(true)
 
-	body, _ := json.Marshal(BatchRequest{Requests: []client.ExplainRequest{
-		{User: onB1, WNI: "X", Mode: "remove"},
-		{User: onB2, WNI: "X", Mode: "remove"},
-	}})
+	var reqs []client.ExplainRequest
+	for _, u := range users {
+		reqs = append(reqs, client.ExplainRequest{User: u, WNI: "X", Mode: "remove"})
+	}
+	body, _ := json.Marshal(BatchRequest{Requests: reqs})
 	req := httptest.NewRequest("POST", "/explain/batch", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	rt.Handler().ServeHTTP(rec, req)
@@ -395,6 +414,12 @@ func TestBatchPerItemFailure(t *testing.T) {
 	}
 	if resp.Results[1].Status != http.StatusInternalServerError || resp.Results[1].Error == "" {
 		t.Fatalf("bad shard's item = %+v, want per-item 500", resp.Results[1])
+	}
+	if resp.Results[2].Status != http.StatusNotFound || resp.Results[2].Error == "" {
+		t.Fatalf("budget-cut shard's item = %+v, want per-item 404", resp.Results[2])
+	}
+	if resp.Results[0].BudgetExhausted || resp.Results[1].BudgetExhausted || !resp.Results[2].BudgetExhausted {
+		t.Fatalf("results = %+v, want the budget_exhausted mark on the 404 slot only", resp.Results)
 	}
 }
 

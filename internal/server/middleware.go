@@ -36,11 +36,13 @@ const (
 const maxRequestIDLen = 64
 
 // requestInfo accumulates per-request details the logging middleware
-// cannot see on its own (the number of CHECK invocations a search ran),
+// cannot see on its own (the number of CHECK invocations a search ran
+// and how many of them the rival gate settled),
 // and hands the middleware-created tally accumulators to handlers so
 // they can surface them as response headers before the body is written.
 type requestInfo struct {
 	tests    int
+	gated    int
 	hasTests bool
 	rid      string
 	rs       *pprcache.RequestStats
@@ -56,10 +58,11 @@ func infoFrom(ctx context.Context) *requestInfo {
 	return info
 }
 
-// recordTests notes the CHECK count for the request log line.
-func recordTests(ctx context.Context, tests int) {
+// recordTests notes the CHECK count, and the gated share of it, for the
+// request log line.
+func recordTests(ctx context.Context, st emigre.ExplainStats) {
 	if info := infoFrom(ctx); info != nil {
-		info.tests = tests
+		info.tests, info.gated = st.Tests, st.Gated
 		info.hasTests = true
 	}
 }
@@ -164,7 +167,8 @@ func (w *statusWriter) ReadFrom(src io.Reader) (int64, error) {
 
 // withMiddleware wraps the route tree with panic recovery and
 // structured request logging: one line per request with method, path,
-// status, duration, (for explanation requests) the CHECK count, (when
+// status, duration, (for explanation requests) the CHECK count and how
+// many of those the rival gate rejected, (when
 // the vector cache is enabled) the request's cache hit/miss tally and
 // (when parallel CHECK is enabled) the request's committed/wasted
 // pipeline check tally.
@@ -204,7 +208,7 @@ func (s *Server) withMiddleware(next http.Handler) http.Handler {
 			s.routeFor(r.URL.Path).observe(sw.status, elapsed)
 			line := ""
 			if info.hasTests {
-				line = " tests=" + strconv.Itoa(info.tests)
+				line = " tests=" + strconv.Itoa(info.tests) + " gated=" + strconv.Itoa(info.gated)
 			}
 			if rs != nil && (rs.Hits() > 0 || rs.Misses() > 0) {
 				line += " cache=" + strconv.FormatInt(rs.Hits(), 10) + "h/" + strconv.FormatInt(rs.Misses(), 10) + "m"

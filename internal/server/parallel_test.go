@@ -61,7 +61,9 @@ func TestExplainPoolStatsSurfaced(t *testing.T) {
 
 // TestExplainWorkersIdenticalResponse is the serving-level A/B: the same
 // question answered by a sequential server and a 4-worker server must
-// produce identical response bodies (modulo the duration field).
+// produce identical response bodies — modulo the duration field and
+// gated, the one tally whose split (gate vs screen) follows worker
+// timing; checks, the sum, may not move.
 func TestExplainWorkersIdenticalResponse(t *testing.T) {
 	seq, _ := newTestServer(t)
 	par, _ := newTestServerCfg(t, func(c *Config) { c.ExplainWorkers = 4 })
@@ -73,6 +75,10 @@ func TestExplainWorkersIdenticalResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 		delete(m, "duration_us")
+		if _, ok := m["gated"]; !ok {
+			t.Fatalf("response carries no gated count: %s", raw)
+		}
+		delete(m, "gated")
 		return m
 	}
 	a := do(t, seq.Handler(), "POST", "/explain", body)

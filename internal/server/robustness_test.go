@@ -179,8 +179,8 @@ func TestRequestLogging(t *testing.T) {
 	if !strings.Contains(out, "GET /healthz 200") {
 		t.Fatalf("missing healthz log line:\n%s", out)
 	}
-	if !strings.Contains(out, "POST /explain 200") || !strings.Contains(out, "tests=") {
-		t.Fatalf("missing explain log line with tests count:\n%s", out)
+	if !strings.Contains(out, "POST /explain 200") || !strings.Contains(out, "tests=") || !strings.Contains(out, " gated=") {
+		t.Fatalf("missing explain log line with tests and gated counts:\n%s", out)
 	}
 }
 

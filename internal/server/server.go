@@ -345,8 +345,13 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // in-flight requests keep running until the http.Server drains them.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 
+// errorBody is every non-2xx payload. BudgetExhausted marks a "no
+// explanation" 404 whose search ran out of CHECK budget rather than out
+// of search space: an operator can tell "not found in time" from
+// "proved absent" without parsing the message.
 type errorBody struct {
-	Error string `json:"error"`
+	Error           string `json:"error"`
+	BudgetExhausted bool   `json:"budget_exhausted,omitempty"`
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -367,7 +372,10 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, errorBody{Error: err.Error()})
+	s.writeJSON(w, status, errorBody{
+		Error:           err.Error(),
+		BudgetExhausted: errors.Is(err, emigre.ErrBudgetExhausted),
+	})
 }
 
 // statusFor maps library errors to HTTP statuses.
@@ -510,7 +518,11 @@ type explainResponse struct {
 	NewTop      emigre.NodeID `json:"new_top"`
 	Verified    bool          `json:"verified"`
 	Checks      int           `json:"checks"`
-	DurationUS  int64         `json:"duration_us"`
+	// Gated is how many of Checks the rival gate rejected without a push.
+	// With -explain-workers > 1 the gate/screen split depends on worker
+	// timing; Checks does not.
+	Gated      int   `json:"gated"`
+	DurationUS int64 `json:"duration_us"`
 	// Degraded marks a response served below full fidelity by the
 	// degradation ladder; DegradedLevel names the rung ("lean",
 	// "cache_only", "partial") and Partial flags an unverified
@@ -668,12 +680,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// request log (observability for 504s).
 		var ce *emigre.CanceledError
 		if errors.As(err, &ce) {
-			recordTests(r.Context(), ce.Stats.Tests)
+			recordTests(r.Context(), ce.Stats)
 		}
 		s.writeErr(w, status, err)
 		return
 	}
-	recordTests(r.Context(), expl.Stats.Tests)
+	recordTests(r.Context(), expl.Stats)
 	setTallyHeaders(w, r.Context())
 
 	desc := expl.Describe(s.g)
@@ -688,6 +700,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		NewTop:      expl.NewTop,
 		Verified:    expl.Verified,
 		Checks:      expl.Stats.Tests,
+		Gated:       expl.Stats.Gated,
 		DurationUS:  expl.Stats.Duration.Microseconds(),
 	}
 	if level > degradeNone {
@@ -757,7 +770,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var ce *emigre.CanceledError
 		if errors.As(err, &ce) {
-			recordTests(r.Context(), ce.Stats.Tests)
+			recordTests(r.Context(), ce.Stats)
 		}
 		s.writeErr(w, statusFor(err), err)
 		return

@@ -266,15 +266,41 @@ func TestExplainErrors(t *testing.T) {
 	}
 }
 
+// TestExplainNoExplanationIs404 covers both ways a search ends without
+// an answer. "Why not The Hobbit" in remove mode has none on the books
+// graph (Harry Potter and others intercept): with the default budget
+// the search space runs out, with a one-CHECK budget the budget does —
+// the same 404, told apart by budget_exhausted.
 func TestExplainNoExplanationIs404(t *testing.T) {
-	srv, _ := newTestServer(t)
-	// "Why not The Hobbit" in remove mode has no answer on the books
-	// graph (Harry Potter and others intercept).
-	rec := do(t, srv.Handler(), "POST", "/explain", map[string]any{
-		"user": "Paul", "wni": "The Hobbit", "mode": "remove", "method": "exhaustive",
-	})
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404: %s", rec.Code, rec.Body.String())
+	for _, tc := range []struct {
+		name     string
+		method   string
+		maxTests int
+		want     bool
+	}{
+		{"exhaustive, search space exhausted", "exhaustive", 0, false},
+		{"brute-force, search space exhausted", "brute-force", 0, false},
+		{"brute-force, budget exhausted", "brute-force", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := newTestServerCfg(t, func(c *Config) { c.Options.MaxTests = tc.maxTests })
+			rec := do(t, srv.Handler(), "POST", "/explain", map[string]any{
+				"user": "Paul", "wni": "The Hobbit", "mode": "remove", "method": tc.method,
+			})
+			if rec.Code != http.StatusNotFound {
+				t.Fatalf("status = %d, want 404: %s", rec.Code, rec.Body.String())
+			}
+			var body map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatal(err)
+			}
+			if got, present := body["budget_exhausted"]; present != tc.want || (tc.want && got != true) {
+				t.Fatalf("budget_exhausted = %v (present %v), want %v: %s", got, present, tc.want, rec.Body.String())
+			}
+			if msg, _ := body["error"].(string); msg == "" {
+				t.Fatalf("404 without an error message: %s", rec.Body.String())
+			}
+		})
 	}
 }
 
