@@ -2,9 +2,12 @@ package emigre
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
+	"github.com/why-not-xai/emigre/internal/fault"
 	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/pprcache"
 	"github.com/why-not-xai/emigre/internal/rec"
@@ -12,8 +15,11 @@ import (
 
 // TestCacheABExplanationsIdentical is the acceptance A/B: every mode ×
 // method must produce byte-identical explanations with the vector cache
-// enabled (the default) and disabled. The cache may only change how
-// much work runs, never what is returned.
+// enabled (the default) and disabled, and with the cache cold and warm:
+// the batched column fetch drains a different set of targets in each of
+// the three (all of them, none through the cache, only the misses), and
+// a column must not depend on the batch it was computed in. The cache
+// may only change how much work runs, never what is returned.
 func TestCacheABExplanationsIdentical(t *testing.T) {
 	for _, mode := range []Mode{Remove, Add} {
 		for _, method := range allMethods(mode) {
@@ -42,7 +48,105 @@ func TestCacheABExplanationsIdentical(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%v/%v: explanations diverge:\ncached:   %+v\nuncached: %+v", mode, method, want, got)
 			}
+			warm, err := cached.ex.Explain(cached.query())
+			if err != nil {
+				t.Fatalf("%v/%v: warm-cache run: %v", mode, method, err)
+			}
+			warm.Stats.Duration = 0
+			if !reflect.DeepEqual(want, warm) {
+				t.Errorf("%v/%v: explanations diverge:\ncold cache: %+v\nwarm cache: %+v", mode, method, want, warm)
+			}
 		}
+	}
+}
+
+// TestCacheABConcurrentSessionsOverlappingTargets races sessions whose
+// batched fetches overlap (same user, different Why-Not items: the
+// Alg. 5 target sets and rec coincide, the WNI columns cross) on one
+// shared cache, cold and then warm. Whoever leads which flight, every
+// answer must equal the serial uncached one. Run under -race.
+func TestCacheABConcurrentSessionsOverlappingTargets(t *testing.T) {
+	type ask struct {
+		user, wni string
+		mode      Mode
+		method    Method
+	}
+	var asks []ask
+	for _, mode := range []Mode{Remove, Add} {
+		for _, method := range []Method{Incremental, Powerset, Exhaustive} {
+			asks = append(asks, ask{"u", "f2", mode, method}, ask{"u", "f3", mode, method}, ask{"v", "f2", mode, method})
+		}
+	}
+	run := func(f *fixture, a ask) (*Explanation, error) {
+		expl, err := f.ex.ExplainWith(Query{User: f.ids[a.user], WNI: f.ids[a.wni]}, a.mode, a.method)
+		if expl != nil {
+			expl.Stats.Duration = 0
+		}
+		return expl, err
+	}
+	plain := newFixture(t, Options{DisableCache: true})
+	want := make([]*Explanation, len(asks))
+	wantErr := make([]error, len(asks))
+	for i, a := range asks {
+		want[i], wantErr[i] = run(plain, a)
+	}
+	shared := newFixture(t, Options{})
+	shared.ex.r.Flat() // the snapshot is built unsynchronized: warm it before sharing
+	for _, state := range []string{"cold", "warm"} {
+		got := make([]*Explanation, len(asks))
+		gotErr := make([]error, len(asks))
+		var wg sync.WaitGroup
+		for i, a := range asks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], gotErr[i] = run(shared, a)
+			}()
+		}
+		wg.Wait()
+		for i, a := range asks {
+			if (wantErr[i] == nil) != (gotErr[i] == nil) || (wantErr[i] != nil && wantErr[i].Error() != gotErr[i].Error()) {
+				t.Fatalf("%s cache, %+v: err %v, serial uncached err %v", state, a, gotErr[i], wantErr[i])
+			}
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Errorf("%s cache, %+v: explanations diverge:\nserial uncached: %+v\nconcurrent:      %+v", state, a, want[i], got[i])
+			}
+		}
+	}
+	if s := shared.ex.Cache().Stats(); s.Inflight != 0 {
+		t.Fatalf("flights left behind: %+v", s)
+	}
+}
+
+// TestBatchedFetchFailureLeavesNoResidue arms the reverse engine's
+// failpoint so the session's batched column fetch dies mid-drain: the
+// explain fails with the injected error, no column of the batch and no
+// flight stay behind, and — the one-shot rule spent — the next explain
+// computes fresh and answers what an undisturbed explainer answers.
+func TestBatchedFetchFailureLeavesNoResidue(t *testing.T) {
+	t.Cleanup(fault.DisarmAll)
+	f := newFixture(t, Options{Mode: Remove, Method: Exhaustive})
+	if err := fault.Apply("ppr.reverse.loop=error(column drain died)*1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ex.Explain(f.query()); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("err = %v, want the injected error", err)
+	}
+	s := f.ex.Cache().Stats()
+	if s.Inflight != 0 || s.Entries != 1 { // the base forward pair is all that landed
+		t.Fatalf("after a failed batch: %+v, want no flight and only the forward entry", s)
+	}
+	got, err := f.ex.Explain(f.query())
+	if err != nil {
+		t.Fatalf("explain after the failed batch: %v", err)
+	}
+	want, err := newFixture(t, Options{Mode: Remove, Method: Exhaustive}).ex.Explain(f.query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Stats.Duration, got.Stats.Duration = 0, 0
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("answers diverge after a failed batch:\nclean: %+v\ngot:   %+v", want, got)
 	}
 }
 

@@ -700,14 +700,11 @@ func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*sessio
 		}
 	}
 	s := &session{ex: e, ctx: ctx, q: q, mode: mode, rec: current, view: e.r.Flat(), base: base}
-	s.toRec, err = s.reverseColumn(current)
+	cols, err := s.reverseColumns(current, q.WNI) // one graph pass for the pair
 	if err != nil {
 		return nil, wrapCtxErr(err, Stats{})
 	}
-	s.toWNI, err = s.reverseColumn(q.WNI)
-	if err != nil {
-		return nil, wrapCtxErr(err, Stats{})
-	}
+	s.toRec, s.toWNI = cols[0], cols[1]
 	if err := s.defineSearchSpace(); err != nil {
 		return nil, err
 	}
@@ -730,21 +727,29 @@ func splitOps(cands []candidate) (removals, additions, reweights []hin.Edge) {
 	return removals, additions, reweights
 }
 
-// reverseColumn returns PPR(·, t) over the session's scoring view,
-// served through the explainer's vector cache when one is attached (the
-// CSR snapshot carries the β-mixed view's version, so columns computed
-// for one request are reused by every later request over the same
-// graph). The returned vector is shared and must not be mutated.
-func (s *session) reverseColumn(t hin.NodeID) (ppr.Vector, error) {
-	if c := s.ex.cache; c != nil {
-		if k, ok := pprcache.ReverseKey(s.view, s.ex.rev, t); ok {
-			vec, _, err := c.GetOrCompute(s.ctx, k, func(cctx context.Context) (ppr.Vector, error) {
-				return s.ex.rev.ToTargetContext(cctx, s.view, t)
+// reverseColumns returns PPR(·, t) for every t of ts over the session's
+// scoring view, the missing columns drained in one blocked reverse push
+// and served through the explainer's vector cache when one is attached
+// (the CSR snapshot carries the β-mixed view's version, so a column is
+// reused by every later request over the same graph, bit-identical
+// whatever batch computed it). The vectors are shared: do not mutate.
+func (s *session) reverseColumns(ts ...hin.NodeID) ([]ppr.Vector, error) {
+	if c := s.ex.cache; c != nil && len(ts) > 0 {
+		if k, ok := pprcache.ReverseKey(s.view, s.ex.rev, ts[0]); ok {
+			keys := make([]pprcache.Key, len(ts))
+			for i, t := range ts {
+				keys[i], keys[i].Node = k, t
+			}
+			return c.GetOrComputeMany(s.ctx, keys, func(cctx context.Context, missing []int) ([]ppr.Vector, error) {
+				need := make([]hin.NodeID, len(missing))
+				for j, i := range missing {
+					need[j] = ts[i]
+				}
+				return s.ex.rev.ToTargets(cctx, s.view, need)
 			})
-			return vec, err
 		}
 	}
-	return s.ex.rev.ToTargetContext(s.ctx, s.view, t)
+	return s.ex.rev.ToTargets(s.ctx, s.view, ts)
 }
 
 // canceled reports a pending cancellation of the session's context as

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
@@ -219,20 +220,18 @@ func (s *session) exhaustiveTargets() ([]hin.NodeID, error) {
 	return targets, nil
 }
 
-// targetColumns returns PPR(·, t) for every target. All columns go
-// through session.reverseColumn, so the current recommendation's column
-// (already computed in newSession) and any column shared with earlier
-// queries over the same graph come straight from the vector cache — the
-// hand-rolled t == rec reuse this function used to special-case is now
-// a plain cache hit.
+// targetColumns returns PPR(·, t) for every target, fetched together
+// through session.reverseColumns: one graph pass drains whatever the
+// vector cache does not hold. The current recommendation is usually
+// among the targets and its column is the session's own.
 func (s *session) targetColumns(targets []hin.NodeID) ([]ppr.Vector, error) {
-	cols := make([]ppr.Vector, len(targets))
-	for k, t := range targets {
-		col, err := s.reverseColumn(t)
-		if err != nil {
-			return nil, s.wrapCtx(err)
-		}
-		cols[k] = col
+	need := slices.DeleteFunc(slices.Clone(targets), func(t hin.NodeID) bool { return t == s.rec })
+	cols, err := s.reverseColumns(need...)
+	if err != nil {
+		return nil, s.wrapCtx(err)
+	}
+	if k := slices.Index(targets, s.rec); k >= 0 {
+		cols = slices.Insert(cols, k, s.toRec)
 	}
 	return cols, nil
 }

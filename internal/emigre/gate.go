@@ -8,6 +8,7 @@ import (
 
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/ppr"
+	"github.com/why-not-xai/emigre/internal/pprcache"
 	"github.com/why-not-xai/emigre/internal/rec"
 )
 
@@ -142,32 +143,56 @@ func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	fwdErr := func(col ppr.Vector) float64 {
 		return p.Epsilon * (colSum(col) + (1-p.Alpha)/p.Alpha*next.sumU)
 	}
+	// One graph pass fetches what the gate lacks: PPR(·,u) on the first
+	// rejection, and the winner's column unless it is already held.
+	var need []hin.NodeID
 	if old != nil {
 		*next = *old
 		next.list = slices.Clip(old.list) // append copies: readers hold old
 	} else {
-		toU, err := s.gateColumn(ctx, s.q.User)
-		if err != nil {
-			return err
-		}
-		next.toU, next.sumU = toU, colSum(toU)
+		need = append(need, s.q.User)
+	}
+	col := s.heldColumn(ctx, winner)
+	if col == nil {
+		need = append(need, winner)
+	}
+	cols, err := s.gateColumns(ctx, need)
+	if err != nil {
+		return err
+	}
+	if old == nil {
+		next.toU, next.sumU = cols[0], colSum(cols[0])
 		next.wniErr = fwdErr(s.toWNI)
 		next.list = []rival{{node: s.rec, col: s.toRec, fwdErr: fwdErr(s.toRec)}}
 	}
+	if col == nil {
+		col = cols[len(cols)-1]
+	}
 	if !next.has(winner) {
-		col, err := s.gateColumn(ctx, winner)
-		if err != nil {
-			return err
-		}
 		next.list = append(next.list, rival{node: winner, col: col, fwdErr: fwdErr(col)})
 	}
 	s.gate.snap.Store(next)
 	return nil
 }
 
-// gateColumn computes PPR(·,t) for the gate straight off the engine:
-// routed through the vector cache its columns saved no CPU and cost
-// whynot-remove 18 % RSS (ISSUE 23); uncached they die with the session.
-func (s *session) gateColumn(ctx context.Context, t hin.NodeID) (ppr.Vector, error) {
-	return s.ex.rev.ToTargetContext(ctx, s.view, t)
+// heldColumn returns PPR(·,t) when it costs no push, else nil: rec's is
+// the session's own, and Alg. 5's targets — the base top-10, where most
+// Remove rivals come from — sit in the vector cache. That lookup is
+// read-only: a miss computes and inserts nothing.
+func (s *session) heldColumn(ctx context.Context, t hin.NodeID) (col ppr.Vector) {
+	if t == s.rec {
+		return s.toRec
+	}
+	if k, ok := pprcache.ReverseKey(s.view, s.ex.rev, t); ok && s.ex.cache != nil {
+		col, _ = s.ex.cache.Get(ctx, k)
+	}
+	return col
+}
+
+// gateColumns computes PPR(·,t) for the gate straight off the engine,
+// one blocked drain for all of ts: routed through the vector cache its
+// columns saved no CPU and cost whynot-remove 18 % RSS (ISSUE 23);
+// uncached they die with the session.
+func (s *session) gateColumns(ctx context.Context, ts []hin.NodeID) ([]ppr.Vector, error) {
+	return s.ex.rev.ToTargets(ctx, s.view, ts)
 }

@@ -515,6 +515,61 @@ func TestRivalGateCancellationMidLearn(t *testing.T) {
 	}
 }
 
+// TestRivalGateLearnsFromHeldColumns pins what learn may push: PPR(·,u)
+// once, plus the winner's column only when neither the session (rec)
+// nor the vector cache holds it — and a cache lookup that misses
+// inserts nothing.
+func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
+	runs := obs.Default().Counter("emigre_ppr_runs_total",
+		"PPR engine runs by engine.", obs.L("engine", "reverse_push"))
+	ctx := context.Background()
+	for _, cached := range []bool{true, false} {
+		f := newFixture(t, Options{DisableCache: !cached})
+		s, err := f.ex.newSession(ctx, Query{User: f.ids["u"], WNI: f.ids["f3"]}, Remove)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, fresh := f.ids["p1"], f.ids["f2"]
+		want, err := s.reverseColumns(held) // as Alg. 5's target fetch would leave it
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := 0
+		if cached {
+			entries = f.ex.Cache().Len()
+		}
+		for _, step := range []struct {
+			winner hin.NodeID
+			pushes int64 // reverse runs with a cache; one more per fresh winner without
+		}{{s.rec, 1}, {held, 0}, {fresh, 1}, {fresh, 0}} {
+			wantRuns := step.pushes
+			if !cached && step.winner == held {
+				wantRuns = 1
+			}
+			before := runs.Value()
+			if err := s.learn(ctx, step.winner); err != nil {
+				t.Fatal(err)
+			}
+			if got := runs.Value() - before; got != wantRuns {
+				t.Fatalf("cache=%v: learning %s ran %d reverse pushes, want %d", cached, f.g.Label(step.winner), got, wantRuns)
+			}
+		}
+		rv := s.gate.snap.Load()
+		if len(rv.list) != 3 || rv.list[0].node != s.rec || rv.list[1].node != held || rv.list[2].node != fresh {
+			t.Fatalf("cache=%v: learned %+v, want rec, p1, f2", cached, rv.list)
+		}
+		if cached && &rv.list[1].col[0] != &want[0][0] {
+			t.Fatal("a resident winner must be learned from the cache's own vector")
+		}
+		if !reflect.DeepEqual(rv.list[1].col, want[0]) {
+			t.Fatal("a pushed gate column differs from the cached route's")
+		}
+		if cached && f.ex.Cache().Len() != entries {
+			t.Fatalf("learning changed cache residency: %d entries, had %d", f.ex.Cache().Len(), entries)
+		}
+	}
+}
+
 // BenchmarkRivalGate measures one gate evaluation — every learned rival
 // against one counterfactual row on Amazon Lite — and pins it at zero
 // allocations.

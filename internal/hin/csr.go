@@ -11,19 +11,26 @@ import "errors"
 // (O(deg u)) into the shared base snapshot instead of re-flattening
 // the whole graph.
 //
-// Every View method is exact under a row patch. The in-row accessors
-// (InSlice, OutWeightSums) are what a patch cannot serve from shared
-// arrays; NewCSR re-flattens a row-patched snapshot into a plain one
-// for callers that need them.
+// Every View method is exact under a row patch. The in-row arrays
+// (InRows) are what a patch cannot serve from shared storage; NewCSR
+// re-flattens a row-patched snapshot into a plain one for callers that
+// need them.
 type CSR struct {
 	reg   *TypeRegistry
 	ntype []NodeTypeID
 
 	outStart []int32
 	outHalf  []HalfEdge
-	inStart  []int32
-	inHalf   []HalfEdge
 	outSum   []float64
+
+	// In-rows, struct-of-arrays for the reverse push kernel: in-edge
+	// positions inStart[v]..inStart[v+1] of v hold the source, the
+	// transition probability w/Σw(source) (0 if that sum is not positive)
+	// and where the edge sits in outHalf (InEdges' type and weight).
+	inStart []int32
+	inSrc   []NodeID
+	inProb  []float64
+	inOut   []int32
 
 	// patchNode's outgoing row is patchOut (weight sum patchSum) instead
 	// of the arrays' entry; InvalidNode when the snapshot is unpatched.
@@ -69,7 +76,9 @@ func NewCSR(v View) *CSR {
 		})
 	}
 	c.outHalf = make([]HalfEdge, edges)
-	c.inHalf = make([]HalfEdge, edges)
+	c.inSrc = make([]NodeID, edges)
+	c.inProb = make([]float64, edges)
+	c.inOut = make([]int32, edges)
 	for i := 0; i < n; i++ {
 		c.outStart[i+1] = c.outStart[i] + outDeg[i]
 		c.inStart[i+1] = c.inStart[i] + inDeg[i]
@@ -81,8 +90,12 @@ func NewCSR(v View) *CSR {
 	for i := 0; i < n; i++ {
 		v.OutEdges(NodeID(i), func(h HalfEdge) bool {
 			c.outHalf[outPos[i]] = h
+			at := inPos[h.Node]
+			c.inSrc[at], c.inOut[at] = NodeID(i), outPos[i]
+			if c.outSum[i] > 0 {
+				c.inProb[at] = h.Weight / c.outSum[i]
+			}
 			outPos[i]++
-			c.inHalf[inPos[h.Node]] = HalfEdge{Node: NodeID(i), Type: h.Type, Weight: h.Weight}
 			inPos[h.Node]++
 			return true
 		})
@@ -132,11 +145,13 @@ func (c *CSR) OutEdges(v NodeID, yield func(HalfEdge) bool) {
 // at the patched node are suppressed and the patched row's entries
 // follow the rest.
 func (c *CSR) InEdges(v NodeID, yield func(HalfEdge) bool) {
-	for _, h := range c.inHalf[c.inStart[v]:c.inStart[v+1]] {
-		if h.Node == c.patchNode {
+	for at := c.inStart[v]; at < c.inStart[v+1]; at++ {
+		src := c.inSrc[at]
+		if src == c.patchNode {
 			continue
 		}
-		if !yield(h) {
+		h := c.outHalf[c.inOut[at]]
+		if !yield(HalfEdge{Node: src, Type: h.Type, Weight: h.Weight}) {
 			return
 		}
 	}
@@ -171,25 +186,15 @@ func (c *CSR) OutSlice(v NodeID) []HalfEdge {
 
 var errPatchedInRows = errors.New("hin: in-row access on a row-patched CSR (flatten it with NewCSR first)")
 
-// InSlice returns v's incoming adjacency as a shared slice (see
-// OutSlice). The in-arrays are the base's, so a row-patched snapshot
-// cannot answer: flatten it with NewCSR first.
-func (c *CSR) InSlice(v NodeID) []HalfEdge {
+// InRows returns the in-row arrays (see CSR) as shared slices for the
+// reverse push kernel; callers must not mutate them. They are the
+// base's, so a row-patched snapshot cannot answer: flatten it with
+// NewCSR first.
+func (c *CSR) InRows() (start []int32, src []NodeID, prob []float64) {
 	if c.patchNode != InvalidNode {
 		panic(errPatchedInRows)
 	}
-	return c.inHalf[c.inStart[v]:c.inStart[v+1]]
-}
-
-// OutWeightSums returns every node's out-weight sum as a shared slice
-// indexed by NodeID — InSlice's companion for loops that divide each
-// in-edge by its source's sum (reverse push) and must not pay
-// OutWeightSum's patch check per edge. Same restriction as InSlice.
-func (c *CSR) OutWeightSums() []float64 {
-	if c.patchNode != InvalidNode {
-		panic(errPatchedInRows)
-	}
-	return c.outSum
+	return c.inStart, c.inSrc, c.inProb
 }
 
 // HasEdge implements View by scanning v's out list (CSR is built for

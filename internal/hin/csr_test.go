@@ -119,14 +119,18 @@ func TestCSRSlicesMatchIteration(t *testing.T) {
 			i++
 			return true
 		})
-		i = 0
+		start, src, prob := c.InRows()
+		at := start[v]
 		c.InEdges(id, func(h HalfEdge) bool {
-			if c.InSlice(id)[i] != h {
-				t.Fatalf("InSlice(%d)[%d] mismatch", v, i)
+			if src[at] != h.Node || prob[at] != h.Weight/c.OutWeightSum(h.Node) {
+				t.Fatalf("InRows entry %d of node %d: (%d, %g) against in-edge %+v", at-start[v], v, src[at], prob[at], h)
 			}
-			i++
+			at++
 			return true
 		})
+		if at != start[v+1] {
+			t.Fatalf("InRows(%d) length mismatch", v)
+		}
 	}
 }
 

@@ -15,12 +15,15 @@ var rawEnginePackages = map[string]bool{"emigre": true, "rec": true}
 // or a full push state, including the one warm-start ("delta") entry
 // point, ForwardPush.UpdateForEdit: it must be reached through the
 // routing helpers so its base pair always comes from the cache, never
-// from an ad-hoc raw run alongside it.
+// from an ad-hoc raw run alongside it. ToTargets, the batch entry point
+// of the blocked reverse kernel, counts like its single-column form: a
+// raw batch bypasses the cache for K columns at once.
 var rawEngineMethods = map[string]bool{
 	"FromSource":        true,
 	"FromSourceContext": true,
 	"ToTarget":          true,
 	"ToTargetContext":   true,
+	"ToTargets":         true,
 	"Run":               true,
 	"RunContext":        true,
 	"UpdateForEdit":     true,
@@ -31,15 +34,17 @@ var rawEngineMethods = map[string]bool{
 // cache-miss compute path, or as the warm-start resume over a
 // cache-fetched base). Closures inside them inherit the approval.
 //
-// gateColumn is the one deliberately uncached route: the rival gate's
-// reverse columns live and die with their session. Routed through the
+// gateColumns is the one deliberately uncached route: the rival gate's
+// reverse columns — learn's {u, first winner} pair fetch, one blocked
+// drain — live and die with their session. Routed through the
 // cache they saved no CPU (ISSUE 23: 83.9 vs 83.9 ms/op on whynot-remove) and
 // took its peak RSS from 85–88 to 98.5 MiB, past the benchmark's 10 %
 // bound; they feed a screen whose verdicts never reach an explanation
 // unconfirmed, so cache identity has nothing to protect.
 var rawEngineAllowedFuncs = map[string]bool{
-	"reverseColumn":        true, // internal/emigre: cached PPR(·,t) columns
-	"gateColumn":           true, // internal/emigre: session-scoped rival-gate columns, uncached on purpose
+	"reverseColumns":       true, // internal/emigre: cached PPR(·,t) columns, misses drained in one batch
+	"reverseColumn":        true, // internal/rec: its one-key twin
+	"gateColumns":          true, // internal/emigre: session-scoped rival-gate columns, uncached on purpose
 	"ScoresContext":        true, // internal/rec: cached PPR(u,·) rows
 	"ForwardResultContext": true, // internal/rec: cached full push states
 	"WarmScoresContext":    true, // internal/rec: warm-start resume from a cached base
@@ -79,7 +84,7 @@ func RawEngine() *Analyzer {
 				if rawEngineAllowedFuncs[enclosingFuncName(parents, call)] {
 					return true
 				}
-				pass.Reportf(call.Pos(), "raw engine call %s bypasses the PPR-vector cache; route it through reverseColumn / ScoresContext (or, for a rival-gate column, gateColumn)", sel.Sel.Name)
+				pass.Reportf(call.Pos(), "raw engine call %s bypasses the PPR-vector cache; route it through reverseColumns / ScoresContext (or, for a rival-gate column, gateColumns)", sel.Sel.Name)
 				return true
 			})
 		}

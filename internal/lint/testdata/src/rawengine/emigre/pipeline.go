@@ -16,18 +16,21 @@ func (s *session) checkOnce(t int) ppr.Vector {
 	return s.rev.ToTarget(t) // want "cache"
 }
 
-// good: the designated helper is the cache-miss compute path.
-func (s *session) reverseColumn(t int) ppr.Vector {
-	return s.rev.ToTarget(t)
+// good: the designated helper is the cache-miss compute path, one
+// blocked drain for every missing column.
+func (s *session) reverseColumns(ts ...int) []ppr.Vector {
+	return s.rev.ToTargets(ts)
 }
 
 // good: workers route every column through the helper.
 func (s *session) worker(ts []int) []ppr.Vector {
-	out := make([]ppr.Vector, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, s.reverseColumn(t))
-	}
-	return out
+	return s.reverseColumns(ts...)
+}
+
+// bad: Alg. 5's target fetch draining its batch straight off the engine
+// bypasses the cache for K columns at once.
+func (s *session) targetColumns(ts []int) []ppr.Vector {
+	return s.rev.ToTargets(ts) // want "cache"
 }
 
 // bad: a speculative worker warm-starting its own delta check straight
@@ -38,12 +41,12 @@ func (s *session) deltaCheck(base *ppr.PushResult, rows []int) *ppr.PushResult {
 
 // good: the rival gate's session-scoped columns are the one designated
 // uncached route.
-func (s *session) gateColumn(t int) ppr.Vector {
-	return s.rev.ToTarget(t)
+func (s *session) gateColumns(ts []int) []ppr.Vector {
+	return s.rev.ToTargets(ts)
 }
 
-// bad: learning a rival straight off the engine, outside gateColumn,
+// bad: learning a rival straight off the engine, outside gateColumns,
 // still trips — the allowance names one helper, not the gate.
-func (s *session) learn(winner int) ppr.Vector {
-	return s.rev.ToTarget(winner) // want "cache"
+func (s *session) learn(u, winner int) []ppr.Vector {
+	return s.rev.ToTargets([]int{u, winner}) // want "cache"
 }

@@ -10,6 +10,8 @@ func NewReversePush() *ReversePush { return &ReversePush{} }
 
 func (*ReversePush) ToTarget(t int) Vector { return nil }
 
+func (*ReversePush) ToTargets(ts []int) []Vector { return nil }
+
 type Engine interface {
 	FromSource(s int) Vector
 }

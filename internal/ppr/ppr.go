@@ -13,7 +13,9 @@
 //     edit (UpdateForEdit);
 //   - ReversePush: Reverse Local Push toward a target node, maintaining
 //     the invariant of Eq. 4 — the engine EMiGRe's Add mode uses to
-//     discover candidate neighbors.
+//     discover candidate neighbors. Its one kernel sweeps the nodes in
+//     ascending id and drains K columns per pass of the graph
+//     (ToTargets); a column is bit-identical whatever batch drained it.
 //
 // Both accept any hin.View and normalise it once at entry to the one
 // shape their kernels iterate, a flat *hin.CSR (optionally carrying a
@@ -116,11 +118,11 @@ func checkNode(g hin.View, v hin.NodeID) error {
 	return nil
 }
 
-// ctxCheckInterval is the number of queue steps between context
-// checks in the push engines: frequent enough that a
-// canceled computation stops within microseconds, rare enough that the
-// check never shows up in profiles. Power iteration checks once per
-// O(E) sweep instead.
+// ctxCheckInterval is the number of queue steps (node visits, in the
+// reverse sweep) between context checks in the push engines: frequent
+// enough that a canceled computation stops within microseconds, rare
+// enough that the check never shows up in profiles. Power iteration
+// checks once per O(E) sweep instead.
 const ctxCheckInterval = 1024
 
 // ctxErr reports a pending cancellation. A nil context (callers that

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -194,13 +195,14 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Get returns the cached vector for k without computing on a miss.
-// Vector-only and full entries both answer.
-func (c *Cache) Get(ctx context.Context, k Key) (ppr.Vector, bool) {
+// resident returns k's entry when one can answer — any entry, or with
+// full only one carrying residuals — bumping it in the LRU and tallying
+// the hit. It never computes.
+func (c *Cache) resident(ctx context.Context, k Key, full bool) (*ppr.PushResult, bool) {
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	el, ok := sh.entries[k]
-	if ok {
+	if ok = ok && (!full || el.Value.(*entry).full()); ok {
 		sh.lru.MoveToFront(el)
 	}
 	sh.mu.Unlock()
@@ -209,7 +211,17 @@ func (c *Cache) Get(ctx context.Context, k Key) (ppr.Vector, bool) {
 	}
 	c.hits.Add(1)
 	countRequest(ctx, true)
-	return el.Value.(*entry).res.Estimates, true
+	return el.Value.(*entry).res, true
+}
+
+// Get returns the cached vector for k without computing on a miss.
+// Vector-only and full entries both answer.
+func (c *Cache) Get(ctx context.Context, k Key) (ppr.Vector, bool) {
+	res, ok := c.resident(ctx, k, false)
+	if !ok {
+		return nil, false
+	}
+	return res.Estimates, true
 }
 
 // GetResult returns the cached push result for k without computing on
@@ -217,25 +229,7 @@ func (c *Cache) Get(ctx context.Context, k Key) (ppr.Vector, bool) {
 // entry cannot serve a warm start and reports a miss here while still
 // answering Get.
 func (c *Cache) GetResult(ctx context.Context, k Key) (*ppr.PushResult, bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	el, ok := sh.entries[k]
-	var e *entry
-	if ok {
-		e = el.Value.(*entry)
-		if !e.full() {
-			ok = false
-		} else {
-			sh.lru.MoveToFront(el)
-		}
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	c.hits.Add(1)
-	countRequest(ctx, true)
-	return e.res, true
+	return c.resident(ctx, k, true)
 }
 
 // GetOrCompute returns the vector for k, computing it with compute on a
@@ -257,36 +251,7 @@ func (c *Cache) GetResult(ctx context.Context, k Key) (*ppr.PushResult, bool) {
 // The returned vector is shared with other callers and must not be
 // mutated.
 func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(context.Context) (ppr.Vector, error)) (ppr.Vector, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Resident fast path before the result-level wrapper is built: the
-	// wrapping closure heap-allocates, and a warm lookup must stay at
-	// zero allocations (TestWarmGetOrComputeZeroAlloc). getOrCompute
-	// re-checks residency under the same lock, so this is purely an
-	// optimization, not a second code path — including the cancellation
-	// poll, which warm hits must honor exactly like the shared loop.
-	if err := ctx.Err(); err != nil {
-		return nil, false, context.Cause(ctx)
-	}
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if el, ok := sh.entries[k]; ok {
-		sh.lru.MoveToFront(el)
-		vec := el.Value.(*entry).res.Estimates
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		countRequest(ctx, true)
-		return vec, true, nil
-	}
-	sh.mu.Unlock()
-	res, hit, err := c.lookupOrCompute(ctx, k, false, false, func(fctx context.Context) (*ppr.PushResult, error) {
-		vec, err := compute(fctx)
-		if err != nil {
-			return nil, err
-		}
-		return &ppr.PushResult{Estimates: vec}, nil
-	})
+	res, hit, err := c.lookupOne(ctx, k, false, compute, nil)
 	if err != nil {
 		return nil, hit, err
 	}
@@ -308,107 +273,207 @@ func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(context.Co
 // The returned result is shared with other callers and must not be
 // mutated — warm starts hand it to ppr.UpdateForEdit, which copies.
 func (c *Cache) GetOrComputeResult(ctx context.Context, k Key, compute func(context.Context) (*ppr.PushResult, error)) (*ppr.PushResult, bool, error) {
-	return c.lookupOrCompute(ctx, k, true, true, compute)
+	return c.lookupOne(ctx, k, true, nil, compute)
 }
 
-// lookupOrCompute is the shared lookup/flight loop. full selects the
-// result-level contract: only entries and flights carrying residuals
-// answer, and leading a fill over a resident vector-only entry counts
-// as an upgrade rather than a miss. pollFirst is false when the caller
-// already ran the cancellation poll for this attempt (GetOrCompute's
-// resident fast path): every lookup must poll exactly once per attempt
-// — never zero, never twice — so that cold and warm calls present the
-// same cancellation points to deterministic poll-counting callers.
-func (c *Cache) lookupOrCompute(ctx context.Context, k Key, full, pollFirst bool, compute func(context.Context) (*ppr.PushResult, error)) (*ppr.PushResult, bool, error) {
+// GetOrComputeMany is GetOrCompute over a batch of keys sharing one
+// computation: resident keys answer, keys already in flight are joined,
+// and the rest become flights — one per distinct key — filled by a
+// single compute call, which receives the indices (into keys) to return
+// vectors for, in that order. A failed fill inserts nothing and resolves
+// all its flights with the error. Counters tally once per distinct key.
+// Semantics otherwise match GetOrCompute, the shared computation being
+// canceled once every one of its flights has lost all its waiters. keys
+// is retained until then; callers must not mutate it afterwards.
+func (c *Cache) GetOrComputeMany(ctx context.Context, keys []Key, compute func(ctx context.Context, missing []int) ([]ppr.Vector, error)) ([]ppr.Vector, error) {
+	res, _, err := c.lookup(ctx, keys, false, true, func(fctx context.Context, missing []int) ([]*ppr.PushResult, error) {
+		vecs, err := compute(fctx, missing)
+		out := make([]*ppr.PushResult, len(vecs))
+		for j, vec := range vecs {
+			out[j] = &ppr.PushResult{Estimates: vec}
+		}
+		return out, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ppr.Vector, len(res))
+	for i, r := range res {
+		out[i] = r.Estimates
+	}
+	return out, nil
+}
+
+// lookupOne is the one-key case of lookup behind a resident fast path;
+// exactly one of vec and result is the caller's compute. The fast path
+// precedes the compute wrapper because that closure and the batch
+// loop's bookkeeping heap-allocate, and a warm lookup must stay at zero
+// allocations (TestWarmGetOrComputeZeroAlloc). lookup re-checks
+// residency under the flight lock, so this is purely an optimization,
+// not a second code path — including the cancellation poll, which warm
+// hits must honor exactly like the shared loop.
+func (c *Cache) lookupOne(ctx context.Context, k Key, full bool, vec func(context.Context) (ppr.Vector, error), result func(context.Context) (*ppr.PushResult, error)) (*ppr.PushResult, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for poll := pollFirst; ; poll = true {
-		if poll {
-			if err := ctx.Err(); err != nil {
-				return nil, false, context.Cause(ctx)
-			}
+	if err := ctx.Err(); err != nil {
+		return nil, false, context.Cause(ctx)
+	}
+	if res, ok := c.resident(ctx, k, full); ok {
+		return res, true, nil
+	}
+	out, hits, err := c.lookup(ctx, []Key{k}, full, false, func(fctx context.Context, _ []int) ([]*ppr.PushResult, error) {
+		if result != nil {
+			res, err := result(fctx)
+			return []*ppr.PushResult{res}, err
 		}
-		sh := c.shardFor(k)
-		sh.mu.Lock()
-		upgrade := false
-		if el, ok := sh.entries[k]; ok {
-			e := el.Value.(*entry)
-			if !full || e.full() {
+		est, err := vec(fctx)
+		return []*ppr.PushResult{{Estimates: est}}, err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return out[0], hits == 1, nil
+}
+
+// lookup is the shared lookup/flight loop: every key is answered from
+// residency (hits counts those), joined onto a flight already computing
+// it, or registered as a flight this caller leads, and all led flights
+// are filled by one compute call over their indices. full selects the
+// result-level contract: only entries and flights carrying residuals
+// answer, and leading a fill over a resident vector-only entry counts
+// as an upgrade rather than a miss. pollFirst is false when the caller
+// already ran the cancellation poll for this attempt (lookupOne): every
+// lookup must poll exactly once per attempt — never zero, never twice,
+// whatever is resident — so that cold and warm calls present the same
+// cancellation points to deterministic poll-counting callers.
+func (c *Cache) lookup(ctx context.Context, keys []Key, full, pollFirst bool, compute func(context.Context, []int) ([]*ppr.PushResult, error)) (out []*ppr.PushResult, hits int, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	out = make([]*ppr.PushResult, len(keys))
+	for poll, retry := pollFirst, true; retry; poll = true {
+		if poll && ctx.Err() != nil {
+			return nil, 0, context.Cause(ctx)
+		}
+		flights := make([]*flight, len(keys))
+		var led []int
+		// The compute context is detached from the leader's request
+		// (WithoutCancel keeps its values — tracing, request stats — but
+		// not its cancellation) so a canceled leader cannot poison the
+		// result for waiters that joined after it. It ends once every led
+		// flight is abandoned — not while they are still being
+		// registered: this caller waits on each.
+		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		live := new(atomic.Int32)
+		for i, k := range keys {
+			if out[i] != nil || slices.Index(keys[:i], k) >= 0 {
+				continue // answered, or a duplicate served by its first occurrence
+			}
+			hit := true
+			sh := c.shardFor(k)
+			sh.mu.Lock()
+			el, resident := sh.entries[k]
+			if f, ok := sh.flights[k]; resident && (!full || el.Value.(*entry).full()) {
 				sh.lru.MoveToFront(el)
-				sh.mu.Unlock()
+				out[i] = el.Value.(*entry).res
+				hits++
 				c.hits.Add(1)
-				countRequest(ctx, true)
-				return e.res, true, nil
+			} else if ok {
+				// A collapsed wait is charged as a hit at the request level:
+				// no computation runs on this request's behalf.
+				f.waiters++
+				flights[i] = f
+				c.collapsed.Add(1)
+			} else if hit = false; HitOnly(ctx) {
+				// A hit-only caller never leads a computation, be it for a
+				// cold miss or for the residuals of a vector-only entry.
+				c.denied.Add(1)
+				err = ErrCacheOnlyMiss
+			} else {
+				// Miss, or upgrade of a resident vector-only entry (which
+				// keeps serving vector-level callers meanwhile): lead.
+				live.Add(1)
+				abandon := sync.OnceFunc(func() {
+					if live.Add(-1) == 0 {
+						cancel()
+					}
+				})
+				flights[i] = &flight{done: make(chan struct{}), cancel: abandon, waiters: 1, full: full}
+				sh.flights[k] = flights[i]
+				led = append(led, i)
+				if resident {
+					c.upgrades.Add(1)
+				} else {
+					c.misses.Add(1)
+				}
 			}
-			// Resident but vector-only and the caller needs residuals:
-			// fall through to the flight/fill logic below as an upgrade.
-			// The entry keeps serving vector-level callers meanwhile.
-			upgrade = true
-		}
-		if f, ok := sh.flights[k]; ok {
-			f.waiters++
 			sh.mu.Unlock()
-			c.collapsed.Add(1)
-			// A collapsed wait is charged as a hit at the request level:
-			// no computation runs on this request's behalf.
-			countRequest(ctx, true)
-			res, hit, err := c.wait(ctx, sh, f)
-			if err != nil && errors.Is(err, context.Canceled) && ctx.Err() == nil {
+			countRequest(ctx, hit)
+			if err != nil {
+				break
+			}
+		}
+		if len(led) == 0 {
+			cancel()
+		} else {
+			c.inflight.Add(1)
+			go func() {
+				res, ferr := runFill(fctx, func(ctx context.Context) ([]*ppr.PushResult, error) { return compute(ctx, led) })
+				if ferr == nil && len(res) != len(led) {
+					ferr = fmt.Errorf("pprcache: fill returned %d results for %d keys", len(res), len(led))
+				}
+				for j, i := range led {
+					sh, f := c.shardFor(keys[i]), flights[i]
+					sh.mu.Lock()
+					if f.err = ferr; ferr == nil {
+						f.res = res[j]
+						c.insertLocked(sh, keys[i], f.res)
+					}
+					delete(sh.flights, keys[i])
+					sh.mu.Unlock()
+					close(f.done)
+				}
+				c.inflight.Add(-1)
+				cancel()
+			}()
+		}
+		retry = false
+		for i, f := range flights {
+			if f == nil {
+				continue
+			}
+			if err != nil {
+				c.leave(c.shardFor(keys[i]), f)
+				continue
+			}
+			res, werr := c.wait(ctx, c.shardFor(keys[i]), f)
+			switch joined := !slices.Contains(led, i); {
+			case werr == nil && joined && full && !f.full:
+				// Joined a vector-only fill but residuals are needed: the
+				// vector entry is resident now, so the next pass takes the
+				// upgrade path and leads a full fill.
+				retry = true
+			case werr == nil:
+				out[i] = res
+			case joined && errors.Is(werr, context.Canceled) && ctx.Err() == nil:
 				// The flight was abandoned (every earlier waiter left and
 				// its computation was canceled) before this caller joined.
 				// That cancellation belongs to the departed waiters, not
 				// to this live request: retry with a fresh flight.
-				continue
+				retry = true
+			default:
+				err = werr
 			}
-			if err == nil && full && !f.full {
-				// Joined a vector-only fill but residuals are needed: the
-				// vector entry is resident now, so retry — the next pass
-				// takes the upgrade path and leads a full fill.
-				continue
-			}
-			return res, hit, err
 		}
-		// A hit-only caller never leads a computation: a cold miss — or a
-		// vector-only entry that would need a fill to serve residuals —
-		// is answered with ErrCacheOnlyMiss before any fill starts.
-		if HitOnly(ctx) {
-			sh.mu.Unlock()
-			c.denied.Add(1)
-			countRequest(ctx, false)
-			return nil, false, ErrCacheOnlyMiss
+		if err != nil {
+			return nil, 0, err
 		}
-		// Miss (or upgrade): this caller leads the computation. The
-		// compute context is detached from the leader's request
-		// (context.WithoutCancel keeps its values — tracing, request
-		// stats — but not its cancellation) so a canceled leader cannot
-		// poison the result for waiters that joined after it.
-		if upgrade {
-			c.upgrades.Add(1)
-		} else {
-			c.misses.Add(1)
-		}
-		countRequest(ctx, false)
-		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1, full: full}
-		sh.flights[k] = f
-		sh.mu.Unlock()
-		c.inflight.Add(1)
-		go func() {
-			res, err := runFill(fctx, compute)
-			sh.mu.Lock()
-			f.res, f.err = res, err
-			delete(sh.flights, k)
-			if err == nil {
-				c.insertLocked(sh, k, res)
-			}
-			sh.mu.Unlock()
-			c.inflight.Add(-1)
-			cancel()
-			close(f.done)
-		}()
-		return c.wait(ctx, sh, f)
 	}
+	for i, k := range keys {
+		out[i] = out[slices.Index(keys, k)]
+	}
+	return out, hits, nil
 }
 
 // runFill executes one cache fill with the pprcache.fill failpoint at
@@ -417,37 +482,41 @@ func (c *Cache) lookupOrCompute(ctx context.Context, k Key, full, pollFirst bool
 // panicking compute must resolve the flight with an error instead of
 // killing the process. Waiters observe the panic as an ordinary fill
 // error; nothing is inserted into the cache.
-func runFill(ctx context.Context, compute func(context.Context) (*ppr.PushResult, error)) (res *ppr.PushResult, err error) {
+func runFill[T any](ctx context.Context, compute func(context.Context) (T, error)) (res T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("pprcache: fill panicked: %v", p)
+			var zero T
+			res, err = zero, fmt.Errorf("pprcache: fill panicked: %v", p)
 		}
 	}()
 	if err := fillSite.Hit(ctx); err != nil {
-		return nil, err
+		return res, err
 	}
 	return compute(ctx)
 }
 
-// wait blocks until the flight completes or ctx ends. The hit flag of
-// the return triple is always false: the value did not come from a
-// resident entry.
-func (c *Cache) wait(ctx context.Context, sh *shard, f *flight) (*ppr.PushResult, bool, error) {
+// wait blocks until the flight completes or ctx ends.
+func (c *Cache) wait(ctx context.Context, sh *shard, f *flight) (*ppr.PushResult, error) {
 	select {
 	case <-f.done:
-		return f.res, false, f.err
+		return f.res, f.err
 	case <-ctx.Done():
-		sh.mu.Lock()
-		f.waiters--
-		abandoned := f.waiters == 0
-		sh.mu.Unlock()
-		if abandoned {
-			// Nobody is interested in the result any more; stop the
-			// computation (PR 1's cancellation plumbing aborts the PPR
-			// loops within microseconds).
-			f.cancel()
-		}
-		return nil, false, context.Cause(ctx)
+		c.leave(sh, f)
+		return nil, context.Cause(ctx)
+	}
+}
+
+// leave withdraws one waiter from f.
+func (c *Cache) leave(sh *shard, f *flight) {
+	sh.mu.Lock()
+	f.waiters--
+	abandoned := f.waiters == 0
+	sh.mu.Unlock()
+	if abandoned {
+		// Nobody is interested in the result any more; stop the
+		// computation (PR 1's cancellation plumbing aborts the PPR
+		// loops within microseconds).
+		f.cancel()
 	}
 }
 

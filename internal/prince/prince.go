@@ -21,6 +21,7 @@
 package prince
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -98,10 +99,6 @@ func (p *Explainer) Explain(u hin.NodeID) (*CFE, error) {
 		return nil, err
 	}
 	view := p.r.Flat()
-	toRec, err := p.rev.ToTarget(view, oldTop)
-	if err != nil {
-		return nil, err
-	}
 	actions := p.g.OutEdgesOfType(u, p.opts.AllowedEdgeTypes)
 	if len(actions) == 0 {
 		return nil, fmt.Errorf("%w: user %d has no removable actions", ErrNoCFE, u)
@@ -114,21 +111,27 @@ func (p *Explainer) Explain(u hin.NodeID) (*CFE, error) {
 		return nil, err
 	}
 
+	// toRec and every runner-up's column come out of one blocked drain.
+	targets := []hin.NodeID{oldTop}
+	for _, sc := range top {
+		if sc.Node != oldTop {
+			targets = append(targets, sc.Node)
+		}
+	}
+	cols, err := p.rev.ToTargets(context.Background(), view, targets)
+	if err != nil {
+		return nil, err
+	}
+	toRec := cols[0]
+
 	type swapSet struct {
 		edges  []hin.Edge
 		target hin.NodeID
 		margin float64
 	}
 	var candidates []swapSet
-	for _, sc := range top {
-		y := sc.Node
-		if y == oldTop {
-			continue
-		}
-		toY, err := p.rev.ToTarget(view, y)
-		if err != nil {
-			return nil, err
-		}
+	for k, y := range targets[1:] {
+		toY := cols[k+1]
 		// Score each action by how much it favors oldTop over y; the
 		// greedy swap removes the strongest oldTop-supporters until the
 		// first-order gap flips.

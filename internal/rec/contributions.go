@@ -71,7 +71,7 @@ func (r *Recommender) Contributions(u, target hin.NodeID) ([]EdgeContribution, e
 // reverseColumn returns PPR(·, target) over the recommender's scoring
 // view, served through the attached vector cache when the view is
 // versioned — the recommender-side twin of the explainer's
-// session.reverseColumn, and (with ScoresContext) one of the two
+// session.reverseColumns, and (with ScoresContext) one of the two
 // routing helpers the rawengine analyzer permits to invoke an engine
 // directly.
 func (r *Recommender) reverseColumn(ctx context.Context, target hin.NodeID) (ppr.Vector, error) {
