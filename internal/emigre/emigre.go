@@ -30,8 +30,7 @@
 // the recommender is re-scored; the edit is an explanation iff the new
 // top-1 equals WNI. A counterfactual that provably still loses to the
 // winner of an earlier CHECK is rejected without a push; the rest are
-// scored by a warm-start repair of the user's base push state, and a
-// pass is confirmed by one cold PPR run (DESIGN.md §3.15).
+// decided by one cold PPR run (DESIGN.md §3.15).
 package emigre
 
 import (
@@ -274,12 +273,6 @@ const (
 	DefaultReweightTo         = 1.0
 )
 
-// deltaMaxEdits caps the per-counterfactual edit-set size (total weight
-// changes across edited rows) the warm screen will repair; larger edit
-// sets go straight to the cold recompute, whose cost the repair would
-// approach anyway.
-const deltaMaxEdits = 32
-
 func (o Options) withDefaults() Options {
 	if fmath.Eq(o.AddEdgeWeight, 0) {
 		o.AddEdgeWeight = DefaultAddEdgeWeight
@@ -321,20 +314,15 @@ type Stats struct {
 	CombosExamined int
 	// Tests counts CHECK invocations: every candidate set charged to the
 	// MaxTests budget, whichever step decided it. On a search without a
-	// hard error, Tests = Gated + DeltaScreened + DeltaFallbacks.
+	// hard error, Tests = Gated + Cold.
 	Tests int
 	// Gated counts CHECKs the rival gate rejected without a push. Which
 	// rejections meet an already-learned rival follows worker timing
-	// under Parallelism > 1: Tests is worker-count-deterministic, of its
-	// parts only Gated + DeltaScreened (+ DeltaFallbacks over the cap) is.
+	// under Parallelism > 1: Tests is worker-count-deterministic, its
+	// split into Gated and Cold is not.
 	Gated int
-	// DeltaScreened counts CHECKs evaluated on warm-start estimates:
-	// rejections decided outright plus passes forwarded to the cold
-	// confirmation run.
-	DeltaScreened int
-	// DeltaFallbacks counts CHECKs whose edit set exceeded the warm
-	// screen's cap and ran the full recompute alone.
-	DeltaFallbacks int
+	// Cold counts CHECKs decided by one cold PPR run.
+	Cold int
 	// Duration is the wall-clock time of the Explain call.
 	Duration time.Duration
 }
@@ -440,14 +428,10 @@ type Explainer struct {
 	rev     *ppr.ReversePush
 	cache   *pprcache.Cache // nil when Options.DisableCache
 	metrics *pipelineMetrics
-	// Test seams, set only from _test.go files. coldOnly skips the rival
-	// gate and the warm screen, so every CHECK is one cold rank check: the
-	// reference the A/B suites and BenchmarkDeltaCheckPhase/cold compare
-	// against. noGate skips the rival gate alone. maxEdits is the screen's
-	// edit-set cap (deltaMaxEdits), lowered to force the over-cap fallback.
-	coldOnly bool
-	noGate   bool
-	maxEdits int
+	// noGate is a test seam, set only from _test.go files: it skips the
+	// rival gate, so every CHECK is one cold rank check — the reference
+	// the A/B suites compare against.
+	noGate bool
 }
 
 // New builds an explainer. The recommender must have been built over g
@@ -471,13 +455,12 @@ func New(g *hin.Graph, r *rec.Recommender, opts Options) *Explainer {
 		r = r.WithCache(cache)
 	}
 	return &Explainer{
-		g:        g,
-		r:        r,
-		opts:     o,
-		rev:      ppr.NewReversePush(r.Config().PPR),
-		cache:    cache,
-		metrics:  &pipelineMetrics{},
-		maxEdits: deltaMaxEdits,
+		g:       g,
+		r:       r,
+		opts:    o,
+		rev:     ppr.NewReversePush(r.Config().PPR),
+		cache:   cache,
+		metrics: &pipelineMetrics{},
 	}
 }
 
@@ -578,7 +561,7 @@ func (e *Explainer) CurrentRecommendation(u hin.NodeID) (hin.NodeID, error) {
 
 // Verify re-runs the CHECK step for an explanation: it applies the
 // edges to a fresh overlay and reports whether the Why-Not item becomes
-// the top-1 recommendation. It is one cold PPR run — no warm start, no
+// the top-1 recommendation. It is one cold PPR run — no rival gate, no
 // session state shared with the search that produced the explanation —
 // which is what makes it an independent judge: the evaluation harness
 // audits ExhaustiveDirect results with it.
@@ -609,7 +592,7 @@ func (e *Explainer) VerifyContext(ctx context.Context, expl *Explanation) (bool,
 		}
 	}
 	s := &session{ex: e, ctx: ctx, q: expl.Query, mode: expl.Mode}
-	r2, _, err := s.counterfactual(cands)
+	r2, err := s.counterfactual(cands)
 	if err != nil {
 		return false, err
 	}
@@ -636,14 +619,6 @@ type session struct {
 	// accept optionally widens the CHECK success criterion to a set of
 	// items (group-granularity queries); nil means {WNI}.
 	accept map[hin.NodeID]bool
-	// base is the user's full forward push state over the unedited view,
-	// fetched once (through the result cache) at session set-up.
-	// Immutable and shared: every warm screen — sequential or on a
-	// pipeline worker — warm-starts from it with its own scratch.
-	base *ppr.PushResult
-	// dsc is the sequential evaluator's reusable delta scratch; pipeline
-	// workers allocate their own per goroutine.
-	dsc deltaScratch
 	// gate holds the winners of this session's rejected CHECKs (gate.go).
 	gate rivalGate
 	// lastAttempt is the most recent candidate set submitted to CHECK,
@@ -683,23 +658,23 @@ func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*sessio
 	if err := e.validate(q); err != nil {
 		return nil, err
 	}
-	// The base push pair is the session's one forward push: the baseline
-	// ranking is read off its estimates and every CHECK warm-starts from
-	// it. (WNI is a candidate, so the ranking is never empty.)
-	base, err := e.r.ForwardResultContext(ctx, q.User)
+	// The user's score vector is the session's one forward push — a cache
+	// hit on the vector /recommend stored — and the baseline ranking is
+	// read off it. (WNI is a candidate, so the ranking is never empty.)
+	base, err := e.r.ScoresContext(ctx, q.User)
 	if err != nil {
 		return nil, wrapCtxErr(err, Stats{})
 	}
-	current := e.r.TopOf(q.User, base.Estimates)
+	current := e.r.TopOf(q.User, base)
 	if current == q.WNI {
 		return nil, fmt.Errorf("%w: item %d", ErrAlreadyTop, q.WNI)
 	}
 	if k := e.opts.TargetRank; k > 1 {
-		if rank := e.r.RankWithin(q.User, q.WNI, base.Estimates, k); rank > 0 {
+		if rank := e.r.RankWithin(q.User, q.WNI, base, k); rank > 0 {
 			return nil, fmt.Errorf("%w: item %d already at rank %d ≤ target %d", ErrAlreadyTop, q.WNI, rank, k)
 		}
 	}
-	s := &session{ex: e, ctx: ctx, q: q, mode: mode, rec: current, view: e.r.Flat(), base: base}
+	s := &session{ex: e, ctx: ctx, q: q, mode: mode, rec: current, view: e.r.Flat()}
 	cols, err := s.reverseColumns(current, q.WNI) // one graph pass for the pair
 	if err != nil {
 		return nil, wrapCtxErr(err, Stats{})
@@ -769,31 +744,10 @@ func (s *session) canceled() error {
 // recommender call with the session's partial stats.
 func (s *session) wrapCtx(err error) error { return wrapCtxErr(err, s.stats) }
 
-// deltaScratch is one evaluator's reusable warm-start working set: the
-// push scratch plus the edited-row list. The session owns one for the
-// sequential path; each pipeline worker goroutine owns its own.
-type deltaScratch struct {
-	sc   ppr.UpdateScratch
-	rows []hin.NodeID
-}
-
-// deltaFlags records which step of the CHECK path decided one CHECK,
-// so the parallel committer can fold per-check outcomes into Stats in
-// stream order.
-type deltaFlags struct {
-	// gated: the rival gate rejected the set without a push.
-	gated bool
-	// screened: the warm screen produced the verdict (a rejection) or
-	// forwarded a tentative pass to the cold confirmation.
-	screened bool
-	// fallback: the edit set exceeded the cap; full recompute ran alone.
-	fallback bool
-}
-
 // check is the paper's CHECK/TEST step with the session's sequential
-// bookkeeping around checkOnce: cancellation poll, CHECK budget, Tests
-// and delta tallies. The parallel pipeline performs the same
-// bookkeeping at commit time.
+// bookkeeping around checkOnce: cancellation poll, CHECK budget and the
+// Tests tallies. The parallel pipeline performs the same bookkeeping at
+// commit time.
 func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 	if err := s.canceled(); err != nil {
 		return false, hin.InvalidNode, err
@@ -802,110 +756,63 @@ func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 		return false, hin.InvalidNode, budgetExhausted(s.stats.Tests)
 	}
 	s.stats.Tests++
-	ok, top, flags, err := s.checkOnce(s.ctx, cands, &s.dsc)
+	ok, top, gated, err := s.checkOnce(s.ctx, cands)
 	if err != nil {
 		return false, hin.InvalidNode, s.wrapCtx(err)
 	}
-	s.tallyDelta(flags)
+	s.tally(gated)
 	return ok, top, nil
 }
 
-// tallyDelta folds one CHECK's gate and warm-screen outcome into the
-// session stats. The sequential evaluator calls it at check time; the
-// parallel committer calls it per committed job, in stream order.
-func (s *session) tallyDelta(flags deltaFlags) {
-	if flags.gated {
+// tally folds which step decided one CHECK into the session stats. The
+// sequential evaluator calls it at check time; the parallel committer
+// calls it per committed job, in stream order.
+func (s *session) tally(gated bool) {
+	if gated {
 		s.stats.Gated++
-	}
-	if flags.screened {
-		s.stats.DeltaScreened++
-	}
-	if flags.fallback {
-		s.stats.DeltaFallbacks++
+	} else {
+		s.stats.Cold++
 	}
 }
 
 // checkOnce is one stateless CHECK: overlay, patched recommender, rival
-// gate, warm screen, and — when the screen passes or steps aside — the
-// cold rank comparison. Rejections, the overwhelming majority of any
-// CHECK stream, end at the gate for a few dot products or at the screen
-// for a local push repair, and teach the gate their winner; a warm PASS
-// is confirmed cold so returned explanations stay sound on
-// tolerance-level near-ties. It performs no budget or Tests accounting
-// and returns context errors raw (the caller wraps them with the stats
-// it has committed) — which makes it safe to run from many pipeline
-// workers at once. The shared state it reads is read-only for the
-// session's lifetime (the rival list is replaced, never written); dsc
-// is the caller's own scratch.
-func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaScratch) (bool, hin.NodeID, deltaFlags, error) {
+// gate and — when the gate cannot reject — the cold rank comparison.
+// Rejections, the overwhelming majority of any CHECK stream, end at the
+// gate for a few dot products or at the cold push, which teaches the gate
+// its winner. It performs no budget or Tests accounting and returns
+// context errors raw (the caller wraps them with the stats it has
+// committed) — which makes it safe to run from many pipeline workers at
+// once. The shared state it reads is read-only for the session's
+// lifetime (the rival list is replaced, never written).
+func (s *session) checkOnce(ctx context.Context, cands []candidate) (ok bool, top hin.NodeID, gated bool, err error) {
 	// The CHECK seam: one failpoint hit per evaluation, whichever
 	// evaluator runs it.
 	if err := checkSite.Hit(ctx); err != nil {
-		return false, hin.InvalidNode, deltaFlags{}, err
+		return false, hin.InvalidNode, false, err
 	}
-	r2, o, err := s.counterfactual(cands)
+	r2, err := s.counterfactual(cands)
 	if err != nil {
-		return false, hin.InvalidNode, deltaFlags{}, err
+		return false, hin.InvalidNode, false, err
 	}
 	if s.gated(r2) {
 		record(gatedChecks)
-		return false, hin.InvalidNode, deltaFlags{gated: true}, nil
+		return false, hin.InvalidNode, true, nil
 	}
-	var flags deltaFlags
-	if !s.ex.coldOnly {
-		var ok bool
-		ok, flags, err = s.warmScreen(ctx, r2, o, dsc)
-		if err != nil || (flags.screened && !ok) {
-			return false, hin.InvalidNode, flags, err
-		}
+	if ok, top, err = s.rankCheck(ctx, r2); err != nil {
+		return false, hin.InvalidNode, false, err
 	}
-	ok, top, err := s.rankCheck(ctx, r2)
-	if err == nil && !ok {
+	record(coldChecks)
+	if !ok {
 		err = s.learn(ctx, top)
 	}
-	return ok, top, flags, err
-}
-
-// warmScreen evaluates the counterfactual on warm-start estimates: the
-// overlay's edited rows are repaired against the session's shared base
-// push state and the verdict is read off the resulting estimate vector;
-// a rejection teaches the gate the item that won. It holds no state of
-// its own, so any number of workers can screen concurrently. Edit sets
-// over the cap fall back (screened=false) to the full recompute.
-func (s *session) warmScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Overlay, dsc *deltaScratch) (bool, deltaFlags, error) {
-	edits := o.RowEdits()
-	changes := 0
-	for _, re := range edits {
-		changes += re.Changes
-	}
-	if changes > s.ex.maxEdits {
-		record(deltaFallbacksC)
-		return false, deltaFlags{fallback: true}, nil
-	}
-	dsc.rows = dsc.rows[:0]
-	for _, re := range edits {
-		dsc.rows = append(dsc.rows, re.Node)
-	}
-	// The base pair was pushed over the unpatched snapshot: pair it
-	// with the counterfactual's, which differs only at rows.
-	res, err := r2.WarmScoresContext(ctx, s.view, s.base, dsc.rows, &dsc.sc)
-	if err != nil {
-		return false, deltaFlags{}, err
-	}
-	record(deltaScreens)
-	ok := s.estimateVerdict(r2, res.Estimates)
-	if !ok {
-		err = s.learn(ctx, r2.TopOf(s.q.User, res.Estimates))
-	}
-	return ok, deltaFlags{screened: true}, err
+	return ok, top, false, err
 }
 
 // counterfactual applies the candidate selection as an overlay and
 // binds the recommender to it. Counterfactuals only touch the user's
 // outgoing row, so the recommender scores over a one-row patch of its
-// flat snapshot instead of re-flattening the overlay; the overlay is
-// returned alongside so the warm screen can enumerate its row edits.
-func (s *session) counterfactual(cands []candidate) (*rec.Recommender, *hin.Overlay, error) {
+// flat snapshot instead of re-flattening the overlay.
+func (s *session) counterfactual(cands []candidate) (*rec.Recommender, error) {
 	removals, additions, reweights := splitOps(cands)
 	// A reweight is expressed as removing the typed edge and re-adding
 	// it with the counterfactual weight.
@@ -913,9 +820,9 @@ func (s *session) counterfactual(cands []candidate) (*rec.Recommender, *hin.Over
 	additions = append(additions, reweights...)
 	o, err := hin.NewOverlay(s.ex.g, removals, additions)
 	if err != nil {
-		return nil, nil, fmt.Errorf("emigre: building counterfactual overlay: %w", err)
+		return nil, fmt.Errorf("emigre: building counterfactual overlay: %w", err)
 	}
-	return s.ex.r.WithUserPatch(o, s.q.User), o, nil
+	return s.ex.r.WithUserPatch(o, s.q.User), nil
 }
 
 // rankCheck re-runs the recommender over the counterfactual and reports
@@ -935,24 +842,6 @@ func (s *session) rankCheck(ctx context.Context, r2 *rec.Recommender) (bool, hin
 		}
 	}
 	return false, list[0].Node, nil
-}
-
-// estimateVerdict reads a CHECK verdict off an estimate vector for the
-// patched recommender r2: whether an accepted item reaches the target
-// rank in its ordering (a rank read ends at the k-th item that beats it).
-func (s *session) estimateVerdict(r2 *rec.Recommender, est ppr.Vector) bool {
-	reaches := func(a hin.NodeID) bool {
-		return r2.IsCandidate(s.q.User, a) && r2.RankWithin(s.q.User, a, est, s.ex.opts.TargetRank) > 0
-	}
-	if reaches(s.q.WNI) {
-		return true
-	}
-	for a := range s.accept {
-		if reaches(a) {
-			return true
-		}
-	}
-	return false
 }
 
 // gapFlipped reports whether a running gap estimate has crossed zero,

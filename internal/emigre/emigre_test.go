@@ -555,8 +555,8 @@ func TestRandomGraphExplanationsAlwaysVerify(t *testing.T) {
 			_ = g.AddBidirectional(u, it, rated, 1+rng.Float64()*4)
 		}
 		cfg := rec.DefaultConfig(item)
-		// Odd trials score over the β-mixed transition view, so warm
-		// screens repair a base pair pushed over it too.
+		// Odd trials score over the β-mixed transition view, so the gate
+		// reads columns pushed over it too.
 		cfg.Beta = []float64{1, 0.5}[trial%2]
 		r, err := rec.New(g, cfg)
 		if err != nil {

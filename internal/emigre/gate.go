@@ -25,8 +25,8 @@ import (
 //	F(x) = PPR(x,u)/PPR(u,u)
 //
 // exactly. When TargetRank rivals lead by more than every estimate
-// involved can be wrong, the warm screen and the cold check would reject
-// too, so the gate rejects and spends the CHECK like they would.
+// involved can be wrong, the cold check would reject too, so the gate
+// rejects and spends the CHECK like it would.
 
 // maxRivals bounds the learned list: a session pays at most this many
 // reverse pushes however many distinct winners its stream names.
@@ -50,7 +50,7 @@ type rival struct {
 // column once; a worker that finds a learner mid-push moves on instead
 // of queueing behind a 7 ms column — a winner worth learning comes round
 // again. Verdicts do not depend on when a rival is learned, only how
-// many rejections end at the gate instead of the screen.
+// many rejections end at the gate instead of a cold push.
 type rivalGate struct {
 	mu   sync.Mutex
 	snap atomic.Pointer[rivals]
@@ -71,7 +71,7 @@ func (rv *rivals) has(t hin.NodeID) bool {
 // candidates of the counterfactual r2 provably outrank WNI on it. A
 // session that learns nothing (see learn), an empty row, a row that
 // reaches u itself and any gap inside the error margin answer false: on
-// to the warm screen. It does not allocate.
+// to the cold push. It does not allocate.
 func (s *session) gated(r2 *rec.Recommender) bool {
 	rv := s.gate.snap.Load()
 	k := s.ex.opts.TargetRank
@@ -120,14 +120,14 @@ func rivalMargin(row []hin.HalfEdge, total float64, u, t hin.NodeID, toWNI, toT,
 // learn remembers the winner of a rejected CHECK. The first rejection
 // also fetches PPR(·,u) and seeds the list with rec, whose column the
 // session already holds. This is the one place the gate is switched off:
-// under the test seams, and on group queries, whose accept set the
+// under the test seam, and on group queries, whose accept set the
 // pairwise identity does not cover, nothing is learned and gated never
 // fires.
 func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	settled := func(rv *rivals) bool {
 		return rv != nil && (rv.has(winner) || len(rv.list) >= maxRivals)
 	}
-	off := s.ex.coldOnly || s.ex.noGate || s.accept != nil
+	off := s.ex.noGate || s.accept != nil
 	if off || winner == hin.InvalidNode || settled(s.gate.snap.Load()) || !s.gate.mu.TryLock() {
 		return nil
 	}

@@ -186,7 +186,7 @@ func TestRivalGateIdentityMatchesExact(t *testing.T) {
 			s := &session{ex: New(w.g, w.r, w.opts), q: Query{User: w.u, WNI: w.wni}}
 			emptied := false
 			for mask := 0; mask < 1<<len(w.universe); mask++ {
-				r2, _, err := s.counterfactual(w.edit(mask))
+				r2, err := s.counterfactual(w.edit(mask))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -247,7 +247,7 @@ func onlyRival(s *session, t hin.NodeID) (restore func()) {
 // too, with another item on top; a pass is a cold pass. The twin ties
 // WNI exactly under every edit and its tilted copy leads by a sliver,
 // so the gate may never reject on either — a gap inside the margin
-// falls through to the screen — and an emptied row is never gated.
+// falls through to the cold push — and an emptied row is never gated.
 func TestRivalGateIsSound(t *testing.T) {
 	ctx := context.Background()
 	for _, eps := range []float64{2.7e-8, 1e-4} {
@@ -258,29 +258,29 @@ func TestRivalGateIsSound(t *testing.T) {
 					w := newGateWorld(t, seed, beta, eps)
 					w.opts.TargetRank = k
 					s := w.session(t, nil)
-					cold := w.session(t, func(ex *Explainer) { ex.coldOnly = true })
+					cold := w.session(t, func(ex *Explainer) { ex.noGate = true })
 					name := fmt.Sprintf("ε=%g k=%d β=%g seed %d", eps, k, beta, seed)
 					for mask := 0; mask < 1<<len(w.universe); mask++ {
 						cands := w.edit(mask)
-						ok, _, flags, err := s.checkOnce(ctx, cands, &s.dsc)
+						ok, _, gated, err := s.checkOnce(ctx, cands)
 						if err != nil {
 							t.Fatal(err)
 						}
-						okC, topC, _, err := cold.checkOnce(ctx, cands, &cold.dsc)
+						okC, topC, _, err := cold.checkOnce(ctx, cands)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if ok && !okC {
 							t.Fatalf("%s mask %b: CHECK passed a set the cold CHECK rejects", name, mask)
 						}
-						if !flags.gated {
+						if !gated {
 							continue
 						}
 						gatedAt++
 						if okC || topC == w.wni {
 							t.Fatalf("%s mask %b: gated a set that passes the cold CHECK (cold top %d)", name, mask, topC)
 						}
-						if r2, _, _ := s.counterfactual(cands); len(r2.Flat().OutSlice(w.u)) == 0 {
+						if r2, _ := s.counterfactual(cands); len(r2.Flat().OutSlice(w.u)) == 0 {
 							t.Fatalf("%s mask %b: gated an emptied row", name, mask)
 						}
 					}
@@ -299,7 +299,7 @@ func TestRivalGateIsSound(t *testing.T) {
 						}
 						restore := onlyRival(s, tie)
 						for mask := 0; mask < 1<<len(w.universe); mask++ {
-							r2, _, err := s.counterfactual(w.edit(mask))
+							r2, err := s.counterfactual(w.edit(mask))
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -371,7 +371,7 @@ func TestRivalGateABExplanationsIdentical(t *testing.T) {
 								}
 								continue
 							}
-							if st := got.Stats; st.Gated+st.DeltaScreened+st.DeltaFallbacks != st.Tests {
+							if st := got.Stats; st.Gated+st.Cold != st.Tests {
 								t.Errorf("%s: stats %+v do not add up", name, st)
 							}
 							if want.Stats.Gated != 0 {
@@ -395,7 +395,7 @@ func TestRivalGateABExplanationsIdentical(t *testing.T) {
 // TestRivalGateLeavesGroupQueriesAlone pins that a group question never
 // engages the gate: the pairwise identity speaks about WNI alone, not
 // about an accept set. {f3} has no removal explanation, so its search
-// rejects all seven subsets at the screen; {f3, f2} is answered.
+// rejects all seven subsets by cold push; {f3, f2} is answered.
 func TestRivalGateLeavesGroupQueriesAlone(t *testing.T) {
 	run := func(f *fixture, members ...string) (*Explanation, error) {
 		q := GroupQuery{User: f.ids["u"]}
@@ -404,10 +404,10 @@ func TestRivalGateLeavesGroupQueriesAlone(t *testing.T) {
 		}
 		return f.ex.ExplainGroup(q, Remove, BruteForce)
 	}
-	gated0, screens0 := gatedChecks.Value(), deltaScreens.Value()
+	gated0, cold0 := gatedChecks.Value(), coldChecks.Value()
 	_, errOn := run(newFixture(t, Options{}), "f3")
-	if screened := deltaScreens.Value() - screens0; !errors.Is(errOn, ErrNoExplanation) || screened != 7 {
-		t.Fatalf("err = %v after %d screened checks, want seven rejections and no explanation", errOn, screened)
+	if cold := coldChecks.Value() - cold0; !errors.Is(errOn, ErrNoExplanation) || cold != 7 {
+		t.Fatalf("err = %v after %d cold checks, want seven rejections and no explanation", errOn, cold)
 	}
 	if _, errOff := run(noGate(newFixture(t, Options{})), "f3"); errOff == nil || errOff.Error() != errOn.Error() {
 		t.Fatalf("error mismatch:\ngate on:  %v\ngate off: %v", errOn, errOff)
@@ -435,8 +435,8 @@ func TestRivalGateActuallyGates(t *testing.T) {
 	g, r, q, te := liteScenario(t)
 	reverse := obs.Default().Counter("emigre_ppr_runs_total",
 		"PPR engine runs by engine.", obs.L("engine", "reverse_push"))
-	warm := obs.Default().Counter("emigre_ppr_runs_total",
-		"PPR engine runs by engine.", obs.L("engine", "forward_update"))
+	forward := obs.Default().Counter("emigre_ppr_runs_total",
+		"PPR engine runs by engine.", obs.L("engine", "forward_push"))
 	ex := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true, MaxTests: 40})
 	top, err := r.TopN(q.User, 10)
 	if err != nil {
@@ -448,13 +448,13 @@ func TestRivalGateActuallyGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reverse0, warm0 := reverse.Value(), warm.Value()
+		reverse0, forward0 := reverse.Value(), forward.Value()
 		if _, err = s.powerset(); !errors.Is(err, ErrBudgetExhausted) {
 			continue
 		}
 		st := s.stats
-		if st.Tests != 40 || st.Gated+st.DeltaScreened+st.DeltaFallbacks != st.Tests {
-			t.Fatalf("stats = %+v: want 40 checks split over gate, screen and fallback", st)
+		if st.Tests != 40 || st.Gated+st.Cold != st.Tests {
+			t.Fatalf("stats = %+v: want 40 checks split over gate and cold push", st)
 		}
 		if 2*st.Gated <= st.Tests {
 			t.Fatalf("stats = %+v: the gate settled no more than half of the rejections", st)
@@ -467,37 +467,37 @@ func TestRivalGateActuallyGates(t *testing.T) {
 		if got := reverse.Value() - reverse0; got > int64(len(learned.list)) {
 			t.Fatalf("%d reverse pushes for %d rivals, want at most one per learned winner plus one toward u", got, len(learned.list))
 		}
-		if got := warm.Value() - warm0; got != int64(st.DeltaScreened) {
-			t.Fatalf("%d warm pushes for %d screened checks: a gated check must not push", got, st.DeltaScreened)
+		if got := forward.Value() - forward0; got != int64(st.Cold) {
+			t.Fatalf("%d forward pushes for %d cold checks: a gated check must not push", got, st.Cold)
 		}
 		return
 	}
 	t.Fatal("no question of the lite scenario's user exhausts a 40-CHECK budget")
 }
 
-// screenedCtx reports cancellation from the moment the process has
-// screened one more CHECK than at construction: the next poll after
+// coldCtx reports cancellation from the moment the process has decided
+// one more CHECK by cold push than at construction: the next poll after
 // that is the first one inside the gate's column push.
-type screenedCtx struct {
+type coldCtx struct {
 	context.Context
 	after int64
 }
 
-func (c screenedCtx) Err() error {
-	if deltaScreens.Value() > c.after {
+func (c coldCtx) Err() error {
+	if coldChecks.Value() > c.after {
 		return context.Canceled
 	}
 	return nil
 }
 
-func (c screenedCtx) Done() <-chan struct{} { return nil }
+func (c coldCtx) Done() <-chan struct{} { return nil }
 
 // TestRivalGateCancellationMidLearn cancels inside the reverse push that
 // learns the first winner: the search ends in a *CanceledError carrying
 // what it had committed, and nothing half-learned is published.
 func TestRivalGateCancellationMidLearn(t *testing.T) {
 	f := newFixture(t, Options{})
-	ctx := screenedCtx{Context: context.Background(), after: deltaScreens.Value()}
+	ctx := coldCtx{Context: context.Background(), after: coldChecks.Value()}
 	s, err := f.ex.newSession(ctx, Query{User: f.ids["u"], WNI: f.ids["f3"]}, Remove)
 	if err != nil {
 		t.Fatal(err)
@@ -583,12 +583,12 @@ func BenchmarkRivalGate(b *testing.B) {
 	}
 	var r2 *rec.Recommender
 	for _, c := range s.cands {
-		ok, _, flags, err := s.checkOnce(ctx, []candidate{c}, &s.dsc)
+		ok, _, gated, err := s.checkOnce(ctx, []candidate{c})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !ok && flags.gated {
-			r2, _, _ = s.counterfactual([]candidate{c})
+		if !ok && gated {
+			r2, _ = s.counterfactual([]candidate{c})
 			break
 		}
 	}

@@ -10,10 +10,8 @@ import "github.com/why-not-xai/emigre/internal/obs"
 var (
 	gatedChecks = obs.Default().Counter("emigre_check_gated_total",
 		"CHECK evaluations rejected by the rival gate without a push.")
-	deltaScreens = obs.Default().Counter("emigre_check_delta_screened_total",
-		"CHECK evaluations decided or pre-screened on warm-start delta estimates.")
-	deltaFallbacksC = obs.Default().Counter("emigre_check_delta_fallbacks_total",
-		"CHECK evaluations whose edit set exceeded the warm screen's cap and ran a full recompute.")
+	coldChecks = obs.Default().Counter("emigre_check_cold_total",
+		"CHECK evaluations decided by a cold PPR run.")
 )
 
 // record counts one CHECK decided at the step c stands for.

@@ -147,10 +147,9 @@ type checkDone struct {
 	checkJob
 	ok  bool
 	top hin.NodeID
-	// flags records the warm screen's participation; the committer
-	// folds it into Stats only for committed verdicts, so the tallies
-	// stay identical across worker counts (like Tests).
-	flags deltaFlags
+	// gated records whether the rival gate decided the check; the
+	// committer folds it into Stats only for committed verdicts.
+	gated bool
 	err   error
 }
 
@@ -185,10 +184,6 @@ func (s *session) runChecksParallel(workers int, gen checkStream) (pipelineOutco
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker warm-start scratch: the warm screen repairs
-			// residuals into it, so it must never be shared across
-			// concurrently running checks.
-			dsc := &deltaScratch{}
 			for job := range jobs {
 				d := checkDone{checkJob: job}
 				switch {
@@ -201,7 +196,7 @@ func (s *session) runChecksParallel(workers int, gen checkStream) (pipelineOutco
 					d.err = pctx.Err()
 				default:
 					m.inflight.Add(1)
-					d.ok, d.top, d.flags, d.err = runWorkerCheck(s, pctx, job.cands, dsc)
+					d.ok, d.top, d.gated, d.err = runWorkerCheck(s, pctx, job.cands)
 					m.inflight.Add(-1)
 				}
 				results <- d
@@ -260,13 +255,13 @@ func (s *session) runChecksParallel(workers int, gen checkStream) (pipelineOutco
 			decided = true
 		case d.ok:
 			committed++
-			s.tallyDelta(d.flags)
+			s.tally(d.gated)
 			out.expl = s.found(d.cands, true, d.top)
 			finalCombos = d.combos
 			decided = true
 		default:
 			committed++
-			s.tallyDelta(d.flags)
+			s.tally(d.gated)
 		}
 	}
 
@@ -349,16 +344,16 @@ func (s *session) runChecksParallel(workers int, gen checkStream) (pipelineOutco
 // so a panicking engine (or an armed panic failpoint) must become an
 // ordinary verdict error at the job's stream position instead of
 // killing the process.
-func runWorkerCheck(s *session, ctx context.Context, cands []candidate, dsc *deltaScratch) (ok bool, top hin.NodeID, flags deltaFlags, err error) {
+func runWorkerCheck(s *session, ctx context.Context, cands []candidate) (ok bool, top hin.NodeID, gated bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			ok, top, flags, err = false, hin.InvalidNode, deltaFlags{}, fmt.Errorf("emigre: pipeline worker panicked: %v", p)
+			ok, top, gated, err = false, hin.InvalidNode, false, fmt.Errorf("emigre: pipeline worker panicked: %v", p)
 		}
 	}()
 	if err := workerSite.Hit(ctx); err != nil {
-		return false, hin.InvalidNode, deltaFlags{}, err
+		return false, hin.InvalidNode, false, err
 	}
-	return s.checkOnce(ctx, cands, dsc)
+	return s.checkOnce(ctx, cands)
 }
 
 // pipelineMetrics aggregates explainer-lifetime pipeline counters.

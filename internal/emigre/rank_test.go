@@ -2,7 +2,6 @@ package emigre
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -64,27 +63,6 @@ func TestTargetRankRelaxedSuccess(t *testing.T) {
 	// NewTop reports the actual top-1 (f2 here), not the WNI.
 	if expl.NewTop != f2.ids["f2"] {
 		t.Fatalf("NewTop = %v, want the actual top-1 f2", expl.NewTop)
-	}
-}
-
-// TestTargetRankWarmScreenAgrees covers the rank-k verdict of the warm
-// screen: with TargetRank 2 the default CHECK must answer exactly like
-// the cold-only reference.
-func TestTargetRankWarmScreenAgrees(t *testing.T) {
-	q := func(f *fixture) Query { return Query{User: f.ids["u"], WNI: f.ids["f3"]} }
-	fc := coldOnly(newFixture(t, Options{TargetRank: 2}))
-	fw := newFixture(t, Options{TargetRank: 2})
-	ec, errC := fc.ex.ExplainWith(q(fc), Remove, Exhaustive)
-	ew, errW := fw.ex.ExplainWith(q(fw), Remove, Exhaustive)
-	if errC != nil || errW != nil {
-		t.Fatalf("cold err %v, warm err %v: the top-2 question is answerable on this fixture", errC, errW)
-	}
-	if ew.Stats.DeltaScreened == 0 {
-		t.Fatalf("stats = %+v: rank-2 search never reached the warm screen", ew.Stats)
-	}
-	c, w := stripVariance(*ec), stripVariance(*ew)
-	if !reflect.DeepEqual(&c, &w) {
-		t.Fatalf("explanations diverge:\ncold: %+v\nwarm: %+v", &c, &w)
 	}
 }
 

@@ -12,10 +12,9 @@ import (
 var rawEnginePackages = map[string]bool{"emigre": true, "rec": true}
 
 // rawEngineMethods are the engine entry points that compute a vector
-// or a full push state, including the one warm-start ("delta") entry
-// point, ForwardPush.UpdateForEdit: it must be reached through the
-// routing helpers so its base pair always comes from the cache, never
-// from an ad-hoc raw run alongside it. ToTargets, the batch entry point
+// or a full push state, including the warm-start entry point,
+// ForwardPush.UpdateForEdit, which no routing helper calls: neither
+// package may warm-start at all. ToTargets, the batch entry point
 // of the blocked reverse kernel, counts like its single-column form: a
 // raw batch bypasses the cache for K columns at once.
 var rawEngineMethods = map[string]bool{
@@ -31,23 +30,20 @@ var rawEngineMethods = map[string]bool{
 
 // rawEngineAllowedFuncs are the designated routing helpers — the only
 // declared functions allowed to invoke an engine raw (they do so as the
-// cache-miss compute path, or as the warm-start resume over a
-// cache-fetched base). Closures inside them inherit the approval.
+// cache-miss compute path). Closures inside them inherit the approval.
 //
 // gateColumns is the one deliberately uncached route: the rival gate's
 // reverse columns — learn's {u, first winner} pair fetch, one blocked
 // drain — live and die with their session. Routed through the
 // cache they saved no CPU (ISSUE 23: 83.9 vs 83.9 ms/op on whynot-remove) and
 // took its peak RSS from 85–88 to 98.5 MiB, past the benchmark's 10 %
-// bound; they feed a screen whose verdicts never reach an explanation
-// unconfirmed, so cache identity has nothing to protect.
+// bound; they only ever reject a set the cold CHECK would reject too, so
+// cache identity has nothing to protect.
 var rawEngineAllowedFuncs = map[string]bool{
-	"reverseColumns":       true, // internal/emigre: cached PPR(·,t) columns, misses drained in one batch
-	"reverseColumn":        true, // internal/rec: its one-key twin
-	"gateColumns":          true, // internal/emigre: session-scoped rival-gate columns, uncached on purpose
-	"ScoresContext":        true, // internal/rec: cached PPR(u,·) rows
-	"ForwardResultContext": true, // internal/rec: cached full push states
-	"WarmScoresContext":    true, // internal/rec: warm-start resume from a cached base
+	"reverseColumns": true, // internal/emigre: cached PPR(·,t) columns, misses drained in one batch
+	"reverseColumn":  true, // internal/rec: its one-key twin
+	"gateColumns":    true, // internal/emigre: session-scoped rival-gate columns, uncached on purpose
+	"ScoresContext":  true, // internal/rec: cached PPR(u,·) rows
 }
 
 // RawEngine enforces the cache-routing invariant of the pprcache PR:

@@ -28,24 +28,12 @@ func (r *Recommender) Shares(t int) ppr.Vector {
 	return r.reverseColumn(t)
 }
 
-// bad: fetching a base push state raw bypasses the result cache (and
-// its vector-only upgrade path).
+// bad: fetching a push state raw bypasses the cache.
 func (r *Recommender) BasePair(u int) *ppr.PushResult {
 	return ppr.NewForwardPush().RunContext(u) // want "cache"
 }
 
-// bad: warm-starting outside the routing helper pairs the resume with
-// whatever base happens to be at hand instead of the cached one.
+// bad: no routing helper warm-starts any more, so every resume is raw.
 func (r *Recommender) WarmScores(base *ppr.PushResult, rows []int) *ppr.PushResult {
 	return ppr.NewForwardPush().UpdateForEdit(base, rows) // want "cache"
-}
-
-// good: the result-level routing helper leads the cache fill.
-func (r *Recommender) ForwardResultContext(u int) *ppr.PushResult {
-	return ppr.NewForwardPush().RunContext(u)
-}
-
-// good: the warm-start helper resumes from a cache-fetched base.
-func (r *Recommender) WarmScoresContext(base *ppr.PushResult, rows []int) *ppr.PushResult {
-	return ppr.NewForwardPush().UpdateForEdit(base, rows)
 }

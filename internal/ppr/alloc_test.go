@@ -23,7 +23,7 @@ func pushAllocs(t *testing.T, nodes, extra int) float64 {
 
 // TestForwardPushAllocsConstant pins the push engine's allocation
 // shape: RunContext allocates a fixed set of setup buffers (estimates,
-// residuals, queue, in-queue marks, the result struct) and the inner
+// residuals, the result struct) and the inner
 // push loop must allocate nothing — so the count per run is a small
 // constant, independent of how much of the graph the push visits.
 // A size-dependent count means the loop started heap-allocating and

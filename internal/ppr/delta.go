@@ -12,14 +12,14 @@ import (
 // This file is the warm-start ("delta-PPR") entry point of the forward
 // push engine: given a completed base PushResult over one view and a
 // new view that differs only in the outgoing rows of a known node set,
-// UpdateForEdit repairs the push invariant at the edited rows and
-// resumes the push loop over the perturbation only — O(Δ) work instead
-// of a full O(push) recomputation. The base state is never mutated, so
-// any number of concurrent callers can warm-start from one shared base
-// result as long as each brings its own UpdateScratch. EMiGRe's CHECK
-// step uses exactly this shape — every counterfactual differs from the
-// base graph in the query user's row alone — and hands one scratch to
-// each speculative pipeline worker.
+// UpdateForEdit repairs the push invariant at the edited rows and the
+// forward sweep pushes the perturbed mass only, instead of a full
+// recomputation. The base state is never mutated, so any number of
+// concurrent callers can warm-start from one shared base result as long
+// as each brings its own UpdateScratch. Every EMiGRe counterfactual has
+// this shape — it differs from the base graph in the query user's row
+// alone — but the CHECK decides cold since a cold sweep became cheaper
+// than the warm screen's upkeep (DESIGN.md §3.15).
 //
 // Update rule (Zhang, Lofgren & Goel, KDD'16; DESIGN.md §3.15). With
 // Z = α(I − (1−α)W)⁻¹ and ΔW = W′ − W supported on the edited rows, the
@@ -29,38 +29,27 @@ import (
 // the row's estimate p(u).
 //
 // Residuals may turn negative after a repair; the push rule is linear
-// and applies unchanged (the signed loop drains |r| > ε).
+// and applies unchanged (the forward sweep drains |r| > ε).
 
 // UpdateScratch holds the reusable working set of UpdateForEdit calls:
-// estimate/residual copies, the push queue and marks, and the sparse
-// transition-delta accumulator. The zero value is ready to use; the
-// first call sizes it to the graph. A scratch must not be shared by
-// concurrent calls — give each worker its own.
+// estimate/residual copies and the sparse transition-delta accumulator.
+// The zero value is ready to use; the first call sizes it to the graph.
+// A scratch must not be shared by concurrent calls — give each worker
+// its own.
 //
 // Results returned from UpdateForEdit alias the scratch buffers: they
 // are valid until the scratch's next use and must be copied for longer
-// retention (the CHECK path reads the verdict and moves on, so no copy
-// is ever made on the hot path).
+// retention.
 type UpdateScratch struct {
-	p, r    Vector
-	inQueue []bool
-	queue   nodeQueue
-	delta   deltaAcc
+	p, r  Vector
+	delta deltaAcc
 }
 
-// ensure sizes the scratch for an n-node graph and clears the queue
-// state left by a previous (possibly canceled) run.
+// ensure sizes the scratch for an n-node graph.
 func (sc *UpdateScratch) ensure(n int) {
 	if len(sc.p) != n {
 		sc.p = make(Vector, n)
 		sc.r = make(Vector, n)
-		sc.inQueue = make([]bool, n)
-		sc.queue = newNodeQueue(n)
-	} else {
-		for i := range sc.inQueue {
-			sc.inQueue[i] = false
-		}
-		sc.queue.head, sc.queue.tail = 0, 0
 	}
 	sc.delta.ensure(n)
 }
@@ -143,8 +132,8 @@ func checkUpdateInputs(params Params, oldView, newView hin.View, base *PushResul
 // UpdateForEdit warm-starts a forward push: base must be a completed
 // run of this engine from s over oldView, and newView must differ from
 // oldView only in the outgoing rows listed in rows. The residuals are
-// repaired at the edited rows' out-neighborhoods and the push loop
-// resumes over the perturbed mass only, restoring the ε contract on
+// repaired at the edited rows' out-neighborhoods and the forward sweep
+// drains the perturbed mass, restoring the ε contract on
 // newView — the returned estimates carry the same per-entry error
 // bound as a fresh RunContext over newView.
 //
@@ -162,7 +151,6 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 	copy(sc.p, base.Estimates)
 	copy(sc.r, base.Residuals)
 	alpha := e.Params.Alpha
-	eps := e.Params.Epsilon
 	for _, u := range rows {
 		if err := checkNode(newCSR, u); err != nil {
 			return nil, err
@@ -175,13 +163,9 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 		}
 		for _, y := range sc.delta.touched {
 			sc.r[y] += scale * sc.delta.val[y]
-			if abs(sc.r[y]) > eps && !sc.inQueue[y] {
-				sc.queue.push(y)
-				sc.inQueue[y] = true
-			}
 		}
 	}
-	pushes, err := signedForwardPush(ctx, e.Params, newCSR, sc.p, sc.r, &sc.queue, sc.inQueue)
+	pushes, err := e.sweep(ctx, updateLoopSite, newCSR, sc.p, sc.r)
 	if err != nil {
 		return nil, err
 	}
@@ -190,53 +174,9 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 	return res, nil
 }
 
-// signedForwardPush drains residuals above eps in absolute value over
-// csr, updating p and r in place. The queue must be pre-seeded with
-// every node whose |r| exceeds eps (inQueue marking them); during the
-// drain new nodes enqueue as usual.
-func signedForwardPush(ctx context.Context, params Params, csr *hin.CSR, p, r Vector, queue *nodeQueue, inQueue []bool) (int, error) {
-	alpha := params.Alpha
-	eps := params.Epsilon
-	pushes := 0
-	steps := 0
-	for !queue.empty() {
-		if steps%ctxCheckInterval == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return pushes, err
-			}
-			if err := updateLoopSite.Hit(ctx); err != nil {
-				return pushes, err
-			}
-		}
-		steps++
-		v := queue.pop()
-		inQueue[v] = false
-		rv := r[v]
-		if abs(rv) <= eps {
-			continue
-		}
-		r[v] = 0
-		p[v] += alpha * rv
-		pushes++
-		total := csr.OutWeightSum(v)
-		if total <= 0 {
-			continue
-		}
-		scale := (1 - alpha) * rv / total
-		for _, h := range csr.OutSlice(v) {
-			r[h.Node] += scale * h.Weight
-			if abs(r[h.Node]) > eps && !inQueue[h.Node] {
-				queue.push(h.Node)
-				inQueue[h.Node] = true
-			}
-		}
-	}
-	return pushes, nil
-}
-
 // abs delegates to the math.Abs intrinsic (a single sign-bit clear):
-// a branching |x| mispredicts heavily inside the signed push loop,
-// where residual signs are effectively random.
+// a branching |x| mispredicts heavily inside the forward sweep, where a
+// warm start's residual signs are effectively random.
 func abs(x float64) float64 {
 	return math.Abs(x)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/why-not-xai/emigre/internal/fault"
 	"github.com/why-not-xai/emigre/internal/hin"
 )
 
@@ -18,7 +19,8 @@ import (
 // estimate is within Epsilon·n of the true score (and usually far
 // closer). The returned estimate vector alone is the usual result;
 // PushResult additionally exposes the residuals so tests can verify the
-// invariant.
+// invariant. One kernel (sweep) drains both the cold run and the
+// warm-started one (UpdateForEdit).
 type ForwardPush struct {
 	Params Params
 }
@@ -49,7 +51,8 @@ func (e *ForwardPush) FromSource(g hin.View, s hin.NodeID) (Vector, error) {
 }
 
 // FromSourceContext is FromSource with cancellation: the context is
-// checked every push batch and the loop aborts with ctx.Err().
+// checked every ctxCheckInterval node visits and the drain aborts with
+// ctx.Err().
 func (e *ForwardPush) FromSourceContext(ctx context.Context, g hin.View, s hin.NodeID) (Vector, error) {
 	res, err := e.RunContext(ctx, g, s)
 	if err != nil {
@@ -65,7 +68,7 @@ func (e *ForwardPush) Run(g hin.View, s hin.NodeID) (*PushResult, error) {
 }
 
 // RunContext is Run with cancellation, checked every ctxCheckInterval
-// queue steps.
+// node visits of the sweep.
 func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) (*PushResult, error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, err
@@ -75,53 +78,58 @@ func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) 
 	}
 	csr := flatten(g)
 	n := csr.NumNodes()
-	alpha := e.Params.Alpha
-	eps := e.Params.Epsilon
-
 	p := make(Vector, n)
 	r := make(Vector, n)
 	r[s] = 1
-
-	queue := newNodeQueue(n)
-	inQueue := make([]bool, n)
-	queue.push(s)
-	inQueue[s] = true
-	pushes := 0
-
-	steps := 0
-	for !queue.empty() {
-		if steps%ctxCheckInterval == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			if err := forwardLoopSite.Hit(ctx); err != nil {
-				return nil, err
-			}
-		}
-		steps++
-		v := queue.pop()
-		inQueue[v] = false
-		rv := r[v]
-		if rv <= eps {
-			continue
-		}
-		r[v] = 0
-		p[v] += alpha * rv
-		pushes++
-		total := csr.OutWeightSum(v)
-		if total <= 0 {
-			continue // dangling: remaining mass absorbed
-		}
-		scale := (1 - alpha) * rv / total
-		for _, h := range csr.OutSlice(v) {
-			r[h.Node] += scale * h.Weight
-			if r[h.Node] > eps && !inQueue[h.Node] {
-				queue.push(h.Node)
-				inQueue[h.Node] = true
-			}
-		}
+	pushes, err := e.sweep(ctx, forwardLoopSite, csr, p, r)
+	if err != nil {
+		return nil, err
 	}
 	res := &PushResult{Estimates: p, Residuals: r, Pushes: pushes}
 	recordPush(runsForward, pushesForward, residualMassForward, res)
 	return res, nil
+}
+
+// sweep is the forward push kernel: it drains p and r in place over csr.
+// Nodes are visited in ascending id and v pushes iff |r[v]| > ε, until a
+// whole sweep pushes nothing. A cold run's residuals never go negative,
+// so there the rule is r[v] > ε; a warm start's repaired residuals may,
+// and the push rule is linear in them. Any push order keeps Eq. 3, so the
+// drain ends with every |residual| ≤ ε whatever order it took (DESIGN.md
+// §3.1). The context and site are polled every ctxCheckInterval node
+// visits.
+func (e *ForwardPush) sweep(ctx context.Context, site *fault.Site, csr *hin.CSR, p, r Vector) (int, error) {
+	n := csr.NumNodes()
+	alpha, eps := e.Params.Alpha, e.Params.Epsilon
+	pushes := 0
+	for active := true; active; {
+		active = false
+		for lo := 0; lo < n; lo += ctxCheckInterval {
+			if err := ctxErr(ctx); err != nil {
+				return pushes, err
+			}
+			if err := site.Hit(ctx); err != nil {
+				return pushes, err
+			}
+			for v := lo; v < min(lo+ctxCheckInterval, n); v++ {
+				rv := r[v]
+				if abs(rv) <= eps {
+					continue
+				}
+				active = true
+				r[v] = 0
+				p[v] += alpha * rv
+				pushes++
+				total := csr.OutWeightSum(hin.NodeID(v))
+				if total <= 0 {
+					continue // dangling: remaining mass absorbed
+				}
+				scale := (1 - alpha) * rv / total
+				for _, h := range csr.OutSlice(hin.NodeID(v)) {
+					r[h.Node] += scale * h.Weight
+				}
+			}
+		}
+	}
+	return pushes, nil
 }

@@ -8,9 +8,11 @@
 // the two production engines:
 //
 //   - ForwardPush: Forward Local Push from a source node, maintaining the
-//     invariant of Eq. 3 of the paper (estimates + residuals), cold
-//     (RunContext) or warm-started from a completed run after a row
-//     edit (UpdateForEdit);
+//     invariant of Eq. 3 of the paper (estimates + residuals). Its one
+//     kernel sweeps the nodes in ascending id, pushing every residual
+//     above ε in absolute value; it drains both a run from e_s
+//     (RunContext) and the repaired residuals of a completed run after a
+//     row edit (UpdateForEdit);
 //   - ReversePush: Reverse Local Push toward a target node, maintaining
 //     the invariant of Eq. 4 — the engine EMiGRe's Add mode uses to
 //     discover candidate neighbors. Its one kernel sweeps the nodes in
@@ -118,8 +120,8 @@ func checkNode(g hin.View, v hin.NodeID) error {
 	return nil
 }
 
-// ctxCheckInterval is the number of queue steps (node visits, in the
-// reverse sweep) between context checks in the push engines: frequent
+// ctxCheckInterval is the number of node visits between context checks
+// in the push engines' sweeps: frequent
 // enough that a canceled computation stops within microseconds, rare
 // enough that the check never shows up in profiles. Power iteration
 // checks once per O(E) sweep instead.

@@ -21,6 +21,10 @@ import (
 // kernel (sweep) serves every entry point; a single column is its K = 1.
 type ReversePush struct {
 	Params Params
+	// general routes every batch through sweep's general body, the
+	// reference its K = 1 and K = 2 bodies are tested against. Set only
+	// from _test.go files.
+	general bool
 }
 
 // NewReversePush returns a reverse-push engine with the given parameters.
@@ -85,6 +89,10 @@ func (e *ReversePush) RunContext(ctx context.Context, g hin.View, t hin.NodeID) 
 // [0, ε]; a column's trajectory depends only on its own residuals and
 // the fixed node order, hence ToTargets' batch independence (DESIGN.md
 // §3.1). The context is checked every ctxCheckInterval node visits.
+//
+// K = 1 (every single column) and K = 2 (the session pair, a learned
+// winner with PPR(·,u)) run dedicated bodies: the same visits, pushes and
+// arithmetic as the general one, without its per-column inner loop.
 func (e *ReversePush) sweep(ctx context.Context, g hin.View, ts []hin.NodeID) (p []Vector, r Vector, pushes []int, err error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -100,7 +108,6 @@ func (e *ReversePush) sweep(ctx context.Context, g hin.View, ts []hin.NodeID) (p
 	csr := hin.NewCSR(g)
 	inStart, inSrc, inProb := csr.InRows()
 	n, K := csr.NumNodes(), len(ts)
-	alpha, eps := e.Params.Alpha, e.Params.Epsilon
 
 	p = make([]Vector, K)
 	r = make(Vector, n*K)
@@ -109,46 +116,20 @@ func (e *ReversePush) sweep(ctx context.Context, g hin.View, ts []hin.NodeID) (p
 		r[int(t)*K+k] = 1
 	}
 	pushes = make([]int, K)
-	coef := make([]float64, K) // (1−α)·r_k[v] for the columns pushing at v, else 0
-
-	for active := K > 0; active; {
-		active = false
-		for lo := 0; lo < n; lo += ctxCheckInterval {
-			if err := ctxErr(ctx); err != nil {
-				return nil, nil, nil, err
-			}
-			if err := reverseLoopSite.Hit(ctx); err != nil {
-				return nil, nil, nil, err
-			}
-			for v := lo; v < min(lo+ctxCheckInterval, n); v++ {
-				rv := r[v*K : v*K+K]
-				push := false
-				for k, x := range rv {
-					coef[k] = 0
-					if x > eps {
-						rv[k] = 0
-						p[k][v] += alpha * x
-						pushes[k]++
-						coef[k] = (1 - alpha) * x
-						push = true
-					}
-				}
-				if !push {
-					continue
-				}
-				active = true
-				// In-edge i is (src[i] -> v), taken with probability prob[i].
-				src := inSrc[inStart[v]:inStart[v+1]]
-				prob := inProb[inStart[v]:][:len(src)]
-				for i, x := range src {
-					w := prob[i]
-					rx := r[int(x)*K:][:len(coef)]
-					for k, c := range coef {
-						rx[k] += c * w
-					}
-				}
-			}
-		}
+	d := reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb,
+		alpha: e.Params.Alpha, eps: e.Params.Epsilon, p: p, r: r, pushes: pushes}
+	switch {
+	case K == 0:
+	case K == 1 && !e.general:
+		err = d.sweep(ctx, d.body1)
+	case K == 2 && !e.general:
+		err = d.sweep(ctx, d.body2)
+	default:
+		d.coef = make([]float64, K)
+		err = d.sweep(ctx, d.bodyK)
+	}
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if obs.Enabled() {
 		for k := range ts {
@@ -162,4 +143,145 @@ func (e *ReversePush) sweep(ctx context.Context, g hin.View, ts []hin.NodeID) (p
 		}
 	}
 	return p, r, pushes, nil
+}
+
+// reverseDrain is one batch's state inside sweep: the in-rows it walks
+// (in-edge i of v is (src[i] -> v), taken with probability prob[i]) and
+// the vectors it drains.
+type reverseDrain struct {
+	inStart    []int32
+	inSrc      []hin.NodeID
+	inProb     []float64
+	alpha, eps float64
+	p          []Vector
+	r          Vector
+	pushes     []int
+	coef       []float64 // bodyK: (1−α)·r_k[v] for the columns pushing at v, else 0
+}
+
+// sweep repeats ascending-id sweeps over every node until one pushes
+// nothing, polling the context and the failpoint every ctxCheckInterval
+// visits. body drains the nodes [lo, hi) and reports whether any column
+// pushed there.
+func (d *reverseDrain) sweep(ctx context.Context, body func(lo, hi int) bool) error {
+	n := len(d.inStart) - 1
+	for active := true; active; {
+		active = false
+		for lo := 0; lo < n; lo += ctxCheckInterval {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
+			if err := reverseLoopSite.Hit(ctx); err != nil {
+				return err
+			}
+			if body(lo, min(lo+ctxCheckInterval, n)) {
+				active = true
+			}
+		}
+	}
+	return nil
+}
+
+// bodyK is the general body: column k pushes at v iff r_k[v] > ε, and
+// every column's coefficient — zero where it did not push — is applied
+// to each in-edge of v.
+func (d *reverseDrain) bodyK(lo, hi int) (active bool) {
+	inStart, inSrc, inProb := d.inStart, d.inSrc, d.inProb
+	alpha, eps, p, r, pushes, coef := d.alpha, d.eps, d.p, d.r, d.pushes, d.coef
+	K := len(coef)
+	for v := lo; v < hi; v++ {
+		rv := r[v*K : v*K+K]
+		push := false
+		for k, x := range rv {
+			coef[k] = 0
+			if x > eps {
+				rv[k] = 0
+				p[k][v] += alpha * x
+				pushes[k]++
+				coef[k] = (1 - alpha) * x
+				push = true
+			}
+		}
+		if !push {
+			continue
+		}
+		active = true
+		src := inSrc[inStart[v]:inStart[v+1]]
+		prob := inProb[inStart[v]:][:len(src)]
+		for i, x := range src {
+			w := prob[i]
+			rx := r[int(x)*K:][:K]
+			for k, c := range coef {
+				rx[k] += c * w
+			}
+		}
+	}
+	return active
+}
+
+// body1 is bodyK at K = 1.
+func (d *reverseDrain) body1(lo, hi int) (active bool) {
+	inStart, inSrc, inProb := d.inStart, d.inSrc, d.inProb
+	alpha, eps, p, r := d.alpha, d.eps, d.p[0], d.r
+	pushes := 0
+	for v := lo; v < hi; v++ {
+		rv := r[v]
+		if rv <= eps {
+			continue
+		}
+		r[v] = 0
+		p[v] += alpha * rv
+		pushes++
+		active = true
+		c := (1 - alpha) * rv
+		src := inSrc[inStart[v]:inStart[v+1]]
+		prob := inProb[inStart[v]:][:len(src)]
+		for i, x := range src {
+			r[x] += c * prob[i]
+		}
+	}
+	d.pushes[0] += pushes
+	return active
+}
+
+// body2 is bodyK at K = 2: a column that does not push at v keeps a zero
+// coefficient and adds an exact +0 per in-edge, as in bodyK.
+func (d *reverseDrain) body2(lo, hi int) (active bool) {
+	inStart, inSrc, inProb := d.inStart, d.inSrc, d.inProb
+	alpha, eps, p0, p1, r := d.alpha, d.eps, d.p[0], d.p[1], d.r
+	n0, n1 := 0, 0
+	for v := lo; v < hi; v++ {
+		x0, x1 := r[2*v], r[2*v+1]
+		var c0, c1 float64
+		push := false
+		if x0 > eps {
+			r[2*v] = 0
+			p0[v] += alpha * x0
+			n0++
+			c0 = (1 - alpha) * x0
+			push = true
+		}
+		if x1 > eps {
+			r[2*v+1] = 0
+			p1[v] += alpha * x1
+			n1++
+			c1 = (1 - alpha) * x1
+			push = true
+		}
+		if !push {
+			continue
+		}
+		active = true
+		src := inSrc[inStart[v]:inStart[v+1]]
+		prob := inProb[inStart[v]:][:len(src)]
+		for i, x := range src {
+			w := prob[i]
+			rx := r[2*int(x):][:2]
+			rx[0] += c0 * w
+			rx[1] += c1 * w
+		}
+	}
+	d.pushes[0] += n0
+	d.pushes[1] += n1
+	return active
 }

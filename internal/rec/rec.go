@@ -278,52 +278,6 @@ func (r *Recommender) ScoresContext(ctx context.Context, u hin.NodeID) (ppr.Vect
 	return r.engine.FromSourceContext(ctx, r.Flat(), u)
 }
 
-// ForwardResult returns the full forward-push state (estimates and
-// residuals) of PPR(u, ·) over the β-mixed transition view. See
-// ForwardResultContext.
-func (r *Recommender) ForwardResult(u hin.NodeID) (*ppr.PushResult, error) {
-	return r.ForwardResultContext(context.Background(), u)
-}
-
-// ForwardResultContext is ScoresContext at the push-result level: the
-// residual half of the push state is returned (and kept resident in
-// the attached cache) alongside the estimates, so callers can
-// warm-start incremental pushes from it (WarmScoresContext). When the
-// cache holds a vector-only entry for this key — stored by an earlier
-// ScoresContext — the entry is upgraded in place rather than
-// recomputed into a second slot.
-//
-// The returned result may be shared with concurrent callers and MUST
-// be treated as read-only.
-func (r *Recommender) ForwardResultContext(ctx context.Context, u hin.NodeID) (*ppr.PushResult, error) {
-	if r.cache != nil {
-		if k, ok := pprcache.ForwardKey(r.view, r.engine, u); ok {
-			res, _, err := r.cache.GetOrComputeResult(ctx, k, func(cctx context.Context) (*ppr.PushResult, error) {
-				return r.engine.RunContext(cctx, r.Flat(), u)
-			})
-			return res, err
-		}
-	}
-	return r.engine.RunContext(ctx, r.Flat(), u)
-}
-
-// WarmScoresContext scores the personalized vector over this
-// recommender's flat snapshot by warm-starting from base, a completed
-// push state over baseView (typically another recommender's
-// ForwardResultContext result, whose source node also fixes the
-// personalization here). The two views must differ only in the
-// outgoing rows listed in rows — the shape of every EMiGRe
-// counterfactual, where a WithUserPatch recommender differs from its
-// parent in the query user's row alone. The push repairs the perturbed
-// mass only, O(Δ) instead of a full recomputation.
-//
-// The result aliases sc's buffers (see ppr.UpdateScratch): it is valid
-// until sc's next use, must not be retained, and is therefore never
-// routed through the cache. base is not mutated.
-func (r *Recommender) WarmScoresContext(ctx context.Context, baseView hin.View, base *ppr.PushResult, rows []hin.NodeID, sc *ppr.UpdateScratch) (*ppr.PushResult, error) {
-	return r.engine.UpdateForEdit(ctx, baseView, r.Flat(), base, rows, sc)
-}
-
 // exclusions returns, sorted into buf (a stack buffer: a longer row
 // costs an allocation), the nodes that cannot be recommended to u: u and
 // the neighbours on its row of the flat snapshot — the overlay's row on

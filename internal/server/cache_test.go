@@ -114,10 +114,9 @@ func TestRequestLogCarriesCacheTally(t *testing.T) {
 
 // TestCacheSharedBetweenRecommendAndExplain checks the topology: one
 // cache spans both endpoints. A /recommend leaves the user's forward
-// vector resident; the /explain that follows needs the full push pair
-// for its baseline and warm-start CHECKs, so it promotes that entry in
-// place instead of filling a second slot, and the promoted entry then
-// answers the next /recommend as a plain hit.
+// vector resident; the /explain that follows reads its session base off
+// that very vector — a hit, no upgrade, no second slot — and the entry
+// then answers the next /recommend as a plain hit.
 func TestCacheSharedBetweenRecommendAndExplain(t *testing.T) {
 	srv, _ := newTestServer(t)
 	h := srv.Handler()
@@ -130,13 +129,13 @@ func TestCacheSharedBetweenRecommendAndExplain(t *testing.T) {
 		t.Fatalf("explain: %d: %s", rec.Code, rec.Body.String())
 	}
 	after := getCacheStats(t, h)
-	if after.Upgrades != before.Upgrades+1 {
-		t.Fatalf("explain did not promote recommend's vector: %+v -> %+v", before, after)
+	if after.Hits != before.Hits+1 || after.Upgrades != before.Upgrades {
+		t.Fatalf("explain did not hit recommend's vector as is: %+v -> %+v", before, after)
 	}
 	if rec := do(t, h, "GET", "/recommend?user=Paul&n=3", nil); rec.Code != http.StatusOK {
 		t.Fatal(rec.Body.String())
 	}
 	if final := getCacheStats(t, h); final.Hits != after.Hits+1 || final.Misses != after.Misses {
-		t.Fatalf("recommend did not reuse explain's base pair: %+v -> %+v", after, final)
+		t.Fatalf("recommend did not reuse the resident vector: %+v -> %+v", after, final)
 	}
 }

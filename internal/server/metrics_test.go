@@ -95,13 +95,13 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 }
 
-// TestDefaultServerScreensWarm pins the shipped configuration: a
-// default-configured server evaluates its CHECKs on warm-start
-// estimates, visible as emigre_check_delta_screened_total moving across
-// one /explain, and rejects at the rival gate once a search has named
-// its winners, visible as emigre_check_gated_total moving across a
-// question the brute-force stream answers "no" to subset after subset.
-func TestDefaultServerScreensWarm(t *testing.T) {
+// TestDefaultServerCheckCounters pins the shipped CHECK path: a
+// default-configured server decides its CHECKs by cold push, visible as
+// emigre_check_cold_total moving across one /explain, and rejects at the
+// rival gate once a search has named its winners, visible as
+// emigre_check_gated_total moving across a question the brute-force
+// stream answers "no" to subset after subset.
+func TestDefaultServerCheckCounters(t *testing.T) {
 	srv, _ := newTestServer(t)
 	h := srv.Handler()
 	scrape := func() *obs.Exposition {
@@ -117,8 +117,8 @@ func TestDefaultServerScreensWarm(t *testing.T) {
 	if rec := do(t, h, "POST", "/explain", body); rec.Code != http.StatusOK {
 		t.Fatalf("explain status = %d: %s", rec.Code, rec.Body.String())
 	}
-	if d := obs.CounterDeltas(before, scrape())["emigre_check_delta_screened_total"]; d <= 0 {
-		t.Fatalf("emigre_check_delta_screened_total moved by %v across an explain, want > 0", d)
+	if d := obs.CounterDeltas(before, scrape())["emigre_check_cold_total"]; d <= 0 {
+		t.Fatalf("emigre_check_cold_total moved by %v across an explain, want > 0", d)
 	}
 	before = scrape()
 	body = map[string]any{"user": "Paul", "wni": "The Hobbit", "mode": "remove", "method": "brute-force"}

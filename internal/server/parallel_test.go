@@ -62,7 +62,7 @@ func TestExplainPoolStatsSurfaced(t *testing.T) {
 // TestExplainWorkersIdenticalResponse is the serving-level A/B: the same
 // question answered by a sequential server and a 4-worker server must
 // produce identical response bodies — modulo the duration field and
-// gated, the one tally whose split (gate vs screen) follows worker
+// gated, the one tally whose split (gate vs cold push) follows worker
 // timing; checks, the sum, may not move.
 func TestExplainWorkersIdenticalResponse(t *testing.T) {
 	seq, _ := newTestServer(t)

@@ -519,7 +519,7 @@ type explainResponse struct {
 	Verified    bool          `json:"verified"`
 	Checks      int           `json:"checks"`
 	// Gated is how many of Checks the rival gate rejected without a push.
-	// With -explain-workers > 1 the gate/screen split depends on worker
+	// With -explain-workers > 1 the gate/cold split depends on worker
 	// timing; Checks does not.
 	Gated      int   `json:"gated"`
 	DurationUS int64 `json:"duration_us"`
