@@ -18,7 +18,6 @@ const (
 	AttemptHeader   = "X-Emigre-Attempt"
 
 	cacheTallyHeader = "X-Emigre-Cache"
-	parTallyHeader   = "X-Emigre-Par"
 )
 
 type requestIDKey struct{}
@@ -43,8 +42,8 @@ func requestID(ctx context.Context) string {
 }
 
 // Meta is the per-call wire metadata the server exposes in headers:
-// the echoed correlation ID and the request's cache and parallel-CHECK
-// tallies, plus how many attempts the call took client-side.
+// the echoed correlation ID and the request's cache tally, plus how
+// many attempts the call took client-side.
 type Meta struct {
 	// RequestID is the correlation ID the call was made (and echoed)
 	// under.
@@ -55,10 +54,6 @@ type Meta struct {
 	// request (X-Emigre-Cache, "3h/1m"); zero when the header is absent.
 	CacheHits   int64
 	CacheMisses int64
-	// ParCommitted/ParWasted are the parallel-CHECK pipeline tallies
-	// (X-Emigre-Par, "5c/2w"); zero when the header is absent.
-	ParCommitted int64
-	ParWasted    int64
 }
 
 // fill parses the server's response headers into m.
@@ -70,11 +65,10 @@ func (m *Meta) fill(h http.Header) {
 		m.RequestID = id
 	}
 	m.CacheHits, m.CacheMisses = parseTally(h.Get(cacheTallyHeader), "h", "m")
-	m.ParCommitted, m.ParWasted = parseTally(h.Get(parTallyHeader), "c", "w")
 }
 
 // parseTally decodes the server's "<a><suffixA>/<b><suffixB>" tally
-// headers ("3h/1m", "5c/2w"); malformed or absent values read as 0.
+// header ("3h/1m"); malformed or absent values read as 0.
 func parseTally(s, suffixA, suffixB string) (int64, int64) {
 	left, right, ok := strings.Cut(s, "/")
 	if !ok {

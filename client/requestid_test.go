@@ -74,12 +74,11 @@ func TestWithRequestIDPinsID(t *testing.T) {
 	}
 }
 
-// TestMetaParsesTallyHeaders: the X-Emigre-Cache / X-Emigre-Par wire
-// tallies decode into Meta; malformed values read as zero.
+// TestMetaParsesTallyHeaders: the X-Emigre-Cache wire tally decodes
+// into Meta; malformed values read as zero.
 func TestMetaParsesTallyHeaders(t *testing.T) {
 	c, _ := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(cacheTallyHeader, "3h/1m")
-		w.Header().Set(parTallyHeader, "5c/2w")
 		json.NewEncoder(w).Encode(ExplainResponse{})
 	}, nil)
 	out, err := c.Explain(context.Background(), ExplainRequest{User: "u", WNI: "x"})
@@ -87,8 +86,8 @@ func TestMetaParsesTallyHeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := out.Meta
-	if m.CacheHits != 3 || m.CacheMisses != 1 || m.ParCommitted != 5 || m.ParWasted != 2 {
-		t.Errorf("Meta tallies = %+v, want 3h/1m 5c/2w", m)
+	if m.CacheHits != 3 || m.CacheMisses != 1 {
+		t.Errorf("Meta tallies = %+v, want 3h/1m", m)
 	}
 
 	for _, bad := range []string{"", "3/1", "3h1m", "xh/ym", "3h/"} {

@@ -42,8 +42,7 @@ func main() {
 		mdPath     = flag.String("markdown", "", "also export the figures as a Markdown report")
 		breakdown  = flag.Bool("breakdown", false, "also print success rate by Why-Not item rank")
 		methodsArg = flag.String("methods", "", "comma-separated method subset (default: all eight)")
-		workers    = flag.Int("workers", 1, "combined concurrency budget (scenario workers × check-workers)")
-		checkWkrs  = flag.Int("check-workers", 1, "parallel CHECK workers per query, carved out of -workers")
+		workers    = flag.Int("workers", 1, "(scenario, method) pairs evaluated concurrently")
 		sweepFlag  = flag.Bool("sweep", false, "run an α/β hyper-parameter sweep (remove_ex + add_incremental) instead of the figures")
 		quiet      = flag.Bool("quiet", false, "suppress the progress meter")
 		metricsOut = flag.String("metrics-out", "", "dump the run's metrics (Prometheus text format) to this file on exit")
@@ -103,7 +102,6 @@ func main() {
 		Explainer:           base,
 		Overrides:           map[string]emigre.Options{"remove_brute": brute},
 		Workers:             *workers,
-		CheckWorkers:        *checkWkrs,
 	}
 	if !*quiet {
 		evalCfg.Progress = func(done, total int) {

@@ -53,8 +53,6 @@ func main() {
 			"deadline per /explain or /diagnose request (0 = no deadline)")
 		maxConcurrent = flag.Int("max-concurrent", server.DefaultMaxConcurrent,
 			"units of explanation work allowed to run at once")
-		explainWorkers = flag.Int("explain-workers", 1,
-			"parallel CHECK workers per explanation (ordered commit keeps results byte-identical; up to max-concurrent × explain-workers PPR runs in flight)")
 		queueDepth = flag.Int("queue-depth", server.DefaultQueueDepth,
 			"requests allowed to wait for a slot before 503 (0 = no queue)")
 		cacheEntries = flag.Int("cache-entries", emigre.DefaultPPRCacheEntries,
@@ -137,7 +135,6 @@ func main() {
 		},
 		ExplainTimeout:  timeout,
 		MaxConcurrent:   *maxConcurrent,
-		ExplainWorkers:  *explainWorkers,
 		QueueDepth:      queue,
 		CacheEntries:    entries,
 		CacheBytes:      bytes,

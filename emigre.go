@@ -263,27 +263,6 @@ func NewExplainer(g *Graph, r *Recommender, opts Options) *Explainer {
 	return core.New(g, r, opts)
 }
 
-// Parallel CHECK pipeline observability. With Options.Parallelism > 1
-// the explainer verifies candidate sets on a speculative worker pool
-// with ordered commit (results stay byte-identical to sequential
-// search); these types expose its gauges.
-type (
-	// PipelineStats is a snapshot of the explainer's cumulative CHECK-
-	// pipeline counters (Explainer.PipelineStats).
-	PipelineStats = core.PipelineStats
-	// PipelineRequestStats tallies one request's committed and
-	// speculatively wasted checks when attached to the search context
-	// with WithPipelineRequestStats.
-	PipelineRequestStats = core.PipelineRequestStats
-)
-
-// WithPipelineRequestStats attaches a per-request CHECK-pipeline tally
-// to ctx; every parallel search under ctx adds its committed and wasted
-// check counts to p.
-func WithPipelineRequestStats(ctx context.Context, p *PipelineRequestStats) context.Context {
-	return core.WithPipelineRequestStats(ctx, p)
-}
-
 // Failure diagnosis (the §6.4 meta-explanations).
 type (
 	// Diagnosis is a meta-explanation for an unanswerable Why-Not

@@ -18,10 +18,9 @@ import (
 // examined — well past the explanation sizes the paper observes.
 //
 // The strategy is a pure generator: it emits every subset in
-// enumeration order and the shared CHECK pipeline (runChecks) verifies
-// them — sequentially or speculatively in parallel, with identical
-// results. Brute force benefits the most from parallel CHECK: it has no
-// pruning, so its stream is long and every set genuinely needs a CHECK.
+// enumeration order and the shared CHECK stream (runChecks) verifies
+// them. It has no pruning, so its stream is long and every set genuinely
+// needs a CHECK.
 func (s *session) bruteForce() (*Explanation, error) {
 	h := s.cands // Algorithm 1's A, with T_e applied; no sign pruning
 	if len(h) == 0 {

@@ -11,6 +11,7 @@ import (
 	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/pprcache"
 	"github.com/why-not-xai/emigre/internal/rec"
+	"github.com/why-not-xai/emigre/internal/testleak"
 )
 
 // TestCacheABExplanationsIdentical is the acceptance A/B: every mode ×
@@ -115,6 +116,45 @@ func TestCacheABConcurrentSessionsOverlappingTargets(t *testing.T) {
 	}
 	if s := shared.ex.Cache().Stats(); s.Inflight != 0 {
 		t.Fatalf("flights left behind: %+v", s)
+	}
+}
+
+// TestParallelExplainUnderCacheChurn is the -race stress: several
+// goroutines answer the same query through one explainer whose vector
+// cache is small enough to evict constantly. Correctness bar: every
+// goroutine still gets the answer of an explainer with a default cache.
+func TestParallelExplainUnderCacheChurn(t *testing.T) {
+	testleak.Check(t)
+	tiny := pprcache.New(pprcache.Config{MaxEntries: 4, Shards: 1})
+	f := newFixture(t, Options{Mode: Remove, Method: Powerset, Cache: tiny})
+	want, err := newFixture(t, Options{Mode: Remove, Method: Powerset}).ex.Explain(f.query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Stats.Duration = 0
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	expls := make([]*Explanation, goroutines)
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			expls[i], errs[i] = f.ex.Explain(f.query())
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < goroutines; i++ {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		expls[i].Stats.Duration = 0
+		if !reflect.DeepEqual(want, expls[i]) {
+			t.Errorf("goroutine %d diverged:\nwant: %+v\ngot:  %+v", i, want, expls[i])
+		}
+	}
+	if s := tiny.Stats(); s.Evictions == 0 {
+		t.Logf("warning: tiny cache saw no evictions (%+v); churn not exercised", s)
 	}
 }
 

@@ -252,15 +252,6 @@ type Options struct {
 	// memory-constrained runs). Explanations are byte-identical with and
 	// without the cache; only the work performed differs.
 	DisableCache bool
-
-	// Parallelism is the number of CHECK evaluations run concurrently
-	// per query. The strategies emit their candidate sets as an ordered
-	// stream; with Parallelism > 1 a worker pool verifies sets
-	// speculatively while results are committed in stream order, so
-	// explanations, Stats and budget errors are byte-identical to the
-	// sequential search (see pipeline.go). 0 or 1 (the default) runs
-	// the classic sequential path.
-	Parallelism int
 }
 
 // Defaults used when an Options field is zero.
@@ -316,10 +307,9 @@ type Stats struct {
 	// MaxTests budget, whichever step decided it. On a search without a
 	// hard error, Tests = Gated + Cold.
 	Tests int
-	// Gated counts CHECKs the rival gate rejected without a push. Which
-	// rejections meet an already-learned rival follows worker timing
-	// under Parallelism > 1: Tests is worker-count-deterministic, its
-	// split into Gated and Cold is not.
+	// Gated counts CHECKs the rival gate rejected without a push. Like
+	// every other tally it is deterministic: the same question on the
+	// same graph splits its Tests into Gated and Cold the same way.
 	Gated int
 	// Cold counts CHECKs decided by one cold PPR run.
 	Cold int
@@ -420,14 +410,13 @@ func (e *Explanation) Describe(g *hin.Graph) string {
 
 // Explainer answers Why-Not queries over a fixed graph and recommender.
 // An Explainer is safe for concurrent use: sessions only read the graph
-// and recommender, and the pipeline metrics are atomics.
+// and recommender.
 type Explainer struct {
-	g       *hin.Graph
-	r       *rec.Recommender
-	opts    Options
-	rev     *ppr.ReversePush
-	cache   *pprcache.Cache // nil when Options.DisableCache
-	metrics *pipelineMetrics
+	g     *hin.Graph
+	r     *rec.Recommender
+	opts  Options
+	rev   *ppr.ReversePush
+	cache *pprcache.Cache // nil when Options.DisableCache
 	// noGate is a test seam, set only from _test.go files: it skips the
 	// rival gate, so every CHECK is one cold rank check — the reference
 	// the A/B suites compare against.
@@ -455,12 +444,11 @@ func New(g *hin.Graph, r *rec.Recommender, opts Options) *Explainer {
 		r = r.WithCache(cache)
 	}
 	return &Explainer{
-		g:       g,
-		r:       r,
-		opts:    o,
-		rev:     ppr.NewReversePush(r.Config().PPR),
-		cache:   cache,
-		metrics: &pipelineMetrics{},
+		g:     g,
+		r:     r,
+		opts:  o,
+		rev:   ppr.NewReversePush(r.Config().PPR),
+		cache: cache,
 	}
 }
 
@@ -619,13 +607,12 @@ type session struct {
 	// accept optionally widens the CHECK success criterion to a set of
 	// items (group-granularity queries); nil means {WNI}.
 	accept map[hin.NodeID]bool
-	// gate holds the winners of this session's rejected CHECKs (gate.go).
-	gate rivalGate
+	// gate holds the winners of this session's rejected CHECKs (gate.go),
+	// nil until the first rejection is learned.
+	gate *rivals
 	// lastAttempt is the most recent candidate set submitted to CHECK,
 	// kept so an interrupted search can surface it as an unverified
-	// partial explanation (see CanceledError.Partial). Written by the
-	// evaluators at each yield; in parallel mode the generator goroutine
-	// writes it and the session reads it only after the pipeline joins.
+	// partial explanation (see CanceledError.Partial).
 	lastAttempt []candidate
 }
 
@@ -744,10 +731,12 @@ func (s *session) canceled() error {
 // recommender call with the session's partial stats.
 func (s *session) wrapCtx(err error) error { return wrapCtxErr(err, s.stats) }
 
-// check is the paper's CHECK/TEST step with the session's sequential
-// bookkeeping around checkOnce: cancellation poll, CHECK budget and the
-// Tests tallies. The parallel pipeline performs the same bookkeeping at
-// commit time.
+// check is the paper's CHECK/TEST step: cancellation poll, CHECK budget,
+// then overlay, patched recommender, rival gate and — when the gate
+// cannot reject — the cold rank comparison. Rejections, the overwhelming
+// majority of any CHECK stream, end at the gate for a few dot products or
+// at the cold push, which teaches the gate its winner. Every CHECK counts
+// toward Tests and, once decided, toward Gated or Cold.
 func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 	if err := s.canceled(); err != nil {
 		return false, hin.InvalidNode, err
@@ -756,56 +745,31 @@ func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 		return false, hin.InvalidNode, budgetExhausted(s.stats.Tests)
 	}
 	s.stats.Tests++
-	ok, top, gated, err := s.checkOnce(s.ctx, cands)
-	if err != nil {
+	// The CHECK seam: one failpoint hit per evaluation.
+	if err := checkSite.Hit(s.ctx); err != nil {
 		return false, hin.InvalidNode, s.wrapCtx(err)
-	}
-	s.tally(gated)
-	return ok, top, nil
-}
-
-// tally folds which step decided one CHECK into the session stats. The
-// sequential evaluator calls it at check time; the parallel committer
-// calls it per committed job, in stream order.
-func (s *session) tally(gated bool) {
-	if gated {
-		s.stats.Gated++
-	} else {
-		s.stats.Cold++
-	}
-}
-
-// checkOnce is one stateless CHECK: overlay, patched recommender, rival
-// gate and — when the gate cannot reject — the cold rank comparison.
-// Rejections, the overwhelming majority of any CHECK stream, end at the
-// gate for a few dot products or at the cold push, which teaches the gate
-// its winner. It performs no budget or Tests accounting and returns
-// context errors raw (the caller wraps them with the stats it has
-// committed) — which makes it safe to run from many pipeline workers at
-// once. The shared state it reads is read-only for the session's
-// lifetime (the rival list is replaced, never written).
-func (s *session) checkOnce(ctx context.Context, cands []candidate) (ok bool, top hin.NodeID, gated bool, err error) {
-	// The CHECK seam: one failpoint hit per evaluation, whichever
-	// evaluator runs it.
-	if err := checkSite.Hit(ctx); err != nil {
-		return false, hin.InvalidNode, false, err
 	}
 	r2, err := s.counterfactual(cands)
 	if err != nil {
-		return false, hin.InvalidNode, false, err
+		return false, hin.InvalidNode, err
 	}
 	if s.gated(r2) {
 		record(gatedChecks)
-		return false, hin.InvalidNode, true, nil
+		s.stats.Gated++
+		return false, hin.InvalidNode, nil
 	}
-	if ok, top, err = s.rankCheck(ctx, r2); err != nil {
-		return false, hin.InvalidNode, false, err
+	ok, top, err := s.rankCheck(s.ctx, r2)
+	if err != nil {
+		return false, hin.InvalidNode, s.wrapCtx(err)
 	}
 	record(coldChecks)
 	if !ok {
-		err = s.learn(ctx, top)
+		if err := s.learn(s.ctx, top); err != nil {
+			return false, hin.InvalidNode, s.wrapCtx(err)
+		}
 	}
-	return ok, top, false, err
+	s.stats.Cold++
+	return ok, top, nil
 }
 
 // counterfactual applies the candidate selection as an overlay and

@@ -158,7 +158,7 @@ func (s *session) exhaustive(withCheck bool) (*Explanation, error) {
 	if !withCheck {
 		// Direct baseline: trust the threshold filter — the first
 		// surviving combination is returned unverified, so the stream is
-		// consumed inline rather than through the CHECK pipeline.
+		// consumed inline rather than through runChecks.
 		var first *Explanation
 		if err := gen(func(cands []candidate) bool {
 			first = s.found(cands, false, hin.InvalidNode)

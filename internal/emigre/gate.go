@@ -3,8 +3,6 @@ package emigre
 import (
 	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/ppr"
@@ -44,18 +42,9 @@ type rival struct {
 	fwdErr float64
 }
 
-// rivalGate is what a session has learned: an immutable snapshot that
-// evaluations read lock-free and learning replaces. mu admits one
-// learner at a time, so workers rejecting toward one winner push its
-// column once; a worker that finds a learner mid-push moves on instead
-// of queueing behind a 7 ms column — a winner worth learning comes round
-// again. Verdicts do not depend on when a rival is learned, only how
-// many rejections end at the gate instead of a cold push.
-type rivalGate struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[rivals]
-}
-
+// rivals is what a session has learned. Verdicts do not depend on when
+// a rival is learned, only how many rejections end at the gate instead
+// of a cold push.
 type rivals struct {
 	toU    ppr.Vector // PPR(·, u)
 	sumU   float64    // bound on Σ_x PPR(x, u)
@@ -73,7 +62,7 @@ func (rv *rivals) has(t hin.NodeID) bool {
 // reaches u itself and any gap inside the error margin answer false: on
 // to the cold push. It does not allocate.
 func (s *session) gated(r2 *rec.Recommender) bool {
-	rv := s.gate.snap.Load()
+	rv := s.gate
 	k := s.ex.opts.TargetRank
 	if rv == nil || len(rv.list) < k {
 		return false
@@ -122,34 +111,23 @@ func rivalMargin(row []hin.HalfEdge, total float64, u, t hin.NodeID, toWNI, toT,
 // session already holds. This is the one place the gate is switched off:
 // under the test seam, and on group queries, whose accept set the
 // pairwise identity does not cover, nothing is learned and gated never
-// fires.
+// fires. A learn cut short by its context changes nothing.
 func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
-	settled := func(rv *rivals) bool {
-		return rv != nil && (rv.has(winner) || len(rv.list) >= maxRivals)
-	}
+	rv := s.gate
 	off := s.ex.noGate || s.accept != nil
-	if off || winner == hin.InvalidNode || settled(s.gate.snap.Load()) || !s.gate.mu.TryLock() {
-		return nil
-	}
-	defer s.gate.mu.Unlock()
-	old := s.gate.snap.Load()
-	if settled(old) { // another worker got here first
+	if off || winner == hin.InvalidNode || (rv != nil && (rv.has(winner) || len(rv.list) >= maxRivals)) {
 		return nil
 	}
 	p := s.ex.r.Config().PPR
 	// colSum bounds Σ_x PPR(x,t): each estimate is at most ε short.
 	colSum := func(col ppr.Vector) float64 { return col.Sum() + float64(len(col))*p.Epsilon }
-	next := &rivals{}
-	fwdErr := func(col ppr.Vector) float64 {
-		return p.Epsilon * (colSum(col) + (1-p.Alpha)/p.Alpha*next.sumU)
+	fwdErr := func(col ppr.Vector, sumU float64) float64 {
+		return p.Epsilon * (colSum(col) + (1-p.Alpha)/p.Alpha*sumU)
 	}
 	// One graph pass fetches what the gate lacks: PPR(·,u) on the first
 	// rejection, and the winner's column unless it is already held.
 	var need []hin.NodeID
-	if old != nil {
-		*next = *old
-		next.list = slices.Clip(old.list) // append copies: readers hold old
-	} else {
+	if rv == nil {
 		need = append(need, s.q.User)
 	}
 	col := s.heldColumn(ctx, winner)
@@ -160,18 +138,19 @@ func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	if err != nil {
 		return err
 	}
-	if old == nil {
-		next.toU, next.sumU = cols[0], colSum(cols[0])
-		next.wniErr = fwdErr(s.toWNI)
-		next.list = []rival{{node: s.rec, col: s.toRec, fwdErr: fwdErr(s.toRec)}}
+	if rv == nil {
+		rv = &rivals{}
+		rv.toU, rv.sumU = cols[0], colSum(cols[0])
+		rv.wniErr = fwdErr(s.toWNI, rv.sumU)
+		rv.list = []rival{{node: s.rec, col: s.toRec, fwdErr: fwdErr(s.toRec, rv.sumU)}}
+		s.gate = rv
 	}
 	if col == nil {
 		col = cols[len(cols)-1]
 	}
-	if !next.has(winner) {
-		next.list = append(next.list, rival{node: winner, col: col, fwdErr: fwdErr(col)})
+	if !rv.has(winner) {
+		rv.list = append(rv.list, rival{node: winner, col: col, fwdErr: fwdErr(col, rv.sumU)})
 	}
-	s.gate.snap.Store(next)
 	return nil
 }
 

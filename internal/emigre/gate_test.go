@@ -226,10 +226,10 @@ func TestRivalGateIdentityMatchesExact(t *testing.T) {
 	}
 }
 
-// onlyRival swaps in a snapshot that knows t alone and returns a func
+// onlyRival swaps in a rival list that knows t alone and returns a func
 // restoring the learned one.
 func onlyRival(s *session, t hin.NodeID) (restore func()) {
-	old := s.gate.snap.Load()
+	old := s.gate
 	one := *old
 	one.list = nil
 	for _, rv := range old.list {
@@ -237,8 +237,19 @@ func onlyRival(s *session, t hin.NodeID) (restore func()) {
 			one.list = []rival{rv}
 		}
 	}
-	s.gate.snap.Store(&one)
-	return func() { s.gate.snap.Store(old) }
+	s.gate = &one
+	return func() { s.gate = old }
+}
+
+// checkGated runs one CHECK and reports whether the rival gate decided it.
+func checkGated(tb testing.TB, s *session, cands []candidate) (ok bool, top hin.NodeID, gated bool) {
+	tb.Helper()
+	before := s.stats.Gated
+	ok, top, err := s.check(cands)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ok, top, s.stats.Gated > before
 }
 
 // TestRivalGateIsSound runs every subset of every world through the
@@ -262,14 +273,8 @@ func TestRivalGateIsSound(t *testing.T) {
 					name := fmt.Sprintf("ε=%g k=%d β=%g seed %d", eps, k, beta, seed)
 					for mask := 0; mask < 1<<len(w.universe); mask++ {
 						cands := w.edit(mask)
-						ok, _, gated, err := s.checkOnce(ctx, cands)
-						if err != nil {
-							t.Fatal(err)
-						}
-						okC, topC, _, err := cold.checkOnce(ctx, cands)
-						if err != nil {
-							t.Fatal(err)
-						}
+						ok, _, gated := checkGated(t, s, cands)
+						okC, topC, _ := checkGated(t, cold, cands)
 						if ok && !okC {
 							t.Fatalf("%s mask %b: CHECK passed a set the cold CHECK rejects", name, mask)
 						}
@@ -284,7 +289,7 @@ func TestRivalGateIsSound(t *testing.T) {
 							t.Fatalf("%s mask %b: gated an emptied row", name, mask)
 						}
 					}
-					if s.gate.snap.Load() == nil {
+					if s.gate == nil {
 						continue // every subset passed: nothing was learned
 					}
 					// Exact ties and gaps inside the margin: with the twin or
@@ -320,10 +325,13 @@ func TestRivalGateIsSound(t *testing.T) {
 }
 
 // TestRivalGateABExplanationsIdentical is the gate's acceptance A/B:
-// across modes × methods × target ranks × worker counts, on the
-// bookshop fixture's two questions and on random graphs, the gate may
-// only change which step rejects a set — never the explanation, Tests,
-// CombosExamined, or the budget and exhaustion error strings.
+// across modes × methods × target ranks, on the bookshop fixture's two
+// questions and on random graphs, the gate may only change which step
+// rejects a set — never the explanation, Tests, CombosExamined, or the
+// budget and exhaustion error strings. Each gated search runs twice on
+// fresh explainers, and the repeat must reproduce every Stats field,
+// the Gated/Cold split included: there is one CHECK evaluator, so
+// nothing about the split depends on timing.
 func TestRivalGateABExplanationsIdentical(t *testing.T) {
 	testleak.Check(t)
 	type world struct {
@@ -358,10 +366,10 @@ func TestRivalGateABExplanationsIdentical(t *testing.T) {
 						ref := New(w.g, w.r, opts)
 						ref.noGate = true
 						want, errW := ref.ExplainWith(w.q, mode, method)
-						for _, workers := range []int{1, 4} {
-							opts.Parallelism = workers
+						var first *Explanation
+						for run := 1; run <= 2; run++ {
 							got, errG := New(w.g, w.r, opts).ExplainWith(w.q, mode, method)
-							name := fmt.Sprintf("%s %v/%v k=%d budget=%d w=%d", w.name, mode, method, k, maxTests, workers)
+							name := fmt.Sprintf("%s %v/%v k=%d budget=%d run %d", w.name, mode, method, k, maxTests, run)
 							if (errW == nil) != (errG == nil) || (errW != nil && errW.Error() != errG.Error()) {
 								t.Fatalf("%s: error mismatch:\ngate off: %v\ngate on:  %v", name, errW, errG)
 							}
@@ -380,6 +388,12 @@ func TestRivalGateABExplanationsIdentical(t *testing.T) {
 							a, b := stripVariance(*want), stripVariance(*got)
 							if !reflect.DeepEqual(&a, &b) {
 								t.Errorf("%s: explanations diverge:\ngate off: %+v\ngate on:  %+v", name, &a, &b)
+							}
+							got.Stats.Duration = 0
+							if first == nil {
+								first = got
+							} else if !reflect.DeepEqual(first, got) {
+								t.Errorf("%s: repeat run diverges:\nfirst:  %+v\nrepeat: %+v", name, first.Stats, got.Stats)
 							}
 						}
 					}
@@ -459,7 +473,7 @@ func TestRivalGateActuallyGates(t *testing.T) {
 		if 2*st.Gated <= st.Tests {
 			t.Fatalf("stats = %+v: the gate settled no more than half of the rejections", st)
 		}
-		learned := s.gate.snap.Load()
+		learned := s.gate
 		if learned == nil || learned.list[0].node != s.rec {
 			t.Fatalf("rival list %+v: want it seeded with rec", learned)
 		}
@@ -473,6 +487,49 @@ func TestRivalGateActuallyGates(t *testing.T) {
 		return
 	}
 	t.Fatal("no question of the lite scenario's user exhausts a 40-CHECK budget")
+}
+
+// TestRivalGateSplitRepeats pins the determinism one CHECK evaluator
+// buys, on Amazon Lite questions whose searches settle most rejections
+// at the gate: a fresh explainer asked the same question again
+// reproduces the whole Stats, the Gated/Cold split included, whether
+// the search answers or runs out of budget.
+func TestRivalGateSplitRepeats(t *testing.T) {
+	g, r, q, te := liteScenario(t)
+	top, err := r.TopN(q.User, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(wni hin.NodeID, method Method) (Stats, string) {
+		ex := New(g, r, Options{AllowedEdgeTypes: te, MaxTests: 40})
+		s, err := ex.newSession(context.Background(), Query{User: q.User, WNI: wni}, Remove)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if method == Powerset {
+			_, err = s.powerset()
+		} else {
+			_, err = s.exhaustive(true)
+		}
+		if err != nil {
+			return s.stats, err.Error()
+		}
+		return s.stats, ""
+	}
+	gated := 0
+	for _, wni := range top[1:] {
+		for _, method := range []Method{Powerset, Exhaustive} {
+			a, errA := run(wni.Node, method)
+			b, errB := run(wni.Node, method)
+			if a != b || errA != errB {
+				t.Fatalf("WNI %d %v: repeat run diverges:\nfirst:  %+v %q\nrepeat: %+v %q", wni.Node, method, a, errA, b, errB)
+			}
+			gated += a.Gated
+		}
+	}
+	if gated == 0 {
+		t.Fatal("no search was gated; the repeat check is vacuous")
+	}
 }
 
 // coldCtx reports cancellation from the moment the process has decided
@@ -510,7 +567,7 @@ func TestRivalGateCancellationMidLearn(t *testing.T) {
 	if ce.Stats.Tests != 1 || ce.Stats.Gated != 0 || ce.Stats.SearchSpace != 3 {
 		t.Fatalf("partial stats = %+v, want the one CHECK that was running", ce.Stats)
 	}
-	if s.gate.snap.Load() != nil {
+	if s.gate != nil {
 		t.Fatal("a canceled learn published a rival list")
 	}
 }
@@ -554,7 +611,7 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 				t.Fatalf("cache=%v: learning %s ran %d reverse pushes, want %d", cached, f.g.Label(step.winner), got, wantRuns)
 			}
 		}
-		rv := s.gate.snap.Load()
+		rv := s.gate
 		if len(rv.list) != 3 || rv.list[0].node != s.rec || rv.list[1].node != held || rv.list[2].node != fresh {
 			t.Fatalf("cache=%v: learned %+v, want rec, p1, f2", cached, rv.list)
 		}
@@ -583,11 +640,7 @@ func BenchmarkRivalGate(b *testing.B) {
 	}
 	var r2 *rec.Recommender
 	for _, c := range s.cands {
-		ok, _, gated, err := s.checkOnce(ctx, []candidate{c})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !ok && gated {
+		if ok, _, gated := checkGated(b, s, []candidate{c}); !ok && gated {
 			r2, _ = s.counterfactual([]candidate{c})
 			break
 		}

@@ -13,8 +13,7 @@ import (
 //
 // The strategy is a pure generator: it emits the prefix sets whose
 // estimated gap has flipped, in commit order, and the shared CHECK
-// pipeline (runChecks) verifies them — sequentially or speculatively in
-// parallel, with identical results.
+// stream (runChecks) verifies them.
 func (s *session) incremental() (*Explanation, error) {
 	gen := func(yield func(cands []candidate) bool) error {
 		var selected []candidate
@@ -33,9 +32,9 @@ func (s *session) incremental() (*Explanation, error) {
 			if !s.gapFlipped(tau) {
 				continue // rec still estimated to dominate: keep accumulating
 			}
-			// Yield a copy: selected keeps growing while the pipeline
-			// may still hold earlier prefixes.
-			if !yield(append([]candidate(nil), selected...)) {
+			// The CHECK is done with the prefix when yield returns, so
+			// selected may keep growing in place.
+			if !yield(selected) {
 				return nil
 			}
 		}

@@ -3,10 +3,8 @@ package emigre
 import "github.com/why-not-xai/emigre/internal/obs"
 
 // CHECK-path counters on the process-global obs registry: which step
-// decided each evaluation. They are tallied at execution time, on
-// whichever goroutine ran it, so under the parallel pipeline they
-// include speculative work — unlike the Stats fields, which the
-// committer folds in stream order for committed checks only.
+// decided each evaluation — the process-wide sums of every session's
+// Stats.Gated and Stats.Cold.
 var (
 	gatedChecks = obs.Default().Counter("emigre_check_gated_total",
 		"CHECK evaluations rejected by the rival gate without a push.")

@@ -21,9 +21,8 @@ import (
 // complexity analysis warns about (§5.3).
 //
 // The strategy is a pure generator: it emits gap-flipping combinations
-// in examination order and the shared CHECK pipeline (runChecks)
-// verifies them — sequentially or speculatively in parallel, with
-// identical results.
+// in examination order and the shared CHECK stream (runChecks)
+// verifies them.
 func (s *session) powerset() (*Explanation, error) {
 	h := s.positiveCandidates(s.ex.opts.MaxSearchSpace)
 	if len(h) == 0 {

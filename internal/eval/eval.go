@@ -120,24 +120,10 @@ type Config struct {
 	// pair with the number of completed and total pairs. Calls are
 	// serialized even with multiple workers.
 	Progress func(done, total int)
-	// Workers is the harness's combined concurrency budget: the product
-	// of scenario-level workers and per-query CHECK workers stays at or
-	// under it. With the default CheckWorkers of 1 every unit of the
-	// budget evaluates a distinct (scenario, method) pair in parallel —
-	// the historical meaning of this field. 0 or 1 runs serially.
-	// Outcome order — and each outcome's content — is deterministic
-	// regardless of how the budget is split (ordered commit inside the
-	// CHECK pipeline keeps per-query results byte-identical).
+	// Workers is how many (scenario, method) pairs are evaluated
+	// concurrently; 0 or 1 runs serially. Outcome order — and each
+	// outcome's content — is deterministic regardless.
 	Workers int
-	// CheckWorkers is the per-query CHECK parallelism
-	// (emigre.Options.Parallelism) carved out of the Workers budget:
-	// scenario-level workers become max(1, Workers/CheckWorkers). It is
-	// applied to the shared explainer options and every override, so the
-	// combined budget holds even for per-method configurations. 0 or 1
-	// keeps queries sequential inside — the right default under the
-	// harness, which already saturates cores across scenarios; raise it
-	// when evaluating few scenarios on many cores.
-	CheckWorkers int
 }
 
 // Results aggregates the outcomes of a run.
@@ -214,17 +200,10 @@ func (rn *Runner) Run(cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	checkWorkers := cfg.CheckWorkers
-	if checkWorkers < 1 {
-		checkWorkers = 1
-	}
-	sharedOpts := cfg.Explainer
-	sharedOpts.Parallelism = checkWorkers
 	explainers := make(map[string]*emigre.Explainer, len(methods))
-	shared := emigre.New(rn.g, rn.r, sharedOpts)
+	shared := emigre.New(rn.g, rn.r, cfg.Explainer)
 	for _, m := range methods {
 		if o, ok := cfg.Overrides[m.Name]; ok {
-			o.Parallelism = checkWorkers
 			explainers[m.Name] = emigre.New(rn.g, rn.r, o)
 		} else {
 			explainers[m.Name] = shared
@@ -246,9 +225,7 @@ func (rn *Runner) Run(cfg Config) (*Results, error) {
 		}
 	}
 
-	// Split the combined budget: CheckWorkers go to each query's CHECK
-	// pipeline, the rest drive scenario-level fan-out.
-	workers := cfg.Workers / checkWorkers
+	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
 	}

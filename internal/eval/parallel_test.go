@@ -42,36 +42,22 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three ways to spend the same budget: all of it on scenario fan-out,
-	// split between scenarios and per-query CHECK workers, and all of it
-	// inside each query's CHECK pipeline. Every split must reproduce the
-	// serial outcomes exactly.
-	for _, split := range []struct {
-		name         string
-		checkWorkers int
-	}{
-		{"scenario-only", 0},
-		{"split-2x2", 2},
-		{"check-only", 4},
-	} {
-		par := base
-		par.Workers = 4
-		par.CheckWorkers = split.checkWorkers
-		parallel, err := rn.Run(par)
-		if err != nil {
-			t.Fatal(err)
+	par := base
+	par.Workers = 4
+	parallel, err := rn.Run(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Outcomes) != len(parallel.Outcomes) {
+		t.Fatalf("outcome counts differ: %d vs %d", len(serial.Outcomes), len(parallel.Outcomes))
+	}
+	for i := range serial.Outcomes {
+		s, p := serial.Outcomes[i], parallel.Outcomes[i]
+		if s.Method.Name != p.Method.Name || s.Scenario != p.Scenario {
+			t.Fatalf("outcome %d misaligned: %s/%v vs %s/%v", i, s.Method.Name, s.Scenario, p.Method.Name, p.Scenario)
 		}
-		if len(serial.Outcomes) != len(parallel.Outcomes) {
-			t.Fatalf("%s: outcome counts differ: %d vs %d", split.name, len(serial.Outcomes), len(parallel.Outcomes))
-		}
-		for i := range serial.Outcomes {
-			s, p := serial.Outcomes[i], parallel.Outcomes[i]
-			if s.Method.Name != p.Method.Name || s.Scenario != p.Scenario {
-				t.Fatalf("%s: outcome %d misaligned: %s/%v vs %s/%v", split.name, i, s.Method.Name, s.Scenario, p.Method.Name, p.Scenario)
-			}
-			if s.Found != p.Found || s.Correct != p.Correct || s.Size != p.Size {
-				t.Fatalf("%s: outcome %d differs: serial %+v vs parallel %+v", split.name, i, s, p)
-			}
+		if s.Found != p.Found || s.Correct != p.Correct || s.Size != p.Size {
+			t.Fatalf("outcome %d differs: serial %+v vs parallel %+v", i, s, p)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package fault is a stdlib-only failpoint substrate: named injection
 // sites planted at the critical seams of the serving stack (cache
-// fills, PPR iteration loops, pipeline workers, handler I/O) that cost
+// fills, PPR iteration loops, the CHECK step, handler I/O) that cost
 // a single atomic load when disarmed and can be armed — by env var,
 // flag, or a debug-listener HTTP API — to inject errors, added latency,
 // or panics, either every time, probabilistically, or for a bounded

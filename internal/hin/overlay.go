@@ -25,8 +25,8 @@ type typedKey struct {
 // An Overlay may wrap another Overlay, composing edits.
 //
 // An Overlay is immutable after NewOverlay returns and therefore safe
-// to read from any number of goroutines — the parallel CHECK pipeline
-// builds one overlay per speculative worker over the same base view.
+// to read from any number of goroutines; concurrent explanation sessions
+// each build their own overlays over the same base view.
 type Overlay struct {
 	base View
 

@@ -146,7 +146,7 @@ func TestSessionLogRoundTrip(t *testing.T) {
 		{Request: Request{Seq: 0, RID: "a1", Op: OpExplain, User: "Paul", WNI: "C",
 			Mode: "remove", Method: "powerset", OffsetUS: 10},
 			Status: 200, LatencyUS: 1500, Attempts: 1, Degraded: true,
-			DegradedLevel: "lean", CacheHits: 3, CacheMisses: 1, ParCommitted: 2},
+			DegradedLevel: "lean", CacheHits: 3, CacheMisses: 1},
 		{Request: Request{Seq: 1, RID: "a2", Op: OpRecommend, User: "Alice", N: 10, OffsetUS: 20},
 			Status: 503, LatencyUS: 900, Err: "server returned 503: saturated"},
 	}
@@ -212,7 +212,6 @@ func (s *stubServer) handler() http.Handler {
 		s.mu.Unlock()
 		w.Header().Set(client.RequestIDHeader, r.Header.Get(client.RequestIDHeader))
 		w.Header().Set("X-Emigre-Cache", "2h/1m")
-		w.Header().Set("X-Emigre-Par", "3c/0w")
 		switch r.URL.Path {
 		case "/explain":
 			json.NewEncoder(w).Encode(map[string]any{
@@ -352,7 +351,7 @@ func TestRunRecordsOutcomes(t *testing.T) {
 		if r.Attempts != 1 {
 			t.Errorf("record %d attempts = %d", i, r.Attempts)
 		}
-		if r.CacheHits != 2 || r.CacheMisses != 1 || r.ParCommitted != 3 {
+		if r.CacheHits != 2 || r.CacheMisses != 1 {
 			t.Errorf("record %d tallies = %+v", i, r)
 		}
 	}

@@ -55,11 +55,9 @@ type EndpointReport struct {
 	Degraded map[string]int `json:"degraded,omitempty"`
 	// Attempts sums client HTTP attempts (retries included).
 	Attempts int64 `json:"attempts"`
-	// Cache and pipeline tallies summed over the slice.
-	CacheHits    int64 `json:"cache_hits"`
-	CacheMisses  int64 `json:"cache_misses"`
-	ParCommitted int64 `json:"par_committed"`
-	ParWasted    int64 `json:"par_wasted"`
+	// Cache tallies summed over the slice.
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
 }
 
 // Report is one run's latency/SLO summary.
@@ -117,8 +115,6 @@ func summarize(recs []*Record) *EndpointReport {
 		ep.Attempts += int64(r.Attempts)
 		ep.CacheHits += r.CacheHits
 		ep.CacheMisses += r.CacheMisses
-		ep.ParCommitted += r.ParCommitted
-		ep.ParWasted += r.ParWasted
 		lat = append(lat, r.LatencyUS)
 		sum += r.LatencyUS
 	}

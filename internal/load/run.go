@@ -186,7 +186,6 @@ func issue(ctx context.Context, cl *client.Client, req Request, start time.Time)
 	rec.LatencyUS = time.Since(began).Microseconds()
 	rec.Attempts = meta.Attempts
 	rec.CacheHits, rec.CacheMisses = meta.CacheHits, meta.CacheMisses
-	rec.ParCommitted, rec.ParWasted = meta.ParCommitted, meta.ParWasted
 	if err == nil {
 		rec.Status = 200
 		return rec

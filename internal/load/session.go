@@ -38,11 +38,9 @@ type Record struct {
 	// DegradedLevel names the ladder rung.
 	Degraded      bool   `json:"degraded,omitempty"`
 	DegradedLevel string `json:"degraded_level,omitempty"`
-	// Cache and pipeline tallies from the server's response headers.
-	CacheHits    int64 `json:"cache_h,omitempty"`
-	CacheMisses  int64 `json:"cache_m,omitempty"`
-	ParCommitted int64 `json:"par_c,omitempty"`
-	ParWasted    int64 `json:"par_w,omitempty"`
+	// Cache tally from the server's response headers.
+	CacheHits   int64 `json:"cache_h,omitempty"`
+	CacheMisses int64 `json:"cache_m,omitempty"`
 }
 
 // EncodeLine renders r as one JSONL line (newline included).

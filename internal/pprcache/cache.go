@@ -244,8 +244,8 @@ func (c *Cache) GetResult(ctx context.Context, k Key) (*ppr.PushResult, bool) {
 // compute is canceled too. An abandoned flight stays registered until
 // its compute call winds down; a live caller that joins it in that
 // window does not inherit the departed waiters' cancellation — it
-// retries with a fresh flight instead (the parallel CHECK pipeline
-// abandons speculative lookups routinely, so this window is hit in
+// retries with a fresh flight instead (requests abandoned at their
+// deadline leave such flights behind, so this window is hit in
 // practice).
 //
 // The returned vector is shared with other callers and must not be

@@ -186,9 +186,9 @@ func TestLastWaiterCancelsCompute(t *testing.T) {
 // an abandoned flight stays registered until its compute call winds
 // down, and a live caller joining in that window must not inherit the
 // departed waiters' context.Canceled — it retries and computes fresh.
-// The parallel CHECK pipeline abandons speculative lookups routinely,
-// so without the retry a decided explanation could poison the next
-// one's checks on a shared key.
+// Requests abandoned at their deadline leave such flights behind, so
+// without the retry a canceled explanation could poison the next one's
+// checks on a shared key.
 func TestAbandonedFlightDoesNotPoisonLateJoiner(t *testing.T) {
 	c := New(Config{})
 	k := testKey(1, 0)

@@ -96,9 +96,8 @@ type Scored struct {
 // goroutines; the lazy build itself is not synchronized. The mutating
 // methods (SetCache) and the cheap rebinding constructors (WithView,
 // WithUserPatch) must not race with anything; rebinding returns a new
-// instance and never mutates the receiver, so the parallel CHECK
-// pipeline can call WithUserPatch from many workers over one warm
-// shared recommender.
+// instance and never mutates the receiver, so concurrent explanation
+// sessions can call WithUserPatch over one warm shared recommender.
 type Recommender struct {
 	cfg    Config
 	base   hin.View
@@ -164,8 +163,8 @@ func (r *Recommender) Flat() *hin.CSR {
 // this recommender's flat snapshot (hin.CSR.WithOutRow), so binding
 // costs O(deg u) instead of O(V+E). The receiver is never mutated and
 // the shared snapshot is only read, so concurrent WithUserPatch calls
-// over one warm recommender are safe (the clone-safety contract the
-// parallel CHECK pipeline relies on).
+// over one warm recommender are safe (the clone-safety contract
+// concurrent explanation sessions rely on).
 func (r *Recommender) WithUserPatch(v hin.View, u hin.NodeID) *Recommender {
 	c := *r
 	c.base = v

@@ -448,8 +448,4 @@ func setUpstreamHeaders(w http.ResponseWriter, backend string, meta client.Meta)
 		w.Header().Set("X-Emigre-Cache",
 			strconv.FormatInt(meta.CacheHits, 10)+"h/"+strconv.FormatInt(meta.CacheMisses, 10)+"m")
 	}
-	if meta.ParCommitted > 0 || meta.ParWasted > 0 {
-		w.Header().Set("X-Emigre-Par",
-			strconv.FormatInt(meta.ParCommitted, 10)+"c/"+strconv.FormatInt(meta.ParWasted, 10)+"w")
-	}
 }

@@ -22,17 +22,14 @@ import (
 // degraded responses, and client convergence once transient faults
 // clear. Sites exercised (≥8): server.explain.decode,
 // server.response.write, pprcache.fill, ppr.forward.loop,
-// ppr.reverse.loop, hin.overlay.snapshot, emigre.check,
-// emigre.pipeline.worker, plus the armed-only server.health.cache and
-// server.health.graph.
+// ppr.reverse.loop, hin.overlay.snapshot, emigre.check, plus the
+// armed-only server.health.cache and server.health.graph.
 
-// newChaosStack boots a books-graph server over real HTTP with the
-// parallel CHECK pipeline on (so the worker failpoint is reachable) and
-// returns a resilient client pointed at it.
+// newChaosStack boots a books-graph server over real HTTP and returns a
+// resilient client pointed at it.
 func newChaosStack(t *testing.T, mutate func(*Config)) (*Server, *client.Client) {
 	t.Helper()
 	srv, _ := newTestServerCfg(t, func(c *Config) {
-		c.ExplainWorkers = 2
 		c.MaxConcurrent = 4
 		if mutate != nil {
 			mutate(c)
@@ -100,9 +97,9 @@ func runQueries(t *testing.T, cl *client.Client, timeout time.Duration) ([]*clie
 // TestChaosScheduleConvergesAndRecovers is the main chaos run:
 //
 //  1. a fault-free baseline is recorded;
-//  2. a schedule arms 8 sites — one-shot error bursts on the handler,
-//     cache, engine loops, overlay builds and pipeline workers, plus a
-//     probabilistic sleep on the CHECK seam — and the same queries are
+//  2. a schedule arms 7 sites — one-shot error bursts on the handler,
+//     cache, engine loops and overlay builds, plus a probabilistic
+//     sleep on the CHECK seam — and the same queries are
 //     replayed through the retrying client, which must converge on
 //     every one;
 //  3. after DisarmAll, the queries are replayed once more and must be
@@ -132,7 +129,6 @@ func TestChaosScheduleConvergesAndRecovers(t *testing.T) {
 		"ppr.forward.loop=error(chaos fwd)*2;" +
 		"ppr.reverse.loop=error(chaos rev)*2;" +
 		"hin.overlay.snapshot=error(chaos overlay)*2;" +
-		"emigre.pipeline.worker=error(chaos worker)*2;" +
 		"emigre.check=sleep(200us)%0.5"
 	if err := fault.Apply(schedule); err != nil {
 		t.Fatal(err)
@@ -156,7 +152,6 @@ func TestChaosScheduleConvergesAndRecovers(t *testing.T) {
 	for _, name := range []string{
 		"server.explain.decode", "server.response.write", "pprcache.fill",
 		"ppr.forward.loop", "ppr.reverse.loop", "hin.overlay.snapshot",
-		"emigre.pipeline.worker",
 	} {
 		site := fault.Lookup(name)
 		if site == nil {
@@ -192,10 +187,9 @@ func TestChaosDeadlineSqueeze(t *testing.T) {
 	_, ladder := newChaosStack(t, nil)
 	_, plain := newChaosStack(t, func(c *Config) { c.DisableDegraded = true })
 
-	// 600ms per CHECK against a 500ms budget: even one check (and the
-	// workers run them in parallel) overruns the whole budget, so the
-	// ladder must fall through to the partial rung while the plain
-	// server can only time out.
+	// 600ms per CHECK against a 500ms budget: even one check overruns
+	// the whole budget, so the ladder must fall through to the partial
+	// rung while the plain server can only time out.
 	if err := fault.Apply("emigre.check=sleep(600ms)"); err != nil {
 		t.Fatal(err)
 	}

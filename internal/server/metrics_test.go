@@ -14,7 +14,7 @@ import (
 // TestMetricsEndpointCoversAllLayers drives real traffic through the
 // server and asserts GET /metrics serves a valid Prometheus exposition
 // covering every instrumented layer: HTTP, PPR engines, the vector
-// cache, admission and the CHECK pipeline.
+// cache, admission and the CHECK path.
 func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	srv, _ := newTestServerCfg(t, func(c *Config) {
 		c.Metrics = obs.NewRegistry()
@@ -67,9 +67,8 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		"# TYPE emigre_admission_inflight_units gauge",
 		"# TYPE emigre_admission_clamped_weights_total counter",
 		"# TYPE emigre_admission_rejections_total counter",
-		// CHECK pipeline.
-		"# TYPE emigre_pipeline_checks_committed_total counter",
-		"# TYPE emigre_pipeline_workers gauge",
+		// CHECK path.
+		"# TYPE emigre_check_cold_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

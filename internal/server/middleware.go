@@ -21,14 +21,11 @@ import (
 // generates one otherwise, and always echoes it on the response.
 const RequestIDHeader = "X-Emigre-Request-Id"
 
-// Per-request tally headers: the PPR-cache hit/miss count ("3h/1m") and
-// the parallel-CHECK committed/wasted count ("5c/2w") of the work this
-// request triggered — the same numbers the access log carries, exposed
-// on the wire so load-test session logs can record them per request.
-const (
-	CacheTallyHeader = "X-Emigre-Cache"
-	ParTallyHeader   = "X-Emigre-Par"
-)
+// CacheTallyHeader carries the PPR-cache hit/miss count ("3h/1m") of
+// the work this request triggered — the same numbers the access log
+// carries, exposed on the wire so load-test session logs can record
+// them per request.
+const CacheTallyHeader = "X-Emigre-Cache"
 
 // maxRequestIDLen bounds accepted client-supplied IDs; longer ones are
 // replaced, not truncated, so an ID is either the client's exact string
@@ -38,15 +35,14 @@ const maxRequestIDLen = 64
 // requestInfo accumulates per-request details the logging middleware
 // cannot see on its own (the number of CHECK invocations a search ran
 // and how many of them the rival gate settled),
-// and hands the middleware-created tally accumulators to handlers so
-// they can surface them as response headers before the body is written.
+// and hands the middleware-created cache tally to handlers so they can
+// surface it as a response header before the body is written.
 type requestInfo struct {
 	tests    int
 	gated    int
 	hasTests bool
 	rid      string
 	rs       *pprcache.RequestStats
-	prs      *emigre.PipelineRequestStats
 }
 
 type requestInfoKey struct{}
@@ -94,21 +90,13 @@ func sanitizeRequestID(s string) string {
 	return s
 }
 
-// setTallyHeaders exposes the request's cache and pipeline tallies as
-// response headers. Handlers call it after their search work completes
-// and before the first body write.
+// setTallyHeaders exposes the request's cache tally as a response
+// header. Handlers call it after their search work completes and before
+// the first body write.
 func setTallyHeaders(w http.ResponseWriter, ctx context.Context) {
-	info := infoFrom(ctx)
-	if info == nil {
-		return
-	}
-	if info.rs != nil {
+	if info := infoFrom(ctx); info != nil && info.rs != nil {
 		w.Header().Set(CacheTallyHeader,
 			strconv.FormatInt(info.rs.Hits(), 10)+"h/"+strconv.FormatInt(info.rs.Misses(), 10)+"m")
-	}
-	if info.prs != nil {
-		w.Header().Set(ParTallyHeader,
-			strconv.FormatInt(info.prs.Committed(), 10)+"c/"+strconv.FormatInt(info.prs.Wasted(), 10)+"w")
 	}
 }
 
@@ -168,10 +156,8 @@ func (w *statusWriter) ReadFrom(src io.Reader) (int64, error) {
 // withMiddleware wraps the route tree with panic recovery and
 // structured request logging: one line per request with method, path,
 // status, duration, (for explanation requests) the CHECK count and how
-// many of those the rival gate rejected, (when
-// the vector cache is enabled) the request's cache hit/miss tally and
-// (when parallel CHECK is enabled) the request's committed/wasted
-// pipeline check tally.
+// many of those the rival gate rejected and (when the vector cache is
+// enabled) the request's cache hit/miss tally.
 func (s *Server) withMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		info := &requestInfo{}
@@ -181,9 +167,7 @@ func (s *Server) withMiddleware(next http.Handler) http.Handler {
 			rs = &pprcache.RequestStats{}
 			ctx = pprcache.WithRequestStats(ctx, rs)
 		}
-		prs := &emigre.PipelineRequestStats{}
-		ctx = emigre.WithPipelineRequestStats(ctx, prs)
-		info.rs, info.prs = rs, prs
+		info.rs = rs
 		info.rid = sanitizeRequestID(r.Header.Get(RequestIDHeader))
 		if info.rid == "" {
 			info.rid = newRequestID()
@@ -212,9 +196,6 @@ func (s *Server) withMiddleware(next http.Handler) http.Handler {
 			}
 			if rs != nil && (rs.Hits() > 0 || rs.Misses() > 0) {
 				line += " cache=" + strconv.FormatInt(rs.Hits(), 10) + "h/" + strconv.FormatInt(rs.Misses(), 10) + "m"
-			}
-			if c, wd := prs.Committed(), prs.Wasted(); c > 0 || wd > 0 {
-				line += " par=" + strconv.FormatInt(c, 10) + "c/" + strconv.FormatInt(wd, 10) + "w"
 			}
 			s.log.Printf("%s %s %d %s rid=%s%s",
 				r.Method, r.URL.Path, sw.status, elapsed.Round(time.Microsecond), info.rid, line)

@@ -90,13 +90,6 @@ type Config struct {
 	// CacheBytes bounds the same cache by resident payload bytes.
 	// 0 means the pprcache default (256 MiB); negative disables caching.
 	CacheBytes int64
-	// ExplainWorkers is the per-request CHECK parallelism
-	// (emigre.Options.Parallelism): each admitted explanation verifies
-	// its candidate sets on that many speculative workers with ordered
-	// commit, so responses stay byte-identical to a sequential search.
-	// 0 or 1 keeps searches sequential. Note the multiplicative load:
-	// up to MaxConcurrent × ExplainWorkers PPR runs can be in flight.
-	ExplainWorkers int
 	// DisableDegraded turns off the degradation ladder: a deadline-
 	// squeezed explanation then fails with 504 instead of stepping down
 	// through lean search, cache-only search and partial answers (see
@@ -108,7 +101,7 @@ type Config struct {
 	// Nil means log.Default().
 	Logger *log.Logger
 	// Metrics is the registry GET /metrics serves and the server's own
-	// instrumentation (HTTP, cache, admission, pipeline) registers
+	// instrumentation (HTTP, cache, admission, ladder) registers
 	// into. Nil means obs.Default(). The endpoint additionally renders
 	// obs.Default() so package-deep metrics (PPR engines) are always
 	// covered.
@@ -121,8 +114,8 @@ type Server struct {
 	r  *emigre.Recommender
 	ex *emigre.Explainer
 	// exLean is the degradation ladder's cheaper explainer: CHECK budget
-	// divided by leanBudgetDivisor, sequential evaluation, same shared
-	// cache. Nil when the ladder is disabled.
+	// divided by leanBudgetDivisor, same shared cache. Nil when the
+	// ladder is disabled.
 	exLean  *emigre.Explainer
 	mux     *http.ServeMux
 	handler http.Handler
@@ -192,9 +185,6 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		cfg.Options.DisableCache = true
 	}
-	if cfg.ExplainWorkers > 0 {
-		cfg.Options.Parallelism = cfg.ExplainWorkers
-	}
 	metrics := cfg.Metrics
 	if metrics == nil {
 		metrics = obs.Default()
@@ -212,11 +202,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	if !cfg.DisableDegraded {
 		// The lean explainer shares the graph, recommender and cache with
-		// the full one; only the search budget and parallelism shrink, so
-		// a lean hit is still a verified explanation.
+		// the full one; only the search budget shrinks, so a lean hit is
+		// still a verified explanation.
 		leanOpts := s.ex.Options()
 		leanOpts.MaxTests = max(8, leanOpts.MaxTests/leanBudgetDivisor)
-		leanOpts.Parallelism = 1
 		s.exLean = emigre.NewExplainer(cfg.Graph, r, leanOpts)
 	}
 	s.registerMetrics()
@@ -263,8 +252,8 @@ var metricRoutes = []string{
 }
 
 // registerMetrics creates the server-level series on s.metrics: the
-// per-route HTTP layer, and callback exports over the tallies the
-// cache, the admission controller and the CHECK pipeline already keep.
+// per-route HTTP layer, callback exports over the tallies the cache and
+// the admission controller already keep, and the degradation ladder.
 // Counters and histograms are get-or-create, so servers sharing one
 // registry (tests, obs.Default) share series; callbacks re-register by
 // replacement, so the newest server owns them.
@@ -300,22 +289,6 @@ func (s *Server) registerMetrics() {
 		"Requests waiting for admission.", s.adm.QueueLen)
 	reg.GaugeFunc("emigre_admission_capacity_units",
 		"Configured admission capacity.", func() int64 { return s.capacity })
-
-	reg.CounterFunc("emigre_pipeline_parallel_runs_total",
-		"Searches evaluated by the parallel CHECK pipeline.",
-		func() int64 { return s.ex.PipelineStats().ParallelRuns })
-	reg.CounterFunc("emigre_pipeline_checks_committed_total",
-		"CHECK verdicts applied in stream order.",
-		func() int64 { return s.ex.PipelineStats().ChecksCommitted })
-	reg.CounterFunc("emigre_pipeline_speculative_waste_total",
-		"Completed checks discarded by ordered commit.",
-		func() int64 { return s.ex.PipelineStats().SpeculativeWaste })
-	reg.GaugeFunc("emigre_pipeline_inflight_checks",
-		"Speculative checks running right now.",
-		func() int64 { return s.ex.PipelineStats().InflightChecks })
-	reg.GaugeFunc("emigre_pipeline_workers",
-		"Configured per-request CHECK parallelism.",
-		func() int64 { return int64(s.ex.PipelineStats().Workers) })
 
 	s.ladderEngaged = reg.Counter("emigre_ladder_engaged_total",
 		"Explanations whose full-fidelity attempt was squeezed out by its time slice.")
@@ -447,7 +420,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if s.cache != nil {
 		body["cache"] = s.cache.Stats()
 	}
-	body["explain_pool"] = s.ex.PipelineStats()
 	s.writeJSON(w, http.StatusOK, body)
 }
 
@@ -518,9 +490,8 @@ type explainResponse struct {
 	NewTop      emigre.NodeID `json:"new_top"`
 	Verified    bool          `json:"verified"`
 	Checks      int           `json:"checks"`
-	// Gated is how many of Checks the rival gate rejected without a push.
-	// With -explain-workers > 1 the gate/cold split depends on worker
-	// timing; Checks does not.
+	// Gated is how many of Checks the rival gate rejected without a push;
+	// like Checks it is the same for every run of the same question.
 	Gated      int   `json:"gated"`
 	DurationUS int64 `json:"duration_us"`
 	// Degraded marks a response served below full fidelity by the
