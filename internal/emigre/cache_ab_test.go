@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/fault"
+	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/obs"
+	"github.com/why-not-xai/emigre/internal/ppr"
 	"github.com/why-not-xai/emigre/internal/pprcache"
 	"github.com/why-not-xai/emigre/internal/rec"
 	"github.com/why-not-xai/emigre/internal/testleak"
@@ -265,28 +267,46 @@ func TestExplainerCacheReuseAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestExplainerVerifyHitsExplainResidency checks the overlay-digest
-// property end to end: Verify rebuilds the winning counterfactual
-// overlay from the explanation's edge set, and because overlay versions
-// are digests of the edit set — not pointer identities — its CHECK
-// scores come from the cache entries the search already populated.
-func TestExplainerVerifyHitsExplainResidency(t *testing.T) {
-	f := newFixture(t, Options{Mode: Remove, Method: Incremental})
-	expl, err := f.ex.Explain(f.query())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := f.ex.Cache().Stats()
-	ok, err := f.ex.Verify(expl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("explanation did not re-verify")
-	}
-	after := f.ex.Cache().Stats()
-	if after.Hits <= before.Hits {
-		t.Fatalf("Verify recomputed everything: %+v -> %+v", before, after)
+// TestCheckVectorsStayOutOfCache: a cold CHECK stops its push once the
+// verdict is certain, so its vector is not a full-ε vector and is never
+// stored. After explains that ran cold CHECKs the cache holds the base
+// forward vector and the session's two reverse columns, nothing keyed
+// by a counterfactual overlay — the accepted one included, before and
+// after Verify, which decides uncached too.
+func TestCheckVectorsStayOutOfCache(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []Mode{Remove, Add} {
+		f := newFixture(t, Options{Mode: mode, Method: Powerset})
+		cold0 := coldChecks.Value()
+		expl, err := f.ex.Explain(f.query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coldChecks.Value() == cold0 {
+			t.Fatalf("%v: no cold CHECK ran; the test is vacuous", mode)
+		}
+		o, err := hin.NewOverlay(f.g, expl.Removals, expl.Additions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := f.r.Config()
+		key, ok := pprcache.ForwardKey(rec.WrapBeta(o, cfg.Beta), ppr.NewForwardPush(cfg.PPR), f.query().User)
+		if !ok {
+			t.Fatal("overlay view is unversioned")
+		}
+		for _, step := range []string{"explain", "verify"} {
+			if step == "verify" {
+				if ok, err := f.ex.Verify(expl); err != nil || !ok {
+					t.Fatalf("%v: Verify = %v, %v", mode, ok, err)
+				}
+			}
+			if n := f.ex.Cache().Len(); n != 3 {
+				t.Fatalf("%v after %s: %d cache entries, want the base vector and the session's two columns", mode, step, n)
+			}
+			if _, hit := f.ex.Cache().Get(ctx, key); hit {
+				t.Fatalf("%v after %s: the accepted counterfactual's vector is cached", mode, step)
+			}
+		}
 	}
 }
 

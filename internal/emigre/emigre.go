@@ -30,7 +30,8 @@
 // the recommender is re-scored; the edit is an explanation iff the new
 // top-1 equals WNI. A counterfactual that provably still loses to the
 // winner of an earlier CHECK is rejected without a push; the rest are
-// decided by one cold PPR run (DESIGN.md §3.15).
+// decided by one cold PPR run that stops once its verdict is certain
+// (DESIGN.md §3.15).
 package emigre
 
 import (
@@ -421,6 +422,11 @@ type Explainer struct {
 	// rival gate, so every CHECK is one cold rank check — the reference
 	// the A/B suites compare against.
 	noGate bool
+	// noCertify is a test seam, set only from _test.go files: every cold
+	// CHECK drains its push to ε and ranks it with TopNContext instead of
+	// stopping once its verdict is certified — the reference the
+	// certificate's A/B compares against.
+	noCertify bool
 }
 
 // New builds an explainer. The recommender must have been built over g
@@ -601,9 +607,16 @@ type session struct {
 	view  hin.View   // the β-mixed transition view scores are taken on
 	toRec ppr.Vector // PPR(·, rec)
 	toWNI ppr.Vector // PPR(·, WNI)
+	// held are the reverse columns the session holds — rec's, WNI's and
+	// every learned rival's — which sharpen the cold CHECK's certificate.
+	held  []rec.Held
 	cands []candidate
-	tau   float64
-	stats Stats
+	// npos counts the positive-contribution candidates, which lead cands,
+	// and cands[:sorted] is in final order (candCmp): Add mode sorts only
+	// as far as a strategy reads (order), every other mode all of it.
+	npos, sorted int
+	tau          float64
+	stats        Stats
 	// accept optionally widens the CHECK success criterion to a set of
 	// items (group-granularity queries); nil means {WNI}.
 	accept map[hin.NodeID]bool
@@ -667,6 +680,7 @@ func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*sessio
 		return nil, wrapCtxErr(err, Stats{})
 	}
 	s.toRec, s.toWNI = cols[0], cols[1]
+	s.held = []rec.Held{{Node: current, Col: s.toRec}, {Node: q.WNI, Col: s.toWNI}}
 	if err := s.defineSearchSpace(); err != nil {
 		return nil, err
 	}
@@ -791,21 +805,34 @@ func (s *session) counterfactual(cands []candidate) (*rec.Recommender, error) {
 
 // rankCheck re-runs the recommender over the counterfactual and reports
 // whether an accepted item reached the target rank, plus the new top-1.
+// The push stops as soon as both are certain (rec.TopDecided, DESIGN.md
+// §3.15), so the verdict and the top-1 are the ones a push drained to ε
+// gives; the noCertify seam drains it.
 func (s *session) rankCheck(ctx context.Context, r2 *rec.Recommender) (bool, hin.NodeID, error) {
 	k := s.ex.opts.TargetRank
-	list, err := r2.TopNContext(ctx, s.q.User, k)
+	var list []hin.NodeID
+	var err error
+	if s.ex.noCertify {
+		var top []rec.Scored
+		top, err = r2.TopNContext(ctx, s.q.User, k)
+		for _, sc := range top {
+			list = append(list, sc.Node)
+		}
+	} else {
+		list, err = r2.TopDecided(ctx, s.q.User, k, s.held)
+	}
 	if err != nil {
 		if errors.Is(err, rec.ErrNoCandidates) {
 			return false, hin.InvalidNode, nil
 		}
 		return false, hin.InvalidNode, err
 	}
-	for _, sc := range list {
-		if sc.Node == s.q.WNI || s.accept[sc.Node] { // WNI or a member of the group accept set
-			return true, list[0].Node, nil
+	for _, v := range list {
+		if v == s.q.WNI || s.accept[v] { // WNI or a member of the group accept set
+			return true, list[0], nil
 		}
 	}
-	return false, list[0].Node, nil
+	return false, list[0], nil
 }
 
 // gapFlipped reports whether a running gap estimate has crossed zero,

@@ -1,6 +1,7 @@
 package emigre
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -237,20 +238,35 @@ func (s *session) targetColumns(targets []hin.NodeID) ([]ppr.Vector, error) {
 }
 
 // exhaustiveCandidates returns H without sign pruning, capped at
-// MaxSearchSpace by absolute contribution.
+// MaxSearchSpace by absolute contribution, in search-space order.
 func (s *session) exhaustiveCandidates() []candidate {
-	h := append([]candidate(nil), s.cands...)
 	limit := s.ex.opts.MaxSearchSpace
-	if limit > 0 && len(h) > limit {
-		sort.Slice(h, func(i, j int) bool {
-			ai, aj := math.Abs(h[i].contribution), math.Abs(h[j].contribution)
-			if !fmath.Eq(ai, aj) {
-				return ai > aj
-			}
-			return h[i].edge.To < h[j].edge.To
-		})
-		h = h[:limit]
-		sortCandidates(h)
+	if limit <= 0 || len(s.cands) <= limit {
+		s.sortAll()
+		return slices.Clone(s.cands)
 	}
+	h := slices.Clone(s.cands)
+	if s.mode == Add {
+		// Add candidates have distinct endpoints, so the cap's order is
+		// total and selecting its first entries picks what a sort would.
+		selectBest(h, limit, absCmp)
+	} else {
+		// Another mode's row can hold two edge types to one item, where
+		// the order is not total: keep sort.Slice's pick off the sorted list.
+		sort.Slice(h, func(i, j int) bool { return absCmp(h[i], h[j]) < 0 })
+	}
+	h = h[:limit]
+	sortCandidates(h)
 	return h
+}
+
+// absCmp orders by descending |contribution|, ties by endpoint.
+func absCmp(a, b candidate) int {
+	if x, y := math.Abs(a.contribution), math.Abs(b.contribution); !fmath.Eq(x, y) {
+		if x > y {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.edge.To, b.edge.To)
 }

@@ -38,7 +38,8 @@ type rival struct {
 	// drained to ε over a row-u counterfactual: the push invariant leaves
 	// ε·Σ_x PPR′(x,node), and the first-return split makes that sum
 	// Σ_x PPR(x,node) + (π′ − π)(u,node)·Σ_x F(x), with π′ ≤ 1−α and
-	// Σ_x F(x) ≤ Σ_x PPR(x,u)/α.
+	// Σ_x F(x) ≤ Σ_x PPR(x,u)/α; both column sums are read off the
+	// snapshot's bound C (rec.ColumnSums).
 	fwdErr float64
 }
 
@@ -47,7 +48,6 @@ type rival struct {
 // of a cold push.
 type rivals struct {
 	toU    ppr.Vector // PPR(·, u)
-	sumU   float64    // bound on Σ_x PPR(x, u)
 	wniErr float64    // fwdErr of the Why-Not item
 	list   []rival
 }
@@ -109,20 +109,24 @@ func rivalMargin(row []hin.HalfEdge, total float64, u, t hin.NodeID, toWNI, toT,
 // learn remembers the winner of a rejected CHECK. The first rejection
 // also fetches PPR(·,u) and seeds the list with rec, whose column the
 // session already holds. This is the one place the gate is switched off:
-// under the test seam, and on group queries, whose accept set the
-// pairwise identity does not cover, nothing is learned and gated never
-// fires. A learn cut short by its context changes nothing.
+// under the test seam, on group queries, whose accept set the pairwise
+// identity does not cover, and over a recommender without column sums
+// (a patch of a patch), nothing is learned and gated never fires. A
+// learn cut short by its context changes nothing. A learned winner's
+// column also sharpens the certificate of later cold CHECKs.
 func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	rv := s.gate
 	off := s.ex.noGate || s.accept != nil
 	if off || winner == hin.InvalidNode || (rv != nil && (rv.has(winner) || len(rv.list) >= maxRivals)) {
 		return nil
 	}
+	sums := s.ex.r.ColumnSums()
+	if sums == nil {
+		return nil
+	}
 	p := s.ex.r.Config().PPR
-	// colSum bounds Σ_x PPR(x,t): each estimate is at most ε short.
-	colSum := func(col ppr.Vector) float64 { return col.Sum() + float64(len(col))*p.Epsilon }
-	fwdErr := func(col ppr.Vector, sumU float64) float64 {
-		return p.Epsilon * (colSum(col) + (1-p.Alpha)/p.Alpha*sumU)
+	fwdErr := func(t hin.NodeID) float64 {
+		return p.Epsilon * (sums[t] + (1-p.Alpha)/p.Alpha*sums[s.q.User])
 	}
 	// One graph pass fetches what the gate lacks: PPR(·,u) on the first
 	// rejection, and the winner's column unless it is already held.
@@ -139,17 +143,16 @@ func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 		return err
 	}
 	if rv == nil {
-		rv = &rivals{}
-		rv.toU, rv.sumU = cols[0], colSum(cols[0])
-		rv.wniErr = fwdErr(s.toWNI, rv.sumU)
-		rv.list = []rival{{node: s.rec, col: s.toRec, fwdErr: fwdErr(s.toRec, rv.sumU)}}
+		rv = &rivals{toU: cols[0], wniErr: fwdErr(s.q.WNI)}
+		rv.list = []rival{{node: s.rec, col: s.toRec, fwdErr: fwdErr(s.rec)}}
 		s.gate = rv
 	}
 	if col == nil {
 		col = cols[len(cols)-1]
 	}
 	if !rv.has(winner) {
-		rv.list = append(rv.list, rival{node: winner, col: col, fwdErr: fwdErr(col, rv.sumU)})
+		rv.list = append(rv.list, rival{node: winner, col: col, fwdErr: fwdErr(winner)})
+		s.held = append(s.held, rec.Held{Node: winner, Col: col})
 	}
 	return nil
 }

@@ -18,15 +18,14 @@ func (s *session) incremental() (*Explanation, error) {
 	gen := func(yield func(cands []candidate) bool) error {
 		var selected []candidate
 		tau := s.tau
-		for _, cand := range s.cands {
+		// Non-positive contributions cannot help WNI (Eq. 5/6 discussion):
+		// the walk reads the positive ones, ordered as far as it gets.
+		for i := 0; i < s.npos; i++ {
 			if err := s.canceled(); err != nil {
 				return err
 			}
-			// Negative contributions cannot help WNI (Eq. 5/6 discussion);
-			// the list is sorted, so everything after is non-positive too.
-			if cand.contribution <= 0 {
-				break
-			}
+			s.order(i + 1)
+			cand := s.cands[i]
 			selected = append(selected, cand)
 			tau -= cand.contribution
 			if !s.gapFlipped(tau) {

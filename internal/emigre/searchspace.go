@@ -1,8 +1,9 @@
 package emigre
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -72,8 +73,16 @@ func (s *session) defineSearchSpace() error {
 	default:
 		return fmt.Errorf("emigre: unknown mode %v", s.mode)
 	}
-	sortCandidates(s.cands)
 	s.stats.SearchSpace = len(s.cands)
+	if s.mode == Add {
+		s.partition()
+		return nil
+	}
+	sortCandidates(s.cands)
+	s.sorted = len(s.cands)
+	for s.npos < len(s.cands) && s.cands[s.npos].contribution > 0 {
+		s.npos++
+	}
 	return nil
 }
 
@@ -90,22 +99,29 @@ func (s *session) addCandidates() []candidate {
 	u := s.q.User
 	opts := s.ex.opts
 	targetOK := s.targetTypeMask()
+	// u's neighbours, sorted: x ascends below, so one cursor skips them.
+	var nbrs []hin.NodeID
+	s.ex.g.OutEdges(u, func(h hin.HalfEdge) bool {
+		nbrs = append(nbrs, h.Node)
+		return true
+	})
+	slices.Sort(nbrs)
 	var cands []candidate
-	for x := range s.toWNI {
+	for x, w := range s.toWNI {
 		id := hin.NodeID(x)
-		if s.toWNI[x] <= 0 || id == u || id == s.q.WNI {
+		for len(nbrs) > 0 && nbrs[0] < id {
+			nbrs = nbrs[1:]
+		}
+		if w <= 0 || id == u || id == s.q.WNI || !targetOK[s.ex.g.NodeType(id)] {
 			continue
 		}
-		if !targetOK[s.ex.g.NodeType(id)] {
-			continue
-		}
-		if s.ex.g.HasEdge(u, id) {
-			continue
+		if len(nbrs) > 0 && nbrs[0] == id {
+			continue // already a neighbour
 		}
 		cands = append(cands, candidate{
 			edge:         hin.Edge{From: u, To: id, Type: opts.AddEdgeType, Weight: opts.AddEdgeWeight},
 			op:           Add,
-			contribution: s.toWNI[x] - s.toRec[x],
+			contribution: w - s.toRec[x],
 		})
 	}
 	return cands
@@ -156,37 +172,113 @@ func (s *session) targetTypeMask() []bool {
 	return mask
 }
 
-// sortCandidates orders by descending contribution, breaking ties by
-// (To, Type) for determinism.
-func sortCandidates(cands []candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if !fmath.Eq(cands[i].contribution, cands[j].contribution) {
-			return cands[i].contribution > cands[j].contribution
+// candCmp is the search-space order: descending contribution, ties
+// broken by (To, Type, op). No two candidates share all four, so it is a
+// strict total order: every sort of a search space gives one sequence.
+func candCmp(a, b candidate) int {
+	if !fmath.Eq(a.contribution, b.contribution) {
+		if a.contribution > b.contribution {
+			return -1
 		}
-		if cands[i].edge.To != cands[j].edge.To {
-			return cands[i].edge.To < cands[j].edge.To
-		}
-		if cands[i].edge.Type != cands[j].edge.Type {
-			return cands[i].edge.Type < cands[j].edge.Type
-		}
-		return cands[i].op < cands[j].op
-	})
+		return 1
+	}
+	if c := cmp.Compare(a.edge.To, b.edge.To); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.edge.Type, b.edge.Type); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.op, b.op)
 }
 
-// positiveCandidates returns the prefix of s.cands with strictly
-// positive contribution (the pruning step of Algorithms 3 and 4),
+// sortCandidates orders cands by candCmp.
+func sortCandidates(cands []candidate) { slices.SortFunc(cands, candCmp) }
+
+// partition lays an Add-mode search space out for reading on demand:
+// the positive candidates move to the front, and order sorts them only
+// as far as a strategy reads — Powerset and Exhaustive take 16,
+// Incremental stops at its first accepted prefix — instead of sorting
+// every item WNI's column reaches. The best candidate of all leads
+// either way (partialExplanation reads s.cands[0]).
+func (s *session) partition() {
+	for i, c := range s.cands {
+		if c.contribution > 0 {
+			s.cands[s.npos], s.cands[i] = c, s.cands[s.npos]
+			s.npos++
+		}
+	}
+	if s.npos > 0 {
+		s.order(1)
+	} else {
+		selectBest(s.cands, 1, candCmp)
+	}
+}
+
+// order extends the sorted prefix of the positive candidates to at least
+// m entries (all of them when there are fewer): it selects the best of
+// the unsorted rest — at least 16, and at least as many as are sorted
+// already, so reading one more at a time stays cheap — and sorts them.
+func (s *session) order(m int) {
+	m = min(m, s.npos)
+	if m <= s.sorted {
+		return
+	}
+	rest := s.cands[s.sorted:s.npos]
+	n := min(len(rest), max(m-s.sorted, s.sorted, 16))
+	selectBest(rest, n, candCmp)
+	sortCandidates(rest[:n])
+	s.sorted += n
+}
+
+// sortAll puts the whole search space in final order.
+func (s *session) sortAll() {
+	if s.sorted < len(s.cands) {
+		sortCandidates(s.cands)
+		s.sorted = len(s.cands)
+	}
+}
+
+// selectBest moves the n first entries of xs under cmp to xs[:n], in no
+// particular order: a heap of the best n so far, the worst at its root,
+// which every better entry replaces.
+func selectBest(xs []candidate, n int, cmp func(a, b candidate) int) {
+	if n <= 0 || n >= len(xs) {
+		return
+	}
+	h := xs[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		siftWorst(h, i, cmp)
+	}
+	for j := n; j < len(xs); j++ {
+		if cmp(xs[j], h[0]) < 0 {
+			h[0], xs[j] = xs[j], h[0]
+			siftWorst(h, 0, cmp)
+		}
+	}
+}
+
+// siftWorst restores heap order below slot i of h, the last entry under
+// cmp at the root.
+func siftWorst(h []candidate, i int, cmp func(a, b candidate) int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && cmp(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if cmp(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+}
+
+// positiveCandidates returns the candidates with strictly positive
+// contribution (the pruning step of Algorithms 3 and 4) in order,
 // optionally capped to the top limit entries.
 func (s *session) positiveCandidates(limit int) []candidate {
-	n := 0
-	for _, c := range s.cands {
-		if c.contribution <= 0 {
-			break // sorted descending: the rest are non-positive too
-		}
-		n++
+	n := s.npos
+	if limit > 0 && n > limit {
+		n = limit
 	}
-	pos := s.cands[:n]
-	if limit > 0 && len(pos) > limit {
-		pos = pos[:limit]
-	}
-	return pos
+	s.order(n)
+	return s.cands[:n]
 }

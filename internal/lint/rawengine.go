@@ -25,6 +25,7 @@ var rawEngineMethods = map[string]bool{
 	"ToTargets":         true,
 	"Run":               true,
 	"RunContext":        true,
+	"RunUntil":          true,
 	"UpdateForEdit":     true,
 }
 
@@ -39,11 +40,18 @@ var rawEngineMethods = map[string]bool{
 // took its peak RSS from 85–88 to 98.5 MiB, past the benchmark's 10 %
 // bound; they only ever reject a set the cold CHECK would reject too, so
 // cache identity has nothing to protect.
+//
+// TopDecided is the cold CHECK's push, uncached because it stops once its
+// rank verdict is certified: a stopped vector is not a full-ε vector, so
+// storing it under the forward identity would serve wrong scores, and it
+// returns the verdict a drained push gives, so there is nothing for
+// cache identity to protect either.
 var rawEngineAllowedFuncs = map[string]bool{
 	"reverseColumns": true, // internal/emigre: cached PPR(·,t) columns, misses drained in one batch
 	"reverseColumn":  true, // internal/rec: its one-key twin
 	"gateColumns":    true, // internal/emigre: session-scoped rival-gate columns, uncached on purpose
 	"ScoresContext":  true, // internal/rec: cached PPR(u,·) rows
+	"TopDecided":     true, // internal/rec: the cold CHECK's early-stopped push, uncached on purpose
 }
 
 // RawEngine enforces the cache-routing invariant of the pprcache PR:

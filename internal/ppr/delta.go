@@ -165,7 +165,7 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 			sc.r[y] += scale * sc.delta.val[y]
 		}
 	}
-	pushes, err := e.sweep(ctx, updateLoopSite, newCSR, sc.p, sc.r)
+	pushes, err := e.sweep(ctx, updateLoopSite, newCSR, sc.p, sc.r, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -70,6 +70,20 @@ func (e *ForwardPush) Run(g hin.View, s hin.NodeID) (*PushResult, error) {
 // RunContext is Run with cancellation, checked every ctxCheckInterval
 // node visits of the sweep.
 func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) (*PushResult, error) {
+	return e.RunUntil(ctx, g, s, nil)
+}
+
+// StopTest is read between the sweeps of a drain with its live estimates
+// p and residuals r, between which Eq. 3 holds; true ends the drain
+// there. It must only read the two vectors.
+type StopTest func(p, r Vector) bool
+
+// RunUntil is RunContext that may stop early: after every sweep that
+// pushed, done decides whether the drain ends before every residual is
+// below Epsilon. A stopped result keeps Eq. 3 but not the ε contract:
+// its estimates are lower bounds, not ε-accurate scores. A nil done
+// drains to ε like RunContext.
+func (e *ForwardPush) RunUntil(ctx context.Context, g hin.View, s hin.NodeID, done StopTest) (*PushResult, error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,7 +95,7 @@ func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) 
 	p := make(Vector, n)
 	r := make(Vector, n)
 	r[s] = 1
-	pushes, err := e.sweep(ctx, forwardLoopSite, csr, p, r)
+	pushes, err := e.sweep(ctx, forwardLoopSite, csr, p, r, done)
 	if err != nil {
 		return nil, err
 	}
@@ -92,17 +106,21 @@ func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) 
 
 // sweep is the forward push kernel: it drains p and r in place over csr.
 // Nodes are visited in ascending id and v pushes iff |r[v]| > ε, until a
-// whole sweep pushes nothing. A cold run's residuals never go negative,
+// whole sweep pushes nothing or done, read after every sweep that
+// pushed, says stop. A cold run's residuals never go negative,
 // so there the rule is r[v] > ε; a warm start's repaired residuals may,
 // and the push rule is linear in them. Any push order keeps Eq. 3, so the
 // drain ends with every |residual| ≤ ε whatever order it took (DESIGN.md
 // §3.1). The context and site are polled every ctxCheckInterval node
 // visits.
-func (e *ForwardPush) sweep(ctx context.Context, site *fault.Site, csr *hin.CSR, p, r Vector) (int, error) {
+func (e *ForwardPush) sweep(ctx context.Context, site *fault.Site, csr *hin.CSR, p, r Vector, done StopTest) (int, error) {
 	n := csr.NumNodes()
 	alpha, eps := e.Params.Alpha, e.Params.Epsilon
 	pushes := 0
 	for active := true; active; {
+		if pushes > 0 && done != nil && done(p, r) {
+			break
+		}
 		active = false
 		for lo := 0; lo < n; lo += ctxCheckInterval {
 			if err := ctxErr(ctx); err != nil {

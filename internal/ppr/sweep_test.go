@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/fault"
@@ -320,5 +321,88 @@ func TestForwardSweepDefinition(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestColumnSumsBoundExact holds ColumnSums to the definition: on graphs
+// with a dangling source, a node nothing reaches and β-mixed rows, every
+// C(i) lies in [Σ_x PPR(x,i), Σ_x PPR(x,i) + columnSumSlack·α], the
+// sums taken over ppr.Exact rows.
+func TestColumnSumsBoundExact(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := batchHIN(t, rng, 30, []float64{1, 0.5}[seed%2])
+		p := testParams()
+		exact := NewExact(p)
+		sums := make(Vector, g.NumNodes())
+		for x := range sums {
+			row, err := exact.FromSource(g, hin.NodeID(x))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range row {
+				sums[i] += v
+			}
+		}
+		for i, c := range ColumnSums(g, p) {
+			if c < sums[i]-1e-12 || c > sums[i]+columnSumSlack*p.Alpha+1e-12 {
+				t.Fatalf("seed %d node %d: C = %g, exact column sum %g", seed, i, c, sums[i])
+			}
+		}
+	}
+}
+
+// TestRunUntilStopsBetweenSweeps: the stop test is read after each sweep
+// that pushed, never before the first; stopping leaves Eq. 3 intact with
+// fewer pushes than the drain; a test that never stops drains exactly
+// like RunContext; and the test costs the run no allocation.
+func TestRunUntilStopsBetweenSweeps(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := batchHIN(t, rng, 40, 0.5)
+	p := testParams()
+	fwd := NewForwardPush(p)
+	ctx := context.Background()
+	full, err := fwd.RunContext(ctx, g, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	never, err := fwd.RunUntil(ctx, g, 7, func(Vector, Vector) bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if never.Pushes != full.Pushes || !slices.Equal(never.Estimates, full.Estimates) {
+		t.Fatal("a stop test that never fires changed the drain")
+	}
+	calls := 0
+	stopped, err := fwd.RunUntil(ctx, g, 7, func(Vector, Vector) bool { calls++; return calls == 3 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 3 || stopped.Pushes >= full.Pushes {
+		t.Fatalf("stopped after %d tests at %d pushes, the drain takes %d", calls, stopped.Pushes, full.Pushes)
+	}
+	row, err := NewExact(p).FromSource(g, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Vector, g.NumNodes())
+	for x := range rows {
+		if rows[x], err = NewExact(p).FromSource(g, hin.NodeID(x)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tgt := range row {
+		recon := stopped.Estimates[tgt]
+		for x, r := range stopped.Residuals {
+			recon += r * rows[x][tgt]
+		}
+		if math.Abs(recon-row[tgt]) > 1e-12 {
+			t.Fatalf("Eq. 3 at t=%d after a stop: %g reconstructed, %g exact", tgt, recon, row[tgt])
+		}
+	}
+	stop := StopTest(func(Vector, Vector) bool { return false })
+	base := testing.AllocsPerRun(20, func() { _, _ = fwd.RunContext(ctx, g, 7) })
+	if got := testing.AllocsPerRun(20, func() { _, _ = fwd.RunUntil(ctx, g, 7, stop) }); got != base {
+		t.Fatalf("a run with a stop test allocates %v times, without %v", got, base)
 	}
 }

@@ -13,10 +13,11 @@
 // exposed as a View decorator so PPR engines, the EMiGRe explainer and
 // the PRINCE baseline all see exactly the same transition matrix.
 //
-// Every ranking read — Recommend, TopN, RankOf, and TopOf / RankWithin
-// behind the explainer's CHECK — is one kernel over a score vector: a
-// walk of the candidate index (the item-typed node ids, built once in
+// Every ranking read — Recommend, TopN, RankOf, TopOf / RankWithin and
+// the explainer's CHECK, TopDecided — is one kernel over a score vector:
+// a walk of the candidate index (the item-typed node ids, built once in
 // New) minus the user's sorted out-row, under the order fmath.Before.
+// TopDecided reads it off a push it stops once the ranking is certain.
 package rec
 
 import (
@@ -89,7 +90,7 @@ type Scored struct {
 // count. Nodes added to the graph later need a new recommender.
 //
 // Concurrency contract: every scoring method (Recommend, TopN, RankOf,
-// their Context variants, TopOf and RankWithin) only reads the
+// their Context variants, TopOf, RankWithin and TopDecided) only reads the
 // recommender's state and keeps its scratch on its own stack, so a
 // Recommender is safe for concurrent use once its flat snapshot exists —
 // call Flat() (or any scoring method) once before sharing it across
@@ -106,6 +107,8 @@ type Recommender struct {
 	engine *ppr.ForwardPush
 	items  []hin.NodeID    // candidate index: ascending ids of the item-typed nodes; immutable, shared by every copy
 	cache  *pprcache.Cache // optional shared vector cache (SetCache)
+	patch  hin.NodeID      // the node whose row WithUserPatch rewrote; InvalidNode when flat is unpatched
+	sums   *colSums        // ColumnSums of flat's unpatched snapshot; nil on a patch of a patch
 }
 
 // New builds a recommender over g. It returns an error for an invalid
@@ -126,6 +129,7 @@ func New(g hin.View, cfg Config) (*Recommender, error) {
 		view:   WrapBeta(g, cfg.Beta),
 		engine: ppr.NewForwardPush(cfg.PPR),
 		items:  items,
+		patch:  hin.InvalidNode,
 	}, nil
 }
 
@@ -136,7 +140,7 @@ func (r *Recommender) WithView(g hin.View) *Recommender {
 	c := *r
 	c.base = g
 	c.view = WrapBeta(g, r.cfg.Beta)
-	c.flat = nil
+	c.flat, c.patch, c.sums = nil, hin.InvalidNode, nil
 	return &c
 }
 
@@ -152,6 +156,7 @@ func (r *Recommender) WithView(g hin.View) *Recommender {
 func (r *Recommender) Flat() *hin.CSR {
 	if r.flat == nil {
 		r.flat = hin.NewCSR(r.view)
+		r.sums = &colSums{flat: r.flat}
 	}
 	return r.flat
 }
@@ -170,6 +175,10 @@ func (r *Recommender) WithUserPatch(v hin.View, u hin.NodeID) *Recommender {
 	c.base = v
 	c.view = WrapBeta(v, r.cfg.Beta)
 	c.flat = r.patchedRow(v, u)
+	c.patch, c.sums = u, r.sums
+	if r.patch != hin.InvalidNode {
+		c.sums = nil // no longer one row away from the snapshot the sums bound
+	}
 	return &c
 }
 
@@ -308,6 +317,22 @@ func siftDown(h []Scored, i int) {
 	}
 }
 
+// pushHeap offers s to the heap h, last-ranked at the root and bounded by
+// its capacity: s replaces the root when h is full — the caller has
+// checked that s ranks before it — and is appended otherwise.
+func pushHeap(h []Scored, s Scored) []Scored {
+	if len(h) == cap(h) {
+		h[0] = s
+		siftDown(h, 0)
+		return h
+	}
+	h = append(h, s)
+	for i := len(h) - 1; i > 0 && before(h[(i-1)/2], h[i]); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+	return h
+}
+
 // selectInto fills buf, up to its capacity (at least 1), with u's best
 // candidates on scores in ranking order. The best so far sit in a heap,
 // last-ranked at the root, so an item costs one comparison unless it
@@ -318,22 +343,13 @@ func (r *Recommender) selectInto(u hin.NodeID, scores ppr.Vector, buf []Scored) 
 	excl := r.exclusions(u, stack[:0])
 	for _, id := range r.items {
 		s := Scored{Node: id, Score: scores[id]}
-		full := len(buf) == cap(buf)
-		if full && !before(s, buf[0]) {
+		if len(buf) == cap(buf) && !before(s, buf[0]) {
 			continue
 		}
 		if _, out := slices.BinarySearch(excl, id); out {
 			continue
 		}
-		if full {
-			buf[0] = s
-			siftDown(buf, 0)
-			continue
-		}
-		buf = append(buf, s)
-		for i := len(buf) - 1; i > 0 && before(buf[(i-1)/2], buf[i]); i = (i - 1) / 2 {
-			buf[i], buf[(i-1)/2] = buf[(i-1)/2], buf[i]
-		}
+		buf = pushHeap(buf, s)
 	}
 	for end := len(buf) - 1; end > 0; end-- {
 		buf[0], buf[end] = buf[end], buf[0]
