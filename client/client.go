@@ -2,8 +2,8 @@
 // API. It retries transient failures with capped exponential backoff
 // and full jitter, honors Retry-After hints from the server's admission
 // controller, derives per-attempt timeouts from the caller's overall
-// deadline, and surfaces degraded responses (see the server's
-// degradation ladder) explicitly rather than hiding them.
+// deadline, and surfaces degraded responses (the server's unverified
+// partial answers) explicitly rather than hiding them.
 //
 // The retry policy is idempotency-aware: 429 and 503 are always safe to
 // retry (the request was never admitted), while transport errors and
@@ -200,9 +200,9 @@ type ExplainResponse struct {
 	// Gated is how many of Checks were rejected without a PPR push.
 	Gated      int   `json:"gated"`
 	DurationUS int64 `json:"duration_us"`
-	// Degraded is true when the server's degradation ladder served this
-	// response below full fidelity; DegradedLevel names the rung and
-	// Partial flags an unverified best-effort answer.
+	// Degraded is true when the server served this response below full
+	// fidelity: DegradedLevel is then "partial" and Partial flags the
+	// unverified best-effort answer of an interrupted search.
 	Degraded      bool   `json:"degraded"`
 	DegradedLevel string `json:"degraded_level,omitempty"`
 	Partial       bool   `json:"partial,omitempty"`

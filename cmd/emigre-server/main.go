@@ -64,7 +64,7 @@ func main() {
 		drainGrace = flag.Duration("drain-grace", server.DefaultDrainGrace,
 			"how long /readyz serves 503 while still accepting connections before the listener closes (give health probers at least one interval; 0 = immediate)")
 		noDegrade = flag.Bool("no-degrade", false,
-			"disable the degradation ladder: deadline-squeezed explanations 504 instead of stepping down to lean/cache-only/partial answers")
+			"disable partial answers: deadline-squeezed explanations 504 instead of answering with the unverified partial of their interrupted search")
 		debugAddr = flag.String("debug-addr", "",
 			"optional second listen address serving net/http/pprof, /metrics and /debug/fault; keep it private (empty = off)")
 		failpoints = flag.String("failpoints", os.Getenv("EMIGRE_FAILPOINTS"),

@@ -10,7 +10,7 @@ import (
 // checkSite fires at the head of every CHECK evaluation (session.check).
 // With a sleep action it deterministically stretches CHECK latency — the
 // lever the chaos suite and the CI chaos-smoke job use to force the
-// server's degradation ladder.
+// server's partial answers.
 var checkSite = fault.Register("emigre.check")
 
 // This file is the CHECK stream shared by every search strategy.

@@ -14,7 +14,7 @@ func FuzzDecodeLine(f *testing.F) {
 		Request: Request{Seq: 3, RID: "lg000003-deadbeef", Op: OpExplain,
 			User: "Paul", WNI: "C", Mode: "remove", Method: "powerset", OffsetUS: 1200},
 		StartUS: 1300, Status: 200, LatencyUS: 4500, Attempts: 2,
-		Degraded: true, DegradedLevel: "lean", CacheHits: 1,
+		Degraded: true, DegradedLevel: "partial", CacheHits: 1,
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -146,7 +146,7 @@ func TestSessionLogRoundTrip(t *testing.T) {
 		{Request: Request{Seq: 0, RID: "a1", Op: OpExplain, User: "Paul", WNI: "C",
 			Mode: "remove", Method: "powerset", OffsetUS: 10},
 			Status: 200, LatencyUS: 1500, Attempts: 1, Degraded: true,
-			DegradedLevel: "lean", CacheHits: 3, CacheMisses: 1},
+			DegradedLevel: "partial", CacheHits: 3, CacheMisses: 1},
 		{Request: Request{Seq: 1, RID: "a2", Op: OpRecommend, User: "Alice", N: 10, OffsetUS: 20},
 			Status: 503, LatencyUS: 900, Err: "server returned 503: saturated"},
 	}
@@ -216,7 +216,7 @@ func (s *stubServer) handler() http.Handler {
 		case "/explain":
 			json.NewEncoder(w).Encode(map[string]any{
 				"mode": "remove", "method": "powerset", "verified": true,
-				"degraded": true, "degraded_level": "lean",
+				"degraded": true, "degraded_level": "partial",
 			})
 		case "/recommend":
 			json.NewEncoder(w).Encode(map[string]any{"user": 1, "items": []any{}})
@@ -355,7 +355,7 @@ func TestRunRecordsOutcomes(t *testing.T) {
 			t.Errorf("record %d tallies = %+v", i, r)
 		}
 	}
-	if !recs[0].Degraded || recs[0].DegradedLevel != "lean" {
+	if !recs[0].Degraded || recs[0].DegradedLevel != "partial" {
 		t.Errorf("explain degraded marks lost: %+v", recs[0])
 	}
 }
@@ -411,7 +411,7 @@ func TestBuildReport(t *testing.T) {
 	recs[99].Status = 503
 	recs[99].Err = "saturated"
 	recs[42].Degraded = true
-	recs[42].DegradedLevel = "cache_only"
+	recs[42].DegradedLevel = "partial"
 	recs = append(recs, Record{
 		Request: Request{Seq: 100, RID: "y", Op: OpRecommend, User: "u"},
 		Status:  200, LatencyUS: 500, Attempts: 1,
@@ -437,7 +437,7 @@ func TestBuildReport(t *testing.T) {
 	if ex.Latency.P50 != 50_000 || ex.Latency.P99 != 99_000 || ex.Latency.Max != 100_000 {
 		t.Errorf("percentiles: %+v", ex.Latency)
 	}
-	if ex.Degraded["cache_only"] != 1 {
+	if ex.Degraded["partial"] != 1 {
 		t.Errorf("degraded histogram: %+v", ex.Degraded)
 	}
 	if ex.Rate503 != 0.01 {

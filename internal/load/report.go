@@ -50,7 +50,7 @@ type EndpointReport struct {
 	Status  map[string]int `json:"status"`
 	Rate503 float64        `json:"rate_503"`
 	Latency Percentiles    `json:"latency"`
-	// Degraded histograms responses by ladder level ("" = full
+	// Degraded histograms responses by degradation level ("" = full
 	// fidelity responses are not counted here).
 	Degraded map[string]int `json:"degraded,omitempty"`
 	// Attempts sums client HTTP attempts (retries included).

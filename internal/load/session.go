@@ -35,7 +35,7 @@ type Record struct {
 	// Attempts is how many HTTP attempts the call took.
 	Attempts int `json:"attempts,omitempty"`
 	// Degraded marks a below-full-fidelity explanation;
-	// DegradedLevel names the ladder rung.
+	// DegradedLevel names the degradation ("partial").
 	Degraded      bool   `json:"degraded,omitempty"`
 	DegradedLevel string `json:"degraded_level,omitempty"`
 	// Cache tally from the server's response headers.

@@ -20,32 +20,6 @@ import (
 // poisoning).
 var fillSite = fault.Register("pprcache.fill")
 
-// ErrCacheOnlyMiss is returned by GetOrCompute for a cold miss under a
-// hit-only context (WithHitOnly): the caller asked to be answered from
-// warm state only, and the key is neither resident nor already being
-// computed. The server's degradation ladder uses this mode to trade
-// coverage for latency when a request's deadline budget runs low.
-var ErrCacheOnlyMiss = errors.New("pprcache: cold miss in hit-only mode")
-
-type hitOnlyKey struct{}
-
-// WithHitOnly marks ctx so cache lookups under it never lead a new
-// computation: resident entries and joins onto already-in-flight
-// computations are served normally, but a cold miss returns
-// ErrCacheOnlyMiss immediately instead of computing.
-func WithHitOnly(ctx context.Context) context.Context {
-	return context.WithValue(ctx, hitOnlyKey{}, true)
-}
-
-// HitOnly reports whether ctx carries the WithHitOnly marker.
-func HitOnly(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	on, _ := ctx.Value(hitOnlyKey{}).(bool)
-	return on
-}
-
 // Defaults used when the corresponding Config field is zero.
 const (
 	// DefaultMaxEntries bounds the total number of resident vectors.
@@ -92,7 +66,6 @@ type Cache struct {
 	collapsed atomic.Int64
 	evictions atomic.Int64
 	inflight  atomic.Int64
-	denied    atomic.Int64
 	upgrades  atomic.Int64
 }
 
@@ -266,9 +239,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(context.Co
 // resident, and Stats.Upgrades tallies the promotion. Vector-level
 // callers share full entries and flights transparently.
 //
-// Cancellation, singleflight and hit-only semantics match GetOrCompute;
-// a hit-only caller is denied by a vector-only resident entry too,
-// since serving it would require a fill.
+// Cancellation and singleflight semantics match GetOrCompute.
 //
 // The returned result is shared with other callers and must not be
 // mutated — warm starts hand it to ppr.UpdateForEdit, which copies.
@@ -385,12 +356,8 @@ func (c *Cache) lookup(ctx context.Context, keys []Key, full, pollFirst bool, co
 				f.waiters++
 				flights[i] = f
 				c.collapsed.Add(1)
-			} else if hit = false; HitOnly(ctx) {
-				// A hit-only caller never leads a computation, be it for a
-				// cold miss or for the residuals of a vector-only entry.
-				c.denied.Add(1)
-				err = ErrCacheOnlyMiss
 			} else {
+				hit = false
 				// Miss, or upgrade of a resident vector-only entry (which
 				// keeps serving vector-level callers meanwhile): lead.
 				live.Add(1)
@@ -410,9 +377,6 @@ func (c *Cache) lookup(ctx context.Context, keys []Key, full, pollFirst bool, co
 			}
 			sh.mu.Unlock()
 			countRequest(ctx, hit)
-			if err != nil {
-				break
-			}
 		}
 		if len(led) == 0 {
 			cancel()
@@ -560,7 +524,6 @@ func (c *Cache) Stats() Stats {
 		Collapsed: c.collapsed.Load(),
 		Evictions: c.evictions.Load(),
 		Inflight:  c.inflight.Load(),
-		Denied:    c.denied.Load(),
 		Upgrades:  c.upgrades.Load(),
 	}
 	for i := range c.shards {

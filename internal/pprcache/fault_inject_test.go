@@ -140,62 +140,3 @@ func TestPanickingFillBecomesError(t *testing.T) {
 		t.Fatalf("recovery compute: v=%v hit=%v err=%v", v, hit, err)
 	}
 }
-
-// TestHitOnlyMode pins the cache-only rung's contract: warm keys are
-// served, flights may be joined, but a cold miss fails fast with
-// ErrCacheOnlyMiss instead of leading a fill.
-func TestHitOnlyMode(t *testing.T) {
-	c := New(Config{})
-	warm := testKey(3, 0)
-	cold := testKey(3, 1)
-	if _, _, err := c.GetOrCompute(context.Background(), warm,
-		func(context.Context) (ppr.Vector, error) { return ppr.Vector{1}, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	hctx := WithHitOnly(context.Background())
-	v, hit, err := c.GetOrCompute(hctx, warm,
-		func(context.Context) (ppr.Vector, error) { t.Fatal("warm key must not compute"); return nil, nil })
-	if err != nil || !hit || len(v) != 1 {
-		t.Fatalf("warm hit-only: v=%v hit=%v err=%v", v, hit, err)
-	}
-
-	_, _, err = c.GetOrCompute(hctx, cold,
-		func(context.Context) (ppr.Vector, error) { t.Fatal("cold key must not compute"); return nil, nil })
-	if !errors.Is(err, ErrCacheOnlyMiss) {
-		t.Fatalf("cold hit-only: err = %v, want ErrCacheOnlyMiss", err)
-	}
-	if s := c.Stats(); s.Denied != 1 {
-		t.Fatalf("denied = %d, want 1", s.Denied)
-	}
-
-	// An open flight led by a normal caller is joinable in hit-only mode:
-	// the work is already paid for.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.GetOrCompute(context.Background(), cold,
-			func(context.Context) (ppr.Vector, error) {
-				close(started)
-				<-release
-				return ppr.Vector{9, 9}, nil
-			})
-	}()
-	<-started // the flight is now open
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(release)
-	}()
-	v, hit, err = c.GetOrCompute(hctx, cold,
-		func(context.Context) (ppr.Vector, error) {
-			t.Error("hit-only joiner must not compute")
-			return nil, nil
-		})
-	wg.Wait()
-	if err != nil || len(v) != 2 {
-		t.Fatalf("flight join: v=%v hit=%v err=%v", v, hit, err)
-	}
-}

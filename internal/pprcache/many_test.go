@@ -245,27 +245,6 @@ func waitersOf(c *Cache, k Key) int {
 	return -1
 }
 
-// TestGetOrComputeManyHitOnly: under WithHitOnly resident keys answer
-// but a cold key denies the whole batch without computing.
-func TestGetOrComputeManyHitOnly(t *testing.T) {
-	c := New(Config{})
-	keys := []Key{testKey(1, 1), testKey(1, 2)}
-	if _, _, err := c.GetOrCompute(context.Background(), keys[0], constVec(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithHitOnly(context.Background())
-	var calls [][]int
-	if _, err := c.GetOrComputeMany(ctx, keys, nodeVecs(keys, &calls)); !errors.Is(err, ErrCacheOnlyMiss) || len(calls) != 0 {
-		t.Fatalf("err = %v, compute calls = %v; want ErrCacheOnlyMiss and none", err, calls)
-	}
-	if got, err := c.GetOrComputeMany(ctx, keys[:1], nodeVecs(keys, &calls)); err != nil || got[0][0] != 1 {
-		t.Fatalf("resident key under hit-only = %v, %v", got, err)
-	}
-	if s := c.Stats(); s.Denied != 1 {
-		t.Fatalf("denied = %d, want 1", s.Denied)
-	}
-}
-
 // TestGetOrComputeManyOverlappingBatchesRace: batches racing on
 // overlapping key sets, in opposite orders, compute every key exactly
 // once and all agree. Run under -race.

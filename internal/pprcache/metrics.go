@@ -26,8 +26,6 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 		"Resident vectors evicted by the LRU budgets.", c.evictions.Load)
 	reg.GaugeFunc("emigre_pprcache_inflight_computations",
 		"Vector computations running right now.", c.inflight.Load)
-	reg.CounterFunc("emigre_pprcache_denied_fills_total",
-		"Cold misses refused under a hit-only context (degraded serving).", c.denied.Load)
 	reg.CounterFunc("emigre_pprcache_upgrades_total",
 		"Vector-only entries promoted to full push results for warm starts.", c.upgrades.Load)
 	for i := range c.shards {

@@ -116,9 +116,6 @@ type Stats struct {
 	Bytes   int64 `json:"bytes"`
 	// Inflight is the number of computations currently running.
 	Inflight int64 `json:"inflight"`
-	// Denied counts cold misses refused under a hit-only context
-	// (WithHitOnly) — the degradation ladder's cache-only rung at work.
-	Denied int64 `json:"denied"`
 	// Upgrades counts resident vector-only entries promoted to full
 	// push results by GetOrComputeResult (warm-start consumers needing
 	// residuals a vector-level producer did not keep).

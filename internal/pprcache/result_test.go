@@ -2,7 +2,6 @@ package pprcache
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 
@@ -124,32 +123,6 @@ func TestResultUpgradesVectorOnlyEntry(t *testing.T) {
 	}
 	if &vec2[0] != &res.Estimates[0] {
 		t.Fatal("vector lookup does not alias the upgraded result")
-	}
-}
-
-func TestResultHitOnlyDeniesVectorOnlyEntry(t *testing.T) {
-	c := New(Config{})
-	ctx := context.Background()
-	k := testKey(4, 2)
-	if _, _, err := c.GetOrCompute(ctx, k, constVec(4, 1)); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := c.GetOrComputeResult(WithHitOnly(ctx), k, func(context.Context) (*ppr.PushResult, error) {
-		t.Fatal("compute ran in hit-only mode")
-		return nil, nil
-	})
-	if !errors.Is(err, ErrCacheOnlyMiss) {
-		t.Fatalf("err = %v, want ErrCacheOnlyMiss", err)
-	}
-	if s := c.Stats(); s.Denied != 1 {
-		t.Fatalf("denied = %d, want 1", s.Denied)
-	}
-	// A resident full entry answers hit-only result lookups normally.
-	if _, _, err := c.GetOrComputeResult(ctx, k, constResult(4, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := c.GetOrComputeResult(WithHitOnly(ctx), k, nil); err != nil || !hit {
-		t.Fatalf("hit-only on full entry: hit=%v err=%v", hit, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/ppr"
-	"github.com/why-not-xai/emigre/internal/pprcache"
 )
 
 // colSums is ppr.ColumnSums of one unpatched snapshot, built on first
@@ -58,15 +57,10 @@ type Held struct {
 // (WithUserPatch(v, u)); anything else drains. Held columns, which must
 // be over the snapshot ColumnSums bounds, tighten their items' bounds.
 //
-// A stopped push is not a full-ε vector, so nothing is cached; under a
-// hit-only context a recommender with a cache fails fast with
-// pprcache.ErrCacheOnlyMiss, as a cold miss does.
+// A stopped push is not a full-ε vector, so nothing is cached.
 func (r *Recommender) TopDecided(ctx context.Context, u hin.NodeID, k int, held []Held) ([]hin.NodeID, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("rec: top-k size must be at least 1, got %d", k)
-	}
-	if r.cache != nil && pprcache.HitOnly(ctx) {
-		return nil, pprcache.ErrCacheOnlyMiss
 	}
 	k = min(k, len(r.items))
 	var done ppr.StopTest

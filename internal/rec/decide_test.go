@@ -9,7 +9,6 @@ import (
 
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/ppr"
-	"github.com/why-not-xai/emigre/internal/pprcache"
 )
 
 // rowPatch rewrites u's row of rg: each rated edge goes with
@@ -147,9 +146,8 @@ func TestTopDecidedMatchesDrainAndExact(t *testing.T) {
 }
 
 // TestTopDecidedEdgeCases: a user with no candidate gets ErrNoCandidates,
-// k < 1 is an error, a hit-only context fails fast on a cached
-// recommender as a cold miss would, and a recommender patched at
-// another node drains (no certificate).
+// k < 1 is an error, and a recommender patched at another node drains
+// (no certificate).
 func TestTopDecidedEdgeCases(t *testing.T) {
 	rg := newRankGraph(t, 2, 0.5)
 	r, err := New(rg.g, rg.cfg)
@@ -162,10 +160,6 @@ func TestTopDecidedEdgeCases(t *testing.T) {
 	}
 	if _, err := r.TopDecided(ctx, rg.users[0], 0, nil); err == nil {
 		t.Fatal("k = 0 is not an error")
-	}
-	cached := r.WithCache(pprcache.New(pprcache.Config{}))
-	if _, err := cached.TopDecided(pprcache.WithHitOnly(ctx), rg.users[0], 1, nil); !errors.Is(err, pprcache.ErrCacheOnlyMiss) {
-		t.Fatalf("hit-only: err = %v, want ErrCacheOnlyMiss", err)
 	}
 	u, v := rg.users[0], rg.users[1]
 	other := r.WithUserPatch(rowPatch(t, rg, v, rand.New(rand.NewSource(1)), 1), v)

@@ -16,7 +16,7 @@ import (
 )
 
 // The chaos suite drives the whole stack — resilient client → HTTP →
-// admission → degradation ladder → search → PPR engines → cache —
+// admission → search (partial answer when squeezed) → PPR engines → cache —
 // through failpoint schedules under -race, asserting the system's
 // robustness contracts: no deadlock, no cache poisoning, well-formed
 // degraded responses, and client convergence once transient faults
@@ -178,18 +178,19 @@ func TestChaosScheduleConvergesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosDeadlineSqueeze pins the ladder's acceptance contract: with
-// every CHECK slowed by a failpoint and a tight budget, the ladder
-// server answers HTTP 200 with degraded=true and a non-empty partial
-// explanation, while a DisableDegraded server can only 504.
+// TestChaosDeadlineSqueeze pins the partial answer's contract: with
+// every CHECK slowed by a failpoint and a tight budget, the server runs
+// one search and answers HTTP 200 with degraded=true and a non-empty,
+// unverified partial explanation, while a DisableDegraded server can
+// only 504.
 func TestChaosDeadlineSqueeze(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
-	_, ladder := newChaosStack(t, nil)
+	_, partial := newChaosStack(t, nil)
 	_, plain := newChaosStack(t, func(c *Config) { c.DisableDegraded = true })
 
 	// 600ms per CHECK against a 500ms budget: even one check overruns
-	// the whole budget, so the ladder must fall through to the partial
-	// rung while the plain server can only time out.
+	// the whole budget, so the server must answer with the partial while
+	// the plain server can only time out.
 	if err := fault.Apply("emigre.check=sleep(600ms)"); err != nil {
 		t.Fatal(err)
 	}
@@ -200,15 +201,22 @@ func TestChaosDeadlineSqueeze(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	out, err := ladder.Explain(ctx, req)
+	checks := fault.Lookup("emigre.check")
+	before := checks.Hits()
+	out, err := partial.Explain(ctx, req)
 	if err != nil {
-		t.Fatalf("ladder server: %v, want a degraded 200", err)
+		t.Fatalf("partial server: %v, want a degraded 200", err)
 	}
 	if !out.Degraded || len(out.Edges) == 0 {
-		t.Fatalf("ladder server response not a usable degraded answer: %+v", out)
+		t.Fatalf("partial server response not a usable degraded answer: %+v", out)
 	}
-	if !out.Partial || out.DegradedLevel != "partial" {
-		t.Fatalf("squeezed response should be the partial rung: %+v", out)
+	if !out.Partial || out.DegradedLevel != "partial" || out.Verified {
+		t.Fatalf("squeezed response should be the unverified partial: %+v", out)
+	}
+	// One search: it reached its first CHECK and was cut there. A second,
+	// cheaper search would have hit the CHECK seam again.
+	if n := checks.Hits() - before; n != 1 {
+		t.Fatalf("squeezed explain evaluated %d CHECKs, want 1 (one search)", n)
 	}
 
 	_, err = plain.Explain(ctx, req)
@@ -219,12 +227,12 @@ func TestChaosDeadlineSqueeze(t *testing.T) {
 }
 
 // TestChaosByteIdentityWhenBudgetSuffices: with no faults armed and a
-// generous budget, the ladder-on and ladder-off servers return
+// generous budget, servers with and without partial answers return
 // identical answers (modulo the wall-clock duration field) —
 // degradation must never alter a full-fidelity response.
 func TestChaosByteIdentityWhenBudgetSuffices(t *testing.T) {
 	fault.DisarmAll()
-	srvLadder, _ := newTestServerCfg(t, nil)
+	srvPartial, _ := newTestServerCfg(t, nil)
 	srvPlain, _ := newTestServerCfg(t, func(c *Config) { c.DisableDegraded = true })
 
 	for _, q := range chaosQueries {
@@ -240,7 +248,7 @@ func TestChaosByteIdentityWhenBudgetSuffices(t *testing.T) {
 			body["wni"] = q.WNI
 			body["method"] = q.Method
 		}
-		a := do(t, srvLadder.Handler(), "POST", "/explain", body)
+		a := do(t, srvPartial.Handler(), "POST", "/explain", body)
 		b := do(t, srvPlain.Handler(), "POST", "/explain", body)
 		if a.Code != http.StatusOK || b.Code != http.StatusOK {
 			t.Fatalf("query %+v: codes %d / %d: %s / %s", q, a.Code, b.Code, a.Body.String(), b.Body.String())
@@ -253,7 +261,7 @@ func TestChaosByteIdentityWhenBudgetSuffices(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(normalize(&ra), normalize(&rb)) {
-			t.Errorf("ladder on/off drift for %+v:\n  on : %s\n  off: %s",
+			t.Errorf("partial on/off drift for %+v:\n  on : %s\n  off: %s",
 				q, a.Body.String(), b.Body.String())
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	emigre "github.com/why-not-xai/emigre"
 	"github.com/why-not-xai/emigre/internal/fault"
-	"github.com/why-not-xai/emigre/internal/pprcache"
 )
 
 // Failpoint sites on the server's own seams. decode and write simulate
@@ -23,70 +22,20 @@ var (
 	healthGraphSite = fault.Register("server.health.graph")
 )
 
-// degradeLevel identifies the rung of the degradation ladder that
-// produced a response. Levels above degradeNone are reported to the
-// client via the "degraded" JSON fields and the X-Emigre-Degraded
-// header.
-type degradeLevel int
+// searchFraction is the share of a request's deadline budget the search
+// may spend when a squeezed search answers with its partial: the last
+// few percent are kept for rendering that answer, so it reaches the
+// caller before the caller's own deadline does.
+const searchFraction = 0.96
 
-const (
-	// degradeNone: the full-fidelity search answered in time.
-	degradeNone degradeLevel = iota
-	// degradeLean: the shrunk search (CHECK budget divided, sequential)
-	// answered after the full search ran out of its time slice.
-	degradeLean
-	// degradeCacheOnly: the lean search answered without leading any
-	// cold cache fill (pprcache hit-only mode).
-	degradeCacheOnly
-	// degradePartial: no search finished; the response carries the best
-	// unverified partial explanation from a *CanceledError.
-	degradePartial
-)
-
-// String returns the wire name of the level ("lean", "cache_only",
-// "partial"; "none" never reaches the wire).
-func (l degradeLevel) String() string {
-	switch l {
-	case degradeLean:
-		return "lean"
-	case degradeCacheOnly:
-		return "cache_only"
-	case degradePartial:
-		return "partial"
-	default:
-		return "none"
-	}
-}
-
-// degradeLevels lists the reportable levels for metric pre-creation.
-var degradeLevels = []degradeLevel{degradeLean, degradeCacheOnly, degradePartial}
-
-// Ladder time slices, as fractions of the request's total deadline
-// budget. The full-fidelity attempt gets the lion's share; each rung
-// down gets a slice of what remains, and the last few percent are
-// reserved for rendering the partial answer. Chosen so that every rung
-// still has a usable slice even for sub-second budgets.
-const (
-	fullFraction      = 0.60
-	leanFraction      = 0.85
-	cacheOnlyFraction = 0.96
-)
-
-// leanBudgetDivisor shrinks the CHECK budget for the lean explainer.
-const leanBudgetDivisor = 8
+// partialLevel is the wire name of a partial answer's degradation, in
+// the "degraded_level" field, the X-Emigre-Degraded header and the
+// level label of emigre_degraded_responses_total.
+const partialLevel = "partial"
 
 // explainFn is one explanation request bound to everything but the
-// context and the explainer — the ladder re-runs it per rung with
-// tighter sub-deadlines and cheaper explainers.
-type explainFn func(ctx context.Context, ex *emigre.Explainer) (*emigre.Explanation, error)
-
-// deadlineSqueezed reports whether err means "the search ran out of
-// time" (as opposed to a definitive verdict like ErrNoExplanation, a
-// client disconnect, or a hard failure) while the request as a whole is
-// still live enough to try a cheaper rung.
-func deadlineSqueezed(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded)
-}
+// context.
+type explainFn func(ctx context.Context) (*emigre.Explanation, error)
 
 // partialOf extracts the unverified partial explanation carried by a
 // *CanceledError, nil when there is none (or none with edges).
@@ -98,85 +47,32 @@ func partialOf(err error) *emigre.Explanation {
 	return nil
 }
 
-// runExplain runs one explanation through the degradation ladder.
+// runExplain runs the one search an explanation request gets.
 //
-// Without a deadline — or with the ladder disabled — it is exactly one
-// full-fidelity attempt. With a deadline, the request's budget is
-// carved into sub-deadlines: the full search gets the first ~60%, and
-// if it is squeezed out the server steps down instead of failing —
-// first a lean search (CHECK budget divided by leanBudgetDivisor,
-// sequential), then the same lean search in cache-hit-only mode (no
-// cold PPR fills), and finally the best partial explanation carried by
-// the interrupted searches' *CanceledError. When the budget suffices
-// the full attempt answers and the response is byte-identical to a
-// ladder-free server's.
+// Without a deadline, or with DisableDegraded, the search runs under the
+// request's context and its result is the answer. With a deadline the
+// search gets searchFraction of the budget, and if it runs out of time
+// (as opposed to a definitive verdict, a client disconnect or a hard
+// failure) the answer is the best unverified partial explanation the
+// interrupted search carried in its *CanceledError, marked Partial; a
+// squeezed search without one still fails with its timeout. When the
+// budget suffices the response is byte-identical to that of a server
+// with DisableDegraded.
 //
-// Definitive errors (bad query, no explanation, client disconnect)
-// surface immediately from the full attempt: retrying a search that
-// answered "no" on a cheaper rung could only lie.
-func (s *Server) runExplain(ctx context.Context, run explainFn) (*emigre.Explanation, degradeLevel, error) {
+// There is no second, cheaper search: a restart with a smaller CHECK
+// budget, or one barred from cold cache fills, walks a prefix of the
+// candidate stream the first search was already walking, in less time
+// (DESIGN.md §3.12).
+func (s *Server) runExplain(ctx context.Context, run explainFn) (*emigre.Explanation, error) {
 	deadline, hasDeadline := ctx.Deadline()
-	if !hasDeadline || s.exLean == nil {
-		expl, err := run(ctx, s.ex)
-		return expl, degradeNone, err
+	if !hasDeadline || !s.servePartial {
+		return run(ctx)
 	}
-	start := time.Now()
-	budget := deadline.Sub(start)
-	phaseCtx := func(frac float64) (context.Context, context.CancelFunc) {
-		return context.WithDeadline(ctx, start.Add(time.Duration(frac*float64(budget))))
+	sctx, cancel := context.WithTimeout(ctx, time.Duration(searchFraction*float64(time.Until(deadline))))
+	defer cancel()
+	expl, err := run(sctx)
+	if p := partialOf(err); p != nil && errors.Is(err, context.DeadlineExceeded) {
+		return p, nil
 	}
-
-	fctx, cancel := phaseCtx(fullFraction)
-	expl, err := run(fctx, s.ex)
-	cancel()
-	if err == nil {
-		return expl, degradeNone, nil
-	}
-	if !deadlineSqueezed(err) {
-		return nil, degradeNone, err
-	}
-	s.ladderEngaged.Inc()
-	fullErr := err
-	partial := partialOf(err)
-
-	// Rung 1 — lean: same question, CHECK budget divided, sequential
-	// evaluation. A hit here is a genuinely verified explanation; the
-	// ordered-stream contract means it is a result the full search would
-	// also have produced, just found within a smaller budget.
-	if ctx.Err() == nil {
-		lctx, cancel := phaseCtx(leanFraction)
-		lexpl, lerr := run(lctx, s.exLean)
-		cancel()
-		if lerr == nil {
-			return lexpl, degradeLean, nil
-		}
-		if p := partialOf(lerr); p != nil {
-			partial = p
-		}
-	}
-
-	// Rung 2 — cache-only: the lean search again, but no cold PPR fills;
-	// it succeeds iff the answer is derivable from warm cache state and
-	// fails fast (ErrCacheOnlyMiss) otherwise. Lean errors other than a
-	// squeeze (e.g. its smaller budget exhausting) do not surface: the
-	// lean verdict is not the question's verdict.
-	if ctx.Err() == nil {
-		cctx, cancel := phaseCtx(cacheOnlyFraction)
-		cexpl, cerr := run(pprcache.WithHitOnly(cctx), s.exLean)
-		cancel()
-		if cerr == nil {
-			return cexpl, degradeCacheOnly, nil
-		}
-		if p := partialOf(cerr); p != nil {
-			partial = p
-		}
-	}
-
-	// Rung 3 — partial: the best unverified candidate set an interrupted
-	// search was evaluating. Served with HTTP 200 + degraded marks; the
-	// caller is told explicitly it is unverified.
-	if partial != nil {
-		return partial, degradePartial, nil
-	}
-	return nil, degradeNone, fullErr
+	return expl, err
 }

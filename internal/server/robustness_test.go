@@ -60,8 +60,7 @@ func TestExplainRequestTimeoutMS(t *testing.T) {
 			// no remove-mode answer); retry — it cannot always win.
 			continue
 		case http.StatusOK:
-			// The degradation ladder rescued the squeezed request with a
-			// partial answer — equally proof the 1ms deadline applied, as
+			// The squeezed search answered with its partial — equally proof the 1ms deadline applied, as
 			// long as the response says so.
 			var body explainResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {

@@ -90,18 +90,17 @@ type Config struct {
 	// CacheBytes bounds the same cache by resident payload bytes.
 	// 0 means the pprcache default (256 MiB); negative disables caching.
 	CacheBytes int64
-	// DisableDegraded turns off the degradation ladder: a deadline-
-	// squeezed explanation then fails with 504 instead of stepping down
-	// through lean search, cache-only search and partial answers (see
-	// degrade.go). The ladder only engages for requests that carry a
-	// deadline, and a response produced within the full-fidelity time
-	// slice is byte-identical either way.
+	// DisableDegraded turns off partial answers: a deadline-squeezed
+	// explanation then fails with 504 instead of answering with the
+	// unverified partial its interrupted search carried (see degrade.go).
+	// A response produced within the search's time slice is
+	// byte-identical either way.
 	DisableDegraded bool
 	// Logger receives the per-request log lines and server warnings.
 	// Nil means log.Default().
 	Logger *log.Logger
 	// Metrics is the registry GET /metrics serves and the server's own
-	// instrumentation (HTTP, cache, admission, ladder) registers
+	// instrumentation (HTTP, cache, admission, partial answers) registers
 	// into. Nil means obs.Default(). The endpoint additionally renders
 	// obs.Default() so package-deep metrics (PPR engines) are always
 	// covered.
@@ -113,12 +112,10 @@ type Server struct {
 	g  *emigre.Graph
 	r  *emigre.Recommender
 	ex *emigre.Explainer
-	// exLean is the degradation ladder's cheaper explainer: CHECK budget
-	// divided by leanBudgetDivisor, same shared cache. Nil when the
-	// ladder is disabled.
-	exLean  *emigre.Explainer
-	mux     *http.ServeMux
-	handler http.Handler
+	// servePartial is !Config.DisableDegraded.
+	servePartial bool
+	mux          *http.ServeMux
+	handler      http.Handler
 	// adm gates the expensive counterfactual searches.
 	adm      *admit.Controller
 	capacity int64
@@ -133,10 +130,8 @@ type Server struct {
 	// middleware's hot path never touches the registry lock.
 	metrics *obs.Registry
 	routes  map[string]*routeMetrics
-	// ladderEngaged counts full-fidelity attempts squeezed out by their
-	// time slice; degraded counts responses served per ladder level.
-	ladderEngaged *obs.Counter
-	degraded      map[degradeLevel]*obs.Counter
+	// partials counts squeezed searches answered with their partial.
+	partials *obs.Counter
 }
 
 // New builds a server and eagerly warms the recommender's flat
@@ -199,14 +194,8 @@ func New(cfg Config) (*Server, error) {
 		log:      logger,
 		cache:    cache,
 		metrics:  metrics,
-	}
-	if !cfg.DisableDegraded {
-		// The lean explainer shares the graph, recommender and cache with
-		// the full one; only the search budget shrinks, so a lean hit is
-		// still a verified explanation.
-		leanOpts := s.ex.Options()
-		leanOpts.MaxTests = max(8, leanOpts.MaxTests/leanBudgetDivisor)
-		s.exLean = emigre.NewExplainer(cfg.Graph, r, leanOpts)
+
+		servePartial: !cfg.DisableDegraded,
 	}
 	s.registerMetrics()
 	s.r.Flat() // warm the shared snapshot before concurrency starts
@@ -253,7 +242,7 @@ var metricRoutes = []string{
 
 // registerMetrics creates the server-level series on s.metrics: the
 // per-route HTTP layer, callback exports over the tallies the cache and
-// the admission controller already keep, and the degradation ladder.
+// the admission controller already keep, and the partial answers.
 // Counters and histograms are get-or-create, so servers sharing one
 // registry (tests, obs.Default) share series; callbacks re-register by
 // replacement, so the newest server owns them.
@@ -290,14 +279,9 @@ func (s *Server) registerMetrics() {
 	reg.GaugeFunc("emigre_admission_capacity_units",
 		"Configured admission capacity.", func() int64 { return s.capacity })
 
-	s.ladderEngaged = reg.Counter("emigre_ladder_engaged_total",
-		"Explanations whose full-fidelity attempt was squeezed out by its time slice.")
-	s.degraded = make(map[degradeLevel]*obs.Counter, len(degradeLevels))
-	for _, level := range degradeLevels {
-		s.degraded[level] = reg.Counter("emigre_degraded_responses_total",
-			"Responses served below full fidelity, by ladder level.",
-			obs.L("level", level.String()))
-	}
+	s.partials = reg.Counter("emigre_degraded_responses_total",
+		"Responses served below full fidelity: squeezed searches answered with their unverified partial.",
+		obs.L("level", partialLevel))
 	fault.RegisterMetrics(reg)
 }
 
@@ -494,10 +478,9 @@ type explainResponse struct {
 	// like Checks it is the same for every run of the same question.
 	Gated      int   `json:"gated"`
 	DurationUS int64 `json:"duration_us"`
-	// Degraded marks a response served below full fidelity by the
-	// degradation ladder; DegradedLevel names the rung ("lean",
-	// "cache_only", "partial") and Partial flags an unverified
-	// best-effort answer from an interrupted search.
+	// Degraded marks a response served below full fidelity: the
+	// unverified best-effort answer of a search its deadline interrupted.
+	// DegradedLevel is then always "partial" and Partial is set.
 	Degraded      bool   `json:"degraded"`
 	DegradedLevel string `json:"degraded_level,omitempty"`
 	Partial       bool   `json:"partial,omitempty"`
@@ -594,7 +577,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Resolve the question's nodes up front so node errors stay 400s and
-	// the ladder never retries a malformed question.
+	// a malformed question never reaches the search.
 	var run explainFn
 	switch {
 	case req.Category != "":
@@ -603,8 +586,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusBadRequest, rerr)
 			return
 		}
-		run = func(ctx context.Context, ex *emigre.Explainer) (*emigre.Explanation, error) {
-			return ex.ExplainCategoryContext(ctx, user, cat, 0, mode, method)
+		run = func(ctx context.Context) (*emigre.Explanation, error) {
+			return s.ex.ExplainCategoryContext(ctx, user, cat, 0, mode, method)
 		}
 	case len(req.Items) > 0:
 		var items []emigre.NodeID
@@ -616,8 +599,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			}
 			items = append(items, id)
 		}
-		run = func(ctx context.Context, ex *emigre.Explainer) (*emigre.Explanation, error) {
-			return ex.ExplainGroupContext(ctx, emigre.GroupQuery{User: user, Items: items}, mode, method)
+		run = func(ctx context.Context) (*emigre.Explanation, error) {
+			return s.ex.ExplainGroupContext(ctx, emigre.GroupQuery{User: user, Items: items}, mode, method)
 		}
 	case req.WNI != "":
 		wni, rerr := cli.ResolveNode(s.g, req.WNI)
@@ -625,8 +608,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusBadRequest, rerr)
 			return
 		}
-		run = func(ctx context.Context, ex *emigre.Explainer) (*emigre.Explanation, error) {
-			return ex.ExplainWithContext(ctx, emigre.Query{User: user, WNI: wni}, mode, method)
+		run = func(ctx context.Context) (*emigre.Explanation, error) {
+			return s.ex.ExplainWithContext(ctx, emigre.Query{User: user, WNI: wni}, mode, method)
 		}
 	default:
 		s.writeErr(w, http.StatusBadRequest, errors.New("one of wni, items or category is required"))
@@ -641,7 +624,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	expl, level, err := s.runExplain(ctx, run)
+	expl, err := s.runExplain(ctx, run)
 	if err != nil {
 		status := statusFor(err)
 		if errors.Is(err, cli.ErrNoSuchNode) {
@@ -674,12 +657,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Gated:       expl.Stats.Gated,
 		DurationUS:  expl.Stats.Duration.Microseconds(),
 	}
-	if level > degradeNone {
+	if expl.Partial {
 		resp.Degraded = true
-		resp.DegradedLevel = level.String()
-		resp.Partial = expl.Partial
-		w.Header().Set("X-Emigre-Degraded", level.String())
-		s.degraded[level].Inc()
+		resp.DegradedLevel = partialLevel
+		resp.Partial = true
+		w.Header().Set("X-Emigre-Degraded", partialLevel)
+		s.partials.Inc()
 	}
 	appendEdges := func(edges []emigre.Edge, op string) {
 		for _, e := range edges {
