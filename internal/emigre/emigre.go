@@ -704,7 +704,7 @@ func splitOps(cands []candidate) (removals, additions, reweights []hin.Edge) {
 }
 
 // reverseColumns returns PPR(·, t) for every t of ts over the session's
-// scoring view, the missing columns drained in one blocked reverse push
+// scoring view, the missing columns drained in one reverse-push batch
 // and served through the explainer's vector cache when one is attached
 // (the CSR snapshot carries the β-mixed view's version, so a column is
 // reused by every later request over the same graph, bit-identical

@@ -138,9 +138,12 @@ func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	if col == nil {
 		need = append(need, winner)
 	}
-	cols, err := s.gateColumns(ctx, need)
-	if err != nil {
-		return err
+	var cols []ppr.Vector
+	if len(need) > 0 {
+		var err error
+		if cols, err = s.gateColumns(ctx, need); err != nil {
+			return err
+		}
 	}
 	if rv == nil {
 		rv = &rivals{toU: cols[0], wniErr: fwdErr(s.q.WNI)}
@@ -172,7 +175,7 @@ func (s *session) heldColumn(ctx context.Context, t hin.NodeID) (col ppr.Vector)
 }
 
 // gateColumns computes PPR(·,t) for the gate straight off the engine,
-// one blocked drain for all of ts: routed through the vector cache its
+// one ToTargets batch for all of ts: routed through the vector cache its
 // columns saved no CPU and cost whynot-remove 18 % RSS (ISSUE 23);
 // uncached they die with the session.
 func (s *session) gateColumns(ctx context.Context, ts []hin.NodeID) ([]ppr.Vector, error) {

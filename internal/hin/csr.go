@@ -26,7 +26,10 @@ type CSR struct {
 	// In-rows, struct-of-arrays for the reverse push kernel: in-edge
 	// positions inStart[v]..inStart[v+1] of v hold the source, the
 	// transition probability w/Σw(source) (0 if that sum is not positive)
-	// and where the edge sits in outHalf (InEdges' type and weight).
+	// and where the edge sits in outHalf (InEdges' type and weight). Each
+	// row is padded to a multiple of InLanes: a pad lane follows the real
+	// ones and has probability 0 and the source n + its position mod
+	// InLanes (see InRows).
 	inStart []int32
 	inSrc   []NodeID
 	inProb  []float64
@@ -76,13 +79,13 @@ func NewCSR(v View) *CSR {
 		})
 	}
 	c.outHalf = make([]HalfEdge, edges)
-	c.inSrc = make([]NodeID, edges)
-	c.inProb = make([]float64, edges)
-	c.inOut = make([]int32, edges)
 	for i := 0; i < n; i++ {
 		c.outStart[i+1] = c.outStart[i] + outDeg[i]
-		c.inStart[i+1] = c.inStart[i] + inDeg[i]
+		c.inStart[i+1] = c.inStart[i] + (inDeg[i]+InLanes-1)/InLanes*InLanes
 	}
+	c.inSrc = make([]NodeID, c.inStart[n])
+	c.inProb = make([]float64, c.inStart[n])
+	c.inOut = make([]int32, c.inStart[n])
 	outPos := make([]int32, n)
 	inPos := make([]int32, n)
 	copy(outPos, c.outStart[:n])
@@ -100,7 +103,35 @@ func NewCSR(v View) *CSR {
 			return true
 		})
 	}
+	for v := 0; v < n; v++ {
+		for at := inPos[v]; at < c.inStart[v+1]; at++ {
+			c.inSrc[at], c.inOut[at] = NodeID(n+int(at)%InLanes), -1
+		}
+	}
+	c.checkInRows()
 	return c
+}
+
+// InLanes is the width every in-row is padded to (see InRows).
+const InLanes = 4
+
+var errInRowLayout = errors.New("hin: in-rows break the padded layout (see CSR.InRows)")
+
+// checkInRows panics unless the in-rows keep the invariant InRows
+// promises: every row starts at a multiple of InLanes, the arrays'
+// length is one too, and every source lies in [0, n+InLanes).
+func (c *CSR) checkInRows() {
+	n := len(c.ntype)
+	bad := len(c.inSrc)%InLanes != 0 || len(c.inProb) != len(c.inSrc)
+	for _, at := range c.inStart[:n] {
+		bad = bad || at%InLanes != 0
+	}
+	for _, src := range c.inSrc {
+		bad = bad || src < 0 || int(src) >= n+InLanes
+	}
+	if bad {
+		panic(errInRowLayout)
+	}
 }
 
 // WithOutRow returns a snapshot sharing c's arrays with node's outgoing
@@ -147,6 +178,9 @@ func (c *CSR) OutEdges(v NodeID, yield func(HalfEdge) bool) {
 func (c *CSR) InEdges(v NodeID, yield func(HalfEdge) bool) {
 	for at := c.inStart[v]; at < c.inStart[v+1]; at++ {
 		src := c.inSrc[at]
+		if int(src) >= len(c.ntype) {
+			break // the row's pad lanes
+		}
 		if src == c.patchNode {
 			continue
 		}
@@ -190,6 +224,15 @@ var errPatchedInRows = errors.New("hin: in-row access on a row-patched CSR (flat
 // reverse push kernel; callers must not mutate them. They are the
 // base's, so a row-patched snapshot cannot answer: flatten it with
 // NewCSR first.
+//
+// The rows are padded: v's real in-edges sit at start[v] onwards in
+// ascending source order, and pad lanes fill the row up to start[v+1].
+// NewCSR checks, and panics otherwise, that every start[v] and
+// len(src) == len(prob) are multiples of InLanes and that every source
+// lies in [0, n+InLanes). A pad lane's probability is 0 and its source is
+// in [n, n+InLanes), so a loop that walks whole rows InLanes at a time
+// over a vector of n+InLanes entries stays in bounds, and a pad lane adds
+// an exact +0 to a scratch entry past n.
 func (c *CSR) InRows() (start []int32, src []NodeID, prob []float64) {
 	if c.patchNode != InvalidNode {
 		panic(errPatchedInRows)

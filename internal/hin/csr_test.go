@@ -3,6 +3,7 @@ package hin
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -128,8 +129,15 @@ func TestCSRSlicesMatchIteration(t *testing.T) {
 			at++
 			return true
 		})
-		if at != start[v+1] {
-			t.Fatalf("InRows(%d) length mismatch", v)
+		// The row is padded to a multiple of InLanes: pad lanes follow
+		// the real ones with probability 0 and a scratch source past n.
+		if start[v]%InLanes != 0 || at > start[v+1] || start[v+1]-at >= InLanes {
+			t.Fatalf("InRows(%d): %d real lanes in [%d, %d), want the row padded to a multiple of %d", v, at-start[v], start[v], start[v+1], InLanes)
+		}
+		for ; at < start[v+1]; at++ {
+			if src[at] != NodeID(c.NumNodes()+int(at)%InLanes) || prob[at] != 0 {
+				t.Fatalf("InRows(%d) pad lane %d: (%d, %g)", v, at, src[at], prob[at])
+			}
 		}
 	}
 }
@@ -149,4 +157,36 @@ func TestCSREarlyStop(t *testing.T) {
 		}
 		return
 	}
+}
+
+// TestCSRInRowsInvariantPanics: the check NewCSR runs over its in-rows
+// refuses each way the padded layout can break — a source at or past
+// n+InLanes, a row starting off a lane boundary, arrays whose length is
+// not a whole number of lanes — since the reverse push kernel walks
+// them without bounds checks.
+func TestCSRInRowsInvariantPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	c := NewCSR(randomGraph(rng, 10, 40))
+	n := c.NumNodes()
+	for name, corrupt := range map[string]func(b *CSR){
+		"source past the scratch slots": func(b *CSR) { b.inSrc[len(b.inSrc)-1] = NodeID(n + InLanes) },
+		"negative source":               func(b *CSR) { b.inSrc[0] = -1 },
+		"row off a lane boundary":       func(b *CSR) { b.inStart[n/2]++ },
+		"ragged arrays": func(b *CSR) {
+			b.inSrc, b.inProb = append(b.inSrc, 0), append(b.inProb, 0)
+		},
+	} {
+		b := *c
+		b.inStart, b.inSrc, b.inProb = slices.Clone(c.inStart), slices.Clone(c.inSrc), slices.Clone(c.inProb)
+		corrupt(&b)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the in-row check did not panic", name)
+				}
+			}()
+			b.checkInRows()
+		}()
+	}
+	c.checkInRows() // the original is untouched and passes
 }

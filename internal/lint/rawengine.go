@@ -14,9 +14,9 @@ var rawEnginePackages = map[string]bool{"emigre": true, "rec": true}
 // rawEngineMethods are the engine entry points that compute a vector
 // or a full push state, including the warm-start entry point,
 // ForwardPush.UpdateForEdit, which no routing helper calls: neither
-// package may warm-start at all. ToTargets, the batch entry point
-// of the blocked reverse kernel, counts like its single-column form: a
-// raw batch bypasses the cache for K columns at once.
+// package may warm-start at all. ToTargets, the reverse kernel's batch
+// entry point, counts like its single-column form: a raw batch bypasses
+// the cache for K columns at once.
 var rawEngineMethods = map[string]bool{
 	"FromSource":        true,
 	"FromSourceContext": true,
@@ -34,8 +34,8 @@ var rawEngineMethods = map[string]bool{
 // cache-miss compute path). Closures inside them inherit the approval.
 //
 // gateColumns is the one deliberately uncached route: the rival gate's
-// reverse columns — learn's {u, first winner} pair fetch, one blocked
-// drain — live and die with their session. Routed through the
+// reverse columns — learn's {u, first winner} pair fetch, one batch —
+// live and die with their session. Routed through the
 // cache they saved no CPU (ISSUE 23: 83.9 vs 83.9 ms/op on whynot-remove) and
 // took its peak RSS from 85–88 to 98.5 MiB, past the benchmark's 10 %
 // bound; they only ever reject a set the cold CHECK would reject too, so

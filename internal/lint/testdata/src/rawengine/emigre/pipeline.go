@@ -17,7 +17,7 @@ func (s *session) checkOnce(t int) ppr.Vector {
 }
 
 // good: the designated helper is the cache-miss compute path, one
-// blocked drain for every missing column.
+// batch for every missing column.
 func (s *session) reverseColumns(ts ...int) []ppr.Vector {
 	return s.rev.ToTargets(ts)
 }

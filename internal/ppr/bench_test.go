@@ -61,30 +61,6 @@ func BenchmarkReversePush(b *testing.B) {
 	}
 }
 
-// BenchmarkReversePushBatch drains K columns per graph pass and reports
-// the cost of one column: the blocked kernel's whole point is that
-// ms/col falls as K grows while allocations stay one vector per column.
-func BenchmarkReversePushBatch(b *testing.B) {
-	const nodes = 5000
-	_, csr := benchGraph(nodes, 20000)
-	e := NewReversePush(DefaultParams())
-	for _, K := range []int{1, 2, 4, 10} {
-		b.Run(fmt.Sprintf("K=%d", K), func(b *testing.B) {
-			b.ReportAllocs()
-			ts := make([]hin.NodeID, K)
-			for i := 0; i < b.N; i++ {
-				for k := range ts {
-					ts[k] = hin.NodeID((i*K + k*37) % nodes)
-				}
-				if _, err := e.ToTargets(context.Background(), csr, ts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*K), "ms/col")
-		})
-	}
-}
-
 func BenchmarkPowerIteration(b *testing.B) {
 	g, _ := benchGraph(500, 2000)
 	params := DefaultParams()

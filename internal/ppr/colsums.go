@@ -21,11 +21,12 @@ const columnSumSlack = 1e-3
 // component, because no column of Wᵗ sums past n; adding it makes C an
 // upper bound. That takes log(n/(columnSumSlack·α))/log(1/(1−α)) sweeps
 // of the in-rows (111 on a 10 k-node graph at α = 0.15). csr must be
-// unpatched (CSR.InRows).
+// unpatched (CSR.InRows). c carries the pad lanes' scratch slots, which
+// stay 0, so a pad lane adds an exact +0 to the sum.
 func ColumnSums(csr *hin.CSR, p Params) Vector {
 	inStart, inSrc, inProb := csr.InRows()
 	n, alpha := csr.NumNodes(), p.Alpha
-	c := make(Vector, n)
+	c := make(Vector, n+hin.InLanes)
 	tail := float64(n)
 	for tail > columnSumSlack*alpha {
 		for v := range n {
@@ -37,6 +38,7 @@ func ColumnSums(csr *hin.CSR, p Params) Vector {
 		}
 		tail *= 1 - alpha
 	}
+	c = c[:n:n]
 	for v := range c {
 		c[v] += tail
 	}

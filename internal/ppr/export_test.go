@@ -1,0 +1,9 @@
+package ppr
+
+// Test-only exports for the external ppr_test package, whose Lite-graph
+// test and benchmark need the recommender, which imports ppr.
+var (
+	RefReverse = refReverse
+	RunMany    = runMany
+	SameRun    = sameRun
+)

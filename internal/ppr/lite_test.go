@@ -1,0 +1,135 @@
+package ppr_test
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"github.com/why-not-xai/emigre/internal/dataset"
+	"github.com/why-not-xai/emigre/internal/hin"
+	"github.com/why-not-xai/emigre/internal/ppr"
+	"github.com/why-not-xai/emigre/internal/rec"
+)
+
+// lite is the Amazon Lite graph as the server pushes over it — the
+// recommender's flat snapshot under its default configuration (β = 0.5,
+// α = 0.15, ε = 2.7e-8) — with the first 50 sampled users and one
+// Why-Not item for each: rank 2 to 10 of the user's top-10, in turn.
+var lite struct {
+	once         sync.Once
+	g            *hin.CSR
+	p            ppr.Params
+	users, items []hin.NodeID
+	err          error
+}
+
+func liteGraph(tb testing.TB) (g *hin.CSR, p ppr.Params, users, items []hin.NodeID) {
+	tb.Helper()
+	lite.once.Do(func() {
+		amazon, err := dataset.Generate(dataset.DefaultConfig())
+		if err != nil {
+			lite.err = err
+			return
+		}
+		ds, sampled, err := amazon.Lite(dataset.DefaultLiteConfig())
+		if err != nil {
+			lite.err = err
+			return
+		}
+		cfg := rec.DefaultConfig(ds.Types.Item)
+		r, err := rec.New(ds.Graph, cfg)
+		if err != nil {
+			lite.err = err
+			return
+		}
+		lite.g, lite.p = r.Flat(), cfg.PPR
+		for _, u := range sampled {
+			list, err := r.TopN(u, 10)
+			if err != nil {
+				lite.err = err
+				return
+			}
+			if len(list) < 10 {
+				continue
+			}
+			lite.users = append(lite.users, u)
+			lite.items = append(lite.items, list[1+len(lite.items)%9].Node)
+			if len(lite.users) == 50 {
+				return
+			}
+		}
+		lite.err = fmt.Errorf("%d sampled users with a top-10, want 50", len(lite.users))
+	})
+	if lite.err != nil {
+		tb.Fatalf("building Amazon Lite: %v", lite.err)
+	}
+	return lite.g, lite.p, lite.users, lite.items
+}
+
+// batches splits ts into consecutive batches of 1, 2 and 9 targets in
+// turn.
+func batches(ts []hin.NodeID) [][]hin.NodeID {
+	var out [][]hin.NodeID
+	for i, k := 0, 0; i < len(ts); k++ {
+		n := min([]int{1, 2, 9}[k%3], len(ts)-i)
+		out = append(out, ts[i:i+n])
+		i += n
+	}
+	return out
+}
+
+// TestReverseMatchesReferenceOnLite holds the kernel to the reference
+// drain bit for bit — estimates, residuals and push counts — on the
+// graph the benchmark serves: 50 Why-Not item columns and 50 user
+// columns, drained in batches of 1, 2 and 9 as ToTargets drains them.
+func TestReverseMatchesReferenceOnLite(t *testing.T) {
+	g, p, users, items := liteGraph(t)
+	e := ppr.NewReversePush(p)
+	for _, set := range []struct {
+		name string
+		ts   []hin.NodeID
+	}{{"item", items}, {"user", users}} {
+		for _, batch := range batches(set.ts) {
+			got, err := ppr.RunMany(context.Background(), e, g, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, tgt := range batch {
+				want, _ := ppr.RefReverse(g, p, tgt)
+				ppr.SameRun(t, fmt.Sprintf("%s %d in a batch of %d", set.name, tgt, len(batch)), got[k], want)
+			}
+		}
+	}
+}
+
+// BenchmarkReversePushLite drains the Lite graph's Why-Not item columns
+// K at a time and reports the cost of one column and of one in-edge
+// update (the in-degrees of a column's pushes, summed, counted once per
+// target by the reference drain outside the timer).
+func BenchmarkReversePushLite(b *testing.B) {
+	g, p, _, items := liteGraph(b)
+	updates := make(map[hin.NodeID]int, len(items))
+	for _, t := range items {
+		_, updates[t] = ppr.RefReverse(g, p, t)
+	}
+	e := ppr.NewReversePush(p)
+	for _, K := range []int{1, 2, 9} {
+		b.Run(fmt.Sprintf("K=%d", K), func(b *testing.B) {
+			b.ReportAllocs()
+			ts := make([]hin.NodeID, K)
+			edges := 0
+			for i := 0; i < b.N; i++ {
+				for k := range ts {
+					ts[k] = items[(i*K+k)%len(items)]
+					edges += updates[ts[k]]
+				}
+				if _, err := e.ToTargets(context.Background(), g, ts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*K), "ms/col")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/in-edge")
+		})
+	}
+}

@@ -3,6 +3,7 @@ package ppr
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/obs"
@@ -18,13 +19,9 @@ import (
 //
 // EMiGRe's Add mode (Algorithm 2) runs RLP from the Why-Not item to
 // enumerate candidate neighbors whose connection would lift it. One
-// kernel (sweep) serves every entry point; a single column is its K = 1.
+// kernel (reverseDrain.column) serves every entry point.
 type ReversePush struct {
 	Params Params
-	// general routes every batch through sweep's general body, the
-	// reference its K = 1 and K = 2 bodies are tested against. Set only
-	// from _test.go files.
-	general bool
 }
 
 // NewReversePush returns a reverse-push engine with the given parameters.
@@ -53,176 +50,144 @@ func (e *ReversePush) ToTargetContext(ctx context.Context, g hin.View, t hin.Nod
 	return cols[0], nil
 }
 
-// ToTargets is ToTargetContext toward every target of ts in one blocked
-// drain: each pass of the graph updates all len(ts) columns per in-edge.
-// Column k is bit-identical to ToTarget(g, ts[k]) whatever else is in
-// the batch (duplicated targets are computed once each) — so a cached
-// column never depends on who it was computed with.
+// ToTargets is ToTargetContext toward every target of ts, one column
+// after another over one residual vector. Column k is bit-identical to
+// ToTarget(g, ts[k]) whatever else is in the batch (duplicated targets
+// are computed once each) — so a cached column never depends on who it
+// was computed with. No targets touch nothing.
 func (e *ReversePush) ToTargets(ctx context.Context, g hin.View, ts []hin.NodeID) ([]Vector, error) {
-	p, _, _, err := e.sweep(ctx, g, ts)
-	return p, err
+	if len(ts) == 0 {
+		return nil, nil
+	}
+	d, err := e.drain(g, ts)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]Vector, len(ts))
+	for k, t := range ts {
+		if cols[k], _, err = d.column(ctx, t); err != nil {
+			return nil, err
+		}
+	}
+	return cols, nil
 }
 
-// Run performs reverse local push toward t until all residuals are below
-// Epsilon, returning estimates and residuals. Estimates[x] approximates
-// PPR(x, t) with additive error bounded by Epsilon/α per the invariant.
+// Run performs reverse local push toward t until every residual is at
+// most Epsilon, returning estimates and residuals. Eq. 4 with every
+// residual in [0, ε] leaves each estimate at most ε below the exact
+// PPR(x, t), never above it: 0 ≤ PPR(x,t) − Estimates[x] ≤ ε.
 func (e *ReversePush) Run(g hin.View, t hin.NodeID) (*PushResult, error) {
 	return e.RunContext(context.Background(), g, t)
 }
 
 // RunContext is Run with cancellation.
 func (e *ReversePush) RunContext(ctx context.Context, g hin.View, t hin.NodeID) (*PushResult, error) {
-	p, r, pushes, err := e.sweep(ctx, g, []hin.NodeID{t})
+	d, err := e.drain(g, []hin.NodeID{t})
 	if err != nil {
 		return nil, err
 	}
-	return &PushResult{Estimates: p[0], Residuals: r, Pushes: pushes[0]}, nil
-}
-
-// sweep is the reverse push kernel, K = len(ts) columns at once.
-// Residuals live interleaved, r[v·K+k] for column k at node v, so one
-// in-edge updates K adjacent floats; estimates are one Vector per column
-// (written once per push, not per edge). Nodes are visited in ascending
-// id and column k pushes at v iff r_k[v] > ε — the others contribute an
-// exact +0 through a zero coefficient — until a whole sweep pushes
-// nothing. Any push order keeps Eq. 4 and ends with every residual in
-// [0, ε]; a column's trajectory depends only on its own residuals and
-// the fixed node order, hence ToTargets' batch independence (DESIGN.md
-// §3.1). The context is checked every ctxCheckInterval node visits.
-//
-// K = 1 (every single column) and K = 2 (the session pair, a learned
-// winner with PPR(·,u)) run dedicated bodies: the same visits, pushes and
-// arithmetic as the general one, without its per-column inner loop.
-func (e *ReversePush) sweep(ctx context.Context, g hin.View, ts []hin.NodeID) (p []Vector, r Vector, pushes []int, err error) {
-	if err := e.Params.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, t := range ts {
-		if err := checkNode(g, t); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	// Reverse push walks in-rows, which a row patch cannot serve from
-	// the shared arrays: NewCSR re-flattens a patched snapshot (no
-	// production caller reverses over one) and flattens any other view.
-	csr := hin.NewCSR(g)
-	inStart, inSrc, inProb := csr.InRows()
-	n, K := csr.NumNodes(), len(ts)
-
-	p = make([]Vector, K)
-	r = make(Vector, n*K)
-	for k, t := range ts {
-		p[k] = make(Vector, n)
-		r[int(t)*K+k] = 1
-	}
-	pushes = make([]int, K)
-	d := reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb,
-		alpha: e.Params.Alpha, eps: e.Params.Epsilon, p: p, r: r, pushes: pushes}
-	switch {
-	case K == 0:
-	case K == 1 && !e.general:
-		err = d.sweep(ctx, d.body1)
-	case K == 2 && !e.general:
-		err = d.sweep(ctx, d.body2)
-	default:
-		d.coef = make([]float64, K)
-		err = d.sweep(ctx, d.bodyK)
-	}
+	p, pushes, err := d.column(ctx, t)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if obs.Enabled() {
-		for k := range ts {
-			var mass float64
-			for v := 0; v < n; v++ {
-				mass += r[v*K+k]
-			}
-			runsReverse.Inc()
-			pushesReverse.Add(int64(pushes[k]))
-			residualMassReverse.Observe(mass)
-		}
-	}
-	return p, r, pushes, nil
+	return &PushResult{Estimates: p, Residuals: d.r[:len(p)], Pushes: pushes}, nil
 }
 
-// reverseDrain is one batch's state inside sweep: the in-rows it walks
-// (in-edge i of v is (src[i] -> v), taken with probability prob[i]) and
-// the vectors it drains.
+// reverseDrain is the reverse push kernel's state: the padded in-rows it
+// walks (hin.CSR.InRows: in-edge i of v is (src[i] -> v), taken with
+// probability prob[i]) and one residual vector of n+hin.InLanes entries,
+// the last hin.InLanes the pad lanes' scratch slots, which stay 0.
 type reverseDrain struct {
 	inStart    []int32
 	inSrc      []hin.NodeID
 	inProb     []float64
 	alpha, eps float64
-	p          []Vector
-	r          Vector
-	pushes     []int
-	coef       []float64 // bodyK: (1−α)·r_k[v] for the columns pushing at v, else 0
+	p, r       Vector
+	pushes     int
 }
 
-// sweep repeats ascending-id sweeps over every node until one pushes
-// nothing, polling the context and the failpoint every ctxCheckInterval
-// visits. body drains the nodes [lo, hi) and reports whether any column
-// pushed there.
-func (d *reverseDrain) sweep(ctx context.Context, body func(lo, hi int) bool) error {
+// drain validates the parameters and every target of ts, then sets up a
+// drain over g's in-rows. Reverse push walks in-rows, which a row patch
+// cannot serve from the shared arrays: NewCSR re-flattens a patched
+// snapshot (no production caller reverses over one) and flattens any
+// other view.
+func (e *ReversePush) drain(g hin.View, ts []hin.NodeID) (reverseDrain, error) {
+	if err := e.Params.Validate(); err != nil {
+		return reverseDrain{}, err
+	}
+	for _, t := range ts {
+		if err := checkNode(g, t); err != nil {
+			return reverseDrain{}, err
+		}
+	}
+	csr := hin.NewCSR(g)
+	inStart, inSrc, inProb := csr.InRows()
+	return reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb,
+		alpha: e.Params.Alpha, eps: e.Params.Epsilon,
+		r: make(Vector, csr.NumNodes()+hin.InLanes)}, nil
+}
+
+// column drains PPR(·,t) from r = e_t and returns its estimates and push
+// count; r is left holding the column's terminal residuals. Nodes are
+// visited in ascending id and v pushes iff r[v] > ε — α·r[v] into its
+// estimate, (1−α)·r[v]·W(x,v) onto every in-neighbour x — until a whole
+// sweep pushes nothing. Any push order keeps Eq. 4 and ends with every
+// residual in [0, ε]; a column's trajectory depends only on t and the
+// fixed node order, hence ToTargets' batch independence (DESIGN.md
+// §3.1). The context and the ppr.reverse.loop failpoint are polled every
+// ctxCheckInterval node visits.
+func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, pushes int, err error) {
 	n := len(d.inStart) - 1
+	clear(d.r)
+	d.r[t] = 1
+	d.p, d.pushes = make(Vector, n), 0
 	for active := true; active; {
 		active = false
 		for lo := 0; lo < n; lo += ctxCheckInterval {
 			if err := ctxErr(ctx); err != nil {
-				return err
+				return nil, 0, err
 			}
 			if err := reverseLoopSite.Hit(ctx); err != nil {
-				return err
+				return nil, 0, err
 			}
-			if body(lo, min(lo+ctxCheckInterval, n)) {
+			if d.body(lo, min(lo+ctxCheckInterval, n)) {
 				active = true
 			}
 		}
 	}
-	return nil
-}
-
-// bodyK is the general body: column k pushes at v iff r_k[v] > ε, and
-// every column's coefficient — zero where it did not push — is applied
-// to each in-edge of v.
-func (d *reverseDrain) bodyK(lo, hi int) (active bool) {
-	inStart, inSrc, inProb := d.inStart, d.inSrc, d.inProb
-	alpha, eps, p, r, pushes, coef := d.alpha, d.eps, d.p, d.r, d.pushes, d.coef
-	K := len(coef)
-	for v := lo; v < hi; v++ {
-		rv := r[v*K : v*K+K]
-		push := false
-		for k, x := range rv {
-			coef[k] = 0
-			if x > eps {
-				rv[k] = 0
-				p[k][v] += alpha * x
-				pushes[k]++
-				coef[k] = (1 - alpha) * x
-				push = true
-			}
+	if obs.Enabled() {
+		var mass float64
+		for _, x := range d.r[:n] {
+			mass += x
 		}
-		if !push {
-			continue
-		}
-		active = true
-		src := inSrc[inStart[v]:inStart[v+1]]
-		prob := inProb[inStart[v]:][:len(src)]
-		for i, x := range src {
-			w := prob[i]
-			rx := r[int(x)*K:][:K]
-			for k, c := range coef {
-				rx[k] += c * w
-			}
-		}
+		runsReverse.Inc()
+		pushesReverse.Add(int64(d.pushes))
+		residualMassReverse.Observe(mass)
 	}
-	return active
+	return d.p, d.pushes, nil
 }
 
-// body1 is bodyK at K = 1.
-func (d *reverseDrain) body1(lo, hi int) (active bool) {
-	inStart, inSrc, inProb := d.inStart, d.inSrc, d.inProb
-	alpha, eps, p, r := d.alpha, d.eps, d.p[0], d.r
+// body unrolls exactly four lanes: this fails to compile unless
+// hin.InLanes is 4.
+var _ = [1]struct{}{}[hin.InLanes-4]
+
+const (
+	idSize    = unsafe.Sizeof(hin.NodeID(0))
+	floatSize = unsafe.Sizeof(float64(0))
+)
+
+// body drains the nodes [lo, hi) and reports whether any pushed. It
+// walks each pushing node's in-row four lanes at a time without bounds
+// checks: NewCSR's invariant (hin.CSR.InRows) keeps every row a whole
+// number of lane groups and every source below len(r), and a pad lane
+// adds c·0 = +0 to a scratch slot, so the real lanes see exactly the
+// multiply-adds, in exactly the order, of an unpadded loop.
+func (d *reverseDrain) body(lo, hi int) (active bool) {
+	inStart, alpha, eps, p, r := d.inStart, d.alpha, d.eps, d.p, d.r
+	src := unsafe.Pointer(unsafe.SliceData(d.inSrc))
+	prob := unsafe.Pointer(unsafe.SliceData(d.inProb))
+	res := unsafe.Pointer(unsafe.SliceData(r))
+	at := func(x hin.NodeID) *float64 { return (*float64)(unsafe.Add(res, uintptr(x)*floatSize)) }
 	pushes := 0
 	for v := lo; v < hi; v++ {
 		rv := r[v]
@@ -234,54 +199,17 @@ func (d *reverseDrain) body1(lo, hi int) (active bool) {
 		pushes++
 		active = true
 		c := (1 - alpha) * rv
-		src := inSrc[inStart[v]:inStart[v+1]]
-		prob := inProb[inStart[v]:][:len(src)]
-		for i, x := range src {
-			r[x] += c * prob[i]
+		for i, end := uintptr(inStart[v]), uintptr(inStart[v+1]); i < end; i += 4 {
+			x := (*[4]hin.NodeID)(unsafe.Add(src, i*idSize))
+			w := (*[4]float64)(unsafe.Add(prob, i*floatSize))
+			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+			w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+			*at(x0) += c * w0
+			*at(x1) += c * w1
+			*at(x2) += c * w2
+			*at(x3) += c * w3
 		}
 	}
-	d.pushes[0] += pushes
-	return active
-}
-
-// body2 is bodyK at K = 2: a column that does not push at v keeps a zero
-// coefficient and adds an exact +0 per in-edge, as in bodyK.
-func (d *reverseDrain) body2(lo, hi int) (active bool) {
-	inStart, inSrc, inProb := d.inStart, d.inSrc, d.inProb
-	alpha, eps, p0, p1, r := d.alpha, d.eps, d.p[0], d.p[1], d.r
-	n0, n1 := 0, 0
-	for v := lo; v < hi; v++ {
-		x0, x1 := r[2*v], r[2*v+1]
-		var c0, c1 float64
-		push := false
-		if x0 > eps {
-			r[2*v] = 0
-			p0[v] += alpha * x0
-			n0++
-			c0 = (1 - alpha) * x0
-			push = true
-		}
-		if x1 > eps {
-			r[2*v+1] = 0
-			p1[v] += alpha * x1
-			n1++
-			c1 = (1 - alpha) * x1
-			push = true
-		}
-		if !push {
-			continue
-		}
-		active = true
-		src := inSrc[inStart[v]:inStart[v+1]]
-		prob := inProb[inStart[v]:][:len(src)]
-		for i, x := range src {
-			w := prob[i]
-			rx := r[2*int(x):][:2]
-			rx[0] += c0 * w
-			rx[1] += c1 * w
-		}
-	}
-	d.pushes[0] += n0
-	d.pushes[1] += n1
+	d.pushes += pushes
 	return active
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/fault"
@@ -86,26 +88,132 @@ func sameBits(t *testing.T, what string, a, b Vector) {
 	}
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatalf("%s: entry %d is %v in the batch, %v alone", what, i, a[i], b[i])
+			t.Fatalf("%s: entry %d is %v, want %v", what, i, a[i], b[i])
 		}
 	}
 }
 
-// runMany drains ts in one batch and returns the full push state of
-// every column: the kernel's interleaved residuals split per column.
+// runMany drains ts as ToTargets does, one column after another over one
+// residual vector, and returns the full push state of every column.
 func runMany(ctx context.Context, e *ReversePush, g hin.View, ts []hin.NodeID) ([]*PushResult, error) {
-	p, r, pushes, err := e.sweep(ctx, g, ts)
+	if len(ts) == 0 {
+		return nil, nil
+	}
+	d, err := e.drain(g, ts)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*PushResult, len(ts))
-	for k := range out {
-		out[k] = &PushResult{Estimates: p[k], Residuals: make(Vector, len(p[k])), Pushes: pushes[k]}
-		for v := range p[k] {
-			out[k].Residuals[v] = r[v*len(ts)+k]
+	for k, t := range ts {
+		p, pushes, err := d.column(ctx, t)
+		if err != nil {
+			return nil, err
 		}
+		out[k] = &PushResult{Estimates: p, Residuals: slices.Clone(d.r[:len(p)]), Pushes: pushes}
 	}
 	return out, nil
+}
+
+// refReverse is the reference drain the kernel is held to bit for bit:
+// the same sweeps, push rule and multiply-adds, as a bounds-checked loop
+// over unpadded in-rows read through InEdges (so in ascending source
+// order, the CSR's) with the transition probability w/Σw(src), 0 for a
+// source whose weight sum is not positive. It also returns the in-edge
+// updates the drain made: the in-degrees of its pushes, summed.
+func refReverse(g *hin.CSR, p Params, t hin.NodeID) (res *PushResult, updates int) {
+	n := g.NumNodes()
+	start := make([]int, n+1)
+	var src []hin.NodeID
+	var prob []float64
+	for v := range n {
+		g.InEdges(hin.NodeID(v), func(h hin.HalfEdge) bool {
+			w := 0.0
+			if sum := g.OutWeightSum(h.Node); sum > 0 {
+				w = h.Weight / sum
+			}
+			src, prob = append(src, h.Node), append(prob, w)
+			return true
+		})
+		start[v+1] = len(src)
+	}
+	est, r := make(Vector, n), make(Vector, n)
+	r[t] = 1
+	pushes := 0
+	for active := true; active; {
+		active = false
+		for v := range n {
+			rv := r[v]
+			if rv <= p.Epsilon {
+				continue
+			}
+			r[v] = 0
+			est[v] += p.Alpha * rv
+			pushes++
+			active = true
+			c := (1 - p.Alpha) * rv
+			for i := start[v]; i < start[v+1]; i++ {
+				r[src[i]] += c * prob[i]
+			}
+			updates += start[v+1] - start[v]
+		}
+	}
+	return &PushResult{Estimates: est, Residuals: r, Pushes: pushes}, updates
+}
+
+// sameRun fails unless got and want agree bit for bit on estimates and
+// residuals and exactly on Pushes.
+func sameRun(t *testing.T, what string, got, want *PushResult) {
+	t.Helper()
+	sameBits(t, what+" estimates", got.Estimates, want.Estimates)
+	sameBits(t, what+" residuals", got.Residuals, want.Residuals)
+	if got.Pushes != want.Pushes {
+		t.Fatalf("%s: %d pushes, the reference drain %d", what, got.Pushes, want.Pushes)
+	}
+}
+
+// checkReference holds every column of a batch over ts, and its single
+// Run, to the reference drain.
+func checkReference(t *testing.T, what string, e *ReversePush, g *hin.CSR, ts []hin.NodeID) {
+	t.Helper()
+	many, err := runMany(context.Background(), e, g, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, tgt := range ts {
+		want, _ := refReverse(g, e.Params, tgt)
+		sameRun(t, fmt.Sprintf("%s slot %d (target %d)", what, k, tgt), many[k], want)
+		single, err := e.Run(g, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, fmt.Sprintf("%s Run(%d)", what, tgt), single, want)
+	}
+}
+
+// TestReverseMatchesReference holds the padded kernel to the reference
+// drain bit for bit — estimates, residuals and push counts — on graphs
+// with a target nothing reaches (node 0), a dangling node (1), twin
+// columns (2, 3), a dangling source (4) and duplicated targets.
+func TestReverseMatchesReference(t *testing.T) {
+	for _, eps := range []float64{2.7e-8, 1e-4} {
+		for seed := int64(1); seed <= 6; seed++ {
+			for _, beta := range []float64{1, 0.5} {
+				rng := rand.New(rand.NewSource(seed))
+				nodes := 12 + rng.Intn(30)
+				g := batchHIN(t, rng, nodes, beta)
+				p := testParams()
+				p.Epsilon = eps
+				batches := [][]hin.NodeID{{0}, {1}, {2}, {4}, {hin.NodeID(rng.Intn(nodes))},
+					{0, 1}, {2, 3}, {2, 2}, {4, 0}, {1, 4}}
+				for range 4 {
+					batches = append(batches, []hin.NodeID{hin.NodeID(rng.Intn(nodes)), hin.NodeID(rng.Intn(nodes))})
+				}
+				for _, ts := range batches {
+					checkReference(t, fmt.Sprintf("ε=%g seed %d β=%g targets %v", eps, seed, beta, ts), NewReversePush(p), g, ts)
+				}
+			}
+		}
+	}
 }
 
 // checkBatchIndependence asserts runMany(ts)[k] == Run(ts[k]) bit for
@@ -159,16 +267,30 @@ func TestReverseBatchIndependence(t *testing.T) {
 				rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 				checkBatchIndependence(t, e, g, ts)
 			}
-			if res, err := runMany(context.Background(), e, g, nil); err != nil || len(res) != 0 {
-				t.Fatalf("a batch of no targets = %v, %v; want empty, nil", res, err)
-			}
+
 		}
 	}
 }
 
-// FuzzReverseBatchIndependence drives the same contract from fuzz
-// input: 8 seed bytes pick the graph, then one byte each for K, β and
-// ε. Seeds — and any crasher a fuzz run finds — live under testdata/fuzz.
+// TestReverseNoTargetsTouchNothing: a batch of no targets returns
+// nothing and reads neither its context, its view nor its parameters.
+func TestReverseNoTargetsTouchNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	runs := runsReverse.Value()
+	cols, err := (&ReversePush{}).ToTargets(ctx, nil, nil)
+	if cols != nil || err != nil {
+		t.Fatalf("a batch of no targets = %v, %v; want nil, nil", cols, err)
+	}
+	if runsReverse.Value() != runs {
+		t.Fatal("a batch of no targets recorded a run")
+	}
+}
+
+// FuzzReverseBatchIndependence drives the same contract, and the
+// reference drain's, from fuzz input: 8 seed bytes pick the graph, then
+// one byte each for K, β and ε. Seeds — and any crasher a fuzz run
+// finds — live under testdata/fuzz.
 func FuzzReverseBatchIndependence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 42, 10, 1, 1})
@@ -187,6 +309,7 @@ func FuzzReverseBatchIndependence(f *testing.F) {
 			ts[k] = hin.NodeID(rng.Intn(nodes))
 		}
 		checkBatchIndependence(t, NewReversePush(p), g, ts)
+		checkReference(t, fmt.Sprintf("targets %v", ts), NewReversePush(p), g, ts)
 	})
 }
 
@@ -303,7 +426,7 @@ func TestReverseBatchPollCadence(t *testing.T) {
 	}
 }
 
-// reverseAllocs measures allocations per blocked drain of K columns.
+// reverseAllocs measures allocations per ToTargets batch of K columns.
 func reverseAllocs(t *testing.T, nodes, extra, K int) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -321,18 +444,17 @@ func reverseAllocs(t *testing.T, nodes, extra, K int) float64 {
 }
 
 // TestReversePushAllocs pins the kernel's allocation shape: a batch
-// allocates its set-up buffers — one estimate vector per column plus a
-// fixed handful (interleaved residuals, coefficients, push counts, the
-// result slice) — and nothing per push, so the count does not move
-// with the graph and grows by one per column.
+// allocates one residual vector, one estimate vector per column and the
+// result slice, and nothing per push, so the count does not move with
+// the graph and grows by one per column.
 func TestReversePushAllocs(t *testing.T) {
 	for _, K := range []int{1, 10} {
 		small, large := reverseAllocs(t, 50, 100, K), reverseAllocs(t, 2000, 8000, K)
 		if small != large {
 			t.Errorf("K=%d: %.1f allocs on 50 nodes vs %.1f on 2000; the sweep is allocating per push", K, small, large)
 		}
-		if small > float64(K+6) {
-			t.Errorf("K=%d: %.1f allocs per batch, want at most K+6", K, small)
+		if small > float64(K+2) {
+			t.Errorf("K=%d: %.1f allocs per batch, want at most K+2", K, small)
 		}
 	}
 }

@@ -111,7 +111,7 @@ func (p *Explainer) Explain(u hin.NodeID) (*CFE, error) {
 		return nil, err
 	}
 
-	// toRec and every runner-up's column come out of one blocked drain.
+	// toRec and every runner-up's column come out of one ToTargets batch.
 	targets := []hin.NodeID{oldTop}
 	for _, sc := range top {
 		if sc.Node != oldTop {
