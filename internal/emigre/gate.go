@@ -73,10 +73,11 @@ func (s *session) gated(r2 *rec.Recommender) bool {
 		return false
 	}
 	p := s.ex.r.Config().PPR
-	// Every reverse-push entry satisfies P ≤ PPR ≤ P + ε, PPR(u,u) ≥ α
-	// and F ≤ 1: the two column differences are each off by at most ε
-	// and F by at most ε/α, against a difference of at most 1.
-	colErr := p.Epsilon * (2 + 1/p.Alpha)
+	// Every reverse-push entry is within e = p.ColumnErr() of its PPR on
+	// either side, PPR(u,u) ≥ α and F ≤ 1: the two column differences
+	// are each off by at most 2e and F by at most 2e/α, against a
+	// difference of at most 1.
+	colErr := 2 * p.ColumnErr() * (2 + 1/p.Alpha)
 	ahead := 0
 	for i := range rv.list {
 		t := &rv.list[i]

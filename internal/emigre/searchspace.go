@@ -112,6 +112,9 @@ func (s *session) addCandidates() []candidate {
 		for len(nbrs) > 0 && nbrs[0] < id {
 			nbrs = nbrs[1:]
 		}
+		// A column entry is within ε of PPR(x, WNI) on either side, so an x
+		// whose PPR(x, WNI) is below ε may read as low as −ε: w <= 0 drops
+		// it with the zeros.
 		if w <= 0 || id == u || id == s.q.WNI || !targetOK[s.ex.g.NodeType(id)] {
 			continue
 		}

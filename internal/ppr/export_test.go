@@ -4,6 +4,7 @@ package ppr
 // test and benchmark need the recommender, which imports ppr.
 var (
 	RefReverse = refReverse
+	Relaxation = relaxation
 	RunMany    = runMany
 	SameRun    = sameRun
 )

@@ -3,6 +3,7 @@ package ppr_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestReverseMatchesReferenceOnLite(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k, tgt := range batch {
-				want, _ := ppr.RefReverse(g, p, tgt)
+				want, _ := ppr.RefReverse(g, p, tgt, ppr.Relaxation(p.Alpha))
 				ppr.SameRun(t, fmt.Sprintf("%s %d in a batch of %d", set.name, tgt, len(batch)), got[k], want)
 			}
 		}
@@ -106,12 +107,14 @@ func TestReverseMatchesReferenceOnLite(t *testing.T) {
 // BenchmarkReversePushLite drains the Lite graph's Why-Not item columns
 // K at a time and reports the cost of one column and of one in-edge
 // update (the in-degrees of a column's pushes, summed, counted once per
-// target by the reference drain outside the timer).
+// target outside the timer by the reference drain at the kernel's own
+// ω, relaxation(α), so the denominator is the updates the timed drain
+// makes, not those of a plain ω = 1 drain).
 func BenchmarkReversePushLite(b *testing.B) {
 	g, p, _, items := liteGraph(b)
 	updates := make(map[hin.NodeID]int, len(items))
 	for _, t := range items {
-		_, updates[t] = ppr.RefReverse(g, p, t)
+		_, updates[t] = ppr.RefReverse(g, p, t, ppr.Relaxation(p.Alpha))
 	}
 	e := ppr.NewReversePush(p)
 	for _, K := range []int{1, 2, 9} {
@@ -131,5 +134,32 @@ func BenchmarkReversePushLite(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*K), "ms/col")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/in-edge")
 		})
+	}
+}
+
+// TestReverseWithinEpsilonOnLite holds the two-sided contract on the
+// graph the benchmark serves: every entry of 50 Why-Not item columns and
+// 50 user columns lies within ε of the same column drained to ε/1000,
+// which is itself within ε/1000 of the exact PPR.
+func TestReverseWithinEpsilonOnLite(t *testing.T) {
+	g, p, users, items := liteGraph(t)
+	fine := p
+	fine.Epsilon /= 1000
+	for _, ts := range [][]hin.NodeID{items, users} {
+		got, err := ppr.NewReversePush(p).ToTargets(context.Background(), g, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ppr.NewReversePush(fine).ToTargets(context.Background(), g, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, tgt := range ts {
+			for x := range got[k] {
+				if diff := got[k][x] - want[k][x]; math.Abs(diff) > p.Epsilon+fine.Epsilon {
+					t.Fatalf("column %d at %d: estimate − reference = %g, beyond ε = %g", tgt, x, diff, p.Epsilon)
+				}
+			}
+		}
 	}
 }

@@ -16,8 +16,11 @@
 //   - ReversePush: Reverse Local Push toward a target node, maintaining
 //     the invariant of Eq. 4 — the engine EMiGRe's Add mode uses to
 //     discover candidate neighbors. Its one kernel sweeps the nodes in
-//     ascending id and drains K columns per pass of the graph
-//     (ToTargets); a column is bit-identical whatever batch drained it.
+//     ascending id, over-relaxed (each push moves ω·r, ω derived from α),
+//     and drains one column at a time; a ToTargets batch is a loop of
+//     columns, and a column is bit-identical whatever batch drained it.
+//     Its estimates are within Params.ColumnErr of the exact column, on
+//     either side.
 //
 // Both accept any hin.View and normalise it once at entry to the one
 // shape their kernels iterate, a flat *hin.CSR (optionally carrying a
@@ -106,6 +109,12 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// ColumnErr bounds a reverse-push estimate's error, on either side: a
+// column drained to ε leaves every |residual| ≤ ε, so Eq. 4 puts
+// |PPR(x,t) − est(x)| ≤ ε·Σ_y PPR(x,y) ≤ ε. Every reader of a column's
+// accuracy reads it here.
+func (p Params) ColumnErr() float64 { return p.Epsilon }
 
 // Errors shared by the engines.
 var (

@@ -204,10 +204,8 @@ func TestReversePushInvariantEq4(t *testing.T) {
 			t.Fatal(err)
 		}
 		recon := res.Estimates[s]
-		for x := range res.Residuals {
-			if res.Residuals[x] > 0 {
-				recon += exactRow[x] * res.Residuals[x]
-			}
+		for x, r := range res.Residuals { // every residual: they may be negative
+			recon += exactRow[x] * r
 		}
 		if diff := math.Abs(recon - exactRow[tgt]); diff > 1e-7 {
 			t.Fatalf("Eq.4 invariant violated at s=%d: recon %g vs exact %g", s, recon, exactRow[tgt])

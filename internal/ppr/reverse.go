@@ -3,6 +3,7 @@ package ppr
 import (
 	"context"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -73,9 +74,10 @@ func (e *ReversePush) ToTargets(ctx context.Context, g hin.View, ts []hin.NodeID
 }
 
 // Run performs reverse local push toward t until every residual is at
-// most Epsilon, returning estimates and residuals. Eq. 4 with every
-// residual in [0, ε] leaves each estimate at most ε below the exact
-// PPR(x, t), never above it: 0 ≤ PPR(x,t) − Estimates[x] ≤ ε.
+// most Epsilon in absolute value, returning estimates and residuals.
+// Residuals may end negative, so Eq. 4 leaves each estimate within ε of
+// the exact PPR(x, t) on either side: |PPR(x,t) − Estimates[x]| ≤
+// Params.ColumnErr().
 func (e *ReversePush) Run(g hin.View, t hin.NodeID) (*PushResult, error) {
 	return e.RunContext(context.Background(), g, t)
 }
@@ -129,20 +131,26 @@ func (e *ReversePush) drain(g hin.View, ts []hin.NodeID) (reverseDrain, error) {
 
 // column drains PPR(·,t) from r = e_t and returns its estimates and push
 // count; r is left holding the column's terminal residuals. Nodes are
-// visited in ascending id and v pushes iff r[v] > ε — α·r[v] into its
-// estimate, (1−α)·r[v]·W(x,v) onto every in-neighbour x — until a whole
-// sweep pushes nothing. Any push order keeps Eq. 4 and ends with every
-// residual in [0, ε]; a column's trajectory depends only on t and the
-// fixed node order, hence ToTargets' batch independence (DESIGN.md
-// §3.1). The context and the ppr.reverse.loop failpoint are polled every
-// ctxCheckInterval node visits.
+// visited in ascending id and v pushes iff |r[v]| > ε, moving δ = ω·r[v]:
+// off r[v], α·δ into its estimate and (1−α)·δ·W(x,v) onto every
+// in-neighbour x, until a whole sweep pushes nothing. ω = relaxation(α)
+// drops to 1 for good at the first push whose |r| exceeds the largest of
+// the previous sweep (of the first, (1−α)·ω: one hop of the unit
+// residual) or after relaxedSweeps sweeps (DESIGN.md §3.1). Eq. 4 is
+// linear in δ, so any ω keeps it, and the column ends with every
+// |residual| ≤ ε. A column's trajectory depends only on t and the fixed
+// node order, hence ToTargets' batch independence. The context and the
+// ppr.reverse.loop failpoint are polled every ctxCheckInterval node
+// visits.
 func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, pushes int, err error) {
 	n := len(d.inStart) - 1
 	clear(d.r)
 	d.r[t] = 1
 	d.p, d.pushes = make(Vector, n), 0
-	for active := true; active; {
-		active = false
+	omega := relaxation(d.alpha)
+	bar := (1 - d.alpha) * omega
+	for sweep := 1; ; sweep++ {
+		peak := 0.0
 		for lo := 0; lo < n; lo += ctxCheckInterval {
 			if err := ctxErr(ctx); err != nil {
 				return nil, 0, err
@@ -150,21 +158,40 @@ func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, push
 			if err := reverseLoopSite.Hit(ctx); err != nil {
 				return nil, 0, err
 			}
-			if d.body(lo, min(lo+ctxCheckInterval, n)) {
-				active = true
+			if peak = d.body(lo, min(lo+ctxCheckInterval, n), omega, peak, bar); peak > bar {
+				omega = 1
 			}
 		}
+		if peak <= 0 { // every push reads some |r| > ε
+			break
+		}
+		if sweep >= relaxedSweeps {
+			omega = 1
+		}
+		bar = peak
 	}
 	if obs.Enabled() {
 		var mass float64
 		for _, x := range d.r[:n] {
-			mass += x
+			mass += abs(x)
 		}
 		runsReverse.Inc()
 		pushesReverse.Add(int64(d.pushes))
 		residualMassReverse.Observe(mass)
 	}
 	return d.p, d.pushes, nil
+}
+
+// relaxedSweeps bounds the sweeps a column drains at ω > 1 while every
+// one of them shrinks the largest pushed |r|: 4× the 16 sweeps of a
+// Lite-graph column.
+const relaxedSweeps = 64
+
+// relaxation is the reverse drain's over-relaxation factor: Young's SOR
+// optimum ω* = 2/(1 + √(1 − ρ²)) for the Jacobi radius ρ = 1 − α of
+// Eq. 4's push, 1.31 at α = 0.15.
+func relaxation(alpha float64) float64 {
+	return 2 / (1 + math.Sqrt(1-(1-alpha)*(1-alpha)))
 }
 
 // body unrolls exactly four lanes: this fails to compile unless
@@ -176,13 +203,16 @@ const (
 	floatSize = unsafe.Sizeof(float64(0))
 )
 
-// body drains the nodes [lo, hi) and reports whether any pushed. It
-// walks each pushing node's in-row four lanes at a time without bounds
-// checks: NewCSR's invariant (hin.CSR.InRows) keeps every row a whole
-// number of lane groups and every source below len(r), and a pad lane
-// adds c·0 = +0 to a scratch slot, so the real lanes see exactly the
-// multiply-adds, in exactly the order, of an unpadded loop.
-func (d *reverseDrain) body(lo, hi int) (active bool) {
+// body drains the nodes [lo, hi) at relaxation omega, which it drops to
+// 1 at the first push whose |r| exceeds bar, and returns the largest |r|
+// it pushed, or peak if that is larger. It walks each pushing node's
+// in-row four lanes at a time without bounds checks: NewCSR's invariant
+// (hin.CSR.InRows) keeps every row a whole number of lane groups and
+// every source below len(r), and a pad lane adds c·0 = +0 to a scratch
+// slot, so the real lanes see exactly the multiply-adds, in exactly the
+// order, of an unpadded loop. At omega = 1, δ is r[v] itself and
+// r[v] − δ is +0.
+func (d *reverseDrain) body(lo, hi int, omega, peak, bar float64) float64 {
 	inStart, alpha, eps, p, r := d.inStart, d.alpha, d.eps, d.p, d.r
 	src := unsafe.Pointer(unsafe.SliceData(d.inSrc))
 	prob := unsafe.Pointer(unsafe.SliceData(d.inProb))
@@ -191,14 +221,20 @@ func (d *reverseDrain) body(lo, hi int) (active bool) {
 	pushes := 0
 	for v := lo; v < hi; v++ {
 		rv := r[v]
-		if rv <= eps {
+		a := math.Abs(rv)
+		if a <= eps {
 			continue
 		}
-		r[v] = 0
-		p[v] += alpha * rv
+		if a > peak {
+			if peak = a; peak > bar {
+				omega = 1
+			}
+		}
+		delta := omega * rv
+		r[v] = rv - delta
+		p[v] += alpha * delta
 		pushes++
-		active = true
-		c := (1 - alpha) * rv
+		c := (1 - alpha) * delta
 		for i, end := uintptr(inStart[v]), uintptr(inStart[v+1]); i < end; i += 4 {
 			x := (*[4]hin.NodeID)(unsafe.Add(src, i*idSize))
 			w := (*[4]float64)(unsafe.Add(prob, i*floatSize))
@@ -211,5 +247,5 @@ func (d *reverseDrain) body(lo, hi int) (active bool) {
 		}
 	}
 	d.pushes += pushes
-	return active
+	return peak
 }

@@ -115,12 +115,14 @@ func runMany(ctx context.Context, e *ReversePush, g hin.View, ts []hin.NodeID) (
 }
 
 // refReverse is the reference drain the kernel is held to bit for bit:
-// the same sweeps, push rule and multiply-adds, as a bounds-checked loop
-// over unpadded in-rows read through InEdges (so in ascending source
-// order, the CSR's) with the transition probability w/Σw(src), 0 for a
-// source whose weight sum is not positive. It also returns the in-edge
-// updates the drain made: the in-degrees of its pushes, summed.
-func refReverse(g *hin.CSR, p Params, t hin.NodeID) (res *PushResult, updates int) {
+// the same sweeps, push rule, switch to ω = 1 and multiply-adds, as a
+// bounds-checked loop over unpadded in-rows read through InEdges (so in
+// ascending source order, the CSR's) with the transition probability
+// w/Σw(src), 0 for a source whose weight sum is not positive. It starts
+// at relaxation omega — the kernel's is relaxation(α); omega = 1 is the
+// plain drain — and also returns the in-edge updates the drain made: the
+// in-degrees of its pushes, summed.
+func refReverse(g *hin.CSR, p Params, t hin.NodeID, omega float64) (res *PushResult, updates int) {
 	n := g.NumNodes()
 	start := make([]int, n+1)
 	var src []hin.NodeID
@@ -138,24 +140,34 @@ func refReverse(g *hin.CSR, p Params, t hin.NodeID) (res *PushResult, updates in
 	}
 	est, r := make(Vector, n), make(Vector, n)
 	r[t] = 1
-	pushes := 0
-	for active := true; active; {
-		active = false
+	pushes, bar := 0, (1-p.Alpha)*omega
+	for sweep := 1; ; sweep++ {
+		peak := 0.0
 		for v := range n {
 			rv := r[v]
-			if rv <= p.Epsilon {
+			if math.Abs(rv) <= p.Epsilon {
 				continue
 			}
-			r[v] = 0
-			est[v] += p.Alpha * rv
+			if peak = math.Max(peak, math.Abs(rv)); peak > bar {
+				omega = 1
+			}
+			delta := omega * rv
+			r[v] = rv - delta
+			est[v] += p.Alpha * delta
 			pushes++
-			active = true
-			c := (1 - p.Alpha) * rv
+			c := (1 - p.Alpha) * delta
 			for i := start[v]; i < start[v+1]; i++ {
 				r[src[i]] += c * prob[i]
 			}
 			updates += start[v+1] - start[v]
 		}
+		if peak <= 0 { // nothing pushed
+			break
+		}
+		if sweep >= relaxedSweeps {
+			omega = 1
+		}
+		bar = peak
 	}
 	return &PushResult{Estimates: est, Residuals: r, Pushes: pushes}, updates
 }
@@ -172,7 +184,8 @@ func sameRun(t *testing.T, what string, got, want *PushResult) {
 }
 
 // checkReference holds every column of a batch over ts, and its single
-// Run, to the reference drain.
+// Run, to the reference drain, and checks the drain's end state: every
+// |residual| ≤ ε.
 func checkReference(t *testing.T, what string, e *ReversePush, g *hin.CSR, ts []hin.NodeID) {
 	t.Helper()
 	many, err := runMany(context.Background(), e, g, ts)
@@ -180,8 +193,13 @@ func checkReference(t *testing.T, what string, e *ReversePush, g *hin.CSR, ts []
 		t.Fatal(err)
 	}
 	for k, tgt := range ts {
-		want, _ := refReverse(g, e.Params, tgt)
+		want, _ := refReverse(g, e.Params, tgt, relaxation(e.Params.Alpha))
 		sameRun(t, fmt.Sprintf("%s slot %d (target %d)", what, k, tgt), many[k], want)
+		for x, r := range many[k].Residuals {
+			if math.Abs(r) > e.Params.Epsilon {
+				t.Fatalf("%s target %d: residual %g at node %d beyond ε", what, tgt, r, x)
+			}
+		}
 		single, err := e.Run(g, tgt)
 		if err != nil {
 			t.Fatal(err)
@@ -287,10 +305,10 @@ func TestReverseNoTargetsTouchNothing(t *testing.T) {
 	}
 }
 
-// FuzzReverseBatchIndependence drives the same contract, and the
-// reference drain's, from fuzz input: 8 seed bytes pick the graph, then
-// one byte each for K, β and ε. Seeds — and any crasher a fuzz run
-// finds — live under testdata/fuzz.
+// FuzzReverseBatchIndependence drives the same contract, the reference
+// drain's and the drain's end state — every |residual| ≤ ε — from fuzz
+// input: 8 seed bytes pick the graph, then one byte each for K, β and ε.
+// Seeds — and any crasher a fuzz run finds — live under testdata/fuzz.
 func FuzzReverseBatchIndependence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 42, 10, 1, 1})
@@ -314,9 +332,9 @@ func FuzzReverseBatchIndependence(f *testing.F) {
 }
 
 // TestReverseBatchDefinition checks a batch against the definition, not
-// against another push: every terminal residual lies in [0, ε], and
-// Eq. 4 leaves each estimate at most ε·Σ_x PPR(s,x) ≤ ε below the exact
-// PPR(s,t) and never above it.
+// against another push: every terminal |residual| is at most ε, and
+// Eq. 4 leaves each estimate within ε·Σ_x PPR(s,x) ≤ ε of the exact
+// PPR(s,t), on either side.
 func TestReverseBatchDefinition(t *testing.T) {
 	for _, eps := range []float64{2.7e-8, 1e-4} {
 		rng := rand.New(rand.NewSource(9))
@@ -336,8 +354,8 @@ func TestReverseBatchDefinition(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k, tgt := range ts {
-				if r := res[k].Residuals[s]; r < 0 || r > eps {
-					t.Fatalf("ε=%g: residual %g at node %d of column %d outside [0, ε]", eps, r, s, tgt)
+				if r := res[k].Residuals[s]; math.Abs(r) > eps {
+					t.Fatalf("ε=%g: residual %g at node %d of column %d outside [−ε, ε]", eps, r, s, tgt)
 				}
 				recon := res[k].Estimates[s]
 				for x, r := range res[k].Residuals {
@@ -346,9 +364,103 @@ func TestReverseBatchDefinition(t *testing.T) {
 				if diff := math.Abs(recon - row[tgt]); diff > 1e-12 {
 					t.Fatalf("ε=%g: Eq. 4 at (%d,%d): %g reconstructed, %g exact", eps, s, tgt, recon, row[tgt])
 				}
-				if gap := row[tgt] - res[k].Estimates[s]; gap < -1e-12 || gap > eps+1e-12 {
-					t.Fatalf("ε=%g: PPR(%d,%d) − estimate = %g, want within [0, ε]", eps, s, tgt, gap)
+				if gap := row[tgt] - res[k].Estimates[s]; math.Abs(gap) > eps+1e-12 {
+					t.Fatalf("ε=%g: PPR(%d,%d) − estimate = %g, want within [−ε, ε]", eps, s, tgt, gap)
 				}
+			}
+		}
+	}
+}
+
+// edgeGraph builds a graph of n nodes and unit-weight edges from[i] ->
+// to[i].
+func edgeGraph(t *testing.T, n int, from, to []int) *hin.CSR {
+	t.Helper()
+	g := hin.NewGraph()
+	nt, et := g.Types().NodeType("n"), g.Types().EdgeType("e")
+	for range n {
+		g.AddNode(nt, "")
+	}
+	for i := range from {
+		if err := g.AddEdge(hin.NodeID(from[i]), hin.NodeID(to[i]), et, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hin.NewCSR(g)
+}
+
+// TestReverseTerminatesWhereRelaxationDoesNot drains graphs on which ω*
+// is not guaranteed to contract, at ε = 1e-12: directed cycles, whose
+// every node has a single in-edge of weight 1 (both orientations: mass
+// runs against the sweep, one hop a sweep, or with it, where unchecked
+// ω* would grow it by (1−α)·ω* = 1.11 a hop), a chain whose end absorbs,
+// and a cycle that leaks half of every step into a dangling sink. Every
+// column must match the reference drain bit for bit, end with every
+// |r| ≤ ε and lie within ε of Power's. Pushes stay within 4× the plain
+// (ω = 1) drain's, plus, for a residual no in-edge refills (the chain's
+// head), the ln ε / ln(ω*−1) pushes it takes to shrink by ω*−1 a push
+// where ω = 1 clears it in one. The leaking cycle is the worst case on record
+// (DESIGN.md §3.1): its radius is (1−α)/2, not the 1−α ω* is tuned to,
+// so ω* leaves a residual on every node it passes while the plain drain
+// holds one at a time, and only the sweep cap bounds its ω* phase, at
+// relaxedSweeps sweeps of every node.
+func TestReverseTerminatesWhereRelaxationDoesNot(t *testing.T) {
+	type shape struct {
+		name     string
+		n        int
+		from, to []int
+		leaks    bool
+	}
+	var shapes []shape
+	for _, n := range []int{3, 7, 50, 501} {
+		up, down := shape{name: fmt.Sprintf("cycle %d up", n), n: n}, shape{name: fmt.Sprintf("cycle %d down", n), n: n}
+		for i := range n {
+			up.from, up.to = append(up.from, i), append(up.to, (i+1)%n)
+			down.from, down.to = append(down.from, (i+1)%n), append(down.to, i)
+		}
+		shapes = append(shapes, up, down)
+	}
+	chain, sink := shape{name: "chain 50", n: 50}, shape{name: "cycle 7 into a sink", n: 8, leaks: true}
+	for i := range 49 {
+		chain.from, chain.to = append(chain.from, i), append(chain.to, i+1)
+	}
+	for i := range 7 {
+		sink.from, sink.to = append(sink.from, i, i), append(sink.to, (i+1)%7, 7)
+	}
+	shapes = append(shapes, chain, sink)
+
+	p := testParams()
+	p.Epsilon = 1e-12
+	exact := p
+	exact.Tol, exact.MaxIter = 1e-15, 5000
+	e := NewReversePush(p)
+	settle := int(math.Ceil(math.Log(p.Epsilon) / math.Log(relaxation(p.Alpha)-1)))
+	for _, sh := range shapes {
+		g := edgeGraph(t, sh.n, sh.from, sh.to)
+		for _, tgt := range []hin.NodeID{0, hin.NodeID(sh.n / 2), hin.NodeID(sh.n - 1)} {
+			what := fmt.Sprintf("%s, target %d", sh.name, tgt)
+			checkReference(t, what, e, g, []hin.NodeID{tgt})
+			got, err := e.Run(g, tgt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewPower(exact).ToTarget(g, tgt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := range want {
+				if diff := got.Estimates[x] - want[x]; math.Abs(diff) > p.Epsilon {
+					t.Fatalf("%s: estimate − Power = %g at node %d, beyond ε", what, diff, x)
+				}
+			}
+			plain, _ := refReverse(g, p, tgt, 1)
+			bound := 4*plain.Pushes + settle
+			if sh.leaks {
+				bound = 4*plain.Pushes + relaxedSweeps*sh.n
+			}
+			t.Logf("%s: %d pushes, %d at ω = 1", what, got.Pushes, plain.Pushes)
+			if got.Pushes > bound {
+				t.Fatalf("%s: %d pushes, the plain drain %d: beyond %d", what, got.Pushes, plain.Pushes, bound)
 			}
 		}
 	}

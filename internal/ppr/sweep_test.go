@@ -130,9 +130,39 @@ func TestSweepsPollMidDrain(t *testing.T) {
 	}
 }
 
+// TestReverseResidualMassIsL1: a reverse column ends with negative
+// residuals among the positive ones, and the residual-mass histogram
+// observes their L1 mass Σ|r|, as its help text says, not the signed sum.
+func TestReverseResidualMassIsL1(t *testing.T) {
+	if !obs.Enabled() {
+		t.Skip("metrics disabled")
+	}
+	g := batchHIN(t, rand.New(rand.NewSource(11)), 40, 0.5)
+	e := NewReversePush(testParams())
+	for tgt := range hin.NodeID(40) {
+		sum0 := residualMassReverse.Sum()
+		res, err := e.Run(g, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l1, signed float64
+		for _, x := range res.Residuals {
+			l1, signed = l1+math.Abs(x), signed+x
+		}
+		if l1-signed < 1e-12 {
+			continue // no negative residual left in this column
+		}
+		if got := residualMassReverse.Sum() - sum0; math.Abs(got-l1) > 1e-15 {
+			t.Fatalf("column %d: residual mass %g recorded, Σ|r| is %g (signed sum %g)", tgt, got, l1, signed)
+		}
+		return
+	}
+	t.Fatal("no column ended with a negative residual")
+}
+
 // TestSweepsRecordRunCounters pins that every body reports its runs:
-// one run, its pushes and its residual mass per column (reverse) or per
-// call (forward), whichever body drained it.
+// one run, its pushes and its residual mass Σ|r| per column (reverse) or
+// per call (forward), whichever body drained it.
 func TestSweepsRecordRunCounters(t *testing.T) {
 	if !obs.Enabled() {
 		t.Skip("metrics disabled")
@@ -159,7 +189,9 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 		var mass float64
 		for _, r := range res {
 			pushes += int64(r.Pushes)
-			mass += r.Residuals.Sum()
+			for _, x := range r.Residuals {
+				mass += math.Abs(x)
+			}
 		}
 		K := int64(len(tc.ts))
 		if got := runsReverse.Value() - runs0; got != K {

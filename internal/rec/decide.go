@@ -34,9 +34,9 @@ func (r *Recommender) ColumnSums() ppr.Vector {
 }
 
 // Held is a reverse column its caller already holds: Col[x] estimates
-// PPR(x, Node) over the snapshot ColumnSums bounds, at most ε below the
-// exact value (a reverse push drained to ε). TopDecided reads it to
-// tighten Node's bound.
+// PPR(x, Node) over the snapshot ColumnSums bounds, within
+// ppr.Params.ColumnErr (ε) of the exact value on either side (a reverse
+// push drained to ε). TopDecided reads it to tighten Node's bound.
 type Held struct {
 	Node hin.NodeID
 	Col  ppr.Vector
@@ -92,21 +92,22 @@ func (r *Recommender) TopDecided(ctx context.Context, u hin.NodeID, k int, held 
 //
 //	T ≤ U₀(i) + κ·T,   U₀(i) = p(i) + r_max·C(i),   so   T ≤ U₀(i)/(1 − κ).
 //
-// A held column sharpens U₀ to p(t) + Σ_x r(x)·(col(x) + ε).
+// A held column sharpens U₀ to p(t) + Σ_x r(x)·(col(x) + ε), ε its
+// ColumnErr: col(x) + ε ≥ PPR(x,t).
 //
 // A candidate whose bound falls below the k-th estimate can never enter
 // the top k or hold it back again — estimates only grow, and a bound
 // read once stays a bound — so it leaves alive for good, and the later
 // tests of a push walk a shrinking list.
 type certificate struct {
-	alive []hin.NodeID // candidates still in play, ascending
-	sums  []float64    // C(alive[i]), kept in step with alive
-	held  []Held
-	eps   float64
-	sumF  float64  // C(u)/α ≥ Σ_x F(x), since PPR(u,u) ≥ α
-	floor float64  // the k-th estimate at the last test
-	top   []Scored // the k best estimates, last-ranked at the root (selectInto's heap)
-	upper []Scored // the highest bounds, descending
+	alive  []hin.NodeID // candidates still in play, ascending
+	sums   []float64    // C(alive[i]), kept in step with alive
+	held   []Held
+	colErr float64  // ppr.Params.ColumnErr of the held columns
+	sumF   float64  // C(u)/α ≥ Σ_x F(x), since PPR(u,u) ≥ α
+	floor  float64  // the k-th estimate at the last test
+	top    []Scored // the k best estimates, last-ranked at the root (selectInto's heap)
+	upper  []Scored // the highest bounds, descending
 }
 
 // certificate returns TopDecided's stop test for u's top k, nil when none
@@ -132,13 +133,13 @@ func (r *Recommender) certificate(u hin.NodeID, k int, held []Held) *certificate
 		}
 	}
 	return &certificate{
-		alive: alive,
-		sums:  aliveSums,
-		held:  held,
-		eps:   r.cfg.PPR.Epsilon,
-		sumF:  sums[u] / r.cfg.PPR.Alpha,
-		floor: -1,
-		top:   make([]Scored, 0, k),
+		alive:  alive,
+		sums:   aliveSums,
+		held:   held,
+		colErr: r.cfg.PPR.ColumnErr(),
+		sumF:   sums[u] / r.cfg.PPR.Alpha,
+		floor:  -1,
+		top:    make([]Scored, 0, k),
 		// The walk in decided gets past an entry only if it is in the top
 		// k or holds a column; one more shows where the walk ends.
 		upper: make([]Scored, 0, k+len(held)+1),
@@ -218,7 +219,8 @@ func (c *certificate) heldColumn(v hin.NodeID) *Held {
 }
 
 // heldBound is U₀ of a held item: its column's residual sum
-// Σ_x r(x)·col(x), plus ε per unit of residual, in place of r_max·C.
+// Σ_x r(x)·col(x), plus the column's error per unit of residual, in
+// place of r_max·C.
 func (c *certificate) heldBound(h *Held, p, r ppr.Vector) float64 {
 	col := h.Col[:len(r)]
 	var dot, rsum float64
@@ -226,7 +228,7 @@ func (c *certificate) heldBound(h *Held, p, r ppr.Vector) float64 {
 		dot += rx * col[x]
 		rsum += rx
 	}
-	return p[h.Node] + dot + c.eps*rsum
+	return p[h.Node] + dot + c.colErr*rsum
 }
 
 func hasNode(l []Scored, v hin.NodeID) bool {
