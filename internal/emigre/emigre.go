@@ -422,11 +422,6 @@ type Explainer struct {
 	// rival gate, so every CHECK is one cold rank check — the reference
 	// the A/B suites compare against.
 	noGate bool
-	// noCertify is a test seam, set only from _test.go files: every cold
-	// CHECK drains its push to ε and ranks it with TopNContext instead of
-	// stopping once its verdict is certified — the reference the
-	// certificate's A/B compares against.
-	noCertify bool
 }
 
 // New builds an explainer. The recommender must have been built over g
@@ -607,9 +602,6 @@ type session struct {
 	view  hin.View   // the β-mixed transition view scores are taken on
 	toRec ppr.Vector // PPR(·, rec)
 	toWNI ppr.Vector // PPR(·, WNI)
-	// held are the reverse columns the session holds — rec's, WNI's and
-	// every learned rival's — which sharpen the cold CHECK's certificate.
-	held  []rec.Held
 	cands []candidate
 	// npos counts the positive-contribution candidates, which lead cands,
 	// and cands[:sorted] is in final order (candCmp): Add mode sorts only
@@ -680,7 +672,6 @@ func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*sessio
 		return nil, wrapCtxErr(err, Stats{})
 	}
 	s.toRec, s.toWNI = cols[0], cols[1]
-	s.held = []rec.Held{{Node: current, Col: s.toRec}, {Node: q.WNI, Col: s.toWNI}}
 	if err := s.defineSearchSpace(); err != nil {
 		return nil, err
 	}
@@ -789,7 +780,9 @@ func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 // counterfactual applies the candidate selection as an overlay and
 // binds the recommender to it. Counterfactuals only touch the user's
 // outgoing row, so the recommender scores over a one-row patch of its
-// flat snapshot instead of re-flattening the overlay.
+// flat snapshot instead of re-flattening the overlay. The binding carries
+// no vector cache: every overlay is a new version, so a cached CHECK
+// vector would only be resident memory (DESIGN.md §3.15).
 func (s *session) counterfactual(cands []candidate) (*rec.Recommender, error) {
 	removals, additions, reweights := splitOps(cands)
 	// A reweight is expressed as removing the typed edge and re-adding
@@ -800,39 +793,28 @@ func (s *session) counterfactual(cands []candidate) (*rec.Recommender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emigre: building counterfactual overlay: %w", err)
 	}
-	return s.ex.r.WithUserPatch(o, s.q.User), nil
+	r2 := s.ex.r.WithUserPatch(o, s.q.User)
+	r2.SetCache(nil)
+	return r2, nil
 }
 
-// rankCheck re-runs the recommender over the counterfactual and reports
-// whether an accepted item reached the target rank, plus the new top-1.
-// The push stops as soon as both are certain (rec.TopDecided, DESIGN.md
-// §3.15), so the verdict and the top-1 are the ones a push drained to ε
-// gives; the noCertify seam drains it.
+// rankCheck re-runs the recommender over the counterfactual — one cold
+// forward drain to ε — and reports whether an accepted item reached the
+// target rank, plus the new top-1.
 func (s *session) rankCheck(ctx context.Context, r2 *rec.Recommender) (bool, hin.NodeID, error) {
-	k := s.ex.opts.TargetRank
-	var list []hin.NodeID
-	var err error
-	if s.ex.noCertify {
-		var top []rec.Scored
-		top, err = r2.TopNContext(ctx, s.q.User, k)
-		for _, sc := range top {
-			list = append(list, sc.Node)
-		}
-	} else {
-		list, err = r2.TopDecided(ctx, s.q.User, k, s.held)
-	}
+	list, err := r2.TopNContext(ctx, s.q.User, s.ex.opts.TargetRank)
 	if err != nil {
 		if errors.Is(err, rec.ErrNoCandidates) {
 			return false, hin.InvalidNode, nil
 		}
 		return false, hin.InvalidNode, err
 	}
-	for _, v := range list {
-		if v == s.q.WNI || s.accept[v] { // WNI or a member of the group accept set
-			return true, list[0], nil
+	for _, sc := range list {
+		if sc.Node == s.q.WNI || s.accept[sc.Node] { // WNI or a member of the group accept set
+			return true, list[0].Node, nil
 		}
 	}
-	return false, list[0], nil
+	return false, list[0].Node, nil
 }
 
 // gapFlipped reports whether a running gap estimate has crossed zero,

@@ -35,8 +35,8 @@ type rival struct {
 	node hin.NodeID
 	col  ppr.Vector // PPR(·, node), reverse-push estimates
 	// fwdErr bounds |π′(u,node) − est(node)| for any forward estimate
-	// drained to ε over a row-u counterfactual: the push invariant leaves
-	// ε·Σ_x PPR′(x,node), and the first-return split makes that sum
+	// drained to ε over a row-u counterfactual: ppr.Params.ForwardErr of
+	// the column sum Σ_x PPR′(x,node), which the first-return split makes
 	// Σ_x PPR(x,node) + (π′ − π)(u,node)·Σ_x F(x), with π′ ≤ 1−α and
 	// Σ_x F(x) ≤ Σ_x PPR(x,u)/α; both column sums are read off the
 	// snapshot's bound C (rec.ColumnSums).
@@ -112,9 +112,8 @@ func rivalMargin(row []hin.HalfEdge, total float64, u, t hin.NodeID, toWNI, toT,
 // session already holds. This is the one place the gate is switched off:
 // under the test seam, on group queries, whose accept set the pairwise
 // identity does not cover, and over a recommender without column sums
-// (a patch of a patch), nothing is learned and gated never fires. A
-// learn cut short by its context changes nothing. A learned winner's
-// column also sharpens the certificate of later cold CHECKs.
+// (a patch), nothing is learned and gated never fires. A learn cut short
+// by its context changes nothing.
 func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	rv := s.gate
 	off := s.ex.noGate || s.accept != nil
@@ -127,7 +126,7 @@ func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	}
 	p := s.ex.r.Config().PPR
 	fwdErr := func(t hin.NodeID) float64 {
-		return p.Epsilon * (sums[t] + (1-p.Alpha)/p.Alpha*sums[s.q.User])
+		return p.ForwardErr(sums[t] + (1-p.Alpha)/p.Alpha*sums[s.q.User])
 	}
 	// One graph pass fetches what the gate lacks: PPR(·,u) on the first
 	// rejection, and the winner's column unless it is already held.
@@ -156,7 +155,6 @@ func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	}
 	if !rv.has(winner) {
 		rv.list = append(rv.list, rival{node: winner, col: col, fwdErr: fwdErr(winner)})
-		s.held = append(s.held, rec.Held{Node: winner, Col: col})
 	}
 	return nil
 }

@@ -27,6 +27,4 @@ func NewForwardPush() *ForwardPush { return &ForwardPush{} }
 
 func (*ForwardPush) RunContext(s int) *PushResult { return nil }
 
-func (*ForwardPush) RunUntil(s int, done func(p, r Vector) bool) *PushResult { return nil }
-
 func (*ForwardPush) UpdateForEdit(base *PushResult, rows []int) *PushResult { return nil }

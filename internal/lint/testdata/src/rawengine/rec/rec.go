@@ -33,17 +33,6 @@ func (r *Recommender) BasePair(u int) *ppr.PushResult {
 	return ppr.NewForwardPush().RunContext(u) // want "cache"
 }
 
-// good: the cold CHECK's early-stopped push is the one uncached forward
-// route.
-func (r *Recommender) TopDecided(u int) *ppr.PushResult {
-	return ppr.NewForwardPush().RunUntil(u, nil)
-}
-
-// bad: an early-stopped push outside TopDecided still trips.
-func (r *Recommender) Decide(u int) *ppr.PushResult {
-	return ppr.NewForwardPush().RunUntil(u, nil) // want "cache"
-}
-
 // bad: no routing helper warm-starts any more, so every resume is raw.
 func (r *Recommender) WarmScores(base *ppr.PushResult, rows []int) *ppr.PushResult {
 	return ppr.NewForwardPush().UpdateForEdit(base, rows) // want "cache"

@@ -3,6 +3,7 @@ package ppr
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/why-not-xai/emigre/internal/fault"
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -15,12 +16,13 @@ import (
 //
 //	PPR(s,t) = P(s,t) + Σ_x R(s,x)·PPR(x,t)   for every t
 //
-// The push loop terminates once every residual is below Epsilon, so each
-// estimate is within Epsilon·n of the true score (and usually far
-// closer). The returned estimate vector alone is the usual result;
-// PushResult additionally exposes the residuals so tests can verify the
-// invariant. One kernel (sweep) drains both the cold run and the
-// warm-started one (UpdateForEdit).
+// The push loop terminates once every residual is at most Epsilon in
+// absolute value, so each estimate is within Params.ForwardErr of the
+// exact score on either side: |PPR(s,t) − P(s,t)| ≤ ε·Σ_x PPR(x,t). The
+// returned estimate vector alone is the usual result; PushResult
+// additionally exposes the residuals so tests can verify the invariant.
+// One kernel (sweep) drains both the cold run and the warm-started one
+// (UpdateForEdit).
 type ForwardPush struct {
 	Params Params
 }
@@ -61,8 +63,11 @@ func (e *ForwardPush) FromSourceContext(ctx context.Context, g hin.View, s hin.N
 	return res.Estimates, nil
 }
 
-// Run performs forward local push from s until all residuals are below
-// Epsilon, returning estimates and residuals.
+// Run performs forward local push from s until every residual is at
+// most Epsilon in absolute value, returning estimates and residuals.
+// Residuals may end negative, so Eq. 3 leaves each estimate within
+// ε·C(t) of the exact PPR(s, t) on either side, C(t) = Σ_x PPR(x,t):
+// |PPR(s,t) − Estimates[t]| ≤ Params.ForwardErr(C(t)).
 func (e *ForwardPush) Run(g hin.View, s hin.NodeID) (*PushResult, error) {
 	return e.RunContext(context.Background(), g, s)
 }
@@ -70,20 +75,6 @@ func (e *ForwardPush) Run(g hin.View, s hin.NodeID) (*PushResult, error) {
 // RunContext is Run with cancellation, checked every ctxCheckInterval
 // node visits of the sweep.
 func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) (*PushResult, error) {
-	return e.RunUntil(ctx, g, s, nil)
-}
-
-// StopTest is read between the sweeps of a drain with its live estimates
-// p and residuals r, between which Eq. 3 holds; true ends the drain
-// there. It must only read the two vectors.
-type StopTest func(p, r Vector) bool
-
-// RunUntil is RunContext that may stop early: after every sweep that
-// pushed, done decides whether the drain ends before every residual is
-// below Epsilon. A stopped result keeps Eq. 3 but not the ε contract:
-// its estimates are lower bounds, not ε-accurate scores. A nil done
-// drains to ε like RunContext.
-func (e *ForwardPush) RunUntil(ctx context.Context, g hin.View, s hin.NodeID, done StopTest) (*PushResult, error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,7 +86,7 @@ func (e *ForwardPush) RunUntil(ctx context.Context, g hin.View, s hin.NodeID, do
 	p := make(Vector, n)
 	r := make(Vector, n)
 	r[s] = 1
-	pushes, err := e.sweep(ctx, forwardLoopSite, csr, p, r, done)
+	pushes, err := e.sweep(ctx, forwardLoopSite, csr, p, r)
 	if err != nil {
 		return nil, err
 	}
@@ -105,23 +96,29 @@ func (e *ForwardPush) RunUntil(ctx context.Context, g hin.View, s hin.NodeID, do
 }
 
 // sweep is the forward push kernel: it drains p and r in place over csr.
-// Nodes are visited in ascending id and v pushes iff |r[v]| > ε, until a
-// whole sweep pushes nothing or done, read after every sweep that
-// pushed, says stop. A cold run's residuals never go negative,
-// so there the rule is r[v] > ε; a warm start's repaired residuals may,
-// and the push rule is linear in them. Any push order keeps Eq. 3, so the
-// drain ends with every |residual| ≤ ε whatever order it took (DESIGN.md
-// §3.1). The context and site are polled every ctxCheckInterval node
-// visits.
-func (e *ForwardPush) sweep(ctx context.Context, site *fault.Site, csr *hin.CSR, p, r Vector, done StopTest) (int, error) {
+// Nodes are visited in ascending id and v pushes iff |r[v]| > ε, moving
+// δ = ω·r[v]: off r[v], α·δ into its estimate and (1−α)·δ·W(v,y) onto
+// every out-neighbour y, until a whole sweep pushes nothing. ω starts at
+// relaxation(α) and drops to 1 for the rest of the drain at the first
+// push whose |r| exceeds twice the largest |r| pushed in the previous
+// sweep (in the first, twice the largest at entry), at the end of the
+// first sweep whose pushed Σ|r| does not shrink, or after relaxedSweeps
+// sweeps (DESIGN.md §3.1). Eq. 3 is linear in δ, so any ω and any push
+// order keep it, and the drain ends with every |residual| ≤ ε. At ω = 1,
+// δ is r[v] itself and r[v] − δ is +0. The context and site are polled
+// every ctxCheckInterval node visits.
+func (e *ForwardPush) sweep(ctx context.Context, site *fault.Site, csr *hin.CSR, p, r Vector) (int, error) {
 	n := csr.NumNodes()
 	alpha, eps := e.Params.Alpha, e.Params.Epsilon
+	omega := relaxation(alpha)
+	var bar float64
+	for _, x := range r {
+		bar = max(bar, abs(x))
+	}
+	bar, mass := 2*bar, math.Inf(1)
 	pushes := 0
-	for active := true; active; {
-		if pushes > 0 && done != nil && done(p, r) {
-			break
-		}
-		active = false
+	for sweep := 1; ; sweep++ {
+		var peak, pushed float64
 		for lo := 0; lo < n; lo += ctxCheckInterval {
 			if err := ctxErr(ctx); err != nil {
 				return pushes, err
@@ -131,23 +128,36 @@ func (e *ForwardPush) sweep(ctx context.Context, site *fault.Site, csr *hin.CSR,
 			}
 			for v := lo; v < min(lo+ctxCheckInterval, n); v++ {
 				rv := r[v]
-				if abs(rv) <= eps {
+				a := abs(rv)
+				if a <= eps {
 					continue
 				}
-				active = true
-				r[v] = 0
-				p[v] += alpha * rv
+				if a > peak {
+					if peak = a; peak > bar {
+						omega = 1
+					}
+				}
+				pushed += a
+				delta := omega * rv
+				r[v] = rv - delta
+				p[v] += alpha * delta
 				pushes++
 				total := csr.OutWeightSum(hin.NodeID(v))
 				if total <= 0 {
 					continue // dangling: remaining mass absorbed
 				}
-				scale := (1 - alpha) * rv / total
+				scale := (1 - alpha) * delta / total
 				for _, h := range csr.OutSlice(hin.NodeID(v)) {
 					r[h.Node] += scale * h.Weight
 				}
 			}
 		}
+		if peak <= 0 { // every push reads some |r| > ε
+			return pushes, nil
+		}
+		if pushed >= mass || sweep >= relaxedSweeps {
+			omega = 1
+		}
+		bar, mass = 2*peak, pushed
 	}
-	return pushes, nil
 }

@@ -163,3 +163,55 @@ func TestReverseWithinEpsilonOnLite(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkForwardPushLite drains the Lite graph's sampled users' rows
+// one cold run at a time and reports the cost of one run and of one
+// out-edge update (the out-degrees of a run's pushes, summed, counted
+// once per user outside the timer by the reference drain at the
+// kernel's own ω, so the denominator is the updates the timed drain
+// makes).
+func BenchmarkForwardPushLite(b *testing.B) {
+	g, p, users, _ := liteGraph(b)
+	updates := make(map[hin.NodeID]int, len(users))
+	for _, u := range users {
+		_, updates[u] = ppr.RefForward(g, p, u, ppr.Relaxation(p.Alpha))
+	}
+	e := ppr.NewForwardPush(p)
+	b.ReportAllocs()
+	edges := 0
+	for i := 0; i < b.N; i++ {
+		u := users[i%len(users)]
+		edges += updates[u]
+		if _, err := e.RunContext(context.Background(), g, u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/run")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/out-edge")
+}
+
+// TestForwardWithinEpsilonOnLite holds the two-sided forward contract on
+// the graph the benchmark serves: every entry of 50 sampled users' rows
+// lies within ε·C(t) of the same row drained to ε/1000, which is itself
+// within (ε/1000)·C(t) of the exact PPR, C = ppr.ColumnSums.
+func TestForwardWithinEpsilonOnLite(t *testing.T) {
+	g, p, users, _ := liteGraph(t)
+	fine := p
+	fine.Epsilon /= 1000
+	sums := ppr.ColumnSums(g, p)
+	for _, u := range users {
+		got, err := ppr.NewForwardPush(p).Run(g, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ppr.NewForwardPush(fine).Run(g, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := range got.Estimates {
+			if diff := got.Estimates[x] - want.Estimates[x]; math.Abs(diff) > p.ForwardErr(sums[x])+fine.ForwardErr(sums[x]) {
+				t.Fatalf("user %d at %d: estimate − reference = %g, beyond ε·C = %g", u, x, diff, p.ForwardErr(sums[x]))
+			}
+		}
+	}
+}

@@ -9,10 +9,12 @@
 //
 //   - ForwardPush: Forward Local Push from a source node, maintaining the
 //     invariant of Eq. 3 of the paper (estimates + residuals). Its one
-//     kernel sweeps the nodes in ascending id, pushing every residual
-//     above ε in absolute value; it drains both a run from e_s
-//     (RunContext) and the repaired residuals of a completed run after a
-//     row edit (UpdateForEdit);
+//     kernel sweeps the nodes in ascending id, over-relaxed like the
+//     reverse one, pushing every residual above ε in absolute value; it
+//     drains both a run from e_s (RunContext) and the repaired residuals
+//     of a completed run after a row edit (UpdateForEdit). Its estimates
+//     are within Params.ForwardErr(C(t)) of the exact score, on either
+//     side, C(t) = Σ_x PPR(x,t) (ColumnSums bounds it);
 //   - ReversePush: Reverse Local Push toward a target node, maintaining
 //     the invariant of Eq. 4 — the engine EMiGRe's Add mode uses to
 //     discover candidate neighbors. Its one kernel sweeps the nodes in
@@ -115,6 +117,12 @@ func (p Params) Validate() error {
 // |PPR(x,t) − est(x)| ≤ ε·Σ_y PPR(x,y) ≤ ε. Every reader of a column's
 // accuracy reads it here.
 func (p Params) ColumnErr() float64 { return p.Epsilon }
+
+// ForwardErr bounds a forward-push estimate's error at t, on either side,
+// given c ≥ C(t) = Σ_x PPR(x,t) (ColumnSums): a drain to ε leaves every
+// |residual| ≤ ε, so Eq. 3 puts |PPR(s,t) − est(t)| ≤ ε·C(t). Every
+// reader of a forward estimate's accuracy reads it here.
+func (p Params) ForwardErr(c float64) float64 { return p.Epsilon * c }
 
 // Errors shared by the engines.
 var (

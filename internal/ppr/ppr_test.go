@@ -170,10 +170,8 @@ func TestForwardPushInvariantEq3(t *testing.T) {
 			t.Fatal(err)
 		}
 		recon := res.Estimates[tgt]
-		for x := range res.Residuals {
-			if res.Residuals[x] > 0 {
-				recon += res.Residuals[x] * exactCol[x]
-			}
+		for x, r := range res.Residuals { // every residual: they may be negative
+			recon += r * exactCol[x]
 		}
 		exactRow, err := pw.FromSource(g, s)
 		if err != nil {

@@ -182,14 +182,14 @@ func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, push
 	return d.p, d.pushes, nil
 }
 
-// relaxedSweeps bounds the sweeps a column drains at ω > 1 while every
-// one of them shrinks the largest pushed |r|: 4× the 16 sweeps of a
-// Lite-graph column.
+// relaxedSweeps bounds the sweeps a drain — a reverse column or a
+// forward run — pushes at ω > 1 while its other guards hold: 4× the
+// 14–16 sweeps of a Lite-graph drain.
 const relaxedSweeps = 64
 
-// relaxation is the reverse drain's over-relaxation factor: Young's SOR
-// optimum ω* = 2/(1 + √(1 − ρ²)) for the Jacobi radius ρ = 1 − α of
-// Eq. 4's push, 1.31 at α = 0.15.
+// relaxation is both drains' over-relaxation factor: Young's SOR
+// optimum ω* = 2/(1 + √(1 − ρ²)) for the Jacobi radius ρ = 1 − α of a
+// push (Eq. 3 and Eq. 4 alike), 1.31 at α = 0.15.
 func relaxation(alpha float64) float64 {
 	return 2 / (1 + math.Sqrt(1-(1-alpha)*(1-alpha)))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
+	"github.com/why-not-xai/emigre/internal/ppr"
 )
 
 // TestWithUserPatchEquivalentToWithView compares full scoring through a
@@ -117,5 +118,36 @@ func TestConfigAndViewAccessors(t *testing.T) {
 	}
 	if r.View() == nil || r.ScoringView() == nil {
 		t.Fatal("view accessors returned nil")
+	}
+}
+
+// TestColumnSumsOnUnpatchedSnapshotsOnly: ColumnSums is ppr.ColumnSums of
+// Flat(), built once and shared by WithCache copies; a WithView copy
+// builds its own over its snapshot, and a WithUserPatch recommender, one
+// row away from the snapshot the sums bound, has none.
+func TestColumnSumsOnUnpatchedSnapshotsOnly(t *testing.T) {
+	g, cfg, ids := smallShop(t)
+	r, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := r.ColumnSums()
+	if !reflect.DeepEqual(sums, ppr.ColumnSums(r.Flat(), cfg.PPR)) {
+		t.Fatal("ColumnSums differs from ppr.ColumnSums of Flat()")
+	}
+	if c := r.WithCache(nil).ColumnSums(); &c[0] != &sums[0] {
+		t.Fatal("a WithCache copy rebuilt the column sums")
+	}
+	u := ids["u1"]
+	rated, _ := g.Types().LookupEdgeType("rated")
+	o, err := hin.NewOverlay(g, []hin.Edge{{From: u, To: ids["i1"], Type: rated, Weight: 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.WithUserPatch(o, u).ColumnSums() != nil {
+		t.Fatal("a patched recommender claims column sums")
+	}
+	if c := r.WithView(o).ColumnSums(); !reflect.DeepEqual(c, ppr.ColumnSums(hin.NewCSR(WrapBeta(o, cfg.Beta)), cfg.PPR)) {
+		t.Fatal("a WithView copy's column sums are not its own snapshot's")
 	}
 }

@@ -13,11 +13,10 @@
 // exposed as a View decorator so PPR engines, the EMiGRe explainer and
 // the PRINCE baseline all see exactly the same transition matrix.
 //
-// Every ranking read — Recommend, TopN, RankOf, TopOf / RankWithin and
-// the explainer's CHECK, TopDecided — is one kernel over a score vector:
-// a walk of the candidate index (the item-typed node ids, built once in
-// New) minus the user's sorted out-row, under the order fmath.Before.
-// TopDecided reads it off a push it stops once the ranking is certain.
+// Every ranking read — Recommend, TopN, RankOf and TopOf / RankWithin —
+// is one kernel over a score vector: a walk of the candidate index (the
+// item-typed node ids, built once in New) minus the user's sorted
+// out-row, under the order fmath.Before.
 package rec
 
 import (
@@ -25,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -90,7 +90,7 @@ type Scored struct {
 // count. Nodes added to the graph later need a new recommender.
 //
 // Concurrency contract: every scoring method (Recommend, TopN, RankOf,
-// their Context variants, TopOf, RankWithin and TopDecided) only reads the
+// their Context variants, TopOf and RankWithin) only reads the
 // recommender's state and keeps its scratch on its own stack, so a
 // Recommender is safe for concurrent use once its flat snapshot exists —
 // call Flat() (or any scoring method) once before sharing it across
@@ -107,8 +107,7 @@ type Recommender struct {
 	engine *ppr.ForwardPush
 	items  []hin.NodeID    // candidate index: ascending ids of the item-typed nodes; immutable, shared by every copy
 	cache  *pprcache.Cache // optional shared vector cache (SetCache)
-	patch  hin.NodeID      // the node whose row WithUserPatch rewrote; InvalidNode when flat is unpatched
-	sums   *colSums        // ColumnSums of flat's unpatched snapshot; nil on a patch of a patch
+	sums   *colSums        // ColumnSums of flat, shared by every copy; nil on a WithUserPatch recommender
 }
 
 // New builds a recommender over g. It returns an error for an invalid
@@ -129,7 +128,6 @@ func New(g hin.View, cfg Config) (*Recommender, error) {
 		view:   WrapBeta(g, cfg.Beta),
 		engine: ppr.NewForwardPush(cfg.PPR),
 		items:  items,
-		patch:  hin.InvalidNode,
 	}, nil
 }
 
@@ -140,7 +138,7 @@ func (r *Recommender) WithView(g hin.View) *Recommender {
 	c := *r
 	c.base = g
 	c.view = WrapBeta(g, r.cfg.Beta)
-	c.flat, c.patch, c.sums = nil, hin.InvalidNode, nil
+	c.flat, c.sums = nil, nil
 	return &c
 }
 
@@ -156,7 +154,7 @@ func (r *Recommender) WithView(g hin.View) *Recommender {
 func (r *Recommender) Flat() *hin.CSR {
 	if r.flat == nil {
 		r.flat = hin.NewCSR(r.view)
-		r.sums = &colSums{flat: r.flat}
+		r.sums = &colSums{}
 	}
 	return r.flat
 }
@@ -174,12 +172,30 @@ func (r *Recommender) WithUserPatch(v hin.View, u hin.NodeID) *Recommender {
 	c := *r
 	c.base = v
 	c.view = WrapBeta(v, r.cfg.Beta)
-	c.flat = r.patchedRow(v, u)
-	c.patch, c.sums = u, r.sums
-	if r.patch != hin.InvalidNode {
-		c.sums = nil // no longer one row away from the snapshot the sums bound
-	}
+	c.flat, c.sums = r.patchedRow(v, u), nil
 	return &c
+}
+
+// colSums is ppr.ColumnSums of one unpatched snapshot, built on first
+// use and shared by every copy scoring over that snapshot.
+type colSums struct {
+	once sync.Once
+	c    ppr.Vector
+}
+
+// ColumnSums returns C with C(i) ≥ Σ_x PPR(x,i) for every node i of
+// Flat(), computed on the first call and shared by every copy that
+// scores over the same snapshot; ppr.Params.ForwardErr(C(i)) bounds a
+// forward estimate's error at i. It is nil on a WithUserPatch
+// recommender. Safe for concurrent use once Flat() is built.
+func (r *Recommender) ColumnSums() ppr.Vector {
+	r.Flat()
+	s := r.sums
+	if s == nil {
+		return nil
+	}
+	s.once.Do(func() { s.c = ppr.ColumnSums(r.flat, r.cfg.PPR) })
+	return s.c
 }
 
 // ScoringView returns Flat() as a hin.View.
