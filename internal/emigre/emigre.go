@@ -30,8 +30,8 @@
 // the recommender is re-scored; the edit is an explanation iff the new
 // top-1 equals WNI. A counterfactual that provably still loses to the
 // winner of an earlier CHECK is rejected without a push; the rest are
-// decided by one cold PPR run that stops once its verdict is certain
-// (DESIGN.md §3.15).
+// decided by one full cold forward drain to ε over a one-row patch of
+// the recommender's snapshot, the user's edited row (DESIGN.md §3.15).
 package emigre
 
 import (

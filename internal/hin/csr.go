@@ -4,8 +4,8 @@ import "errors"
 
 // CSR is an immutable, flat (compressed sparse row) snapshot of a View,
 // optionally with one node's outgoing row replaced (WithOutRow). It is
-// the only shape the PPR push kernels iterate: adjacency is contiguous
-// and the per-node weight sums are precomputed. EMiGRe's
+// the only shape the PPR push kernels iterate: both walk padded rows of
+// transition probabilities (OutRows, InRows) precomputed here. EMiGRe's
 // counterfactuals only ever edit the query user's out-edges, so the
 // CHECK step scores an overlay by patching the user's new row
 // (O(deg u)) into the shared base snapshot instead of re-flattening
@@ -23,23 +23,32 @@ type CSR struct {
 	outHalf  []HalfEdge
 	outSum   []float64
 
+	// Out-rows, struct-of-arrays for the forward push kernel: lanes
+	// rowStart[v]..rowStart[v+1] hold v's out-edges in outHalf's order,
+	// as the target and the transition probability w/Σw(v) (0 if that
+	// sum is not positive), padded like the in-rows (see OutRows).
+	rowStart []int32
+	rowDst   []NodeID
+	rowProb  []float64
+
 	// In-rows, struct-of-arrays for the reverse push kernel: in-edge
-	// positions inStart[v]..inStart[v+1] of v hold the source, the
-	// transition probability w/Σw(source) (0 if that sum is not positive)
-	// and where the edge sits in outHalf (InEdges' type and weight). Each
-	// row is padded to a multiple of InLanes: a pad lane follows the real
-	// ones and has probability 0 and the source n + its position mod
-	// InLanes (see InRows).
+	// positions inStart[v]..inStart[v+1] of v hold the source and the
+	// transition probability w/Σw(source) (0 if that sum is not
+	// positive). Each row is padded to a multiple of InLanes: a pad lane
+	// follows the real ones and has probability 0 and the source n + its
+	// position mod InLanes (see InRows).
 	inStart []int32
 	inSrc   []NodeID
 	inProb  []float64
-	inOut   []int32
 
 	// patchNode's outgoing row is patchOut (weight sum patchSum) instead
-	// of the arrays' entry; InvalidNode when the snapshot is unpatched.
+	// of the arrays' entry, and patchDst, patchProb are its padded
+	// out-row; InvalidNode when the snapshot is unpatched.
 	patchNode NodeID
 	patchOut  []HalfEdge
 	patchSum  float64
+	patchDst  []NodeID
+	patchProb []float64
 
 	// version is the source view's version captured at flatten time: a
 	// CSR is a frozen snapshot, so it keeps identifying that state even
@@ -60,6 +69,7 @@ func NewCSR(v View) *CSR {
 		reg:       v.Types(),
 		ntype:     make([]NodeTypeID, n),
 		outStart:  make([]int32, n+1),
+		rowStart:  make([]int32, n+1),
 		inStart:   make([]int32, n+1),
 		outSum:    make([]float64, n),
 		patchNode: InvalidNode,
@@ -67,85 +77,127 @@ func NewCSR(v View) *CSR {
 	c.version, c.versioned = ViewVersion(v)
 	outDeg := make([]int32, n)
 	inDeg := make([]int32, n)
-	edges := 0
-	for i := 0; i < n; i++ {
+	// One callback per pass, over the node i: a closure per row would
+	// cost an allocation per node.
+	var i int
+	count := func(h HalfEdge) bool {
+		outDeg[i]++
+		inDeg[h.Node]++
+		return true
+	}
+	for i = 0; i < n; i++ {
 		c.ntype[i] = v.NodeType(NodeID(i))
 		c.outSum[i] = v.OutWeightSum(NodeID(i))
-		v.OutEdges(NodeID(i), func(h HalfEdge) bool {
-			outDeg[i]++
-			inDeg[h.Node]++
-			edges++
-			return true
-		})
+		v.OutEdges(NodeID(i), count)
 	}
-	c.outHalf = make([]HalfEdge, edges)
 	for i := 0; i < n; i++ {
 		c.outStart[i+1] = c.outStart[i] + outDeg[i]
-		c.inStart[i+1] = c.inStart[i] + (inDeg[i]+InLanes-1)/InLanes*InLanes
+		c.rowStart[i+1] = c.rowStart[i] + padLanes(outDeg[i])
+		c.inStart[i+1] = c.inStart[i] + padLanes(inDeg[i])
 	}
+	c.outHalf = make([]HalfEdge, c.outStart[n])
+	c.rowDst = make([]NodeID, c.rowStart[n])
+	c.rowProb = make([]float64, c.rowStart[n])
 	c.inSrc = make([]NodeID, c.inStart[n])
 	c.inProb = make([]float64, c.inStart[n])
-	c.inOut = make([]int32, c.inStart[n])
-	outPos := make([]int32, n)
 	inPos := make([]int32, n)
-	copy(outPos, c.outStart[:n])
 	copy(inPos, c.inStart[:n])
-	for i := 0; i < n; i++ {
-		v.OutEdges(NodeID(i), func(h HalfEdge) bool {
-			c.outHalf[outPos[i]] = h
-			at := inPos[h.Node]
-			c.inSrc[at], c.inOut[at] = NodeID(i), outPos[i]
-			if c.outSum[i] > 0 {
-				c.inProb[at] = h.Weight / c.outSum[i]
-			}
-			outPos[i]++
-			inPos[h.Node]++
-			return true
-		})
+	var k int32 // the edge's place in row i
+	place := func(h HalfEdge) bool {
+		out, lane, at := c.outStart[i]+k, c.rowStart[i]+k, inPos[h.Node]
+		prob := transition(h.Weight, c.outSum[i])
+		c.outHalf[out] = h
+		c.rowDst[lane], c.rowProb[lane] = h.Node, prob
+		c.inSrc[at], c.inProb[at] = NodeID(i), prob
+		inPos[h.Node]++
+		k++
+		return true
+	}
+	for i = 0; i < n; i++ {
+		k = 0
+		v.OutEdges(NodeID(i), place)
+		padRow(c.rowDst, c.rowStart[i]+k, c.rowStart[i+1], n)
 	}
 	for v := 0; v < n; v++ {
-		for at := inPos[v]; at < c.inStart[v+1]; at++ {
-			c.inSrc[at], c.inOut[at] = NodeID(n+int(at)%InLanes), -1
-		}
+		padRow(c.inSrc, inPos[v], c.inStart[v+1], n)
 	}
-	c.checkInRows()
+	c.checkRows()
 	return c
 }
 
-// InLanes is the width every in-row is padded to (see InRows).
+// InLanes is the width every out-row and in-row is padded to (see
+// OutRows, InRows).
 const InLanes = 4
 
-var errInRowLayout = errors.New("hin: in-rows break the padded layout (see CSR.InRows)")
+// padLanes is the lanes a row of deg edges is padded to.
+func padLanes(deg int32) int32 { return (deg + InLanes - 1) / InLanes * InLanes }
 
-// checkInRows panics unless the in-rows keep the invariant InRows
-// promises: every row starts at a multiple of InLanes, the arrays'
-// length is one too, and every source lies in [0, n+InLanes).
-func (c *CSR) checkInRows() {
-	n := len(c.ntype)
-	bad := len(c.inSrc)%InLanes != 0 || len(c.inProb) != len(c.inSrc)
-	for _, at := range c.inStart[:n] {
-		bad = bad || at%InLanes != 0
+// transition is the probability of an edge of weight w out of a node of
+// out-weight sum total: 0 if that sum is not positive.
+func transition(w, total float64) float64 {
+	if total <= 0 {
+		return 0
 	}
-	for _, src := range c.inSrc {
-		bad = bad || src < 0 || int(src) >= n+InLanes
-	}
-	if bad {
-		panic(errInRowLayout)
+	return w / total
+}
+
+// padRow points the pad lanes [from, to) of a row at the scratch slots
+// n + position mod InLanes; their probabilities stay 0.
+func padRow(node []NodeID, from, to int32, n int) {
+	for at := from; at < to; at++ {
+		node[at] = NodeID(n + int(at)%InLanes)
 	}
 }
 
+var errRowLayout = errors.New("hin: padded rows break their layout (see CSR.InRows)")
+
+// checkRows panics unless both row kinds keep the invariant OutRows and
+// InRows promise (see rowsPadded).
+func (c *CSR) checkRows() {
+	n := len(c.ntype)
+	if !rowsPadded(n, c.rowStart, c.rowDst, c.rowProb) || !rowsPadded(n, c.inStart, c.inSrc, c.inProb) {
+		panic(errRowLayout)
+	}
+}
+
+// rowsPadded reports whether padded rows over n nodes keep their layout:
+// every row starts at a multiple of InLanes, the arrays' length is one
+// too, and every node lies in [0, n+InLanes).
+func rowsPadded(n int, start []int32, node []NodeID, prob []float64) bool {
+	bad := len(node)%InLanes != 0 || len(prob) != len(node)
+	for _, at := range start[:len(start)-1] {
+		bad = bad || at%InLanes != 0
+	}
+	for _, x := range node {
+		bad = bad || x < 0 || int(x) >= n+InLanes
+	}
+	return !bad
+}
+
 // WithOutRow returns a snapshot sharing c's arrays with node's outgoing
-// row replaced by out (weight sum outSum). The slice is retained;
-// callers must not mutate it afterwards. c is not modified. The result
-// is unversioned, so it can never be served from (or stored under) c's
-// cache keys.
+// row replaced by out (weight sum outSum), its padded out-row (see
+// PatchedRow) computed once here. The slice is retained; callers must
+// not mutate it afterwards. c is not modified. The result is
+// unversioned, so it can never be served from (or stored under) c's
+// cache keys. It panics if an edge of out leaves the graph.
 func (c *CSR) WithOutRow(node NodeID, out []HalfEdge, outSum float64) *CSR {
 	base := c
 	if c.patchNode != InvalidNode && c.patchNode != node {
 		base = NewCSR(c) // one patch per snapshot: materialize the other row first
 	}
+	n := len(base.ntype)
+	lanes := padLanes(int32(len(out)))
+	dst, prob := make([]NodeID, lanes), make([]float64, lanes)
+	for i, h := range out {
+		if h.Node < 0 || int(h.Node) >= n {
+			panic(errRowLayout)
+		}
+		dst[i], prob[i] = h.Node, transition(h.Weight, outSum)
+	}
+	padRow(dst, int32(len(out)), lanes, n)
 	p := *base
 	p.patchNode, p.patchOut, p.patchSum = node, out, outSum
+	p.patchDst, p.patchProb = dst, prob
 	p.version, p.versioned = Version{}, false
 	return &p
 }
@@ -172,21 +224,27 @@ func (c *CSR) OutEdges(v NodeID, yield func(HalfEdge) bool) {
 	}
 }
 
-// InEdges implements View. Under a row patch, base in-edges originating
-// at the patched node are suppressed and the patched row's entries
-// follow the rest.
+// InEdges implements View, reading each in-neighbour's type and weight
+// off its out-row (InEdges is not a push loop, so the in-rows keep no
+// pointer into outHalf). A source's typed edges to v sit on consecutive
+// lanes, so the first of them yields them all. Under a row patch, base
+// in-edges originating at the patched node are suppressed and the
+// patched row's entries follow the rest.
 func (c *CSR) InEdges(v NodeID, yield func(HalfEdge) bool) {
+	prev := InvalidNode
 	for at := c.inStart[v]; at < c.inStart[v+1]; at++ {
 		src := c.inSrc[at]
 		if int(src) >= len(c.ntype) {
 			break // the row's pad lanes
 		}
-		if src == c.patchNode {
+		if src == c.patchNode || src == prev {
 			continue
 		}
-		h := c.outHalf[c.inOut[at]]
-		if !yield(HalfEdge{Node: src, Type: h.Type, Weight: h.Weight}) {
-			return
+		prev = src
+		for _, h := range c.outHalf[c.outStart[src]:c.outStart[src+1]] {
+			if h.Node == v && !yield(HalfEdge{Node: src, Type: h.Type, Weight: h.Weight}) {
+				return
+			}
 		}
 	}
 	for _, h := range c.patchOut {
@@ -209,13 +267,31 @@ func (c *CSR) OutWeightSum(v NodeID) float64 {
 
 // OutSlice returns v's outgoing adjacency as a shared slice (the
 // patched row for a patched node). Callers must not mutate it; it
-// exists so hot loops (PPR pushes) can avoid the callback overhead of
-// OutEdges.
+// serves the row walks that need an edge's type or weight without the
+// callback overhead of OutEdges (the push kernels read OutRows).
 func (c *CSR) OutSlice(v NodeID) []HalfEdge {
 	if v == c.patchNode {
 		return c.patchOut
 	}
 	return c.outHalf[c.outStart[v]:c.outStart[v+1]]
+}
+
+// OutRows returns the out-row arrays (see CSR) as shared slices for the
+// forward push kernel; callers must not mutate them. v's edges sit at
+// start[v] onwards in OutSlice's order, as the target dst[i] and the
+// probability prob[i] = w/Σw(v), and pad lanes fill the row up to
+// start[v+1], laid out as InRows' are. The arrays are the base's: on a
+// row-patched snapshot the patched node's entry is its old row, and
+// PatchedRow holds the new one.
+func (c *CSR) OutRows() (start []int32, dst []NodeID, prob []float64) {
+	return c.rowStart, c.rowDst, c.rowProb
+}
+
+// PatchedRow returns the patched node and its out-row, padded as an
+// OutRows row starting at lane 0, or InvalidNode and nil slices on an
+// unpatched snapshot. Callers must not mutate the slices.
+func (c *CSR) PatchedRow() (node NodeID, dst []NodeID, prob []float64) {
+	return c.patchNode, c.patchDst, c.patchProb
 }
 
 var errPatchedInRows = errors.New("hin: in-row access on a row-patched CSR (flatten it with NewCSR first)")
@@ -227,12 +303,12 @@ var errPatchedInRows = errors.New("hin: in-row access on a row-patched CSR (flat
 //
 // The rows are padded: v's real in-edges sit at start[v] onwards in
 // ascending source order, and pad lanes fill the row up to start[v+1].
-// NewCSR checks, and panics otherwise, that every start[v] and
-// len(src) == len(prob) are multiples of InLanes and that every source
-// lies in [0, n+InLanes). A pad lane's probability is 0 and its source is
-// in [n, n+InLanes), so a loop that walks whole rows InLanes at a time
-// over a vector of n+InLanes entries stays in bounds, and a pad lane adds
-// an exact +0 to a scratch entry past n.
+// NewCSR checks for both row kinds, and panics otherwise, that every
+// start[v] and len(src) == len(prob) are multiples of InLanes and that
+// every source lies in [0, n+InLanes). A pad lane's probability is 0 and
+// its source is in [n, n+InLanes), so a loop that walks whole rows
+// InLanes at a time over a vector of n+InLanes entries stays in bounds,
+// and a pad lane adds an exact ±0 to a scratch entry past n.
 func (c *CSR) InRows() (start []int32, src []NodeID, prob []float64) {
 	if c.patchNode != InvalidNode {
 		panic(errPatchedInRows)

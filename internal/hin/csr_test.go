@@ -120,6 +120,7 @@ func TestCSRSlicesMatchIteration(t *testing.T) {
 			i++
 			return true
 		})
+		checkOutRow(t, c, v)
 		start, src, prob := c.InRows()
 		at := start[v]
 		c.InEdges(id, func(h HalfEdge) bool {
@@ -138,6 +139,39 @@ func TestCSRSlicesMatchIteration(t *testing.T) {
 			if src[at] != NodeID(c.NumNodes()+int(at)%InLanes) || prob[at] != 0 {
 				t.Fatalf("InRows(%d) pad lane %d: (%d, %g)", v, at, src[at], prob[at])
 			}
+		}
+	}
+	// Under a row patch the patched node's out-row is its own, with the
+	// patch's weight sum, and every other row is the base's.
+	row := []HalfEdge{{Node: 0, Weight: 0.5}, {Node: 7, Weight: 2}, {Node: 9, Weight: 1.25}, {Node: 1, Weight: 3}, {Node: 2, Weight: 0.75}}
+	p := c.WithOutRow(3, row, 7.5)
+	for v := 0; v < p.NumNodes(); v++ {
+		checkOutRow(t, p, v)
+	}
+}
+
+// checkOutRow fails unless v's padded out-row (the patched row for a
+// patched node) holds OutSlice's targets in order with probability
+// w/Σw, then pad lanes of probability 0 pointing past n.
+func checkOutRow(t *testing.T, c *CSR, v int) {
+	t.Helper()
+	start, dst, prob := c.OutRows()
+	lo, hi := start[v], start[v+1]
+	if u, udst, uprob := c.PatchedRow(); u == NodeID(v) {
+		dst, prob, lo, hi = udst, uprob, 0, int32(len(udst))
+	}
+	row := c.OutSlice(NodeID(v))
+	if lo%InLanes != 0 || hi-lo != (int32(len(row))+InLanes-1)/InLanes*InLanes {
+		t.Fatalf("OutRows(%d): lanes [%d, %d) for %d edges, want the row padded to a multiple of %d", v, lo, hi, len(row), InLanes)
+	}
+	for i, h := range row {
+		if at := lo + int32(i); dst[at] != h.Node || prob[at] != h.Weight/c.OutWeightSum(NodeID(v)) {
+			t.Fatalf("OutRows(%d) lane %d: (%d, %g) against out-edge %+v", v, i, dst[at], prob[at], h)
+		}
+	}
+	for at := lo + int32(len(row)); at < hi; at++ {
+		if dst[at] != NodeID(c.NumNodes()+int(at)%InLanes) || prob[at] != 0 {
+			t.Fatalf("OutRows(%d) pad lane %d: (%d, %g)", v, at, dst[at], prob[at])
 		}
 	}
 }
@@ -165,28 +199,94 @@ func TestCSREarlyStop(t *testing.T) {
 // not a whole number of lanes — since the reverse push kernel walks
 // them without bounds checks.
 func TestCSRInRowsInvariantPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	c := NewCSR(randomGraph(rng, 10, 40))
-	n := c.NumNodes()
-	for name, corrupt := range map[string]func(b *CSR){
-		"source past the scratch slots": func(b *CSR) { b.inSrc[len(b.inSrc)-1] = NodeID(n + InLanes) },
-		"negative source":               func(b *CSR) { b.inSrc[0] = -1 },
-		"row off a lane boundary":       func(b *CSR) { b.inStart[n/2]++ },
-		"ragged arrays": func(b *CSR) {
-			b.inSrc, b.inProb = append(b.inSrc, 0), append(b.inProb, 0)
-		},
-	} {
-		b := *c
-		b.inStart, b.inSrc, b.inProb = slices.Clone(c.inStart), slices.Clone(c.inSrc), slices.Clone(c.inProb)
-		corrupt(&b)
+	checkRowsPanic(t, "in-row", func(b *CSR) (*[]int32, *[]NodeID, *[]float64) {
+		return &b.inStart, &b.inSrc, &b.inProb
+	})
+}
+
+// TestCSROutRowsInvariantPanics is TestCSRInRowsInvariantPanics for the
+// padded out-rows the forward push kernel walks without bounds checks.
+// A patched row is checked as WithOutRow builds it.
+func TestCSROutRowsInvariantPanics(t *testing.T) {
+	checkRowsPanic(t, "out-row", func(b *CSR) (*[]int32, *[]NodeID, *[]float64) {
+		return &b.rowStart, &b.rowDst, &b.rowProb
+	})
+	c := NewCSR(randomGraph(rand.New(rand.NewSource(37)), 10, 40))
+	for _, x := range []NodeID{-1, NodeID(c.NumNodes())} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: the in-row check did not panic", name)
+					t.Errorf("WithOutRow accepted an edge to node %d of %d", x, c.NumNodes())
 				}
 			}()
-			b.checkInRows()
+			c.WithOutRow(0, []HalfEdge{{Node: 1, Weight: 1}, {Node: x, Weight: 1}}, 2)
 		}()
 	}
-	c.checkInRows() // the original is untouched and passes
+}
+
+// checkRowsPanic corrupts one row kind of a copy of a snapshot, picked
+// by rows, in each way the padded layout can break, and fails unless
+// checkRows panics on each copy and passes on the original.
+func checkRowsPanic(t *testing.T, kind string, rows func(b *CSR) (*[]int32, *[]NodeID, *[]float64)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(36))
+	c := NewCSR(randomGraph(rng, 10, 40))
+	n := c.NumNodes()
+	for name, corrupt := range map[string]func(start *[]int32, node *[]NodeID, prob *[]float64){
+		"node past the scratch slots": func(_ *[]int32, node *[]NodeID, _ *[]float64) { (*node)[len(*node)-1] = NodeID(n + InLanes) },
+		"negative node":               func(_ *[]int32, node *[]NodeID, _ *[]float64) { (*node)[0] = -1 },
+		"row off a lane boundary":     func(start *[]int32, _ *[]NodeID, _ *[]float64) { (*start)[n/2]++ },
+		"ragged arrays": func(_ *[]int32, node *[]NodeID, prob *[]float64) {
+			*node, *prob = append(*node, 0), append(*prob, 0)
+		},
+	} {
+		b := *c
+		start, node, prob := rows(&b)
+		*start, *node, *prob = slices.Clone(*start), slices.Clone(*node), slices.Clone(*prob)
+		corrupt(start, node, prob)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the %s check did not panic", name, kind)
+				}
+			}()
+			b.checkRows()
+		}()
+	}
+	c.checkRows() // the original is untouched and passes
+}
+
+// TestCSRInEdgesParallelTypes: InEdges reads each in-neighbour's typed
+// edges off that neighbour's out-row, so parallel typed edges from one
+// source come back once each, with their own types and weights, and a
+// row patch replaces the patched source's edges by the patch's.
+func TestCSRInEdgesParallelTypes(t *testing.T) {
+	g := NewGraph()
+	nt := g.Types().NodeType("n")
+	a, b := g.Types().EdgeType("a"), g.Types().EdgeType("b")
+	for range 4 {
+		g.AddNode(nt, "")
+	}
+	for _, e := range []Edge{{0, 1, a, 1}, {0, 1, b, 2}, {2, 1, a, 3}, {3, 1, b, 4}, {3, 1, a, 5}, {1, 0, a, 6}} {
+		if err := g.AddEdge(e.From, e.To, e.Type, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := func(v View, x NodeID) []HalfEdge {
+		var hs []HalfEdge
+		v.InEdges(x, func(h HalfEdge) bool { hs = append(hs, h); return true })
+		slices.SortFunc(hs, func(p, q HalfEdge) int { return int(p.Node-q.Node)*256 + int(p.Type) - int(q.Type) })
+		return hs
+	}
+	c := NewCSR(g)
+	for x := range NodeID(4) {
+		if got, want := in(c, x), in(g, x); !slices.Equal(got, want) {
+			t.Fatalf("InEdges(%d) = %+v, the graph's %+v", x, got, want)
+		}
+	}
+	p := c.WithOutRow(3, []HalfEdge{{Node: 1, Type: a, Weight: 7}, {Node: 0, Type: b, Weight: 8}}, 15)
+	want := []HalfEdge{{Node: 0, Type: a, Weight: 1}, {Node: 0, Type: b, Weight: 2}, {Node: 2, Type: a, Weight: 3}, {Node: 3, Type: a, Weight: 7}}
+	if got := in(p, 1); !slices.Equal(got, want) {
+		t.Fatalf("patched InEdges(1) = %+v, want %+v", got, want)
+	}
 }

@@ -32,7 +32,8 @@ import (
 // and applies unchanged (the forward sweep drains |r| > ε).
 
 // UpdateScratch holds the reusable working set of UpdateForEdit calls:
-// estimate/residual copies and the sparse transition-delta accumulator.
+// estimate/residual copies (the residuals with the forward sweep's
+// hin.InLanes scratch slots) and the sparse transition-delta accumulator.
 // The zero value is ready to use; the first call sizes it to the graph.
 // A scratch must not be shared by concurrent calls — give each worker
 // its own.
@@ -49,7 +50,7 @@ type UpdateScratch struct {
 func (sc *UpdateScratch) ensure(n int) {
 	if len(sc.p) != n {
 		sc.p = make(Vector, n)
-		sc.r = make(Vector, n)
+		sc.r = make(Vector, n+hin.InLanes)
 	}
 	sc.delta.ensure(n)
 }
@@ -169,7 +170,7 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 	if err != nil {
 		return nil, err
 	}
-	res := &PushResult{Estimates: sc.p, Residuals: sc.r, Pushes: pushes}
+	res := &PushResult{Estimates: sc.p, Residuals: sc.r[:len(sc.p)], Pushes: pushes}
 	recordPush(runsForwardUpdate, pushesForwardUpdate, residualMassForwardUpdate, res)
 	return res, nil
 }

@@ -2,10 +2,13 @@ package ppr
 
 // Test-only exports for the external ppr_test package, whose Lite-graph
 // test and benchmark need the recommender, which imports ppr.
+type RefWork = refWork
+
 var (
-	RefForward = refForward
-	RefReverse = refReverse
-	Relaxation = relaxation
-	RunMany    = runMany
-	SameRun    = sameRun
+	RefForward      = refForward
+	RefForwardScale = refForwardScale
+	RefReverse      = refReverse
+	Relaxation      = relaxation
+	RunMany         = runMany
+	SameRun         = sameRun
 )

@@ -84,19 +84,20 @@ func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) 
 	csr := flatten(g)
 	n := csr.NumNodes()
 	p := make(Vector, n)
-	r := make(Vector, n)
+	r := make(Vector, n+hin.InLanes)
 	r[s] = 1
 	pushes, err := e.sweep(ctx, forwardLoopSite, csr, p, r)
 	if err != nil {
 		return nil, err
 	}
-	res := &PushResult{Estimates: p, Residuals: r, Pushes: pushes}
+	res := &PushResult{Estimates: p, Residuals: r[:n], Pushes: pushes}
 	recordPush(runsForward, pushesForward, residualMassForward, res)
 	return res, nil
 }
 
-// sweep is the forward push kernel: it drains p and r in place over csr.
-// Nodes are visited in ascending id and v pushes iff |r[v]| > ε, moving
+// sweep is the forward driver: it drains p and r in place over csr, r
+// carrying hin.InLanes scratch slots past its n real entries. Nodes are
+// visited in ascending id and v pushes iff |r[v]| > ε, moving
 // δ = ω·r[v]: off r[v], α·δ into its estimate and (1−α)·δ·W(v,y) onto
 // every out-neighbour y, until a whole sweep pushes nothing. ω starts at
 // relaxation(α) and drops to 1 for the rest of the drain at the first
@@ -104,60 +105,49 @@ func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) 
 // sweep (in the first, twice the largest at entry), at the end of the
 // first sweep whose pushed Σ|r| does not shrink, or after relaxedSweeps
 // sweeps (DESIGN.md §3.1). Eq. 3 is linear in δ, so any ω and any push
-// order keep it, and the drain ends with every |residual| ≤ ε. At ω = 1,
-// δ is r[v] itself and r[v] − δ is +0. The context and site are polled
-// every ctxCheckInterval node visits.
+// order keep it, and the drain ends with every |residual| ≤ ε. The
+// pushes are kernel.body's over the padded out-rows; a row-patched
+// snapshot's patched node is pushed over its own row (hin.CSR.PatchedRow)
+// by a body call of its own, between the calls for the nodes before and
+// after it. The context and site are polled every ctxCheckInterval node
+// visits.
 func (e *ForwardPush) sweep(ctx context.Context, site *fault.Site, csr *hin.CSR, p, r Vector) (int, error) {
 	n := csr.NumNodes()
-	alpha, eps := e.Params.Alpha, e.Params.Epsilon
-	omega := relaxation(alpha)
+	start, dst, prob := csr.OutRows()
+	u, udst, uprob := csr.PatchedRow()
+	urow := [2]int32{0, int32(len(udst))}
+	r = r[:n+hin.InLanes] // the scratch slots the body's pad lanes write
+	k := kernel{alpha: e.Params.Alpha, eps: e.Params.Epsilon, p: p, r: r}
+	omega := relaxation(k.alpha)
 	var bar float64
-	for _, x := range r {
+	for _, x := range r[:n] {
 		bar = max(bar, abs(x))
 	}
 	bar, mass := 2*bar, math.Inf(1)
-	pushes := 0
 	for sweep := 1; ; sweep++ {
-		var peak, pushed float64
+		peak := 0.0
+		k.pushed = 0
 		for lo := 0; lo < n; lo += ctxCheckInterval {
 			if err := ctxErr(ctx); err != nil {
-				return pushes, err
+				return k.pushes, err
 			}
 			if err := site.Hit(ctx); err != nil {
-				return pushes, err
+				return k.pushes, err
 			}
-			for v := lo; v < min(lo+ctxCheckInterval, n); v++ {
-				rv := r[v]
-				a := abs(rv)
-				if a <= eps {
-					continue
-				}
-				if a > peak {
-					if peak = a; peak > bar {
-						omega = 1
-					}
-				}
-				pushed += a
-				delta := omega * rv
-				r[v] = rv - delta
-				p[v] += alpha * delta
-				pushes++
-				total := csr.OutWeightSum(hin.NodeID(v))
-				if total <= 0 {
-					continue // dangling: remaining mass absorbed
-				}
-				scale := (1 - alpha) * delta / total
-				for _, h := range csr.OutSlice(hin.NodeID(v)) {
-					r[h.Node] += scale * h.Weight
-				}
+			from, hi := lo, min(lo+ctxCheckInterval, n)
+			if v := int(u); from <= v && v < hi {
+				peak, omega = k.body(start[from:v+1], dst, prob, from, omega, peak, bar)
+				peak, omega = k.body(urow[:], udst, uprob, v, omega, peak, bar)
+				from = v + 1
 			}
+			peak, omega = k.body(start[from:hi+1], dst, prob, from, omega, peak, bar)
 		}
 		if peak <= 0 { // every push reads some |r| > ε
-			return pushes, nil
+			return k.pushes, nil
 		}
-		if pushed >= mass || sweep >= relaxedSweeps {
+		if k.pushed >= mass || sweep >= relaxedSweeps {
 			omega = 1
 		}
-		bar, mass = 2*peak, pushed
+		bar, mass = 2*peak, k.pushed
 	}
 }

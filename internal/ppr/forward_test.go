@@ -12,10 +12,25 @@ import (
 
 // refForward is the reference cold drain from s: the same sweeps, push
 // rule, switches to ω = 1 and multiply-adds as the kernel, as a plain
-// loop over OutSlice. It starts at relaxation omega — the kernel's is
-// relaxation(α); omega = 1 is the plain drain — and also returns the
-// out-edge updates the drain made: the out-degrees of its pushes, summed.
-func refForward(g *hin.CSR, p Params, s hin.NodeID, omega float64) (res *PushResult, updates int) {
+// loop over OutSlice adding c·(w/Σw) to each out-neighbour, c = (1−α)·δ.
+// It starts at relaxation omega — the kernel's is relaxation(α); omega
+// = 1 is the plain drain — and also returns the work the drain made:
+// the out-degrees of its pushes, summed, and the same padded.
+func refForward(g *hin.CSR, p Params, s hin.NodeID, omega float64) (res *PushResult, updates refWork) {
+	return refForwardWith(g, p, s, omega, func(c, w, total float64) float64 { return c * (w / total) })
+}
+
+// refForwardScale is refForward with the arithmetic of the unpadded
+// loop the kernel replaced, (c/Σw)·w: the same bits as c·(w/Σw)
+// wherever Σw = 1, as on every non-dangling row of a β-mixed view with
+// β < 1.
+func refForwardScale(g *hin.CSR, p Params, s hin.NodeID, omega float64) (res *PushResult, updates refWork) {
+	return refForwardWith(g, p, s, omega, func(c, w, total float64) float64 { return c / total * w })
+}
+
+// refForwardWith is the reference drain, spreading c = (1−α)·δ over an
+// edge of weight w out of a row of sum total as spread(c, w, total).
+func refForwardWith(g *hin.CSR, p Params, s hin.NodeID, omega float64, spread func(c, w, total float64) float64) (res *PushResult, updates refWork) {
 	n := g.NumNodes()
 	est, r := make(Vector, n), make(Vector, n)
 	r[s] = 1
@@ -41,9 +56,9 @@ func refForward(g *hin.CSR, p Params, s hin.NodeID, omega float64) (res *PushRes
 			}
 			row := g.OutSlice(hin.NodeID(v))
 			for _, h := range row {
-				r[h.Node] += (1 - p.Alpha) * delta / total * h.Weight
+				r[h.Node] += spread((1-p.Alpha)*delta, h.Weight, total)
 			}
-			updates += len(row)
+			updates.add(len(row))
 		}
 		if peak <= 0 {
 			break
@@ -203,7 +218,11 @@ func cyclicHIN(t testing.TB, rng *rand.Rand, n int) *hin.CSR {
 // FuzzForwardWithinEpsilon holds the forward contract on random small
 // graphs with a directed cycle and a random ε in [1e-10, 1e-2]: every
 // |residual| ends at most ε and every estimate lies within ε·C(t) of
-// ppr.Exact, C(t) the exact column sum.
+// ppr.Exact, C(t) the exact column sum. It drains both the graph and a
+// WithOutRow patch of the source's row (some edges dropped, some added,
+// at new weights), the latter held to Exact on the flattened patched
+// graph: the path where the sweep pushes the patched row between two
+// body calls.
 func FuzzForwardWithinEpsilon(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint16(0))
 	f.Add(int64(2), uint8(20), uint16(40000))
@@ -215,22 +234,37 @@ func FuzzForwardWithinEpsilon(f *testing.F) {
 		g := cyclicHIN(t, rng, n)
 		p := testParams()
 		p.Epsilon = math.Pow(10, -10+8*float64(e)/math.MaxUint16)
-		rows := make([]Vector, n)
-		sums := make(Vector, n)
-		for x := range rows {
-			var err error
-			if rows[x], err = NewExact(p).FromSource(g, hin.NodeID(x)); err != nil {
+		s := hin.NodeID(rng.Intn(n))
+		var row []hin.HalfEdge
+		var sum float64
+		for y := range n {
+			if y != int(s) && rng.Intn(3) == 0 {
+				w := 0.1 + rng.Float64()
+				row, sum = append(row, hin.HalfEdge{Node: hin.NodeID(y), Weight: w}), sum+w
+			}
+		}
+		patched := g.WithOutRow(s, row, sum)
+		for _, run := range []struct {
+			name string
+			g    *hin.CSR
+		}{{"graph", g}, {"patched", patched}} {
+			flat := hin.NewCSR(run.g)
+			rows := make([]Vector, n)
+			sums := make(Vector, n)
+			for x := range rows {
+				var err error
+				if rows[x], err = NewExact(p).FromSource(flat, hin.NodeID(x)); err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range rows[x] {
+					sums[i] += v
+				}
+			}
+			res, err := NewForwardPush(p).Run(run.g, s)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for i, v := range rows[x] {
-				sums[i] += v
-			}
+			checkForwardWithin(t, fmt.Sprintf("%s: %d nodes, ε=%g, source %d", run.name, n, p.Epsilon, s), p, res, rows[s], sums)
 		}
-		s := hin.NodeID(rng.Intn(n))
-		res, err := NewForwardPush(p).Run(g, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkForwardWithin(t, fmt.Sprintf("%d nodes, ε=%g, source %d", n, p.Epsilon, s), p, res, rows[s], sums)
 	})
 }

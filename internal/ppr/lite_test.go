@@ -22,6 +22,8 @@ var lite struct {
 	g            *hin.CSR
 	p            ppr.Params
 	users, items []hin.NodeID
+	rec          *rec.Recommender
+	raw          hin.View
 	err          error
 }
 
@@ -44,7 +46,7 @@ func liteGraph(tb testing.TB) (g *hin.CSR, p ppr.Params, users, items []hin.Node
 			lite.err = err
 			return
 		}
-		lite.g, lite.p = r.Flat(), cfg.PPR
+		lite.g, lite.p, lite.rec, lite.raw = r.Flat(), cfg.PPR, r, ds.Graph
 		for _, u := range sampled {
 			list, err := r.TopN(u, 10)
 			if err != nil {
@@ -105,34 +107,39 @@ func TestReverseMatchesReferenceOnLite(t *testing.T) {
 }
 
 // BenchmarkReversePushLite drains the Lite graph's Why-Not item columns
-// K at a time and reports the cost of one column and of one in-edge
-// update (the in-degrees of a column's pushes, summed, counted once per
-// target outside the timer by the reference drain at the kernel's own
-// ω, relaxation(α), so the denominator is the updates the timed drain
-// makes, not those of a plain ω = 1 drain).
+// K at a time and reports the cost of one column, of one in-edge update
+// and of one padded lane (the in-degrees of a column's pushes, summed,
+// and the same padded to hin.InLanes, counted once per target outside
+// the timer by the reference drain at the kernel's own ω,
+// relaxation(α), so the denominators are the work the timed drain does,
+// not that of a plain ω = 1 drain). ns/lane is the unit
+// BenchmarkForwardPushLite reports too: the one body, per lane, in each
+// direction.
 func BenchmarkReversePushLite(b *testing.B) {
 	g, p, _, items := liteGraph(b)
-	updates := make(map[hin.NodeID]int, len(items))
+	work := make(map[hin.NodeID]ppr.RefWork, len(items))
 	for _, t := range items {
-		_, updates[t] = ppr.RefReverse(g, p, t, ppr.Relaxation(p.Alpha))
+		_, work[t] = ppr.RefReverse(g, p, t, ppr.Relaxation(p.Alpha))
 	}
 	e := ppr.NewReversePush(p)
 	for _, K := range []int{1, 2, 9} {
 		b.Run(fmt.Sprintf("K=%d", K), func(b *testing.B) {
 			b.ReportAllocs()
 			ts := make([]hin.NodeID, K)
-			edges := 0
+			var done ppr.RefWork
 			for i := 0; i < b.N; i++ {
 				for k := range ts {
 					ts[k] = items[(i*K+k)%len(items)]
-					edges += updates[ts[k]]
+					done.Edges += work[ts[k]].Edges
+					done.Lanes += work[ts[k]].Lanes
 				}
 				if _, err := e.ToTargets(context.Background(), g, ts); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*K), "ms/col")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/in-edge")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done.Edges), "ns/in-edge")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done.Lanes), "ns/lane")
 		})
 	}
 }
@@ -165,29 +172,72 @@ func TestReverseWithinEpsilonOnLite(t *testing.T) {
 }
 
 // BenchmarkForwardPushLite drains the Lite graph's sampled users' rows
-// one cold run at a time and reports the cost of one run and of one
-// out-edge update (the out-degrees of a run's pushes, summed, counted
-// once per user outside the timer by the reference drain at the
-// kernel's own ω, so the denominator is the updates the timed drain
-// makes).
+// one cold run at a time and reports the cost of one run, of one
+// out-edge update and of one padded lane (the out-degrees of a run's
+// pushes, summed, and the same padded to hin.InLanes, counted once per
+// user outside the timer by the reference drain at the kernel's own ω,
+// so the denominators are the work the timed drain does). ns/lane
+// compares with BenchmarkReversePushLite's.
 func BenchmarkForwardPushLite(b *testing.B) {
 	g, p, users, _ := liteGraph(b)
-	updates := make(map[hin.NodeID]int, len(users))
+	work := make(map[hin.NodeID]ppr.RefWork, len(users))
 	for _, u := range users {
-		_, updates[u] = ppr.RefForward(g, p, u, ppr.Relaxation(p.Alpha))
+		_, work[u] = ppr.RefForward(g, p, u, ppr.Relaxation(p.Alpha))
 	}
 	e := ppr.NewForwardPush(p)
 	b.ReportAllocs()
-	edges := 0
+	var done ppr.RefWork
 	for i := 0; i < b.N; i++ {
 		u := users[i%len(users)]
-		edges += updates[u]
+		done.Edges += work[u].Edges
+		done.Lanes += work[u].Lanes
 		if _, err := e.RunContext(context.Background(), g, u); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/run")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/out-edge")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done.Edges), "ns/out-edge")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done.Lanes), "ns/lane")
+}
+
+// TestForwardMatchesUnpaddedOnLite holds the padded kernel to the
+// unpadded loop it replaced — a HalfEdge walk adding (c/Σw)·w — bit for
+// bit, estimates, residuals and push counts, on the graph the benchmark
+// serves at β = 0.5, where every non-dangling row sums to exactly 1:
+// the 50 sampled users' cold rows over the base snapshot and over the
+// row-patched snapshot a Remove CHECK scores, the first half of the
+// user's edges removed.
+func TestForwardMatchesUnpaddedOnLite(t *testing.T) {
+	g, p, users, _ := liteGraph(t)
+	e := ppr.NewForwardPush(p)
+	for _, u := range users {
+		var removals []hin.Edge
+		lite.raw.OutEdges(u, func(h hin.HalfEdge) bool {
+			if len(removals) < lite.raw.OutDegree(u)/2 {
+				removals = append(removals, hin.Edge{From: u, To: h.Node, Type: h.Type, Weight: h.Weight})
+			}
+			return true
+		})
+		o, err := hin.NewOverlay(lite.raw, removals, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patched := lite.rec.WithUserPatch(o, u).Flat()
+		if node, _, _ := patched.PatchedRow(); node != u || len(removals) == 0 {
+			t.Fatalf("user %d: the Remove patch (%d edges) did not patch the user's row", u, len(removals))
+		}
+		for _, run := range []struct {
+			name string
+			g    *hin.CSR
+		}{{"base", g}, {"remove-patched", patched}} {
+			got, err := e.Run(run.g, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := ppr.RefForwardScale(run.g, p, u, ppr.Relaxation(p.Alpha))
+			ppr.SameRun(t, fmt.Sprintf("user %d, %s", u, run.name), got, want)
+		}
+	}
 }
 
 // TestForwardWithinEpsilonOnLite holds the two-sided forward contract on

@@ -10,7 +10,8 @@
 //   - ForwardPush: Forward Local Push from a source node, maintaining the
 //     invariant of Eq. 3 of the paper (estimates + residuals). Its one
 //     kernel sweeps the nodes in ascending id, over-relaxed like the
-//     reverse one, pushing every residual above ε in absolute value; it
+//     reverse one and through the same padded push body, pushing every
+//     residual above ε in absolute value; it
 //     drains both a run from e_s (RunContext) and the repaired residuals
 //     of a completed run after a row edit (UpdateForEdit). Its estimates
 //     are within Params.ForwardErr(C(t)) of the exact score, on either
@@ -27,7 +28,9 @@
 // Both accept any hin.View and normalise it once at entry to the one
 // shape their kernels iterate, a flat *hin.CSR (optionally carrying a
 // one-row patch): a *hin.CSR is used as is, anything else is flattened
-// with hin.NewCSR. Power (dense iteration) and Exact (Gauss–Seidel)
+// with hin.NewCSR. Each engine is a driver — the sweeps and the ω
+// guards — around one push body (kernel.body) that walks the CSR's
+// padded rows, out-rows forward and in-rows in reverse. Power (dense iteration) and Exact (Gauss–Seidel)
 // stay on hin.View as the test references.
 //
 // Dangling nodes (no outgoing edges) absorb the walk: the transition

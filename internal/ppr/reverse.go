@@ -3,8 +3,6 @@ package ppr
 import (
 	"context"
 	"fmt"
-	"math"
-	"unsafe"
 
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/obs"
@@ -95,17 +93,14 @@ func (e *ReversePush) RunContext(ctx context.Context, g hin.View, t hin.NodeID) 
 	return &PushResult{Estimates: p, Residuals: d.r[:len(p)], Pushes: pushes}, nil
 }
 
-// reverseDrain is the reverse push kernel's state: the padded in-rows it
-// walks (hin.CSR.InRows: in-edge i of v is (src[i] -> v), taken with
-// probability prob[i]) and one residual vector of n+hin.InLanes entries,
-// the last hin.InLanes the pad lanes' scratch slots, which stay 0.
+// reverseDrain is the reverse driver's state: the push kernel and the
+// padded in-rows it walks (hin.CSR.InRows: in-edge i of v is
+// (src[i] -> v), taken with probability prob[i]).
 type reverseDrain struct {
-	inStart    []int32
-	inSrc      []hin.NodeID
-	inProb     []float64
-	alpha, eps float64
-	p, r       Vector
-	pushes     int
+	kernel
+	inStart []int32
+	inSrc   []hin.NodeID
+	inProb  []float64
 }
 
 // drain validates the parameters and every target of ts, then sets up a
@@ -125,8 +120,8 @@ func (e *ReversePush) drain(g hin.View, ts []hin.NodeID) (reverseDrain, error) {
 	csr := hin.NewCSR(g)
 	inStart, inSrc, inProb := csr.InRows()
 	return reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb,
-		alpha: e.Params.Alpha, eps: e.Params.Epsilon,
-		r: make(Vector, csr.NumNodes()+hin.InLanes)}, nil
+		kernel: kernel{alpha: e.Params.Alpha, eps: e.Params.Epsilon,
+			r: make(Vector, csr.NumNodes()+hin.InLanes)}}, nil
 }
 
 // column drains PPR(·,t) from r = e_t and returns its estimates and push
@@ -138,8 +133,9 @@ func (e *ReversePush) drain(g hin.View, ts []hin.NodeID) (reverseDrain, error) {
 // the previous sweep (of the first, (1−α)·ω: one hop of the unit
 // residual) or after relaxedSweeps sweeps (DESIGN.md §3.1). Eq. 4 is
 // linear in δ, so any ω keeps it, and the column ends with every
-// |residual| ≤ ε. A column's trajectory depends only on t and the fixed
-// node order, hence ToTargets' batch independence. The context and the
+// |residual| ≤ ε. The pushes are kernel.body's over the padded in-rows.
+// A column's trajectory depends only on t and the fixed node order,
+// hence ToTargets' batch independence. The context and the
 // ppr.reverse.loop failpoint are polled every ctxCheckInterval node
 // visits.
 func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, pushes int, err error) {
@@ -158,9 +154,8 @@ func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, push
 			if err := reverseLoopSite.Hit(ctx); err != nil {
 				return nil, 0, err
 			}
-			if peak = d.body(lo, min(lo+ctxCheckInterval, n), omega, peak, bar); peak > bar {
-				omega = 1
-			}
+			hi := min(lo+ctxCheckInterval, n)
+			peak, omega = d.body(d.inStart[lo:hi+1], d.inSrc, d.inProb, lo, omega, peak, bar)
 		}
 		if peak <= 0 { // every push reads some |r| > ε
 			break
@@ -180,72 +175,4 @@ func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, push
 		residualMassReverse.Observe(mass)
 	}
 	return d.p, d.pushes, nil
-}
-
-// relaxedSweeps bounds the sweeps a drain — a reverse column or a
-// forward run — pushes at ω > 1 while its other guards hold: 4× the
-// 14–16 sweeps of a Lite-graph drain.
-const relaxedSweeps = 64
-
-// relaxation is both drains' over-relaxation factor: Young's SOR
-// optimum ω* = 2/(1 + √(1 − ρ²)) for the Jacobi radius ρ = 1 − α of a
-// push (Eq. 3 and Eq. 4 alike), 1.31 at α = 0.15.
-func relaxation(alpha float64) float64 {
-	return 2 / (1 + math.Sqrt(1-(1-alpha)*(1-alpha)))
-}
-
-// body unrolls exactly four lanes: this fails to compile unless
-// hin.InLanes is 4.
-var _ = [1]struct{}{}[hin.InLanes-4]
-
-const (
-	idSize    = unsafe.Sizeof(hin.NodeID(0))
-	floatSize = unsafe.Sizeof(float64(0))
-)
-
-// body drains the nodes [lo, hi) at relaxation omega, which it drops to
-// 1 at the first push whose |r| exceeds bar, and returns the largest |r|
-// it pushed, or peak if that is larger. It walks each pushing node's
-// in-row four lanes at a time without bounds checks: NewCSR's invariant
-// (hin.CSR.InRows) keeps every row a whole number of lane groups and
-// every source below len(r), and a pad lane adds c·0 = +0 to a scratch
-// slot, so the real lanes see exactly the multiply-adds, in exactly the
-// order, of an unpadded loop. At omega = 1, δ is r[v] itself and
-// r[v] − δ is +0.
-func (d *reverseDrain) body(lo, hi int, omega, peak, bar float64) float64 {
-	inStart, alpha, eps, p, r := d.inStart, d.alpha, d.eps, d.p, d.r
-	src := unsafe.Pointer(unsafe.SliceData(d.inSrc))
-	prob := unsafe.Pointer(unsafe.SliceData(d.inProb))
-	res := unsafe.Pointer(unsafe.SliceData(r))
-	at := func(x hin.NodeID) *float64 { return (*float64)(unsafe.Add(res, uintptr(x)*floatSize)) }
-	pushes := 0
-	for v := lo; v < hi; v++ {
-		rv := r[v]
-		a := math.Abs(rv)
-		if a <= eps {
-			continue
-		}
-		if a > peak {
-			if peak = a; peak > bar {
-				omega = 1
-			}
-		}
-		delta := omega * rv
-		r[v] = rv - delta
-		p[v] += alpha * delta
-		pushes++
-		c := (1 - alpha) * delta
-		for i, end := uintptr(inStart[v]), uintptr(inStart[v+1]); i < end; i += 4 {
-			x := (*[4]hin.NodeID)(unsafe.Add(src, i*idSize))
-			w := (*[4]float64)(unsafe.Add(prob, i*floatSize))
-			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-			w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-			*at(x0) += c * w0
-			*at(x1) += c * w1
-			*at(x2) += c * w2
-			*at(x3) += c * w3
-		}
-	}
-	d.pushes += pushes
-	return peak
 }

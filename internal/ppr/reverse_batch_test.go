@@ -120,9 +120,9 @@ func runMany(ctx context.Context, e *ReversePush, g hin.View, ts []hin.NodeID) (
 // ascending source order, the CSR's) with the transition probability
 // w/Σw(src), 0 for a source whose weight sum is not positive. It starts
 // at relaxation omega — the kernel's is relaxation(α); omega = 1 is the
-// plain drain — and also returns the in-edge updates the drain made: the
-// in-degrees of its pushes, summed.
-func refReverse(g *hin.CSR, p Params, t hin.NodeID, omega float64) (res *PushResult, updates int) {
+// plain drain — and also returns the work the drain made: the in-degrees
+// of its pushes, summed, and the same padded to hin.InLanes.
+func refReverse(g *hin.CSR, p Params, t hin.NodeID, omega float64) (res *PushResult, updates refWork) {
 	n := g.NumNodes()
 	start := make([]int, n+1)
 	var src []hin.NodeID
@@ -159,7 +159,7 @@ func refReverse(g *hin.CSR, p Params, t hin.NodeID, omega float64) (res *PushRes
 			for i := start[v]; i < start[v+1]; i++ {
 				r[src[i]] += c * prob[i]
 			}
-			updates += start[v+1] - start[v]
+			updates.add(start[v+1] - start[v])
 		}
 		if peak <= 0 { // nothing pushed
 			break
@@ -170,6 +170,17 @@ func refReverse(g *hin.CSR, p Params, t hin.NodeID, omega float64) (res *PushRes
 		bar = peak
 	}
 	return &PushResult{Estimates: est, Residuals: r, Pushes: pushes}, updates
+}
+
+// refWork is a reference drain's row work: the real edges its pushes
+// walked and the lanes they span once each row is padded to a multiple
+// of hin.InLanes, as the kernel walks them.
+type refWork struct{ Edges, Lanes int }
+
+// add counts one push over a row of deg edges.
+func (w *refWork) add(deg int) {
+	w.Edges += deg
+	w.Lanes += (deg + hin.InLanes - 1) / hin.InLanes * hin.InLanes
 }
 
 // sameRun fails unless got and want agree bit for bit on estimates and
