@@ -43,7 +43,7 @@ var rawEngineAllowedFuncs = map[string]bool{
 	"reverseColumns": true, // internal/emigre: cached PPR(·,t) columns, misses drained in one batch
 	"reverseColumn":  true, // internal/rec: its one-key twin
 	"gateColumns":    true, // internal/emigre: session-scoped rival-gate columns, uncached on purpose
-	"ScoresContext":  true, // internal/rec: cached PPR(u,·) rows
+	"scores":         true, // internal/rec: cached PPR(u,·) rows and their ranking note, behind ScoresContext and TopNContext
 }
 
 // RawEngine enforces the cache-routing invariant of the pprcache PR:

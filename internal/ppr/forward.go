@@ -2,7 +2,6 @@ package ppr
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"github.com/why-not-xai/emigre/internal/fault"
@@ -25,6 +24,7 @@ import (
 // (UpdateForEdit).
 type ForwardPush struct {
 	Params Params
+	id     identity
 }
 
 // NewForwardPush returns a forward-push engine with the given parameters.
@@ -35,9 +35,7 @@ func (e *ForwardPush) Name() string { return "forward-push" }
 
 // Identity implements Identifier: the push loop's output depends on α
 // and the residual threshold ε only.
-func (e *ForwardPush) Identity() string {
-	return fmt.Sprintf("forward-push/a=%g,eps=%g", e.Params.Alpha, e.Params.Epsilon)
-}
+func (e *ForwardPush) Identity() string { return e.id.of("forward-push", e.Params) }
 
 // PushResult carries the estimate and residual vectors of a local-push
 // run, plus the number of individual pushes performed.

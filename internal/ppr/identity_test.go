@@ -55,3 +55,31 @@ func TestIdentitiesDistinctAcrossEngines(t *testing.T) {
 		seen[id] = id
 	}
 }
+
+// TestPushIdentityFollowsParams: a push engine formats its identity
+// once, yet an engine built as a literal, or whose Params change after
+// its identity was read, reports the identity of its current
+// parameters; reading it again allocates nothing.
+func TestPushIdentityFollowsParams(t *testing.T) {
+	fwd, rev := &ForwardPush{}, &ReversePush{}
+	for _, tc := range []struct {
+		e    Identifier
+		p    *Params
+		name string
+	}{{fwd, &fwd.Params, "forward-push"}, {rev, &rev.Params, "reverse-push"}} {
+		if got, want := tc.e.Identity(), tc.name+"/a=0,eps=0"; got != want {
+			t.Errorf("literal engine: identity %q, want %q", got, want)
+		}
+		*tc.p = DefaultParams()
+		if got, want := tc.e.Identity(), tc.name+"/a=0.15,eps=2.7e-08"; got != want {
+			t.Errorf("after setting Params: identity %q, want %q", got, want)
+		}
+		tc.p.Epsilon = 1e-6
+		if got, want := tc.e.Identity(), tc.name+"/a=0.15,eps=1e-06"; got != want {
+			t.Errorf("after changing ε: identity %q, want %q", got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { tc.e.Identity() }); allocs != 0 {
+			t.Errorf("%s: a repeated identity read allocates %g objects", tc.name, allocs)
+		}
+	}
+}

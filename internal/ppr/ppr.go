@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"github.com/why-not-xai/emigre/internal/hin"
 )
@@ -177,6 +178,31 @@ type Engine interface {
 // iteration α, MaxIter and Tol.
 type Identifier interface {
 	Identity() string
+}
+
+// identity is a push engine's Identity string, formatted on first use
+// and kept with the α and ε it was formatted from: every cache key
+// reads it, and a literal engine or one whose Params change later still
+// reports the string of its current parameters. Safe for concurrent
+// use, like the engines.
+type identity struct {
+	last atomic.Pointer[identityOf]
+}
+
+type identityOf struct {
+	alpha, eps float64
+	s          string
+}
+
+// of returns name's identity under p.
+func (id *identity) of(name string, p Params) string {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if last := id.last.Load(); last != nil && same(last.alpha, p.Alpha) && same(last.eps, p.Epsilon) {
+		return last.s
+	}
+	last := &identityOf{alpha: p.Alpha, eps: p.Epsilon, s: fmt.Sprintf("%s/a=%g,eps=%g", name, p.Alpha, p.Epsilon)}
+	id.last.Store(last)
+	return last.s
 }
 
 // flatten returns g in the shape the forward kernels iterate: a

@@ -2,7 +2,6 @@ package ppr
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/obs"
@@ -21,6 +20,7 @@ import (
 // kernel (reverseDrain.column) serves every entry point.
 type ReversePush struct {
 	Params Params
+	id     identity
 }
 
 // NewReversePush returns a reverse-push engine with the given parameters.
@@ -31,9 +31,7 @@ func (e *ReversePush) Name() string { return "reverse-push" }
 
 // Identity implements Identifier: the push loop's output depends on α
 // and the residual threshold ε only.
-func (e *ReversePush) Identity() string {
-	return fmt.Sprintf("reverse-push/a=%g,eps=%g", e.Params.Alpha, e.Params.Epsilon)
-}
+func (e *ReversePush) Identity() string { return e.id.of("reverse-push", e.Params) }
 
 // ToTarget returns the estimate vector of Run.
 func (e *ReversePush) ToTarget(g hin.View, t hin.NodeID) (Vector, error) {

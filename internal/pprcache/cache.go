@@ -81,11 +81,27 @@ type shard struct {
 // result with nil Residuals — byte-for-byte the same charge as the
 // plain vector entries of earlier revisions — while full producers
 // (GetOrComputeResult) keep the residual pair resident so warm-start
-// consumers can resume pushes from it.
+// consumers can resume pushes from it. note is what a consumer derived
+// from the vector (SetNote), nil when none; size charges it too.
 type entry struct {
 	key  Key
 	res  *ppr.PushResult
+	note Note
 	size int64
+}
+
+// A Note is a value a consumer derives from an entry's vector and keeps
+// beside it (SetNote), so the vector's next reader need not derive it
+// again: rec keeps a user's ranked top-n prefix on the user's row. A
+// note lives and dies with its entry — evicted or purged with it, and
+// dropped when the entry's result is replaced — and its Bytes are
+// charged to the entry's byte budget. Notes are shared like vectors and
+// MUST be treated as immutable. The cache does not interpret them: a
+// consumer that may meet another consumer's note under the same key
+// tells them apart itself.
+type Note interface {
+	// Bytes is the note's resident size.
+	Bytes() int64
 }
 
 // full reports whether the entry carries the residual half of the push
@@ -93,10 +109,14 @@ type entry struct {
 func (e *entry) full() bool { return e.res.Residuals != nil }
 
 // entrySize charges 8 bytes per resident float plus the bookkeeping
-// overhead; a vector-only entry costs exactly what it did before
-// residuals became storable.
-func entrySize(res *ppr.PushResult) int64 {
-	return int64(len(res.Estimates))*8 + int64(len(res.Residuals))*8 + entryOverhead
+// overhead, plus the note's own size; a vector-only entry without a
+// note costs exactly what it did before residuals became storable.
+func entrySize(res *ppr.PushResult, note Note) int64 {
+	size := int64(len(res.Estimates))*8 + int64(len(res.Residuals))*8 + entryOverhead
+	if note != nil {
+		size += note.Bytes()
+	}
+	return size
 }
 
 // flight is one in-progress computation that concurrent lookups of the
@@ -168,29 +188,35 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// resident returns k's entry when one can answer — any entry, or with
-// full only one carrying residuals — bumping it in the LRU and tallying
-// the hit. It never computes.
-func (c *Cache) resident(ctx context.Context, k Key, full bool) (*ppr.PushResult, bool) {
+// resident returns k's result and note when its entry can answer — any
+// entry, or with full only one carrying residuals — bumping it in the
+// LRU and tallying the hit. It never computes.
+func (c *Cache) resident(ctx context.Context, k Key, full bool) (*ppr.PushResult, Note, bool) {
+	var (
+		res  *ppr.PushResult
+		note Note
+	)
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	el, ok := sh.entries[k]
 	if ok = ok && (!full || el.Value.(*entry).full()); ok {
 		sh.lru.MoveToFront(el)
+		e := el.Value.(*entry)
+		res, note = e.res, e.note
 	}
 	sh.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	c.hits.Add(1)
 	countRequest(ctx, true)
-	return el.Value.(*entry).res, true
+	return res, note, true
 }
 
 // Get returns the cached vector for k without computing on a miss.
 // Vector-only and full entries both answer.
 func (c *Cache) Get(ctx context.Context, k Key) (ppr.Vector, bool) {
-	res, ok := c.resident(ctx, k, false)
+	res, _, ok := c.resident(ctx, k, false)
 	if !ok {
 		return nil, false
 	}
@@ -202,7 +228,8 @@ func (c *Cache) Get(ctx context.Context, k Key) (ppr.Vector, bool) {
 // entry cannot serve a warm start and reports a miss here while still
 // answering Get.
 func (c *Cache) GetResult(ctx context.Context, k Key) (*ppr.PushResult, bool) {
-	return c.resident(ctx, k, true)
+	res, _, ok := c.resident(ctx, k, true)
+	return res, ok
 }
 
 // GetOrCompute returns the vector for k, computing it with compute on a
@@ -224,11 +251,49 @@ func (c *Cache) GetResult(ctx context.Context, k Key) (*ppr.PushResult, bool) {
 // The returned vector is shared with other callers and must not be
 // mutated.
 func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(context.Context) (ppr.Vector, error)) (ppr.Vector, bool, error) {
-	res, hit, err := c.lookupOne(ctx, k, false, compute, nil)
+	vec, _, hit, err := GetOrComputeNoted(ctx, c, k, compute, func(ctx context.Context, compute func(context.Context) (ppr.Vector, error)) (ppr.Vector, error) {
+		return compute(ctx)
+	})
+	return vec, hit, err
+}
+
+// GetOrComputeNoted is GetOrCompute for a consumer that keeps a note on
+// k's entry (SetNote): the one lookup also returns that note, nil when
+// the entry has none or was not resident. compute receives arg instead
+// of capturing it, so the caller can pass a function literal that
+// captures nothing: a warm hit then allocates nothing, where a capturing
+// closure is heap-allocated even when the lookup never calls it.
+func GetOrComputeNoted[A any](ctx context.Context, c *Cache, k Key, arg A, compute func(context.Context, A) (ppr.Vector, error)) (ppr.Vector, Note, bool, error) {
+	res, note, hit, err := lookupOne(ctx, c, k, false, arg, compute, nil)
 	if err != nil {
-		return nil, hit, err
+		return nil, nil, hit, err
 	}
-	return res.Estimates, hit, nil
+	return res.Estimates, note, hit, nil
+}
+
+// SetNote keeps n on k's entry, replacing any note there, while the
+// entry still holds vec — the vector n was derived from; otherwise (the
+// entry was evicted, or its result replaced) it does nothing. The note's
+// bytes are charged to the entry and the shard's budgets enforced as on
+// insert, so a note can evict its shard's coldest entries, its own
+// included.
+func (c *Cache) SetNote(k Key, vec ppr.Vector, n Note) {
+	sh := c.shardFor(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.entries[k]
+	if !ok {
+		return
+	}
+	e := el.Value.(*entry)
+	if est := e.res.Estimates; len(est) != len(vec) || len(vec) > 0 && &est[0] != &vec[0] {
+		return
+	}
+	sh.bytes -= e.size
+	e.note = n
+	e.size = entrySize(e.res, n)
+	sh.bytes += e.size
+	c.evictLocked(sh)
 }
 
 // GetOrComputeResult is GetOrCompute at the push-result level: on a
@@ -244,7 +309,10 @@ func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(context.Co
 // The returned result is shared with other callers and must not be
 // mutated — warm starts hand it to ppr.UpdateForEdit, which copies.
 func (c *Cache) GetOrComputeResult(ctx context.Context, k Key, compute func(context.Context) (*ppr.PushResult, error)) (*ppr.PushResult, bool, error) {
-	return c.lookupOne(ctx, k, true, nil, compute)
+	res, _, hit, err := lookupOne(ctx, c, k, true, compute, nil, func(ctx context.Context, compute func(context.Context) (*ppr.PushResult, error)) (*ppr.PushResult, error) {
+		return compute(ctx)
+	})
+	return res, hit, err
 }
 
 // GetOrComputeMany is GetOrCompute over a batch of keys sharing one
@@ -276,35 +344,35 @@ func (c *Cache) GetOrComputeMany(ctx context.Context, keys []Key, compute func(c
 }
 
 // lookupOne is the one-key case of lookup behind a resident fast path;
-// exactly one of vec and result is the caller's compute. The fast path
-// precedes the compute wrapper because that closure and the batch
-// loop's bookkeeping heap-allocate, and a warm lookup must stay at zero
-// allocations (TestWarmGetOrComputeZeroAlloc). lookup re-checks
-// residency under the flight lock, so this is purely an optimization,
-// not a second code path — including the cancellation poll, which warm
-// hits must honor exactly like the shared loop.
-func (c *Cache) lookupOne(ctx context.Context, k Key, full bool, vec func(context.Context) (ppr.Vector, error), result func(context.Context) (*ppr.PushResult, error)) (*ppr.PushResult, bool, error) {
+// exactly one of vec and result is the caller's compute, which takes
+// arg. The fast path precedes the compute wrapper because that closure
+// and the batch loop's bookkeeping heap-allocate, and a warm lookup
+// must stay at zero allocations (TestWarmGetOrComputeZeroAlloc).
+// lookup re-checks residency under the flight lock, so this is purely
+// an optimization, not a second code path — including the cancellation
+// poll, which warm hits must honor exactly like the shared loop.
+func lookupOne[A any](ctx context.Context, c *Cache, k Key, full bool, arg A, vec func(context.Context, A) (ppr.Vector, error), result func(context.Context, A) (*ppr.PushResult, error)) (*ppr.PushResult, Note, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, context.Cause(ctx)
+		return nil, nil, false, context.Cause(ctx)
 	}
-	if res, ok := c.resident(ctx, k, full); ok {
-		return res, true, nil
+	if res, note, ok := c.resident(ctx, k, full); ok {
+		return res, note, true, nil
 	}
 	out, hits, err := c.lookup(ctx, []Key{k}, full, false, func(fctx context.Context, _ []int) ([]*ppr.PushResult, error) {
 		if result != nil {
-			res, err := result(fctx)
+			res, err := result(fctx, arg)
 			return []*ppr.PushResult{res}, err
 		}
-		est, err := vec(fctx)
+		est, err := vec(fctx, arg)
 		return []*ppr.PushResult{{Estimates: est}}, err
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	return out[0], hits == 1, nil
+	return out[0], nil, hits == 1, nil
 }
 
 // lookup is the shared lookup/flight loop: every key is answered from
@@ -491,20 +559,27 @@ func (c *Cache) insertLocked(sh *shard, k Key, res *ppr.PushResult) {
 		e := el.Value.(*entry)
 		if res.Residuals != nil && !e.full() {
 			// Upgrade in place: the full result replaces the vector-only
-			// payload (and its byte charge) under the same LRU slot.
+			// payload (and its byte charge) under the same LRU slot. The
+			// note goes with the vector it was derived from.
 			sh.bytes -= e.size
-			e.res = res
-			e.size = entrySize(res)
+			e.res, e.note = res, nil
+			e.size = entrySize(res, nil)
 			sh.bytes += e.size
 		}
 		// Otherwise a concurrent writer (distinct flight after an
 		// eviction race) already resides; keep the resident entry.
 		sh.lru.MoveToFront(el)
 	} else {
-		e := &entry{key: k, res: res, size: entrySize(res)}
+		e := &entry{key: k, res: res, size: entrySize(res, nil)}
 		sh.entries[k] = sh.lru.PushFront(e)
 		sh.bytes += e.size
 	}
+	c.evictLocked(sh)
+}
+
+// evictLocked drops least recently used entries until the shard is
+// within both budgets. The caller holds sh.mu.
+func (c *Cache) evictLocked(sh *shard) {
 	for (sh.lru.Len() > c.entryBudget || sh.bytes > c.byteBudget) && sh.lru.Len() > 0 {
 		tail := sh.lru.Back()
 		victim := tail.Value.(*entry)

@@ -28,6 +28,10 @@
 //     request: it is canceled only when the last interested waiter has
 //     gone away, so one client's timeout cannot poison the result for
 //     the others.
+//   - a consumer may keep a note on an entry — a value it derived from
+//     the vector, such as rec's ranked top-n list — which later lookups
+//     return with the vector; it is charged to the entry and goes with
+//     it.
 //
 // Cached vectors are shared between callers and MUST be treated as
 // immutable. Every producer in this repository already does (PPR

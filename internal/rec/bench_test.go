@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
+	"github.com/why-not-xai/emigre/internal/ppr"
 	"github.com/why-not-xai/emigre/internal/pprcache"
 )
 
@@ -34,10 +35,12 @@ func benchGraph(b *testing.B) (*hin.Graph, []hin.NodeID, Config) {
 	return g, users, DefaultConfig(item)
 }
 
-// BenchmarkTopN times a cold top-10 (push and selection, beta=...) and
-// the selection alone at three list sizes over a warm vector cache
-// (n=...): a max-scan, the serving default, and every candidate in
-// order.
+// BenchmarkTopN times a cold top-10 (push and selection, beta=...), a
+// warm one at three list sizes (n=...: a max-scan, the serving default,
+// and every candidate in order; each is a copy of the ranking kept on
+// the cached vector), and on the Amazon Lite graph a warm top-10 both
+// ways (lite/...): the kept ranking's copy, and selectInto on the same
+// vector.
 func BenchmarkTopN(b *testing.B) {
 	g, users, cfg := benchGraph(b)
 	for _, beta := range []float64{1, 0.5} {
@@ -83,6 +86,31 @@ func BenchmarkTopN(b *testing.B) {
 			}
 		})
 	}
+
+	base, sampled := liteRecommender(b)
+	warm := base.WithCache(pprcache.New(pprcache.Config{}))
+	vecs := make([]ppr.Vector, len(sampled))
+	for i, u := range sampled {
+		if _, err := warm.TopN(u, 10); err != nil {
+			b.Fatal(err)
+		}
+		vecs[i] = mustScores(b, warm, u)
+	}
+	b.Run("lite/kept", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := warm.TopN(sampled[i%len(sampled)], 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lite/selectInto", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % len(sampled)
+			warm.selectInto(sampled[j], vecs[j], make([]Scored, 0, 10))
+		}
+	})
 }
 
 func BenchmarkWithViewOverlay(b *testing.B) {

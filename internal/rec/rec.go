@@ -13,10 +13,13 @@
 // exposed as a View decorator so PPR engines, the EMiGRe explainer and
 // the PRINCE baseline all see exactly the same transition matrix.
 //
-// Every ranking read — Recommend, TopN, RankOf and TopOf / RankWithin —
-// is one kernel over a score vector: a walk of the candidate index (the
-// item-typed node ids, built once in New) minus the user's sorted
-// out-row, under the order fmath.Before.
+// Every ranking is computed by one kernel over a score vector: a walk of
+// the candidate index (the item-typed node ids, built once in New) minus
+// the user's sorted out-row, under the order fmath.Before. RankOf, TopOf
+// and RankWithin run it on every call, as do Recommend and TopN without
+// a cache. With one, Recommend and TopN run it once per cached vector
+// and copy later answers from the ranked prefix kept on the vector's
+// cache entry (TopNContext).
 package rec
 
 import (
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -291,15 +295,58 @@ func (r *Recommender) Scores(u hin.NodeID) (ppr.Vector, error) {
 // is an exact materialization of (a row-patched snapshot is itself
 // unversioned).
 func (r *Recommender) ScoresContext(ctx context.Context, u hin.NodeID) (ppr.Vector, error) {
+	vec, _, err := r.scores(ctx, u)
+	return vec, err
+}
+
+// rowFill is what computing u's row on a cache miss reads.
+type rowFill struct {
+	r *Recommender
+	u hin.NodeID
+}
+
+// scores is ScoresContext that also returns the ranking kept on the
+// cached vector (TopNContext), nil when there is none: one cache lookup
+// answers both.
+func (r *Recommender) scores(ctx context.Context, u hin.NodeID) (ppr.Vector, *ranking, error) {
 	if r.cache != nil {
 		if k, ok := pprcache.ForwardKey(r.view, r.engine, u); ok {
-			vec, _, err := r.cache.GetOrCompute(ctx, k, func(cctx context.Context) (ppr.Vector, error) {
-				return r.engine.FromSourceContext(cctx, r.Flat(), u)
+			vec, note, _, err := pprcache.GetOrComputeNoted(ctx, r.cache, k, rowFill{r, u}, func(cctx context.Context, f rowFill) (ppr.Vector, error) {
+				return f.r.engine.FromSourceContext(cctx, f.r.Flat(), f.u)
 			})
-			return vec, err
+			rk, _ := note.(*ranking)
+			return vec, rk, err
 		}
 	}
-	return r.engine.FromSourceContext(ctx, r.Flat(), u)
+	vec, err := r.engine.FromSourceContext(ctx, r.Flat(), u)
+	return vec, nil, err
+}
+
+// ranking is the note a cache-attached recommender keeps on a user's
+// cached score vector: the first entries of the user's candidate
+// ranking on it. fmath.Before is a strict total order on (score, id),
+// so top-n is the first n entries of top-m for every m ≥ n: the prefix
+// answers any n up to its length, and every n once it is complete.
+type ranking struct {
+	items    []hin.NodeID // the candidate index ranked over: Recommender.items
+	top      []Scored
+	complete bool // top holds every candidate
+}
+
+// Bytes implements pprcache.Note.
+func (k *ranking) Bytes() int64 {
+	return int64(unsafe.Sizeof(*k)) + int64(cap(k.top))*int64(unsafe.Sizeof(Scored{}))
+}
+
+// prefix returns u's first n candidates when k ranks over the candidate
+// index items and holds them. Recommenders configured with different
+// ItemTypes may share a cache under identical keys; their notes differ
+// in items and read as absent to each other.
+func (k *ranking) prefix(items []hin.NodeID, n int) ([]Scored, bool) {
+	if k == nil || len(k.items) != len(items) || &k.items[0] != &items[0] || n > len(k.top) && !k.complete {
+		return nil, false
+	}
+	return k.top[:min(n, len(k.top))], true
 }
 
 // exclusions returns, sorted into buf (a stack buffer: a longer row
@@ -428,17 +475,31 @@ func (r *Recommender) TopN(u hin.NodeID, n int) ([]Scored, error) {
 
 // TopNContext is TopN with cancellation: the PPR pass behind the
 // ranking aborts with ctx.Err() once ctx is done.
+//
+// With a cache attached the ranking is computed once per cached vector:
+// the first call ranks the vector and keeps the list on its cache entry
+// (pprcache.Cache.SetNote), and later calls copy a prefix of it. Only a
+// larger n than the kept list holds ranks again, and replaces it.
 func (r *Recommender) TopNContext(ctx context.Context, u hin.NodeID, n int) ([]Scored, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rec: top-n size must be at least 1, got %d", n)
 	}
-	scores, err := r.ScoresContext(ctx, u)
+	scores, kept, err := r.scores(ctx, u)
 	if err != nil {
 		return nil, err
 	}
-	top := r.selectInto(u, scores, make([]Scored, 0, min(n, len(r.items))))
+	if top, ok := kept.prefix(r.items, n); ok {
+		return slices.Clone(top), nil
+	}
+	n = min(n, len(r.items))
+	top := r.selectInto(u, scores, make([]Scored, 0, n))
 	if len(top) == 0 {
 		return nil, fmt.Errorf("%w (user %d)", ErrNoCandidates, u)
+	}
+	if r.cache != nil {
+		if k, ok := pprcache.ForwardKey(r.view, r.engine, u); ok {
+			r.cache.SetNote(k, scores, &ranking{items: r.items, top: slices.Clone(top), complete: len(top) < n || n == len(r.items)})
+		}
 	}
 	return top, nil
 }

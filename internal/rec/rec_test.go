@@ -671,7 +671,7 @@ func TestRankingConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-func mustScores(t *testing.T, r *Recommender, u hin.NodeID) ppr.Vector {
+func mustScores(t testing.TB, r *Recommender, u hin.NodeID) ppr.Vector {
 	t.Helper()
 	scores, err := r.Scores(u)
 	if err != nil {
@@ -682,10 +682,11 @@ func mustScores(t *testing.T, r *Recommender, u hin.NodeID) ppr.Vector {
 
 // TestRankingAllocations pins the kernel's allocation budget: the
 // vector-level top-1 and rank reads allocate nothing and a top-10 list
-// allocates its result and nothing else. TopNContext is ScoresContext
-// plus TopNOf, so on a warm cache that one slice is all it adds to the
-// cache lookup (whose own allocations — the engine identity string and
-// the compute closure — belong to ppr and pprcache).
+// allocates its result and nothing else. On a warm cache a TopNContext
+// is one lookup that returns the vector with its kept ranking, and the
+// copy of the list's prefix it returns is its one allocation: the
+// engine identity in the key is formatted once per engine, and the
+// lookup builds its compute closure only on a miss.
 func TestRankingAllocations(t *testing.T) {
 	rg := newRankGraph(t, 3, 0.5)
 	r, err := New(rg.g, rg.cfg)
@@ -698,6 +699,11 @@ func TestRankingAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	tenth := r.selectInto(u, scores, make([]Scored, 0, 10))[9].Node
+	ctx := context.Background()
+	warm := r.WithCache(pprcache.New(pprcache.Config{}))
+	if _, err := warm.TopNContext(ctx, u, 10); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -706,6 +712,11 @@ func TestRankingAllocations(t *testing.T) {
 		{"TopOf", 0, func() { r.TopOf(u, scores) }},
 		{"RankWithin", 0, func() { r.RankWithin(u, tenth, scores, 10) }},
 		{"top-10", 1, func() { r.selectInto(u, scores, make([]Scored, 0, 10)) }},
+		{"warm TopNContext", 1, func() {
+			if _, err := warm.TopNContext(ctx, u, 10); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		if got := testing.AllocsPerRun(100, tc.read); got > tc.max {
 			t.Errorf("%s: %g allocations per run, want at most %g", tc.name, got, tc.max)

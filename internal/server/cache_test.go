@@ -139,3 +139,20 @@ func TestCacheSharedBetweenRecommendAndExplain(t *testing.T) {
 		t.Fatalf("recommend did not reuse the resident vector: %+v -> %+v", after, final)
 	}
 }
+
+// TestWarmRecommendIsOneLookup: a warm /recommend reads the user's
+// vector and its kept ranking in one cache lookup, so its tally header
+// reports exactly one hit, as it did before rankings were kept.
+func TestWarmRecommendIsOneLookup(t *testing.T) {
+	srv, _ := newTestServer(t)
+	h := srv.Handler()
+	for i, want := range []string{"0h/1m", "1h/0m", "1h/0m"} {
+		rec := do(t, h, "GET", "/recommend?user=Paul&n=3", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: %d: %s", i, rec.Code, rec.Body.String())
+		}
+		if got := rec.Header().Get(CacheTallyHeader); got != want {
+			t.Fatalf("request %d: %s = %q, want %q", i, CacheTallyHeader, got, want)
+		}
+	}
+}

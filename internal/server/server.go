@@ -413,6 +413,13 @@ type scoredItem struct {
 	Score float64       `json:"score"`
 }
 
+// recommendResponse is the /recommend body. Its fields are in the order
+// encoding/json writes a map's sorted keys, the body's earlier shape.
+type recommendResponse struct {
+	Items []scoredItem  `json:"items"`
+	User  emigre.NodeID `json:"user"`
+}
+
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	user, err := cli.ResolveNode(s.g, r.URL.Query().Get("user"))
 	if err != nil {
@@ -437,10 +444,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		items[i] = scoredItem{Node: sc.Node, Label: s.g.Label(sc.Node), Score: sc.Score}
 	}
 	setTallyHeaders(w, r.Context())
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"user":  user,
-		"items": items,
-	})
+	s.writeJSON(w, http.StatusOK, recommendResponse{Items: items, User: user})
 }
 
 // explainRequest is the /explain body. WNI or Items (group form) must

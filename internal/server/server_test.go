@@ -342,3 +342,36 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("missing graph should error")
 	}
 }
+
+// TestRecommendBodyBytesMatchMapEncoding: the typed /recommend body
+// encodes to the bytes of the map it replaced — keys in sorted order, an
+// empty label omitted — on fixed values and on a served response.
+func TestRecommendBodyBytesMatchMapEncoding(t *testing.T) {
+	encode := func(v any) string {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	items := []scoredItem{{Node: 3, Label: "The Hobbit", Score: 0.25}, {Node: 5, Score: 1.5e-9}}
+	if got, want := encode(recommendResponse{Items: items, User: 7}), encode(map[string]any{"user": emigre.NodeID(7), "items": items}); got != want {
+		t.Fatalf("typed body %s, map body %s", got, want)
+	}
+	if strings.Contains(encode(items[1]), "label") {
+		t.Fatal("an empty label is encoded")
+	}
+
+	srv, _ := newTestServer(t)
+	rec := do(t, srv.Handler(), "GET", "/recommend?user=Paul&n=3", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%d: %s", rec.Code, rec.Body.String())
+	}
+	var body recommendResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if want := encode(map[string]any{"user": body.User, "items": body.Items}); rec.Body.String() != want {
+		t.Fatalf("served body %s, map encoding %s", rec.Body.String(), want)
+	}
+}
