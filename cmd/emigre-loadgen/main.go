@@ -9,7 +9,7 @@
 //	# synthesize, run against a server, record a session log + report
 //	emigre-loadgen -mode run -addr http://localhost:8080 \
 //	    -seed 7 -count 500 -rate 200 -log session.jsonl \
-//	    -report report.json -bench BENCH_loadgen.json
+//	    -report report.json
 //
 //	# replay a recorded session at 2x the recorded rate
 //	emigre-loadgen -mode replay -addr http://localhost:8080 \
@@ -19,9 +19,10 @@
 //	emigre-loadgen -mode report -log session.jsonl
 //
 // A run scrapes GET /metrics before and after the traffic and folds
-// the counter deltas into the report. The -bench output is the
-// normalized benchfmt schema cmd/emigre-benchdiff diffs against a
-// committed baseline.
+// the counter deltas into the report. The report's error_rate counts
+// failed requests only: a 404 (no explanation exists) or 422 (not a
+// Why-Not item) is an answer, so a healthy server reads 0 and a script
+// can assert it with `jq -e '.error_rate == 0' report.json`.
 //
 // The workload model is fully seeded: the same -seed and shape flags
 // produce a byte-identical request stream, and a replay re-sends the
@@ -47,7 +48,6 @@ import (
 
 	"github.com/why-not-xai/emigre/client"
 	"github.com/why-not-xai/emigre/internal/load"
-	"github.com/why-not-xai/emigre/internal/load/benchfmt"
 	"github.com/why-not-xai/emigre/internal/obs"
 )
 
@@ -90,8 +90,6 @@ func main() {
 		logPath    = flag.String("log", "", "session log: output path (run), input path (replay, report)")
 		logOut     = flag.String("log-out", "", "replay's own session log output path (replay)")
 		reportPath = flag.String("report", "", "write the JSON report here (- = stdout)")
-		benchPath  = flag.String("bench", "", "write the benchfmt projection here")
-		benchDesc  = flag.String("bench-desc", "emigre-loadgen run", "benchfmt description field")
 		quiet      = flag.Bool("quiet", false, "suppress the rendered report on stdout")
 	)
 	flag.Parse()
@@ -189,8 +187,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		emitReport(load.BuildReport(recs, before, after, duration),
-			*reportPath, *benchPath, *benchDesc, *quiet)
+		emitReport(load.BuildReport(recs, before, after, duration), *reportPath, *quiet)
 
 	case "report":
 		if *logPath == "" {
@@ -213,8 +210,7 @@ func main() {
 			}
 		}
 		duration := float64(maxEnd-minStart) / 1e6
-		emitReport(load.BuildReport(recs, nil, nil, duration),
-			*reportPath, *benchPath, *benchDesc, *quiet)
+		emitReport(load.BuildReport(recs, nil, nil, duration), *reportPath, *quiet)
 
 	default:
 		log.Printf("unknown -mode %q", *mode)
@@ -235,7 +231,7 @@ func scrape(ctx context.Context, url string) *obs.Exposition {
 	return e
 }
 
-func emitReport(rep *load.Report, reportPath, benchPath, benchDesc string, quiet bool) {
+func emitReport(rep *load.Report, reportPath string, quiet bool) {
 	if !quiet {
 		fmt.Print(rep.Render())
 	}
@@ -248,15 +244,6 @@ func emitReport(rep *load.Report, reportPath, benchPath, benchDesc string, quiet
 		if reportPath == "-" {
 			os.Stdout.Write(data)
 		} else if err := os.WriteFile(reportPath, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if benchPath != "" {
-		data, err := benchfmt.Marshal(rep.ToBenchFmt(benchDesc))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(benchPath, data, 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}

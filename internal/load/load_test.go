@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -397,7 +398,7 @@ func TestRunOpenLoopPacing(t *testing.T) {
 }
 
 // TestBuildReport: percentile math, per-op slicing, scrape deltas and
-// the benchfmt projection.
+// the rendered text.
 func TestBuildReport(t *testing.T) {
 	var recs []Record
 	for i := 0; i < 100; i++ {
@@ -447,20 +448,74 @@ func TestBuildReport(t *testing.T) {
 		t.Errorf("metrics delta: %+v", rep.MetricsDelta)
 	}
 
-	bf := rep.ToBenchFmt("test run")
-	if got := bf.Result("loadgen/explain"); got == nil || got.Metrics["p99_us"] != 99_000 {
-		t.Errorf("benchfmt explain: %+v", got)
-	} else if got.Metrics["ns/op"] != got.Metrics["mean_us"]*1e3 {
-		t.Errorf("benchfmt ns/op not derived from mean: %+v", got.Metrics)
-	}
-	total := bf.Result("loadgen/total")
-	if total == nil || total.Iterations != 101 {
-		t.Errorf("benchfmt total: %+v", total)
-	}
-	if total.Metrics["qps"] != 10.1 {
-		t.Errorf("benchfmt qps: %v", total.Metrics)
-	}
 	if !strings.Contains(rep.Render(), "explain") {
 		t.Error("Render missing endpoint lines")
+	}
+}
+
+// TestPercentileNearestRank: the p-quantile of N sorted samples is the
+// ⌈p·N⌉-th smallest. Rounding p·N to nearest instead reads one rank low
+// whenever its fraction is at least one half: p95 of 14 and 17 samples,
+// and p99 of 289 (an explain count the CI stream produces).
+func TestPercentileNearestRank(t *testing.T) {
+	cases := []struct {
+		n    int
+		p    float64
+		want int64
+	}{
+		{1, 0.50, 1},
+		{1, 0.99, 1},
+		{14, 0.95, 14},
+		{17, 0.95, 17},
+		{100, 0.50, 50},
+		{100, 0.99, 99},
+		{289, 0.50, 145},
+		{289, 0.99, 287},
+	}
+	for _, tc := range cases {
+		sorted := make([]int64, tc.n)
+		for i := range sorted {
+			sorted[i] = int64(i + 1)
+		}
+		if got := percentile(sorted, tc.p); got != tc.want {
+			t.Errorf("percentile(1..%d, %v) = %d, want %d", tc.n, tc.p, got, tc.want)
+		}
+	}
+	if got := percentile(nil, 0.5); got != 0 {
+		t.Errorf("percentile of no samples = %d, want 0", got)
+	}
+}
+
+// TestSummarizeErrorStatuses: a 404 (no explanation exists) and a 422
+// (not a Why-Not item, already top) are answers, not failures; every
+// other non-200 status is an error, and the status histogram keeps all
+// of them.
+func TestSummarizeErrorStatuses(t *testing.T) {
+	cases := []struct {
+		status int
+		err    bool
+	}{
+		{200, false},
+		{404, false},
+		{422, false},
+		{0, true},
+		{400, true},
+		{499, true},
+		{500, true},
+		{503, true},
+		{504, true},
+	}
+	for _, tc := range cases {
+		ep := summarize([]*Record{{Request: Request{Op: OpExplain}, Status: tc.status}})
+		wantErrors := 0
+		if tc.err {
+			wantErrors = 1
+		}
+		if ep.Errors != wantErrors {
+			t.Errorf("status %d: Errors = %d, want %d", tc.status, ep.Errors, wantErrors)
+		}
+		if got := ep.Status[strconv.Itoa(tc.status)]; got != 1 {
+			t.Errorf("status %d: histogram = %v, want one entry", tc.status, ep.Status)
+		}
 	}
 }

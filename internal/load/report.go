@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/why-not-xai/emigre/internal/load/benchfmt"
 	"github.com/why-not-xai/emigre/internal/obs"
 )
 
@@ -44,7 +43,8 @@ type Percentiles struct {
 
 // EndpointReport is the per-op slice of a load report.
 type EndpointReport struct {
-	Count  int `json:"count"`
+	Count int `json:"count"`
+	// Errors counts failed requests; see isError.
 	Errors int `json:"errors"`
 	// Status counts outcomes by HTTP status ("0" = no response).
 	Status  map[string]int `json:"status"`
@@ -77,19 +77,23 @@ type Report struct {
 	MetricsDelta map[string]float64 `json:"metrics_delta,omitempty"`
 }
 
-// percentile returns the exact p-quantile of sorted (nearest-rank).
+// percentile returns the exact p-quantile of sorted by nearest rank:
+// the ⌈p·N⌉-th smallest sample.
 func percentile(sorted []int64, p float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(p*float64(len(sorted)) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
+}
+
+// isError reports whether an HTTP status is a failed request. A 404
+// (no explanation exists, no candidates) and a 422 (not a Why-Not
+// item, already top, empty group) are answers in the paper's terms —
+// the 404 is its success-rate denominator — so only the rest count:
+// 0 (no response), other 4xx, 499 and 5xx.
+func isError(status int) bool {
+	return status != 200 && status != 404 && status != 422
 }
 
 func summarize(recs []*Record) *EndpointReport {
@@ -100,7 +104,7 @@ func summarize(recs []*Record) *EndpointReport {
 	for _, r := range recs {
 		ep.Count++
 		ep.Status[strconv.Itoa(r.Status)]++
-		if r.Status != 200 {
+		if isError(r.Status) {
 			ep.Errors++
 		}
 		if r.Status == 503 {
@@ -165,49 +169,6 @@ func BuildReport(recs []Record, before, after *obs.Exposition, durationS float64
 		rep.MetricsDelta = obs.CounterDeltas(before, after)
 	}
 	return rep
-}
-
-// ToBenchFmt renders the report in the normalized benchfmt schema, one
-// result per endpoint plus a "loadgen/total" aggregate — the shape the
-// perf-regression gate diffs.
-func (r *Report) ToBenchFmt(description string) *benchfmt.File {
-	f := &benchfmt.File{Schema: benchfmt.Schema, Description: description}
-	emit := func(name string, ep *EndpointReport) {
-		if ep == nil || ep.Count == 0 {
-			return
-		}
-		m := map[string]float64{
-			"p50_us":     float64(ep.Latency.P50),
-			"p95_us":     float64(ep.Latency.P95),
-			"p99_us":     float64(ep.Latency.P99),
-			"mean_us":    float64(ep.Latency.Mean),
-			"ns/op":      float64(ep.Latency.Mean) * 1e3,
-			"error_rate": float64(ep.Errors) / float64(ep.Count),
-			"rate_503":   ep.Rate503,
-		}
-		// qps is always emitted, as an exact 0 when the window was too
-		// small to measure: omitting it would make benchfmt.Diff skip
-		// the metric and silently wave a broken run through the gate.
-		m["qps"] = 0
-		if d := sanitizeDurationS(r.DurationS); d > 0 {
-			m["qps"] = float64(ep.Count) / d
-		}
-		f.Results = append(f.Results, benchfmt.Result{
-			Name:       name,
-			Iterations: int64(ep.Count),
-			Metrics:    m,
-		})
-	}
-	ops := make([]string, 0, len(r.Endpoints))
-	for op := range r.Endpoints {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		emit("loadgen/"+op, r.Endpoints[op])
-	}
-	emit("loadgen/total", r.Total)
-	return f
 }
 
 // Render writes the report as human-readable text.
