@@ -2,7 +2,7 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/why-not-xai/emigre/internal/embed"
 	"github.com/why-not-xai/emigre/internal/fmath"
@@ -83,6 +83,22 @@ func Generate(cfg Config) (*Amazon, error) {
 //     materialized as nodes (matching the paper's node counts), but
 //     isolated review nodes are impossible by construction.
 func BuildGraph(raw *Raw) (*Amazon, error) {
+	a, reviews, err := buildNodes(raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := linkSimilarReviews(a.Graph, a.Types, raw, reviews, raw.Config); err != nil {
+		return nil, err
+	}
+	if err := a.Graph.Validate(); err != nil {
+		return nil, fmt.Errorf("dataset: generated graph invalid: %w", err)
+	}
+	return a, nil
+}
+
+// buildNodes runs every preprocessing step but the review linking. It
+// returns the materialized reviews in node order.
+func buildNodes(raw *Raw) (*Amazon, []reviewRec, error) {
 	cfg := raw.Config
 	g := hin.NewGraph()
 	types := RegisterTypes(g.Types())
@@ -100,10 +116,10 @@ func BuildGraph(raw *Raw) (*Amazon, error) {
 	for i, cats := range raw.ItemCategories {
 		for _, c := range cats {
 			if c < 0 || c >= cfg.Categories {
-				return nil, fmt.Errorf("dataset: item %d references category %d out of range", i, c)
+				return nil, nil, fmt.Errorf("dataset: item %d references category %d out of range", i, c)
 			}
 			if err := g.AddBidirectional(a.Items[i], a.Categories[c], types.BelongsTo, 1); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
@@ -115,7 +131,7 @@ func BuildGraph(raw *Raw) (*Amazon, error) {
 			continue // the paper keeps only appreciated items
 		}
 		if r.User < 0 || r.User >= cfg.Users || r.Item < 0 || r.Item >= cfg.Items {
-			return nil, fmt.Errorf("dataset: rating references user %d / item %d out of range", r.User, r.Item)
+			return nil, nil, fmt.Errorf("dataset: rating references user %d / item %d out of range", r.User, r.Item)
 		}
 		u, it := a.Users[r.User], a.Items[r.Item]
 		w := float64(r.Stars) / 5
@@ -127,7 +143,7 @@ func BuildGraph(raw *Raw) (*Amazon, error) {
 		if r.Review == "" {
 			if _, exists := g.EdgeWeight(u, it, types.Rated); !exists {
 				if err := g.AddBidirectional(u, it, types.Rated, w); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			continue
@@ -136,23 +152,16 @@ func BuildGraph(raw *Raw) (*Amazon, error) {
 			continue // one review per (user, item)
 		}
 		if err := g.AddBidirectional(u, it, types.Reviewed, w); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rv := g.AddNode(types.Review, fmt.Sprintf("review-%d", len(reviews)))
 		a.Reviews = append(a.Reviews, rv)
 		if err := g.AddBidirectional(it, rv, types.HasReview, 1); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		reviews = append(reviews, reviewRec{node: rv, item: r.Item, vec: enc.Encode(r.Review)})
 	}
-
-	if err := linkSimilarReviews(g, types, raw, reviews, cfg); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("dataset: generated graph invalid: %w", err)
-	}
-	return a, nil
+	return a, reviews, nil
 }
 
 // reviewRec tracks a materialized review node with its source item and
@@ -168,81 +177,152 @@ type reviewRec struct {
 // embedding substitute gives cross-category pairs near-zero similarity
 // anyway), and each review links to at most MaxSimilarPerReview
 // strongest peers.
+//
+// The degree cap is greedy: reviews are taken in index order, and each
+// links to its candidates above the threshold strongest first (exact
+// similarity ties toward the lower peer index), skipping saturated
+// peers, until it is saturated itself. A review x only ever gains links
+// to peers y > x: a pair with y < x was offered when y was taken and
+// either linked then or found an endpoint saturated for good. So each
+// review's candidates are collected, and ordered lazily through a heap,
+// only when it is taken and still below the cap, and never against a
+// saturated peer.
+//
+// Each unordered pair is compared once, under the smallest category its
+// two items share; the cosine reuses each review's squared norm and
+// nonzero support.
 func linkSimilarReviews(g *hin.Graph, types Types, raw *Raw, reviews []reviewRec, cfg Config) error {
-	if cfg.MaxSimilarPerReview <= 0 {
+	maxDeg := cfg.MaxSimilarPerReview
+	if maxDeg <= 0 {
 		return nil
 	}
-	byCat := make(map[int][]int) // category -> review indices
-	for idx, r := range reviews {
-		for _, c := range raw.ItemCategories[r.item] {
-			byCat[c] = append(byCat[c], idx)
+	// Each review's item categories, ascending and deduplicated: the raw
+	// lists carry no order guarantee (BuildGraph is exported). byCat[c]
+	// lists the reviews of category c in index order.
+	itemCats := make([][]int, len(raw.ItemCategories))
+	cats := make([][]int, len(reviews))
+	byCat := make([][]int, cfg.Categories)
+	norms := make([]float64, len(reviews))
+	supports := make([][]int, len(reviews))
+	for x, r := range reviews {
+		if itemCats[r.item] == nil {
+			cs := slices.Clone(raw.ItemCategories[r.item])
+			slices.Sort(cs)
+			itemCats[r.item] = slices.Compact(cs)
 		}
+		cats[x] = itemCats[r.item]
+		for _, c := range cats[x] {
+			byCat[c] = append(byCat[c], x)
+		}
+		norms[x] = embed.SqNorm(r.vec)
+		supports[x] = embed.Support(r.vec)
 	}
-	type pair struct {
-		a, b int
-		sim  float64
-	}
-	best := make(map[int][]pair) // review -> strongest candidate pairs
-	seen := make(map[[2]int]bool)
-	for _, idxs := range byCat {
-		for i := 0; i < len(idxs); i++ {
-			for j := i + 1; j < len(idxs); j++ {
-				x, y := idxs[i], idxs[j]
-				if x > y {
-					x, y = y, x
-				}
-				key := [2]int{x, y}
-				if seen[key] {
+
+	next := make([]int, cfg.Categories) // byCat[c][next[c]:] are the reviews after x
+	deg := make([]int, len(reviews))
+	var peers peerHeap
+	for x, rx := range reviews {
+		cx := cats[x]
+		for _, c := range cx {
+			next[c]++
+		}
+		if deg[x] >= maxDeg {
+			continue
+		}
+		peers = peers[:0]
+		for _, c := range cx {
+			smallest := cx[0] == c
+			for _, y := range byCat[c][next[c]:] {
+				if deg[y] >= maxDeg {
 					continue
 				}
-				seen[key] = true
-				sim := embed.Cosine(reviews[x].vec, reviews[y].vec)
-				if sim <= cfg.SimilarityThreshold {
-					continue
+				if cy := cats[y]; !smallest && cy[0] != c && shareBelow(cx, cy, c) {
+					continue // compared under a smaller shared category
 				}
-				best[x] = append(best[x], pair{a: x, b: y, sim: sim})
-				best[y] = append(best[y], pair{a: x, b: y, sim: sim})
+				sim := embed.CosineSupport(rx.vec, reviews[y].vec, supports[x], norms[x], norms[y])
+				if sim > cfg.SimilarityThreshold {
+					peers = append(peers, peer{y: y, sim: sim})
+				}
 			}
 		}
-	}
-	// Greedily add the strongest pairs while respecting a hard per-review
-	// degree cap on both endpoints.
-	added := make(map[[2]int]bool)
-	deg := make(map[int]int)
-	var order []int
-	for idx := range best {
-		order = append(order, idx)
-	}
-	sort.Ints(order)
-	for _, idx := range order {
-		ps := best[idx]
-		sort.Slice(ps, func(i, j int) bool {
-			if !fmath.Eq(ps[i].sim, ps[j].sim) {
-				return ps[i].sim > ps[j].sim
-			}
-			if ps[i].a != ps[j].a {
-				return ps[i].a < ps[j].a
-			}
-			return ps[i].b < ps[j].b
-		})
-		for _, p := range ps {
-			if deg[idx] >= cfg.MaxSimilarPerReview {
-				break
-			}
-			key := [2]int{p.a, p.b}
-			if added[key] {
-				continue
-			}
-			if deg[p.a] >= cfg.MaxSimilarPerReview || deg[p.b] >= cfg.MaxSimilarPerReview {
-				continue
-			}
-			added[key] = true
-			deg[p.a]++
-			deg[p.b]++
-			if err := g.AddBidirectional(reviews[p.a].node, reviews[p.b].node, types.Similar, p.sim); err != nil {
+		// Every peer was below the cap when collected, and only the
+		// pair (x, y) itself raises deg[y] while x is taken.
+		peers.init()
+		for len(peers) > 0 && deg[x] < maxDeg {
+			p := peers.pop()
+			deg[x]++
+			deg[p.y]++
+			if err := g.AddBidirectional(rx.node, reviews[p.y].node, types.Similar, p.sim); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// shareBelow reports whether the ascending lists a and b have a common
+// element smaller than c.
+func shareBelow(a, b []int, c int) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b) && a[i] < c && b[j] < c; {
+		switch {
+		case a[i] == b[j]:
+			return true
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
+}
+
+// peer is a link candidate of the review being taken.
+type peer struct {
+	y   int
+	sim float64
+}
+
+// stronger is the greedy order: higher similarity first, exact ties
+// toward the lower peer index.
+func (p peer) stronger(q peer) bool {
+	if !fmath.Eq(p.sim, q.sim) {
+		return p.sim > q.sim
+	}
+	return p.y < q.y
+}
+
+// peerHeap is a binary heap of candidates, strongest at the root.
+type peerHeap []peer
+
+func (h peerHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// pop removes and returns the strongest candidate.
+func (h *peerHeap) pop() peer {
+	old := *h
+	top, n := old[0], len(old)-1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
+	return top
+}
+
+func (h peerHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if k := j + 1; k < len(h) && h[k].stronger(h[j]) {
+			j = k
+		}
+		if !h[j].stronger(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

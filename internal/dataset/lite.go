@@ -60,7 +60,7 @@ func (a *Amazon) Lite(cfg LiteConfig) (*Amazon, []hin.NodeID, error) {
 	sort.Slice(eligible, func(i, j int) bool { return eligible[i] < eligible[j] })
 
 	// BFS to cfg.Hops from all sampled users.
-	keep := make(map[hin.NodeID]bool, len(eligible))
+	keep := make([]bool, a.Graph.NumNodes())
 	frontier := make([]hin.NodeID, 0, len(eligible))
 	for _, u := range eligible {
 		keep[u] = true
@@ -92,20 +92,22 @@ func (a *Amazon) Lite(cfg LiteConfig) (*Amazon, []hin.NodeID, error) {
 }
 
 // induced builds the subgraph over the kept nodes, preserving labels
-// and types, and returns the old→new ID mapping.
-func (a *Amazon) induced(keep map[hin.NodeID]bool) (*Amazon, map[hin.NodeID]hin.NodeID, error) {
+// and types and the nodes' order, and returns the old→new ID mapping
+// (defined on the kept nodes).
+func (a *Amazon) induced(keep []bool) (*Amazon, []hin.NodeID, error) {
 	g2 := hin.NewGraph()
 	types := RegisterTypes(g2.Types())
 	out := &Amazon{Graph: g2, Types: types}
 
-	old := make([]hin.NodeID, 0, len(keep))
-	for v := range keep {
-		old = append(old, v)
+	var old []hin.NodeID
+	for v, kept := range keep {
+		if kept {
+			old = append(old, hin.NodeID(v))
+		}
 	}
-	sort.Slice(old, func(i, j int) bool { return old[i] < old[j] })
 
 	reg := a.Graph.Types()
-	remap := make(map[hin.NodeID]hin.NodeID, len(old))
+	remap := make([]hin.NodeID, len(keep))
 	for _, v := range old {
 		name := reg.NodeTypeName(a.Graph.NodeType(v))
 		id := g2.AddNode(g2.Types().NodeType(name), a.Graph.Label(v))

@@ -92,11 +92,49 @@ func Cosine(a, b []float64) float64 {
 	return dot / math.Sqrt(na*nb)
 }
 
-func normalize(v []float64) {
+// SqNorm returns the squared L2 norm of v, summed in index order as
+// Cosine sums it.
+func SqNorm(v []float64) float64 {
 	var n float64
 	for _, x := range v {
 		n += x * x
 	}
+	return n
+}
+
+// Support returns the indices of v's nonzero entries in ascending
+// order. A hashed bag-of-words embedding has at most one per token.
+func Support(v []float64) []int {
+	var s []int
+	for i, x := range v {
+		if !fmath.Eq(x, 0) {
+			s = append(s, i)
+		}
+	}
+	return s
+}
+
+// CosineSupport returns Cosine(a, b) for a caller that compares each
+// vector many times and so computes na = SqNorm(a), nb = SqNorm(b) and
+// sa = Support(a) once. The dot product runs over sa in ascending
+// order; every term it skips is a zero, and adding a zero never
+// changes a float sum, so the result has exactly Cosine's bits.
+func CosineSupport(a, b []float64, sa []int, na, nb float64) float64 {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
+	}
+	if fmath.Eq(na, 0) || fmath.Eq(nb, 0) {
+		return 0
+	}
+	var dot float64
+	for _, i := range sa {
+		dot += a[i] * b[i]
+	}
+	return dot / math.Sqrt(na*nb)
+}
+
+func normalize(v []float64) {
+	n := SqNorm(v)
 	if fmath.Eq(n, 0) {
 		return
 	}

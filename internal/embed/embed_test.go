@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -92,5 +93,41 @@ func TestQuickCosineBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCosineSupportMatchesCosine: with the norms and the support
+// precomputed, CosineSupport returns Cosine's exact bits — on review
+// embeddings, on raw sparse vectors with negative entries and signed
+// zeros, and on zero and mismatched vectors.
+func TestCosineSupportMatchesCosine(t *testing.T) {
+	enc := NewEncoder(16)
+	texts := []string{"", "!!!", "great plot", "plot twist suspense great", "a b c d e f g h i j k l m n o p q"}
+	var vecs [][]float64
+	for _, s := range texts {
+		vecs = append(vecs, enc.Encode(s))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		v := make([]float64, 16)
+		for j := range v {
+			switch rng.Intn(4) {
+			case 0:
+				v[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
+			case 1:
+				v[j] = math.Copysign(0, -1)
+			}
+		}
+		vecs = append(vecs, v)
+	}
+	vecs = append(vecs, []float64{1, 2}, nil)
+	for _, a := range vecs {
+		for _, b := range vecs {
+			want := Cosine(a, b)
+			got := CosineSupport(a, b, Support(a), SqNorm(a), SqNorm(b))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("CosineSupport(%v, %v) = %v, Cosine = %v", a, b, got, want)
+			}
+		}
 	}
 }

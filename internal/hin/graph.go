@@ -157,10 +157,11 @@ func (g *Graph) AddEdge(from, to NodeID, typ EdgeTypeID, weight float64) error {
 	if weight <= 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
 		return fmt.Errorf("%w: got %g", ErrBadWeight, weight)
 	}
-	for _, h := range g.out[from] {
-		if h.Node == to && h.Type == typ {
-			return fmt.Errorf("%w: (%d, %d, type %d)", ErrDuplicateEdge, from, to, typ)
-		}
+	// A duplicate sits in both from's out-list and to's in-list: search
+	// the shorter one, so a hub's edges do not cost its degree each.
+	if out, in := g.out[from], g.in[to]; len(out) <= len(in) && hasHalfEdge(out, to, typ) ||
+		len(out) > len(in) && hasHalfEdge(in, from, typ) {
+		return fmt.Errorf("%w: (%d, %d, type %d)", ErrDuplicateEdge, from, to, typ)
 	}
 	g.out[from] = append(g.out[from], HalfEdge{Node: to, Type: typ, Weight: weight})
 	g.in[to] = append(g.in[to], HalfEdge{Node: from, Type: typ, Weight: weight})
@@ -169,6 +170,17 @@ func (g *Graph) AddEdge(from, to NodeID, typ EdgeTypeID, weight float64) error {
 	g.numEdges++
 	g.bumpVersion()
 	return nil
+}
+
+// hasHalfEdge reports whether list holds an entry to or from node of
+// type typ.
+func hasHalfEdge(list []HalfEdge, node NodeID, typ EdgeTypeID) bool {
+	for _, h := range list {
+		if h.Node == node && h.Type == typ {
+			return true
+		}
+	}
+	return false
 }
 
 // AddBidirectional inserts the edge in both directions with the same

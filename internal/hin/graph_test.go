@@ -368,3 +368,46 @@ func TestQuickRemoveRestoresWeightSum(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// hubGraph returns a star: spokes+1 nodes, every spoke with a "to-hub"
+// edge into node 0 and a "from-hub" edge out of it, so the hub's in- and
+// out-lists are as long as there are spokes and each spoke's are one.
+func hubGraph(t *testing.T, spokes int) (*Graph, EdgeTypeID, EdgeTypeID) {
+	t.Helper()
+	g := NewGraph()
+	nt := g.Types().NodeType("n")
+	toHub, fromHub := g.Types().EdgeType("to-hub"), g.Types().EdgeType("from-hub")
+	hub := g.AddNode(nt, "")
+	for i := 0; i < spokes; i++ {
+		s := g.AddNode(nt, "")
+		if err := g.AddEdge(s, hub, toHub, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddEdge(hub, s, fromHub, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, toHub, fromHub
+}
+
+// TestAddEdgeDuplicateAtHub: a duplicate typed edge is rejected whether
+// the shorter list that AddEdge searches is the source's out-list or the
+// target's in-list, and a parallel edge of another type is not.
+func TestAddEdgeDuplicateAtHub(t *testing.T) {
+	for _, spokes := range []int{1, 3, 100} {
+		g, toHub, fromHub := hubGraph(t, spokes)
+		last := NodeID(spokes)
+		if err := g.AddEdge(last, 0, toHub, 5); !errors.Is(err, ErrDuplicateEdge) {
+			t.Fatalf("%d spokes: spoke→hub duplicate: %v, want ErrDuplicateEdge", spokes, err)
+		}
+		if err := g.AddEdge(0, last, fromHub, 5); !errors.Is(err, ErrDuplicateEdge) {
+			t.Fatalf("%d spokes: hub→spoke duplicate: %v, want ErrDuplicateEdge", spokes, err)
+		}
+		if err := g.AddEdge(0, last, toHub, 5); err != nil {
+			t.Fatalf("%d spokes: parallel edge of another type: %v", spokes, err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -2,91 +2,11 @@ package hin
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
-
-// jsonGraph is the on-disk JSON representation of a graph.
-type jsonGraph struct {
-	Nodes []jsonNode `json:"nodes"`
-	Edges []jsonEdge `json:"edges"`
-}
-
-type jsonNode struct {
-	ID    int    `json:"id"`
-	Type  string `json:"type"`
-	Label string `json:"label,omitempty"`
-}
-
-type jsonEdge struct {
-	From   int     `json:"from"`
-	To     int     `json:"to"`
-	Type   string  `json:"type"`
-	Weight float64 `json:"weight"`
-}
-
-// WriteJSON serializes the graph as a single JSON document with explicit
-// node and edge lists, using type names rather than numeric type IDs so
-// the file is self-describing.
-func (g *Graph) WriteJSON(w io.Writer) error {
-	jg := jsonGraph{
-		Nodes: make([]jsonNode, g.NumNodes()),
-		Edges: make([]jsonEdge, 0, g.NumEdges()),
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		jg.Nodes[v] = jsonNode{
-			ID:    v,
-			Type:  g.types.NodeTypeName(g.ntype[v]),
-			Label: g.labels[v],
-		}
-		for _, h := range g.out[v] {
-			jg.Edges = append(jg.Edges, jsonEdge{
-				From:   v,
-				To:     int(h.Node),
-				Type:   g.types.EdgeTypeName(h.Type),
-				Weight: h.Weight,
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(jg)
-}
-
-// ReadJSON parses a graph previously written by WriteJSON. Node IDs in
-// the file must be dense and start at 0.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var jg jsonGraph
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&jg); err != nil {
-		return nil, fmt.Errorf("hin: decoding graph JSON: %w", err)
-	}
-	g := NewGraph()
-	for i, n := range jg.Nodes {
-		if n.ID != i {
-			return nil, fmt.Errorf("hin: node ids must be dense, got %d at position %d", n.ID, i)
-		}
-		// AddNode panics on duplicate labels; validate file input here.
-		if n.Label != "" {
-			if _, exists := g.NodeByLabel(n.Label); exists {
-				return nil, fmt.Errorf("hin: node %d: duplicate label %q", i, n.Label)
-			}
-		}
-		g.AddNode(g.types.NodeType(n.Type), n.Label)
-	}
-	for _, e := range jg.Edges {
-		if err := g.AddEdge(NodeID(e.From), NodeID(e.To), g.types.EdgeType(e.Type), e.Weight); err != nil {
-			return nil, fmt.Errorf("hin: edge (%d,%d): %w", e.From, e.To, err)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
 
 // WriteTSV writes the graph as two sections: a "# nodes" section with
 // one "id<TAB>type<TAB>label" line per node, then a "# edges" section

@@ -455,6 +455,10 @@ func (c *Cache) lookup(ctx context.Context, keys []Key, full, pollFirst bool, co
 				if ferr == nil && len(res) != len(led) {
 					ferr = fmt.Errorf("pprcache: fill returned %d results for %d keys", len(res), len(led))
 				}
+				// Resolve and unregister every led flight before waking any
+				// waiter: a woken caller's next lookup must not join a
+				// sibling flight of this batch that is still registered
+				// and about to resolve with this fill's error.
 				for j, i := range led {
 					sh, f := c.shardFor(keys[i]), flights[i]
 					sh.mu.Lock()
@@ -464,9 +468,11 @@ func (c *Cache) lookup(ctx context.Context, keys []Key, full, pollFirst bool, co
 					}
 					delete(sh.flights, keys[i])
 					sh.mu.Unlock()
-					close(f.done)
 				}
 				c.inflight.Add(-1)
+				for _, i := range led {
+					close(flights[i].done)
+				}
 				cancel()
 			}()
 		}

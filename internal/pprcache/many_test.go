@@ -171,6 +171,68 @@ func TestGetOrComputeManyFailureReleasesEveryFlight(t *testing.T) {
 	}
 }
 
+// TestGetOrComputeManyFailureWakesWaitersLast: a failed batch fill
+// resolves and unregisters every flight it led, and settles Inflight,
+// before it wakes anyone. So the moment a waiter on the batch's first
+// key returns, the batch has left no trace, and a call on its second
+// key runs its own compute instead of joining a still-registered
+// sibling flight and inheriting the batch's error. The fill is held at
+// the second key's shard lock until the waiter has looked, so a fill
+// that woke the waiter first would show it that flight still in flight.
+func TestGetOrComputeManyFailureWakesWaitersLast(t *testing.T) {
+	boom := errors.New("batch failed")
+	c := New(Config{})
+	keys := []Key{testKey(1, 1)}
+	for n := 2; len(keys) < 2; n++ {
+		if k := testKey(1, n); c.shardFor(k) != c.shardFor(keys[0]) {
+			keys = append(keys, k)
+		}
+	}
+	sh := c.shardFor(keys[1])
+	start, looked, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		_, err := c.GetOrComputeMany(context.Background(), keys, func(context.Context, []int) ([]ppr.Vector, error) {
+			<-start
+			sh.mu.Lock()
+			go func() {
+				select {
+				case <-looked:
+				case <-time.After(50 * time.Millisecond):
+				}
+				sh.mu.Unlock()
+			}()
+			return nil, boom
+		})
+		if !errors.Is(err, boom) {
+			t.Errorf("batch err = %v, want %v", err, boom)
+		}
+	}()
+	waitFor(t, "the batch's flights", func() bool { return c.Stats().Misses == 2 })
+	go func() {
+		waitFor(t, "the waiter on the first key", func() bool { return c.collapsed.Load() == 1 })
+		close(start)
+	}()
+	_, _, err := c.GetOrCompute(context.Background(), keys[0], constVec(1, 1))
+	inflight := c.Stats().Inflight
+	close(looked)
+	<-done
+	if !errors.Is(err, boom) {
+		t.Fatalf("waiter err = %v, want %v", err, boom)
+	}
+	if inflight != 0 {
+		t.Fatalf("Inflight = %d when the batch's waiter woke, want 0", inflight)
+	}
+	computed := false
+	vec, _, err := c.GetOrCompute(context.Background(), keys[1], func(context.Context) (ppr.Vector, error) {
+		computed = true
+		return ppr.Vector{2}, nil
+	})
+	if err != nil || !computed || len(vec) != 1 {
+		t.Fatalf("second key after the failed batch: vec %v, err %v, own compute %v; want its own compute", vec, err, computed)
+	}
+}
+
 // TestGetOrComputeManyCancellation: a canceled leader returns its
 // cause at once; with nobody else interested the shared computation is
 // canceled too and inserts nothing, while a waiter still attached to
