@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"github.com/why-not-xai/emigre/internal/embed"
 	"github.com/why-not-xai/emigre/internal/fmath"
@@ -102,17 +103,25 @@ func buildNodes(raw *Raw) (*Amazon, []reviewRec, error) {
 	cfg := raw.Config
 	g := hin.NewGraph()
 	types := RegisterTypes(g.Types())
-	a := &Amazon{Graph: g, Types: types}
+	a := &Amazon{
+		Graph:      g,
+		Types:      types,
+		Users:      make([]hin.NodeID, 0, cfg.Users),
+		Items:      make([]hin.NodeID, 0, cfg.Items),
+		Categories: make([]hin.NodeID, 0, cfg.Categories),
+	}
 
 	for u := 0; u < cfg.Users; u++ {
-		a.Users = append(a.Users, g.AddNode(types.User, fmt.Sprintf("user-%d", u)))
+		a.Users = append(a.Users, g.AddNode(types.User, "user-"+strconv.Itoa(u)))
 	}
 	for i := 0; i < cfg.Items; i++ {
-		a.Items = append(a.Items, g.AddNode(types.Item, fmt.Sprintf("item-%d", i)))
+		a.Items = append(a.Items, g.AddNode(types.Item, "item-"+strconv.Itoa(i)))
 	}
 	for c := 0; c < cfg.Categories; c++ {
-		a.Categories = append(a.Categories, g.AddNode(types.Category, fmt.Sprintf("category-%d", c)))
+		a.Categories = append(a.Categories, g.AddNode(types.Category, "category-"+strconv.Itoa(c)))
 	}
+	deg := degreeBounds(raw)
+	g.Reserve(deg, deg)
 	for i, cats := range raw.ItemCategories {
 		for _, c := range cats {
 			if c < 0 || c >= cfg.Categories {
@@ -154,7 +163,7 @@ func buildNodes(raw *Raw) (*Amazon, []reviewRec, error) {
 		if err := g.AddBidirectional(u, it, types.Reviewed, w); err != nil {
 			return nil, nil, err
 		}
-		rv := g.AddNode(types.Review, fmt.Sprintf("review-%d", len(reviews)))
+		rv := g.AddNode(types.Review, "review-"+strconv.Itoa(len(reviews)))
 		a.Reviews = append(a.Reviews, rv)
 		if err := g.AddBidirectional(it, rv, types.HasReview, 1); err != nil {
 			return nil, nil, err
@@ -162,6 +171,37 @@ func buildNodes(raw *Raw) (*Amazon, []reviewRec, error) {
 		reviews = append(reviews, reviewRec{node: rv, item: r.Item, vec: enc.Encode(r.Review)})
 	}
 	return a, reviews, nil
+}
+
+// degreeBounds returns a bound on the degree of every user, item and
+// category, in node order (every edge is bidirectional, so it bounds
+// both the out- and the in-degree). A rating that repeats a (user,
+// item) pair only leaves room unused; review nodes, added later, grow
+// their short lists by appending. Records out of range are skipped here
+// and rejected by buildNodes.
+func degreeBounds(raw *Raw) []int {
+	cfg := raw.Config
+	items, cats := cfg.Users, cfg.Users+cfg.Items
+	deg := make([]int, cats+cfg.Categories)
+	for i, cs := range raw.ItemCategories[:min(len(raw.ItemCategories), cfg.Items)] {
+		for _, c := range cs {
+			if c >= 0 && c < cfg.Categories {
+				deg[items+i]++
+				deg[cats+c]++
+			}
+		}
+	}
+	for _, r := range raw.Ratings {
+		if r.Stars <= 3 || r.User < 0 || r.User >= cfg.Users || r.Item < 0 || r.Item >= cfg.Items {
+			continue
+		}
+		deg[r.User]++
+		deg[items+r.Item]++
+		if r.Review != "" {
+			deg[items+r.Item]++ // has-review
+		}
+	}
+	return deg
 }
 
 // reviewRec tracks a materialized review node with its source item and

@@ -93,44 +93,73 @@ func (a *Amazon) Lite(cfg LiteConfig) (*Amazon, []hin.NodeID, error) {
 
 // induced builds the subgraph over the kept nodes, preserving labels
 // and types and the nodes' order, and returns the old→new ID mapping
-// (defined on the kept nodes).
+// (defined on the kept nodes). It counts the kept edges of every node
+// first, so the new graph's adjacency is sized before any edge is added.
 func (a *Amazon) induced(keep []bool) (*Amazon, []hin.NodeID, error) {
 	g2 := hin.NewGraph()
 	types := RegisterTypes(g2.Types())
 	out := &Amazon{Graph: g2, Types: types}
 
 	var old []hin.NodeID
+	remap := make([]hin.NodeID, len(keep))
 	for v, kept := range keep {
 		if kept {
+			remap[v] = hin.NodeID(len(old))
 			old = append(old, hin.NodeID(v))
 		}
 	}
-
-	reg := a.Graph.Types()
-	remap := make([]hin.NodeID, len(keep))
+	// Type IDs translate through tables filled on first use, so g2
+	// registers the types in the order it meets them. The all-ones ID
+	// marks an entry not yet filled; a type that really has it is only
+	// looked up again.
+	const noNodeType, noEdgeType = ^hin.NodeTypeID(0), ^hin.EdgeTypeID(0)
+	reg, reg2 := a.Graph.Types(), g2.Types()
+	nodeTypes := make([]hin.NodeTypeID, reg.NumNodeTypes())
+	edgeTypes := make([]hin.EdgeTypeID, reg.NumEdgeTypes())
+	for t := range nodeTypes {
+		nodeTypes[t] = noNodeType
+	}
+	for t := range edgeTypes {
+		edgeTypes[t] = noEdgeType
+	}
 	for _, v := range old {
-		name := reg.NodeTypeName(a.Graph.NodeType(v))
-		id := g2.AddNode(g2.Types().NodeType(name), a.Graph.Label(v))
-		remap[v] = id
-		switch name {
-		case TypeUser:
+		t := a.Graph.NodeType(v)
+		if nodeTypes[t] == noNodeType {
+			nodeTypes[t] = reg2.NodeType(reg.NodeTypeName(t))
+		}
+		id := g2.AddNode(nodeTypes[t], a.Graph.Label(v))
+		switch nodeTypes[t] {
+		case types.User:
 			out.Users = append(out.Users, id)
-		case TypeItem:
+		case types.Item:
 			out.Items = append(out.Items, id)
-		case TypeCategory:
+		case types.Category:
 			out.Categories = append(out.Categories, id)
-		case TypeReview:
+		case types.Review:
 			out.Reviews = append(out.Reviews, id)
 		}
 	}
+	outDeg, inDeg := make([]int, len(old)), make([]int, len(old))
+	for _, v := range old {
+		a.Graph.OutEdges(v, func(h hin.HalfEdge) bool {
+			if keep[h.Node] {
+				outDeg[remap[v]]++
+				inDeg[remap[h.Node]]++
+			}
+			return true
+		})
+	}
+	g2.Reserve(outDeg, inDeg)
 	for _, v := range old {
 		var addErr error
 		a.Graph.OutEdges(v, func(h hin.HalfEdge) bool {
 			if !keep[h.Node] {
 				return true
 			}
-			name := reg.EdgeTypeName(h.Type)
-			if err := g2.AddEdge(remap[v], remap[h.Node], g2.Types().EdgeType(name), h.Weight); err != nil {
+			if edgeTypes[h.Type] == noEdgeType {
+				edgeTypes[h.Type] = reg2.EdgeType(reg.EdgeTypeName(h.Type))
+			}
+			if err := g2.AddEdge(remap[v], remap[h.Node], edgeTypes[h.Type], h.Weight); err != nil {
 				addErr = err
 				return false
 			}

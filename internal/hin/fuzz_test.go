@@ -156,3 +156,95 @@ func FuzzOverlayDigest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGraphOps runs random sequences of AddEdge, AddBidirectional,
+// RemoveEdge, AddNode and Reserve, four bytes per operation, over a few
+// nodes and three edge types, so duplicates and parallel typed edges
+// are common. Every mutation must succeed exactly when a model of the
+// typed edge set says it should, and after each operation HasEdge must
+// equal a brute-force any-type scan of the out-lists (out-of-range IDs
+// included) and Validate must pass.
+func FuzzGraphOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 1, 2, 0, 1, 0})             // parallel typed edges, then remove one
+	f.Add([]byte{1, 1, 2, 0, 1, 1, 2, 0, 0, 2, 1, 0})             // bidirectional pair, its duplicate, a reverse duplicate
+	f.Add([]byte{4, 3, 2, 1, 3, 0, 0, 0, 0, 4, 1, 2, 0, 1, 4, 2}) // Reserve, AddNode, then edges into the room
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 4*64)] // 64 operations are plenty for 8 nodes
+		g := NewGraph()
+		nt := g.Types().NodeType("n")
+		types := []EdgeTypeID{g.Types().EdgeType("a"), g.Types().EdgeType("b"), g.Types().EdgeType("c")}
+		for range 3 {
+			g.AddNode(nt, "")
+		}
+		model := make(map[typedKey]bool)
+		addable := func(k typedKey) bool {
+			return k.from != k.to && int(k.from) < g.NumNodes() && int(k.to) < g.NumNodes() && !model[k]
+		}
+		for i := 0; i+4 <= len(data); i += 4 {
+			op := data[i] % 5
+			// One ID past the last node probes the range checks.
+			from := NodeID(int(data[i+1]) % (g.NumNodes() + 1))
+			to := NodeID(int(data[i+2]) % (g.NumNodes() + 1))
+			typ := types[data[i+3]%3]
+			w := float64(data[i+3]%7+1) / 4
+			k, rk := typedKey{from, to, typ}, typedKey{to, from, typ}
+			switch op {
+			case 0:
+				want := addable(k)
+				if err := g.AddEdge(from, to, typ, w); (err == nil) != want {
+					t.Fatalf("op %d: AddEdge(%d,%d,%d) = %v, want success %v", i/4, from, to, typ, err, want)
+				}
+				if want {
+					model[k] = true
+				}
+			case 1:
+				want := addable(k) && addable(rk)
+				if err := g.AddBidirectional(from, to, typ, w); (err == nil) != want {
+					t.Fatalf("op %d: AddBidirectional(%d,%d,%d) = %v, want success %v", i/4, from, to, typ, err, want)
+				}
+				if want {
+					model[k], model[rk] = true, true
+				}
+			case 2:
+				want := model[k]
+				delete(model, k)
+				if err := g.RemoveEdge(from, to, typ); (err == nil) != want {
+					t.Fatalf("op %d: RemoveEdge(%d,%d,%d) = %v, want success %v", i/4, from, to, typ, err, want)
+				}
+			case 3:
+				if g.NumNodes() < 8 { // keeps the all-pairs check small
+					g.AddNode(nt, "")
+				}
+			case 4:
+				n := g.NumNodes()
+				outDeg, inDeg := make([]int, n), make([]int, n)
+				for v := range n {
+					outDeg[v], inDeg[v] = int(data[i+2]%4), int(data[i+3]%4)
+				}
+				g.Reserve(outDeg, inDeg)
+			}
+			n := NodeID(g.NumNodes())
+			for u := NodeID(-1); u <= n; u++ {
+				for v := NodeID(-1); v <= n; v++ {
+					brute := false
+					if g.valid(u) {
+						g.OutEdges(u, func(h HalfEdge) bool {
+							brute = brute || h.Node == v
+							return !brute
+						})
+					}
+					if got := g.HasEdge(u, v); got != brute {
+						t.Fatalf("op %d: HasEdge(%d,%d) = %v, brute-force scan says %v", i/4, u, v, got, brute)
+					}
+				}
+			}
+			if g.NumEdges() != len(model) {
+				t.Fatalf("op %d: %d edges, model holds %d", i/4, g.NumEdges(), len(model))
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatalf("op %d: %v", i/4, err)
+			}
+		}
+	})
+}

@@ -1,9 +1,11 @@
 package hin
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Graph is a mutable Heterogeneous Information Network: a directed,
@@ -24,23 +26,16 @@ type Graph struct {
 	outWeight []float64 // cached sum of outgoing weights per node
 	numEdges  int
 
-	// edgeSet indexes directed (from,to) pairs for O(1) HasEdge,
-	// counting parallel typed edges.
-	edgeSet map[pairKey]int
-
 	// version is the globally unique stamp of the graph's current
 	// state; every mutating operation assigns a fresh one. See Version.
 	version uint64
 }
-
-type pairKey struct{ from, to NodeID }
 
 // NewGraph returns an empty graph with a fresh type registry.
 func NewGraph() *Graph {
 	return &Graph{
 		types:   NewTypeRegistry(),
 		byName:  make(map[string]NodeID),
-		edgeSet: make(map[pairKey]int),
 		version: nextVersionStamp(),
 	}
 }
@@ -98,6 +93,35 @@ func (g *Graph) AddNode(typ NodeTypeID, label string) NodeID {
 	}
 	g.bumpVersion()
 	return id
+}
+
+// Reserve presizes the adjacency lists for the edges about to be added,
+// so that adding them by AddEdge regrows no list. outDeg and inDeg hold
+// one entry per node: node v's out- and in-lists gain room for outDeg[v]
+// and inDeg[v] more entries, all cut from one array. The counts are
+// room, not promises: a list that outgrows its room grows as before.
+// Reserve changes no content; like every mutator it moves the graph to
+// a fresh version. It panics unless both slices have NumNodes entries.
+func (g *Graph) Reserve(outDeg, inDeg []int) {
+	n := len(g.out)
+	if len(outDeg) != n || len(inDeg) != n {
+		panic(fmt.Sprintf("hin: Reserve with %d out- and %d in-degrees for %d nodes", len(outDeg), len(inDeg), n))
+	}
+	total := 0
+	for v := range n {
+		total += len(g.out[v]) + outDeg[v] + len(g.in[v]) + inDeg[v]
+	}
+	halves := make([]HalfEdge, total)
+	cut := func(list []HalfEdge, room int) []HalfEdge {
+		c := len(list) + room
+		list, halves = append(halves[:0:c], list...), halves[c:]
+		return list
+	}
+	for v := range n {
+		g.out[v] = cut(g.out[v], outDeg[v])
+		g.in[v] = cut(g.in[v], inDeg[v])
+	}
+	g.bumpVersion()
 }
 
 // NodeByLabel resolves a node by its label. It returns InvalidNode and
@@ -166,7 +190,6 @@ func (g *Graph) AddEdge(from, to NodeID, typ EdgeTypeID, weight float64) error {
 	g.out[from] = append(g.out[from], HalfEdge{Node: to, Type: typ, Weight: weight})
 	g.in[to] = append(g.in[to], HalfEdge{Node: from, Type: typ, Weight: weight})
 	g.outWeight[from] += weight
-	g.edgeSet[pairKey{from, to}]++
 	g.numEdges++
 	g.bumpVersion()
 	return nil
@@ -228,12 +251,6 @@ func (g *Graph) RemoveEdge(from, to NodeID, typ EdgeTypeID) error {
 	if g.outWeight[from] < 0 { // numeric drift guard
 		g.outWeight[from] = 0
 	}
-	k := pairKey{from, to}
-	if n := g.edgeSet[k] - 1; n <= 0 {
-		delete(g.edgeSet, k)
-	} else {
-		g.edgeSet[k] = n
-	}
 	g.numEdges--
 	g.bumpVersion()
 	return nil
@@ -254,10 +271,17 @@ func (g *Graph) EdgeWeight(from, to NodeID, typ EdgeTypeID) (float64, bool) {
 }
 
 // HasEdge reports whether at least one directed edge (from, to) of any
-// type exists.
+// type exists. It scans the shorter of from's out-list and to's in-list,
+// so it costs O(min(out-degree of from, in-degree of to)).
 func (g *Graph) HasEdge(from, to NodeID) bool {
-	_, ok := g.edgeSet[pairKey{from, to}]
-	return ok
+	if !g.valid(from) || !g.valid(to) {
+		return false
+	}
+	out, in := g.out[from], g.in[to]
+	if len(out) <= len(in) {
+		return slices.ContainsFunc(out, func(h HalfEdge) bool { return h.Node == to })
+	}
+	return slices.ContainsFunc(in, func(h HalfEdge) bool { return h.Node == from })
 }
 
 // OutEdges iterates the outgoing edges of v.
@@ -325,7 +349,6 @@ func (g *Graph) Clone() *Graph {
 		in:        make([][]HalfEdge, len(g.in)),
 		outWeight: append([]float64(nil), g.outWeight...),
 		numEdges:  g.numEdges,
-		edgeSet:   make(map[pairKey]int, len(g.edgeSet)),
 		// A clone is a distinct mutable state even though its content
 		// currently matches the original: giving it a fresh stamp keeps
 		// later divergent mutations of the two graphs from ever
@@ -339,59 +362,113 @@ func (g *Graph) Clone() *Graph {
 		c.out[i] = append([]HalfEdge(nil), g.out[i]...)
 		c.in[i] = append([]HalfEdge(nil), g.in[i]...)
 	}
-	for k, v := range g.edgeSet {
-		c.edgeSet[k] = v
-	}
 	return c
 }
 
-// Validate checks internal invariants: adjacency symmetry between out
-// and in lists, cached out-weight sums, edge counting, and weight
-// sanity. It returns a descriptive error for the first violation found.
-// Validate is O(V + E) and intended for tests and data loading.
+// Validate checks internal invariants: every out-edge leads to a valid
+// node with a positive finite weight, the cached out-weight sums and
+// edge count match the out-lists, and each node's in-list holds exactly
+// the out-entries that target it — the same (source, type) multiset,
+// each with a bit-identical weight. It returns a descriptive error for
+// the first violation found.
+//
+// The out-entries are bucketed by target with a counting sort, and each
+// bucket is compared with its in-list as a sorted multiset, so Validate
+// costs O(V + E log d) for a maximum in-degree d and holds one E-entry
+// scratch array. It is intended for tests and data loading.
 func (g *Graph) Validate() error {
+	n := len(g.out)
+	// start[t+1] counts the out-entries targeting t, then becomes the
+	// end of t's bucket.
+	start := make([]int, n+1)
 	edges := 0
-	for v := range g.out {
+	for v, list := range g.out {
 		var sum float64
-		for _, h := range g.out[v] {
+		for _, h := range list {
 			if !g.valid(h.Node) {
 				return fmt.Errorf("hin: node %d has out edge to invalid node %d", v, h.Node)
 			}
 			if h.Weight <= 0 || math.IsNaN(h.Weight) || math.IsInf(h.Weight, 0) {
 				return fmt.Errorf("hin: edge (%d,%d) has bad weight %g", v, h.Node, h.Weight)
 			}
-			found := false
-			for _, r := range g.in[h.Node] {
-				// The in-list entry is a literal copy of the out-list
-				// entry, so bitwise weight equality is the invariant.
-				//lint:allow floateq in/out lists must carry bit-identical copies
-				if r.Node == NodeID(v) && r.Type == h.Type && r.Weight == h.Weight {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("hin: edge (%d,%d,type %d) missing from in-list", v, h.Node, h.Type)
-			}
-			if _, ok := g.edgeSet[pairKey{NodeID(v), h.Node}]; !ok {
-				return fmt.Errorf("hin: edge (%d,%d) missing from edge set", v, h.Node)
-			}
+			start[h.Node+1]++
 			sum += h.Weight
-			edges++
 		}
 		if diff := math.Abs(sum - g.outWeight[v]); diff > 1e-9*(1+math.Abs(sum)) {
 			return fmt.Errorf("hin: node %d cached out weight %g != actual %g", v, g.outWeight[v], sum)
 		}
+		edges += len(list)
 	}
 	if edges != g.numEdges {
 		return fmt.Errorf("hin: edge count %d != cached %d", edges, g.numEdges)
 	}
-	inEdges := 0
-	for v := range g.in {
-		inEdges += len(g.in[v])
+	for t := 0; t < n; t++ {
+		start[t+1] += start[t]
 	}
-	if inEdges != edges {
-		return fmt.Errorf("hin: in-list edge count %d != out-list %d", inEdges, edges)
+	// Sources are visited in ascending order, so each bucket comes out
+	// sorted by source; only a source's parallel typed edges can be out
+	// of type order.
+	bucket := make([]HalfEdge, edges)
+	fill := slices.Clone(start[:n])
+	for v, list := range g.out {
+		for _, h := range list {
+			bucket[fill[h.Node]] = HalfEdge{Node: NodeID(v), Type: h.Type, Weight: h.Weight}
+			fill[h.Node]++
+		}
+	}
+	var scratch []HalfEdge // a sorted copy of an unsorted in-list
+	for t := 0; t < n; t++ {
+		want := bucket[start[t]:start[t+1]]
+		if !slices.IsSortedFunc(want, cmpHalfEdge) {
+			slices.SortFunc(want, cmpHalfEdge)
+		}
+		in := g.in[t]
+		if !slices.IsSortedFunc(in, cmpHalfEdge) {
+			scratch = append(scratch[:0], in...)
+			slices.SortFunc(scratch, cmpHalfEdge)
+			in = scratch
+		}
+		if err := sameEntries(NodeID(t), want, in); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cmpHalfEdge orders half-edges by node, then type.
+func cmpHalfEdge(a, b HalfEdge) int {
+	if c := cmp.Compare(a.Node, b.Node); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Type, b.Type)
+}
+
+// sameEntries compares the sorted out-entries targeting t with t's
+// sorted in-list and reports the first entry missing from the in-list,
+// extra in it, or carrying other weight bits.
+func sameEntries(t NodeID, want, in []HalfEdge) error {
+	for i, j := 0, 0; i < len(want) || j < len(in); {
+		c := 1
+		switch {
+		case j == len(in):
+			c = -1
+		case i < len(want):
+			c = cmpHalfEdge(want[i], in[j])
+		}
+		switch {
+		case c < 0:
+			return fmt.Errorf("hin: edge (%d,%d,type %d) missing from in-list", want[i].Node, t, want[i].Type)
+		case c > 0:
+			return fmt.Errorf("hin: in-list of node %d holds (%d,type %d) with no out-edge", t, in[j].Node, in[j].Type)
+		}
+		// The in-list entry is a literal copy of the out-list entry, so
+		// bitwise weight equality is the invariant.
+		if math.Float64bits(want[i].Weight) != math.Float64bits(in[j].Weight) {
+			return fmt.Errorf("hin: edge (%d,%d,type %d) has weight %g but in-list weight %g",
+				want[i].Node, t, want[i].Type, want[i].Weight, in[j].Weight)
+		}
+		i++
+		j++
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -410,4 +411,113 @@ func TestAddEdgeDuplicateAtHub(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestValidateCatchesCorruption corrupts a copy of a hub graph in each
+// way Validate must catch, at the hub's long lists and at a spoke's
+// one-entry lists, and expects an error every time.
+func TestValidateCatchesCorruption(t *testing.T) {
+	const spokes = 100
+	base, _, fromHub := hubGraph(t, spokes)
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const hub, spoke = NodeID(0), NodeID(7)
+	ulp := func(w float64) float64 { return math.Nextafter(w, math.Inf(1)) }
+	cases := []struct {
+		name    string
+		corrupt func(g *Graph)
+	}{
+		{"hub in-list entry dropped", func(g *Graph) {
+			g.in[hub] = append(g.in[hub][:42], g.in[hub][43:]...)
+		}},
+		{"spoke in-list entry dropped", func(g *Graph) { g.in[spoke] = g.in[spoke][:0] }},
+		{"hub in-list entry duplicated", func(g *Graph) {
+			g.in[hub] = append(g.in[hub], g.in[hub][42])
+		}},
+		{"hub in-list entry replaced by a duplicate", func(g *Graph) {
+			g.in[hub][43] = g.in[hub][42]
+		}},
+		{"hub in-list entry of the wrong type", func(g *Graph) { g.in[hub][42].Type = fromHub }},
+		{"spoke in-list entry of the wrong type", func(g *Graph) { g.in[spoke][0].Type = 0 }},
+		{"hub in-list weight off by one ulp", func(g *Graph) {
+			g.in[hub][42].Weight = ulp(g.in[hub][42].Weight)
+		}},
+		{"spoke in-list weight off by one ulp", func(g *Graph) {
+			g.in[spoke][0].Weight = ulp(g.in[spoke][0].Weight)
+		}},
+		{"hub out-weight drift", func(g *Graph) { g.outWeight[hub] += 1 }},
+		{"spoke out-weight drift", func(g *Graph) { g.outWeight[spoke] *= 2 }},
+		{"edge count one high", func(g *Graph) { g.numEdges++ }},
+		{"edge count one low", func(g *Graph) { g.numEdges-- }},
+		{"out-edge to a node past the end", func(g *Graph) { g.out[spoke][0].Node = NodeID(g.NumNodes()) }},
+		{"out-edge to a negative node", func(g *Graph) { g.out[hub][42].Node = -1 }},
+		{"bad weight on both lists", func(g *Graph) {
+			g.out[spoke][0].Weight = -1
+			for i, h := range g.in[hub] {
+				if h.Node == spoke {
+					g.in[hub][i].Weight = -1
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		g := base.Clone()
+		tc.corrupt(g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: Validate returned nil", tc.name)
+		}
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: corrupting the clone broke the original: %v", tc.name, err)
+		}
+	}
+}
+
+// TestReserve: building up to the reserved degrees regrows no list,
+// reserving on a populated graph keeps its content, and a slice of the
+// wrong length panics.
+func TestReserve(t *testing.T) {
+	g := NewGraph()
+	nt, et := g.Types().NodeType("n"), g.Types().EdgeType("e")
+	outDeg, inDeg := []int{3, 1, 0, 1}, []int{0, 1, 2, 2}
+	for range outDeg {
+		g.AddNode(nt, "")
+	}
+	g.Reserve(outDeg, inDeg)
+	edges := [][2]NodeID{{0, 1}, {0, 2}, {0, 3}, {1, 3}, {3, 2}}
+	for _, e := range edges {
+		if err := g.AddEdge(e[0], e[1], et, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := range outDeg {
+		// A regrown list would have more room than it holds.
+		if cap(g.out[v]) != outDeg[v] || cap(g.in[v]) != inDeg[v] {
+			t.Fatalf("node %d regrown: room %d/%d, want %d/%d", v, cap(g.out[v]), cap(g.in[v]), outDeg[v], inDeg[v])
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	tri, ids := buildTriangle(t)
+	var out []HalfEdge
+	tri.OutEdges(ids[0], func(h HalfEdge) bool { out = append(out, h); return true })
+	tri.Reserve([]int{1, 1, 1, 1}, []int{2, 2, 2, 2})
+	if !slices.Equal(tri.out[ids[0]], out) || tri.NumNodes() != 4 || tri.NumEdges() != 4 {
+		t.Errorf("Reserve changed the graph: out-list %v, want %v", tri.out[ids[0]], out)
+	}
+	if cap(tri.out[ids[0]]) != len(out)+1 {
+		t.Errorf("out-list room %d, want %d", cap(tri.out[ids[0]]), len(out)+1)
+	}
+	if err := tri.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Reserve with one degree too many did not panic")
+		}
+	}()
+	tri.Reserve(make([]int, 5), make([]int, 5))
 }

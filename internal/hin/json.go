@@ -203,9 +203,11 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	d.g.reserve(d.edges)
-	for _, e := range d.edges {
-		if err := d.g.AddEdge(NodeID(e.from), NodeID(e.to), e.typ, e.weight); err != nil {
-			return nil, fmt.Errorf("hin: edge (%d,%d): %w", e.from, e.to, err)
+	for _, block := range d.edges {
+		for _, e := range block {
+			if err := d.g.AddEdge(NodeID(e.from), NodeID(e.to), e.typ, e.weight); err != nil {
+				return nil, fmt.Errorf("hin: edge (%d,%d): %w", e.from, e.to, err)
+			}
 		}
 	}
 	if err := d.g.Validate(); err != nil {
@@ -241,8 +243,27 @@ type jsonDecoder struct {
 	g          *Graph
 	// edges are added once the document is complete, in file order, as
 	// decoding the whole file first would add them: the node list may
-	// come after them, and their count sizes the adjacency lists.
-	edges []jsonEdge
+	// come after them, and their count sizes the adjacency lists. The
+	// list grows by whole blocks (see appendEdge) and is never copied.
+	edges [][]jsonEdge
+}
+
+// maxEdgeBlock caps the length of a block of the decoder's edge list.
+const maxEdgeBlock = 1 << 12
+
+// appendEdge appends e to the edge list, starting a new block, twice
+// as long as the last up to maxEdgeBlock, when the last one is full.
+func (d *jsonDecoder) appendEdge(e jsonEdge) {
+	n := len(d.edges)
+	if n == 0 || len(d.edges[n-1]) == cap(d.edges[n-1]) {
+		size := 64
+		if n > 0 {
+			size = min(2*cap(d.edges[n-1]), maxEdgeBlock)
+		}
+		d.edges = append(d.edges, make([]jsonEdge, 0, size))
+		n++
+	}
+	d.edges[n-1] = append(d.edges[n-1], e)
 }
 
 // fill drops buf[:keep], shifting pos, and reads more of the stream.
@@ -869,30 +890,23 @@ func (d *jsonDecoder) edge(depth int) error {
 		t = reg.EdgeType(string(d.typ))
 	}
 	e.typ = t
-	d.edges = append(d.edges, e)
+	d.appendEdge(e)
 	return nil
 }
 
-// reserve sizes the adjacency lists of a graph without edges, and its
-// edge index, for the edges about to be added: each node's lists are
-// cut from one array at their final length, so adding the edges
-// allocates no list. Edges with an endpoint out of range are left to
-// AddEdge to reject.
-func (g *Graph) reserve(edges []jsonEdge) {
+// reserve sizes the adjacency lists of the graph for the edges about to
+// be added. Edges with an endpoint out of range are left to AddEdge to
+// reject.
+func (g *Graph) reserve(edges [][]jsonEdge) {
 	n := len(g.out)
-	deg := make([]int, 2*n) // out-degree of v at v, in-degree at n+v
-	total := 0
-	for _, e := range edges {
-		if from, to := NodeID(e.from), NodeID(e.to); g.valid(from) && g.valid(to) {
-			deg[from]++
-			deg[n+int(to)]++
-			total++
+	outDeg, inDeg := make([]int, n), make([]int, n)
+	for _, block := range edges {
+		for _, e := range block {
+			if from, to := NodeID(e.from), NodeID(e.to); g.valid(from) && g.valid(to) {
+				outDeg[from]++
+				inDeg[to]++
+			}
 		}
 	}
-	halves := make([]HalfEdge, 2*total)
-	for v := 0; v < n; v++ {
-		g.out[v], halves = halves[:0:deg[v]], halves[deg[v]:]
-		g.in[v], halves = halves[:0:deg[n+v]], halves[deg[n+v]:]
-	}
-	g.edgeSet = make(map[pairKey]int, total)
+	g.Reserve(outDeg, inDeg)
 }

@@ -16,6 +16,8 @@ type typedKey struct {
 	typ      EdgeTypeID
 }
 
+type pairKey struct{ from, to NodeID }
+
 // Overlay is a read-only counterfactual view over a base View with a set
 // of edge removals and additions applied. Building an Overlay is
 // O(|edits|) and evaluating PPR over it costs the same as over the base
@@ -251,7 +253,6 @@ func (o *Overlay) Materialize() (*Graph, error) {
 	g := &Graph{
 		types:   o.Types(),
 		byName:  make(map[string]NodeID),
-		edgeSet: make(map[pairKey]int),
 		version: nextVersionStamp(),
 	}
 	var root *Graph
