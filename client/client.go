@@ -426,11 +426,12 @@ func (c *Client) attemptContext(ctx context.Context, attempt int) (context.Conte
 	return context.WithTimeout(ctx, slice)
 }
 
-// ErrorBody is the JSON payload of every non-2xx response, as this
-// package decodes it and as a proxy relaying an *APIError (the router)
-// writes it back out: budget_exhausted marks a "no explanation" 404 cut
-// short by the CHECK budget, retry_after_seconds repeats a shed
-// server's Retry-After hint.
+// ErrorBody is the JSON payload of every non-2xx response: the server
+// and the router encode their errors as it, a proxy relaying an
+// *APIError (the router) writes it back out, and this package decodes
+// it. budget_exhausted marks a "no explanation" 404 cut short by the
+// CHECK budget, retry_after_seconds repeats a shed 503's Retry-After
+// hint.
 type ErrorBody struct {
 	Error             string `json:"error"`
 	BudgetExhausted   bool   `json:"budget_exhausted,omitempty"`

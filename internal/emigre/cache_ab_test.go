@@ -290,7 +290,7 @@ func TestCheckVectorsStayOutOfCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := f.r.Config()
-		key, ok := pprcache.ForwardKey(rec.WrapBeta(o, cfg.Beta), ppr.NewForwardPush(cfg.PPR), f.query().User)
+		key, ok := pprcache.ForwardKey(hin.NewMixedCSR(o, cfg.Beta), ppr.NewForwardPush(cfg.PPR), f.query().User)
 		if !ok {
 			t.Fatal("overlay view is unversioned")
 		}

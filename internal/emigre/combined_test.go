@@ -129,7 +129,7 @@ func TestVerifyMixedExplanation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := f.r.WithView(o).Recommend(f.ids["u"])
+	top, err := rebuilt(f.r, o).Recommend(f.ids["u"])
 	if err != nil {
 		t.Fatal(err)
 	}

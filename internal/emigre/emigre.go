@@ -599,7 +599,7 @@ type session struct {
 	q     Query
 	mode  Mode
 	rec   hin.NodeID // current top-1 recommendation
-	view  hin.View   // the β-mixed transition view scores are taken on
+	view  hin.View   // the β-mixed snapshot scores are taken on (the recommender's Flat())
 	toRec ppr.Vector // PPR(·, rec)
 	toWNI ppr.Vector // PPR(·, WNI)
 	cands []candidate
@@ -697,7 +697,7 @@ func splitOps(cands []candidate) (removals, additions, reweights []hin.Edge) {
 // reverseColumns returns PPR(·, t) for every t of ts over the session's
 // scoring view, the missing columns drained in one reverse-push batch
 // and served through the explainer's vector cache when one is attached
-// (the CSR snapshot carries the β-mixed view's version, so a column is
+// (the CSR snapshot carries its graph's β-salted version, so a column is
 // reused by every later request over the same graph, bit-identical
 // whatever batch computed it). The vectors are shared: do not mutate.
 func (s *session) reverseColumns(ts ...hin.NodeID) ([]ppr.Vector, error) {

@@ -248,7 +248,7 @@ func TestTauMatchesPPRGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw := ppr.NewPower(f.r.Config().PPR)
-	row, err := pw.FromSource(f.r.View(), f.query().User)
+	row, err := pw.FromSource(f.r.ScoringView(), f.query().User)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,4 +589,14 @@ func TestRandomGraphExplanationsAlwaysVerify(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rebuilt is r's configuration and cache over o, flattened from
+// scratch: the full-rebuild reference for a counterfactual.
+func rebuilt(r *rec.Recommender, o hin.View) *rec.Recommender {
+	full, err := rec.New(o, r.Config())
+	if err != nil {
+		panic(err)
+	}
+	return full.WithCache(r.Cache())
 }

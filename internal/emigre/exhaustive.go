@@ -11,6 +11,7 @@ import (
 	"github.com/why-not-xai/emigre/internal/fmath"
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/ppr"
+	"github.com/why-not-xai/emigre/internal/rec"
 )
 
 // exhaustive implements the Exhaustive Comparison of Algorithm 5: where
@@ -54,7 +55,7 @@ func (s *session) exhaustive(withCheck bool) (*Explanation, error) {
 
 	// reduction[i][k]: how much committing candidate i closes the gap of
 	// target k over WNI. threshold[k]: the current gap of target k.
-	trans := transitionsOf(s.view, s.q.User)
+	trans := s.ex.r.Transitions(s.q.User)
 	reduction := make([][]float64, len(h))
 	for i, cand := range h {
 		row := make([]float64, len(targets))
@@ -62,7 +63,7 @@ func (s *session) exhaustive(withCheck bool) (*Explanation, error) {
 		for k := range targets {
 			switch cand.op {
 			case Remove:
-				row[k] = trans[edgeKey{n, cand.edge.Type}] * (cols[k][n] - s.toWNI[n])
+				row[k] = trans[rec.Arc{To: n, Type: cand.edge.Type}] * (cols[k][n] - s.toWNI[n])
 			case Reweight:
 				row[k] = cand.transDelta * (s.toWNI[n] - cols[k][n])
 			default: // Add
@@ -73,7 +74,7 @@ func (s *session) exhaustive(withCheck bool) (*Explanation, error) {
 	}
 	threshold := make([]float64, len(targets))
 	for _, e := range s.ex.g.OutEdgesOfType(s.q.User, opts.AllowedEdgeTypes) {
-		w := trans[edgeKey{e.To, e.Type}]
+		w := trans[rec.Arc{To: e.To, Type: e.Type}]
 		for k := range targets {
 			threshold[k] += w * (cols[k][e.To] - s.toWNI[e.To])
 		}

@@ -38,7 +38,7 @@ func TestExplainGroupPromotesAMember(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			top, err := f.r.WithView(o).Recommend(f.ids["u"])
+			top, err := rebuilt(f.r, o).Recommend(f.ids["u"])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -157,7 +157,7 @@ func TestQuickVerifyAgreesWithReplay(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		topAfter, err := fx.r.WithView(o).Recommend(u)
+		topAfter, err := rebuilt(fx.r, o).Recommend(u)
 		if err != nil {
 			return !ok
 		}

@@ -47,7 +47,7 @@ func TestTargetRankRelaxedSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := f2.r.WithView(o).TopN(q.User, 2)
+	top, err := rebuilt(f2.r, o).TopN(q.User, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,29 +7,8 @@ import (
 
 	"github.com/why-not-xai/emigre/internal/fmath"
 	"github.com/why-not-xai/emigre/internal/hin"
+	"github.com/why-not-xai/emigre/internal/rec"
 )
-
-// transitionTable maps each of u's outgoing typed edges to its
-// transition probability under the recommender's (β-mixed) view.
-type transitionTable map[edgeKey]float64
-
-type edgeKey struct {
-	to  hin.NodeID
-	typ hin.EdgeTypeID
-}
-
-func transitionsOf(view hin.View, u hin.NodeID) transitionTable {
-	total := view.OutWeightSum(u)
-	t := make(transitionTable)
-	if total <= 0 {
-		return t
-	}
-	view.OutEdges(u, func(h hin.HalfEdge) bool {
-		t[edgeKey{h.Node, h.Type}] += h.Weight / total
-		return true
-	})
-	return t
-}
 
 // defineSearchSpace runs Algorithm 1 (Remove mode) or Algorithm 2 (Add
 // mode): it fills s.cands — the paper's contribution-ordered list H —
@@ -42,7 +21,7 @@ func transitionsOf(view hin.View, u hin.NodeID) transitionTable {
 func (s *session) defineSearchSpace() error {
 	u := s.q.User
 	allowed := s.ex.opts.AllowedEdgeTypes
-	trans := transitionsOf(s.view, u)
+	trans := s.ex.r.Transitions(u)
 
 	// tau: Σ contribution_rmv over the allowed existing edges (Eq. 5).
 	// Both modes start from the same gap estimate (Algorithm 2 lines
@@ -50,7 +29,7 @@ func (s *session) defineSearchSpace() error {
 	s.tau = 0
 	var removeCands []candidate
 	for _, e := range s.ex.g.OutEdgesOfType(u, allowed) {
-		w := trans[edgeKey{e.To, e.Type}]
+		w := trans[rec.Arc{To: e.To, Type: e.Type}]
 		c := w * (s.toRec[e.To] - s.toWNI[e.To])
 		s.tau += c
 		removeCands = append(removeCands, candidate{edge: e, op: Remove, contribution: c})

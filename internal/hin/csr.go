@@ -1,11 +1,16 @@
 package hin
 
-import "errors"
+import (
+	"errors"
+
+	"github.com/why-not-xai/emigre/internal/fmath"
+)
 
 // CSR is an immutable, flat (compressed sparse row) snapshot of a View,
-// optionally with one node's outgoing row replaced (WithOutRow). It is
-// the only shape the PPR push kernels iterate: both walk padded rows of
-// transition probabilities (OutRows, InRows) precomputed here. EMiGRe's
+// optionally β-mixed (NewMixedCSR) and optionally with one node's
+// outgoing row replaced (WithOutRow). It is the only shape the PPR push
+// kernels iterate: both walk padded rows of transition probabilities
+// (OutRows, InRows) precomputed here. EMiGRe's
 // counterfactuals only ever edit the query user's out-edges, so the
 // CHECK step scores an overlay by patching the user's new row
 // (O(deg u)) into the shared base snapshot instead of re-flattening
@@ -50,10 +55,11 @@ type CSR struct {
 	patchDst  []NodeID
 	patchProb []float64
 
-	// version is the source view's version captured at flatten time: a
-	// CSR is a frozen snapshot, so it keeps identifying that state even
-	// if the source graph mutates afterwards. A row-patched snapshot is
-	// unversioned: it shares its base's arrays, never its identity.
+	// version is the source view's version captured at flatten time and
+	// salted with β (MixedVersion): a CSR is a frozen snapshot, so it
+	// keeps identifying that state even if the source graph mutates
+	// afterwards. A row-patched snapshot is unversioned: it shares its
+	// base's arrays, never its identity.
 	version   Version
 	versioned bool
 }
@@ -64,6 +70,14 @@ func NewCSR(v View) *CSR {
 	if c, ok := v.(*CSR); ok && c.patchNode == InvalidNode {
 		return c
 	}
+	return NewMixedCSR(v, 1)
+}
+
+// NewMixedCSR flattens v under the β-mix: every node's row is its
+// MixedRow, so at β < 1 a row's weights are its transition
+// probabilities and sum to 1. β = 1 is NewCSR's plain weighted walk.
+// The snapshot carries MixedVersion(v, β).
+func NewMixedCSR(v View, beta float64) *CSR {
 	n := v.NumNodes()
 	c := &CSR{
 		reg:       v.Types(),
@@ -74,55 +88,89 @@ func NewCSR(v View) *CSR {
 		outSum:    make([]float64, n),
 		patchNode: InvalidNode,
 	}
-	c.version, c.versioned = ViewVersion(v)
-	outDeg := make([]int32, n)
-	inDeg := make([]int32, n)
-	// One callback per pass, over the node i: a closure per row would
-	// cost an allocation per node.
-	var i int
-	count := func(h HalfEdge) bool {
-		outDeg[i]++
-		inDeg[h.Node]++
+	c.version, c.versioned = MixedVersion(v, beta)
+	edges := 0
+	for i := range n {
+		edges += v.OutDegree(NodeID(i))
+	}
+	c.outHalf = make([]HalfEdge, 0, edges)
+	// One callback for every row: a closure per row would cost an
+	// allocation per node.
+	collect := func(h HalfEdge) bool {
+		c.outHalf = append(c.outHalf, h)
 		return true
 	}
-	for i = 0; i < n; i++ {
+	inDeg := make([]int32, n)
+	for i := range n {
 		c.ntype[i] = v.NodeType(NodeID(i))
-		c.outSum[i] = v.OutWeightSum(NodeID(i))
-		v.OutEdges(NodeID(i), count)
+		at := len(c.outHalf)
+		v.OutEdges(NodeID(i), collect)
+		row, sum := mixRow(c.outHalf[at:], v.OutWeightSum(NodeID(i)), beta)
+		c.outHalf, c.outSum[i] = c.outHalf[:at+len(row)], sum
+		for _, h := range row {
+			inDeg[h.Node]++
+		}
+		c.outStart[i+1] = int32(len(c.outHalf))
+		c.rowStart[i+1] = c.rowStart[i] + padLanes(int32(len(row)))
 	}
-	for i := 0; i < n; i++ {
-		c.outStart[i+1] = c.outStart[i] + outDeg[i]
-		c.rowStart[i+1] = c.rowStart[i] + padLanes(outDeg[i])
+	for i := range n {
 		c.inStart[i+1] = c.inStart[i] + padLanes(inDeg[i])
 	}
-	c.outHalf = make([]HalfEdge, c.outStart[n])
 	c.rowDst = make([]NodeID, c.rowStart[n])
 	c.rowProb = make([]float64, c.rowStart[n])
 	c.inSrc = make([]NodeID, c.inStart[n])
 	c.inProb = make([]float64, c.inStart[n])
 	inPos := make([]int32, n)
 	copy(inPos, c.inStart[:n])
-	var k int32 // the edge's place in row i
-	place := func(h HalfEdge) bool {
-		out, lane, at := c.outStart[i]+k, c.rowStart[i]+k, inPos[h.Node]
-		prob := transition(h.Weight, c.outSum[i])
-		c.outHalf[out] = h
-		c.rowDst[lane], c.rowProb[lane] = h.Node, prob
-		c.inSrc[at], c.inProb[at] = NodeID(i), prob
-		inPos[h.Node]++
-		k++
-		return true
+	for i := range n {
+		lane := c.rowStart[i]
+		for _, h := range c.outHalf[c.outStart[i]:c.outStart[i+1]] {
+			prob, at := transition(h.Weight, c.outSum[i]), inPos[h.Node]
+			c.rowDst[lane], c.rowProb[lane] = h.Node, prob
+			c.inSrc[at], c.inProb[at] = NodeID(i), prob
+			inPos[h.Node]++
+			lane++
+		}
+		padRow(c.rowDst, lane, c.rowStart[i+1], n)
 	}
-	for i = 0; i < n; i++ {
-		k = 0
-		v.OutEdges(NodeID(i), place)
-		padRow(c.rowDst, c.rowStart[i]+k, c.rowStart[i+1], n)
-	}
-	for v := 0; v < n; v++ {
+	for v := range n {
 		padRow(c.inSrc, inPos[v], c.inStart[v+1], n)
 	}
 	c.checkRows()
 	return c
+}
+
+// MixedRow returns u's out-row under v with every weight w replaced by
+// the RecWalk β-mixed transition probability
+//
+//	W(u,x) = β·w/Σw(u) + (1−β)/deg(u)
+//
+// and the row's weight sum: 1, or 0 with no edges when u has no
+// out-edge of positive total weight. β = 1 returns the raw row and its
+// sum, the plain weighted walk.
+func MixedRow(v View, u NodeID, beta float64) ([]HalfEdge, float64) {
+	row := make([]HalfEdge, 0, v.OutDegree(u))
+	v.OutEdges(u, func(h HalfEdge) bool {
+		row = append(row, h)
+		return true
+	})
+	return mixRow(row, v.OutWeightSum(u), beta)
+}
+
+// mixRow rewrites row, a node's out-edges of weight sum total, in place
+// into its β-mixed row (see MixedRow).
+func mixRow(row []HalfEdge, total, beta float64) ([]HalfEdge, float64) {
+	if fmath.Eq(beta, 1) {
+		return row, total
+	}
+	if total <= 0 || len(row) == 0 {
+		return row[:0], 0
+	}
+	uniform := (1 - beta) / float64(len(row))
+	for i := range row {
+		row[i].Weight = beta*row[i].Weight/total + uniform
+	}
+	return row, 1
 }
 
 // InLanes is the width every out-row and in-row is padded to (see
@@ -224,36 +272,6 @@ func (c *CSR) OutEdges(v NodeID, yield func(HalfEdge) bool) {
 	}
 }
 
-// InEdges implements View, reading each in-neighbour's type and weight
-// off its out-row (InEdges is not a push loop, so the in-rows keep no
-// pointer into outHalf). A source's typed edges to v sit on consecutive
-// lanes, so the first of them yields them all. Under a row patch, base
-// in-edges originating at the patched node are suppressed and the
-// patched row's entries follow the rest.
-func (c *CSR) InEdges(v NodeID, yield func(HalfEdge) bool) {
-	prev := InvalidNode
-	for at := c.inStart[v]; at < c.inStart[v+1]; at++ {
-		src := c.inSrc[at]
-		if int(src) >= len(c.ntype) {
-			break // the row's pad lanes
-		}
-		if src == c.patchNode || src == prev {
-			continue
-		}
-		prev = src
-		for _, h := range c.outHalf[c.outStart[src]:c.outStart[src+1]] {
-			if h.Node == v && !yield(HalfEdge{Node: src, Type: h.Type, Weight: h.Weight}) {
-				return
-			}
-		}
-	}
-	for _, h := range c.patchOut {
-		if h.Node == v && !yield(HalfEdge{Node: c.patchNode, Type: h.Type, Weight: h.Weight}) {
-			return
-		}
-	}
-}
-
 // OutDegree implements View.
 func (c *CSR) OutDegree(v NodeID) int { return len(c.OutSlice(v)) }
 
@@ -274,6 +292,18 @@ func (c *CSR) OutSlice(v NodeID) []HalfEdge {
 		return c.patchOut
 	}
 	return c.outHalf[c.outStart[v]:c.outStart[v+1]]
+}
+
+// OutProbs returns the transition probabilities W(v,·) of v's
+// out-edges, aligned with OutSlice(v): the lanes the push kernels walk
+// (OutRows, or PatchedRow for the patched node). Callers must not
+// mutate it.
+func (c *CSR) OutProbs(v NodeID) []float64 {
+	if v == c.patchNode {
+		return c.patchProb[:len(c.patchOut)]
+	}
+	at := c.rowStart[v]
+	return c.rowProb[at : at+c.outStart[v+1]-c.outStart[v]]
 }
 
 // OutRows returns the out-row arrays (see CSR) as shared slices for the

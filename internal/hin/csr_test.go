@@ -34,12 +34,6 @@ func viewsAgree(t *testing.T, a, b View) {
 				t.Fatalf("node %d out edge %d differs: %+v vs %+v", v, i, ae[i], be[i])
 			}
 		}
-		ae, be = nil, nil
-		a.InEdges(id, func(h HalfEdge) bool { ae = append(ae, h); return true })
-		b.InEdges(id, func(h HalfEdge) bool { be = append(be, h); return true })
-		if len(ae) != len(be) {
-			t.Fatalf("node %d in lists differ in length: %d vs %d", v, len(ae), len(be))
-		}
 		for w := 0; w < a.NumNodes(); w++ {
 			if a.HasEdge(id, NodeID(w)) != b.HasEdge(id, NodeID(w)) {
 				t.Fatalf("HasEdge(%d,%d) disagrees", v, w)
@@ -107,6 +101,14 @@ func TestCSRSlicesMatchIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	g := randomGraph(rng, 10, 40)
 	c := NewCSR(g)
+	// Each node's in-edges as InRows lists them: sources ascending, a
+	// source's edges in its out-row's order.
+	in := make([][]HalfEdge, c.NumNodes())
+	for v := range NodeID(c.NumNodes()) {
+		for _, h := range c.OutSlice(v) {
+			in[h.Node] = append(in[h.Node], HalfEdge{Node: v, Type: h.Type, Weight: h.Weight})
+		}
+	}
 	for v := 0; v < c.NumNodes(); v++ {
 		id := NodeID(v)
 		if len(c.OutSlice(id)) != c.OutDegree(id) {
@@ -123,13 +125,12 @@ func TestCSRSlicesMatchIteration(t *testing.T) {
 		checkOutRow(t, c, v)
 		start, src, prob := c.InRows()
 		at := start[v]
-		c.InEdges(id, func(h HalfEdge) bool {
+		for _, h := range in[v] {
 			if src[at] != h.Node || prob[at] != h.Weight/c.OutWeightSum(h.Node) {
 				t.Fatalf("InRows entry %d of node %d: (%d, %g) against in-edge %+v", at-start[v], v, src[at], prob[at], h)
 			}
 			at++
-			return true
-		})
+		}
 		// The row is padded to a multiple of InLanes: pad lanes follow
 		// the real ones with probability 0 and a scratch source past n.
 		if start[v]%InLanes != 0 || at > start[v+1] || start[v+1]-at >= InLanes {
@@ -256,10 +257,10 @@ func checkRowsPanic(t *testing.T, kind string, rows func(b *CSR) (*[]int32, *[]N
 	c.checkRows() // the original is untouched and passes
 }
 
-// TestCSRInEdgesParallelTypes: InEdges reads each in-neighbour's typed
-// edges off that neighbour's out-row, so parallel typed edges from one
-// source come back once each, with their own types and weights, and a
-// row patch replaces the patched source's edges by the patch's.
+// TestCSRInEdgesParallelTypes: a source's parallel typed edges to one
+// target take one in-row lane each, with its own transition
+// probability, and re-flattening a row patch replaces the patched
+// source's lanes by the patch's.
 func TestCSRInEdgesParallelTypes(t *testing.T) {
 	g := NewGraph()
 	nt := g.Types().NodeType("n")
@@ -272,21 +273,21 @@ func TestCSRInEdgesParallelTypes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	in := func(v View, x NodeID) []HalfEdge {
-		var hs []HalfEdge
-		v.InEdges(x, func(h HalfEdge) bool { hs = append(hs, h); return true })
-		slices.SortFunc(hs, func(p, q HalfEdge) int { return int(p.Node-q.Node)*256 + int(p.Type) - int(q.Type) })
-		return hs
-	}
-	c := NewCSR(g)
-	for x := range NodeID(4) {
-		if got, want := in(c, x), in(g, x); !slices.Equal(got, want) {
-			t.Fatalf("InEdges(%d) = %+v, the graph's %+v", x, got, want)
+	check := func(name string, c *CSR, x NodeID, wantSrc []NodeID, wantProb []float64) {
+		t.Helper()
+		start, src, prob := c.InRows()
+		end := start[x]
+		for end < start[x+1] && int(src[end]) < c.NumNodes() {
+			end++
+		}
+		if !slices.Equal(src[start[x]:end], wantSrc) || !slices.Equal(prob[start[x]:end], wantProb) {
+			t.Fatalf("%s: in-row of %d = %v %v, want %v %v", name, x, src[start[x]:end], prob[start[x]:end], wantSrc, wantProb)
 		}
 	}
-	p := c.WithOutRow(3, []HalfEdge{{Node: 1, Type: a, Weight: 7}, {Node: 0, Type: b, Weight: 8}}, 15)
-	want := []HalfEdge{{Node: 0, Type: a, Weight: 1}, {Node: 0, Type: b, Weight: 2}, {Node: 2, Type: a, Weight: 3}, {Node: 3, Type: a, Weight: 7}}
-	if got := in(p, 1); !slices.Equal(got, want) {
-		t.Fatalf("patched InEdges(1) = %+v, want %+v", got, want)
-	}
+	c := NewCSR(g)
+	check("graph", c, 1, []NodeID{0, 0, 2, 3, 3}, []float64{1.0 / 3, 2.0 / 3, 1, 4.0 / 9, 5.0 / 9})
+	check("graph", c, 0, []NodeID{1}, []float64{1})
+	p := NewCSR(c.WithOutRow(3, []HalfEdge{{Node: 1, Type: a, Weight: 7}, {Node: 0, Type: b, Weight: 8}}, 15))
+	check("patched", p, 1, []NodeID{0, 0, 2, 3}, []float64{1.0 / 3, 2.0 / 3, 1, 7.0 / 15})
+	check("patched", p, 0, []NodeID{1, 3}, []float64{1, 8.0 / 15})
 }

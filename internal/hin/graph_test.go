@@ -118,10 +118,10 @@ func TestParallelEdgesOfDifferentTypes(t *testing.T) {
 	if g.OutDegree(u) != 3 {
 		t.Fatalf("OutDegree(u) = %d, want 3", g.OutDegree(u))
 	}
-	// Transition sums both parallel edges: (1 + 0.5) / (1 + 2 + 0.5).
+	// W(u,a) sums both parallel edges: (1 + 0.5) / (1 + 2 + 0.5).
 	want := 1.5 / 3.5
-	if got := Transition(g, u, a); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("Transition(u,a) = %g, want %g", got, want)
+	if got := transitionTo(NewCSR(g), u, a); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("W(u,a) = %g, want %g", got, want)
 	}
 }
 
@@ -261,33 +261,33 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestOutNeighborsDeduplicates(t *testing.T) {
-	g, ids := buildTriangle(t)
-	u, a := ids[0], ids[1]
-	reviewed := g.Types().EdgeType("reviewed")
-	if err := g.AddEdge(u, a, reviewed, 1); err != nil {
-		t.Fatal(err)
+// transitionTo is W(u,v) on c: u's transition probabilities summed
+// over its parallel typed edges to v.
+func transitionTo(c *CSR, u, v NodeID) float64 {
+	var w float64
+	for i, h := range c.OutSlice(u) {
+		if h.Node == v {
+			w += c.OutProbs(u)[i]
+		}
 	}
-	nbrs := OutNeighbors(g, u)
-	if len(nbrs) != 2 {
-		t.Fatalf("OutNeighbors = %v, want 2 distinct", nbrs)
-	}
+	return w
 }
 
 func TestTransitionRowIsStochastic(t *testing.T) {
 	g, ids := buildTriangle(t)
+	c := NewCSR(g)
 	u := ids[0]
 	var sum float64
-	for _, v := range OutNeighbors(g, u) {
-		sum += Transition(g, u, v)
+	for _, p := range c.OutProbs(u) {
+		sum += p
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Fatalf("transition row sums to %g, want 1", sum)
 	}
 	// Dangling node: transition is zero everywhere.
-	c := ids[3]
-	if got := Transition(g, c, u); got != 0 {
-		t.Fatalf("Transition(dangling, u) = %g, want 0", got)
+	d := ids[3]
+	if got := transitionTo(c, d, u); got != 0 {
+		t.Fatalf("W(dangling, u) = %g, want 0", got)
 	}
 }
 

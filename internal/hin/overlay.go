@@ -34,7 +34,6 @@ type Overlay struct {
 
 	removed map[typedKey]float64 // removed typed edges -> their base weight
 	added   map[NodeID][]HalfEdge
-	addedIn map[NodeID][]HalfEdge
 
 	// outWeight holds corrected out-weight sums for nodes whose
 	// out-edge set changed.
@@ -63,7 +62,6 @@ func NewOverlay(base View, removals, additions []Edge) (*Overlay, error) {
 		base:      base,
 		removed:   make(map[typedKey]float64, len(removals)),
 		added:     make(map[NodeID][]HalfEdge, len(additions)),
-		addedIn:   make(map[NodeID][]HalfEdge, len(additions)),
 		outWeight: make(map[NodeID]float64),
 		pairDelta: make(map[pairKey]int),
 	}
@@ -107,7 +105,6 @@ func NewOverlay(base View, removals, additions []Edge) (*Overlay, error) {
 			}
 		}
 		o.added[e.From] = append(o.added[e.From], HalfEdge{Node: e.To, Type: e.Type, Weight: e.Weight})
-		o.addedIn[e.To] = append(o.addedIn[e.To], HalfEdge{Node: e.From, Type: e.Type, Weight: e.Weight})
 		o.pairDelta[pairKey{e.From, e.To}]++
 		o.touch(e.From)
 		o.outWeight[e.From] += e.Weight
@@ -182,29 +179,6 @@ func (o *Overlay) OutEdges(v NodeID, yield func(HalfEdge) bool) {
 		return
 	}
 	for _, h := range o.added[v] {
-		if !yield(h) {
-			return
-		}
-	}
-}
-
-// InEdges iterates v's incoming edges with the overlay's edits applied.
-func (o *Overlay) InEdges(v NodeID, yield func(HalfEdge) bool) {
-	stopped := false
-	o.base.InEdges(v, func(h HalfEdge) bool {
-		if _, gone := o.removed[typedKey{h.Node, v, h.Type}]; gone {
-			return true
-		}
-		if !yield(h) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, h := range o.addedIn[v] {
 		if !yield(h) {
 			return
 		}

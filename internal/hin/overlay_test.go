@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -66,17 +67,10 @@ func TestOverlayAdd(t *testing.T) {
 	if got := o.OutWeightSum(u); math.Abs(got-7) > 1e-15 {
 		t.Fatalf("OutWeightSum = %g, want 7", got)
 	}
-	// InEdges must include the addition.
-	found := false
-	o.InEdges(c, func(h HalfEdge) bool {
-		if h.Node == u && h.Weight == 4 {
-			found = true
-			return false
-		}
-		return true
-	})
-	if !found {
-		t.Fatal("added edge missing from InEdges of target")
+	// The snapshot's in-row of the target must include the addition.
+	start, src, prob := NewCSR(o).InRows()
+	if !slices.Contains(src[start[c]:start[c+1]], u) || !slices.Contains(prob[start[c]:start[c+1]], 4.0/7) {
+		t.Fatal("added edge missing from the target's in-row")
 	}
 	if g.HasEdge(u, c) {
 		t.Fatal("overlay mutated the base graph")

@@ -3,6 +3,7 @@ package hin
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -89,13 +90,8 @@ func TestCSRRowPatchDangling(t *testing.T) {
 		}
 	}
 	// In-edges from u must vanish everywhere.
-	for v := 0; v < g.NumNodes(); v++ {
-		p.InEdges(NodeID(v), func(h HalfEdge) bool {
-			if h.Node == u {
-				t.Fatalf("node %d still has an in-edge from the patched-dangling node", v)
-			}
-			return true
-		})
+	if _, src, _ := NewCSR(p).InRows(); slices.Contains(src, u) {
+		t.Fatal("an in-row still has a lane from the patched-dangling node")
 	}
 }
 
@@ -110,11 +106,6 @@ func TestCSRRowPatchEarlyStop(t *testing.T) {
 	p.OutEdges(u, func(HalfEdge) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d edges", n)
-	}
-	n = 0
-	p.InEdges(1, func(HalfEdge) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("in-edge early stop visited %d edges", n)
 	}
 }
 

@@ -64,10 +64,11 @@ type HalfEdge struct {
 	Weight float64
 }
 
-// View is the read-only interface shared by Graph and Overlay. PPR
-// engines, the recommender and the explainers are all written against
-// View so counterfactual overlays can be evaluated without materializing
-// modified graphs.
+// View is the read-only interface of the three graph shapes: a Graph, a
+// counterfactual Overlay of one, and the CSR snapshot the push kernels
+// walk. PPR engines, the recommender and the explainers are all written
+// against View so counterfactual overlays can be evaluated without
+// materializing modified graphs.
 type View interface {
 	// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
 	NumNodes() int
@@ -76,10 +77,6 @@ type View interface {
 	// OutEdges calls yield for every outgoing edge of v until yield
 	// returns false. The iteration order is deterministic.
 	OutEdges(v NodeID, yield func(HalfEdge) bool)
-	// InEdges calls yield for every incoming edge of v until yield
-	// returns false. The reported HalfEdge.Node is the edge source and
-	// HalfEdge.Weight is the edge's weight (not normalized).
-	InEdges(v NodeID, yield func(HalfEdge) bool)
 	// OutDegree returns the number of outgoing edges of v.
 	OutDegree(v NodeID) int
 	// OutWeightSum returns the sum of outgoing edge weights of v — the
@@ -91,39 +88,6 @@ type View interface {
 	HasEdge(from, to NodeID) bool
 	// Types returns the shared type registry.
 	Types() *TypeRegistry
-}
-
-// Transition returns the transition probability W(u, v) summed over all
-// parallel typed edges from u to v under view g. It is 0 when u has no
-// outgoing edges.
-func Transition(g View, u, v NodeID) float64 {
-	total := g.OutWeightSum(u)
-	if total <= 0 {
-		return 0
-	}
-	var w float64
-	g.OutEdges(u, func(h HalfEdge) bool {
-		if h.Node == v {
-			w += h.Weight
-		}
-		return true
-	})
-	return w / total
-}
-
-// OutNeighbors returns the distinct out-neighbors of u in deterministic
-// order (first-occurrence order of the adjacency list).
-func OutNeighbors(g View, u NodeID) []NodeID {
-	seen := make(map[NodeID]bool)
-	var out []NodeID
-	g.OutEdges(u, func(h HalfEdge) bool {
-		if !seen[h.Node] {
-			seen[h.Node] = true
-			out = append(out, h.Node)
-		}
-		return true
-	})
-	return out
 }
 
 // TypeRegistry maps node- and edge-type names to small dense IDs. A

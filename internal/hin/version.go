@@ -3,6 +3,8 @@ package hin
 import (
 	"math"
 	"sync/atomic"
+
+	"github.com/why-not-xai/emigre/internal/fmath"
 )
 
 // Version identifies the content of a graph view for caching purposes.
@@ -16,8 +18,8 @@ import (
 //     counter, so no two distinct graph states ever share one.
 //   - Digest folds in derived-view structure: an Overlay mixes an
 //     order-insensitive digest of its edit set into its base's version,
-//     and transition decorators (e.g. the recommender's β-mix) fold
-//     their parameters in via Mix. It is 0 for a plain Graph.
+//     and a β-mixed snapshot folds β in via Mix (MixedVersion). It is 0
+//     for a plain Graph.
 type Version struct {
 	Stamp  uint64
 	Digest uint64
@@ -84,4 +86,16 @@ func editDigest(tag uint64, from, to NodeID, typ EdgeTypeID, weight float64) uin
 	h = mix64(h ^ uint64(typ)<<2)
 	h = mix64(h ^ math.Float64bits(weight))
 	return h
+}
+
+// MixedVersion is the version of v's β-mixed transition matrix
+// (NewMixedCSR): v's version salted with β's bit pattern, or v's own at
+// β = 1, where the mix is the identity. Two mixes of one view share a
+// version only under the same β.
+func MixedVersion(v View, beta float64) (Version, bool) {
+	ver, ok := ViewVersion(v)
+	if !ok || fmath.Eq(beta, 1) {
+		return ver, ok
+	}
+	return ver.Mix(math.Float64bits(beta)), true
 }

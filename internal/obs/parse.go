@@ -219,7 +219,7 @@ func (e *Exposition) parseSample(line string, types map[string]string) error {
 	if err != nil {
 		return err
 	}
-	rawLabels, rest, err := parseOrderedLabels(rest)
+	rawLabels, rest, err := parseLabels(rest)
 	if err != nil {
 		return fmt.Errorf("metric %s: %w", name, err)
 	}
@@ -240,44 +240,6 @@ func (e *Exposition) parseSample(line string, types map[string]string) error {
 		Timestamp: strings.TrimSpace(timestamp),
 	})
 	return nil
-}
-
-// parseOrderedLabels parses an optional {name="value",...} block like
-// parseLabels but preserves label order and rejects duplicates.
-func parseOrderedLabels(s string) ([]Label, string, error) {
-	asMap, rest, err := parseLabels(s)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(asMap) == 0 {
-		return nil, rest, nil
-	}
-	// Re-scan the block in order; parseLabels already guaranteed it is
-	// well-formed and duplicate-free, so a light second pass suffices.
-	ordered := make([]Label, 0, len(asMap))
-	block := s[:len(s)-len(rest)]
-	i := 1 // past '{'
-	for len(ordered) < len(asMap) {
-		for i < len(block) && (block[i] == ' ' || block[i] == ',') {
-			i++
-		}
-		start := i
-		for i < len(block) && block[i] != '=' {
-			i++
-		}
-		lname := strings.TrimSpace(block[start:i])
-		ordered = append(ordered, Label{Name: lname, Value: asMap[lname]})
-		// Skip ="value" (escapes included).
-		i += 2 // '=' and opening quote
-		for i < len(block) && block[i] != '"' {
-			if block[i] == '\\' {
-				i++
-			}
-			i++
-		}
-		i++ // closing quote
-	}
-	return ordered, rest, nil
 }
 
 // unescapeHelp reverses escapeHelp.

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,12 +150,14 @@ func histogramFamily(types map[string]string, name string) (family, suffix strin
 	return name, ""
 }
 
-func (v *validator) histogramSample(family, suffix string, labels map[string]string, value float64) error {
-	le, hasLe := labels["le"]
-	base := make(map[string]string, len(labels))
-	for k, val := range labels {
-		if k != "le" {
-			base[k] = val
+func (v *validator) histogramSample(family, suffix string, labels []Label, value float64) error {
+	le, hasLe := "", false
+	base := make([]Label, 0, len(labels))
+	for _, l := range labels {
+		if l.Name == "le" {
+			le, hasLe = l.Value, true
+		} else {
+			base = append(base, l)
 		}
 	}
 	baseKey := flattenLabels(base)
@@ -264,12 +267,13 @@ func splitName(line string) (name, rest string, err error) {
 	return name, line[i:], nil
 }
 
-// parseLabels parses an optional {name="value",...} block, handling
-// escaped quotes, backslashes and newlines in values.
-func parseLabels(s string) (map[string]string, string, error) {
-	labels := make(map[string]string)
+// parseLabels parses an optional {name="value",...} block into its
+// labels in order (nil for none), handling escaped quotes, backslashes
+// and newlines in values and rejecting a repeated name.
+func parseLabels(s string) ([]Label, string, error) {
+	var labels []Label
 	if !strings.HasPrefix(s, "{") {
-		return labels, s, nil
+		return nil, s, nil
 	}
 	i := 1
 	for {
@@ -290,7 +294,7 @@ func parseLabels(s string) (map[string]string, string, error) {
 		if !validLabelName(lname) && lname != "le" {
 			return nil, "", fmt.Errorf("invalid label name %q", lname)
 		}
-		if _, dup := labels[lname]; dup {
+		if slices.ContainsFunc(labels, func(l Label) bool { return l.Name == lname }) {
 			return nil, "", fmt.Errorf("duplicate label %q", lname)
 		}
 		i++ // consume '='
@@ -328,7 +332,7 @@ func parseLabels(s string) (map[string]string, string, error) {
 			val.WriteByte(c)
 			i++
 		}
-		labels[lname] = val.String()
+		labels = append(labels, Label{Name: lname, Value: val.String()})
 		if i < len(s) && s[i] == ',' {
 			i++
 			continue
@@ -340,25 +344,22 @@ func parseLabels(s string) (map[string]string, string, error) {
 	}
 }
 
-// flattenLabels renders a parsed label map back into a canonical
+// flattenLabels renders parsed labels back into a canonical
 // sorted key for duplicate detection and histogram grouping.
-func flattenLabels(labels map[string]string) string {
+func flattenLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	names := make([]string, 0, len(labels))
-	for n := range labels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	sorted := slices.Clone(labels)
+	slices.SortFunc(sorted, func(a, b Label) int { return strings.Compare(a.Name, b.Name) })
 	var b strings.Builder
-	for i, n := range names {
+	for i, l := range sorted {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(n)
+		b.WriteString(l.Name)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(labels[n]))
+		b.WriteString(escapeLabelValue(l.Value))
 		b.WriteByte('"')
 	}
 	return b.String()

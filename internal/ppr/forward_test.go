@@ -22,7 +22,7 @@ func refForward(g *hin.CSR, p Params, s hin.NodeID, omega float64) (res *PushRes
 
 // refForwardScale is refForward with the arithmetic of the unpadded
 // loop the kernel replaced, (c/Σw)·w: the same bits as c·(w/Σw)
-// wherever Σw = 1, as on every non-dangling row of a β-mixed view with
+// wherever Σw = 1, as on every non-dangling row of a β-mixed snapshot with
 // β < 1.
 func refForwardScale(g *hin.CSR, p Params, s hin.NodeID, omega float64) (res *PushResult, updates refWork) {
 	return refForwardWith(g, p, s, omega, func(c, w, total float64) float64 { return c / total * w })
@@ -191,7 +191,7 @@ func TestForwardMatchesReference(t *testing.T) {
 // cyclicHIN builds a random directed graph of n nodes: random weighted
 // edges, some nodes left dangling, and one directed cycle through a
 // random subset of the nodes, in random orientation.
-func cyclicHIN(t testing.TB, rng *rand.Rand, n int) *hin.CSR {
+func cyclicHIN(t testing.TB, rng *rand.Rand, n int) *hin.Graph {
 	t.Helper()
 	g := hin.NewGraph()
 	nt, et := g.Types().NodeType("n"), g.Types().EdgeType("e")
@@ -212,37 +212,49 @@ func cyclicHIN(t testing.TB, rng *rand.Rand, n int) *hin.CSR {
 	for range rng.Intn(2 * n) {
 		add(rng.Intn(n), rng.Intn(n), 0.1+rng.Float64())
 	}
-	return hin.NewCSR(g)
+	return g
 }
 
 // FuzzForwardWithinEpsilon holds the forward contract on random small
-// graphs with a directed cycle and a random ε in [1e-10, 1e-2]: every
-// |residual| ends at most ε and every estimate lies within ε·C(t) of
-// ppr.Exact, C(t) the exact column sum. It drains both the graph and a
-// WithOutRow patch of the source's row (some edges dropped, some added,
-// at new weights), the latter held to Exact on the flattened patched
-// graph: the path where the sweep pushes the patched row between two
-// body calls.
+// graphs with a directed cycle, flattened under a random β-mix
+// (hin.NewMixedCSR, β in [0, 1]), and a random ε in [1e-10, 1e-2]:
+// every |residual| ends at most ε and every estimate lies within ε·C(t)
+// of ppr.Exact, C(t) the exact column sum. It drains both the snapshot
+// and a WithOutRow patch of the source's β-mixed row under an overlay
+// that rewires it (every edge dropped, some targets added at new
+// weights; hin.MixedRow), the latter held to Exact on the flattened
+// patched snapshot: the path where the sweep pushes the patched row
+// between two body calls.
 func FuzzForwardWithinEpsilon(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint16(0))
-	f.Add(int64(2), uint8(20), uint16(40000))
-	f.Add(int64(3), uint8(2), uint16(65535))
-	f.Add(int64(9), uint8(30), uint16(12345))
-	f.Fuzz(func(t *testing.T, seed int64, size uint8, e uint16) {
+	f.Add(int64(1), uint8(5), uint16(0), uint8(128))
+	f.Add(int64(2), uint8(20), uint16(40000), uint8(255))
+	f.Add(int64(3), uint8(2), uint16(65535), uint8(0))
+	f.Add(int64(9), uint8(30), uint16(12345), uint8(64))
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, e uint16, b uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + int(size%30)
-		g := cyclicHIN(t, rng, n)
+		raw := cyclicHIN(t, rng, n)
+		beta := float64(b) / math.MaxUint8
+		g := hin.NewMixedCSR(raw, beta)
 		p := testParams()
 		p.Epsilon = math.Pow(10, -10+8*float64(e)/math.MaxUint16)
 		s := hin.NodeID(rng.Intn(n))
-		var row []hin.HalfEdge
-		var sum float64
+		et, _ := raw.Types().LookupEdgeType("e")
+		var removals, additions []hin.Edge
+		raw.OutEdges(s, func(h hin.HalfEdge) bool {
+			removals = append(removals, hin.Edge{From: s, To: h.Node, Type: h.Type})
+			return true
+		})
 		for y := range n {
 			if y != int(s) && rng.Intn(3) == 0 {
-				w := 0.1 + rng.Float64()
-				row, sum = append(row, hin.HalfEdge{Node: hin.NodeID(y), Weight: w}), sum+w
+				additions = append(additions, hin.Edge{From: s, To: hin.NodeID(y), Type: et, Weight: 0.1 + rng.Float64()})
 			}
 		}
+		o, err := hin.NewOverlay(raw, removals, additions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, sum := hin.MixedRow(o, s, beta)
 		patched := g.WithOutRow(s, row, sum)
 		for _, run := range []struct {
 			name string
@@ -264,7 +276,7 @@ func FuzzForwardWithinEpsilon(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkForwardWithin(t, fmt.Sprintf("%s: %d nodes, ε=%g, source %d", run.name, n, p.Epsilon, s), p, res, rows[s], sums)
+			checkForwardWithin(t, fmt.Sprintf("%s: %d nodes, ε=%g, β=%g, source %d", run.name, n, p.Epsilon, beta, s), p, res, rows[s], sums)
 		}
 	})
 }

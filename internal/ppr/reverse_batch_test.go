@@ -116,8 +116,8 @@ func runMany(ctx context.Context, e *ReversePush, g hin.View, ts []hin.NodeID) (
 
 // refReverse is the reference drain the kernel is held to bit for bit:
 // the same sweeps, push rule, switch to ω = 1 and multiply-adds, as a
-// bounds-checked loop over unpadded in-rows read through InEdges (so in
-// ascending source order, the CSR's) with the transition probability
+// bounds-checked loop over unpadded in-rows gathered from the out-rows
+// (so in ascending source order, the CSR's) with the transition probability
 // w/Σw(src), 0 for a source whose weight sum is not positive. It starts
 // at relaxation omega — the kernel's is relaxation(α); omega = 1 is the
 // plain drain — and also returns the work the drain made: the in-degrees
@@ -127,15 +127,25 @@ func refReverse(g *hin.CSR, p Params, t hin.NodeID, omega float64) (res *PushRes
 	start := make([]int, n+1)
 	var src []hin.NodeID
 	var prob []float64
-	for v := range n {
-		g.InEdges(hin.NodeID(v), func(h hin.HalfEdge) bool {
+	type lane struct {
+		src  hin.NodeID
+		prob float64
+	}
+	in := make([][]lane, n)
+	for s := range hin.NodeID(n) {
+		sum := g.OutWeightSum(s)
+		for _, h := range g.OutSlice(s) {
 			w := 0.0
-			if sum := g.OutWeightSum(h.Node); sum > 0 {
+			if sum > 0 {
 				w = h.Weight / sum
 			}
-			src, prob = append(src, h.Node), append(prob, w)
-			return true
-		})
+			in[h.Node] = append(in[h.Node], lane{s, w})
+		}
+	}
+	for v := range n {
+		for _, l := range in[v] {
+			src, prob = append(src, l.src), append(prob, l.prob)
+		}
 		start[v+1] = len(src)
 	}
 	est, r := make(Vector, n), make(Vector, n)

@@ -103,7 +103,7 @@ func (p *Explainer) Explain(u hin.NodeID) (*CFE, error) {
 	if len(actions) == 0 {
 		return nil, fmt.Errorf("%w: user %d has no removable actions", ErrNoCFE, u)
 	}
-	trans := transitionTable(view, u)
+	trans := p.r.Transitions(u)
 
 	// Candidate replacement items: the runners-up of the current list.
 	top, err := p.r.TopN(u, p.opts.MaxReplacements+1)
@@ -142,7 +142,7 @@ func (p *Explainer) Explain(u hin.NodeID) (*CFE, error) {
 		scoredActions := make([]scored, len(actions))
 		var gap float64
 		for i, e := range actions {
-			s := trans[edgeKey{e.To, e.Type}] * (toRec[e.To] - toY[e.To])
+			s := trans[rec.Arc{To: e.To, Type: e.Type}] * (toRec[e.To] - toY[e.To])
 			scoredActions[i] = scored{edge: e, score: s}
 			gap += s
 		}
@@ -212,22 +212,4 @@ func (p *Explainer) Explain(u hin.NodeID) (*CFE, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: %d candidate swaps failed verification", ErrNoCFE, tests)
-}
-
-type edgeKey struct {
-	to  hin.NodeID
-	typ hin.EdgeTypeID
-}
-
-func transitionTable(view hin.View, u hin.NodeID) map[edgeKey]float64 {
-	total := view.OutWeightSum(u)
-	t := make(map[edgeKey]float64)
-	if total <= 0 {
-		return t
-	}
-	view.OutEdges(u, func(h hin.HalfEdge) bool {
-		t[edgeKey{h.Node, h.Type}] += h.Weight / total
-		return true
-	})
-	return t
 }

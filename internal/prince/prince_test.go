@@ -94,7 +94,7 @@ func TestExplainChangesRecommendation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newTop, err := r.WithView(o).Recommend(ids["u"])
+	newTop, err := rebuilt(r, o).Recommend(ids["u"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPrinceAnswersADifferentQuestionThanEmigre(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := r.WithView(o).Recommend(ids["u"])
+	top, err := rebuilt(r, o).Recommend(ids["u"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestQuickCFEAlwaysChangesRecommendation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		newTop, err := r.WithView(o).Recommend(u)
+		newTop, err := rebuilt(r, o).Recommend(u)
 		if err != nil {
 			return false
 		}
@@ -220,4 +220,14 @@ func TestDefaultsApplied(t *testing.T) {
 	if p.opts.MaxReplacements != defaultMaxReplacements || p.opts.MaxTests != defaultMaxTests {
 		t.Fatalf("defaults not applied: %+v", p.opts)
 	}
+}
+
+// rebuilt is r's configuration and cache over o, flattened from
+// scratch: the full-rebuild reference for a counterfactual.
+func rebuilt(r *rec.Recommender, o hin.View) *rec.Recommender {
+	full, err := rec.New(o, r.Config())
+	if err != nil {
+		panic(err)
+	}
+	return full.WithCache(r.Cache())
 }

@@ -117,29 +117,6 @@ func BenchmarkTopN(b *testing.B) {
 // topSink keeps the benchmarked lists live.
 var topSink []Scored
 
-func BenchmarkWithViewOverlay(b *testing.B) {
-	g, users, cfg := benchGraph(b)
-	r, err := New(g, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := users[0]
-	edges := g.OutEdgesOfType(u, hin.NewEdgeTypeSet())
-	if len(edges) == 0 {
-		b.Skip("user 0 has no edges")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o, err := hin.NewOverlay(g, edges[:1], nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.WithView(o).Recommend(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRankOf(b *testing.B) {
 	g, users, cfg := benchGraph(b)
 	r, err := New(g, cfg)

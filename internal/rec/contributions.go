@@ -14,10 +14,11 @@ import (
 // EdgeContribution decomposes a personalized score along one of the
 // user's outgoing edges.
 type EdgeContribution struct {
-	// Edge is the user's action (with its raw weight).
+	// Edge is the user's action, with its weight on the scoring
+	// snapshot (β-mixed when β < 1).
 	Edge hin.Edge
-	// Transition is the edge's probability W(u, n) under the β-mixed
-	// view.
+	// Transition is the edge's probability W(u, n) on the scoring
+	// snapshot.
 	Transition float64
 	// Target is PPR(n, target): how strongly the neighbor endorses the
 	// target item.
@@ -25,6 +26,26 @@ type EdgeContribution struct {
 	// Share is the edge's additive share of PPR(u, target):
 	// (1−α)·Transition·Target.
 	Share float64
+}
+
+// Arc names one of a node's out-edges by its target and type.
+type Arc struct {
+	To   hin.NodeID
+	Type hin.EdgeTypeID
+}
+
+// Transitions returns u's row W(u,·) of the scoring snapshot, each
+// out-edge's transition probability keyed by its target and type: the
+// factor W(u,n) of u's contribution W(u,n)·PPR(n,t) by which EMiGRe's
+// search space and PRINCE's swaps weigh an action.
+func (r *Recommender) Transitions(u hin.NodeID) map[Arc]float64 {
+	flat := r.Flat()
+	probs := flat.OutProbs(u)
+	t := make(map[Arc]float64, len(probs))
+	for i, h := range flat.OutSlice(u) {
+		t[Arc{h.Node, h.Type}] += probs[i]
+	}
+	return t
 }
 
 // Contributions decomposes PPR(u, target) along u's outgoing edges
@@ -45,23 +66,19 @@ func (r *Recommender) Contributions(u, target hin.NodeID) ([]EdgeContribution, e
 	if err != nil {
 		return nil, err
 	}
-	view := r.View()
-	total := view.OutWeightSum(u)
-	if total <= 0 {
-		return nil, nil
-	}
 	alpha := r.cfg.PPR.Alpha
+	flat := r.Flat()
+	probs := flat.OutProbs(u)
 	var out []EdgeContribution
-	view.OutEdges(u, func(h hin.HalfEdge) bool {
-		w := h.Weight / total
+	for i, h := range flat.OutSlice(u) {
+		w := probs[i]
 		out = append(out, EdgeContribution{
 			Edge:       hin.Edge{From: u, To: h.Node, Type: h.Type, Weight: h.Weight},
 			Transition: w,
 			Target:     col[h.Node],
 			Share:      (1 - alpha) * w * col[h.Node],
 		})
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		return fmath.Before(out[i].Share, out[j].Share, int(out[i].Edge.To), int(out[j].Edge.To))
 	})
@@ -76,13 +93,11 @@ func (r *Recommender) Contributions(u, target hin.NodeID) ([]EdgeContribution, e
 // directly.
 func (r *Recommender) reverseColumn(ctx context.Context, target hin.NodeID) (ppr.Vector, error) {
 	rev := ppr.NewReversePush(r.cfg.PPR)
-	if r.cache != nil {
-		if k, ok := pprcache.ReverseKey(r.view, rev, target); ok {
-			vec, _, err := r.cache.GetOrCompute(ctx, k, func(cctx context.Context) (ppr.Vector, error) {
-				return rev.ToTargetContext(cctx, r.Flat(), target)
-			})
-			return vec, err
-		}
+	if k, ok := r.key(pprcache.Reverse, rev, target); ok {
+		vec, _, err := r.cache.GetOrCompute(ctx, k, func(cctx context.Context) (ppr.Vector, error) {
+			return rev.ToTargetContext(cctx, r.Flat(), target)
+		})
+		return vec, err
 	}
 	return rev.ToTargetContext(ctx, r.Flat(), target)
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // TestWithUserPatchEquivalentToWithView compares full scoring through a
-// re-flattened overlay against the O(deg u) patched binding, for both
+// re-flattened overlay (New over it) against the O(deg u) patched
+// binding, for both
 // β = 1 and the paper's β = 0.5 mix. The patched row carries exactly
 // the β-mixed weights the flattened view does, so scores agree to the
 // bit — forward, and through the reverse column behind
@@ -30,7 +31,10 @@ func TestWithUserPatchEquivalentToWithView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := r.WithView(o)
+		full, err := New(o, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		patched := r.WithUserPatch(o, u)
 
 		sf, err := full.Scores(u)
@@ -122,9 +126,10 @@ func TestConfigAndViewAccessors(t *testing.T) {
 }
 
 // TestColumnSumsOnUnpatchedSnapshotsOnly: ColumnSums is ppr.ColumnSums of
-// Flat(), built once and shared by WithCache copies; a WithView copy
-// builds its own over its snapshot, and a WithUserPatch recommender, one
-// row away from the snapshot the sums bound, has none.
+// Flat(), built once and shared by WithCache copies; a recommender New
+// builds over an overlay has its own over its snapshot, and a
+// WithUserPatch recommender, one row away from the snapshot the sums
+// bound, has none.
 func TestColumnSumsOnUnpatchedSnapshotsOnly(t *testing.T) {
 	g, cfg, ids := smallShop(t)
 	r, err := New(g, cfg)
@@ -147,7 +152,11 @@ func TestColumnSumsOnUnpatchedSnapshotsOnly(t *testing.T) {
 	if r.WithUserPatch(o, u).ColumnSums() != nil {
 		t.Fatal("a patched recommender claims column sums")
 	}
-	if c := r.WithView(o).ColumnSums(); !reflect.DeepEqual(c, ppr.ColumnSums(hin.NewCSR(WrapBeta(o, cfg.Beta)), cfg.PPR)) {
-		t.Fatal("a WithView copy's column sums are not its own snapshot's")
+	full, err := New(o, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := full.ColumnSums(); !reflect.DeepEqual(c, ppr.ColumnSums(hin.NewMixedCSR(o, cfg.Beta), cfg.PPR)) {
+		t.Fatal("an overlay recommender's column sums are not its own snapshot's")
 	}
 }

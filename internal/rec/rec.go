@@ -9,9 +9,10 @@
 // The transition structure follows the RecWalk idea the paper builds on:
 // the walk follows outgoing edges with a β-mix between weight-
 // proportional and uniform transitions (β = 1 is the plain weighted
-// walk; the paper's experimental setting uses β = 0.5). The mix is
-// exposed as a View decorator so PPR engines, the EMiGRe explainer and
-// the PRINCE baseline all see exactly the same transition matrix.
+// walk; the paper's experimental setting uses β = 0.5). The mix is baked
+// into the recommender's CSR snapshot (hin.NewMixedCSR), so PPR engines,
+// the EMiGRe explainer and the PRINCE baseline all read exactly the same
+// transition matrix off Flat().
 //
 // Every ranking is computed by one kernel over a score vector: a walk of
 // the candidate index (the item-typed node ids, built once in New) minus
@@ -85,13 +86,14 @@ type Scored struct {
 	Score float64
 }
 
-// Recommender ranks items for users over a fixed view. Use WithView to
-// rebind the same configuration to a counterfactual overlay.
+// Recommender ranks items for users over a fixed view. Use
+// WithUserPatch to rebind the same configuration to a counterfactual
+// overlay of the user's row.
 //
 // A recommender ranks a fixed node set: the candidate index is built in
-// New and shared read-only by every copy (WithView, WithUserPatch,
-// WithCache) — overlays change edges, never node types or the node
-// count. Nodes added to the graph later need a new recommender.
+// New and shared read-only by every copy (WithUserPatch, WithCache) —
+// overlays change edges, never node types or the node count. Nodes
+// added to the graph later need a new recommender.
 //
 // Concurrency contract: every scoring method (Recommend, TopN, RankOf,
 // their Context variants, TopOf and RankWithin) only reads the
@@ -99,15 +101,14 @@ type Scored struct {
 // Recommender is safe for concurrent use once its flat snapshot exists —
 // call Flat() (or any scoring method) once before sharing it across
 // goroutines; the lazy build itself is not synchronized. The mutating
-// methods (SetCache) and the cheap rebinding constructors (WithView,
-// WithUserPatch) must not race with anything; rebinding returns a new
-// instance and never mutates the receiver, so concurrent explanation
-// sessions can call WithUserPatch over one warm shared recommender.
+// methods (SetCache) and the cheap rebinding constructor (WithUserPatch)
+// must not race with anything; rebinding returns a new instance and
+// never mutates the receiver, so concurrent explanation sessions can
+// call WithUserPatch over one warm shared recommender.
 type Recommender struct {
 	cfg    Config
 	base   hin.View
-	view   hin.View // base wrapped with the β-mix when Beta != 1
-	flat   *hin.CSR // what pushes run over: lazy NewCSR(view), or the parent's with u's row patched
+	flat   *hin.CSR // what pushes run over: lazy NewMixedCSR(base, Beta), or the parent's with u's row patched
 	engine *ppr.ForwardPush
 	items  []hin.NodeID    // candidate index: ascending ids of the item-typed nodes; immutable, shared by every copy
 	cache  *pprcache.Cache // optional shared vector cache (SetCache)
@@ -129,27 +130,15 @@ func New(g hin.View, cfg Config) (*Recommender, error) {
 	return &Recommender{
 		cfg:    cfg,
 		base:   g,
-		view:   WrapBeta(g, cfg.Beta),
 		engine: ppr.NewForwardPush(cfg.PPR),
 		items:  items,
 	}, nil
 }
 
-// WithView returns a recommender with the same configuration bound to a
-// different view (typically a counterfactual hin.Overlay of the
-// original graph).
-func (r *Recommender) WithView(g hin.View) *Recommender {
-	c := *r
-	c.base = g
-	c.view = WrapBeta(g, r.cfg.Beta)
-	c.flat, c.sums = nil, nil
-	return &c
-}
-
 // Flat returns the CSR snapshot every push runs over, built on first
-// use: an exact materialization of View(), several times faster to
-// traverse. On a WithUserPatch recommender it is the parent's snapshot
-// with the user's row patched.
+// use: View() flattened under the β-mix (hin.NewMixedCSR). On a
+// WithUserPatch recommender it is the parent's snapshot with the user's
+// row patched.
 //
 // The first call builds the snapshot without synchronization; warm it
 // single-threaded before sharing the recommender across goroutines.
@@ -157,7 +146,7 @@ func (r *Recommender) WithView(g hin.View) *Recommender {
 // made with WithUserPatch.
 func (r *Recommender) Flat() *hin.CSR {
 	if r.flat == nil {
-		r.flat = hin.NewCSR(r.view)
+		r.flat = hin.NewMixedCSR(r.base, r.cfg.Beta)
 		r.sums = &colSums{}
 	}
 	return r.flat
@@ -165,18 +154,18 @@ func (r *Recommender) Flat() *hin.CSR {
 
 // WithUserPatch returns a recommender bound to view v, which must
 // differ from this recommender's base view only in the outgoing edges
-// of node u — the shape of every EMiGRe counterfactual. Unlike
-// WithView, the returned recommender scores over a one-row patch of
-// this recommender's flat snapshot (hin.CSR.WithOutRow), so binding
-// costs O(deg u) instead of O(V+E). The receiver is never mutated and
-// the shared snapshot is only read, so concurrent WithUserPatch calls
-// over one warm recommender are safe (the clone-safety contract
-// concurrent explanation sessions rely on).
+// of node u — the shape of every EMiGRe counterfactual. The returned
+// recommender scores over a one-row patch of this recommender's flat
+// snapshot (hin.CSR.WithOutRow) with u's β-mixed row (hin.MixedRow), so
+// binding costs O(deg u) instead of the O(V+E) of New(v, cfg). The
+// receiver is never mutated and the shared snapshot is only read, so
+// concurrent WithUserPatch calls over one warm recommender are safe
+// (the clone-safety contract concurrent explanation sessions rely on).
 func (r *Recommender) WithUserPatch(v hin.View, u hin.NodeID) *Recommender {
+	row, sum := hin.MixedRow(v, u, r.cfg.Beta)
 	c := *r
 	c.base = v
-	c.view = WrapBeta(v, r.cfg.Beta)
-	c.flat, c.sums = r.patchedRow(v, u), nil
+	c.flat, c.sums = r.Flat().WithOutRow(u, row, sum), nil
 	return &c
 }
 
@@ -205,51 +194,22 @@ func (r *Recommender) ColumnSums() ppr.Vector {
 // ScoringView returns Flat() as a hin.View.
 func (r *Recommender) ScoringView() hin.View { return r.Flat() }
 
-// patchedRow builds u's β-mixed outgoing row under v and patches it
-// into the base flat snapshot.
-func (r *Recommender) patchedRow(v hin.View, u hin.NodeID) *hin.CSR {
-	total := v.OutWeightSum(u)
-	deg := v.OutDegree(u)
-	var row []hin.HalfEdge
-	var sum float64
-	if total > 0 && deg > 0 {
-		row = make([]hin.HalfEdge, 0, deg)
-		if fmath.Eq(r.cfg.Beta, 1) {
-			v.OutEdges(u, func(h hin.HalfEdge) bool {
-				row = append(row, h)
-				return true
-			})
-			sum = total
-		} else {
-			uniform := (1 - r.cfg.Beta) / float64(deg)
-			v.OutEdges(u, func(h hin.HalfEdge) bool {
-				h.Weight = r.cfg.Beta*h.Weight/total + uniform
-				row = append(row, h)
-				return true
-			})
-			sum = 1
-		}
-	}
-	return r.Flat().WithOutRow(u, row, sum)
-}
-
 // Config returns the recommender's configuration.
 func (r *Recommender) Config() Config { return r.cfg }
 
 // SetCache attaches a shared PPR-vector cache. Scores computed by this
 // recommender — and by every recommender later derived from it via
-// WithView or WithUserPatch — are then served from c when the scoring
-// view is versioned (graphs, overlays and their β-wraps all are).
-// Passing nil detaches the cache. Not safe to call concurrently with
-// scoring.
+// WithUserPatch — are then served from c when the view is versioned
+// (graphs and overlays are). Passing nil detaches the cache. Not safe
+// to call concurrently with scoring.
 func (r *Recommender) SetCache(c *pprcache.Cache) { r.cache = c }
 
 // WithCache returns a copy of the recommender with the shared PPR-
 // vector cache attached (nil detaches). The receiver is never mutated,
 // so callers that must not alias the original's future state — the
 // server and the explainer both rebind a borrowed recommender to their
-// own cache — get a clone with the same safety contract as WithView:
-// the flat snapshot (when already built) is read-shared, everything
+// own cache — get a clone with the same safety contract as
+// WithUserPatch: the flat snapshot (when already built) is read-shared, everything
 // else is independent. Unlike a bare struct copy at the call site,
 // adding synchronization state to Recommender later only requires
 // updating this one constructor.
@@ -262,11 +222,23 @@ func (r *Recommender) WithCache(c *pprcache.Cache) *Recommender {
 // Cache returns the attached vector cache, nil when none.
 func (r *Recommender) Cache() *pprcache.Cache { return r.cache }
 
-// View returns the transition view the recommender scores over: the
-// underlying graph wrapped with the β-mix. EMiGRe's contribution
-// functions must read transition weights from this view so heuristics
-// and the CHECK step agree.
-func (r *Recommender) View() hin.View { return r.view }
+// View returns the view the recommender was built over (New) or bound
+// to (WithUserPatch), before the β-mix: scores are taken on Flat(), and
+// transition probabilities read off it (Transitions).
+func (r *Recommender) View() hin.View { return r.base }
+
+// key is the cache key of the vector engine computes for node in
+// direction dir over Flat(). Its version is View()'s salted with β
+// (hin.MixedVersion): Flat()'s own, and on a WithUserPatch copy, whose
+// patched snapshot is unversioned, the overlay's. It reports false
+// without a cache or a versioned view.
+func (r *Recommender) key(dir pprcache.Direction, engine ppr.Identifier, node hin.NodeID) (pprcache.Key, bool) {
+	if r.cache == nil {
+		return pprcache.Key{}, false
+	}
+	ver, ok := hin.MixedVersion(r.base, r.cfg.Beta)
+	return pprcache.Key{Version: ver, Dir: dir, Engine: engine.Identity(), Node: node}, ok
+}
 
 // IsItem reports whether node v has a recommendable type.
 func (r *Recommender) IsItem(v hin.NodeID) bool {
@@ -281,7 +253,7 @@ func (r *Recommender) IsCandidate(u, v hin.NodeID) bool {
 }
 
 // Scores returns the full personalized score vector PPR(u, ·) over the
-// β-mixed transition view.
+// β-mixed snapshot Flat().
 func (r *Recommender) Scores(u hin.NodeID) (ppr.Vector, error) {
 	return r.ScoresContext(context.Background(), u)
 }
@@ -290,10 +262,8 @@ func (r *Recommender) Scores(u hin.NodeID) (ppr.Vector, error) {
 // aborts with ctx.Err() once ctx is canceled or its deadline passes.
 //
 // When a cache is attached (SetCache) the vector may be shared with
-// concurrent callers and MUST be treated as read-only. The cache key is
-// derived from r.View() — the β-mixed transition view — which Flat()
-// is an exact materialization of (a row-patched snapshot is itself
-// unversioned).
+// concurrent callers and MUST be treated as read-only. The cache key
+// names the β-mixed matrix of View() that Flat() materializes (key).
 func (r *Recommender) ScoresContext(ctx context.Context, u hin.NodeID) (ppr.Vector, error) {
 	vec, _, err := r.scores(ctx, u)
 	return vec, err
@@ -309,14 +279,12 @@ type rowFill struct {
 // cached vector (TopNContext), nil when there is none: one cache lookup
 // answers both.
 func (r *Recommender) scores(ctx context.Context, u hin.NodeID) (ppr.Vector, *ranking, error) {
-	if r.cache != nil {
-		if k, ok := pprcache.ForwardKey(r.view, r.engine, u); ok {
-			vec, note, _, err := pprcache.GetOrComputeNoted(ctx, r.cache, k, rowFill{r, u}, func(cctx context.Context, f rowFill) (ppr.Vector, error) {
-				return f.r.engine.FromSourceContext(cctx, f.r.Flat(), f.u)
-			})
-			rk, _ := note.(*ranking)
-			return vec, rk, err
-		}
+	if k, ok := r.key(pprcache.Forward, r.engine, u); ok {
+		vec, note, _, err := pprcache.GetOrComputeNoted(ctx, r.cache, k, rowFill{r, u}, func(cctx context.Context, f rowFill) (ppr.Vector, error) {
+			return f.r.engine.FromSourceContext(cctx, f.r.Flat(), f.u)
+		})
+		rk, _ := note.(*ranking)
+		return vec, rk, err
 	}
 	vec, err := r.engine.FromSourceContext(ctx, r.Flat(), u)
 	return vec, nil, err
@@ -496,10 +464,8 @@ func (r *Recommender) TopNContext(ctx context.Context, u hin.NodeID, n int) ([]S
 	if len(top) == 0 {
 		return nil, fmt.Errorf("%w (user %d)", ErrNoCandidates, u)
 	}
-	if r.cache != nil {
-		if k, ok := pprcache.ForwardKey(r.view, r.engine, u); ok {
-			r.cache.SetNote(k, scores, &ranking{items: r.items, top: slices.Clone(top), complete: len(top) < n || n == len(r.items)})
-		}
+	if k, ok := r.key(pprcache.Forward, r.engine, u); ok {
+		r.cache.SetNote(k, scores, &ranking{items: r.items, top: slices.Clone(top), complete: len(top) < n || n == len(r.items)})
 	}
 	return top, nil
 }

@@ -208,7 +208,10 @@ func TestWithViewOverlayChangesRecommendation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := r.WithView(o)
+	r2, err := New(o, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	top, err := r2.TopN(ids["u1"], 5)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +239,7 @@ func TestWithViewOverlayChangesRecommendation(t *testing.T) {
 func TestBetaViewRowStochastic(t *testing.T) {
 	g, _, ids := smallShop(t)
 	for _, beta := range []float64{0, 0.25, 0.5, 0.75} {
-		v := WrapBeta(g, beta)
+		v := hin.NewMixedCSR(g, beta)
 		for _, node := range ids {
 			if v.OutDegree(node) == 0 {
 				continue
@@ -267,23 +270,27 @@ func TestBetaViewUniformAtZero(t *testing.T) {
 	if err := g.AddEdge(a, c, et, 1); err != nil {
 		t.Fatal(err)
 	}
-	v := WrapBeta(g, 0)
-	if got := hin.Transition(v, a, b); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("Transition(a,b) = %g, want 0.5", got)
+	r, err := New(g, Config{PPR: ppr.DefaultParams(), Beta: 0, ItemTypes: []hin.NodeTypeID{nt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Transitions(a); len(got) != 2 || math.Abs(got[Arc{To: b, Type: et}]-0.5) > 1e-12 {
+		t.Fatalf("W(a,·) = %v, want 0.5 to b", got)
 	}
 }
 
 func TestBetaOneIsIdentity(t *testing.T) {
 	g, _, _ := smallShop(t)
-	if WrapBeta(g, 1) != hin.View(g) {
-		t.Fatal("beta=1 should return the original view")
+	mixed, plain := hin.NewMixedCSR(g, 1), hin.NewCSR(g)
+	if !reflect.DeepEqual(mixed, plain) {
+		t.Fatal("beta=1 should flatten the original view unchanged")
 	}
 }
 
 func TestBetaViewInOutConsistency(t *testing.T) {
-	// Reverse push divides incoming weight by the source's OutWeightSum;
-	// the rewritten in-edge weights must equal the rewritten out-edge
-	// weights so forward and reverse agree.
+	// Forward push walks the mixed out-rows, reverse push the mixed
+	// in-rows: both must carry the same probabilities so forward and
+	// reverse agree.
 	rng := rand.New(rand.NewSource(17))
 	g := hin.NewGraph()
 	nt := g.Types().NodeType("n")
@@ -298,7 +305,7 @@ func TestBetaViewInOutConsistency(t *testing.T) {
 			_ = g.AddBidirectional(a, b, et, rng.Float64()+0.1)
 		}
 	}
-	v := WrapBeta(g, 0.5)
+	v := hin.NewMixedCSR(g, 0.5)
 	params := ppr.DefaultParams()
 	params.Epsilon = 1e-9
 	fwd := ppr.NewForwardPush(params)
@@ -313,7 +320,7 @@ func TestBetaViewInOutConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if diff := math.Abs(rowVec[tgt] - colVec[src]); diff > 1e-6 {
-		t.Fatalf("forward/reverse disagree on beta view: %g vs %g", rowVec[tgt], colVec[src])
+		t.Fatalf("forward/reverse disagree on the β-mixed snapshot: %g vs %g", rowVec[tgt], colVec[src])
 	}
 }
 
@@ -561,8 +568,8 @@ func checkRanking(t *testing.T, name string, r *Recommender, u hin.NodeID) {
 // TestRankingKernelMatchesScanAndSort: over seeded random graphs, every
 // ranking read — TopN at list sizes around the boundaries, Recommend,
 // RankOf and the vector-level TopOf / RankWithin — agrees with the
-// scan-and-sort reference, on recommenders from New, WithCache,
-// WithView and WithUserPatch, the last two over an overlay that adds an
+// scan-and-sort reference, on recommenders from New and WithCache, and
+// from New with a cache and WithUserPatch over an overlay that adds an
 // edge (a candidate disappears) and one that removes an edge (a
 // candidate returns).
 func TestRankingKernelMatchesScanAndSort(t *testing.T) {
@@ -618,10 +625,14 @@ func TestRankingKernelMatchesScanAndSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view, patch := cached.WithView(o), r.WithUserPatch(o, u)
+			full, err := New(o, rg.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, patch := full.WithCache(cached.Cache()), r.WithUserPatch(o, u)
 			checkRanking(t, "WithUserPatch/"+name, patch, u)
 			for _, x := range rg.users {
-				checkRanking(t, "WithView/"+name, view, x)
+				checkRanking(t, "New(overlay)/"+name, view, x)
 			}
 			if name != "add" && !view.IsCandidate(u, gone) || name != "remove" && patch.IsCandidate(u, fresh) {
 				t.Fatalf("seed %d %s: overlay did not move the candidate set", seed, name)

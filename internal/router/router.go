@@ -301,9 +301,9 @@ func (rt *Router) admitRequest(ctx context.Context, w http.ResponseWriter, op st
 	if errors.Is(err, admit.ErrSaturated) {
 		secs := rt.adm.RetryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":               "router saturated: too many requests in flight; retry later",
-			"retry_after_seconds": secs,
+		writeJSON(w, http.StatusServiceUnavailable, client.ErrorBody{
+			Error:             "router saturated: too many requests in flight; retry later",
+			RetryAfterSeconds: secs,
 		})
 		return nil, false
 	}

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/why-not-xai/emigre/client"
+	"github.com/why-not-xai/emigre/internal/fault"
 	"github.com/why-not-xai/emigre/internal/testleak"
 )
 
@@ -32,7 +34,7 @@ func TestExplainDeadline504(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("504 took %v, want well under 1s", elapsed)
 	}
-	var body errorBody
+	var body client.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("504 body is not JSON: %s", rec.Body.String())
 	}
@@ -42,42 +44,43 @@ func TestExplainDeadline504(t *testing.T) {
 }
 
 // TestExplainRequestTimeoutMS: a per-request timeout_ms tightens the
-// server deadline without any server reconfiguration.
+// server deadline without any server reconfiguration. Every CHECK is
+// slowed by a failpoint far past the 1ms budget, so the search cannot
+// outrun the clock: the answer is a 504 or a degraded 200, and it comes
+// long before the sleep would have ended under the 30s server deadline.
 func TestExplainRequestTimeoutMS(t *testing.T) {
+	t.Cleanup(fault.DisarmAll)
 	srv, _ := newTestServer(t) // default 30s server deadline
-	req := map[string]any{
+	if err := fault.Apply("emigre.check=sleep(5s)"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rec := do(t, srv.Handler(), "POST", "/explain", map[string]any{
 		"user": "Paul", "wni": "The Hobbit", "mode": "remove",
 		"method": "exhaustive", "timeout_ms": 1,
+	})
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("answer took %v: the 1ms request budget did not cut the 5s CHECK", elapsed)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		rec := do(t, srv.Handler(), "POST", "/explain", req)
-		switch rec.Code {
-		case http.StatusGatewayTimeout:
-			return // the 1ms budget expired mid-search, as intended
-		case http.StatusNotFound:
-			// The search outran the 1ms clock this time (The Hobbit has
-			// no remove-mode answer); retry — it cannot always win.
-			continue
-		case http.StatusOK:
-			// The squeezed search answered with its partial — equally proof the 1ms deadline applied, as
-			// long as the response says so.
-			var body explainResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-				t.Fatalf("200 body is not JSON: %s", rec.Body.String())
-			}
-			if !body.Degraded {
-				t.Fatalf("200 within 1ms budget but degraded=false: %s", rec.Body.String())
-			}
-			if rec.Header().Get("X-Emigre-Degraded") == "" {
-				t.Fatal("degraded response missing X-Emigre-Degraded header")
-			}
-			return
-		default:
-			t.Fatalf("status = %d, want 504, 404 or degraded 200: %s", rec.Code, rec.Body.String())
+	switch rec.Code {
+	case http.StatusGatewayTimeout:
+		// the 1ms budget expired mid-search, as intended
+	case http.StatusOK:
+		// The squeezed search answered with its partial — equally proof
+		// the 1ms deadline applied, as long as the response says so.
+		var body explainResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("200 body is not JSON: %s", rec.Body.String())
 		}
+		if !body.Degraded {
+			t.Fatalf("200 within 1ms budget but degraded=false: %s", rec.Body.String())
+		}
+		if rec.Header().Get("X-Emigre-Degraded") == "" {
+			t.Fatal("degraded response missing X-Emigre-Degraded header")
+		}
+	default:
+		t.Fatalf("status = %d, want 504 or degraded 200: %s", rec.Code, rec.Body.String())
 	}
-	t.Skip("search consistently finished within 1ms; timeout path not exercised on this machine")
 }
 
 // TestSaturation503 fills the admission gate and verifies the next
@@ -102,7 +105,7 @@ func TestSaturation503(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("503 response missing Retry-After header")
 	}
-	var body errorBody
+	var body client.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Fatalf("503 body = %s", rec.Body.String())
 	}
@@ -153,7 +156,7 @@ func TestPanicRecovery(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
-	var body errorBody
+	var body client.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Fatalf("500 body = %s", rec.Body.String())
 	}

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	emigre "github.com/why-not-xai/emigre"
+	"github.com/why-not-xai/emigre/client"
 	"github.com/why-not-xai/emigre/internal/admit"
 	"github.com/why-not-xai/emigre/internal/cli"
 	"github.com/why-not-xai/emigre/internal/fault"
@@ -302,15 +303,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // in-flight requests keep running until the http.Server drains them.
 func (s *Server) SetDraining() { s.draining.Store(true) }
 
-// errorBody is every non-2xx payload. BudgetExhausted marks a "no
-// explanation" 404 whose search ran out of CHECK budget rather than out
-// of search space: an operator can tell "not found in time" from
-// "proved absent" without parsing the message.
-type errorBody struct {
-	Error           string `json:"error"`
-	BudgetExhausted bool   `json:"budget_exhausted,omitempty"`
-}
-
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := writeSite.Hit(nil); err != nil {
@@ -328,8 +320,12 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// writeErr writes err as the client.ErrorBody every non-2xx payload is.
+// BudgetExhausted marks a "no explanation" 404 whose search ran out of
+// CHECK budget rather than out of search space: an operator can tell
+// "not found in time" from "proved absent" without parsing the message.
 func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, errorBody{
+	s.writeJSON(w, status, client.ErrorBody{
 		Error:           err.Error(),
 		BudgetExhausted: errors.Is(err, emigre.ErrBudgetExhausted),
 	})
@@ -506,15 +502,9 @@ func (s *Server) searchContext(r *http.Request, timeoutMS int) (context.Context,
 	return context.WithTimeout(r.Context(), d)
 }
 
-// saturatedBody is the 503 payload for shed requests: the retry hint
-// in the header is mirrored in the body so JSON-only clients see it.
-type saturatedBody struct {
-	Error             string `json:"error"`
-	RetryAfterSeconds int    `json:"retry_after_seconds"`
-}
-
 // admit acquires cost units of search capacity, writing the 503 or
-// timeout response itself when admission fails. On success the caller
+// timeout response itself when admission fails; a 503 mirrors its
+// Retry-After hint in the body so JSON-only clients see it. On success the caller
 // must invoke the returned release func when the work is done; it
 // returns the units and feeds the observed hold time into the
 // controller's load estimate (the basis of Retry-After).
@@ -527,7 +517,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, cost int64) (
 	if errors.Is(err, ErrSaturated) {
 		secs := s.adm.RetryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		s.writeJSON(w, http.StatusServiceUnavailable, saturatedBody{
+		s.writeJSON(w, http.StatusServiceUnavailable, client.ErrorBody{
 			Error:             "server saturated: too many concurrent explanations; retry later",
 			RetryAfterSeconds: secs,
 		})
