@@ -34,11 +34,42 @@ func requestID(ctx context.Context) string {
 	if id, _ := ctx.Value(requestIDKey{}).(string); id != "" {
 		return id
 	}
+	return newRequestID()
+}
+
+// newRequestID mints a 16-hex-char random correlation ID.
+func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
+		// crypto/rand failing is effectively fatal elsewhere; a static
+		// fallback keeps requests flowing and is visibly synthetic.
 		return "0000000000000000"
 	}
 	return hex.EncodeToString(b[:])
+}
+
+// MaxRequestIDLen bounds the inbound correlation IDs AdoptRequestID
+// accepts.
+const MaxRequestIDLen = 64
+
+// AdoptRequestID returns the correlation ID to serve a request under:
+// its X-Emigre-Request-Id when that is at most MaxRequestIDLen bytes of
+// printable ASCII without spaces or quotes — so it embeds safely in
+// access logs and response headers — and a freshly minted one
+// otherwise. A rejected ID is replaced, not truncated, so an ID is
+// either the caller's exact string or unambiguously minted. The server
+// and the router both adopt IDs with it.
+func AdoptRequestID(h http.Header) string {
+	id := h.Get(RequestIDHeader)
+	if id == "" || len(id) > MaxRequestIDLen {
+		return newRequestID()
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; c <= ' ' || c > '~' || c == '"' {
+			return newRequestID()
+		}
+	}
+	return id
 }
 
 // Meta is the per-call wire metadata the server exposes in headers:

@@ -58,15 +58,18 @@ import (
 )
 
 // Graph substrate (Definition 3.1): a directed, weighted,
-// typed multigraph with copy-on-write counterfactual overlays.
+// typed multigraph with one-row counterfactual overlays.
 type (
 	// Graph is a mutable heterogeneous information network.
 	Graph = hin.Graph
 	// View is the read-only graph interface shared by Graph, Overlay
 	// and CSR snapshots.
 	View = hin.View
-	// Overlay is a counterfactual view applying edge edits to a base
-	// view without copying it.
+	// Overlay is a counterfactual view of a base view with one node's
+	// out-row edited — the shape of every Why-Not explanation, whose
+	// edges are rooted at the user. It copies that row, not the graph;
+	// more rows take stacked overlays. An Overlay is unversioned, so
+	// scores over it are never cached.
 	Overlay = hin.Overlay
 	// NodeID identifies a node.
 	NodeID = hin.NodeID
@@ -90,7 +93,8 @@ type (
 func NewGraph() *Graph { return hin.NewGraph() }
 
 // NewOverlay builds a counterfactual view of base with the given edge
-// removals and additions.
+// removals and additions, which must all leave one source node: an edit
+// list spanning two rows is an error.
 func NewOverlay(base View, removals, additions []Edge) (*Overlay, error) {
 	return hin.NewOverlay(base, removals, additions)
 }

@@ -778,11 +778,13 @@ func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 }
 
 // counterfactual applies the candidate selection as an overlay and
-// binds the recommender to it. Counterfactuals only touch the user's
-// outgoing row, so the recommender scores over a one-row patch of its
-// flat snapshot instead of re-flattening the overlay. The binding carries
-// no vector cache: every overlay is a new version, so a cached CHECK
-// vector would only be resident memory (DESIGN.md §3.15).
+// binds the recommender to it. A counterfactual edits only the user's
+// outgoing row — an edit rooted anywhere else is an error — so the
+// recommender scores over a one-row patch of its flat snapshot instead
+// of re-flattening the overlay. The overlay is unversioned, so the
+// binding builds no cache key and no CHECK vector is ever stored: each
+// is for a one-off counterfactual and would only be resident memory
+// (DESIGN.md §3.15).
 func (s *session) counterfactual(cands []candidate) (*rec.Recommender, error) {
 	removals, additions, reweights := splitOps(cands)
 	// A reweight is expressed as removing the typed edge and re-adding
@@ -793,9 +795,10 @@ func (s *session) counterfactual(cands []candidate) (*rec.Recommender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emigre: building counterfactual overlay: %w", err)
 	}
-	r2 := s.ex.r.WithUserPatch(o, s.q.User)
-	r2.SetCache(nil)
-	return r2, nil
+	if rows := o.RowEdits(); len(rows) > 0 && rows[0].Node != s.q.User {
+		return nil, fmt.Errorf("emigre: counterfactual edits node %d's row, not user %d's", rows[0].Node, s.q.User)
+	}
+	return s.ex.r.WithUserPatch(o, s.q.User), nil
 }
 
 // rankCheck re-runs the recommender over the counterfactual — one cold

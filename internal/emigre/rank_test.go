@@ -28,6 +28,22 @@ func TestTargetRankNegativeIsAnError(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsEditsOutsideUserRow: an explanation's edges are
+// rooted at the query user (Definition 4.1); a removal rooted at
+// another user is an error, not a verdict about a graph that silently
+// kept the edge.
+func TestVerifyRejectsEditsOutsideUserRow(t *testing.T) {
+	f := newFixture(t, Options{})
+	expl := &Explanation{
+		Query:    f.query(),
+		Mode:     Remove,
+		Removals: []hin.Edge{{From: f.ids["v"], To: f.ids["p1"], Type: f.rated, Weight: 1}},
+	}
+	if ok, err := f.ex.Verify(expl); err == nil {
+		t.Fatalf("Verify with a removal rooted at another user = %v, want an error", ok)
+	}
+}
+
 func TestTargetRankRelaxedSuccess(t *testing.T) {
 	// f3's single-item top-1 question is unanswerable in Remove mode
 	// (f2 intercepts the top spot); asking only for the top-2 makes it

@@ -33,17 +33,6 @@ func TestCountNodesOfType(t *testing.T) {
 	}
 }
 
-func TestOverlayBaseAccessor(t *testing.T) {
-	g, _ := buildTriangle(t)
-	o, err := NewOverlay(g, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Base() != View(g) {
-		t.Fatal("Base() does not return the wrapped view")
-	}
-}
-
 func TestCSRTypesShared(t *testing.T) {
 	g, _ := buildTriangle(t)
 	c := NewCSR(g)

@@ -54,38 +54,25 @@ func TestCSRMatchesOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	g := randomGraph(rng, 12, 50)
 	et, _ := g.Types().LookupEdgeType("e")
-	var removals []Edge
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, e := range g.OutEdgesOfType(NodeID(v), NewEdgeTypeSet()) {
-			if rng.Float64() < 0.25 {
-				removals = append(removals, e)
-			}
+	// One overlay per edited row, stacked; the reference applies the
+	// same edits to a clone.
+	var view View = g
+	var removals, additions []Edge
+	for v := range NodeID(g.NumNodes()) {
+		rm, add := randomRowEdits(rng, g, v, et, 0.25, 1)
+		o, err := NewOverlay(view, rm, add)
+		if err != nil {
+			t.Fatal(err)
 		}
+		view = o
+		removals, additions = append(removals, rm...), append(additions, add...)
 	}
-	additions := []Edge{}
-	for i := 0; i < 4; i++ {
-		a, b := NodeID(rng.Intn(12)), NodeID(rng.Intn(12))
-		if a == b {
-			continue
-		}
-		if _, ok := g.EdgeWeight(a, b, et); ok {
-			continue
-		}
-		dup := false
-		for _, e := range additions {
-			if e.From == a && e.To == b {
-				dup = true
-			}
-		}
-		if !dup {
-			additions = append(additions, Edge{From: a, To: b, Type: et, Weight: 0.5})
-		}
-	}
-	o, err := NewOverlay(g, removals, additions)
+	ref, err := cloneWithEdits(g, removals, additions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewsAgree(t, o, NewCSR(o))
+	viewsAgree(t, ref, view)
+	viewsAgree(t, ref, NewCSR(view))
 }
 
 func TestCSRIdempotent(t *testing.T) {

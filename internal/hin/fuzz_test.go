@@ -2,6 +2,8 @@ package hin
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -69,8 +71,8 @@ func FuzzReadJSON(f *testing.F) {
 	})
 }
 
-// fuzzBaseGraph builds the small fixed graph overlay-digest fuzzing
-// edits against.
+// fuzzBaseGraph builds the small fixed graph FuzzOverlayMatchesGraph
+// edits: six nodes, a rated edge between every pair of odd sum.
 func fuzzBaseGraph() (*Graph, EdgeTypeID, EdgeTypeID) {
 	g := NewGraph()
 	user := g.Types().NodeType("user")
@@ -90,17 +92,30 @@ func fuzzBaseGraph() (*Graph, EdgeTypeID, EdgeTypeID) {
 	return g, rated, similar
 }
 
-// decodeEdits derives removal/addition lists from fuzz bytes, five
-// bytes per edit. The edits are not necessarily valid — NewOverlay's
-// error paths are part of the surface under test.
-func decodeEdits(g *Graph, rated, similar EdgeTypeID, data []byte) (removals, additions []Edge) {
+// decodeRowEdits derives removal/addition lists of one source row from
+// fuzz bytes: the first byte picks the row, then four bytes per edit.
+// The edits are not necessarily valid — NewOverlay's error paths are
+// part of the surface under test — and a quarter of the weights are 0,
+// NaN or ±Inf.
+func decodeRowEdits(rated, similar EdgeTypeID, data []byte) (removals, additions []Edge) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	from := NodeID(data[0] % 7) // 6 is deliberately out of range
 	types := []EdgeTypeID{rated, similar}
-	for i := 0; i+5 <= len(data); i += 5 {
-		e := Edge{
-			From:   NodeID(data[i+1] % 7), // 6 is deliberately out of range
-			To:     NodeID(data[i+2] % 7),
-			Type:   types[data[i+3]%2],
-			Weight: float64(data[i+4]%100+1) / 10,
+	for i := 1; i+4 <= len(data); i += 4 {
+		e := Edge{From: from, To: NodeID(data[i+1] % 7), Type: types[data[i+2]%2]}
+		switch b := data[i+3]; b % 16 {
+		case 0:
+			e.Weight = 0
+		case 1:
+			e.Weight = math.NaN()
+		case 2:
+			e.Weight = math.Inf(1)
+		case 3:
+			e.Weight = math.Inf(-1)
+		default:
+			e.Weight = float64(b) / 10
 		}
 		if data[i]%2 == 0 {
 			removals = append(removals, e)
@@ -111,47 +126,51 @@ func decodeEdits(g *Graph, rated, similar EdgeTypeID, data []byte) (removals, ad
 	return removals, additions
 }
 
-// FuzzOverlayDigest checks the Overlay version contract: the same edit
-// set applied in any order yields the same Version, and acceptance is
-// order-insensitive too.
-func FuzzOverlayDigest(f *testing.F) {
+// FuzzOverlayMatchesGraph holds NewOverlay to the edited-clone
+// reference (cloneWithEdits) on one source row: it accepts exactly the
+// edit lists the reference accepts, in any order, and an accepted
+// overlay presents the reference's rows edge for edge and its
+// out-weight sums to 1e-12 relative.
+func FuzzOverlayMatchesGraph(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 5})
-	f.Add([]byte{1, 0, 2, 1, 9, 1, 2, 0, 1, 3})
-	f.Add([]byte{0, 0, 1, 0, 5, 1, 0, 1, 0, 7, 0, 1, 2, 0, 4})
+	f.Add([]byte{1, 1, 2, 0, 9, 1, 0, 1, 17})
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 0, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, rated, similar := fuzzBaseGraph()
-		removals, additions := decodeEdits(g, rated, similar, data)
+		removals, additions := decodeRowEdits(rated, similar, data)
 
-		o1, err1 := NewOverlay(g, removals, additions)
-
-		rev := func(in []Edge) []Edge {
-			out := make([]Edge, len(in))
-			for i, e := range in {
-				out[len(in)-1-i] = e
-			}
+		reversed := func(in []Edge) []Edge {
+			out := slices.Clone(in)
+			slices.Reverse(out)
 			return out
 		}
-		o2, err2 := NewOverlay(g, rev(removals), rev(additions))
-
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("acceptance depends on edit order: forward err=%v, reversed err=%v", err1, err2)
+		o, err := NewOverlay(g, removals, additions)
+		_, errRev := NewOverlay(g, reversed(removals), reversed(additions))
+		ref, errRef := cloneWithEdits(g, removals, additions)
+		if (err == nil) != (errRef == nil) {
+			t.Fatalf("overlay err = %v, reference err = %v", err, errRef)
 		}
-		if err1 != nil {
+		if (err == nil) != (errRev == nil) {
+			t.Fatalf("acceptance depends on edit order: forward err = %v, reversed err = %v", err, errRev)
+		}
+		if err != nil {
 			return
 		}
-		v1, ok1 := o1.Version()
-		v2, ok2 := o2.Version()
-		if ok1 != ok2 {
-			t.Fatalf("version availability depends on edit order")
-		}
-		if v1 != v2 {
-			t.Errorf("same edits in different order produced different versions: %v vs %v", v1, v2)
-		}
-		if len(removals)+len(additions) > 0 {
-			base, _ := ViewVersion(g)
-			if v1 == base {
-				t.Errorf("non-empty edit set left the base version unchanged")
+		for v := range NodeID(g.NumNodes()) {
+			var got, want []HalfEdge
+			o.OutEdges(v, func(h HalfEdge) bool { got = append(got, h); return true })
+			ref.OutEdges(v, func(h HalfEdge) bool { want = append(want, h); return true })
+			if !slices.Equal(got, want) || o.OutDegree(v) != len(want) {
+				t.Fatalf("row %d: overlay %v (degree %d), reference %v", v, got, o.OutDegree(v), want)
+			}
+			if a, b := o.OutWeightSum(v), ref.OutWeightSum(v); math.Abs(a-b) > 1e-12*math.Max(math.Abs(a), math.Abs(b)) {
+				t.Fatalf("row %d: overlay sum %g, reference %g", v, a, b)
+			}
+			for w := range NodeID(g.NumNodes()) {
+				if o.HasEdge(v, w) != ref.HasEdge(v, w) {
+					t.Fatalf("HasEdge(%d,%d) disagrees", v, w)
+				}
 			}
 		}
 	})
@@ -176,6 +195,10 @@ func FuzzGraphOps(f *testing.F) {
 		types := []EdgeTypeID{g.Types().EdgeType("a"), g.Types().EdgeType("b"), g.Types().EdgeType("c")}
 		for range 3 {
 			g.AddNode(nt, "")
+		}
+		type typedKey struct {
+			from, to NodeID
+			typ      EdgeTypeID
 		}
 		model := make(map[typedKey]bool)
 		addable := func(k typedKey) bool {

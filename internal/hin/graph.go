@@ -52,7 +52,7 @@ func (g *Graph) Version() (Version, bool) {
 // calls it; readers never do.
 func (g *Graph) bumpVersion() { g.version = nextVersionStamp() }
 
-// Errors returned by graph mutators.
+// Errors returned by graph mutators and NewOverlay.
 var (
 	ErrNodeOutOfRange = errors.New("hin: node id out of range")
 	ErrBadWeight      = errors.New("hin: edge weight must be positive and finite")
@@ -60,6 +60,7 @@ var (
 	ErrDuplicateEdge  = errors.New("hin: duplicate typed edge")
 	ErrNoSuchEdge     = errors.New("hin: no such edge")
 	ErrDuplicateLabel = errors.New("hin: duplicate node label")
+	ErrMultiRow       = errors.New("hin: overlay edits span more than one source row")
 )
 
 // Types returns the graph's type registry.
@@ -178,8 +179,8 @@ func (g *Graph) AddEdge(from, to NodeID, typ EdgeTypeID, weight float64) error {
 	if from == to {
 		return fmt.Errorf("%w: node %d", ErrSelfLoop, from)
 	}
-	if weight <= 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
-		return fmt.Errorf("%w: got %g", ErrBadWeight, weight)
+	if err := checkWeight(weight); err != nil {
+		return err
 	}
 	// A duplicate sits in both from's out-list and to's in-list: search
 	// the shorter one, so a hub's edges do not cost its degree each.
@@ -192,6 +193,15 @@ func (g *Graph) AddEdge(from, to NodeID, typ EdgeTypeID, weight float64) error {
 	g.outWeight[from] += weight
 	g.numEdges++
 	g.bumpVersion()
+	return nil
+}
+
+// checkWeight rejects an edge weight that is not a positive finite
+// number: the one weight rule of AddEdge and NewOverlay.
+func checkWeight(w float64) error {
+	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("%w: got %g", ErrBadWeight, w)
+	}
 	return nil
 }
 
@@ -248,7 +258,7 @@ func (g *Graph) RemoveEdge(from, to NodeID, typ EdgeTypeID) error {
 		}
 	}
 	g.outWeight[from] -= w
-	if g.outWeight[from] < 0 { // numeric drift guard
+	if g.outWeight[from] < 0 || len(g.out[from]) == 0 { // numeric drift guard; an emptied row is dangling
 		g.outWeight[from] = 0
 	}
 	g.numEdges--

@@ -2,6 +2,7 @@ package hin
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/why-not-xai/emigre/internal/fault"
 )
@@ -11,147 +12,120 @@ import (
 // CHECK fail at construction time, before any PPR work runs.
 var overlaySite = fault.Register("hin.overlay.snapshot")
 
-type typedKey struct {
-	from, to NodeID
-	typ      EdgeTypeID
+// Overlay is a read-only counterfactual view: a base View with one
+// node's out-row replaced by an edited copy. A Why-Not explanation only
+// edits edges rooted at the query user, so every counterfactual the
+// explainers test is one row; more rows take stacked overlays (the base
+// may be any View, another Overlay included). Building one copies that
+// row, never the graph, so EMiGRe's CHECK step can afford thousands.
+//
+// An Overlay is unversioned (it does not implement Versioned): every
+// counterfactual is a one-off, so vectors computed over it are never
+// cached. It is immutable after NewOverlay returns and therefore safe to
+// read from any number of goroutines.
+type Overlay struct {
+	base    View
+	node    NodeID     // the edited row's source; InvalidNode when nothing is edited
+	row     []HalfEdge // node's out-row with the edits applied
+	sum     float64    // node's out-weight sum with the edits applied
+	changes int        // RowEdit.Changes of the row
 }
 
-type pairKey struct{ from, to NodeID }
-
-// Overlay is a read-only counterfactual view over a base View with a set
-// of edge removals and additions applied. Building an Overlay is
-// O(|edits|) and evaluating PPR over it costs the same as over the base
-// graph, so EMiGRe's CHECK step can test thousands of candidate
-// explanations without copying the graph.
-//
-// An Overlay may wrap another Overlay, composing edits.
-//
-// An Overlay is immutable after NewOverlay returns and therefore safe
-// to read from any number of goroutines; concurrent explanation sessions
-// each build their own overlays over the same base view.
-type Overlay struct {
-	base View
-
-	removed map[typedKey]float64 // removed typed edges -> their base weight
-	added   map[NodeID][]HalfEdge
-
-	// outWeight holds corrected out-weight sums for nodes whose
-	// out-edge set changed.
-	outWeight map[NodeID]float64
-
-	// pairDelta tracks HasEdge corrections: +1 per added typed edge,
-	// -1 per removed typed edge for the (from,to) pair.
-	pairDelta map[pairKey]int
-
-	// digest is the order-insensitive digest of the edit set, combined
-	// with the base version by Version. Two overlays built over the same
-	// base from the same edits — in any order — share it.
-	digest uint64
+// RowEdit is one edited source row of an overlay: the unit a
+// warm-started PPR update repairs. Any edge edit perturbs every
+// transition probability of its row (the recommender's β-mix spreads a
+// uniform term over the whole row), so the consumer needs to know which
+// row changed and how large the edit is — not the individual weights,
+// which it re-reads from the patched row.
+type RowEdit struct {
+	// Node is the edited row's source node.
+	Node NodeID
+	// Changes counts the row's typed edges whose weight changed. A
+	// removal re-added at a different weight (the Reweight-mode shape)
+	// is one change, not two.
+	Changes int
 }
 
 // NewOverlay builds a counterfactual view of base with the given edge
-// removals and additions. Every removal must identify an existing typed
-// edge of the base view, every addition must not collide with an
-// existing typed edge (or another addition), and additions must carry a
-// positive finite weight. Self-loop additions are rejected.
+// removals and additions, which must all leave one source node
+// (ErrMultiRow otherwise). Removals apply first, then additions, each
+// in order: every removal must identify an existing typed edge of the
+// row, every addition must not collide with a typed edge still in it
+// and must carry a positive finite weight. Self-loop additions are
+// rejected. Removing a typed edge and re-adding it with a different
+// weight is allowed: that is how counterfactual re-weightings ("had you
+// rated this 5 stars") are expressed.
 func NewOverlay(base View, removals, additions []Edge) (*Overlay, error) {
 	if err := overlaySite.Hit(nil); err != nil {
 		return nil, fmt.Errorf("hin: building overlay: %w", err)
 	}
-	o := &Overlay{
-		base:      base,
-		removed:   make(map[typedKey]float64, len(removals)),
-		added:     make(map[NodeID][]HalfEdge, len(additions)),
-		outWeight: make(map[NodeID]float64),
-		pairDelta: make(map[pairKey]int),
+	o := &Overlay{base: base, node: InvalidNode}
+	seen := false
+	for _, list := range [2][]Edge{removals, additions} {
+		for _, e := range list {
+			if !seen {
+				o.node, seen = e.From, true
+			} else if e.From != o.node {
+				return nil, fmt.Errorf("%w: nodes %d and %d", ErrMultiRow, o.node, e.From)
+			}
+		}
+	}
+	inRange := func(v NodeID) bool { return v >= 0 && int(v) < base.NumNodes() }
+	if inRange(o.node) {
+		o.row = make([]HalfEdge, 0, base.OutDegree(o.node)+len(additions))
+		base.OutEdges(o.node, func(h HalfEdge) bool { o.row = append(o.row, h); return true })
+		o.sum = base.OutWeightSum(o.node)
 	}
 	for _, e := range removals {
-		w, ok := baseEdgeWeight(base, e.From, e.To, e.Type)
-		if !ok {
+		i := o.find(e.To, e.Type)
+		if i < 0 {
 			return nil, fmt.Errorf("%w: remove (%d,%d,type %d)", ErrNoSuchEdge, e.From, e.To, e.Type)
 		}
-		k := typedKey{e.From, e.To, e.Type}
-		if _, dup := o.removed[k]; dup {
-			return nil, fmt.Errorf("hin: edge (%d,%d,type %d) removed twice", e.From, e.To, e.Type)
-		}
-		o.removed[k] = w
-		o.pairDelta[pairKey{e.From, e.To}]--
-		o.touch(e.From)
-		o.outWeight[e.From] -= w
-		o.digest += editDigest(editTagRemove, e.From, e.To, e.Type, 0)
+		o.sum -= o.row[i].Weight
+		o.row = append(o.row[:i], o.row[i+1:]...)
+		o.changes++
 	}
 	for _, e := range additions {
 		if e.From == e.To {
 			return nil, fmt.Errorf("%w: node %d", ErrSelfLoop, e.From)
 		}
-		if e.Weight <= 0 {
-			return nil, fmt.Errorf("%w: got %g", ErrBadWeight, e.Weight)
+		if err := checkWeight(e.Weight); err != nil {
+			return nil, err
 		}
-		if e.From < 0 || int(e.From) >= base.NumNodes() || e.To < 0 || int(e.To) >= base.NumNodes() {
+		if !inRange(e.From) || !inRange(e.To) {
 			return nil, fmt.Errorf("%w: (%d,%d)", ErrNodeOutOfRange, e.From, e.To)
 		}
-		k := typedKey{e.From, e.To, e.Type}
-		if _, wasRemoved := o.removed[k]; !wasRemoved {
-			if _, exists := baseEdgeWeight(base, e.From, e.To, e.Type); exists {
-				return nil, fmt.Errorf("%w: add (%d,%d,type %d)", ErrDuplicateEdge, e.From, e.To, e.Type)
-			}
+		if o.find(e.To, e.Type) >= 0 {
+			return nil, fmt.Errorf("%w: add (%d,%d,type %d)", ErrDuplicateEdge, e.From, e.To, e.Type)
 		}
-		// Removing a typed edge and re-adding it with a different weight
-		// is allowed: that is how counterfactual *re-weightings* ("had
-		// you rated this 5 stars") are expressed.
-		for _, h := range o.added[e.From] {
-			if h.Node == e.To && h.Type == e.Type {
-				return nil, fmt.Errorf("%w: add (%d,%d,type %d) twice", ErrDuplicateEdge, e.From, e.To, e.Type)
-			}
+		o.row = append(o.row, HalfEdge{Node: e.To, Type: e.Type, Weight: e.Weight})
+		o.sum += e.Weight
+		if !slices.ContainsFunc(removals, func(r Edge) bool { return r.To == e.To && r.Type == e.Type }) {
+			o.changes++
 		}
-		o.added[e.From] = append(o.added[e.From], HalfEdge{Node: e.To, Type: e.Type, Weight: e.Weight})
-		o.pairDelta[pairKey{e.From, e.To}]++
-		o.touch(e.From)
-		o.outWeight[e.From] += e.Weight
-		o.digest += editDigest(editTagAdd, e.From, e.To, e.Type, e.Weight)
+	}
+	if o.sum < 0 || len(o.row) == 0 { // numeric drift guard; an emptied row is dangling
+		o.sum = 0
 	}
 	return o, nil
 }
 
-// Version implements Versioned: the base view's version with the edit
-// set's order-insensitive digest mixed in. Identical overlays rebuilt
-// from the same edits over the same base state share a version (so
-// repeated counterfactual probes can hit a cache), while a different
-// edit set — or a mutation of the base graph — moves it. No version is
-// available when the base view itself is unversioned.
-func (o *Overlay) Version() (Version, bool) {
-	base, ok := ViewVersion(o.base)
-	if !ok {
-		return Version{}, false
-	}
-	return base.Mix(o.digest), true
+// find returns the index of the typed edge to the given node in the
+// edited row, -1 when there is none.
+func (o *Overlay) find(to NodeID, typ EdgeTypeID) int {
+	return slices.IndexFunc(o.row, func(h HalfEdge) bool { return h.Node == to && h.Type == typ })
 }
 
-func baseEdgeWeight(base View, from, to NodeID, typ EdgeTypeID) (float64, bool) {
-	if from < 0 || int(from) >= base.NumNodes() {
-		return 0, false
+// RowEdits returns the overlay's edited row relative to its base view
+// (which may itself be an overlay): one entry, or nil when the overlay
+// edits nothing. The result is built fresh on every call and owned by
+// the caller; an Overlay stays immutable and safe for concurrent readers.
+func (o *Overlay) RowEdits() []RowEdit {
+	if o.node == InvalidNode {
+		return nil
 	}
-	var w float64
-	found := false
-	base.OutEdges(from, func(h HalfEdge) bool {
-		if h.Node == to && h.Type == typ {
-			w, found = h.Weight, true
-			return false
-		}
-		return true
-	})
-	return w, found
+	return []RowEdit{{Node: o.node, Changes: o.changes}}
 }
-
-// touch ensures o.outWeight has an entry for v seeded with the base sum.
-func (o *Overlay) touch(v NodeID) {
-	if _, ok := o.outWeight[v]; !ok {
-		o.outWeight[v] = o.base.OutWeightSum(v)
-	}
-}
-
-// Base returns the wrapped view.
-func (o *Overlay) Base() View { return o.base }
 
 // NumNodes returns the base view's node count (overlays cannot add nodes).
 func (o *Overlay) NumNodes() int { return o.base.NumNodes() }
@@ -162,23 +136,14 @@ func (o *Overlay) NodeType(v NodeID) NodeTypeID { return o.base.NodeType(v) }
 // Types returns the shared type registry.
 func (o *Overlay) Types() *TypeRegistry { return o.base.Types() }
 
-// OutEdges iterates v's outgoing edges with the overlay's edits applied.
+// OutEdges iterates v's outgoing edges with the overlay's edits applied:
+// the edited row's base edges in base order, then its additions.
 func (o *Overlay) OutEdges(v NodeID, yield func(HalfEdge) bool) {
-	stopped := false
-	o.base.OutEdges(v, func(h HalfEdge) bool {
-		if _, gone := o.removed[typedKey{v, h.Node, h.Type}]; gone {
-			return true
-		}
-		if !yield(h) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
+	if v != o.node {
+		o.base.OutEdges(v, yield)
 		return
 	}
-	for _, h := range o.added[v] {
+	for _, h := range o.row {
 		if !yield(h) {
 			return
 		}
@@ -187,79 +152,25 @@ func (o *Overlay) OutEdges(v NodeID, yield func(HalfEdge) bool) {
 
 // OutDegree returns the out-degree of v under the overlay.
 func (o *Overlay) OutDegree(v NodeID) int {
-	n := 0
-	o.OutEdges(v, func(HalfEdge) bool { n++; return true })
-	return n
+	if v != o.node {
+		return o.base.OutDegree(v)
+	}
+	return len(o.row)
 }
 
 // OutWeightSum returns the total outgoing weight of v under the overlay.
 func (o *Overlay) OutWeightSum(v NodeID) float64 {
-	if w, ok := o.outWeight[v]; ok {
-		if w < 0 {
-			return 0
-		}
-		return w
+	if v != o.node {
+		return o.base.OutWeightSum(v)
 	}
-	return o.base.OutWeightSum(v)
+	return o.sum
 }
 
 // HasEdge reports whether a directed edge (from, to) of any type exists
 // under the overlay.
 func (o *Overlay) HasEdge(from, to NodeID) bool {
-	delta, touched := o.pairDelta[pairKey{from, to}]
-	if !touched {
+	if from != o.node {
 		return o.base.HasEdge(from, to)
 	}
-	// Count base typed edges for the pair, then apply the delta.
-	n := 0
-	o.base.OutEdges(from, func(h HalfEdge) bool {
-		if h.Node == to {
-			n++
-		}
-		return true
-	})
-	return n+delta > 0
-}
-
-// Materialize copies the overlay into a fresh standalone Graph. Labels
-// are preserved when the ultimate base is a *Graph.
-func (o *Overlay) Materialize() (*Graph, error) {
-	g := &Graph{
-		types:   o.Types(),
-		byName:  make(map[string]NodeID),
-		version: nextVersionStamp(),
-	}
-	var root *Graph
-	base := o.base
-	for {
-		switch b := base.(type) {
-		case *Graph:
-			root = b
-		case *Overlay:
-			base = b.base
-			continue
-		}
-		break
-	}
-	for v := 0; v < o.NumNodes(); v++ {
-		label := ""
-		if root != nil {
-			label = root.Label(NodeID(v))
-		}
-		g.AddNode(o.NodeType(NodeID(v)), label)
-	}
-	var err error
-	for v := 0; v < o.NumNodes(); v++ {
-		o.OutEdges(NodeID(v), func(h HalfEdge) bool {
-			if e := g.AddEdge(NodeID(v), h.Node, h.Type, h.Weight); e != nil {
-				err = e
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return slices.ContainsFunc(o.row, func(h HalfEdge) bool { return h.Node == to })
 }

@@ -8,9 +8,9 @@
 //   - Graph: a mutable HIN with O(1) typed-edge lookup, per-node in/out
 //     adjacency, and cached out-weight sums (the denominators of the
 //     row-stochastic transition matrix W used by Personalized PageRank);
-//   - Overlay: a copy-on-write counterfactual view over a base graph that
-//     applies a set of edge additions and removals without copying the
-//     graph — the workhorse of EMiGRe's CHECK step;
+//   - Overlay: a counterfactual view over a base graph with one node's
+//     out-row edited (edge removals and additions) — the workhorse of
+//     EMiGRe's CHECK step, which only ever edits the user's row;
 //   - CSR: an immutable flat snapshot of any View, optionally with one
 //     node's out-row patched — the one shape the PPR push kernels
 //     iterate;

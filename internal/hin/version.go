@@ -16,25 +16,22 @@ import (
 //   - Stamp is a globally monotonic mutation stamp: every mutating
 //     operation on a Graph assigns it a fresh stamp from a process-wide
 //     counter, so no two distinct graph states ever share one.
-//   - Digest folds in derived-view structure: an Overlay mixes an
-//     order-insensitive digest of its edit set into its base's version,
-//     and a β-mixed snapshot folds β in via Mix (MixedVersion). It is 0
-//     for a plain Graph.
+//   - Digest folds in derived-view structure: a β-mixed snapshot folds
+//     β in via Mix (MixedVersion). It is 0 for a plain Graph.
 type Version struct {
 	Stamp  uint64
 	Digest uint64
 }
 
 // Versioned is implemented by views that can identify their content.
-// The boolean reports whether a version is available: wrappers forward
-// their base's answer, so a chain rooted at an unversioned custom View
-// answers false and is simply not cacheable.
+// The boolean reports whether a version is available: a row-patched CSR
+// answers false. A view that does not implement it — an Overlay, a
+// custom View — is not cacheable either.
 type Versioned interface {
 	Version() (Version, bool)
 }
 
-// ViewVersion returns the version of v when it (and, transitively, the
-// views it wraps) supports versioning.
+// ViewVersion returns the version of v when it supports versioning.
 func ViewVersion(v View) (Version, bool) {
 	if vv, ok := v.(Versioned); ok {
 		return vv.Version()
@@ -43,9 +40,9 @@ func ViewVersion(v View) (Version, bool) {
 }
 
 // Mix derives the version of a view computed from this one plus extra
-// structure identified by salt (an edit-set digest, a parameter hash).
-// Mixing is deterministic, and distinct salts land on distinct digests
-// with overwhelming probability.
+// structure identified by salt (a parameter hash). Mixing is
+// deterministic, and distinct salts land on distinct digests with
+// overwhelming probability.
 func (v Version) Mix(salt uint64) Version {
 	return Version{Stamp: v.Stamp, Digest: mix64(v.Digest ^ mix64(salt^0x9e3779b97f4a7c15))}
 }
@@ -67,25 +64,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// Edit-kind tags keeping a removal of edge e distinguishable from an
-// addition of the same e in an overlay digest.
-const (
-	editTagRemove = 0x72656d6f76650000 // "remove"
-	editTagAdd    = 0x6164640000000000 // "add"
-)
-
-// editDigest hashes one overlay edit. Edits are combined by wrapping
-// addition, so the digest of an edit set does not depend on the order
-// the edits were listed in.
-func editDigest(tag uint64, from, to NodeID, typ EdgeTypeID, weight float64) uint64 {
-	h := mix64(tag)
-	h = mix64(h ^ uint64(uint32(from)))
-	h = mix64(h ^ uint64(uint32(to))<<1)
-	h = mix64(h ^ uint64(typ)<<2)
-	h = mix64(h ^ math.Float64bits(weight))
-	return h
 }
 
 // MixedVersion is the version of v's β-mixed transition matrix

@@ -76,78 +76,6 @@ func TestGraphCloneHasDistinctVersion(t *testing.T) {
 	}
 }
 
-func TestOverlayVersionStableAcrossRebuilds(t *testing.T) {
-	g, rated := versionFixture(t)
-	removals := []Edge{{From: 0, To: 2, Type: rated, Weight: 1}, {From: 0, To: 3, Type: rated, Weight: 1}}
-	additions := []Edge{{From: 0, To: 4, Type: rated, Weight: 2}}
-
-	o1, err := NewOverlay(g, removals, additions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same edits, listed in the opposite order.
-	o2, err := NewOverlay(g, []Edge{removals[1], removals[0]}, additions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version(t, o1) != version(t, o2) {
-		t.Fatalf("identical overlays disagree: %v vs %v", version(t, o1), version(t, o2))
-	}
-	if version(t, o1) == version(t, g) {
-		t.Fatal("overlay shares the base graph's version")
-	}
-}
-
-func TestOverlayVersionDistinguishesEditSets(t *testing.T) {
-	g, rated := versionFixture(t)
-	r1 := []Edge{{From: 0, To: 2, Type: rated}}
-	r2 := []Edge{{From: 0, To: 3, Type: rated}}
-	a1 := []Edge{{From: 0, To: 4, Type: rated, Weight: 1}}
-
-	o1, err := NewOverlay(g, r1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := NewOverlay(g, r2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o3, err := NewOverlay(g, r1, a1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Removing (0,4) vs adding (0,4): kind must matter. (0,4) does not
-	// exist, so probe with an addition at a different weight instead.
-	o4, err := NewOverlay(g, r1, []Edge{{From: 0, To: 4, Type: rated, Weight: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[Version]string{version(t, g): "base"}
-	for name, o := range map[string]*Overlay{"r1": o1, "r2": o2, "r1+a1": o3, "r1+a1w3": o4} {
-		v := version(t, o)
-		if prev, dup := seen[v]; dup {
-			t.Fatalf("overlay %q collides with %q on version %v", name, prev, v)
-		}
-		seen[v] = name
-	}
-}
-
-func TestOverlayVersionTracksBaseMutation(t *testing.T) {
-	g, rated := versionFixture(t)
-	edits := []Edge{{From: 0, To: 2, Type: rated}}
-	o, err := NewOverlay(g, edits, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := version(t, o)
-	if err := g.AddEdge(1, 4, rated, 1); err != nil {
-		t.Fatal(err)
-	}
-	if after := version(t, o); after == before {
-		t.Fatal("overlay version did not move with a base-graph mutation")
-	}
-}
-
 func TestCSRCapturesVersionAtSnapshot(t *testing.T) {
 	g, rated := versionFixture(t)
 	want := version(t, g)
@@ -189,11 +117,12 @@ func TestUnversionedViewAnswersFalse(t *testing.T) {
 	if _, ok := ViewVersion(wrapped); ok {
 		t.Fatal("expected no version through an opaque wrapper")
 	}
-	o, err := NewOverlay(wrapped, nil, nil)
+	// An overlay is unversioned even over a versioned base.
+	o, err := NewOverlay(g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := o.Version(); ok {
-		t.Fatal("overlay over an unversioned base must not report a version")
+	if _, ok := ViewVersion(o); ok {
+		t.Fatal("an overlay must not report a version")
 	}
 }

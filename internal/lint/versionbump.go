@@ -19,7 +19,7 @@ var bumpMethods = map[string]bool{"bumpVersion": true, "bumpDigest": true}
 
 // VersionBump enforces the cache-correctness invariant of the
 // versioning PR: every exported method that mutates a stamped struct
-// (one with a `version` or `digest` field — hin.Graph, hin.Overlay)
+// (one with a `version` or `digest` field, such as hin.Graph)
 // must touch the stamp on every path from the first mutation to a
 // return. A mutation that escapes without a bump leaves old cache
 // entries describing the new state, which silently serves stale

@@ -30,8 +30,9 @@
 // one-row patch): a *hin.CSR is used as is, anything else is flattened
 // with hin.NewCSR. Each engine is a driver — the sweeps and the ω
 // guards — around one push body (kernel.body) that walks the CSR's
-// padded rows, out-rows forward and in-rows in reverse. Power (dense iteration) and Exact (Gauss–Seidel)
-// stay on hin.View as the test references.
+// padded rows, out-rows forward and in-rows in reverse. Power (dense
+// iteration) and Exact (Gaussian elimination) stay on hin.View as the
+// test references.
 //
 // Dangling nodes (no outgoing edges) absorb the walk: the transition
 // matrix is sub-stochastic there and PPR mass is lost. This convention

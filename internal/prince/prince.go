@@ -189,6 +189,9 @@ func (p *Explainer) Explain(u hin.NodeID) (*CFE, error) {
 			break
 		}
 		tests++
+		// A swap removes only u's own actions — one edited row, the shape
+		// hin.Overlay holds — so the recommender scores over a one-row
+		// patch of its snapshot, uncached.
 		o, err := hin.NewOverlay(p.g, cand.edges, nil)
 		if err != nil {
 			return nil, err

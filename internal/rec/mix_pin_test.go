@@ -1,13 +1,11 @@
 package rec
 
 import (
-	"context"
 	"math"
 	"slices"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
-	"github.com/why-not-xai/emigre/internal/ppr"
 	"github.com/why-not-xai/emigre/internal/pprcache"
 )
 
@@ -151,11 +149,11 @@ func TestMixedSnapshotPinnedToFormula(t *testing.T) {
 	}
 }
 
-// TestPatchedRecommendKeyedOnSaltedOverlay: a cache-attached
-// WithUserPatch copy stores u's vector under the overlay's version
-// salted with β (unsalted at β = 1), so it shares entries with every
-// other binding of the same overlay and β, and with no other.
-func TestPatchedRecommendKeyedOnSaltedOverlay(t *testing.T) {
+// TestPatchedRecommendNeverCached: an overlay is unversioned, so a
+// cache-attached WithUserPatch copy builds no cache key. It stores
+// nothing and scores the same bits as an uncached copy, at the paper's
+// β = 0.5 and at β = 1.
+func TestPatchedRecommendNeverCached(t *testing.T) {
 	lr, users := liteRecommender(t)
 	g := lr.base.(*hin.Graph)
 	u := users[0]
@@ -177,28 +175,22 @@ func TestPatchedRecommendKeyedOnSaltedOverlay(t *testing.T) {
 		}
 		cache := pprcache.New(pprcache.Config{})
 		patched := r.WithCache(cache).WithUserPatch(o, u)
-		if _, err := patched.Recommend(u); err != nil {
-			t.Fatal(err)
-		}
-		key := pprcache.Key{
-			Version: mixedVersion(t, o, beta),
-			Dir:     pprcache.Forward,
-			Engine:  ppr.NewForwardPush(cfg.PPR).Identity(),
-			Node:    u,
-		}
-		if cache.Len() != 1 {
-			t.Fatalf("β=%g: %d cached vectors, want 1", beta, cache.Len())
-		}
-		vec, ok := cache.Get(context.Background(), key)
-		if !ok {
-			t.Fatalf("β=%g: u's vector is not stored under the overlay's β-salted version", beta)
-		}
-		fresh, err := patched.WithCache(nil).Scores(u)
+		cached, err := patched.Scores(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBits(vec, fresh) {
-			t.Fatalf("β=%g: cached vector differs from a fresh run", beta)
+		if _, err := patched.Recommend(u); err != nil {
+			t.Fatal(err)
+		}
+		if n := cache.Len(); n != 0 {
+			t.Fatalf("β=%g: a patched copy cached %d vectors, want none", beta, n)
+		}
+		fresh, err := r.WithUserPatch(o, u).Scores(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(cached, fresh) {
+			t.Fatalf("β=%g: a cache-attached patched copy scores differently from an uncached one", beta)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package rec
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -8,14 +9,13 @@ import (
 	"github.com/why-not-xai/emigre/internal/ppr"
 )
 
-// TestWithUserPatchEquivalentToWithView compares full scoring through a
-// re-flattened overlay (New over it) against the O(deg u) patched
-// binding, for both
-// β = 1 and the paper's β = 0.5 mix. The patched row carries exactly
+// TestWithUserPatchEquivalentToRebuild compares full scoring through a
+// recommender rebuilt over the overlay (New over it) against the
+// O(deg u) patched binding, for both β = 1 and the paper's β = 0.5 mix. The patched row carries exactly
 // the β-mixed weights the flattened view does, so scores agree to the
 // bit — forward, and through the reverse column behind
 // Contributions (a reverse push over a row-patched snapshot).
-func TestWithUserPatchEquivalentToWithView(t *testing.T) {
+func TestWithUserPatchEquivalentToRebuild(t *testing.T) {
 	for _, beta := range []float64{1, 0.5} {
 		g, cfg, ids := smallShop(t)
 		cfg.Beta = beta
@@ -158,5 +158,21 @@ func TestColumnSumsOnUnpatchedSnapshotsOnly(t *testing.T) {
 	}
 	if c := full.ColumnSums(); !reflect.DeepEqual(c, ppr.ColumnSums(hin.NewMixedCSR(o, cfg.Beta), cfg.PPR)) {
 		t.Fatal("an overlay recommender's column sums are not its own snapshot's")
+	}
+}
+
+// TestPatchedOverlayIsOneRow: WithUserPatch reads only u's row, so an
+// edit to any other row would be silently dropped from the scores.
+// NewOverlay rejects an edit list spanning two rows instead; a second
+// row takes a stacked overlay and a recommender built over it.
+func TestPatchedOverlayIsOneRow(t *testing.T) {
+	g, _, ids := smallShop(t)
+	rated, _ := g.Types().LookupEdgeType("rated")
+	_, err := hin.NewOverlay(g, []hin.Edge{
+		{From: ids["u1"], To: ids["i1"], Type: rated},
+		{From: ids["i1"], To: ids["u1"], Type: rated},
+	}, nil)
+	if !errors.Is(err, hin.ErrMultiRow) {
+		t.Fatalf("two-row overlay: err = %v, want hin.ErrMultiRow", err)
 	}
 }

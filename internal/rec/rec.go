@@ -157,10 +157,13 @@ func (r *Recommender) Flat() *hin.CSR {
 // of node u — the shape of every EMiGRe counterfactual. The returned
 // recommender scores over a one-row patch of this recommender's flat
 // snapshot (hin.CSR.WithOutRow) with u's β-mixed row (hin.MixedRow), so
-// binding costs O(deg u) instead of the O(V+E) of New(v, cfg). The
-// receiver is never mutated and the shared snapshot is only read, so
-// concurrent WithUserPatch calls over one warm recommender are safe
-// (the clone-safety contract concurrent explanation sessions rely on).
+// binding costs O(deg u) instead of the O(V+E) of New(v, cfg). A
+// patched copy bound to a hin.Overlay is never cached: the overlay is
+// unversioned, so the copy builds no cache key (key) even with a cache
+// attached. The receiver is never mutated and the shared snapshot is
+// only read, so concurrent WithUserPatch calls over one warm
+// recommender are safe (the clone-safety contract concurrent
+// explanation sessions rely on).
 func (r *Recommender) WithUserPatch(v hin.View, u hin.NodeID) *Recommender {
 	row, sum := hin.MixedRow(v, u, r.cfg.Beta)
 	c := *r
@@ -198,10 +201,10 @@ func (r *Recommender) ScoringView() hin.View { return r.Flat() }
 func (r *Recommender) Config() Config { return r.cfg }
 
 // SetCache attaches a shared PPR-vector cache. Scores computed by this
-// recommender — and by every recommender later derived from it via
-// WithUserPatch — are then served from c when the view is versioned
-// (graphs and overlays are). Passing nil detaches the cache. Not safe
-// to call concurrently with scoring.
+// recommender are then served from c when its view is versioned (a
+// graph is). A WithUserPatch copy bound to an overlay inherits c but
+// never reads or fills it: the overlay is unversioned. Passing nil
+// detaches the cache. Not safe to call concurrently with scoring.
 func (r *Recommender) SetCache(c *pprcache.Cache) { r.cache = c }
 
 // WithCache returns a copy of the recommender with the shared PPR-
@@ -229,9 +232,9 @@ func (r *Recommender) View() hin.View { return r.base }
 
 // key is the cache key of the vector engine computes for node in
 // direction dir over Flat(). Its version is View()'s salted with β
-// (hin.MixedVersion): Flat()'s own, and on a WithUserPatch copy, whose
-// patched snapshot is unversioned, the overlay's. It reports false
-// without a cache or a versioned view.
+// (hin.MixedVersion), which is Flat()'s own. It reports false without a
+// cache or a versioned view — so always on a WithUserPatch copy bound
+// to an overlay, which is unversioned: a patched copy is never cached.
 func (r *Recommender) key(dir pprcache.Direction, engine ppr.Identifier, node hin.NodeID) (pprcache.Key, bool) {
 	if r.cache == nil {
 		return pprcache.Key{}, false

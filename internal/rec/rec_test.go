@@ -199,12 +199,13 @@ func TestWithViewOverlayChangesRecommendation(t *testing.T) {
 	}
 	rated, _ := g.Types().LookupEdgeType("rated")
 	// Remove u1's link into the cluster that reaches i3 (the i2 edge,
-	// both directions) — i4's relative standing must not degrade.
-	o, err := hin.NewOverlay(g,
-		[]hin.Edge{
-			{From: ids["u1"], To: ids["i2"], Type: rated},
-			{From: ids["i2"], To: ids["u1"], Type: rated},
-		}, nil)
+	// both directions, one stacked overlay per row) — i4's relative
+	// standing must not degrade.
+	o1, err := hin.NewOverlay(g, []hin.Edge{{From: ids["u1"], To: ids["i2"], Type: rated}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := hin.NewOverlay(o1, []hin.Edge{{From: ids["i2"], To: ids["u1"], Type: rated}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

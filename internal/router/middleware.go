@@ -2,8 +2,6 @@ package router
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"net/http"
 	"runtime/debug"
 	"time"
@@ -11,45 +9,16 @@ import (
 	"github.com/why-not-xai/emigre/client"
 )
 
-// maxRequestIDLen mirrors the server's bound on client-supplied IDs.
-const maxRequestIDLen = 64
-
 type requestIDKey struct{}
 
 // requestIDFrom returns the correlation ID the middleware pinned on
-// the request context (fresh random when the middleware is absent, as
-// in direct handler tests).
+// the request context (adopted or minted from the request's own header
+// when the middleware is absent, as in direct handler tests).
 func requestIDFrom(r *http.Request) string {
 	if id, _ := r.Context().Value(requestIDKey{}).(string); id != "" {
 		return id
 	}
-	return newRequestID()
-}
-
-// newRequestID mints a 16-hex-char random correlation ID, same shape
-// as the server's.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeRequestID applies the server's acceptance rule: short,
-// printable ASCII, no spaces or quotes — an ID is either the client's
-// exact string or unambiguously router-minted.
-func sanitizeRequestID(s string) string {
-	if s == "" || len(s) > maxRequestIDLen {
-		return ""
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c > '~' || c == '"' {
-			return ""
-		}
-	}
-	return s
+	return client.AdoptRequestID(r.Header)
 }
 
 // statusWriter captures the response status for the request log.
@@ -84,10 +53,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // follows a request across the whole topology.
 func (rt *Router) withMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := sanitizeRequestID(r.Header.Get(client.RequestIDHeader))
-		if rid == "" {
-			rid = newRequestID()
-		}
+		rid := client.AdoptRequestID(r.Header)
 		w.Header().Set(client.RequestIDHeader, rid)
 		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, rid))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"io"
 	"net/http"
@@ -12,25 +10,15 @@ import (
 	"time"
 
 	emigre "github.com/why-not-xai/emigre"
+	"github.com/why-not-xai/emigre/client"
 	"github.com/why-not-xai/emigre/internal/pprcache"
 )
-
-// RequestIDHeader carries the request correlation ID. Clients may send
-// one (the resilient client sends the same ID for every retry of a
-// logical call, so capture tools can group attempts); the server
-// generates one otherwise, and always echoes it on the response.
-const RequestIDHeader = "X-Emigre-Request-Id"
 
 // CacheTallyHeader carries the PPR-cache hit/miss count ("3h/1m") of
 // the work this request triggered — the same numbers the access log
 // carries, exposed on the wire so load-test session logs can record
 // them per request.
 const CacheTallyHeader = "X-Emigre-Cache"
-
-// maxRequestIDLen bounds accepted client-supplied IDs; longer ones are
-// replaced, not truncated, so an ID is either the client's exact string
-// or unambiguously server-minted.
-const maxRequestIDLen = 64
 
 // requestInfo accumulates per-request details the logging middleware
 // cannot see on its own (the number of CHECK invocations a search ran
@@ -61,33 +49,6 @@ func recordTests(ctx context.Context, st emigre.ExplainStats) {
 		info.tests, info.gated = st.Tests, st.Gated
 		info.hasTests = true
 	}
-}
-
-// newRequestID mints a 16-hex-char random correlation ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; a static
-		// fallback keeps request serving alive and is visibly synthetic.
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeRequestID accepts a client-supplied ID only when it is short
-// and printable-ASCII without spaces or quotes, so IDs embed safely in
-// the access log and response headers.
-func sanitizeRequestID(s string) string {
-	if s == "" || len(s) > maxRequestIDLen {
-		return ""
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c > '~' || c == '"' {
-			return ""
-		}
-	}
-	return s
 }
 
 // setTallyHeaders exposes the request's cache tally as a response
@@ -168,11 +129,8 @@ func (s *Server) withMiddleware(next http.Handler) http.Handler {
 			ctx = pprcache.WithRequestStats(ctx, rs)
 		}
 		info.rs = rs
-		info.rid = sanitizeRequestID(r.Header.Get(RequestIDHeader))
-		if info.rid == "" {
-			info.rid = newRequestID()
-		}
-		w.Header().Set(RequestIDHeader, info.rid)
+		info.rid = client.AdoptRequestID(r.Header)
+		w.Header().Set(client.RequestIDHeader, info.rid)
 		r = r.WithContext(ctx)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()

@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/why-not-xai/emigre/client"
 )
 
 // doWithHeaders is do() plus request headers.
@@ -40,7 +42,7 @@ func TestRequestIDGeneratedAndLogged(t *testing.T) {
 	var buf syncBuffer
 	srv, _ := newTestServerCfg(t, func(c *Config) { c.Logger = log.New(&buf, "", 0) })
 	rec := do(t, srv.Handler(), "GET", "/healthz", nil)
-	rid := rec.Header().Get(RequestIDHeader)
+	rid := rec.Header().Get(client.RequestIDHeader)
 	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(rid) {
 		t.Fatalf("generated ID %q, want 16 hex chars", rid)
 	}
@@ -56,8 +58,8 @@ func TestRequestIDEchoed(t *testing.T) {
 	srv, _ := newTestServerCfg(t, func(c *Config) { c.Logger = log.New(&buf, "", 0) })
 
 	rec := doWithHeaders(t, srv.Handler(), "GET", "/healthz", nil,
-		map[string]string{RequestIDHeader: "loadgen-0042-a"})
-	if got := rec.Header().Get(RequestIDHeader); got != "loadgen-0042-a" {
+		map[string]string{client.RequestIDHeader: "loadgen-0042-a"})
+	if got := rec.Header().Get(client.RequestIDHeader); got != "loadgen-0042-a" {
 		t.Fatalf("echoed ID = %q, want loadgen-0042-a", got)
 	}
 	if !strings.Contains(buf.String(), "rid=loadgen-0042-a") {
@@ -66,11 +68,11 @@ func TestRequestIDEchoed(t *testing.T) {
 
 	for _, bad := range []string{
 		"has space", "quote\"inside", "ctrl\x01char",
-		strings.Repeat("x", maxRequestIDLen+1),
+		strings.Repeat("x", client.MaxRequestIDLen+1),
 	} {
 		rec := doWithHeaders(t, srv.Handler(), "GET", "/healthz", nil,
-			map[string]string{RequestIDHeader: bad})
-		got := rec.Header().Get(RequestIDHeader)
+			map[string]string{client.RequestIDHeader: bad})
+		got := rec.Header().Get(client.RequestIDHeader)
 		if got == bad || got == "" {
 			t.Errorf("malformed ID %q must be replaced, got %q", bad, got)
 		}
