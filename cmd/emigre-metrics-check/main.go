@@ -50,9 +50,8 @@ func main() {
 	if err := obs.ValidateExposition(raw); err != nil {
 		log.Fatal(err)
 	}
-	// The structural parse complements the validator: it groups samples
-	// into families (histogram series under their base name included),
-	// so required-family checks don't re-scan raw text.
+	// The validated exposition parses; its families (histogram series
+	// under their base name) answer the required-family checks.
 	exp, err := obs.ParseExposition(raw)
 	if err != nil {
 		log.Fatal(err)

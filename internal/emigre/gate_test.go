@@ -627,30 +627,40 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 	}
 }
 
-// BenchmarkRivalGate measures one gate evaluation — every learned rival
-// against one counterfactual row on Amazon Lite — and pins it at zero
-// allocations.
-func BenchmarkRivalGate(b *testing.B) {
-	g, r, q, te := liteScenario(b)
-	ctx := context.Background()
+// gatedRemoval opens a Remove session on the Amazon Lite scenario and
+// returns it with the counterfactual of its first gated single-edge
+// removal.
+func gatedRemoval(tb testing.TB) (*session, *rec.Recommender) {
+	tb.Helper()
+	g, r, q, te := liteScenario(tb)
 	ex := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true})
-	s, err := ex.newSession(ctx, q, Remove)
+	s, err := ex.newSession(context.Background(), q, Remove)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var r2 *rec.Recommender
 	for _, c := range s.cands {
-		if ok, _, gated := checkGated(b, s, []candidate{c}); !ok && gated {
-			r2, _ = s.counterfactual([]candidate{c})
-			break
+		if ok, _, gated := checkGated(tb, s, []candidate{c}); !ok && gated {
+			r2, _ := s.counterfactual([]candidate{c})
+			return s, r2
 		}
 	}
-	if r2 == nil {
-		b.Fatal("no single-edge removal of the lite scenario is gated")
-	}
+	tb.Fatal("no single-edge removal of the lite scenario is gated")
+	return nil, nil
+}
+
+// TestRivalGateZeroAlloc pins one gate evaluation — every learned rival
+// against one counterfactual row — at zero allocations: the gate runs
+// before every cold CHECK, so one allocation here is one per candidate.
+func TestRivalGateZeroAlloc(t *testing.T) {
+	s, r2 := gatedRemoval(t)
 	if allocs := testing.AllocsPerRun(100, func() { s.gated(r2) }); allocs != 0 {
-		b.Fatalf("one gate evaluation allocates %v times, want 0", allocs)
+		t.Fatalf("one gate evaluation allocates %v times, want 0", allocs)
 	}
+}
+
+// BenchmarkRivalGate measures one gate evaluation on Amazon Lite.
+func BenchmarkRivalGate(b *testing.B) {
+	s, r2 := gatedRemoval(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

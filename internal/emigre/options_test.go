@@ -2,6 +2,8 @@ package emigre
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -23,25 +25,35 @@ func TestOptionsAccessorAndDefaults(t *testing.T) {
 	}
 }
 
+// TestExhaustiveCandidateCap gives the explainer a MaxSearchSpace below
+// its Add-mode search space: the exhaustive candidate list must be the
+// strongest |contribution| entries — the first limit of a full absCmp
+// sort — re-sorted into search-space order.
 func TestExhaustiveCandidateCap(t *testing.T) {
-	// Give the explainer a tiny MaxSearchSpace and an add-mode search
-	// space larger than it; the exhaustive candidate list must be capped
-	// to the strongest |contribution| entries and stay sorted.
-	f := newFixture(t, Options{MaxSearchSpace: 2})
-	s, err := f.ex.newSession(context.Background(), f.query(), Add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.cands) <= 2 {
-		t.Skipf("fixture add search space too small (%d)", len(s.cands))
-	}
-	h := s.exhaustiveCandidates()
-	if len(h) != 2 {
-		t.Fatalf("capped |H| = %d, want 2", len(h))
-	}
-	for i := 1; i < len(h); i++ {
-		if h[i-1].contribution < h[i].contribution {
-			t.Fatal("capped candidates not re-sorted by contribution")
+	f := newFixture(t, Options{MaxSearchSpace: 1})
+	g, r, q, te := liteScenario(t)
+	for _, tc := range []struct {
+		name string
+		ex   *Explainer
+		q    Query
+	}{
+		{"fixture", f.ex, f.query()},
+		{"lite", New(g, r, Options{AllowedEdgeTypes: te, MaxSearchSpace: 8}), q},
+	} {
+		s, err := tc.ex.newSession(context.Background(), tc.q, Add)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := tc.ex.opts.MaxSearchSpace
+		if len(s.cands) <= limit {
+			t.Fatalf("%s: add search space %d does not exceed the cap %d", tc.name, len(s.cands), limit)
+		}
+		want := slices.Clone(s.cands)
+		slices.SortFunc(want, absCmp)
+		want = want[:limit]
+		sortCandidates(want)
+		if got := s.exhaustiveCandidates(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: capped candidates %+v, want %+v", tc.name, got, want)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -17,16 +17,6 @@ type ParsedSample struct {
 	Labels    []Label
 	Value     float64
 	Timestamp string
-}
-
-// LabelValue returns the value of the named label, or "" when absent.
-func (s *ParsedSample) LabelValue(name string) string {
-	for _, l := range s.Labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
 }
 
 // ParsedFamily groups the samples of one metric family (histogram
@@ -126,21 +116,20 @@ func CounterDeltas(before, after *Exposition) map[string]float64 {
 }
 
 // ParseExposition parses a Prometheus text exposition (format version
-// 0.0.4) into its families and samples. It accepts exactly the syntax
-// ValidateExposition accepts at the line level — metric/label name
-// charsets, label escaping, parseable values, optional timestamps,
-// duplicate-TYPE rejection — but does not enforce the cross-line
-// histogram contract (that is the validator's job; run both when
-// checking a scrape). Plain comments and blank lines are dropped.
+// 0.0.4) into its families and samples. It checks the line grammar —
+// metric/label name charsets, label escaping, parseable values,
+// optional timestamps, duplicate-TYPE rejection — but not the
+// cross-line contract (duplicate series, negative counters, the
+// histogram contract) ValidateExposition adds on top of it. Plain
+// comments and blank lines are dropped.
 func ParseExposition(b []byte) (*Exposition, error) {
 	e := &Exposition{byName: map[string]*ParsedFamily{}}
-	types := map[string]string{}
 	text := string(b)
 	if text != "" && !strings.HasSuffix(text, "\n") {
 		return nil, fmt.Errorf("obs: exposition must end with a newline")
 	}
 	for i, line := range strings.Split(text, "\n") {
-		if err := e.parseLine(line, types); err != nil {
+		if err := e.parseLine(line); err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", i+1, err)
 		}
 	}
@@ -158,17 +147,17 @@ func (e *Exposition) family(name string) *ParsedFamily {
 	return f
 }
 
-func (e *Exposition) parseLine(line string, types map[string]string) error {
+func (e *Exposition) parseLine(line string) error {
 	if line == "" {
 		return nil
 	}
 	if strings.HasPrefix(line, "#") {
-		return e.parseComment(line, types)
+		return e.parseComment(line)
 	}
-	return e.parseSample(line, types)
+	return e.parseSample(line)
 }
 
-func (e *Exposition) parseComment(line string, types map[string]string) error {
+func (e *Exposition) parseComment(line string) error {
 	fields := strings.SplitN(line, " ", 4)
 	if len(fields) < 2 || fields[0] != "#" {
 		return nil // plain comment
@@ -195,7 +184,6 @@ func (e *Exposition) parseComment(line string, types map[string]string) error {
 			return fmt.Errorf("TYPE for %s after its first sample", name)
 		}
 		f.Type, f.HasType = typ, true
-		types[name] = typ
 	case "HELP":
 		if len(fields) < 3 {
 			return fmt.Errorf("HELP needs a metric name")
@@ -214,7 +202,7 @@ func (e *Exposition) parseComment(line string, types map[string]string) error {
 	return nil
 }
 
-func (e *Exposition) parseSample(line string, types map[string]string) error {
+func (e *Exposition) parseSample(line string) error {
 	name, rest, err := splitName(line)
 	if err != nil {
 		return err
@@ -231,8 +219,7 @@ func (e *Exposition) parseSample(line string, types map[string]string) error {
 	if err != nil {
 		return fmt.Errorf("metric %s: bad value %q", name, valueText)
 	}
-	familyName, _ := histogramFamily(types, name)
-	f := e.family(familyName)
+	f := e.family(e.familyOf(name))
 	f.Samples = append(f.Samples, ParsedSample{
 		Name:      name,
 		Labels:    rawLabels,
@@ -240,6 +227,111 @@ func (e *Exposition) parseSample(line string, types map[string]string) error {
 		Timestamp: strings.TrimSpace(timestamp),
 	})
 	return nil
+}
+
+// splitName cuts the metric name off the front of a sample line,
+// returning the remainder (label block and/or value).
+func splitName(line string) (name, rest string, err error) {
+	i := 0
+	for i < len(line) && line[i] != '{' && line[i] != ' ' && line[i] != '\t' {
+		i++
+	}
+	name = line[:i]
+	if !validMetricName(name) {
+		return "", "", fmt.Errorf("invalid metric name %q", name)
+	}
+	return name, line[i:], nil
+}
+
+// parseLabels parses an optional {name="value",...} block into its
+// labels in order (nil for none), handling escaped quotes, backslashes
+// and newlines in values and rejecting a repeated name.
+func parseLabels(s string) ([]Label, string, error) {
+	var labels []Label
+	if !strings.HasPrefix(s, "{") {
+		return nil, s, nil
+	}
+	i := 1
+	for {
+		for i < len(s) && s[i] == ' ' {
+			i++
+		}
+		if i < len(s) && s[i] == '}' {
+			return labels, s[i+1:], nil
+		}
+		start := i
+		for i < len(s) && s[i] != '=' {
+			i++
+		}
+		if i == len(s) {
+			return nil, "", fmt.Errorf("unterminated label block")
+		}
+		lname := strings.TrimSpace(s[start:i])
+		if !validLabelName(lname) && lname != "le" {
+			return nil, "", fmt.Errorf("invalid label name %q", lname)
+		}
+		if slices.ContainsFunc(labels, func(l Label) bool { return l.Name == lname }) {
+			return nil, "", fmt.Errorf("duplicate label %q", lname)
+		}
+		i++ // consume '='
+		if i >= len(s) || s[i] != '"' {
+			return nil, "", fmt.Errorf("label %s: value must be quoted", lname)
+		}
+		i++
+		var val strings.Builder
+		for {
+			if i >= len(s) {
+				return nil, "", fmt.Errorf("label %s: unterminated value", lname)
+			}
+			c := s[i]
+			if c == '"' {
+				i++
+				break
+			}
+			if c == '\\' {
+				if i+1 >= len(s) {
+					return nil, "", fmt.Errorf("label %s: dangling escape", lname)
+				}
+				switch s[i+1] {
+				case '\\':
+					val.WriteByte('\\')
+				case '"':
+					val.WriteByte('"')
+				case 'n':
+					val.WriteByte('\n')
+				default:
+					return nil, "", fmt.Errorf("label %s: bad escape \\%c", lname, s[i+1])
+				}
+				i += 2
+				continue
+			}
+			val.WriteByte(c)
+			i++
+		}
+		labels = append(labels, Label{Name: lname, Value: val.String()})
+		if i < len(s) && s[i] == ',' {
+			i++
+			continue
+		}
+		if i < len(s) && s[i] == '}' {
+			return labels, s[i+1:], nil
+		}
+		return nil, "", fmt.Errorf("label %s: expected ',' or '}'", lname)
+	}
+}
+
+// familyOf maps a sample name to its family: when a declared histogram
+// family matches the name minus a _bucket/_sum/_count suffix, the
+// sample belongs to that family.
+func (e *Exposition) familyOf(name string) string {
+	for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, sfx); ok {
+			if f := e.byName[base]; f != nil && f.Type == "histogram" {
+				return base
+			}
+		}
+	}
+	return name
 }
 
 // unescapeHelp reverses escapeHelp.
@@ -314,17 +406,4 @@ func (e *Exposition) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// SortedCounterFamilies returns the names of every counter family in
-// lexical order — a stable iteration aid for report rendering.
-func (e *Exposition) SortedCounterFamilies() []string {
-	var names []string
-	for _, f := range e.Families {
-		if f.Type == "counter" {
-			names = append(names, f.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -12,34 +12,45 @@ import (
 )
 
 // ValidateExposition checks that b is a well-formed Prometheus text
-// exposition (format version 0.0.4): comment syntax, at most one TYPE
-// per family declared before its first sample, metric/label name
-// charsets, label escaping, parseable values, no duplicate series, and
+// exposition (format version 0.0.4). ParseExposition checks the line
+// grammar — comment syntax, at most one TYPE per family declared before
+// its first sample, metric/label name charsets, label escaping,
+// parseable values — and the parsed families are then held to the
+// cross-line contract: no duplicate series, no negative counter, and
 // the histogram contract — every histogram series carries a +Inf
-// bucket, cumulative non-decreasing bucket counts, and _count equal to
-// the +Inf bucket. It is the plain-text contract smoke test CI runs
-// against a live /metrics endpoint.
+// bucket, _sum, _count equal to the +Inf bucket, and cumulative
+// non-decreasing bucket counts. It is the plain-text contract smoke
+// test CI runs against a live /metrics endpoint.
 func ValidateExposition(b []byte) error {
-	v := &validator{
-		types:     make(map[string]string),
-		sampled:   make(map[string]bool),
-		seen:      make(map[string]bool),
-		histogram: make(map[string]map[string]*histSeries),
+	e, err := ParseExposition(b)
+	if err != nil {
+		return err
 	}
-	text := string(b)
-	if text != "" && !strings.HasSuffix(text, "\n") {
-		return fmt.Errorf("obs: exposition must end with a newline")
-	}
-	for i, line := range strings.Split(text, "\n") {
-		if err := v.line(line); err != nil {
-			return fmt.Errorf("obs: line %d: %w", i+1, err)
+	seen := make(map[string]bool)
+	for _, f := range e.Families {
+		for i := range f.Samples {
+			s := &f.Samples[i]
+			id := s.Name + "{" + flattenLabels(s.Labels) + "}"
+			if seen[id] {
+				return fmt.Errorf("obs: duplicate series %s", id)
+			}
+			seen[id] = true
+			if f.Type == "counter" && s.Value < 0 {
+				return fmt.Errorf("obs: counter %s has negative value %s", s.Name, formatValue(s.Value))
+			}
+		}
+		if f.Type == "histogram" {
+			if err := checkHistogram(f); err != nil {
+				return err
+			}
 		}
 	}
-	return v.finish()
+	return nil
 }
 
 // histSeries accumulates one histogram series (one base-label set).
 type histSeries struct {
+	labels   string             // base labels, le excluded
 	buckets  map[string]float64 // le value -> count
 	sum      float64
 	hasSum   bool
@@ -47,174 +58,59 @@ type histSeries struct {
 	hasCount bool
 }
 
-type validator struct {
-	types     map[string]string                 // family -> declared TYPE
-	sampled   map[string]bool                   // family -> sample seen
-	seen      map[string]bool                   // full series id -> present
-	histogram map[string]map[string]*histSeries // family -> base labels -> series
-}
-
-func (v *validator) line(line string) error {
-	if line == "" {
-		return nil
-	}
-	if strings.HasPrefix(line, "#") {
-		return v.comment(line)
-	}
-	return v.sample(line)
-}
-
-func (v *validator) comment(line string) error {
-	fields := strings.SplitN(line, " ", 4)
-	if len(fields) < 2 || fields[0] != "#" {
-		// "#-prefixed but not '# '": plain comment, anything goes.
-		return nil
-	}
-	switch fields[1] {
-	case "TYPE":
-		if len(fields) < 4 {
-			return fmt.Errorf("TYPE needs a metric name and a type")
+// checkHistogram groups a histogram family's samples into series by
+// their labels other than le and checks each series.
+func checkHistogram(f *ParsedFamily) error {
+	var series []*histSeries
+	byLabels := make(map[string]*histSeries)
+	for i := range f.Samples {
+		s := &f.Samples[i]
+		suffix := strings.TrimPrefix(s.Name, f.Name)
+		le, hasLe := "", false
+		base := make([]Label, 0, len(s.Labels))
+		for _, l := range s.Labels {
+			if l.Name == "le" {
+				le, hasLe = l.Value, true
+			} else {
+				base = append(base, l)
+			}
 		}
-		name, typ := fields[2], strings.TrimSpace(fields[3])
-		if !validMetricName(name) {
-			return fmt.Errorf("invalid metric name %q in TYPE", name)
+		key := flattenLabels(base)
+		hs := byLabels[key]
+		if hs == nil {
+			hs = &histSeries{labels: key, buckets: make(map[string]float64)}
+			byLabels[key] = hs
+			series = append(series, hs)
 		}
-		switch typ {
-		case "counter", "gauge", "histogram", "summary", "untyped":
+		switch suffix {
+		case "_bucket":
+			if !hasLe {
+				return fmt.Errorf("obs: histogram %s: _bucket sample without le label", f.Name)
+			}
+			bound, err := strconv.ParseFloat(le, 64)
+			if err != nil || math.IsNaN(bound) {
+				return fmt.Errorf("obs: histogram %s: bad le %q", f.Name, le)
+			}
+			hs.buckets[le] = s.Value
+		case "_sum", "_count":
+			if hasLe {
+				return fmt.Errorf("obs: histogram %s: %s sample with le label", f.Name, suffix)
+			}
+			if suffix == "_sum" {
+				hs.sum, hs.hasSum = s.Value, true
+			} else {
+				hs.count, hs.hasCount = s.Value, true
+			}
 		default:
-			return fmt.Errorf("unknown TYPE %q for %s", typ, name)
-		}
-		if _, dup := v.types[name]; dup {
-			return fmt.Errorf("duplicate TYPE for %s", name)
-		}
-		if v.sampled[name] {
-			return fmt.Errorf("TYPE for %s after its first sample", name)
-		}
-		v.types[name] = typ
-	case "HELP":
-		if len(fields) < 3 {
-			return fmt.Errorf("HELP needs a metric name")
-		}
-		if !validMetricName(fields[2]) {
-			return fmt.Errorf("invalid metric name %q in HELP", fields[2])
+			return fmt.Errorf("obs: histogram %s: non-histogram sample %s", f.Name, s.Name)
 		}
 	}
-	return nil
-}
-
-func (v *validator) sample(line string) error {
-	name, rest, err := splitName(line)
-	if err != nil {
-		return err
-	}
-	labels, rest, err := parseLabels(rest)
-	if err != nil {
-		return fmt.Errorf("metric %s: %w", name, err)
-	}
-	valueText, _, _ := strings.Cut(strings.TrimSpace(rest), " ") // optional timestamp after the value
-	if valueText == "" {
-		return fmt.Errorf("metric %s: missing value", name)
-	}
-	value, err := strconv.ParseFloat(valueText, 64)
-	if err != nil {
-		return fmt.Errorf("metric %s: bad value %q", name, valueText)
-	}
-
-	family, suffix := histogramFamily(v.types, name)
-	v.sampled[family] = true
-	id := name + "{" + flattenLabels(labels) + "}"
-	if v.seen[id] {
-		return fmt.Errorf("duplicate series %s", id)
-	}
-	v.seen[id] = true
-
-	if typ := v.types[family]; typ == "counter" && value < 0 {
-		return fmt.Errorf("counter %s has negative value %s", name, valueText)
-	}
-	if suffix != "" {
-		return v.histogramSample(family, suffix, labels, value)
-	}
-	return nil
-}
-
-// histogramFamily maps a sample name to its family: when a declared
-// histogram family matches the name minus a _bucket/_sum/_count
-// suffix, the sample belongs to that family.
-func histogramFamily(types map[string]string, name string) (family, suffix string) {
-	for _, sfx := range []string{"_bucket", "_sum", "_count"} {
-		base, ok := strings.CutSuffix(name, sfx)
-		if ok && types[base] == "histogram" {
-			return base, sfx
-		}
-	}
-	return name, ""
-}
-
-func (v *validator) histogramSample(family, suffix string, labels []Label, value float64) error {
-	le, hasLe := "", false
-	base := make([]Label, 0, len(labels))
-	for _, l := range labels {
-		if l.Name == "le" {
-			le, hasLe = l.Value, true
-		} else {
-			base = append(base, l)
-		}
-	}
-	baseKey := flattenLabels(base)
-	group := v.histogram[family]
-	if group == nil {
-		group = make(map[string]*histSeries)
-		v.histogram[family] = group
-	}
-	hs := group[baseKey]
-	if hs == nil {
-		hs = &histSeries{buckets: make(map[string]float64)}
-		group[baseKey] = hs
-	}
-	switch suffix {
-	case "_bucket":
-		if !hasLe {
-			return fmt.Errorf("histogram %s: _bucket sample without le label", family)
-		}
-		bound, err := strconv.ParseFloat(le, 64)
-		if err != nil || math.IsNaN(bound) {
-			return fmt.Errorf("histogram %s: bad le %q", family, le)
-		}
-		hs.buckets[le] = value
-	case "_sum":
-		if hasLe {
-			return fmt.Errorf("histogram %s: _sum sample with le label", family)
-		}
-		hs.sum, hs.hasSum = value, true
-	case "_count":
-		if hasLe {
-			return fmt.Errorf("histogram %s: _count sample with le label", family)
-		}
-		hs.count, hs.hasCount = value, true
-	}
-	return nil
-}
-
-// finish runs the cross-line histogram checks once every sample is in.
-func (v *validator) finish() error {
-	for family, typ := range v.types {
-		if typ != "histogram" {
-			continue
-		}
-		group := v.histogram[family]
-		if len(group) == 0 {
-			if v.sampled[family] {
-				return fmt.Errorf("obs: histogram %s: declared but has non-histogram samples", family)
+	for _, hs := range series {
+		if err := checkHistSeries(f.Name, hs); err != nil {
+			if hs.labels != "" {
+				return fmt.Errorf("%w (labels {%s})", err, hs.labels)
 			}
-			continue // declared, never sampled: legal
-		}
-		for baseKey, hs := range group {
-			if err := checkHistSeries(family, hs); err != nil {
-				if baseKey != "" {
-					return fmt.Errorf("%w (labels {%s})", err, baseKey)
-				}
-				return err
-			}
+			return err
 		}
 	}
 	return nil
@@ -240,7 +136,7 @@ func checkHistSeries(family string, hs *histSeries) error {
 	}
 	buckets := make([]bucket, 0, len(hs.buckets))
 	for le, count := range hs.buckets {
-		bound, _ := strconv.ParseFloat(le, 64) // already validated per line
+		bound, _ := strconv.ParseFloat(le, 64) // already validated per sample
 		buckets = append(buckets, bucket{bound: bound, count: count})
 	}
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].bound < buckets[j].bound })
@@ -251,97 +147,6 @@ func checkHistSeries(family string, hs *histSeries) error {
 		}
 	}
 	return nil
-}
-
-// splitName cuts the metric name off the front of a sample line,
-// returning the remainder (label block and/or value).
-func splitName(line string) (name, rest string, err error) {
-	i := 0
-	for i < len(line) && line[i] != '{' && line[i] != ' ' && line[i] != '\t' {
-		i++
-	}
-	name = line[:i]
-	if !validMetricName(name) {
-		return "", "", fmt.Errorf("invalid metric name %q", name)
-	}
-	return name, line[i:], nil
-}
-
-// parseLabels parses an optional {name="value",...} block into its
-// labels in order (nil for none), handling escaped quotes, backslashes
-// and newlines in values and rejecting a repeated name.
-func parseLabels(s string) ([]Label, string, error) {
-	var labels []Label
-	if !strings.HasPrefix(s, "{") {
-		return nil, s, nil
-	}
-	i := 1
-	for {
-		for i < len(s) && s[i] == ' ' {
-			i++
-		}
-		if i < len(s) && s[i] == '}' {
-			return labels, s[i+1:], nil
-		}
-		start := i
-		for i < len(s) && s[i] != '=' {
-			i++
-		}
-		if i == len(s) {
-			return nil, "", fmt.Errorf("unterminated label block")
-		}
-		lname := strings.TrimSpace(s[start:i])
-		if !validLabelName(lname) && lname != "le" {
-			return nil, "", fmt.Errorf("invalid label name %q", lname)
-		}
-		if slices.ContainsFunc(labels, func(l Label) bool { return l.Name == lname }) {
-			return nil, "", fmt.Errorf("duplicate label %q", lname)
-		}
-		i++ // consume '='
-		if i >= len(s) || s[i] != '"' {
-			return nil, "", fmt.Errorf("label %s: value must be quoted", lname)
-		}
-		i++
-		var val strings.Builder
-		for {
-			if i >= len(s) {
-				return nil, "", fmt.Errorf("label %s: unterminated value", lname)
-			}
-			c := s[i]
-			if c == '"' {
-				i++
-				break
-			}
-			if c == '\\' {
-				if i+1 >= len(s) {
-					return nil, "", fmt.Errorf("label %s: dangling escape", lname)
-				}
-				switch s[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					return nil, "", fmt.Errorf("label %s: bad escape \\%c", lname, s[i+1])
-				}
-				i += 2
-				continue
-			}
-			val.WriteByte(c)
-			i++
-		}
-		labels = append(labels, Label{Name: lname, Value: val.String()})
-		if i < len(s) && s[i] == ',' {
-			i++
-			continue
-		}
-		if i < len(s) && s[i] == '}' {
-			return labels, s[i+1:], nil
-		}
-		return nil, "", fmt.Errorf("label %s: expected ',' or '}'", lname)
-	}
 }
 
 // flattenLabels renders parsed labels back into a canonical

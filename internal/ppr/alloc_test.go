@@ -26,8 +26,7 @@ func pushAllocs(t *testing.T, nodes, extra int) float64 {
 // residuals, the result struct) and the inner
 // push loop must allocate nothing — so the count per run is a small
 // constant, independent of how much of the graph the push visits.
-// A size-dependent count means the loop started heap-allocating and
-// the ESCAPES.json gate (cmd/emigre-escapes) needs a close look.
+// A size-dependent count means the loop started heap-allocating.
 func TestForwardPushAllocsConstant(t *testing.T) {
 	small := pushAllocs(t, 50, 100)
 	large := pushAllocs(t, 2000, 8000)

@@ -7,9 +7,8 @@ import (
 
 // TestWarmGetZeroAlloc pins the allocation budget of the hot cache
 // path: a warm hit is a shard hash, a map probe, an LRU bump and an
-// atomic counter — nothing may reach the heap. This is the runtime
-// complement to the ESCAPES.json gate (cmd/emigre-escapes), which
-// pins the same path's escape sites at compile time.
+// atomic counter — nothing may reach the heap. CI seeds an allocation
+// into Get and requires this pin to fail.
 func TestWarmGetZeroAlloc(t *testing.T) {
 	c := New(Config{})
 	ctx := context.Background()
