@@ -12,7 +12,7 @@
 //
 //   - the heterogeneous information network (Graph, Overlay, View);
 //   - Personalized PageRank engines (ForwardPushEngine and
-//     ReversePushEngine, plus PowerEngine as the dense reference);
+//     ReversePushEngine);
 //   - the PPR recommender (Recommender);
 //   - the EMiGRe explainer (Explainer) with its Remove/Add modes and
 //     Incremental/Powerset/Exhaustive strategies plus the
@@ -117,12 +117,10 @@ const InvalidNode = hin.InvalidNode
 
 // Personalized PageRank (Eq. 1).
 type (
-	// PPRParams holds the PPR hyper-parameters (α, ε, ...).
+	// PPRParams holds the PPR hyper-parameters α and ε.
 	PPRParams = ppr.Params
 	// PPRVector is a dense score vector indexed by NodeID.
 	PPRVector = ppr.Vector
-	// PowerEngine is the exact dense reference engine.
-	PowerEngine = ppr.Power
 	// ForwardPushEngine is Forward Local Push (Eq. 3).
 	ForwardPushEngine = ppr.ForwardPush
 	// ReversePushEngine is Reverse Local Push (Eq. 4).
@@ -132,9 +130,6 @@ type (
 // DefaultPPRParams returns the paper's hyper-parameters: α = 0.15,
 // ε = 2.7e-8.
 func DefaultPPRParams() PPRParams { return ppr.DefaultParams() }
-
-// NewPowerEngine returns the dense power-iteration engine.
-func NewPowerEngine(p PPRParams) *PowerEngine { return ppr.NewPower(p) }
 
 // NewForwardPushEngine returns the Forward Local Push engine.
 func NewForwardPushEngine(p PPRParams) *ForwardPushEngine { return ppr.NewForwardPush(p) }

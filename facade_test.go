@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	emigre "github.com/why-not-xai/emigre"
+	"github.com/why-not-xai/emigre/internal/ppr"
 )
 
 // TestFacadeGraphConstruction exercises the graph-building wrappers end
@@ -65,7 +66,7 @@ func TestFacadePPREngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pow, err := emigre.NewPowerEngine(params).FromSource(books.Graph, books.Paul)
+	pow, err := ppr.NewPower(params).FromSource(books.Graph, books.Paul)
 	if err != nil {
 		t.Fatal(err)
 	}

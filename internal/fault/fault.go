@@ -26,7 +26,7 @@
 // While no site in the process is armed, Hit is one atomic load of a
 // package-global counter — the same cost for every site, regardless of
 // how many are registered. Site names must be unique string literals;
-// the emigre-vet faultsite analyzer enforces both properties.
+// the internal/lint faultsite analyzer enforces both properties.
 //
 // # Schedules
 //
@@ -184,7 +184,7 @@ func rngFloat() float64 {
 
 // Register creates and registers a failpoint site. It must be called
 // once per name, from a package-level var initializer, with a string
-// literal name (the emigre-vet faultsite analyzer enforces this); a
+// literal name (the internal/lint faultsite analyzer enforces this); a
 // duplicate or empty name panics.
 func Register(name string) *Site {
 	if name == "" {

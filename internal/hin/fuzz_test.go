@@ -182,7 +182,8 @@ func FuzzOverlayMatchesGraph(f *testing.F) {
 // are common. Every mutation must succeed exactly when a model of the
 // typed edge set says it should, and after each operation HasEdge must
 // equal a brute-force any-type scan of the out-lists (out-of-range IDs
-// included) and Validate must pass.
+// included), Validate must pass, and a change of the node/edge state
+// (graphState) must have moved Version.
 func FuzzGraphOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 1, 2, 0, 1, 0})             // parallel typed edges, then remove one
@@ -212,6 +213,7 @@ func FuzzGraphOps(f *testing.F) {
 			typ := types[data[i+3]%3]
 			w := float64(data[i+3]%7+1) / 4
 			k, rk := typedKey{from, to, typ}, typedKey{to, from, typ}
+			state, ver := graphState(g), version(t, g)
 			switch op {
 			case 0:
 				want := addable(k)
@@ -246,6 +248,11 @@ func FuzzGraphOps(f *testing.F) {
 					outDeg[v], inDeg[v] = int(data[i+2]%4), int(data[i+3]%4)
 				}
 				g.Reserve(outDeg, inDeg)
+			}
+			// Whether the op succeeded or failed, changed state needs a
+			// fresh stamp: a cache keyed by the old one would go stale.
+			if graphState(g) != state && version(t, g) == ver {
+				t.Fatalf("op %d: changed the node/edge state without moving Version off %v", i/4, ver)
 			}
 			n := NodeID(g.NumNodes())
 			for u := NodeID(-1); u <= n; u++ {

@@ -49,7 +49,8 @@ func (g *Graph) Version() (Version, bool) {
 }
 
 // bumpVersion moves the graph to a fresh state stamp. Every mutator
-// calls it; readers never do.
+// calls it; readers never do (TestGraphMutatorsBumpVersion lists each
+// exported method as one or the other).
 func (g *Graph) bumpVersion() { g.version = nextVersionStamp() }
 
 // Errors returned by graph mutators and NewOverlay.

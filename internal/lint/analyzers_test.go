@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -96,7 +97,10 @@ outer:
 }
 
 // TestAnalyzers runs each analyzer over its fixture package and checks
-// the diagnostics against the fixture's `// want` markers.
+// the diagnostics against the fixture's `// want` markers. Its table and
+// Suite must name the same analyzers, each exactly once: an analyzer
+// dropped from Suite would otherwise pass here and never run over the
+// repository.
 func TestAnalyzers(t *testing.T) {
 	tests := []struct {
 		name     string
@@ -112,10 +116,27 @@ func TestAnalyzers(t *testing.T) {
 		{"floateq", FloatEq(), []string{"./floateq"}},
 		{"metricname", MetricName(), []string{"./metricname", "./metricname/sub"}},
 		{"rawengine", RawEngine(), []string{"./rawengine/rec", "./rawengine/emigre"}},
-		{"versionbump", VersionBump(), []string{"./versionbump"}},
+	}
+	var suite, table []string
+	for _, a := range Suite() {
+		suite = append(suite, a.Name)
+	}
+	for _, tt := range tests {
+		table = append(table, tt.analyzer.Name)
+	}
+	slices.Sort(suite)
+	slices.Sort(table)
+	if !slices.Equal(suite, table) {
+		t.Errorf("Suite %v and the table %v name different analyzers", suite, table)
+	}
+	if len(slices.Compact(slices.Clone(suite))) != len(suite) {
+		t.Errorf("Suite registers an analyzer twice: %v", suite)
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			if tt.analyzer.Name != tt.name {
+				t.Fatalf("row %q runs analyzer %q", tt.name, tt.analyzer.Name)
+			}
 			pkgs := loadFixture(t, tt.patterns...)
 			res := Analyze(pkgs, []*Analyzer{tt.analyzer})
 			checkDiagnostics(t, res.Diagnostics, fixtureWants(t, pkgs))
@@ -155,13 +176,12 @@ func TestDirectives(t *testing.T) {
 // fixture package at once: analyzers must stay inside their scoped
 // package names and diagnostics must come out sorted.
 func TestSuiteOverWholeFixtureModule(t *testing.T) {
-	pkgs := loadFixture(t, "./ctxpoll", "./ctxpoll/emigre", "./rawengine/ppr", "./rawengine/rec", "./rawengine/emigre", "./versionbump",
+	pkgs := loadFixture(t, "./ctxpoll", "./ctxpoll/emigre", "./rawengine/ppr", "./rawengine/rec", "./rawengine/emigre",
 		"./atomicmix", "./atomicmix/sub", "./goroleak", "./lockorder")
 	res := Analyze(pkgs, Suite())
 	// The ctxpoll fixture is a package named ppr with no float or error
 	// comparisons; the rawengine ppr fixture must not be flagged (only
-	// callers in emigre/rec are); versionbump diagnostics are
-	// name-independent.
+	// callers in emigre/rec are).
 	wants := fixtureWants(t, pkgs)
 	checkDiagnostics(t, res.Diagnostics, wants)
 	for i := 1; i < len(res.Diagnostics); i++ {

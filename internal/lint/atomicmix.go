@@ -32,7 +32,6 @@ import (
 func AtomicMix() *Analyzer {
 	a := &Analyzer{
 		Name: "atomicmix",
-		Doc:  "fields accessed via sync/atomic must never be read or written plainly outside their constructor",
 	}
 	a.RunModule = func(pass *ModulePass) {
 		// Pass 1: find the atomic fields — wrapper-typed ones by

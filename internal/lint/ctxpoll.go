@@ -21,7 +21,6 @@ var ctxPollPackages = map[string]bool{"ppr": true, "emigre": true}
 func CtxPoll() *Analyzer {
 	a := &Analyzer{
 		Name: "ctxpoll",
-		Doc:  "unbounded for loops in PPR/search packages must poll for cancellation",
 	}
 	a.Run = func(pass *Pass) {
 		if pass.Pkg.Types == nil || !ctxPollPackages[pass.Pkg.Types.Name()] {

@@ -14,7 +14,6 @@ import (
 func ErrCmp() *Analyzer {
 	a := &Analyzer{
 		Name: "errcmp",
-		Doc:  "errors must be compared with errors.Is, not == / !=",
 	}
 	errType := types.Universe.Lookup("error").Type()
 	a.Run = func(pass *Pass) {

@@ -22,7 +22,6 @@ import (
 func FaultSite() *Analyzer {
 	a := &Analyzer{
 		Name: "faultsite",
-		Doc:  "fault.Register needs a unique string-literal site name",
 	}
 	seen := map[string]token.Position{}
 	a.Run = func(pass *Pass) {

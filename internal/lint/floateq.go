@@ -23,7 +23,6 @@ const floatEqHelperPkg = "fmath"
 func FloatEq() *Analyzer {
 	a := &Analyzer{
 		Name: "floateq",
-		Doc:  "floating-point ==/!= must go through the fmath helpers",
 	}
 	a.Run = func(pass *Pass) {
 		if pass.Pkg.Types != nil && pass.Pkg.Types.Name() == floatEqHelperPkg {

@@ -34,7 +34,6 @@ import (
 func GoroLeak() *Analyzer {
 	a := &Analyzer{
 		Name: "goroleak",
-		Doc:  "go statements need bounded-lifetime evidence (WaitGroup Done/Wait, a ctx poll, or an allow directive)",
 	}
 	a.Run = func(pass *Pass) {
 		info := pass.Pkg.Info

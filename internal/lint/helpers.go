@@ -60,52 +60,6 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 	return info.TypeOf(e)
 }
 
-// rootIdent strips selectors, indexing, stars and parens off an
-// expression and returns the base identifier ("g" for g.out[v]),
-// nil when the base is not a plain identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// firstField returns the name of the field selected directly on the
-// root identifier ("out" for g.out[v], "version" for g.version), ""
-// when the expression is the bare identifier.
-func firstField(e ast.Expr) string {
-	field := ""
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return field
-		case *ast.SelectorExpr:
-			field = x.Sel.Name
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return ""
-		}
-	}
-}
-
 // namedOf unwraps pointers and returns the named type of t, nil when
 // t is not (a pointer to) a named type.
 func namedOf(t types.Type) *types.Named {

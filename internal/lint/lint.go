@@ -1,12 +1,29 @@
 // Package lint is a stdlib-only static-analysis suite enforcing the
-// codebase's correctness invariants: the conventions PRs establish
-// (context polling in unbounded search loops, version bumps on graph
-// mutation, cache-routed engine calls, epsilon-helper float
-// comparisons, errors.Is for sentinels) are machine-checked here
-// instead of re-audited by hand. The suite is built purely on go/ast,
-// go/parser and go/types — no golang.org/x/tools dependency — and is
-// driven by cmd/emigre-vet as well as the package's own repo-wide
-// self test.
+// codebase's correctness invariants: the conventions PRs establish are
+// machine-checked here instead of re-audited by hand. The suite is
+// built purely on go/ast, go/parser and go/types — no
+// golang.org/x/tools dependency — and runs one way: TestRepoIsClean
+// applies every analyzer to the whole module under `go test ./...`.
+//
+// Suite holds nine analyzers:
+//
+//   - ctxpoll: unbounded search loops in ppr/emigre poll cancellation.
+//   - floateq: float ==/!= goes through the internal/fmath helpers.
+//   - rawengine: explainer and recommender code routes PPR vectors
+//     through the cache helpers.
+//   - errcmp: errors are compared with errors.Is, not == or !=.
+//   - faultsite: fault.Register takes a unique string-literal site name.
+//   - metricname: obs registry metrics take a unique string-literal
+//     family name.
+//   - lockorder (whole program): struct-owned mutexes are acquired in
+//     an acyclic order and never reacquired while held.
+//   - goroleak (whole program): every go statement carries
+//     bounded-lifetime evidence.
+//   - atomicmix (whole program): a field accessed through sync/atomic
+//     is never read or written plainly outside its constructor.
+//
+// The version stamp of hin.Graph is guarded at run time instead, by
+// hin's TestGraphMutatorsBumpVersion.
 //
 // A diagnostic can be suppressed with a directive comment
 //
@@ -35,8 +52,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and directives.
 	Name string
-	// Doc is a one-line description of the enforced invariant.
-	Doc string
 	// Run inspects one package and reports violations via pass.Reportf.
 	Run func(pass *Pass)
 	// RunModule inspects every loaded package at once — the hook for
@@ -56,7 +71,6 @@ func Suite() []*Analyzer {
 		LockOrder(),
 		MetricName(),
 		RawEngine(),
-		VersionBump(),
 	}
 }
 
@@ -156,8 +170,8 @@ func Run(cfg LoadConfig, analyzers []*Analyzer, patterns []string) (*Result, err
 func Analyze(pkgs []*Package, analyzers []*Analyzer) *Result {
 	res := &Result{Packages: len(pkgs)}
 	// Directive names validate against the whole suite, not just the
-	// analyzers selected for this run: `-run goroleak` must not flag
-	// every //lint:allow floateq in the tree as unknown.
+	// analyzers selected for this run: a fixture run of goroleak alone
+	// must not flag every //lint:allow floateq in it as unknown.
 	known := map[string]bool{}
 	for _, a := range Suite() {
 		known[a.Name] = true

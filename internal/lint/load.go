@@ -38,9 +38,6 @@ type Package struct {
 type LoadConfig struct {
 	// Dir is the module root (the directory holding go.mod).
 	Dir string
-	// ModulePath overrides the module path; when empty it is read from
-	// Dir/go.mod.
-	ModulePath string
 }
 
 // Loader parses and type-checks the packages of one module using only
@@ -65,12 +62,9 @@ func NewLoader(cfg LoadConfig) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath := cfg.ModulePath
-	if modPath == "" {
-		modPath, err = readModulePath(filepath.Join(dir, "go.mod"))
-		if err != nil {
-			return nil, err
-		}
+	modPath, err := readModulePath(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return nil, err
 	}
 	fset := token.NewFileSet()
 	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
@@ -86,9 +80,6 @@ func NewLoader(cfg LoadConfig) (*Loader, error) {
 		checking: map[string]bool{},
 	}, nil
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // readModulePath extracts the module path from a go.mod file.
 func readModulePath(gomod string) (string, error) {
@@ -110,37 +101,27 @@ func readModulePath(gomod string) (string, error) {
 }
 
 // Load resolves the given patterns to module packages and type-checks
-// them. Supported patterns: "./..." (every package under the module
-// root), "./dir/..." (every package under dir), and "./dir" or an
-// import path (a single package). Returned packages are sorted by
-// import path.
+// them. A pattern is "./..." (every package under the module root) or
+// a module-relative directory such as "./internal/hin" (one package).
+// Returned packages are sorted by import path.
 func (l *Loader) Load(patterns []string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	dirs := map[string]bool{}
 	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
+		if pat == "./..." {
 			if err := l.walk(l.dir, dirs); err != nil {
 				return nil, err
 			}
-		case strings.HasSuffix(pat, "/..."):
-			root := l.resolveDir(strings.TrimSuffix(pat, "/..."))
-			if err := l.walk(root, dirs); err != nil {
-				return nil, err
-			}
-		default:
-			d := l.resolveDir(pat)
-			ok, err := hasGoFiles(d)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("lint: no Go files in %s", d)
-			}
-			dirs[d] = true
+			continue
 		}
+		d := filepath.Join(l.dir, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
+		ok, err := hasGoFiles(d)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("lint: no Go files in %s", d)
+		}
+		dirs[d] = true
 	}
 	var pkgs []*Package
 	for dir := range dirs {
@@ -154,16 +135,6 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
-}
-
-// resolveDir maps a pattern element to an absolute directory: "./x"
-// and "x" are module-root relative, an import path under the module
-// path maps to its directory.
-func (l *Loader) resolveDir(pat string) string {
-	if rest, ok := strings.CutPrefix(pat, l.modPath); ok {
-		return filepath.Join(l.dir, filepath.FromSlash(strings.TrimPrefix(rest, "/")))
-	}
-	return filepath.Join(l.dir, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
 }
 
 // walk collects every directory under root that contains non-test Go

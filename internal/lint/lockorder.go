@@ -41,7 +41,6 @@ import (
 func LockOrder() *Analyzer {
 	a := &Analyzer{
 		Name: "lockorder",
-		Doc:  "struct-owned mutexes must have an acyclic acquisition order and no held reacquisition",
 	}
 	a.RunModule = func(pass *ModulePass) {
 		lo := &lockOrder{

@@ -33,7 +33,6 @@ var registryMethods = map[string]bool{
 func MetricName() *Analyzer {
 	a := &Analyzer{
 		Name: "metricname",
-		Doc:  "obs registry metrics need a unique string-literal family name",
 	}
 	seen := map[string]token.Position{}
 	a.Run = func(pass *Pass) {

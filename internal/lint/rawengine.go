@@ -56,7 +56,6 @@ var rawEngineAllowedFuncs = map[string]bool{
 func RawEngine() *Analyzer {
 	a := &Analyzer{
 		Name: "rawengine",
-		Doc:  "explainer/recommender code must route PPR vectors through the cache helpers",
 	}
 	a.Run = func(pass *Pass) {
 		if pass.Pkg.Types == nil || !rawEnginePackages[pass.Pkg.Types.Name()] {

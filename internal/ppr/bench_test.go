@@ -63,9 +63,8 @@ func BenchmarkReversePush(b *testing.B) {
 
 func BenchmarkPowerIteration(b *testing.B) {
 	g, _ := benchGraph(500, 2000)
-	params := DefaultParams()
-	params.Tol = 1e-10
-	e := NewPower(params)
+	e := NewPower(DefaultParams())
+	e.Tol = 1e-10
 	b.Run("from-source", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := e.FromSource(g, hin.NodeID(i%500)); err != nil {

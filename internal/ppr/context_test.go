@@ -28,11 +28,11 @@ func TestEnginesHonorCanceledContext(t *testing.T) {
 		run  func(ctx context.Context) error
 	}{
 		{"Power.FromSource", func(ctx context.Context) error {
-			_, err := NewPower(p).FromSourceContext(ctx, g, s)
+			_, err := testPower(p).FromSourceContext(ctx, g, s)
 			return err
 		}},
 		{"Power.ToTarget", func(ctx context.Context) error {
-			_, err := NewPower(p).ToTargetContext(ctx, g, s)
+			_, err := testPower(p).ToTargetContext(ctx, g, s)
 			return err
 		}},
 		{"ForwardPush", func(ctx context.Context) error {

@@ -59,7 +59,7 @@ func FuzzDeltaPPREquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := NewPower(params).FromSource(view, s)
+		exact, err := testPower(params).FromSource(view, s)
 		if err != nil {
 			t.Fatal(err)
 		}

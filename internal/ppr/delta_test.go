@@ -176,7 +176,7 @@ func TestForwardUpdateForEditMatchesRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := NewPower(params).FromSource(o, s)
+		exact, err := testPower(params).FromSource(o, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestForwardUpdateForEditMultiRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := NewPower(params).FromSource(o2, s)
+		exact, err := testPower(params).FromSource(o2, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -128,7 +128,7 @@ func TestForwardTerminatesWhereRelaxationDoesNot(t *testing.T) {
 
 	p := testParams()
 	p.Epsilon = 1e-12
-	exact := p
+	exact := NewPower(p)
 	exact.Tol, exact.MaxIter = 1e-15, 5000
 	e := NewForwardPush(p)
 	settle := int(math.Ceil(math.Log(p.Epsilon) / math.Log(relaxation(p.Alpha)-1)))
@@ -143,7 +143,7 @@ func TestForwardTerminatesWhereRelaxationDoesNot(t *testing.T) {
 			}
 			want, _ := refForward(g, p, s, relaxation(p.Alpha))
 			sameRun(t, what, got, want)
-			row, err := NewPower(exact).FromSource(g, s)
+			row, err := exact.FromSource(g, s)
 			if err != nil {
 				t.Fatal(err)
 			}

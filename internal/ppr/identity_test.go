@@ -22,22 +22,22 @@ func TestIdentityDistinguishesParams(t *testing.T) {
 	}
 }
 
-// TestPushIdentitiesIgnoreUnreadParams pins the opposite property: the
-// push engines' identities must NOT move with the power-iteration-only
-// parameters, or identical cached vectors would be needlessly
-// recomputed.
+// TestPushIdentitiesIgnoreUnreadParams pins every engine's identity
+// under the paper's parameters to its exact string: the push engines
+// name α and ε and nothing else, and power iteration adds its own
+// iteration cap and tolerance, which live on Power, not on Params.
 func TestPushIdentitiesIgnoreUnreadParams(t *testing.T) {
-	p1 := DefaultParams()
-	p2 := p1
-	p2.MaxIter = 7
-	p2.Tol = 1e-3
-	for _, pair := range [][2]Identifier{
-		{NewForwardPush(p1), NewForwardPush(p2)},
-		{NewReversePush(p1), NewReversePush(p2)},
+	p := DefaultParams()
+	for _, tc := range []struct {
+		e    Identifier
+		want string
+	}{
+		{NewForwardPush(p), "forward-push/a=0.15,eps=2.7e-08"},
+		{NewReversePush(p), "reverse-push/a=0.15,eps=2.7e-08"},
+		{NewPower(p), "power/a=0.15,tol=1e-12,maxiter=500"},
 	} {
-		if pair[0].Identity() != pair[1].Identity() {
-			t.Errorf("%T: identity moves with power-only params: %q vs %q",
-				pair[0], pair[0].Identity(), pair[1].Identity())
+		if got := tc.e.Identity(); got != tc.want {
+			t.Errorf("%T: identity %q, want %q", tc.e, got, tc.want)
 		}
 	}
 }

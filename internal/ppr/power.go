@@ -14,10 +14,15 @@ import (
 // both Engine (rows) and ReverseEngine (columns).
 type Power struct {
 	Params Params
+	// MaxIter bounds the number of iterations.
+	MaxIter int
+	// Tol is the L1 convergence tolerance.
+	Tol float64
 }
 
-// NewPower returns a power-iteration engine with the given parameters.
-func NewPower(p Params) *Power { return &Power{Params: p} }
+// NewPower returns a power-iteration engine with the given parameters,
+// a 500-iteration cap and an L1 tolerance of 1e-12.
+func NewPower(p Params) *Power { return &Power{Params: p, MaxIter: 500, Tol: 1e-12} }
 
 // Name implements Engine.
 func (e *Power) Name() string { return "power" }
@@ -25,7 +30,7 @@ func (e *Power) Name() string { return "power" }
 // Identity implements Identifier: power iteration's output depends on
 // α, the convergence tolerance and the iteration cap.
 func (e *Power) Identity() string {
-	return fmt.Sprintf("power/a=%g,tol=%g,maxiter=%d", e.Params.Alpha, e.Params.Tol, e.Params.MaxIter)
+	return fmt.Sprintf("power/a=%g,tol=%g,maxiter=%d", e.Params.Alpha, e.Tol, e.MaxIter)
 }
 
 // FromSource iterates p ← α·e_s + (1−α)·p·W until the L1 change drops
@@ -48,7 +53,7 @@ func (e *Power) FromSourceContext(ctx context.Context, g hin.View, s hin.NodeID)
 	p := make(Vector, n)
 	next := make(Vector, n)
 	p[s] = 1 // start from e_s; converges to the same fixed point
-	for iter := 0; iter < e.Params.MaxIter; iter++ {
+	for iter := 0; iter < e.MaxIter; iter++ {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
@@ -79,13 +84,13 @@ func (e *Power) FromSourceContext(ctx context.Context, g hin.View, s hin.NodeID)
 			diff += math.Abs(next[i] - p[i])
 		}
 		p, next = next, p
-		if diff < e.Params.Tol {
+		if diff < e.Tol {
 			runsPower.Inc()
 			powerIterations.Add(int64(iter) + 1)
 			return p, nil
 		}
 	}
-	return nil, fmt.Errorf("%w after %d iterations (source %d)", ErrNoConvergence, e.Params.MaxIter, s)
+	return nil, fmt.Errorf("%w after %d iterations (source %d)", ErrNoConvergence, e.MaxIter, s)
 }
 
 // ToTarget iterates the column recursion c ← α·e_t + (1−α)·W·c, which
@@ -110,7 +115,7 @@ func (e *Power) ToTargetContext(ctx context.Context, g hin.View, t hin.NodeID) (
 	c := make(Vector, n)
 	next := make(Vector, n)
 	c[t] = alpha
-	for iter := 0; iter < e.Params.MaxIter; iter++ {
+	for iter := 0; iter < e.MaxIter; iter++ {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
@@ -138,11 +143,11 @@ func (e *Power) ToTargetContext(ctx context.Context, g hin.View, t hin.NodeID) (
 			diff += math.Abs(next[i] - c[i])
 		}
 		c, next = next, c
-		if diff < e.Params.Tol {
+		if diff < e.Tol {
 			runsPower.Inc()
 			powerIterations.Add(int64(iter) + 1)
 			return c, nil
 		}
 	}
-	return nil, fmt.Errorf("%w after %d iterations (target %d)", ErrNoConvergence, e.Params.MaxIter, t)
+	return nil, fmt.Errorf("%w after %d iterations (target %d)", ErrNoConvergence, e.MaxIter, t)
 }

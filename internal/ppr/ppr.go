@@ -86,21 +86,12 @@ type Params struct {
 	// Epsilon is the residual threshold of the local-push engines. The
 	// paper sets ε = 2.7e-8.
 	Epsilon float64
-	// MaxIter bounds power iteration.
-	MaxIter int
-	// Tol is the L1 convergence tolerance of power iteration.
-	Tol float64
 }
 
 // DefaultParams returns the hyper-parameters used in the paper's
 // experimental setting (§6.1): α = 0.15, ε = 2.7e-8.
 func DefaultParams() Params {
-	return Params{
-		Alpha:   0.15,
-		Epsilon: 2.7e-8,
-		MaxIter: 500,
-		Tol:     1e-12,
-	}
+	return Params{Alpha: 0.15, Epsilon: 2.7e-8}
 }
 
 // Validate reports whether the parameters are usable.
@@ -110,9 +101,6 @@ func (p Params) Validate() error {
 	}
 	if p.Epsilon <= 0 {
 		return fmt.Errorf("ppr: epsilon must be positive, got %g", p.Epsilon)
-	}
-	if p.MaxIter <= 0 {
-		return fmt.Errorf("ppr: max iterations must be positive, got %d", p.MaxIter)
 	}
 	return nil
 }
@@ -176,7 +164,7 @@ type Engine interface {
 // (view, node) pair, so the identity is safe to use as a cache-key
 // component. Engines must include ONLY the parameters they actually
 // read — and ALL of them: the push engines name α and ε, power
-// iteration α, MaxIter and Tol.
+// iteration α and its own MaxIter and Tol.
 type Identifier interface {
 	Identity() string
 }

@@ -15,8 +15,15 @@ import (
 func testParams() Params {
 	p := DefaultParams()
 	p.Epsilon = 1e-9
-	p.Tol = 1e-13
 	return p
+}
+
+// testPower is the power-iteration reference under p, converged to an
+// L1 tolerance of 1e-13.
+func testPower(p Params) *Power {
+	e := NewPower(p)
+	e.Tol = 1e-13
+	return e
 }
 
 // lineGraph builds u -> a -> b with unit weights (b dangling).
@@ -65,7 +72,7 @@ func TestPowerLineGraphClosedForm(t *testing.T) {
 	u, a, b := ids[0], ids[1], ids[2]
 	p := testParams()
 	alpha := p.Alpha
-	e := NewPower(p)
+	e := testPower(p)
 	v, err := e.FromSource(g, u)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +94,7 @@ func TestPowerLineGraphClosedForm(t *testing.T) {
 func TestPowerToTargetMatchesFromSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomBidirGraph(rng, 20, 30)
-	e := NewPower(testParams())
+	e := testPower(testParams())
 	tgt := hin.NodeID(7)
 	col, err := e.ToTarget(g, tgt)
 	if err != nil {
@@ -108,7 +115,7 @@ func TestForwardPushAgreesWithPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		g := randomBidirGraph(rng, 10+rng.Intn(20), rng.Intn(40))
-		pw := NewPower(testParams())
+		pw := testPower(testParams())
 		fp := NewForwardPush(testParams())
 		s := hin.NodeID(rng.Intn(g.NumNodes()))
 		exact, err := pw.FromSource(g, s)
@@ -131,7 +138,7 @@ func TestReversePushAgreesWithPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
 		g := randomBidirGraph(rng, 10+rng.Intn(20), rng.Intn(40))
-		pw := NewPower(testParams())
+		pw := testPower(testParams())
 		rp := NewReversePush(testParams())
 		tgt := hin.NodeID(rng.Intn(g.NumNodes()))
 		exact, err := pw.ToTarget(g, tgt)
@@ -158,7 +165,7 @@ func TestForwardPushInvariantEq3(t *testing.T) {
 	p := testParams()
 	p.Epsilon = 1e-3 // deliberately coarse
 	fp := NewForwardPush(p)
-	pw := NewPower(testParams())
+	pw := testPower(testParams())
 	s := hin.NodeID(0)
 	res, err := fp.Run(g, s)
 	if err != nil {
@@ -190,7 +197,7 @@ func TestReversePushInvariantEq4(t *testing.T) {
 	p := testParams()
 	p.Epsilon = 1e-3
 	rp := NewReversePush(p)
-	pw := NewPower(testParams())
+	pw := testPower(testParams())
 	tgt := hin.NodeID(3)
 	res, err := rp.Run(g, tgt)
 	if err != nil {
@@ -217,7 +224,7 @@ func TestPPRLinearityOverOutEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	g := randomBidirGraph(rng, 15, 25)
 	p := testParams()
-	pw := NewPower(p)
+	pw := testPower(p)
 	tgt := hin.NodeID(9)
 	col, err := pw.ToTarget(g, tgt)
 	if err != nil {
@@ -243,7 +250,7 @@ func TestPPRLinearityOverOutEdges(t *testing.T) {
 func TestPPRSumsToOneOnStochasticGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	g := randomBidirGraph(rng, 20, 40) // bidirectional: no dangling nodes
-	pw := NewPower(testParams())
+	pw := testPower(testParams())
 	v, err := pw.FromSource(g, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -260,11 +267,10 @@ func TestPPRSumsToOneOnStochasticGraph(t *testing.T) {
 
 func TestParamValidation(t *testing.T) {
 	bad := []Params{
-		{Alpha: 0, Epsilon: 1e-8, MaxIter: 10},
-		{Alpha: 1, Epsilon: 1e-8, MaxIter: 10},
-		{Alpha: 0.5, Epsilon: 0, MaxIter: 10},
-		{Alpha: 0.5, Epsilon: 1e-8, MaxIter: 0},
-		{Alpha: math.NaN(), Epsilon: 1e-8, MaxIter: 10},
+		{Alpha: 0, Epsilon: 1e-8},
+		{Alpha: 1, Epsilon: 1e-8},
+		{Alpha: 0.5, Epsilon: 0},
+		{Alpha: math.NaN(), Epsilon: 1e-8},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -279,7 +285,7 @@ func TestParamValidation(t *testing.T) {
 func TestEngineNodeRangeErrors(t *testing.T) {
 	g, _ := lineGraph(t)
 	p := testParams()
-	engines := []Engine{NewPower(p), NewForwardPush(p)}
+	engines := []Engine{testPower(p), NewForwardPush(p)}
 	for _, e := range engines {
 		if _, err := e.FromSource(g, -1); !errors.Is(err, ErrNodeOutOfRange) {
 			t.Fatalf("%s: err = %v, want ErrNodeOutOfRange", e.Name(), err)
@@ -288,7 +294,7 @@ func TestEngineNodeRangeErrors(t *testing.T) {
 			t.Fatalf("%s: err = %v, want ErrNodeOutOfRange", e.Name(), err)
 		}
 	}
-	for _, e := range []ReverseEngine{NewPower(p), NewReversePush(p)} {
+	for _, e := range []ReverseEngine{testPower(p), NewReversePush(p)} {
 		if _, err := e.ToTarget(g, 99); !errors.Is(err, ErrNodeOutOfRange) {
 			t.Fatalf("%s: err = %v, want ErrNodeOutOfRange", e.Name(), err)
 		}
@@ -340,13 +346,13 @@ func TestQuickPushAgreement(t *testing.T) {
 func TestPowerNoConvergenceError(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	g := randomBidirGraph(rng, 30, 60)
-	p := testParams()
-	p.MaxIter = 1
-	p.Tol = 1e-300
-	if _, err := NewPower(p).FromSource(g, 0); !errors.Is(err, ErrNoConvergence) {
+	e := testPower(testParams())
+	e.MaxIter = 1
+	e.Tol = 1e-300
+	if _, err := e.FromSource(g, 0); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
-	if _, err := NewPower(p).ToTarget(g, 0); !errors.Is(err, ErrNoConvergence) {
+	if _, err := e.ToTarget(g, 0); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
 }

@@ -452,7 +452,7 @@ func TestReverseTerminatesWhereRelaxationDoesNot(t *testing.T) {
 
 	p := testParams()
 	p.Epsilon = 1e-12
-	exact := p
+	exact := NewPower(p)
 	exact.Tol, exact.MaxIter = 1e-15, 5000
 	e := NewReversePush(p)
 	settle := int(math.Ceil(math.Log(p.Epsilon) / math.Log(relaxation(p.Alpha)-1)))
@@ -465,7 +465,7 @@ func TestReverseTerminatesWhereRelaxationDoesNot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := NewPower(exact).ToTarget(g, tgt)
+			want, err := exact.ToTarget(g, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,7 @@ func TestExactMatchesPowerIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		iter, err := NewPower(params).FromSource(g, s)
+		iter, err := testPower(params).FromSource(g, s)
 		if err != nil {
 			t.Fatal(err)
 		}

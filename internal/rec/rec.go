@@ -39,7 +39,7 @@ import (
 
 // Config parameterizes a Recommender.
 type Config struct {
-	// PPR holds the Personalized PageRank hyper-parameters (α, ε, ...).
+	// PPR holds the Personalized PageRank hyper-parameters α and ε.
 	PPR ppr.Params
 	// Beta mixes weight-proportional (β) and uniform (1−β) transition
 	// probabilities over a node's outgoing edges. The paper's setting

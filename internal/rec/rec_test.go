@@ -81,6 +81,33 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewAcceptsPaperPPRParams builds a recommender from the paper's
+// two PPR hyper-parameters alone: no engine behind New reads anything
+// else, so a config naming only α and ε recommends as DefaultConfig does.
+func TestNewAcceptsPaperPPRParams(t *testing.T) {
+	g, _, ids := smallShop(t)
+	item := g.NodeType(ids["i1"])
+	r, err := New(g, Config{PPR: ppr.Params{Alpha: 0.15, Epsilon: 2.7e-8}, Beta: 0.5, ItemTypes: []hin.NodeTypeID{item}})
+	if err != nil {
+		t.Fatalf("New with ppr.Params{Alpha, Epsilon}: %v", err)
+	}
+	ref, err := New(g, DefaultConfig(item))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Scores(ids["u1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Scores(ids["u1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scores %v, DefaultConfig gives %v", got, want)
+	}
+}
+
 func TestRecommendExcludesNeighbors(t *testing.T) {
 	g, cfg, ids := smallShop(t)
 	r, err := New(g, cfg)
