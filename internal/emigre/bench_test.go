@@ -26,6 +26,7 @@ var benchLite struct {
 	r    *rec.Recommender
 	q    Query
 	te   hin.EdgeTypeSet
+	add  hin.EdgeTypeID // the Add mode's edge type ("rated")
 	err  error
 }
 
@@ -56,6 +57,7 @@ func liteScenario(tb testing.TB) (*hin.Graph, *rec.Recommender, Query, hin.EdgeT
 			benchLite.r = r
 			benchLite.q = Query{User: u, WNI: list[1].Node}
 			benchLite.te = lite.UserActionEdgeTypes()
+			benchLite.add = lite.Types.Rated
 			return
 		}
 		benchLite.err = errors.New("no sampled user with a rankable top-2 list")

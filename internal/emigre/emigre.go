@@ -495,6 +495,7 @@ func (e *Explainer) explain(ctx context.Context, q Query, accept map[hin.NodeID]
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	s.accept = accept
 	var expl *Explanation
 	switch method {

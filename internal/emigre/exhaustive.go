@@ -239,24 +239,27 @@ func (s *session) targetColumns(targets []hin.NodeID) ([]ppr.Vector, error) {
 }
 
 // exhaustiveCandidates returns H without sign pruning, capped at
-// MaxSearchSpace by absolute contribution, in search-space order.
+// MaxSearchSpace by absolute contribution, in search-space order. The
+// uncapped H is the session's own list; a cap builds a list of its own
+// and leaves the search space as it is.
 func (s *session) exhaustiveCandidates() []candidate {
 	limit := s.ex.opts.MaxSearchSpace
 	if limit <= 0 || len(s.cands) <= limit {
 		s.sortAll()
-		return slices.Clone(s.cands)
+		return s.cands
 	}
-	h := slices.Clone(s.cands)
+	var h []candidate
 	if s.mode == Add {
 		// Add candidates have distinct endpoints, so the cap's order is
 		// total and selecting its first entries picks what a sort would.
-		selectBest(h, limit, absCmp)
+		h = bestOf(s.cands, limit, absCmp)
 	} else {
 		// Another mode's row can hold two edge types to one item, where
 		// the order is not total: keep sort.Slice's pick off the sorted list.
+		h = slices.Clone(s.cands)
 		sort.Slice(h, func(i, j int) bool { return absCmp(h[i], h[j]) < 0 })
+		h = h[:limit]
 	}
-	h = h[:limit]
 	sortCandidates(h)
 	return h
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
+	"github.com/why-not-xai/emigre/internal/freelist"
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/rec"
 )
@@ -25,33 +26,35 @@ func (s *session) defineSearchSpace() error {
 
 	// tau: Σ contribution_rmv over the allowed existing edges (Eq. 5).
 	// Both modes start from the same gap estimate (Algorithm 2 lines
-	// 4-7 repeat the Algorithm 1 loop).
+	// 4-7 repeat the Algorithm 1 loop). The list is built in the
+	// session's borrowed buffer (release).
 	s.tau = 0
-	var removeCands []candidate
+	cands, _ := searchSpaces.Get()
 	for _, e := range s.ex.g.OutEdgesOfType(u, allowed) {
 		w := trans[rec.Arc{To: e.To, Type: e.Type}]
 		c := w * (s.toRec[e.To] - s.toWNI[e.To])
 		s.tau += c
-		removeCands = append(removeCands, candidate{edge: e, op: Remove, contribution: c})
+		cands = append(cands, candidate{edge: e, op: Remove, contribution: c})
 	}
 
 	switch s.mode {
 	case Remove:
-		s.cands = removeCands
 	case Add:
-		s.cands = s.addCandidates()
+		cands = s.addCandidates(cands[:0])
 	case Combined:
 		// The future-work extension of §6.4: both search spaces merged.
 		// Contributions of the two kinds live on slightly different
 		// scales (Eq. 5 carries the transition weight, Eq. 6 does not);
 		// the CHECK step corrects any resulting mis-ordering exactly as
 		// it does within a single mode.
-		s.cands = append(removeCands, s.addCandidates()...)
+		cands = s.addCandidates(cands)
 	case Reweight:
-		s.cands = s.reweightCandidates()
+		cands = s.reweightCandidates(cands[:0])
 	default:
+		searchSpaces.Put(cands[:0])
 		return fmt.Errorf("emigre: unknown mode %v", s.mode)
 	}
+	s.cands = cands
 	s.stats.SearchSpace = len(s.cands)
 	if s.mode == Add {
 		s.partition()
@@ -65,7 +68,20 @@ func (s *session) defineSearchSpace() error {
 	return nil
 }
 
-// addCandidates implements the candidate discovery of Algorithm 2: the
+// searchSpaces is the free list of the sessions' candidate buffers: an
+// Add search space holds about one candidate per item, so a fresh one
+// per explain would be most of an explain's garbage.
+var searchSpaces freelist.List[[]candidate]
+
+// release gives the session's search space back to searchSpaces. It
+// runs when the explain returns, after the last read of s.cands: no
+// answer refers to the buffer, since found and noteAttempt copy.
+func (s *session) release() {
+	searchSpaces.Put(s.cands[:0])
+	s.cands = nil
+}
+
+// addCandidates appends the candidates of Algorithm 2 to cands: the
 // Reverse Local Push run from WNI (already available as s.toWNI)
 // surfaces every node x with non-negligible PPR(x, WNI); each such node
 // of an allowed target type that the user is not yet connected to
@@ -74,7 +90,7 @@ func (s *session) defineSearchSpace() error {
 //	contribution_add(x) = PPR(x, WNI) − PPR(x, rec)
 //
 // (no W factor: the edge does not exist yet, so it has no weight).
-func (s *session) addCandidates() []candidate {
+func (s *session) addCandidates(cands []candidate) []candidate {
 	u := s.q.User
 	opts := s.ex.opts
 	targetOK := s.targetTypeMask()
@@ -85,7 +101,6 @@ func (s *session) addCandidates() []candidate {
 		return true
 	})
 	slices.Sort(nbrs)
-	var cands []candidate
 	for x, w := range s.toWNI {
 		id := hin.NodeID(x)
 		for len(nbrs) > 0 && nbrs[0] < id {
@@ -109,22 +124,21 @@ func (s *session) addCandidates() []candidate {
 	return cands
 }
 
-// reweightCandidates builds the Reweight search space (the "You should
-// have rated book A with 5 stars" extension of §7): every allowed
+// reweightCandidates appends the Reweight search space (the "You should
+// have rated book A with 5 stars" extension of §7) to cands: every allowed
 // existing edge whose weight lies below Options.ReweightTo becomes a
 // candidate carrying the counterfactual weight. Raising the weight of
 // the edge to n shifts roughly ΔW = (w′−w)/Σw of the user's transition
 // mass onto n, so the first-order contribution toward WNI is
 //
 //	contribution = ΔW · (PPR(n, WNI) − PPR(n, rec))
-func (s *session) reweightCandidates() []candidate {
+func (s *session) reweightCandidates(cands []candidate) []candidate {
 	u := s.q.User
 	opts := s.ex.opts
 	total := s.ex.g.OutWeightSum(u)
 	if total <= 0 {
-		return nil
+		return cands
 	}
-	var cands []candidate
 	for _, e := range s.ex.g.OutEdgesOfType(u, opts.AllowedEdgeTypes) {
 		if e.Weight >= opts.ReweightTo {
 			continue
@@ -227,16 +241,36 @@ func selectBest(xs []candidate, n int, cmp func(a, b candidate) int) {
 	if n <= 0 || n >= len(xs) {
 		return
 	}
-	h := xs[:n]
-	for i := n/2 - 1; i >= 0; i-- {
-		siftWorst(h, i, cmp)
-	}
+	h := heapOf(xs[:n], cmp)
 	for j := n; j < len(xs); j++ {
 		if cmp(xs[j], h[0]) < 0 {
 			h[0], xs[j] = xs[j], h[0]
 			siftWorst(h, 0, cmp)
 		}
 	}
+}
+
+// bestOf returns the n first entries of xs under cmp (0 < n < len(xs))
+// in a new slice, in no particular order, and leaves xs as it is: the
+// walk of selectBest, making the same comparisons, with the entries it
+// displaces dropped instead of swapped back into xs.
+func bestOf(xs []candidate, n int, cmp func(a, b candidate) int) []candidate {
+	h := heapOf(slices.Clone(xs[:n]), cmp)
+	for _, x := range xs[n:] {
+		if cmp(x, h[0]) < 0 {
+			h[0] = x
+			siftWorst(h, 0, cmp)
+		}
+	}
+	return h
+}
+
+// heapOf orders h into a heap with the last entry under cmp at its root.
+func heapOf(h []candidate, cmp func(a, b candidate) int) []candidate {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftWorst(h, i, cmp)
+	}
+	return h
 }
 
 // siftWorst restores heap order below slot i of h, the last entry under

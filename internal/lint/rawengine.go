@@ -16,10 +16,13 @@ var rawEnginePackages = map[string]bool{"emigre": true, "rec": true}
 // ForwardPush.UpdateForEdit, which no routing helper calls: neither
 // package may warm-start at all. ToTargets, the reverse kernel's batch
 // entry point, counts like its single-column form: a raw batch bypasses
-// the cache for K columns at once.
+// the cache for K columns at once. LendFromSource, the entry point that
+// lends a drain's scores to a callback, counts too: its scores are never
+// cached.
 var rawEngineMethods = map[string]bool{
 	"FromSource":        true,
 	"FromSourceContext": true,
+	"LendFromSource":    true,
 	"ToTarget":          true,
 	"ToTargetContext":   true,
 	"ToTargets":         true,
@@ -44,6 +47,15 @@ var rawEngineAllowedFuncs = map[string]bool{
 	"reverseColumn":  true, // internal/rec: its one-key twin
 	"gateColumns":    true, // internal/emigre: session-scoped rival-gate columns, uncached on purpose
 	"scores":         true, // internal/rec: cached PPR(u,·) rows and their ranking note, behind ScoresContext and TopNContext
+}
+
+// rawEngineLenders names, for each lending entry point, the one helper
+// allowed to call it — rec's uncached top-n, whose scores serve one
+// selection and are never a cache entry. No other helper may, the
+// routing helpers above included: a lent vector read outside that one
+// selection would sidestep the cache without anyone deciding so.
+var rawEngineLenders = map[string]string{
+	"LendFromSource": "rankCold", // internal/rec: TopNContext without a cache entry
 }
 
 // RawEngine enforces the cache-routing invariant of the pprcache PR:
@@ -76,7 +88,12 @@ func RawEngine() *Analyzer {
 				if !isPPREngineCall(info, sel) {
 					return true
 				}
-				if rawEngineAllowedFuncs[enclosingFuncName(parents, call)] {
+				fn := enclosingFuncName(parents, call)
+				allowed := rawEngineAllowedFuncs[fn]
+				if helper, lends := rawEngineLenders[sel.Sel.Name]; lends {
+					allowed = fn == helper
+				}
+				if allowed {
 					return true
 				}
 				pass.Reportf(call.Pos(), "raw engine call %s bypasses the PPR-vector cache; route it through reverseColumns / ScoresContext (or, for a rival-gate column, gateColumns)", sel.Sel.Name)

@@ -27,4 +27,6 @@ func NewForwardPush() *ForwardPush { return &ForwardPush{} }
 
 func (*ForwardPush) RunContext(s int) *PushResult { return nil }
 
+func (*ForwardPush) LendFromSource(s int, use func(Vector)) {}
+
 func (*ForwardPush) UpdateForEdit(base *PushResult, rows []int) *PushResult { return nil }

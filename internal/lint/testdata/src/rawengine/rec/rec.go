@@ -37,3 +37,22 @@ func (r *Recommender) BasePair(u int) *ppr.PushResult {
 func (r *Recommender) WarmScores(base *ppr.PushResult, rows []int) *ppr.PushResult {
 	return ppr.NewForwardPush().UpdateForEdit(base, rows) // want "cache"
 }
+
+// good: the one helper allowed to borrow a drain's scores.
+func (r *Recommender) rankCold(u int) (top int) {
+	ppr.NewForwardPush().LendFromSource(u, func(v ppr.Vector) { top = len(v) })
+	return top
+}
+
+// bad: a routing helper approved for the cached entry points still may
+// not borrow scores.
+func (r *Recommender) scores(u int) (top int) {
+	ppr.NewForwardPush().LendFromSource(u, func(v ppr.Vector) { top = len(v) }) // want "cache"
+	return top
+}
+
+// bad: borrowing scores anywhere else bypasses the cache.
+func (r *Recommender) TopN(u int) (top int) {
+	ppr.NewForwardPush().LendFromSource(u, func(v ppr.Vector) { top = len(v) }) // want "cache"
+	return top
+}

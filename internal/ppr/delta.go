@@ -171,7 +171,7 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 		return nil, err
 	}
 	res := &PushResult{Estimates: sc.p, Residuals: sc.r[:len(sc.p)], Pushes: pushes}
-	recordPush(runsForwardUpdate, pushesForwardUpdate, residualMassForwardUpdate, res)
+	recordPush(runsForwardUpdate, pushesForwardUpdate, residualMassForwardUpdate, pushes, res.Residuals)
 	return res, nil
 }
 

@@ -52,13 +52,42 @@ func (e *ForwardPush) FromSource(g hin.View, s hin.NodeID) (Vector, error) {
 
 // FromSourceContext is FromSource with cancellation: the context is
 // checked every ctxCheckInterval node visits and the drain aborts with
-// ctx.Err().
+// ctx.Err(). Only the estimates are allocated; the residuals are
+// borrowed scratch.
 func (e *ForwardPush) FromSourceContext(ctx context.Context, g hin.View, s hin.NodeID) (Vector, error) {
-	res, err := e.RunContext(ctx, g, s)
+	csr, err := e.prepare(g, s)
 	if err != nil {
 		return nil, err
 	}
-	return res.Estimates, nil
+	n := csr.NumNodes()
+	p, r := make(Vector, n), borrow(n)
+	defer buffers.Put(r)
+	if _, err := e.drain(ctx, csr, s, p, r); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// LendFromSource drains from s like FromSourceContext and lends the
+// estimates to use, taking them back when use returns: use must not
+// keep them, or any slice of them. Both the estimates and the residuals
+// are borrowed scratch, so a drain whose scores serve one reading
+// allocates nothing graph-sized. Nothing hands back a vector that
+// another entry point returned, so a cached vector is never reused.
+func (e *ForwardPush) LendFromSource(ctx context.Context, g hin.View, s hin.NodeID, use func(Vector)) error {
+	csr, err := e.prepare(g, s)
+	if err != nil {
+		return err
+	}
+	n := csr.NumNodes()
+	p, r := borrow(n), borrow(n)
+	defer buffers.Put(p)
+	defer buffers.Put(r)
+	if _, err := e.drain(ctx, csr, s, p[:n], r); err != nil {
+		return err
+	}
+	use(p[:n])
+	return nil
 }
 
 // Run performs forward local push from s until every residual is at
@@ -71,26 +100,45 @@ func (e *ForwardPush) Run(g hin.View, s hin.NodeID) (*PushResult, error) {
 }
 
 // RunContext is Run with cancellation, checked every ctxCheckInterval
-// node visits of the sweep.
+// node visits of the sweep. It hands its residuals out, so it allocates
+// them.
 func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) (*PushResult, error) {
+	csr, err := e.prepare(g, s)
+	if err != nil {
+		return nil, err
+	}
+	n := csr.NumNodes()
+	p, r := make(Vector, n), make(Vector, n+hin.InLanes)
+	pushes, err := e.drain(ctx, csr, s, p, r)
+	if err != nil {
+		return nil, err
+	}
+	return &PushResult{Estimates: p, Residuals: r[:n], Pushes: pushes}, nil
+}
+
+// prepare validates the parameters and s and returns g as the forward
+// kernel's CSR.
+func (e *ForwardPush) prepare(g hin.View, s hin.NodeID) (*hin.CSR, error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, err
 	}
 	if err := checkNode(g, s); err != nil {
 		return nil, err
 	}
-	csr := flatten(g)
-	n := csr.NumNodes()
-	p := make(Vector, n)
-	r := make(Vector, n+hin.InLanes)
+	return flatten(g), nil
+}
+
+// drain runs the forward sweep from e_s over csr into p and r, which
+// must hold zeros (r with its hin.InLanes scratch slots), and tallies
+// the run.
+func (e *ForwardPush) drain(ctx context.Context, csr *hin.CSR, s hin.NodeID, p, r Vector) (int, error) {
 	r[s] = 1
 	pushes, err := e.sweep(ctx, forwardLoopSite, csr, p, r)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	res := &PushResult{Estimates: p, Residuals: r[:n], Pushes: pushes}
-	recordPush(runsForward, pushesForward, residualMassForward, res)
-	return res, nil
+	recordPush(runsForward, pushesForward, residualMassForward, pushes, r[:csr.NumNodes()])
+	return pushes, nil
 }
 
 // sweep is the forward driver: it drains p and r in place over csr, r

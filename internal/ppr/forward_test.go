@@ -164,8 +164,11 @@ func TestForwardTerminatesWhereRelaxationDoesNot(t *testing.T) {
 // TestForwardMatchesReference holds the kernel to the reference drain
 // bit for bit — estimates, residuals and push counts — on graphs with a
 // source nothing reaches (node 0), a dangling node (1), twins (2, 3) and
-// a dangling source (4).
+// a dangling source (4). The entry points that borrow their buffers,
+// FromSourceContext and LendFromSource, must return the same estimates
+// whatever drain of this or another graph's size used the buffers last.
 func TestForwardMatchesReference(t *testing.T) {
+	ctx := context.Background()
 	for _, eps := range []float64{2.7e-8, 1e-4} {
 		for seed := int64(1); seed <= 6; seed++ {
 			for _, beta := range []float64{1, 0.5} {
@@ -176,12 +179,23 @@ func TestForwardMatchesReference(t *testing.T) {
 				p.Epsilon = eps
 				e := NewForwardPush(p)
 				for _, s := range []hin.NodeID{0, 1, 2, 4, hin.NodeID(rng.Intn(nodes))} {
-					got, err := e.RunContext(context.Background(), g, s)
+					got, err := e.RunContext(ctx, g, s)
 					if err != nil {
 						t.Fatal(err)
 					}
 					want, _ := refForward(g, p, s, relaxation(p.Alpha))
-					sameRun(t, fmt.Sprintf("ε=%g seed %d β=%g source %d", eps, seed, beta, s), got, want)
+					what := fmt.Sprintf("ε=%g seed %d β=%g source %d", eps, seed, beta, s)
+					sameRun(t, what, got, want)
+					est, err := e.FromSourceContext(ctx, g, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, what+" FromSourceContext", est, want.Estimates)
+					if err := e.LendFromSource(ctx, g, s, func(lent Vector) {
+						sameBits(t, what+" LendFromSource", lent, want.Estimates)
+					}); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}

@@ -48,15 +48,16 @@ var (
 	residualMassForwardUpdate = residualMassHistogram("forward_update")
 )
 
-// recordPush tallies one completed static push run.
-func recordPush(runs, pushes *obs.Counter, hist *obs.Histogram, res *PushResult) {
+// recordPush tallies one completed push run: its push count and the
+// terminal residuals.
+func recordPush(runs, pushes *obs.Counter, hist *obs.Histogram, n int, residuals Vector) {
 	if !obs.Enabled() {
 		return
 	}
 	runs.Inc()
-	pushes.Add(int64(res.Pushes))
+	pushes.Add(int64(n))
 	var mass float64
-	for _, r := range res.Residuals {
+	for _, r := range residuals {
 		mass += abs(r)
 	}
 	hist.Observe(mass)

@@ -49,6 +49,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"github.com/why-not-xai/emigre/internal/freelist"
 	"github.com/why-not-xai/emigre/internal/hin"
 )
 
@@ -201,6 +202,23 @@ func flatten(g hin.View) *hin.CSR {
 		return c
 	}
 	return hin.NewCSR(g)
+}
+
+// buffers is the drains' free list of graph-length scratch: the
+// residuals of every drain that does not hand them out, and the
+// estimates LendFromSource lends. A buffer of an n-node graph holds
+// n + hin.InLanes entries, the residuals' scratch slots included.
+var buffers freelist.List[Vector]
+
+// borrow returns a zeroed buffer for an n-node graph from buffers, or a
+// new one when the buffer on top was sized for another graph (that one
+// is dropped, not resized). Give it back with buffers.Put.
+func borrow(n int) Vector {
+	if v, ok := buffers.Get(); ok && len(v) == n+hin.InLanes {
+		clear(v)
+		return v
+	}
+	return make(Vector, n+hin.InLanes)
 }
 
 // ReverseEngine computes the column PPR(·,t): the score of a fixed

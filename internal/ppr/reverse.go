@@ -48,10 +48,10 @@ func (e *ReversePush) ToTargetContext(ctx context.Context, g hin.View, t hin.Nod
 }
 
 // ToTargets is ToTargetContext toward every target of ts, one column
-// after another over one residual vector. Column k is bit-identical to
-// ToTarget(g, ts[k]) whatever else is in the batch (duplicated targets
-// are computed once each) — so a cached column never depends on who it
-// was computed with. No targets touch nothing.
+// after another over one borrowed residual vector. Column k is
+// bit-identical to ToTarget(g, ts[k]) whatever else is in the batch
+// (duplicated targets are computed once each) — so a cached column
+// never depends on who it was computed with. No targets touch nothing.
 func (e *ReversePush) ToTargets(ctx context.Context, g hin.View, ts []hin.NodeID) ([]Vector, error) {
 	if len(ts) == 0 {
 		return nil, nil
@@ -60,6 +60,8 @@ func (e *ReversePush) ToTargets(ctx context.Context, g hin.View, ts []hin.NodeID
 	if err != nil {
 		return nil, err
 	}
+	d.r = borrow(d.n())
+	defer buffers.Put(d.r)
 	cols := make([]Vector, len(ts))
 	for k, t := range ts {
 		if cols[k], _, err = d.column(ctx, t); err != nil {
@@ -84,6 +86,7 @@ func (e *ReversePush) RunContext(ctx context.Context, g hin.View, t hin.NodeID) 
 	if err != nil {
 		return nil, err
 	}
+	d.r = make(Vector, d.n()+hin.InLanes) // handed out: not borrowed
 	p, pushes, err := d.column(ctx, t)
 	if err != nil {
 		return nil, err
@@ -102,7 +105,8 @@ type reverseDrain struct {
 }
 
 // drain validates the parameters and every target of ts, then sets up a
-// drain over g's in-rows. Reverse push walks in-rows, which a row patch
+// drain over g's in-rows; the caller supplies its residuals, d.n() +
+// hin.InLanes entries. Reverse push walks in-rows, which a row patch
 // cannot serve from the shared arrays: NewCSR re-flattens a patched
 // snapshot (no production caller reverses over one) and flattens any
 // other view.
@@ -118,9 +122,11 @@ func (e *ReversePush) drain(g hin.View, ts []hin.NodeID) (reverseDrain, error) {
 	csr := hin.NewCSR(g)
 	inStart, inSrc, inProb := csr.InRows()
 	return reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb,
-		kernel: kernel{alpha: e.Params.Alpha, eps: e.Params.Epsilon,
-			r: make(Vector, csr.NumNodes()+hin.InLanes)}}, nil
+		kernel: kernel{alpha: e.Params.Alpha, eps: e.Params.Epsilon}}, nil
 }
+
+// n is the node count of the drained graph.
+func (d *reverseDrain) n() int { return len(d.inStart) - 1 }
 
 // column drains PPR(·,t) from r = e_t and returns its estimates and push
 // count; r is left holding the column's terminal residuals. Nodes are
@@ -137,7 +143,7 @@ func (e *ReversePush) drain(g hin.View, ts []hin.NodeID) (reverseDrain, error) {
 // ppr.reverse.loop failpoint are polled every ctxCheckInterval node
 // visits.
 func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, pushes int, err error) {
-	n := len(d.inStart) - 1
+	n := d.n()
 	clear(d.r)
 	d.r[t] = 1
 	d.p, d.pushes = make(Vector, n), 0

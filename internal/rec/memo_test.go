@@ -82,7 +82,8 @@ func TestTopNMemoMatchesSelection(t *testing.T) {
 				if !reflect.DeepEqual(got, want[:min(n, len(want))]) {
 					t.Fatalf("user %d, %s, n=%d: memoised list differs from selectInto", u, order, n)
 				}
-				if _, kept, _ := r.scores(ctx, u); kept == nil || len(kept.top) < min(n, len(want)) {
+				k, _ := r.key(pprcache.Forward, r.engine, u)
+				if _, kept, _ := r.scores(ctx, u, k, true); kept == nil || len(kept.top) < min(n, len(want)) {
 					t.Fatalf("user %d, %s, n=%d: no prefix of at least n kept", u, order, n)
 				}
 				got[0] = Scored{}

@@ -268,7 +268,8 @@ func (r *Recommender) Scores(u hin.NodeID) (ppr.Vector, error) {
 // concurrent callers and MUST be treated as read-only. The cache key
 // names the β-mixed matrix of View() that Flat() materializes (key).
 func (r *Recommender) ScoresContext(ctx context.Context, u hin.NodeID) (ppr.Vector, error) {
-	vec, _, err := r.scores(ctx, u)
+	k, cached := r.key(pprcache.Forward, r.engine, u)
+	vec, _, err := r.scores(ctx, u, k, cached)
 	return vec, err
 }
 
@@ -278,11 +279,11 @@ type rowFill struct {
 	u hin.NodeID
 }
 
-// scores is ScoresContext that also returns the ranking kept on the
-// cached vector (TopNContext), nil when there is none: one cache lookup
-// answers both.
-func (r *Recommender) scores(ctx context.Context, u hin.NodeID) (ppr.Vector, *ranking, error) {
-	if k, ok := r.key(pprcache.Forward, r.engine, u); ok {
+// scores is ScoresContext, given u's cache key k when cached, that also
+// returns the ranking kept on the cached vector (TopNContext), nil when
+// there is none: one cache lookup answers both.
+func (r *Recommender) scores(ctx context.Context, u hin.NodeID, k pprcache.Key, cached bool) (ppr.Vector, *ranking, error) {
+	if cached {
 		vec, note, _, err := pprcache.GetOrComputeNoted(ctx, r.cache, k, rowFill{r, u}, func(cctx context.Context, f rowFill) (ppr.Vector, error) {
 			return f.r.engine.FromSourceContext(cctx, f.r.Flat(), f.u)
 		})
@@ -451,11 +452,17 @@ func (r *Recommender) TopN(u hin.NodeID, n int) ([]Scored, error) {
 // the first call ranks the vector and keeps the list on its cache entry
 // (pprcache.Cache.SetNote), and later calls copy a prefix of it. Only a
 // larger n than the kept list holds ranks again, and replaces it.
+// Without a cache entry the ranking is selected from scores the engine
+// lends (rankCold), and the list is all it allocates.
 func (r *Recommender) TopNContext(ctx context.Context, u hin.NodeID, n int) ([]Scored, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rec: top-n size must be at least 1, got %d", n)
 	}
-	scores, kept, err := r.scores(ctx, u)
+	k, cached := r.key(pprcache.Forward, r.engine, u)
+	if !cached {
+		return r.rankCold(ctx, u, min(n, len(r.items)))
+	}
+	scores, kept, err := r.scores(ctx, u, k, true)
 	if err != nil {
 		return nil, err
 	}
@@ -465,13 +472,30 @@ func (r *Recommender) TopNContext(ctx context.Context, u hin.NodeID, n int) ([]S
 	n = min(n, len(r.items))
 	top := r.selectInto(u, scores, make([]Scored, 0, n))
 	if len(top) == 0 {
-		return nil, fmt.Errorf("%w (user %d)", ErrNoCandidates, u)
+		return nil, noCandidates(u)
 	}
-	if k, ok := r.key(pprcache.Forward, r.engine, u); ok {
-		r.cache.SetNote(k, scores, &ranking{items: r.items, top: slices.Clone(top), complete: len(top) < n || n == len(r.items)})
+	r.cache.SetNote(k, scores, &ranking{items: r.items, top: slices.Clone(top), complete: len(top) < n || n == len(r.items)})
+	return top, nil
+}
+
+// rankCold is TopNContext without a cache entry — every CHECK's
+// counterfactual, and every ranking of a recommender without a cache:
+// nothing else reads the drain's scores, so it selects the top n while
+// the engine lends them and allocates only the list it returns.
+func (r *Recommender) rankCold(ctx context.Context, u hin.NodeID, n int) ([]Scored, error) {
+	top := make([]Scored, 0, n)
+	if err := r.engine.LendFromSource(ctx, r.Flat(), u, func(scores ppr.Vector) {
+		top = r.selectInto(u, scores, top)
+	}); err != nil {
+		return nil, err
+	}
+	if len(top) == 0 {
+		return nil, noCandidates(u)
 	}
 	return top, nil
 }
+
+func noCandidates(u hin.NodeID) error { return fmt.Errorf("%w (user %d)", ErrNoCandidates, u) }
 
 // RankOf returns the 1-based rank of item v in u's candidate ranking.
 // It returns ErrNotCandidate when v cannot be recommended to u.

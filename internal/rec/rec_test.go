@@ -721,7 +721,9 @@ func mustScores(t testing.TB, r *Recommender, u hin.NodeID) ppr.Vector {
 
 // TestRankingAllocations pins the kernel's allocation budget: the
 // vector-level top-1 and rank reads allocate nothing and a top-10 list
-// allocates its result and nothing else. On a warm cache a TopNContext
+// allocates its result and nothing else. Without a cache, a TopNContext
+// ranks a drain's borrowed scores (ppr.ForwardPush.LendFromSource) and
+// allocates only the list it returns. On a warm cache a TopNContext
 // is one lookup that returns the vector with its kept ranking, and the
 // copy of the list's prefix it returns is its one allocation: the
 // engine identity in the key is formatted once per engine, and the
@@ -751,6 +753,11 @@ func TestRankingAllocations(t *testing.T) {
 		{"TopOf", 0, func() { r.TopOf(u, scores) }},
 		{"RankWithin", 0, func() { r.RankWithin(u, tenth, scores, 10) }},
 		{"top-10", 1, func() { r.selectInto(u, scores, make([]Scored, 0, 10)) }},
+		{"cold TopNContext", 1, func() {
+			if _, err := r.TopNContext(ctx, u, 10); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"warm TopNContext", 1, func() {
 			if _, err := warm.TopNContext(ctx, u, 10); err != nil {
 				t.Fatal(err)
