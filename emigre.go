@@ -248,7 +248,7 @@ var (
 	ErrNotWhyNotItem = core.ErrNotWhyNotItem
 	// ErrCanceled reports a search stopped by context cancellation or
 	// deadline expiry (returned by the *Context entry points, e.g.
-	// Explainer.ExplainContext, as a *CanceledError).
+	// Explainer.ExplainWithContext, as a *CanceledError).
 	ErrCanceled = core.ErrCanceled
 )
 

@@ -1,9 +1,6 @@
 package emigre
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // bruteForce is the paper's Remove-mode baseline (§6.2): enumerate every
 // subset of the user's allowed past actions in ascending size order and
@@ -17,54 +14,28 @@ import (
 // default budget every subset of size ≤ 5 of a 20-action user is
 // examined — well past the explanation sizes the paper observes.
 //
-// The strategy is a pure generator: it emits every subset in
-// enumeration order and the shared CHECK stream (runChecks) verifies
-// them. It has no pruning, so its stream is long and every set genuinely
-// needs a CHECK.
+// The stream has no scoring rule, so it is not ranked: subsets go to
+// CHECK straight from the enumeration, through the yield buffer of the
+// ranked streams.
 func (s *session) bruteForce() (*Explanation, error) {
 	h := s.cands // Algorithm 1's A, with T_e applied; no sign pruning
 	if len(h) == 0 {
 		return nil, fmt.Errorf("%w (brute force: user has no removable actions)", ErrNoExplanation)
 	}
-	maxSize := s.ex.opts.MaxCombinationSize
-	if maxSize > len(h) {
-		maxSize = len(h)
-	}
 	gen := func(yield func(cands []candidate) bool) error {
-		for size := 1; size <= maxSize; size++ {
+		for size, open := 1, true; open && size <= min(s.ex.opts.MaxCombinationSize, len(h)); size++ {
 			if err := s.canceled(); err != nil {
 				return err
 			}
-			stopped := false
 			combinations(len(h), size, func(idx []int) bool {
 				s.stats.CombosExamined++
-				selected := make([]candidate, len(idx))
-				for i, j := range idx {
-					selected[i] = h[j]
-				}
-				if !yield(selected) {
-					stopped = true
-					return false
-				}
-				return true
+				open = yield(s.pick(h, idx))
+				return open
 			})
-			if stopped {
-				return nil
-			}
 		}
 		return nil
 	}
-	out, err := s.runChecks(gen)
-	if err != nil {
-		return nil, err
-	}
-	if out.expl != nil {
-		return out.expl, nil
-	}
-	err = fmt.Errorf("%w (brute force: |A|=%d, %d subsets checked)",
-		ErrNoExplanation, len(h), s.stats.Tests)
-	if out.budgetHit {
-		err = errors.Join(err, ErrBudgetExhausted)
-	}
-	return nil, err
+	return s.search(gen, func() string {
+		return fmt.Sprintf("brute force: |A|=%d, %d subsets checked", len(h), s.stats.Tests)
+	})
 }

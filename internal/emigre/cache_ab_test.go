@@ -25,8 +25,8 @@ import (
 func TestCacheABExplanationsIdentical(t *testing.T) {
 	for _, mode := range []Mode{Remove, Add} {
 		for _, method := range allMethods(mode) {
-			cached := newFixture(t, Options{Mode: mode, Method: method})
-			uncached := newFixture(t, Options{Mode: mode, Method: method, DisableCache: true})
+			cached := newFixture(t, Options{})
+			uncached := newFixture(t, Options{DisableCache: true})
 			if cached.ex.Cache() == nil {
 				t.Fatal("default explainer has no cache")
 			}
@@ -34,8 +34,8 @@ func TestCacheABExplanationsIdentical(t *testing.T) {
 				t.Fatal("DisableCache left a cache attached")
 			}
 
-			want, errW := cached.ex.Explain(cached.query())
-			got, errG := uncached.ex.Explain(uncached.query())
+			want, errW := cached.ex.ExplainWith(cached.query(), mode, method)
+			got, errG := uncached.ex.ExplainWith(uncached.query(), mode, method)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("%v/%v: cached err=%v uncached err=%v", mode, method, errW, errG)
 			}
@@ -50,7 +50,7 @@ func TestCacheABExplanationsIdentical(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%v/%v: explanations diverge:\ncached:   %+v\nuncached: %+v", mode, method, want, got)
 			}
-			warm, err := cached.ex.Explain(cached.query())
+			warm, err := cached.ex.ExplainWith(cached.query(), mode, method)
 			if err != nil {
 				t.Fatalf("%v/%v: warm-cache run: %v", mode, method, err)
 			}
@@ -127,8 +127,8 @@ func TestCacheABConcurrentSessionsOverlappingTargets(t *testing.T) {
 func TestParallelExplainUnderCacheChurn(t *testing.T) {
 	testleak.Check(t)
 	tiny := pprcache.New(pprcache.Config{MaxEntries: 4, Shards: 1})
-	f := newFixture(t, Options{Mode: Remove, Method: Powerset, Cache: tiny})
-	want, err := newFixture(t, Options{Mode: Remove, Method: Powerset}).ex.Explain(f.query())
+	f := newFixture(t, Options{Cache: tiny})
+	want, err := newFixture(t, Options{}).ex.ExplainWith(f.query(), Remove, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestParallelExplainUnderCacheChurn(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			expls[i], errs[i] = f.ex.Explain(f.query())
+			expls[i], errs[i] = f.ex.ExplainWith(f.query(), Remove, Powerset)
 		}(i)
 	}
 	wg.Wait()
@@ -166,22 +166,22 @@ func TestParallelExplainUnderCacheChurn(t *testing.T) {
 // computes fresh and answers what an undisturbed explainer answers.
 func TestBatchedFetchFailureLeavesNoResidue(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
-	f := newFixture(t, Options{Mode: Remove, Method: Exhaustive})
+	f := newFixture(t, Options{})
 	if err := fault.Apply("ppr.reverse.loop=error(column drain died)*1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.Explain(f.query()); !errors.Is(err, fault.ErrInjected) {
+	if _, err := f.ex.ExplainWith(f.query(), Remove, Exhaustive); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want the injected error", err)
 	}
 	s := f.ex.Cache().Stats()
 	if s.Inflight != 0 || s.Entries != 1 { // the base forward pair is all that landed
 		t.Fatalf("after a failed batch: %+v, want no flight and only the forward entry", s)
 	}
-	got, err := f.ex.Explain(f.query())
+	got, err := f.ex.ExplainWith(f.query(), Remove, Exhaustive)
 	if err != nil {
 		t.Fatalf("explain after the failed batch: %v", err)
 	}
-	want, err := newFixture(t, Options{Mode: Remove, Method: Exhaustive}).ex.Explain(f.query())
+	want, err := newFixture(t, Options{}).ex.ExplainWith(f.query(), Remove, Exhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,16 +241,16 @@ func TestUncachedSessionRunsOneForwardPush(t *testing.T) {
 // query is served mostly from residency: the baseline columns and
 // forward vectors computed by the first session become hits.
 func TestExplainerCacheReuseAcrossQueries(t *testing.T) {
-	f := newFixture(t, Options{Mode: Remove, Method: Exhaustive})
+	f := newFixture(t, Options{})
 	q := f.query()
-	if _, err := f.ex.Explain(q); err != nil {
+	if _, err := f.ex.ExplainWith(q, Remove, Exhaustive); err != nil {
 		t.Fatal(err)
 	}
 	after1 := f.ex.Cache().Stats()
 	if after1.Misses == 0 {
 		t.Fatalf("first query computed nothing: %+v", after1)
 	}
-	expl1, err := f.ex.Explain(q)
+	expl1, err := f.ex.ExplainWith(q, Remove, Exhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +274,9 @@ func TestExplainerCacheReuseAcrossQueries(t *testing.T) {
 // after Verify, which decides uncached too.
 func TestCheckVectorsStayOutOfCache(t *testing.T) {
 	for _, mode := range []Mode{Remove, Add} {
-		f := newFixture(t, Options{Mode: mode, Method: Powerset})
+		f := newFixture(t, Options{})
 		cold0 := coldChecks.Value()
-		expl, err := f.ex.Explain(f.query())
+		expl, err := f.ex.ExplainWith(f.query(), mode, Powerset)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestNewDoesNotMutateCallerRecommender(t *testing.T) {
 	if ex.Cache() == r2.Cache() {
 		t.Fatal("explainer should keep its own cache, not adopt the recommender's")
 	}
-	if _, err := ex.Explain(f.query()); err != nil {
+	if _, err := ex.ExplainWith(f.query(), Remove, Incremental); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -331,7 +331,7 @@ func TestSharedCacheAcrossExplainAndRecommender(t *testing.T) {
 	if f.ex.Cache() != shared {
 		t.Fatal("explainer ignored the injected cache")
 	}
-	if _, err := f.ex.Explain(f.query()); err != nil {
+	if _, err := f.ex.ExplainWith(f.query(), Remove, Incremental); err != nil {
 		t.Fatal(err)
 	}
 	if s := shared.Stats(); s.Misses == 0 {

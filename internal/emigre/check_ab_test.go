@@ -26,8 +26,8 @@ func stripVariance(e Explanation) Explanation {
 // search's verdicts by an independent judge.
 func TestDeltaVerifyAgrees(t *testing.T) {
 	for _, mode := range []Mode{Remove, Add} {
-		f := newFixture(t, Options{Mode: mode, Method: Powerset})
-		expl, err := f.ex.Explain(f.query())
+		f := newFixture(t, Options{})
+		expl, err := f.ex.ExplainWith(f.query(), mode, Powerset)
 		if err != nil {
 			t.Fatal(err)
 		}

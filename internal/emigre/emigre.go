@@ -195,10 +195,6 @@ func wrapCtxErr(err error, stats Stats) error {
 
 // Options configures an Explainer.
 type Options struct {
-	// Mode selects Remove or Add; Method selects the strategy.
-	Mode   Mode
-	Method Method
-
 	// AllowedEdgeTypes is the paper's T_e: the edge types that may
 	// appear in explanations. The zero value allows every type. The
 	// paper's experiments restrict T_e to user-item edges.
@@ -314,7 +310,7 @@ type Stats struct {
 	Gated int
 	// Cold counts CHECKs decided by one cold PPR run.
 	Cold int
-	// Duration is the wall-clock time of the Explain call.
+	// Duration is the wall-clock time of the explain call.
 	Duration time.Duration
 }
 
@@ -425,8 +421,7 @@ type Explainer struct {
 }
 
 // New builds an explainer. The recommender must have been built over g
-// (or over a view of it); opts.Mode/Method select the default strategy
-// used by Explain.
+// (or over a view of it).
 //
 // Unless opts.DisableCache is set, the explainer serves its PPR vectors
 // through a pprcache.Cache: opts.Cache when given, else a private one.
@@ -460,28 +455,16 @@ func (e *Explainer) Options() Options { return e.opts }
 // when caching is disabled.
 func (e *Explainer) Cache() *pprcache.Cache { return e.cache }
 
-// Explain answers the query with the explainer's configured mode and
-// method.
-func (e *Explainer) Explain(q Query) (*Explanation, error) {
-	return e.ExplainContext(context.Background(), q)
-}
-
-// ExplainContext is Explain with cancellation: the search — including
-// every PPR pass it triggers — aborts once ctx is canceled or its
-// deadline passes, returning a *CanceledError that wraps ErrCanceled
-// and carries the partial Stats.
-func (e *Explainer) ExplainContext(ctx context.Context, q Query) (*Explanation, error) {
-	return e.ExplainWithContext(ctx, q, e.opts.Mode, e.opts.Method)
-}
-
-// ExplainWith answers the query with an explicit mode and method,
-// overriding the configured defaults.
+// ExplainWith answers the query in the given mode with the given
+// strategy.
 func (e *Explainer) ExplainWith(q Query, mode Mode, method Method) (*Explanation, error) {
 	return e.ExplainWithContext(context.Background(), q, mode, method)
 }
 
-// ExplainWithContext is ExplainWith with cancellation (see
-// ExplainContext for the semantics).
+// ExplainWithContext is ExplainWith with cancellation: the search —
+// including every PPR pass it triggers — aborts once ctx is canceled or
+// its deadline passes, returning a *CanceledError that wraps ErrCanceled
+// and carries the partial Stats.
 func (e *Explainer) ExplainWithContext(ctx context.Context, q Query, mode Mode, method Method) (*Explanation, error) {
 	return e.explain(ctx, q, nil, mode, method)
 }
@@ -620,6 +603,8 @@ type session struct {
 	// kept so an interrupted search can surface it as an unverified
 	// partial explanation (see CanceledError.Partial).
 	lastAttempt []candidate
+	// picked is the set a combination stream is yielding (pick).
+	picked []candidate
 }
 
 // candidate is one entry of the paper's list H: an edge that could be

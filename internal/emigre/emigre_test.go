@@ -215,7 +215,7 @@ func TestQueryValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := f.ex.Explain(tc.q); !errors.Is(err, tc.wantErr) {
+			if _, err := f.ex.ExplainWith(tc.q, Remove, Incremental); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
 		})

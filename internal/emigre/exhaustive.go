@@ -2,7 +2,6 @@ package emigre
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -26,19 +25,17 @@ import (
 //
 // and keeps every candidate combination whose summed row strictly
 // dominates the threshold vector (Table 3). Surviving combinations are
-// examined in ascending size order; with withCheck, each is verified by
-// CHECK before being returned (the paper's remove_ex / add_ex); without
-// it, the first surviving combination is returned unverified (the
-// remove_ex_direct baseline, whose measured ~33% success-rate drop
-// motivates the CHECK step).
+// examined in ascending size order, the widest margin first; with
+// withCheck, each is verified by CHECK before being returned (the
+// paper's remove_ex / add_ex); without it, the first surviving
+// combination is returned unverified (the remove_ex_direct baseline,
+// whose measured ~33% success-rate drop motivates the CHECK step).
 //
 // Unlike Algorithms 3-4, no sign-based pruning is applied to H: a
 // candidate that slightly hurts WNI against rec may still be needed to
 // pull down a third item (§5.2.2). H is capped at MaxSearchSpace by
 // absolute contribution to bound the combination sweep.
 func (s *session) exhaustive(withCheck bool) (*Explanation, error) {
-	opts := s.ex.opts
-
 	targets, err := s.exhaustiveTargets()
 	if err != nil {
 		return nil, err
@@ -73,121 +70,79 @@ func (s *session) exhaustive(withCheck bool) (*Explanation, error) {
 		reduction[i] = row
 	}
 	threshold := make([]float64, len(targets))
-	for _, e := range s.ex.g.OutEdgesOfType(s.q.User, opts.AllowedEdgeTypes) {
+	for _, e := range s.ex.g.OutEdgesOfType(s.q.User, s.ex.opts.AllowedEdgeTypes) {
 		w := trans[rec.Arc{To: e.To, Type: e.Type}]
 		for k := range targets {
 			threshold[k] += w * (cols[k][e.To] - s.toWNI[e.To])
 		}
 	}
 
-	maxSize := opts.MaxCombinationSize
-	if maxSize > len(h) {
-		maxSize = len(h)
+	gen := s.exhaustiveStream(h, targets, reduction, threshold)
+	detail := func() string {
+		return fmt.Sprintf("exhaustive, %s mode: |H|=%d, |T|=%d, %d combos, %d checks",
+			s.mode, len(h), len(targets), s.stats.CombosExamined, s.stats.Tests)
 	}
-	type survivor struct {
-		idx    []int
-		margin float64 // worst-coordinate slack, for ordering
+	if withCheck {
+		return s.search(gen, detail)
 	}
-	// With the default TargetRank of 1 a combination must dominate every
-	// target; placing WNI at rank k only requires beating all but k−1
-	// of them, so up to k−1 negative-slack columns are tolerated.
+	// Direct baseline: trust the threshold filter — the first surviving
+	// combination is returned unverified, so the stream is consumed
+	// inline rather than through runChecks.
+	var first *Explanation
+	err = gen(func(cands []candidate) bool {
+		first = s.found(cands, false, hin.InvalidNode)
+		return false
+	})
+	if err == nil && first == nil {
+		err = fmt.Errorf("%w (%s)", ErrNoExplanation, detail())
+	}
+	return first, err
+}
+
+// exhaustiveStream is Algorithm 5's rule over the ranked stream: a
+// combination is kept when its summed reduction row dominates the
+// threshold vector (Table 3), and scored by its worst-coordinate slack.
+// Every combination counts as examined. With the default TargetRank of 1
+// a combination must dominate every target; placing WNI at rank k only
+// requires beating all but k−1 of them, so up to k−1 negative-slack
+// columns are tolerated.
+func (s *session) exhaustiveStream(h []candidate, targets []hin.NodeID, reduction [][]float64, threshold []float64) checkStream {
 	allowedMisses := s.ex.opts.TargetRank - 1
-
-	// The strategy as a pure generator: per size, run the domination
-	// filter over all combinations, order the survivors by margin, and
-	// yield them for verification.
-	gen := func(yield func(cands []candidate) bool) error {
-		for size := 1; size <= maxSize; size++ {
-			if err := s.canceled(); err != nil {
-				return err
+	return s.ranked(h, func(idx []int) (float64, bool) {
+		s.stats.CombosExamined++
+		misses := 0
+		worst := math.Inf(1)
+		for k := range targets {
+			// Connecting the user to target t evicts t from the
+			// candidate set of Eq. 2 — WNI no longer needs to beat
+			// it, so skip its column (paper erratum; Alg. 5 does
+			// not handle self-targets).
+			if comboContainsAddedEndpoint(h, idx, targets[k]) {
+				continue
 			}
-			var survivors []survivor
-			combinations(len(h), size, func(idx []int) bool {
-				s.stats.CombosExamined++
-				misses := 0
-				worst := math.Inf(1)
-				for k := range targets {
-					// Connecting the user to target t evicts t from the
-					// candidate set of Eq. 2 — WNI no longer needs to beat
-					// it, so skip its column (paper erratum; Alg. 5 does
-					// not handle self-targets).
-					if comboContainsAddedEndpoint(h, idx, targets[k]) {
-						continue
-					}
-					var sum float64
-					for _, i := range idx {
-						sum += reduction[i][k]
-					}
-					slack := sum - threshold[k]
-					// The paper requires strictly positive slack; we accept
-					// slack == 0 too (an estimated tie) because the CHECK
-					// step resolves it exactly — this covers the degenerate
-					// combination that removes every allowed edge, whose
-					// slack is identically zero.
-					if slack < 0 {
-						misses++
-						if misses > allowedMisses {
-							return true // fails the domination filter
-						}
-						continue
-					}
-					if slack < worst {
-						worst = slack
-					}
+			var sum float64
+			for _, i := range idx {
+				sum += reduction[i][k]
+			}
+			slack := sum - threshold[k]
+			// The paper requires strictly positive slack; we accept
+			// slack == 0 too (an estimated tie) because the CHECK
+			// step resolves it exactly — this covers the degenerate
+			// combination that removes every allowed edge, whose
+			// slack is identically zero.
+			if slack < 0 {
+				misses++
+				if misses > allowedMisses {
+					return 0, false // fails the domination filter
 				}
-				survivors = append(survivors, survivor{idx: append([]int(nil), idx...), margin: worst})
-				return true
-			})
-			sort.Slice(survivors, func(i, j int) bool {
-				if !fmath.Eq(survivors[i].margin, survivors[j].margin) {
-					return survivors[i].margin > survivors[j].margin
-				}
-				return lexLess(survivors[i].idx, survivors[j].idx)
-			})
-			for _, sv := range survivors {
-				selected := make([]candidate, len(sv.idx))
-				for i, j := range sv.idx {
-					selected[i] = h[j]
-				}
-				if !yield(selected) {
-					return nil
-				}
+				continue
+			}
+			if slack < worst {
+				worst = slack
 			}
 		}
-		return nil
-	}
-
-	if !withCheck {
-		// Direct baseline: trust the threshold filter — the first
-		// surviving combination is returned unverified, so the stream is
-		// consumed inline rather than through runChecks.
-		var first *Explanation
-		if err := gen(func(cands []candidate) bool {
-			first = s.found(cands, false, hin.InvalidNode)
-			return false
-		}); err != nil {
-			return nil, err
-		}
-		if first != nil {
-			return first, nil
-		}
-		return nil, fmt.Errorf("%w (exhaustive, %s mode: |H|=%d, |T|=%d, %d combos, %d checks)",
-			ErrNoExplanation, s.mode, len(h), len(targets), s.stats.CombosExamined, s.stats.Tests)
-	}
-
-	out, err := s.runChecks(gen)
-	if err != nil {
-		return nil, err
-	}
-	if out.expl != nil {
-		return out.expl, nil
-	}
-	err = fmt.Errorf("%w (exhaustive, %s mode: |H|=%d, |T|=%d, %d combos, %d checks)",
-		ErrNoExplanation, s.mode, len(h), len(targets), s.stats.CombosExamined, s.stats.Tests)
-	if out.budgetHit {
-		err = errors.Join(err, ErrBudgetExhausted)
-	}
-	return nil, err
+		return worst, true
+	}, nil)
 }
 
 // comboContainsAddedEndpoint reports whether any Add-op candidate in

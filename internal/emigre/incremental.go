@@ -39,15 +39,12 @@ func (s *session) incremental() (*Explanation, error) {
 		}
 		return nil
 	}
-	out, err := s.runChecks(gen)
-	if err != nil {
-		return nil, err
+	expl, budgetHit, err := s.runChecks(gen)
+	if err != nil || expl != nil {
+		return expl, err
 	}
-	if out.expl != nil {
-		return out.expl, nil
-	}
-	if out.budgetHit {
-		return nil, fmt.Errorf("%w (incremental)", errors.Join(ErrNoExplanation, out.budgetErr))
+	if budgetHit {
+		return nil, fmt.Errorf("%w (incremental)", errors.Join(ErrNoExplanation, budgetExhausted(s.stats.Tests)))
 	}
 	return nil, fmt.Errorf("%w (incremental, %s mode: %d candidates, %d checks)",
 		ErrNoExplanation, s.mode, len(s.cands), s.stats.Tests)

@@ -18,12 +18,12 @@ func TestObsABExplanationsByteIdentical(t *testing.T) {
 	for _, mode := range []Mode{Remove, Add} {
 		for _, method := range allMethods(mode) {
 			obs.SetEnabled(true)
-			on := newFixture(t, Options{Mode: mode, Method: method})
-			wantExpl, errW := on.ex.Explain(on.query())
+			on := newFixture(t, Options{})
+			wantExpl, errW := on.ex.ExplainWith(on.query(), mode, method)
 
 			obs.SetEnabled(false)
-			off := newFixture(t, Options{Mode: mode, Method: method})
-			gotExpl, errG := off.ex.Explain(off.query())
+			off := newFixture(t, Options{})
+			gotExpl, errG := off.ex.ExplainWith(off.query(), mode, method)
 
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("%v/%v: on err=%v off err=%v", mode, method, errW, errG)
@@ -70,9 +70,9 @@ func TestObsDisabledRecordsNothing(t *testing.T) {
 	}
 
 	obs.SetEnabled(false)
-	f := newFixture(t, Options{Mode: Remove, Method: Powerset})
+	f := newFixture(t, Options{})
 	before := runs()
-	if _, err := f.ex.Explain(f.query()); err != nil {
+	if _, err := f.ex.ExplainWith(f.query(), Remove, Powerset); err != nil {
 		t.Fatal(err)
 	}
 	if got := runs(); got != before {
@@ -80,9 +80,9 @@ func TestObsDisabledRecordsNothing(t *testing.T) {
 	}
 
 	obs.SetEnabled(true)
-	f2 := newFixture(t, Options{Mode: Remove, Method: Powerset})
+	f2 := newFixture(t, Options{})
 	before = runs()
-	if _, err := f2.ex.Explain(f2.query()); err != nil {
+	if _, err := f2.ex.ExplainWith(f2.query(), Remove, Powerset); err != nil {
 		t.Fatal(err)
 	}
 	if got := runs(); got <= before {

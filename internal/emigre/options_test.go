@@ -58,20 +58,6 @@ func TestExhaustiveCandidateCap(t *testing.T) {
 	}
 }
 
-func TestComboCapHintClamped(t *testing.T) {
-	if got := comboCapHint(5, 2); got != 10 {
-		t.Fatalf("comboCapHint(5,2) = %d, want exact C(5,2) = 10", got)
-	}
-	// C(64, 20) saturates binomial at ~10^12; the capacity hint must be
-	// clamped so a powerset sweep never attempts a terabyte allocation.
-	if got := comboCapHint(64, 20); got != maxComboPrealloc {
-		t.Fatalf("comboCapHint(64,20) = %d, want clamp %d", got, maxComboPrealloc)
-	}
-	if got := binomial(64, 20); got != binomialSaturation {
-		t.Fatalf("binomial(64,20) = %d, want saturation %d", got, binomialSaturation)
-	}
-}
-
 func TestDescribeUnlabeledNodes(t *testing.T) {
 	g := hin.NewGraph()
 	item := g.Types().NodeType("item")

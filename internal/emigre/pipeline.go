@@ -22,7 +22,8 @@ var checkSite = fault.Register("emigre.check")
 // of them. The strategies therefore act as pure *generators*: each one
 // emits an ordered stream of candidate sets, and session.runChecks checks
 // them inline, in stream order, and stops at the first accepted set —
-// the paper's (and PRINCE's) first-passing-set semantics.
+// the paper's (and PRINCE's) first-passing-set semantics. Powerset and
+// Exhaustive are one stream with two scoring rules (session.ranked).
 
 // checkStream is a strategy rendered as a generator: it yields candidate
 // sets in CHECK order until yield returns false or the stream is
@@ -32,54 +33,50 @@ var checkSite = fault.Register("emigre.check")
 // decide first.
 type checkStream func(yield func(cands []candidate) bool) error
 
-// pipelineOutcome is what a stream evaluation produced.
-type pipelineOutcome struct {
-	// expl is the first accepted candidate set in stream order, nil when
-	// the stream was exhausted (or stopped) without an accept.
-	expl *Explanation
-	// budgetHit reports that the stream reached the MaxTests budget;
-	// budgetErr is then the CHECK budget error (strategies fold it into
-	// their own error message).
-	budgetHit bool
-	budgetErr error
-}
-
 // budgetExhausted builds the CHECK-budget error for a given test count.
-// Strategy error messages embed it.
+// check returns it at the budget; Incremental's error message embeds it.
 func budgetExhausted(tests int) error {
 	return fmt.Errorf("%w: %d CHECK invocations", ErrBudgetExhausted, tests)
 }
 
 // runChecks evaluates the candidate-set stream produced by gen and
-// returns the first accepted set in stream order.
-func (s *session) runChecks(gen checkStream) (pipelineOutcome, error) {
-	var (
-		out     pipelineOutcome
-		hardErr error
-	)
+// returns the first accepted set in stream order, nil when the stream
+// ended without one; budgetHit reports that the MaxTests budget ended
+// it.
+func (s *session) runChecks(gen checkStream) (expl *Explanation, budgetHit bool, err error) {
 	genErr := gen(func(cands []candidate) bool {
 		s.noteAttempt(cands)
-		ok, top, err := s.check(cands)
-		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				out.budgetHit = true
-				out.budgetErr = err
-				return false
-			}
-			hardErr = err
-			return false
+		ok, top, checkErr := s.check(cands)
+		switch {
+		case errors.Is(checkErr, ErrBudgetExhausted):
+			budgetHit = true
+		case checkErr != nil:
+			err = checkErr
+		case ok:
+			expl = s.found(cands, true, top)
+		default:
+			return true
 		}
-		if ok {
-			out.expl = s.found(cands, true, top)
-			return false
-		}
-		return true
+		return false
 	})
-	if hardErr != nil {
-		return out, hardErr
+	if err == nil && expl == nil && !budgetHit {
+		err = genErr
 	}
-	if genErr != nil && out.expl == nil && !out.budgetHit {
-		return out, genErr
+	return expl, budgetHit, err
+}
+
+// search runs a strategy's stream through runChecks and returns its first
+// accepted set. A stream that ends without one is ErrNoExplanation with
+// the strategy's detail, read once the stream is done, joined with
+// ErrBudgetExhausted when MaxTests ended it.
+func (s *session) search(gen checkStream, detail func() string) (*Explanation, error) {
+	expl, budgetHit, err := s.runChecks(gen)
+	if err != nil || expl != nil {
+		return expl, err
 	}
-	return out, nil
+	err = fmt.Errorf("%w (%s)", ErrNoExplanation, detail())
+	if budgetHit {
+		err = errors.Join(err, ErrBudgetExhausted)
+	}
+	return nil, err
 }

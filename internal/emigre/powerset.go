@@ -1,12 +1,6 @@
 package emigre
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-
-	"github.com/why-not-xai/emigre/internal/fmath"
-)
+import "fmt"
 
 // powerset implements Algorithm 4: restrict H to positive-contribution
 // candidates, then examine candidate combinations in ascending size
@@ -19,85 +13,32 @@ import (
 // candidates) and combination sizes at Options.MaxCombinationSize, so
 // the powerset never degenerates into the full 2^|H| sweep the paper's
 // complexity analysis warns about (§5.3).
-//
-// The strategy is a pure generator: it emits gap-flipping combinations
-// in examination order and the shared CHECK stream (runChecks)
-// verifies them.
 func (s *session) powerset() (*Explanation, error) {
 	h := s.positiveCandidates(s.ex.opts.MaxSearchSpace)
 	if len(h) == 0 {
 		return nil, fmt.Errorf("%w (powerset, %s mode: no positive-contribution candidates)",
 			ErrNoExplanation, s.mode)
 	}
-	maxSize := s.ex.opts.MaxCombinationSize
-	if maxSize > len(h) {
-		maxSize = len(h)
-	}
-	type combo struct {
-		idx   []int
-		total float64
-	}
-	gen := func(yield func(cands []candidate) bool) error {
-		for size := 1; size <= maxSize; size++ {
-			if err := s.canceled(); err != nil {
-				return err
-			}
-			combos := make([]combo, 0, comboCapHint(len(h), size))
-			combinations(len(h), size, func(idx []int) bool {
-				var total float64
-				for _, i := range idx {
-					total += h[i].contribution
-				}
-				combos = append(combos, combo{idx: append([]int(nil), idx...), total: total})
-				return true
-			})
-			sort.Slice(combos, func(i, j int) bool {
-				if !fmath.Eq(combos[i].total, combos[j].total) {
-					return combos[i].total > combos[j].total
-				}
-				return lexLess(combos[i].idx, combos[j].idx)
-			})
-			for _, cb := range combos {
-				s.stats.CombosExamined++
-				if !s.gapFlipped(s.tau - cb.total) {
-					// This and all later combos of this size cannot flip the
-					// estimated gap; move on to the next size.
-					break
-				}
-				selected := make([]candidate, len(cb.idx))
-				for i, j := range cb.idx {
-					selected[i] = h[j]
-				}
-				if !yield(selected) {
-					return nil
-				}
-			}
-		}
-		return nil
-	}
-	out, err := s.runChecks(gen)
-	if err != nil {
-		return nil, err
-	}
-	if out.expl != nil {
-		return out.expl, nil
-	}
-	err = fmt.Errorf("%w (powerset, %s mode: |H|=%d, %d combos, %d checks)",
-		ErrNoExplanation, s.mode, len(h), s.stats.CombosExamined, s.stats.Tests)
-	if out.budgetHit {
-		err = errors.Join(err, ErrBudgetExhausted)
-	}
-	return nil, err
+	return s.search(s.powersetStream(h), func() string {
+		return fmt.Sprintf("powerset, %s mode: |H|=%d, %d combos, %d checks",
+			s.mode, len(h), s.stats.CombosExamined, s.stats.Tests)
+	})
 }
 
-func lexLess(a, b []int) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
+// powersetStream is Algorithm 4's rule over the ranked stream: every
+// combination is kept and scored by its total contribution. The first
+// combination whose total does not flip the gap estimate ends its size,
+// since no later one of that size sums to more; each combination looked
+// at counts as examined.
+func (s *session) powersetStream(h []candidate) checkStream {
+	return s.ranked(h, func(idx []int) (float64, bool) {
+		var sum float64
+		for _, i := range idx {
+			sum += h[i].contribution
 		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+		return sum, true
+	}, func(sum float64) bool {
+		s.stats.CombosExamined++
+		return !s.gapFlipped(s.tau - sum)
+	})
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"github.com/why-not-xai/emigre/internal/fmath"
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/rec"
 )
@@ -71,6 +74,201 @@ func TestQuickCombinationsCountMatchesBinomial(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// binomial returns C(n, k): the count oracle of the enumerator tests.
+func binomial(n, k int) int {
+	if k < 0 || k > n {
+		return 0
+	}
+	k = min(k, n-k)
+	res := 1
+	for i := 0; i < k; i++ {
+		res = res * (n - i) / (i + 1)
+	}
+	return res
+}
+
+// TestQuickRankedStreamMatchesReference: Powerset's and Exhaustive's
+// streams yield exactly the index tuples, in exactly the order, of the
+// per-size generators they replaced (refPowerset, refExhaustive), and
+// count the same CombosExamined, also when the consumer stops early.
+// Scores come from a small set so that exact ties are common.
+func TestQuickRankedStreamMatchesReference(t *testing.T) {
+	values := []float64{-0.5, 0.1, 0.2, 0.25, 0.3, 0.5}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n, maxSize := 1+rng.Intn(10), 1+rng.Intn(4)
+		h := make([]candidate, n)
+		for i := range h {
+			// From carries the index, so a yielded set maps back to its tuple.
+			h[i] = candidate{
+				edge:         hin.Edge{From: hin.NodeID(i), To: hin.NodeID(rng.Intn(4))},
+				op:           Mode(rng.Intn(2)),
+				contribution: values[1+rng.Intn(len(values)-1)],
+			}
+		}
+		stopAt := -1 // the consumer stops after this many sets, or never
+		if rng.Intn(2) == 0 {
+			stopAt = rng.Intn(20)
+		}
+		var want [][]int
+		collect := func(got *[][]int) func(idx []int) bool {
+			return func(idx []int) bool {
+				*got = append(*got, slices.Clone(idx))
+				return len(*got) != stopAt
+			}
+		}
+		sameAs := func(s *session, gen checkStream, want [][]int, wantCombos int) bool {
+			var got [][]int
+			keep := collect(&got)
+			if err := gen(func(cands []candidate) bool {
+				idx := make([]int, len(cands))
+				for i, c := range cands {
+					idx[i] = int(c.edge.From)
+				}
+				return keep(idx)
+			}); err != nil {
+				return false
+			}
+			return slices.EqualFunc(got, want, slices.Equal[[]int]) && s.stats.CombosExamined == wantCombos
+		}
+		newSession := func(rank int, tau float64) *session {
+			return &session{ex: &Explainer{opts: Options{MaxCombinationSize: maxSize, TargetRank: rank}}, tau: tau}
+		}
+
+		tau := values[rng.Intn(len(values))] * float64(1+rng.Intn(4))
+		s := newSession(1, tau)
+		combos := 0
+		refPowerset(h, maxSize, func(total float64) bool { return s.gapFlipped(tau - total) }, &combos, collect(&want))
+		if !sameAs(s, s.powersetStream(h), want, combos) {
+			return false
+		}
+
+		targets := make([]hin.NodeID, 1+rng.Intn(3))
+		reduction := make([][]float64, n)
+		threshold := make([]float64, len(targets))
+		for k := range targets {
+			targets[k] = hin.NodeID(rng.Intn(4))
+			threshold[k] = values[rng.Intn(len(values))]
+		}
+		for i := range reduction {
+			reduction[i] = make([]float64, len(targets))
+			for k := range targets {
+				reduction[i][k] = values[rng.Intn(len(values))]
+			}
+		}
+		rank := 1 + rng.Intn(2)
+		want, combos = nil, 0
+		refExhaustive(h, maxSize, targets, reduction, threshold, rank-1, &combos, collect(&want))
+		s = newSession(rank, 0)
+		return sameAs(s, s.exhaustiveStream(h, targets, reduction, threshold), want, combos)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refPowerset is Algorithm 4's generator as it stood before the shared
+// ranked stream: each size's combinations copied out with their totals,
+// sorted by total descending and lexicographically on ties, and yielded
+// until the first one whose total does not flip the gap.
+func refPowerset(h []candidate, maxSize int, flips func(total float64) bool, examined *int, yield func(idx []int) bool) {
+	type combo struct {
+		idx   []int
+		total float64
+	}
+	for size := 1; size <= min(maxSize, len(h)); size++ {
+		var combos []combo
+		combinations(len(h), size, func(idx []int) bool {
+			var total float64
+			for _, i := range idx {
+				total += h[i].contribution
+			}
+			combos = append(combos, combo{idx: append([]int(nil), idx...), total: total})
+			return true
+		})
+		sort.Slice(combos, func(i, j int) bool {
+			if !fmath.Eq(combos[i].total, combos[j].total) {
+				return combos[i].total > combos[j].total
+			}
+			return lexLess(combos[i].idx, combos[j].idx)
+		})
+		for _, cb := range combos {
+			*examined++
+			if !flips(cb.total) {
+				break
+			}
+			if !yield(cb.idx) {
+				return
+			}
+		}
+	}
+}
+
+// refExhaustive is Algorithm 5's generator as it stood before the shared
+// ranked stream: each size's combinations filtered by domination (up to
+// allowedMisses negative-slack columns, a column skipped when the
+// combination adds an edge to its target), the survivors sorted by worst
+// slack descending and lexicographically on ties.
+func refExhaustive(h []candidate, maxSize int, targets []hin.NodeID, reduction [][]float64, threshold []float64, allowedMisses int, examined *int, yield func(idx []int) bool) {
+	type survivor struct {
+		idx    []int
+		margin float64
+	}
+	for size := 1; size <= min(maxSize, len(h)); size++ {
+		var survivors []survivor
+		combinations(len(h), size, func(idx []int) bool {
+			*examined++
+			misses := 0
+			worst := math.Inf(1)
+			for k := range targets {
+				if comboContainsAddedEndpoint(h, idx, targets[k]) {
+					continue
+				}
+				var sum float64
+				for _, i := range idx {
+					sum += reduction[i][k]
+				}
+				slack := sum - threshold[k]
+				if slack < 0 {
+					misses++
+					if misses > allowedMisses {
+						return true
+					}
+					continue
+				}
+				if slack < worst {
+					worst = slack
+				}
+			}
+			survivors = append(survivors, survivor{idx: append([]int(nil), idx...), margin: worst})
+			return true
+		})
+		sort.Slice(survivors, func(i, j int) bool {
+			if !fmath.Eq(survivors[i].margin, survivors[j].margin) {
+				return survivors[i].margin > survivors[j].margin
+			}
+			return lexLess(survivors[i].idx, survivors[j].idx)
+		})
+		for _, sv := range survivors {
+			if !yield(sv.idx) {
+				return
+			}
+		}
+	}
+}
+
+func lexLess(a, b []int) bool {
+	for i := range a {
+		if i >= len(b) {
+			return false
+		}
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
 }
 
 // TestQuickTauEqualsContributionSum: on arbitrary user-item graphs,

@@ -108,6 +108,53 @@ func TestColdCheckAllocatesNoGraphVector(t *testing.T) {
 	}
 }
 
+// TestRankedStreamAllocsPerSize pins the ranked stream's storage: over
+// the default cap (|H| = 16, sizes ≤ 5, 6 884 combinations, every one
+// ranked and yielded) a stream whose free list holds a ranking
+// allocates a few objects per size — the enumerator's index buffer and
+// the sort's — and none per combination.
+func TestRankedStreamAllocsPerSize(t *testing.T) {
+	h := make([]candidate, DefaultMaxSearchSpace)
+	for i := range h {
+		h[i] = candidate{edge: hin.Edge{To: hin.NodeID(i)}, contribution: float64(1 + i%3)}
+	}
+	// A negative gap estimate lets every combination flip it.
+	s := &session{ex: &Explainer{opts: Options{MaxCombinationSize: DefaultMaxCombinationSize}}, tau: -1}
+	gen := s.powersetStream(h)
+	yielded := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		yielded = 0
+		if err := gen(func([]candidate) bool { yielded++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if yielded != 6884 {
+		t.Fatalf("stream yielded %d combinations, want all 6884", yielded)
+	}
+	if limit := 4.0 * DefaultMaxCombinationSize; allocs > limit {
+		t.Fatalf("ranked stream allocates %.0f objects over 6884 combinations, want at most %.0f: a few per size, none per combination", allocs, limit)
+	}
+}
+
+// TestLargeRankingIsNotKept: a stream under caps far above the defaults
+// (|H| = 26, sizes ≤ 5, 65 780 combinations of size 5) leaves no ranking
+// of that size on the free list, where it would stay resident.
+func TestLargeRankingIsNotKept(t *testing.T) {
+	h := make([]candidate, 26)
+	for i := range h {
+		h[i] = candidate{edge: hin.Edge{To: hin.NodeID(i)}, contribution: 1}
+	}
+	s := &session{ex: &Explainer{opts: Options{MaxCombinationSize: 5}}, tau: -1}
+	if err := s.powersetStream(h)(func([]candidate) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	for r, ok := rankings.Get(); ok; r, ok = rankings.Get() {
+		if cap(r.scores) > maxKeptRanking {
+			t.Fatalf("free list kept a ranking of %d scores, want at most %d", cap(r.scores), maxKeptRanking)
+		}
+	}
+}
+
 // TestRecycledScratchUnderConcurrency races Remove and Add explains of
 // all three methods, Verify calls and recommends — cached and uncached —
 // over one explainer and one cache on Amazon Lite, so the recycled
