@@ -1,9 +1,8 @@
 // Command emigre-router fronts a fleet of emigre-server backends: it
 // consistent-hashes each request's user over the backend ring (so warm
 // PPR push state and cached vectors stay shard-local), probes backend
-// readiness and routes around draining or dead nodes, hedges slow
-// explain requests against the ring successor, and coalesces
-// multi-user batches into per-backend fan-outs.
+// readiness, and asks the owner first, failing over to the ring
+// successor only when the owner is unready, sheds or fails.
 //
 //	emigre-router -listen :8090 -backends 127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083
 //
@@ -14,7 +13,6 @@
 //	GET  /metrics
 //	GET  /recommend?user=Paul&n=10
 //	POST /explain        {"user":"Paul","wni":"Harry Potter","mode":"remove"}
-//	POST /explain/batch  {"requests":[{...},{...}]}
 //	POST /diagnose       {"user":"Paul","wni":"The Hobbit","mode":"remove"}
 package main
 
@@ -46,16 +44,14 @@ func main() {
 			"virtual nodes per backend on the consistent-hash ring")
 		probeInterval = flag.Duration("probe-interval", router.DefaultProbeInterval,
 			"backend /readyz poll period (keep it under the backends' -drain-grace)")
-		hedgeAfter = flag.Duration("hedge-after", 0,
-			"fixed hedge trigger for slow requests (0 = adaptive per-op p95)")
 		failoverLegs = flag.Int("failover-legs", router.DefaultFailoverLegs,
-			"max distinct backends one request may try, hedge leg included (1 = no hedging)")
+			"max distinct backends one request may try, one after another")
 		maxConcurrent = flag.Int64("max-concurrent", router.DefaultMaxConcurrent,
-			"request units admitted at once at the router front door (a batch costs its size)")
+			"requests admitted at once at the router front door")
 		queueDepth = flag.Int("queue-depth", router.DefaultQueueDepth,
 			"requests allowed to wait for admission before 503 (0 = no queue)")
 		upstreamTimeout = flag.Duration("upstream-timeout", router.DefaultUpstreamTimeout,
-			"end-to-end deadline per routed call, hedge legs included")
+			"end-to-end deadline per routed call, failover legs included")
 		upstreamAttempts = flag.Int("upstream-attempts", router.DefaultUpstreamAttempts,
 			"resilient-client attempts per backend leg")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second,
@@ -80,7 +76,6 @@ func main() {
 		Backends:         list,
 		VirtualNodes:     *vnodes,
 		ProbeInterval:    *probeInterval,
-		HedgeAfter:       *hedgeAfter,
 		FailoverLegs:     *failoverLegs,
 		MaxConcurrent:    *maxConcurrent,
 		QueueDepth:       *queueDepth,

@@ -265,3 +265,28 @@ func TestForwardWithinEpsilonOnLite(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardPushesOnLite pins the mean push count of a cold forward
+// run over the 50 sampled users' rows within 10 % of 83 322, the count
+// measured when the guard went in. The sweep visits nodes in id order
+// and the generator numbers users before items, so every push runs
+// along the sweep; a generator, codec or loader change that reorders
+// the nodes (items before users reads ~230 k) would double the cost of
+// every cold CHECK without changing one answer.
+func TestForwardPushesOnLite(t *testing.T) {
+	g, p, users, _ := liteGraph(t)
+	e := ppr.NewForwardPush(p)
+	total := 0
+	for _, u := range users {
+		res, err := e.RunContext(context.Background(), g, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += res.Pushes
+	}
+	const want = 83322
+	mean := float64(total) / float64(len(users))
+	if math.Abs(mean-want) > 0.1*want {
+		t.Fatalf("mean forward pushes per run = %.0f, want %d ± 10 %%: has the node order changed?", mean, want)
+	}
+}

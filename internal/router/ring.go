@@ -2,9 +2,8 @@
 // stdlib-only HTTP router that consistent-hashes each request's user
 // over a ring of emigre-server backends (so a user's warm PPR push
 // state and cached vectors live in exactly one shard), probes backend
-// readiness and routes around drained or dead nodes, hedges slow
-// explain requests against the ring successor, and coalesces
-// multi-user batches into per-backend fan-outs.
+// readiness, and asks the owner first, failing over along the ring
+// only when a backend is unready, sheds or fails.
 package router
 
 import (
@@ -121,8 +120,8 @@ func (r *ring) search(h uint64) int {
 
 // successors returns up to n distinct backends in clockwise order
 // starting at key's owner. successors(key, 1)[0] == owner(key); the
-// rest are the failover/hedge order — the backends that would inherit
-// the shard if earlier ones left the ring, so a hedged request lands
+// rest are the failover order — the backends that would inherit the
+// shard if earlier ones left the ring, so a failed-over request lands
 // where the user's state would migrate to anyway.
 func (r *ring) successors(key string, n int) []string {
 	if n > len(r.backends) {

@@ -27,12 +27,11 @@ const (
 	DefaultUpstreamAttempts = 2
 )
 
-// Op names used for routing metrics and per-op hedge tracking.
+// Op names used as the routing metrics' op label.
 const (
 	opExplain   = "explain"
 	opRecommend = "recommend"
 	opDiagnose  = "diagnose"
-	opBatch     = "batch"
 )
 
 // Config wires a Router to its backends.
@@ -45,18 +44,15 @@ type Config struct {
 	VirtualNodes int
 	// ProbeInterval is the /readyz poll period (0 = DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// HedgeAfter, when > 0, is a fixed hedge trigger; 0 selects the
-	// adaptive per-op p95 delay.
-	HedgeAfter time.Duration
 	// FailoverLegs caps how many distinct backends one request may try,
-	// hedge leg included (0 = DefaultFailoverLegs; 1 disables hedging).
+	// one after another (0 = DefaultFailoverLegs).
 	FailoverLegs int
 	// MaxConcurrent and QueueDepth shape the front-door admission
-	// controller, in request units (a batch costs its request count).
+	// controller, one unit per request.
 	MaxConcurrent int64
 	QueueDepth    int
-	// UpstreamTimeout bounds one routed call end to end, hedge legs
-	// included (0 = DefaultUpstreamTimeout).
+	// UpstreamTimeout bounds one routed call end to end, every failover
+	// leg included (0 = DefaultUpstreamTimeout).
 	UpstreamTimeout time.Duration
 	// UpstreamAttempts is the resilient client's per-backend attempt
 	// budget (0 = DefaultUpstreamAttempts; the router's failover is a
@@ -73,10 +69,7 @@ type metrics struct {
 	upReqs    map[string]*obs.Counter // by backend
 	upErrs    map[string]*obs.Counter // by backend
 	upLat     map[string]*obs.Histogram
-	hedges    *obs.Counter
-	hedgeWins *obs.Counter
 	failovers *obs.Counter
-	batchSub  *obs.Counter
 }
 
 // Router is the partitioned-serving HTTP front. Build with New, serve
@@ -92,7 +85,6 @@ type Router struct {
 	handler  http.Handler
 	draining atomic.Bool
 	m        metrics
-	lat      map[string]*latencyTracker
 }
 
 // New builds a router over cfg.Backends and starts its health prober.
@@ -143,12 +135,6 @@ func New(cfg Config, reg *obs.Registry) (*Router, error) {
 		adm:     admit.New(cfg.MaxConcurrent, cfg.QueueDepth),
 		reg:     reg,
 		log:     logger,
-		lat: map[string]*latencyTracker{
-			opExplain:   {},
-			opRecommend: {},
-			opDiagnose:  {},
-			opBatch:     {},
-		},
 	}
 	for _, b := range backends {
 		c, err := client.New(client.Config{
@@ -169,12 +155,9 @@ func New(cfg Config, reg *obs.Registry) (*Router, error) {
 		upReqs:    map[string]*obs.Counter{},
 		upErrs:    map[string]*obs.Counter{},
 		upLat:     map[string]*obs.Histogram{},
-		hedges:    reg.Counter("emigre_router_hedges_total", "hedge legs launched after the p95 delay"),
-		hedgeWins: reg.Counter("emigre_router_hedge_wins_total", "requests won by the hedged (second) leg"),
 		failovers: reg.Counter("emigre_router_failovers_total", "legs launched because an earlier backend failed"),
-		batchSub:  reg.Counter("emigre_router_batch_subrequests_total", "individual explain requests carried by /explain/batch bodies"),
 	}
-	for _, op := range []string{opExplain, opRecommend, opDiagnose, opBatch} {
+	for _, op := range []string{opExplain, opRecommend, opDiagnose} {
 		rt.m.requests[op] = reg.Counter("emigre_router_requests_total", "routed requests by op", obs.L("op", op))
 		rt.m.errors[op] = reg.Counter("emigre_router_errors_total", "routed requests that failed (shed, 5xx or transport) by op", obs.L("op", op))
 	}
@@ -185,14 +168,12 @@ func New(cfg Config, reg *obs.Registry) (*Router, error) {
 	}
 	reg.GaugeFunc("emigre_router_ring_size", "backends on the hash ring", func() int64 { return int64(ring.size()) })
 	reg.GaugeFunc("emigre_router_unready_backends", "backends whose last readiness probe failed", rt.prober.unreadyCount)
-	reg.GaugeFunc("emigre_router_inflight_requests", "request units currently admitted", rt.adm.Used)
+	reg.GaugeFunc("emigre_router_inflight_requests", "requests currently admitted", rt.adm.Used)
 	reg.GaugeFunc("emigre_router_queued_requests", "requests waiting for admission", rt.adm.QueueLen)
 	rt.adm.Rejections = reg.Counter("emigre_router_rejections_total", "requests shed at the router front door")
-	rt.adm.Clamped = reg.Counter("emigre_router_clamped_weights_total", "batch requests wider than router capacity, clamped")
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /explain", rt.handleExplain)
-	mux.HandleFunc("POST /explain/batch", rt.handleBatch)
 	mux.HandleFunc("GET /recommend", rt.handleRecommend)
 	mux.HandleFunc("POST /diagnose", rt.handleDiagnose)
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
@@ -239,14 +220,6 @@ func (rt *Router) SetDraining() { rt.draining.Store(true) }
 // in flight during shutdown still need routing decisions).
 func (rt *Router) Close() { rt.prober.stop() }
 
-// latencyFor returns op's tracker (opExplain for unknown ops).
-func (rt *Router) latencyFor(op string) *latencyTracker {
-	if l, ok := rt.lat[op]; ok {
-		return l
-	}
-	return rt.lat[opExplain]
-}
-
 // candidates returns the backends a request keyed by user may try, in
 // ring order, ready ones first: the owner and its successors filtered
 // by the latest probe verdicts, capped at FailoverLegs. When every
@@ -272,30 +245,14 @@ func (rt *Router) candidates(user string) []string {
 	return ready
 }
 
-// callUpstream wraps one leg: per-backend counters, latency histogram
-// and the per-op hedge-delay tracker.
-func (rt *Router) callUpstream(op, backend string, fn func(c *client.Client) (any, error)) (any, error) {
-	rt.m.upReqs[backend].Inc()
-	start := time.Now()
-	v, err := fn(rt.clients[backend])
-	took := time.Since(start)
-	rt.m.upLat[backend].Observe(took.Seconds())
-	if err != nil {
-		rt.m.upErrs[backend].Inc()
-		return nil, err
-	}
-	rt.latencyFor(op).observe(took)
-	return v, nil
-}
-
-// admitRequest acquires weight units at the front door, writing the
-// 503 itself on saturation. Callers must invoke the release func on
+// admitRequest acquires one unit at the front door, writing the 503
+// itself on saturation. Callers must invoke the release func on
 // admission success.
-func (rt *Router) admitRequest(ctx context.Context, w http.ResponseWriter, op string, weight int64) (func(), bool) {
-	err := rt.adm.Acquire(ctx, weight)
+func (rt *Router) admitRequest(ctx context.Context, w http.ResponseWriter, op string) (func(), bool) {
+	err := rt.adm.Acquire(ctx, 1)
 	if err == nil {
 		acquired := time.Now()
-		return func() { rt.adm.ReleaseObserved(weight, time.Since(acquired)) }, true
+		return func() { rt.adm.ReleaseObserved(1, time.Since(acquired)) }, true
 	}
 	rt.m.errors[op].Inc()
 	if errors.Is(err, admit.ErrSaturated) {
@@ -312,10 +269,10 @@ func (rt *Router) admitRequest(ctx context.Context, w http.ResponseWriter, op st
 }
 
 // route runs one single-user op end to end: admission, candidate
-// selection, hedged/failed-over upstream call, response mirroring.
-// decodeMeta exposes the winning call's Meta for tally headers.
+// selection, the failed-over upstream call, response mirroring.
+// metaOf exposes the answering call's Meta for tally headers.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request, op, user string,
-	call func(ctx context.Context, backend string) (any, error), metaOf func(v any) client.Meta) {
+	call upstreamCall, metaOf func(v any) client.Meta) {
 
 	rt.m.requests[op].Inc()
 	if user == "" {
@@ -326,25 +283,24 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, op, user string,
 	defer cancel()
 	ctx = client.WithRequestID(ctx, requestIDFrom(r))
 
-	release, ok := rt.admitRequest(ctx, w, op, 1)
+	release, ok := rt.admitRequest(ctx, w, op)
 	if !ok {
 		return
 	}
 	defer release()
 
-	res := rt.raceUpstream(ctx, op, rt.candidates(user), true, call)
-	if res.err != nil {
+	backend, v, err := rt.callOwnerFirst(ctx, rt.candidates(user), call)
+	if err != nil {
 		rt.m.errors[op].Inc()
-		status, body := upstreamError(res)
+		status, body := upstreamError(err)
 		if body.RetryAfterSeconds > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(body.RetryAfterSeconds))
 		}
 		writeJSON(w, status, body)
 		return
 	}
-	meta := metaOf(res.val)
-	setUpstreamHeaders(w, res.backend, meta)
-	writeJSON(w, http.StatusOK, res.val)
+	setUpstreamHeaders(w, backend, metaOf(v))
+	writeJSON(w, http.StatusOK, v)
 }
 
 func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -355,11 +311,7 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.route(w, r, opExplain, req.User,
-		func(ctx context.Context, backend string) (any, error) {
-			return rt.callUpstream(opExplain, backend, func(c *client.Client) (any, error) {
-				return c.Explain(ctx, req)
-			})
-		},
+		func(ctx context.Context, c *client.Client) (any, error) { return c.Explain(ctx, req) },
 		func(v any) client.Meta { return v.(*client.ExplainResponse).Meta })
 }
 
@@ -376,11 +328,7 @@ func (rt *Router) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		n = v
 	}
 	rt.route(w, r, opRecommend, user,
-		func(ctx context.Context, backend string) (any, error) {
-			return rt.callUpstream(opRecommend, backend, func(c *client.Client) (any, error) {
-				return c.Recommend(ctx, user, n)
-			})
-		},
+		func(ctx context.Context, c *client.Client) (any, error) { return c.Recommend(ctx, user, n) },
 		func(v any) client.Meta { return v.(*client.RecommendResponse).Meta })
 }
 
@@ -392,11 +340,7 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.route(w, r, opDiagnose, req.User,
-		func(ctx context.Context, backend string) (any, error) {
-			return rt.callUpstream(opDiagnose, backend, func(c *client.Client) (any, error) {
-				return c.Diagnose(ctx, req)
-			})
-		},
+		func(ctx context.Context, c *client.Client) (any, error) { return c.Diagnose(ctx, req) },
 		func(v any) client.Meta { return v.(*client.DiagnoseResponse).Meta })
 }
 
@@ -439,7 +383,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // identity (headers are not the body).
 const BackendHeader = "X-Emigre-Backend"
 
-// setUpstreamHeaders propagates the winning backend's wire metadata so
+// setUpstreamHeaders propagates the answering backend's wire metadata so
 // loadgen session captures record the same tallies through the router
 // as they do direct.
 func setUpstreamHeaders(w http.ResponseWriter, backend string, meta client.Meta) {

@@ -23,15 +23,14 @@ import (
 // slow and failing nodes. Handlers poll the request context while
 // delaying, like the real server's searches do.
 type fakeBackend struct {
-	ts       *httptest.Server
-	name     string
-	ready    atomic.Bool
-	delay    atomic.Int64 // nanoseconds
-	status   atomic.Int64 // 0 = 200
-	budget   atomic.Bool  // a scripted /explain failure is marked budget_exhausted, as a real backend's 404 can be
-	garbled  atomic.Bool  // answer 200 with a body that is not JSON
-	served   atomic.Int64
-	canceled atomic.Int64 // requests whose context died mid-delay
+	ts      *httptest.Server
+	name    string
+	ready   atomic.Bool
+	delay   atomic.Int64 // nanoseconds
+	status  atomic.Int64 // 0 = 200
+	budget  atomic.Bool  // a scripted /explain failure is marked budget_exhausted, as a real backend's 404 can be
+	garbled atomic.Bool  // answer 200 with a body that is not JSON
+	served  atomic.Int64
 }
 
 func newFakeBackend(t *testing.T, name string) *fakeBackend {
@@ -56,7 +55,6 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 			select {
 			case <-time.After(d):
 			case <-r.Context().Done():
-				b.canceled.Add(1)
 				return
 			}
 		}
@@ -130,25 +128,12 @@ func postExplain(t *testing.T, h http.Handler, user string) *httptest.ResponseRe
 	return rec
 }
 
-func decodeExplain(t *testing.T, rec *httptest.ResponseRecorder) client.ExplainResponse {
-	t.Helper()
-	var out client.ExplainResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatalf("decoding %d response %q: %v", rec.Code, rec.Body.String(), err)
-	}
-	return out
-}
-
 // TestRouteShardAffinity: every request for one user lands on that
-// user's ring owner, consistently across repeats. Hedging is pushed out
-// of reach: the adaptive delay settles at its 2 ms floor after eight
-// sub-millisecond answers, and on a loaded box a slower answer then
-// loses to its hedge leg on the ring successor — a property of the
-// hedge (TestHedgeSlowOwnerCancellationHygiene), not of the ring.
+// user's ring owner, consistently across repeats.
 func TestRouteShardAffinity(t *testing.T) {
 	testleak.Check(t)
 	b1, b2, b3 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2"), newFakeBackend(t, "b3")
-	rt := newTestRouter(t, func(c *Config) { c.HedgeAfter = time.Minute }, b1, b2, b3)
+	rt := newTestRouter(t, nil, b1, b2, b3)
 	for i := 0; i < 20; i++ {
 		user := fmt.Sprintf("user-%d", i)
 		owner := rt.ring.owner(user)
@@ -191,6 +176,44 @@ func TestHealthRoutesAroundUnready(t *testing.T) {
 	rec = postExplain(t, rt.Handler(), user)
 	if got := rec.Header().Get(BackendHeader); got != owner.url() {
 		t.Fatalf("after recovery, served by %s, want owner %s", got, owner.url())
+	}
+}
+
+// TestRoutedRequestUsesOneLeg: a healthy owner is the only backend a
+// request reaches, however slowly it answers — the successor holds none
+// of the user's warm state, so asking it too only duplicates the work.
+// The owner takes 150 ms, long enough that a second leg raced after a
+// short delay would reach the successor.
+func TestRoutedRequestUsesOneLeg(t *testing.T) {
+	testleak.Check(t)
+	owner, successor := newFakeBackend(t, "owner"), newFakeBackend(t, "successor")
+	owner.delay.Store(int64(150 * time.Millisecond))
+	rt := newTestRouter(t, nil, owner, successor)
+
+	const n = 5
+	sent := 0
+	for i := 0; sent < n; i++ {
+		user := fmt.Sprintf("one-leg-user-%d", i)
+		if rt.ring.owner(user) != owner.url() {
+			continue
+		}
+		if rec := postExplain(t, rt.Handler(), user); rec.Code != http.StatusOK {
+			t.Fatalf("user %s: status %d: %s", user, rec.Code, rec.Body.String())
+		}
+		sent++
+	}
+	if got := owner.served.Load(); got != n {
+		t.Fatalf("owner served %d requests, want %d", got, n)
+	}
+	if got := successor.served.Load(); got != 0 {
+		t.Fatalf("successor served %d requests, want 0", got)
+	}
+	var legs int64
+	for _, c := range rt.m.upReqs {
+		legs += c.Value()
+	}
+	if legs != n {
+		t.Fatalf("emigre_router_upstream_requests_total sums to %d, want %d", legs, n)
 	}
 }
 
@@ -279,147 +302,6 @@ func TestBadRequestDoesNotFailOver(t *testing.T) {
 				t.Fatal("definitive outcome triggered a failover")
 			}
 		})
-	}
-}
-
-// TestHedgeSlowOwnerCancellationHygiene: with the owner wedged, the
-// hedge leg answers fast, the winning response is returned, and the
-// losing leg's goroutine and request context are reclaimed —
-// testleak.Check fails the test if the slow leg outlives it.
-func TestHedgeSlowOwnerCancellationHygiene(t *testing.T) {
-	testleak.Check(t)
-	b1, b2, b3 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2"), newFakeBackend(t, "b3")
-	rt := newTestRouter(t, func(c *Config) {
-		c.HedgeAfter = 10 * time.Millisecond
-	}, b1, b2, b3)
-	byURL := map[string]*fakeBackend{b1.url(): b1, b2.url(): b2, b3.url(): b3}
-
-	user := "hedge-user"
-	owner := byURL[rt.ring.owner(user)]
-	owner.delay.Store(int64(2 * time.Second))
-
-	start := time.Now()
-	rec := postExplain(t, rt.Handler(), user)
-	elapsed := time.Since(start)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get(BackendHeader); got == owner.url() {
-		t.Fatal("wedged owner somehow won the race")
-	}
-	if elapsed > time.Second {
-		t.Fatalf("hedged answer took %v, want well under the owner's 2s delay", elapsed)
-	}
-	if rt.m.hedges.Value() == 0 || rt.m.hedgeWins.Value() == 0 {
-		t.Fatalf("hedge counters: hedges=%d wins=%d, want both > 0",
-			rt.m.hedges.Value(), rt.m.hedgeWins.Value())
-	}
-	// The loser's request context must be canceled promptly — observed
-	// by the fake backend's handler unblocking on ctx.Done.
-	deadline := time.Now().Add(3 * time.Second)
-	for owner.canceled.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if owner.canceled.Load() == 0 {
-		t.Fatal("losing hedge leg's request context was never canceled")
-	}
-}
-
-// TestBatchOrderAndSharding: /explain/batch answers in request order
-// with each item served by its user's ring owner.
-func TestBatchOrderAndSharding(t *testing.T) {
-	testleak.Check(t)
-	b1, b2, b3 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2"), newFakeBackend(t, "b3")
-	rt := newTestRouter(t, nil, b1, b2, b3)
-	names := map[string]string{b1.url(): "b1", b2.url(): "b2", b3.url(): "b3"}
-
-	var breq BatchRequest
-	users := make([]string, 24)
-	for i := range users {
-		users[i] = fmt.Sprintf("batch-user-%d", i)
-		breq.Requests = append(breq.Requests, client.ExplainRequest{User: users[i], WNI: "X", Mode: "remove"})
-	}
-	body, _ := json.Marshal(breq)
-	req := httptest.NewRequest("POST", "/explain/batch", bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var resp BatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != len(users) {
-		t.Fatalf("got %d results, want %d", len(resp.Results), len(users))
-	}
-	shards := map[string]bool{}
-	for i, item := range resp.Results {
-		if item.Status != http.StatusOK || item.Result == nil {
-			t.Fatalf("item %d: status %d error %q", i, item.Status, item.Error)
-		}
-		wantOwner := names[rt.ring.owner(users[i])]
-		want := "served by " + wantOwner + " for " + users[i]
-		if item.Result.Description != want {
-			t.Fatalf("item %d: %q, want %q (request order or sharding broken)", i, item.Result.Description, want)
-		}
-		shards[wantOwner] = true
-	}
-	if len(shards) < 2 {
-		t.Fatalf("batch exercised %d shards, want a real fan-out", len(shards))
-	}
-}
-
-// TestBatchPerItemFailure: one bad shard yields per-item errors, not a
-// voided batch — a 500 in its own slot, and a budget-cut "no
-// explanation" 404 with the backend's budget_exhausted mark in its.
-func TestBatchPerItemFailure(t *testing.T) {
-	testleak.Check(t)
-	b1, b2, b3 := newFakeBackend(t, "b1"), newFakeBackend(t, "b2"), newFakeBackend(t, "b3")
-	rt := newTestRouter(t, nil, b1, b2, b3)
-	backends := []*fakeBackend{b1, b2, b3}
-
-	// Find a user on every shard.
-	users := make([]string, len(backends))
-	for i, found := 0, 0; found < len(backends); i++ {
-		u := fmt.Sprintf("pf-user-%d", i)
-		for j, b := range backends {
-			if rt.ring.owner(u) == b.url() && users[j] == "" {
-				users[j] = u
-				found++
-			}
-		}
-	}
-	b2.status.Store(http.StatusInternalServerError)
-	b3.status.Store(http.StatusNotFound)
-	b3.budget.Store(true)
-
-	var reqs []client.ExplainRequest
-	for _, u := range users {
-		reqs = append(reqs, client.ExplainRequest{User: u, WNI: "X", Mode: "remove"})
-	}
-	body, _ := json.Marshal(BatchRequest{Requests: reqs})
-	req := httptest.NewRequest("POST", "/explain/batch", bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch status %d, want 200 with per-item errors", rec.Code)
-	}
-	var resp BatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Results[0].Status != http.StatusOK {
-		t.Fatalf("healthy shard's item failed: %+v", resp.Results[0])
-	}
-	if resp.Results[1].Status != http.StatusInternalServerError || resp.Results[1].Error == "" {
-		t.Fatalf("bad shard's item = %+v, want per-item 500", resp.Results[1])
-	}
-	if resp.Results[2].Status != http.StatusNotFound || resp.Results[2].Error == "" {
-		t.Fatalf("budget-cut shard's item = %+v, want per-item 404", resp.Results[2])
-	}
-	if resp.Results[0].BudgetExhausted || resp.Results[1].BudgetExhausted || !resp.Results[2].BudgetExhausted {
-		t.Fatalf("results = %+v, want the budget_exhausted mark on the 404 slot only", resp.Results)
 	}
 }
 

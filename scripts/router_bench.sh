@@ -80,11 +80,7 @@ wait_ready() { # url
 }
 
 start_router() { # listen-port backends
-  # -hedge-after 5s: the gate measures sharded throughput, so hedging
-  # is pinned out of both legs rather than left to the adaptive p95
-  # delay.
-  "$BIN/emigre-router" -listen "127.0.0.1:$1" -backends "$2" \
-    -hedge-after 5s 2>/dev/null &
+  "$BIN/emigre-router" -listen "127.0.0.1:$1" -backends "$2" 2>/dev/null &
   PIDS+=($!)
   wait_ready "http://127.0.0.1:$1/readyz"
 }
