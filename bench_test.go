@@ -262,8 +262,10 @@ func BenchmarkAblation_HyperParameters(b *testing.B) {
 		}
 		if i == 0 {
 			for _, p := range sweep {
-				if st, ok := p.Results.StatsFor("remove_ex"); ok {
-					b.ReportMetric(100*st.SuccessRate, p.Label+"-success-%")
+				for _, st := range p.Results.Stats() {
+					if st.Method.Name == "remove_ex" {
+						b.ReportMetric(100*st.SuccessRate, p.Label+"-success-%")
+					}
 				}
 			}
 		}

@@ -1,10 +1,10 @@
 // Command emigre-gen generates the library's benchmark graphs and
-// writes them to disk.
+// writes them to disk as JSON.
 //
-//	emigre-gen -preset amazon -out amazon.json       # full paper scale
-//	emigre-gen -preset lite -out lite.json           # + Amazon-Lite sampling
-//	emigre-gen -preset small -format tsv -out s.tsv  # quick experiments
-//	emigre-gen -preset books -stats                  # Figure-1 toy graph
+//	emigre-gen -preset amazon -out amazon.json  # full paper scale
+//	emigre-gen -preset lite -out lite.json      # + Amazon-Lite sampling
+//	emigre-gen -preset small -out small.json    # quick experiments
+//	emigre-gen -preset books -stats             # Figure-1 toy graph
 //
 // With -stats the tool prints the Table-4 degree statistics of the
 // generated graph; with no -out it only prints statistics.
@@ -26,7 +26,6 @@ func main() {
 		preset = flag.String("preset", "small", "graph preset: amazon, lite, small, books")
 		seed   = flag.Int64("seed", 1, "generator seed")
 		out    = flag.String("out", "", "output file (empty: stats only)")
-		format = flag.String("format", "json", "output format: json or tsv")
 		stats  = flag.Bool("stats", true, "print Table-4 degree statistics")
 	)
 	flag.Parse()
@@ -49,21 +48,13 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	switch *format {
-	case "json":
-		err = g.WriteJSON(f)
-	case "tsv":
-		err = g.WriteTSV(f)
-	default:
-		err = fmt.Errorf("unknown format %q (want json or tsv)", *format)
-	}
-	if err != nil {
+	if err := g.WriteJSON(f); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s (%s)\n", *out, *format)
+	fmt.Printf("wrote %s\n", *out)
 }
 
 func buildGraph(preset string, seed int64) (*emigre.Graph, error) {

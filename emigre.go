@@ -10,9 +10,8 @@
 //
 // The package re-exports the library's building blocks:
 //
-//   - the heterogeneous information network (Graph, Overlay, View);
-//   - Personalized PageRank engines (ForwardPushEngine and
-//     ReversePushEngine);
+//   - the heterogeneous information network (Graph, View);
+//   - the Personalized PageRank parameters (PPRParams);
 //   - the PPR recommender (Recommender);
 //   - the EMiGRe explainer (Explainer) with its Remove/Add modes and
 //     Incremental/Powerset/Exhaustive strategies plus the
@@ -44,7 +43,6 @@
 package emigre
 
 import (
-	"context"
 	"io"
 
 	"github.com/why-not-xai/emigre/internal/dataset"
@@ -62,15 +60,9 @@ import (
 type (
 	// Graph is a mutable heterogeneous information network.
 	Graph = hin.Graph
-	// View is the read-only graph interface shared by Graph, Overlay
-	// and CSR snapshots.
+	// View is the read-only graph interface shared by Graph, its
+	// counterfactual overlays and CSR snapshots.
 	View = hin.View
-	// Overlay is a counterfactual view of a base view with one node's
-	// out-row edited — the shape of every Why-Not explanation, whose
-	// edges are rooted at the user. It copies that row, not the graph;
-	// more rows take stacked overlays. An Overlay is unversioned, so
-	// scores over it are never cached.
-	Overlay = hin.Overlay
 	// NodeID identifies a node.
 	NodeID = hin.NodeID
 	// NodeTypeID identifies a registered node type.
@@ -92,13 +84,6 @@ type (
 // NewGraph returns an empty heterogeneous information network.
 func NewGraph() *Graph { return hin.NewGraph() }
 
-// NewOverlay builds a counterfactual view of base with the given edge
-// removals and additions, which must all leave one source node: an edit
-// list spanning two rows is an error.
-func NewOverlay(base View, removals, additions []Edge) (*Overlay, error) {
-	return hin.NewOverlay(base, removals, additions)
-}
-
 // NewEdgeTypeSet builds an edge-type restriction set; with no arguments
 // every type is allowed.
 func NewEdgeTypeSet(types ...EdgeTypeID) EdgeTypeSet { return hin.NewEdgeTypeSet(types...) }
@@ -109,9 +94,6 @@ func DegreeStats(g View) []TypeDegreeStats { return hin.DegreeStats(g) }
 // ReadGraphJSON parses a graph written by Graph.WriteJSON.
 func ReadGraphJSON(r io.Reader) (*Graph, error) { return hin.ReadJSON(r) }
 
-// ReadGraphTSV parses a graph written by Graph.WriteTSV.
-func ReadGraphTSV(r io.Reader) (*Graph, error) { return hin.ReadTSV(r) }
-
 // InvalidNode is returned by failed node lookups.
 const InvalidNode = hin.InvalidNode
 
@@ -121,21 +103,11 @@ type (
 	PPRParams = ppr.Params
 	// PPRVector is a dense score vector indexed by NodeID.
 	PPRVector = ppr.Vector
-	// ForwardPushEngine is Forward Local Push (Eq. 3).
-	ForwardPushEngine = ppr.ForwardPush
-	// ReversePushEngine is Reverse Local Push (Eq. 4).
-	ReversePushEngine = ppr.ReversePush
 )
 
 // DefaultPPRParams returns the paper's hyper-parameters: α = 0.15,
 // ε = 2.7e-8.
 func DefaultPPRParams() PPRParams { return ppr.DefaultParams() }
-
-// NewForwardPushEngine returns the Forward Local Push engine.
-func NewForwardPushEngine(p PPRParams) *ForwardPushEngine { return ppr.NewForwardPush(p) }
-
-// NewReversePushEngine returns the Reverse Local Push engine.
-func NewReversePushEngine(p PPRParams) *ReversePushEngine { return ppr.NewReversePush(p) }
 
 // Recommender (Eq. 2).
 type (
@@ -153,7 +125,7 @@ func NewRecommender(g View, cfg RecommenderConfig) (*Recommender, error) { retur
 // PPR-vector caching (internal/pprcache): a versioned, sharded,
 // singleflight-deduplicating cache shared between the recommender's
 // forward vectors and the explainer's reverse columns. Attach one with
-// Recommender.SetCache and/or Options.Cache.
+// Recommender.WithCache and/or Options.Cache.
 type (
 	// PPRCache is the shared vector cache.
 	PPRCache = pprcache.Cache
@@ -329,26 +301,6 @@ func DefaultLiteConfig() LiteConfig { return dataset.DefaultLiteConfig() }
 // GenerateDataset synthesizes and preprocesses an Amazon-like dataset.
 func GenerateDataset(cfg DatasetConfig) (*Dataset, error) { return dataset.Generate(cfg) }
 
-// RawDataset is the un-preprocessed synthetic dataset (items with
-// categories, rating records with review text). It round-trips through
-// CSV via its Write*CSV methods and ReadRawDatasetCSV, and becomes a
-// graph through BuildDatasetGraph.
-type RawDataset = dataset.Raw
-
-// GenerateRawDataset produces the raw synthetic records before
-// preprocessing.
-func GenerateRawDataset(cfg DatasetConfig) (*RawDataset, error) { return dataset.GenerateRaw(cfg) }
-
-// BuildDatasetGraph applies the paper's §6.1 preprocessing to raw
-// records.
-func BuildDatasetGraph(raw *RawDataset) (*Dataset, error) { return dataset.BuildGraph(raw) }
-
-// ReadRawDatasetCSV rebuilds raw records from the items and ratings
-// CSV files written by RawDataset.WriteItemsCSV / WriteRatingsCSV.
-func ReadRawDatasetCSV(cfg DatasetConfig, items, ratings io.Reader) (*RawDataset, error) {
-	return dataset.ReadRawCSV(cfg, items, ratings)
-}
-
 // NewBooks builds the paper's running-example books graph.
 func NewBooks() (*Books, error) { return dataset.NewBooks() }
 
@@ -414,13 +366,6 @@ type (
 // RunSweep evaluates cfg under each recommender variant.
 func RunSweep(g *Graph, variants []SweepVariant, cfg EvalConfig) ([]SweepResult, error) {
 	return eval.RunSweep(g, variants, cfg)
-}
-
-// RunSweepContext is RunSweep with cancellation, polled between
-// variants: a canceled sweep returns the variants completed so far
-// plus ctx's error.
-func RunSweepContext(ctx context.Context, g *Graph, variants []SweepVariant, cfg EvalConfig) ([]SweepResult, error) {
-	return eval.RunSweepContext(ctx, g, variants, cfg)
 }
 
 // RenderSweep prints a success-rate row per (variant, method) pair.

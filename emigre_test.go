@@ -82,7 +82,7 @@ func TestPrinceContrast(t *testing.T) {
 	if cfe.NewTop != books.TheAlchemist {
 		t.Fatalf("PRINCE replacement = %q, want The Alchemist", books.Graph.Label(cfe.NewTop))
 	}
-	if cfe.Size() != 1 || books.Graph.Label(cfe.Edges[0].To) != "C" {
+	if len(cfe.Edges) != 1 || books.Graph.Label(cfe.Edges[0].To) != "C" {
 		t.Fatalf("PRINCE CFE = %v, want {C}", cfe.Edges)
 	}
 	if cfe.NewTop == books.HarryPotter {

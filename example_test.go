@@ -1,9 +1,9 @@
 package emigre_test
 
 import (
+	"bytes"
 	"fmt"
 	"log"
-	"os"
 
 	emigre "github.com/why-not-xai/emigre"
 )
@@ -106,8 +106,9 @@ func ExampleExplainer_diagnose() {
 	// Output: out-of-scope
 }
 
-// ExampleGraph_WriteTSV round-trips a graph through the TSV format.
-func ExampleGraph_WriteTSV() {
+// ExampleGraph_WriteJSON builds a graph by hand and round-trips it
+// through JSON, the one format emigre-gen writes and the servers read.
+func ExampleGraph_WriteJSON() {
 	g := emigre.NewGraph()
 	user := g.Types().NodeType("user")
 	item := g.Types().NodeType("item")
@@ -117,14 +118,14 @@ func ExampleGraph_WriteTSV() {
 	if err := g.AddBidirectional(u, i, rated, 1); err != nil {
 		log.Fatal(err)
 	}
-	if err := g.WriteTSV(os.Stdout); err != nil {
+	var buf bytes.Buffer
+	if err := g.WriteJSON(&buf); err != nil {
 		log.Fatal(err)
 	}
-	// Output:
-	// # nodes
-	// 0	user	u
-	// 1	item	i
-	// # edges
-	// 0	1	rated	1
-	// 1	0	rated	1
+	back, err := emigre.ReadGraphJSON(&buf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(back.NumNodes(), "nodes,", back.NumEdges(), "edges, node 1 is", back.Label(1))
+	// Output: 2 nodes, 2 edges, node 1 is i
 }

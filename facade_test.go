@@ -1,11 +1,9 @@
 package emigre_test
 
 import (
-	"bytes"
 	"testing"
 
 	emigre "github.com/why-not-xai/emigre"
-	"github.com/why-not-xai/emigre/internal/ppr"
 )
 
 // TestFacadeGraphConstruction exercises the graph-building wrappers end
@@ -24,13 +22,6 @@ func TestFacadeGraphConstruction(t *testing.T) {
 	if err := g.AddBidirectional(u, b, rated, 2); err != nil {
 		t.Fatal(err)
 	}
-	o, err := emigre.NewOverlay(g, []emigre.Edge{{From: u, To: a, Type: rated, Weight: 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.HasEdge(u, a) {
-		t.Fatal("overlay removal not applied")
-	}
 	set := emigre.NewEdgeTypeSet(rated)
 	if !set.Contains(rated) {
 		t.Fatal("edge type set broken")
@@ -38,47 +29,6 @@ func TestFacadeGraphConstruction(t *testing.T) {
 	rows := emigre.DegreeStats(g)
 	if len(rows) != 2 {
 		t.Fatalf("DegreeStats rows = %d, want 2", len(rows))
-	}
-	var buf bytes.Buffer
-	if err := g.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := emigre.ReadGraphTSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumEdges() != g.NumEdges() {
-		t.Fatal("TSV round trip lost edges")
-	}
-}
-
-// TestFacadePPREngines runs each engine wrapper once on the books graph.
-func TestFacadePPREngines(t *testing.T) {
-	books, err := emigre.NewBooks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := emigre.DefaultPPRParams()
-	if params.Alpha != 0.15 || params.Epsilon != 2.7e-8 {
-		t.Fatalf("default params are not the paper's: %+v", params)
-	}
-	fwd, err := emigre.NewForwardPushEngine(params).FromSource(books.Graph, books.Paul)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pow, err := ppr.NewPower(params).FromSource(books.Graph, books.Paul)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fwd.ArgMax() != pow.ArgMax() {
-		t.Fatal("power and push disagree on the argmax")
-	}
-	rev, err := emigre.NewReversePushEngine(params).ToTarget(books.Graph, books.Python)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rev[books.Paul] <= 0 {
-		t.Fatal("reverse push found no mass from Paul to Python")
 	}
 }
 
@@ -116,6 +66,9 @@ func TestFacadeDiagnose(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := emigre.DefaultRecommenderConfig(books.Types.Item)
+	if cfg.PPR != emigre.DefaultPPRParams() || cfg.PPR.Alpha != 0.15 || cfg.PPR.Epsilon != 2.7e-8 {
+		t.Fatalf("default params are not the paper's: %+v", cfg.PPR)
+	}
 	cfg.Beta = 1
 	r, err := emigre.NewRecommender(books.Graph, cfg)
 	if err != nil {

@@ -146,9 +146,6 @@ func (a *Controller) Acquire(ctx context.Context, n int64) error {
 	}
 }
 
-// Release returns n units and wakes queued waiters that now fit.
-func (a *Controller) Release(n int64) { a.ReleaseObserved(n, 0) }
-
 // ReleaseObserved returns n units like Release and, when held > 0,
 // folds the observed hold time into the per-unit EWMA behind
 // RetryAfterSeconds.

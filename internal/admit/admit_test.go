@@ -22,7 +22,7 @@ func TestAdmissionImmediateGrant(t *testing.T) {
 	if err := a.Acquire(context.Background(), 1); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated", err)
 	}
-	a.Release(1)
+	a.ReleaseObserved(1, 0)
 	if err := a.Acquire(context.Background(), 1); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestAdmissionClampsWideRequests(t *testing.T) {
 	if err := a.Acquire(context.Background(), 1); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated while clamped request holds all units", err)
 	}
-	a.Release(100) // same clamp on release keeps the books balanced
+	a.ReleaseObserved(100, 0) // same clamp on release keeps the books balanced
 	if err := a.Acquire(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestAdmissionQueueBound(t *testing.T) {
 	if err := a.Acquire(context.Background(), 1); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated with full queue", err)
 	}
-	a.Release(1)
+	a.ReleaseObserved(1, 0)
 	if err := <-done; err != nil {
 		t.Fatalf("queued acquire: %v", err)
 	}
-	a.Release(1)
+	a.ReleaseObserved(1, 0)
 }
 
 func TestAdmissionWaiterHonorsContext(t *testing.T) {
@@ -74,11 +74,11 @@ func TestAdmissionWaiterHonorsContext(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	// The abandoned waiter must not leak queue slots or units.
-	a.Release(1)
+	a.ReleaseObserved(1, 0)
 	if err := a.Acquire(context.Background(), 1); err != nil {
 		t.Fatalf("after waiter timeout: %v", err)
 	}
-	a.Release(1)
+	a.ReleaseObserved(1, 0)
 }
 
 // TestAdmissionFIFONoOvertaking: a wide request queued first is granted
@@ -93,18 +93,18 @@ func TestAdmissionFIFONoOvertaking(t *testing.T) {
 	go func() {
 		if a.Acquire(context.Background(), 2) == nil {
 			order <- "wide"
-			a.Release(2)
+			a.ReleaseObserved(2, 0)
 		}
 	}()
 	waitForWaiters(t, a, 1)
 	go func() {
 		if a.Acquire(context.Background(), 1) == nil {
 			order <- "narrow"
-			a.Release(1)
+			a.ReleaseObserved(1, 0)
 		}
 	}()
 	waitForWaiters(t, a, 2)
-	a.Release(2)
+	a.ReleaseObserved(2, 0)
 	if first := <-order; first != "wide" {
 		t.Fatalf("first grant = %q, want wide (FIFO)", first)
 	}
@@ -136,7 +136,7 @@ func TestAdmissionStress(t *testing.T) {
 				if over {
 					t.Error("used exceeds capacity")
 				}
-				a.Release(n)
+				a.ReleaseObserved(n, 0)
 			}
 		}()
 	}
@@ -195,7 +195,7 @@ func TestAdmissionClampContract(t *testing.T) {
 
 	// Releasing the same raw weight balances the books without a second
 	// clamp event.
-	a.Release(9)
+	a.ReleaseObserved(9, 0)
 	if got := a.Used(); got != 0 {
 		t.Fatalf("Used after release = %d, want 0", got)
 	}
@@ -215,12 +215,12 @@ func TestAdmissionClampContract(t *testing.T) {
 	if got := a.Clamped.Value(); got != 1 {
 		t.Fatalf("clamped counter after sub-minimum acquire = %d, want 1", got)
 	}
-	a.Release(0)
+	a.ReleaseObserved(0, 0)
 
 	// A controller without counters (nil obs metrics) keeps working.
 	bare := New(1, 0)
 	if err := bare.Acquire(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	bare.Release(5)
+	bare.ReleaseObserved(5, 0)
 }

@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,8 +26,8 @@ func Deadline(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-// LoadGraph opens a graph file written by emigre-gen (JSON or TSV by
-// extension), or builds the named preset ("books").
+// LoadGraph opens a JSON graph file written by emigre-gen, or builds
+// the named preset ("books").
 func LoadGraph(path, preset string) (*emigre.Graph, error) {
 	if preset == "books" {
 		b, err := emigre.NewBooks()
@@ -48,16 +47,7 @@ func LoadGraph(path, preset string) (*emigre.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadGraph(f, path)
-}
-
-// ReadGraph parses a graph stream, choosing the format from the file
-// name extension (".tsv" → TSV, anything else → JSON).
-func ReadGraph(r io.Reader, name string) (*emigre.Graph, error) {
-	if strings.HasSuffix(name, ".tsv") {
-		return emigre.ReadGraphTSV(r)
-	}
-	return emigre.ReadGraphJSON(r)
+	return emigre.ReadGraphJSON(f)
 }
 
 // ErrNoSuchNode reports a node reference that resolves neither as a

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	emigre "github.com/why-not-xai/emigre"
@@ -35,30 +34,28 @@ func TestLoadGraphFromFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "g.json")
-	tsvPath := filepath.Join(dir, "g.tsv")
+	path := filepath.Join(dir, "g.json")
 	var buf bytes.Buffer
 	if err := books.Graph.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(jsonPath, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := books.Graph.WriteTSV(&buf); err != nil {
+	g, err := LoadGraph(path, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(tsvPath, buf.Bytes(), 0o644); err != nil {
+	if g.NumNodes() != books.Graph.NumNodes() {
+		t.Fatal("node count mismatch")
+	}
+	// The file's name does not pick a format: a graph is always JSON.
+	bad := filepath.Join(dir, "g.tsv")
+	if err := os.WriteFile(bad, []byte("# nodes\n0\tuser\tu\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{jsonPath, tsvPath} {
-		g, err := LoadGraph(path, "")
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if g.NumNodes() != books.Graph.NumNodes() {
-			t.Fatalf("%s: node count mismatch", path)
-		}
+	if _, err := LoadGraph(bad, ""); err == nil {
+		t.Fatal("a non-JSON graph file should not load")
 	}
 }
 
@@ -153,14 +150,5 @@ func TestTypeIDResolution(t *testing.T) {
 	}
 	if _, err := EdgeTypeIDs(g, "teleport"); err == nil {
 		t.Fatal("unknown edge type should error")
-	}
-}
-
-func TestReadGraphFormatDispatch(t *testing.T) {
-	if _, err := ReadGraph(strings.NewReader("not json"), "x.json"); err == nil {
-		t.Fatal("bad JSON should error")
-	}
-	if _, err := ReadGraph(strings.NewReader("bad\tcontent"), "x.tsv"); err == nil {
-		t.Fatal("bad TSV should error")
 	}
 }

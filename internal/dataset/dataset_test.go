@@ -131,7 +131,13 @@ func TestBuildGraphPreprocessing(t *testing.T) {
 	if len(a.Reviews) == 0 {
 		t.Fatal("no review nodes generated")
 	}
-	counts := hin.EdgeTypeCounts(g)
+	counts := map[string]int{} // directed edges per edge-type name
+	for v := 0; v < g.NumNodes(); v++ {
+		g.OutEdges(hin.NodeID(v), func(h hin.HalfEdge) bool {
+			counts[g.Types().EdgeTypeName(h.Type)]++
+			return true
+		})
+	}
 	// Bidirectionality: every count must be even, and each relation adds
 	// exactly two directed edges.
 	for name, c := range counts {

@@ -39,9 +39,6 @@ func NewEncoder(dim int) *Encoder {
 	return &Encoder{dim: dim}
 }
 
-// Dim returns the embedding dimensionality.
-func (e *Encoder) Dim() int { return e.dim }
-
 // Encode embeds text as an L2-normalized hashed bag-of-words vector.
 // Empty or token-free text encodes to the zero vector.
 func (e *Encoder) Encode(text string) []float64 {

@@ -25,8 +25,8 @@ func TestTokenize(t *testing.T) {
 
 func TestEncodeDeterministic(t *testing.T) {
 	e := NewEncoder(0)
-	if e.Dim() != DefaultDim {
-		t.Fatalf("Dim = %d, want %d", e.Dim(), DefaultDim)
+	if e.dim != DefaultDim {
+		t.Fatalf("Dim = %d, want %d", e.dim, DefaultDim)
 	}
 	a := e.Encode("wonderful fantasy adventure")
 	b := e.Encode("wonderful fantasy adventure")

@@ -11,7 +11,6 @@ import (
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/pprcache"
-	"github.com/why-not-xai/emigre/internal/rec"
 	"github.com/why-not-xai/emigre/internal/testleak"
 )
 
@@ -27,10 +26,10 @@ func TestCacheABExplanationsIdentical(t *testing.T) {
 		for _, method := range allMethods(mode) {
 			cached := newFixture(t, Options{})
 			uncached := newFixture(t, Options{DisableCache: true})
-			if cached.ex.Cache() == nil {
+			if cached.ex.cache == nil {
 				t.Fatal("default explainer has no cache")
 			}
-			if uncached.ex.Cache() != nil {
+			if uncached.ex.cache != nil {
 				t.Fatal("DisableCache left a cache attached")
 			}
 
@@ -115,7 +114,7 @@ func TestCacheABConcurrentSessionsOverlappingTargets(t *testing.T) {
 			}
 		}
 	}
-	if s := shared.ex.Cache().Stats(); s.Inflight != 0 {
+	if s := shared.ex.cache.Stats(); s.Inflight != 0 {
 		t.Fatalf("flights left behind: %+v", s)
 	}
 }
@@ -173,7 +172,7 @@ func TestBatchedFetchFailureLeavesNoResidue(t *testing.T) {
 	if _, err := f.ex.ExplainWith(f.query(), Remove, Exhaustive); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want the injected error", err)
 	}
-	s := f.ex.Cache().Stats()
+	s := f.ex.cache.Stats()
 	if s.Inflight != 0 || s.Entries != 1 { // the base forward pair is all that landed
 		t.Fatalf("after a failed batch: %+v, want no flight and only the forward entry", s)
 	}
@@ -195,8 +194,7 @@ func TestBatchedFetchFailureLeavesNoResidue(t *testing.T) {
 // recommender's ranking is bit-for-bit unaffected by an attached cache.
 func TestCacheABTopNIdentical(t *testing.T) {
 	plain := newFixture(t, Options{DisableCache: true})
-	cachedRec := *plain.r
-	cachedRec.SetCache(pprcache.New(pprcache.Config{}))
+	cachedRec := plain.r.WithCache(pprcache.New(pprcache.Config{}))
 
 	u := plain.ids["u"]
 	for range [2]int{} { // second pass serves the cached side from residency
@@ -246,7 +244,7 @@ func TestExplainerCacheReuseAcrossQueries(t *testing.T) {
 	if _, err := f.ex.ExplainWith(q, Remove, Exhaustive); err != nil {
 		t.Fatal(err)
 	}
-	after1 := f.ex.Cache().Stats()
+	after1 := f.ex.cache.Stats()
 	if after1.Misses == 0 {
 		t.Fatalf("first query computed nothing: %+v", after1)
 	}
@@ -254,7 +252,7 @@ func TestExplainerCacheReuseAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after2 := f.ex.Cache().Stats()
+	after2 := f.ex.cache.Stats()
 	if after2.Hits <= after1.Hits {
 		t.Fatalf("second query hit nothing: %+v -> %+v", after1, after2)
 	}
@@ -296,7 +294,7 @@ func TestCheckVectorsStayOutOfCache(t *testing.T) {
 					t.Fatalf("%v: Verify = %v, %v", mode, ok, err)
 				}
 			}
-			if n := f.ex.Cache().Len(); n != 3 {
+			if n := f.ex.cache.Len(); n != 3 {
 				t.Fatalf("%v after %s: %d cache entries, want the base vector and the session's two columns", mode, step, n)
 			}
 		}
@@ -311,10 +309,9 @@ func TestNewDoesNotMutateCallerRecommender(t *testing.T) {
 	if f.r.Cache() != nil {
 		t.Fatal("New attached its cache to the caller's recommender")
 	}
-	var r2 rec.Recommender = *f.r
-	r2.SetCache(pprcache.New(pprcache.Config{}))
-	ex := New(f.g, &r2, Options{})
-	if ex.Cache() == r2.Cache() {
+	r2 := f.r.WithCache(pprcache.New(pprcache.Config{}))
+	ex := New(f.g, r2, Options{})
+	if ex.cache == r2.Cache() {
 		t.Fatal("explainer should keep its own cache, not adopt the recommender's")
 	}
 	if _, err := ex.ExplainWith(f.query(), Remove, Incremental); err != nil {
@@ -328,7 +325,7 @@ func TestNewDoesNotMutateCallerRecommender(t *testing.T) {
 func TestSharedCacheAcrossExplainAndRecommender(t *testing.T) {
 	shared := pprcache.New(pprcache.Config{})
 	f := newFixture(t, Options{Cache: shared})
-	if f.ex.Cache() != shared {
+	if f.ex.cache != shared {
 		t.Fatal("explainer ignored the injected cache")
 	}
 	if _, err := f.ex.ExplainWith(f.query(), Remove, Incremental); err != nil {

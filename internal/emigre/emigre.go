@@ -448,13 +448,6 @@ func New(g *hin.Graph, r *rec.Recommender, opts Options) *Explainer {
 	}
 }
 
-// Options returns the explainer's effective options (defaults applied).
-func (e *Explainer) Options() Options { return e.opts }
-
-// Cache returns the PPR-vector cache the explainer serves from, nil
-// when caching is disabled.
-func (e *Explainer) Cache() *pprcache.Cache { return e.cache }
-
 // ExplainWith answers the query in the given mode with the given
 // strategy.
 func (e *Explainer) ExplainWith(q Query, mode Mode, method Method) (*Explanation, error) {
@@ -524,12 +517,6 @@ func (e *Explainer) explain(ctx context.Context, q Query, accept map[hin.NodeID]
 	expl.Stats = s.stats
 	expl.Stats.Duration = time.Since(start)
 	return expl, nil
-}
-
-// CurrentRecommendation returns the top-1 recommendation EMiGRe
-// explains against.
-func (e *Explainer) CurrentRecommendation(u hin.NodeID) (hin.NodeID, error) {
-	return e.r.Recommend(u)
 }
 
 // Verify re-runs the CHECK step for an explanation: it applies the

@@ -86,7 +86,7 @@ func newFixture(t testing.TB, opts Options) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.AllowedEdgeTypes.IsAll() {
+	if opts.AllowedEdgeTypes == hin.NewEdgeTypeSet() {
 		opts.AllowedEdgeTypes = hin.NewEdgeTypeSet(rated)
 	}
 	opts.AddEdgeType = rated
@@ -107,7 +107,7 @@ func allMethods(mode Mode) []Method {
 
 func TestCurrentRecommendationIsP3(t *testing.T) {
 	f := newFixture(t, Options{})
-	top, err := f.ex.CurrentRecommendation(f.ids["u"])
+	top, err := f.r.Recommend(f.ids["u"])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -593,7 +593,7 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 		}
 		entries := 0
 		if cached {
-			entries = f.ex.Cache().Len()
+			entries = f.ex.cache.Len()
 		}
 		for _, step := range []struct {
 			winner hin.NodeID
@@ -621,8 +621,8 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 		if !reflect.DeepEqual(rv.list[1].col, want[0]) {
 			t.Fatal("a pushed gate column differs from the cached route's")
 		}
-		if cached && f.ex.Cache().Len() != entries {
-			t.Fatalf("learning changed cache residency: %d entries, had %d", f.ex.Cache().Len(), entries)
+		if cached && f.ex.cache.Len() != entries {
+			t.Fatalf("learning changed cache residency: %d entries, had %d", f.ex.cache.Len(), entries)
 		}
 	}
 }

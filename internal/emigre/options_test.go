@@ -11,7 +11,7 @@ import (
 
 func TestOptionsAccessorAndDefaults(t *testing.T) {
 	f := newFixture(t, Options{})
-	opts := f.ex.Options()
+	opts := f.ex.opts
 	if opts.TopKTargets != DefaultTopKTargets {
 		t.Fatalf("TopKTargets = %d, want default %d", opts.TopKTargets, DefaultTopKTargets)
 	}

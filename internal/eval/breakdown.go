@@ -41,41 +41,6 @@ func (r *Results) RankBreakdown(method string) map[int]RateCount {
 	return out
 }
 
-// ActivityBreakdown splits one method's success rate by user activity
-// (the scenario's recorded action count), using the given bucket upper
-// bounds (e.g. []int{10, 20, 40} buckets into ≤10, ≤20, ≤40, >40).
-// It mirrors the paper's cold-start analysis: low-activity users leave
-// Remove mode little to work with.
-func (r *Results) ActivityBreakdown(method string, bounds []int) map[string]RateCount {
-	sorted := append([]int(nil), bounds...)
-	sort.Ints(sorted)
-	label := func(actions int) string {
-		for _, b := range sorted {
-			if actions <= b {
-				return fmt.Sprintf("<=%d", b)
-			}
-		}
-		if len(sorted) == 0 {
-			return "all"
-		}
-		return fmt.Sprintf(">%d", sorted[len(sorted)-1])
-	}
-	out := make(map[string]RateCount)
-	for _, o := range r.Outcomes {
-		if o.Method.Name != method {
-			continue
-		}
-		l := label(o.Scenario.Actions)
-		rc := out[l]
-		rc.Total++
-		if o.Correct {
-			rc.Correct++
-		}
-		out[l] = rc
-	}
-	return out
-}
-
 // RenderRankBreakdown prints the per-rank success rates of each method.
 func RenderRankBreakdown(w io.Writer, r *Results) error {
 	if _, err := fmt.Fprintln(w, "Success rate by Why-Not item rank."); err != nil {

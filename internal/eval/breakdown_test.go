@@ -37,26 +37,6 @@ func TestRankBreakdown(t *testing.T) {
 	}
 }
 
-func TestActivityBreakdown(t *testing.T) {
-	res, _ := tinyRun(t, fastMethods(), 8)
-	br := res.ActivityBreakdown("remove_incremental", []int{10, 20})
-	total := 0
-	for label, rc := range br {
-		if label != "<=10" && label != "<=20" && label != ">20" {
-			t.Fatalf("unexpected bucket %q", label)
-		}
-		total += rc.Total
-	}
-	if total != len(res.Scenarios) {
-		t.Fatalf("activity buckets cover %d outcomes, want %d", total, len(res.Scenarios))
-	}
-	// No bounds: single "all" bucket.
-	all := res.ActivityBreakdown("remove_incremental", nil)
-	if len(all) != 1 || all["all"].Total != len(res.Scenarios) {
-		t.Fatalf("empty bounds should produce one bucket: %v", all)
-	}
-}
-
 func TestScenarioActionsRecorded(t *testing.T) {
 	res, a := tinyRun(t, fastMethods()[:1], 4)
 	for _, sc := range res.Scenarios {

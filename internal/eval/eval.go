@@ -76,7 +76,7 @@ type Scenario struct {
 	// the recommendation itself).
 	Rank int
 	// Actions is the user's out-degree at enumeration time — the
-	// activity proxy used by Results.ActivityBreakdown.
+	// activity proxy of the paper's cold-start analysis.
 	Actions int
 }
 

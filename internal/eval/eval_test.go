@@ -127,10 +127,10 @@ func TestStatsAggregation(t *testing.T) {
 			t.Fatal("missing average time")
 		}
 	}
-	if _, ok := res.StatsFor("remove_brute"); !ok {
+	if _, ok := statsFor(res, "remove_brute"); !ok {
 		t.Fatal("StatsFor(remove_brute) missing")
 	}
-	if _, ok := res.StatsFor("nope"); ok {
+	if _, ok := statsFor(res, "nope"); ok {
 		t.Fatal("StatsFor(nope) should not resolve")
 	}
 }
@@ -183,8 +183,8 @@ func TestOverridesChangeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := starved.StatsFor("remove_brute")
-	s2, _ := funded.StatsFor("remove_brute")
+	s1, _ := statsFor(starved, "remove_brute")
+	s2, _ := statsFor(funded, "remove_brute")
 	if s2.Correct < s1.Correct {
 		t.Fatalf("bigger budget found fewer explanations: %d vs %d", s2.Correct, s1.Correct)
 	}
@@ -291,21 +291,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestSizeDistribution(t *testing.T) {
-	res, _ := tinyRun(t, fastMethods(), 8)
-	sizes := res.SizeDistribution("remove_incremental")
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i-1] > sizes[i] {
-			t.Fatal("sizes not sorted")
-		}
-	}
-	for _, s := range sizes {
-		if s < 1 {
-			t.Fatalf("size %d below 1", s)
-		}
-	}
-}
-
 func TestPaperMethodsComplete(t *testing.T) {
 	ms := PaperMethods()
 	if len(ms) != 8 {
@@ -340,4 +325,14 @@ func TestScenariosTopNValidation(t *testing.T) {
 	if _, err := rn.Scenarios(a.Users, 1, 0); err == nil {
 		t.Fatal("TopN=1 must be rejected")
 	}
+}
+
+// statsFor returns the aggregated stats of one method by name.
+func statsFor(r *Results, name string) (MethodStats, bool) {
+	for _, st := range r.Stats() {
+		if st.Method.Name == name {
+			return st, true
+		}
+	}
+	return MethodStats{}, false
 }

@@ -131,16 +131,6 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
-// StatsFor returns the aggregated stats of one method by name.
-func (r *Results) StatsFor(name string) (MethodStats, bool) {
-	for _, st := range r.Stats() {
-		if st.Method.Name == name {
-			return st, true
-		}
-	}
-	return MethodStats{}, false
-}
-
 // scenarioKey identifies a scenario across methods.
 type scenarioKey struct {
 	user, wni int32
@@ -176,17 +166,4 @@ func (r *Results) RelativeSuccess(baseline string) (map[string]float64, int) {
 		}
 	}
 	return out, len(solvable)
-}
-
-// SizeDistribution returns the sorted explanation sizes of one method's
-// correct outcomes.
-func (r *Results) SizeDistribution(name string) []int {
-	var sizes []int
-	for _, o := range r.Outcomes {
-		if o.Method.Name == name && o.Correct {
-			sizes = append(sizes, o.Size)
-		}
-	}
-	sort.Ints(sizes)
-	return sizes
 }

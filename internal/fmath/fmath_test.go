@@ -41,38 +41,3 @@ func TestBefore(t *testing.T) {
 		t.Fatal("Before must treat adjacent floats as distinct scores")
 	}
 }
-
-func TestEqWithin(t *testing.T) {
-	if !EqWithin(1.0, 1.0+5e-10, 1e-9) {
-		t.Fatal("within tolerance")
-	}
-	if EqWithin(1.0, 1.0+2e-9, 1e-9) {
-		t.Fatal("outside tolerance")
-	}
-	if EqWithin(math.NaN(), math.NaN(), 1) {
-		t.Fatal("NaN never compares equal")
-	}
-	if !EqWithin(math.Inf(1), math.Inf(1), 1e-9) {
-		t.Fatal("equal infinities match")
-	}
-	if EqWithin(math.Inf(1), math.Inf(-1), math.Inf(1)) {
-		t.Fatal("opposite infinities never match")
-	}
-	if EqWithin(math.Inf(1), 1e300, 1e9) {
-		t.Fatal("infinity never matches a finite value")
-	}
-}
-
-func TestApproxEq(t *testing.T) {
-	// Absolute regime: tiny PPR scores.
-	if !ApproxEq(1e-8, 1.0000001e-8, 1e-9) {
-		t.Fatal("absolute tolerance floor")
-	}
-	// Relative regime: large magnitudes scale the tolerance.
-	if !ApproxEq(1e6, 1e6+0.5, 1e-6) {
-		t.Fatal("relative tolerance for large values")
-	}
-	if ApproxEq(1e6, 1e6+10, 1e-6) {
-		t.Fatal("outside relative tolerance")
-	}
-}

@@ -25,14 +25,6 @@ func TestInDegree(t *testing.T) {
 	}
 }
 
-func TestCountNodesOfType(t *testing.T) {
-	g, _ := buildTriangle(t)
-	item, _ := g.Types().LookupNodeType("item")
-	if got := CountNodesOfType(g, item); got != 2 {
-		t.Fatalf("CountNodesOfType(item) = %d, want 2", got)
-	}
-}
-
 func TestCSRTypesShared(t *testing.T) {
 	g, _ := buildTriangle(t)
 	c := NewCSR(g)

@@ -7,42 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzReadTSV checks the TSV parser never panics and that any graph it
-// accepts round-trips: write → read → write reproduces the bytes.
-func FuzzReadTSV(f *testing.F) {
-	f.Add([]byte("# nodes\n0\tuser\talice\n1\titem\tbook\n# edges\n0\t1\trated\t0.8\n"))
-	f.Add([]byte("# nodes\n0\tuser\n# edges\n"))
-	f.Add([]byte("# edges\n0\t1\trated\tnot-a-number\n"))
-	f.Add([]byte("0\tuser\n"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadTSV(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var first bytes.Buffer
-		if err := g.WriteTSV(&first); err != nil {
-			t.Fatalf("WriteTSV on accepted graph: %v", err)
-		}
-		g2, err := ReadTSV(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatalf("re-reading own TSV output: %v\noutput:\n%s", err, first.Bytes())
-		}
-		var second bytes.Buffer
-		if err := g2.WriteTSV(&second); err != nil {
-			t.Fatalf("WriteTSV on round-tripped graph: %v", err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Errorf("TSV round trip not stable\nfirst:\n%s\nsecond:\n%s", first.Bytes(), second.Bytes())
-		}
-		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-			t.Errorf("round trip changed sizes: %d/%d nodes, %d/%d edges",
-				g.NumNodes(), g2.NumNodes(), g.NumEdges(), g2.NumEdges())
-		}
-	})
-}
-
-// FuzzReadJSON is the JSON twin of FuzzReadTSV.
+// FuzzReadJSON checks the JSON parser never panics and that any graph
+// it accepts round-trips: write → read → write reproduces the bytes.
 func FuzzReadJSON(f *testing.F) {
 	f.Add([]byte(`{"nodes":[{"id":0,"type":"user","label":"alice"},{"id":1,"type":"item"}],"edges":[{"from":0,"to":1,"type":"rated","weight":0.8}]}`))
 	f.Add([]byte(`{"nodes":[],"edges":[]}`))

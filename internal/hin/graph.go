@@ -150,17 +150,6 @@ func (g *Graph) NodeType(v NodeID) NodeTypeID {
 	return g.ntype[v]
 }
 
-// NodesOfType returns all node IDs of the given type, in ID order.
-func (g *Graph) NodesOfType(typ NodeTypeID) []NodeID {
-	var out []NodeID
-	for v, t := range g.ntype {
-		if t == typ {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
 func (g *Graph) valid(v NodeID) bool { return v >= 0 && int(v) < len(g.ntype) }
 
 func (g *Graph) mustValid(v NodeID) {

@@ -2,7 +2,6 @@ package hin
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -53,20 +52,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	graphsEquivalent(t, g, got)
 }
 
-func TestTSVRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomGraph(rng, 15, 50)
-	var buf bytes.Buffer
-	if err := g.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEquivalent(t, g, got)
-}
-
 func TestReadJSONRejectsSparseIDs(t *testing.T) {
 	in := `{"nodes":[{"id":1,"type":"x"}],"edges":[]}`
 	if _, err := ReadJSON(strings.NewReader(in)); err == nil {
@@ -90,24 +75,6 @@ func TestReadJSONRejectsBadEdges(t *testing.T) {
 func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
 		t.Fatal("expected decode error")
-	}
-}
-
-func TestReadTSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"content before section": "0\tuser\t\n",
-		"bad node id":            "# nodes\nxx\tuser\t\n",
-		"sparse node ids":        "# nodes\n5\tuser\t\n",
-		"short edge line":        "# nodes\n0\tuser\t\n# edges\n0\t0\n",
-		"bad weight":             "# nodes\n0\tu\t\n1\tu\t\n# edges\n0\t1\te\tzz\n",
-		"self loop edge":         "# nodes\n0\tu\t\n# edges\n0\t0\te\t1\n",
-	}
-	for name, in := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadTSV(strings.NewReader(in)); err == nil {
-				t.Fatal("expected error")
-			}
-		})
 	}
 }
 
@@ -135,13 +102,5 @@ func TestDegreeStats(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatted stats missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestEdgeTypeCounts(t *testing.T) {
-	g, _ := buildTriangle(t)
-	counts := EdgeTypeCounts(g)
-	if counts["rated"] != 2 || counts["belongs-to"] != 2 {
-		t.Fatalf("unexpected counts: %v", counts)
 	}
 }

@@ -131,7 +131,6 @@ func TestGraphMutatorsBumpVersion(t *testing.T) {
 		{"Label", func(g *Graph) error { g.Label(5); return nil }},
 		{"NodeByLabel", func(g *Graph) error { g.NodeByLabel("x"); return nil }},
 		{"NodeType", func(g *Graph) error { g.NodeType(0); return nil }},
-		{"NodesOfType", func(g *Graph) error { g.NodesOfType(0); return nil }},
 		{"NumEdges", func(g *Graph) error { g.NumEdges(); return nil }},
 		{"NumNodes", func(g *Graph) error { g.NumNodes(); return nil }},
 		{"OutDegree", func(g *Graph) error { g.OutDegree(0); return nil }},
@@ -142,7 +141,6 @@ func TestGraphMutatorsBumpVersion(t *testing.T) {
 		{"Validate", func(g *Graph) error { return g.Validate() }},
 		{"Version", func(g *Graph) error { g.Version(); return nil }},
 		{"WriteJSON", func(g *Graph) error { return g.WriteJSON(io.Discard) }},
-		{"WriteTSV", func(g *Graph) error { return g.WriteTSV(io.Discard) }},
 	}
 
 	listed := map[string]int{}

@@ -83,28 +83,3 @@ func FormatDegreeStats(rows []TypeDegreeStats) string {
 	}
 	return b.String()
 }
-
-// CountNodesOfType returns how many nodes have the given type.
-func CountNodesOfType(g View, typ NodeTypeID) int {
-	n := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		if g.NodeType(NodeID(v)) == typ {
-			n++
-		}
-	}
-	return n
-}
-
-// EdgeTypeCounts returns the number of directed edges per edge-type
-// name, sorted by name.
-func EdgeTypeCounts(g View) map[string]int {
-	reg := g.Types()
-	counts := make(map[string]int)
-	for v := 0; v < g.NumNodes(); v++ {
-		g.OutEdges(NodeID(v), func(h HalfEdge) bool {
-			counts[reg.EdgeTypeName(h.Type)]++
-			return true
-		})
-	}
-	return counts
-}

@@ -189,6 +189,3 @@ func NewEdgeTypeSet(types ...EdgeTypeID) EdgeTypeSet {
 func (s EdgeTypeSet) Contains(t EdgeTypeID) bool {
 	return s.mask == 0 || s.mask&(1<<uint(t)) != 0
 }
-
-// IsAll reports whether the set allows every type.
-func (s EdgeTypeSet) IsAll() bool { return s.mask == 0 }

@@ -14,8 +14,8 @@ const floatEqHelperPkg = "fmath"
 // FloatEq flags `==`/`!=` between floating-point expressions. PPR
 // scores are sums of thousands of float64 terms whose low bits depend
 // on summation order, so inline equality is either a
-// tolerance bug or an undocumented exact-tie contract. Both belong in
-// internal/fmath: ApproxEq for tolerances, Eq/Before for the
+// tolerance bug (compare |a-b| <= tol instead) or an undocumented
+// exact-tie contract, which belongs in internal/fmath's Eq/Before: the
 // deliberate exact comparisons the ranking tie-break contract and
 // zero-value option sentinels rely on. One-off intentional sites
 // (e.g. verifying that two adjacency lists carry bit-identical copies)
@@ -36,7 +36,7 @@ func FloatEq() *Analyzer {
 					return true
 				}
 				if isFloat(typeOf(info, cmp.X)) || isFloat(typeOf(info, cmp.Y)) {
-					pass.Reportf(cmp.OpPos, "floating-point %s; use fmath.Eq/ApproxEq/Before (or //lint:allow floateq <reason>)", cmp.Op)
+					pass.Reportf(cmp.OpPos, "floating-point %s; use fmath.Eq/Before or a tolerance (or //lint:allow floateq <reason>)", cmp.Op)
 				}
 				return true
 			})

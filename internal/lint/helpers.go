@@ -82,3 +82,27 @@ func typePkgName(t types.Type) string {
 	}
 	return named.Obj().Pkg().Name()
 }
+
+// trackableVar reports whether v is a field or a package-level
+// variable — shareable storage, where a mutex can order goroutines.
+func trackableVar(v *types.Var) bool {
+	return v.IsField() || (v.Pkg() != nil && v.Parent() == v.Pkg().Scope())
+}
+
+// varOfExpr resolves expr to the variable it denotes: the field of a
+// selector chain's last hop (s.mu, c.stats.mu) or a bare identifier.
+func varOfExpr(info *types.Info, expr ast.Expr) *types.Var {
+	switch x := expr.(type) {
+	case *ast.Ident:
+		v, _ := info.Uses[x].(*types.Var)
+		return v
+	case *ast.SelectorExpr:
+		v, _ := info.Uses[x.Sel].(*types.Var)
+		return v
+	case *ast.ParenExpr:
+		return varOfExpr(info, x.X)
+	case *ast.IndexExpr:
+		return varOfExpr(info, x.X)
+	}
+	return nil
+}

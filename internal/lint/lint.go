@@ -17,10 +17,9 @@
 //     family name.
 //   - lockorder (whole program): struct-owned mutexes are acquired in
 //     an acyclic order and never reacquired while held.
-//   - goroleak (whole program): every go statement carries
-//     bounded-lifetime evidence.
-//   - atomicmix (whole program): a field accessed through sync/atomic
-//     is never read or written plainly outside its constructor.
+//   - goroleak: every go statement carries bounded-lifetime evidence.
+//   - atomicmix: no sync/atomic function is used; every atomic is typed,
+//     and go vet's copylocks reports a copied one.
 //
 // The version stamp of hin.Graph is guarded at run time instead, by
 // hin's TestGraphMutatorsBumpVersion.
@@ -90,48 +89,39 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Pass carries one (analyzer, package) unit of work.
-type Pass struct {
-	// Analyzer is the analyzer being run.
+// reporter is what both kinds of pass share: the analyzer being run,
+// the file set translating token positions (shared across the load)
+// and the diagnostics collected so far.
+type reporter struct {
 	Analyzer *Analyzer
-	// Pkg is the package under analysis.
-	Pkg *Package
-	// Fset translates token positions.
-	Fset *token.FileSet
+	Fset     *token.FileSet
 
 	diags *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *reporter) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// Pass carries one (analyzer, package) unit of work.
+type Pass struct {
+	reporter
+	// Pkg is the package under analysis.
+	Pkg *Package
 }
 
 // ModulePass carries one (analyzer, whole module) unit of work: every
 // package of the load at once, for analyses whose facts cross package
 // boundaries (the lock-acquisition graph, cross-package call chains).
 type ModulePass struct {
-	// Analyzer is the analyzer being run.
-	Analyzer *Analyzer
+	reporter
 	// Pkgs holds every loaded package, sorted by import path.
 	Pkgs []*Package
-	// Fset translates token positions (shared across the load).
-	Fset *token.FileSet
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // Result is the outcome of running a suite over a set of packages.
@@ -188,7 +178,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer) *Result {
 			if a.Run == nil {
 				continue
 			}
-			pass := &Pass{Analyzer: a, Pkg: pkg, Fset: pkg.Fset, diags: &raw}
+			pass := &Pass{reporter{a, pkg.Fset, &raw}, pkg}
 			a.Run(pass)
 		}
 	}
@@ -197,7 +187,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer) *Result {
 			if a.RunModule == nil {
 				continue
 			}
-			pass := &ModulePass{Analyzer: a, Pkgs: pkgs, Fset: pkgs[0].Fset, diags: &raw}
+			pass := &ModulePass{reporter{a, pkgs[0].Fset, &raw}, pkgs}
 			a.RunModule(pass)
 		}
 	}

@@ -1,87 +1,36 @@
-// Fixture for the atomicmix analyzer: a field accessed atomically
-// anywhere must be accessed atomically everywhere (outside its
-// constructor).
+// Fixture for the atomicmix analyzer: atomics are typed, so a call to a
+// sync/atomic function on a plain word is reported.
 package atomicmix
 
 import (
 	"sync/atomic"
 )
 
-// Stats mixes the two atomic styles the analyzer tracks: hits is a
-// wrapper type, plain is an int64 driven through sync/atomic calls.
+// Stats holds a typed atomic and a plain word.
 type Stats struct {
-	hits  atomic.Int64
-	plain int64
-	cold  int64 // never touched atomically: free to access plainly
+	hits atomic.Int64
+	n    int64
 }
 
-// Exported is a wrapper-typed field visible to other packages — the
-// cross-package plain access lives in ./sub.
-type Exported struct {
-	Total atomic.Int64
-}
-
-// NewStats is a constructor: plain initialization is allowed here.
-func NewStats() *Stats {
-	s := &Stats{}
-	s.plain = 0
-	return s
-}
-
-// good: wrapper methods and method values.
-func (s *Stats) Record() {
+// good: typed atomic methods.
+func (s *Stats) Record() int64 {
 	s.hits.Add(1)
-	s.plain = 7 // want "plain access to plain"
+	return s.hits.Load()
 }
 
-// good: handing the wrapper around by pointer keeps accesses atomic.
+// good: the typed atomic travels by pointer.
 func (s *Stats) HitCounter() *atomic.Int64 { return &s.hits }
 
 // good: a method value as a metrics callback.
 func (s *Stats) LoadFunc() func() int64 { return s.hits.Load }
 
-// bad: copying the wrapper value smuggles out a non-atomic snapshot.
-func (s *Stats) Snapshot() atomic.Int64 {
-	return s.hits // want "atomic type"
-}
-
-// good: the sync/atomic call sites that make plain an atomic field.
+// bad: a sync/atomic function makes n atomic here and plain elsewhere.
 func (s *Stats) Bump() {
-	atomic.AddInt64(&s.plain, 1)
-}
-
-// good: atomic read.
-func (s *Stats) Plain() int64 { return atomic.LoadInt64(&s.plain) }
-
-// bad: plain read of an atomically-written field.
-func (s *Stats) Racy() int64 {
-	return s.plain // want "mixing atomic and plain"
-}
-
-// bad: taking the address for a non-atomic callee launders the field
-// into plain access.
-func (s *Stats) Alias() *int64 {
-	return &s.plain // want "mixing atomic and plain"
-}
-
-// good: cold was never accessed atomically, so plain access is fine.
-func (s *Stats) Cold() int64 {
-	s.cold++
-	return s.cold
-}
-
-// counter is a package-level variable driven through sync/atomic.
-var counter int64
-
-func BumpCounter() { atomic.AddInt64(&counter, 1) }
-
-// bad: package-level mixing.
-func ReadCounter() int64 {
-	return counter // want "mixing atomic and plain"
+	atomic.AddInt64(&s.n, 1) // want "typed atomic"
 }
 
 // good: an allow directive with a reason suppresses a justified site.
 func (s *Stats) Audited() int64 {
 	//lint:allow atomicmix single-threaded teardown path, workers joined above
-	return s.plain
+	return atomic.LoadInt64(&s.n)
 }

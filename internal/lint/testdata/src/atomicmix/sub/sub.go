@@ -1,12 +1,16 @@
-// Package sub proves atomicmix is whole-program: the atomic field is
-// declared in the parent package, the plain access happens here.
+// Package sub checks the rule in a second package of the fixture.
 package sub
 
-import "fixture.example/m/atomicmix"
+import "sync/atomic"
 
-// bad: plain write to a wrapper-typed field of another package.
-func Reset(e *atomicmix.Exported) {
-	e.Total.Store(0) // good: method call
-	v := e.Total     // want "atomic type"
-	_ = v
+var flag uint32
+
+// bad: an untyped atomic load of a package-level word.
+func Ready() bool {
+	return atomic.LoadUint32(&flag) == 1 // want "typed atomic"
 }
+
+// good: a typed atomic.
+var ready atomic.Bool
+
+func Set() { ready.Store(true) }

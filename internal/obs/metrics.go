@@ -35,36 +35,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can go up and down. The zero value is usable;
-// nil receivers ignore mutations.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil || disabled.Load() {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil || disabled.Load() {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram counts observations into fixed buckets. Buckets are upper
 // bounds (Prometheus "le" semantics); an implicit +Inf bucket catches
 // everything above the last bound. Observations are lock-free: a
@@ -117,18 +87,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of all observed values.

@@ -47,28 +47,15 @@ func TestGetOrCreateReturnsSameMetric(t *testing.T) {
 
 func TestLabelOrderIsCanonical(t *testing.T) {
 	r := NewRegistry()
-	a := r.Gauge("test_gauge", "h", L("b", "2"), L("a", "1"))
-	b := r.Gauge("test_gauge", "h", L("a", "1"), L("b", "2"))
+	a := r.Counter("test_total", "h", L("b", "2"), L("a", "1"))
+	b := r.Counter("test_total", "h", L("a", "1"), L("b", "2"))
 	if a != b {
 		t.Fatal("label order must not distinguish series")
 	}
-	a.Set(7)
+	a.Add(7)
 	out := render(r)
-	if !strings.Contains(out, `test_gauge{a="1",b="2"} 7`+"\n") {
+	if !strings.Contains(out, `test_total{a="1",b="2"} 7`+"\n") {
 		t.Fatalf("labels must render sorted by name:\n%s", out)
-	}
-}
-
-func TestGaugeSetAdd(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("test_inflight", "h")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("Value = %d, want 7", got)
-	}
-	if !strings.Contains(render(r), "test_inflight 7\n") {
-		t.Fatal("label-less gauge must render without braces")
 	}
 }
 
@@ -80,7 +67,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("registering a gauge under a counter name must panic")
 		}
 	}()
-	r.Gauge("test_total", "h")
+	r.GaugeFunc("test_total", "h", func() int64 { return 0 })
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -144,7 +131,7 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50, math.NaN()} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
+	if got := observations(h); got != 5 {
 		t.Fatalf("Count = %d, want 5 (NaN dropped)", got)
 	}
 	if got, want := h.Sum(), 0.05+0.5+0.5+5+50; math.Abs(got-want) > 1e-9 {
@@ -212,16 +199,14 @@ func TestSetEnabledGatesAllMutation(t *testing.T) {
 	defer SetEnabled(true)
 	r := NewRegistry()
 	c := r.Counter("test_total", "h")
-	g := r.Gauge("test_gauge", "h")
 	h := r.Histogram("test_seconds", "h", DefBuckets())
 	SetEnabled(false)
 	if Enabled() {
 		t.Fatal("Enabled must report false after SetEnabled(false)")
 	}
 	c.Inc()
-	g.Set(9)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || observations(h) != 0 {
 		t.Fatal("disabled metrics must not record")
 	}
 	SetEnabled(true)
@@ -233,14 +218,11 @@ func TestSetEnabledGatesAllMutation(t *testing.T) {
 
 func TestNilMetricsAreSafe(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || !fmath.Eq(h.Sum(), 0) {
+	if c.Value() != 0 || !fmath.Eq(h.Sum(), 0) {
 		t.Fatal("nil metrics must read as zero")
 	}
 }
@@ -265,7 +247,7 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := c.Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	if got := h.Count(); got != workers*per {
+	if got := observations(h); got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
 }
@@ -310,6 +292,12 @@ func TestDefaultRegistryIsStable(t *testing.T) {
 }
 
 // render returns r's exposition as a string.
+// observations is h's sample count, the +Inf bucket's cumulative count.
+func observations(h *Histogram) int64 {
+	_, n, _ := h.snapshot()
+	return n
+}
+
 func render(r *Registry) string {
 	var b strings.Builder
 	r.WritePrometheus(&b)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,7 +10,7 @@ import (
 // ParsedSample is one sample line of an exposition: the full sample
 // name (histogram _bucket/_sum/_count suffixes included), its labels in
 // input order, the parsed value, and the optional trailing timestamp
-// kept verbatim so a re-emit reproduces foreign expositions faithfully.
+// kept verbatim.
 type ParsedSample struct {
 	Name      string
 	Labels    []Label
@@ -26,8 +25,7 @@ type ParsedFamily struct {
 	// Name is the family (base) name.
 	Name string
 	// Help and Type carry the # HELP / # TYPE metadata; the Has flags
-	// distinguish "absent" from "empty" so re-emitting an exposition
-	// that declared no metadata stays faithful.
+	// distinguish "absent" from "empty".
 	Help    string
 	HasHelp bool
 	Type    string
@@ -66,11 +64,7 @@ func (f *ParsedFamily) Total() float64 {
 }
 
 // Exposition is a parsed Prometheus text exposition: families in first-
-// appearance order, each holding its samples in input order. Parsing
-// then re-emitting an exposition rendered by this package is
-// byte-identical; foreign expositions (comments, blank lines,
-// non-canonical float spellings) reach a fixed point after one
-// parse→emit cycle.
+// appearance order, each holding its samples in input order.
 type Exposition struct {
 	Families []*ParsedFamily
 
@@ -356,54 +350,4 @@ func unescapeHelp(s string) string {
 		b.WriteByte(s[i])
 	}
 	return b.String()
-}
-
-// WritePrometheus re-emits the exposition in the text format: families
-// in parse order, HELP then TYPE (when present) then samples in parse
-// order. Emitting output of this package's renderer reproduces it
-// byte for byte.
-func (e *Exposition) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-	for _, f := range e.Families {
-		if f.HasHelp {
-			b.WriteString("# HELP ")
-			b.WriteString(f.Name)
-			b.WriteByte(' ')
-			b.WriteString(escapeHelp(f.Help))
-			b.WriteByte('\n')
-		}
-		if f.HasType {
-			b.WriteString("# TYPE ")
-			b.WriteString(f.Name)
-			b.WriteByte(' ')
-			b.WriteString(f.Type)
-			b.WriteByte('\n')
-		}
-		for i := range f.Samples {
-			s := &f.Samples[i]
-			b.WriteString(s.Name)
-			if len(s.Labels) > 0 {
-				b.WriteByte('{')
-				for j, l := range s.Labels {
-					if j > 0 {
-						b.WriteByte(',')
-					}
-					b.WriteString(l.Name)
-					b.WriteString(`="`)
-					b.WriteString(escapeLabelValue(l.Value))
-					b.WriteByte('"')
-				}
-				b.WriteByte('}')
-			}
-			b.WriteByte(' ')
-			b.WriteString(formatValue(s.Value))
-			if s.Timestamp != "" {
-				b.WriteByte(' ')
-				b.WriteString(s.Timestamp)
-			}
-			b.WriteByte('\n')
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

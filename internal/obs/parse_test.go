@@ -1,19 +1,20 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
 // corpusRegistry builds a registry exercising every series kind the
-// renderer can emit: counters (plain and labelled), gauges, callback
-// metrics, and histograms with custom buckets.
+// renderer can emit: counters (plain and labelled), callback gauges and
+// histograms with custom buckets.
 func corpusRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("corpus_requests_total", "Requests.").Add(41)
 	r.Counter("corpus_requests_by_op_total", "Requests by op.", L("op", "explain")).Add(7)
 	r.Counter("corpus_requests_by_op_total", "Requests by op.", L("op", "recommend")).Add(3)
-	r.Gauge("corpus_temperature", "A gauge.").Set(-3)
+	r.GaugeFunc("corpus_temperature", "A gauge.", func() int64 { return -3 })
 	r.GaugeFunc("corpus_callback", "Callback gauge.", func() int64 { return 2 })
 	h := r.Histogram("corpus_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
@@ -23,6 +24,8 @@ func corpusRegistry() *Registry {
 	return r
 }
 
+// TestParseRoundTripsRegistryOutput parses the renderer's own output
+// back into every value, label and piece of metadata it was built from.
 func TestParseRoundTripsRegistryOutput(t *testing.T) {
 	var rendered strings.Builder
 	corpusRegistry().WritePrometheus(&rendered)
@@ -34,50 +37,67 @@ func TestParseRoundTripsRegistryOutput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseExposition: %v", err)
 	}
-	var out strings.Builder
-	if err := e.WritePrometheus(&out); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
+	for _, w := range []struct {
+		family, sample, typ string
+		labels              []Label
+		want                float64
+	}{
+		{"corpus_requests_total", "corpus_requests_total", "counter", nil, 41},
+		{"corpus_requests_by_op_total", "corpus_requests_by_op_total", "counter", []Label{L("op", "recommend")}, 3},
+		{"corpus_temperature", "corpus_temperature", "gauge", nil, -3},
+		{"corpus_callback", "corpus_callback", "gauge", nil, 2},
+		{"corpus_latency_seconds", "corpus_latency_seconds_bucket", "histogram", []Label{L("le", "1")}, 2},
+		{"corpus_latency_seconds", "corpus_latency_seconds_count", "histogram", nil, 3},
+		{"corpus_latency_seconds", "corpus_latency_seconds_sum", "histogram", nil, 42.255},
+		{"corpus_weird_total", "corpus_weird_total", "counter", []Label{L("path", "a\\b\"c\nd")}, 1},
+	} {
+		f := e.Family(w.family)
+		if f == nil || f.Type != w.typ || !f.HasHelp {
+			t.Fatalf("family %s: %+v, want type %s with help", w.family, f, w.typ)
+		}
+		if v, ok := f.Value(w.sample, w.labels...); !ok || v != w.want {
+			t.Errorf("%s%v = %v,%v, want %v", w.sample, w.labels, v, ok, w.want)
+		}
 	}
-	if out.String() != in {
-		t.Errorf("parse→emit not byte-identical:\n--- in ---\n%s\n--- out ---\n%s", in, out.String())
+	if got := len(e.Families); got != 6 {
+		t.Errorf("%d families, want 6: %v", got, e.FamilyNames())
 	}
 }
 
-// TestParseFixedPointOnForeignIdioms feeds the parser the same foreign
-// expositions the validator accepts (timestamps, plain comments, blank
-// lines, special float spellings) and checks one parse→emit cycle
-// reaches a fixed point that still validates.
-func TestParseFixedPointOnForeignIdioms(t *testing.T) {
-	inputs := []string{
-		"# TYPE a_total counter\na_total{x=\"1\"} 7 1700000000000\n",
-		"# a plain comment, anything goes\n#another\n\nfoo 1\n",
-		"# TYPE g gauge\ng +Inf\ng2 NaN\ng3 -Inf\n",
-		"no_metadata_at_all 3.5\n",
-		"# HELP h has help but no type\nh 1\n",
-		"# TYPE m counter\n# HELP m help after type\nm 2\n",
-		"withlabels{a=\"x\",b=\"y\"} 1\nwithlabels{b=\"y\",a=\"z\"} 2\n",
-	}
-	for _, in := range inputs {
-		e, err := ParseExposition([]byte(in))
+// TestParseForeignIdioms feeds the parser the foreign expositions the
+// validator accepts (timestamps, plain comments, blank lines, special
+// float spellings, metadata in either order) and checks the sample each
+// one carries.
+func TestParseForeignIdioms(t *testing.T) {
+	for _, c := range []struct {
+		in, family, sample string
+		labels             []Label
+		want               float64
+		timestamp          string
+	}{
+		{"# TYPE a_total counter\na_total{x=\"1\"} 7 1700000000000\n", "a_total", "a_total", []Label{L("x", "1")}, 7, "1700000000000"},
+		{"# a plain comment, anything goes\n#another\n\nfoo 1\n", "foo", "foo", nil, 1, ""},
+		{"# TYPE g gauge\ng +Inf\ng2 NaN\ng3 -Inf\n", "g", "g", nil, math.Inf(1), ""},
+		{"no_metadata_at_all 3.5\n", "no_metadata_at_all", "no_metadata_at_all", nil, 3.5, ""},
+		{"# HELP h has help but no type\nh 1\n", "h", "h", nil, 1, ""},
+		{"# TYPE m counter\n# HELP m help after type\nm 2\n", "m", "m", nil, 2, ""},
+		{"withlabels{a=\"x\",b=\"y\"} 1\nwithlabels{b=\"y\",a=\"z\"} 2\n", "withlabels", "withlabels", []Label{L("a", "z"), L("b", "y")}, 2, ""},
+	} {
+		e, err := ParseExposition([]byte(c.in))
 		if err != nil {
-			t.Errorf("ParseExposition(%q): %v", in, err)
+			t.Errorf("ParseExposition(%q): %v", c.in, err)
 			continue
 		}
-		var first strings.Builder
-		if err := e.WritePrometheus(&first); err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-		e2, err := ParseExposition([]byte(first.String()))
-		if err != nil {
-			t.Errorf("re-parse of emitted %q: %v", first.String(), err)
+		f := e.Family(c.family)
+		if f == nil {
+			t.Errorf("%q: family %s missing", c.in, c.family)
 			continue
 		}
-		var second strings.Builder
-		if err := e2.WritePrometheus(&second); err != nil {
-			t.Fatalf("emit: %v", err)
+		if v, ok := f.Value(c.sample, c.labels...); !ok || v != c.want {
+			t.Errorf("%q: %s = %v,%v, want %v", c.in, c.sample, v, ok, c.want)
 		}
-		if first.String() != second.String() {
-			t.Errorf("no fixed point for %q:\nfirst:  %q\nsecond: %q", in, first.String(), second.String())
+		if got := f.Samples[len(f.Samples)-1].Timestamp; got != c.timestamp {
+			t.Errorf("%q: timestamp %q, want %q", c.in, got, c.timestamp)
 		}
 	}
 }

@@ -50,11 +50,10 @@ type family struct {
 
 // series is one labeled instance within a family. Exactly one of the
 // value fields is set, matching the family kind (fn serves both
-// counter- and gauge-kinded callback series).
+// counter- and gauge-kinded callback series; every gauge is one).
 type series struct {
 	key  string // serialized labels, e.g. `engine="forward_push"`
 	c    *Counter
-	g    *Gauge
 	fn   func() int64
 	hist *Histogram
 }
@@ -78,20 +77,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		s.c = &Counter{}
 	}
 	return s.c
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindGauge, labels)
-	if s.fn != nil {
-		panic("obs: " + name + ": series is callback-backed (GaugeFunc)")
-	}
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
 }
 
 // CounterFunc registers a callback-backed counter series: fn is called
@@ -122,11 +107,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindGauge, labels)
-	if s.g != nil {
-		panic("obs: " + name + ": series is value-backed (Gauge)")
-	}
-	s.fn = fn
+	r.seriesLocked(name, help, kindGauge, labels).fn = fn
 }
 
 // Histogram returns the histogram for (name, labels), creating it with
@@ -327,8 +308,6 @@ func renderSeries(b *strings.Builder, f *family, s *series) {
 		writeSample(b, f.name, s.key, float64(s.fn()))
 	case s.c != nil:
 		writeSample(b, f.name, s.key, float64(s.c.Value()))
-	case s.g != nil:
-		writeSample(b, f.name, s.key, float64(s.g.Value()))
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 func TestValidateAcceptsOwnOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_requests_total", "Requests.", L("route", "/a"), L("code", "2xx")).Add(3)
-	r.Gauge("test_inflight", "In flight.").Set(2)
+	r.GaugeFunc("test_inflight", "In flight.", func() int64 { return 2 })
 	r.CounterFunc("test_fn_total", "Fn.", func() int64 { return 9 })
 	h := r.Histogram("test_seconds", "Latency.", DefBuckets(), L("route", "/a"))
 	h.Observe(0.002)

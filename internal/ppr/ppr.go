@@ -56,29 +56,6 @@ import (
 // Vector is a dense PPR score vector indexed by NodeID.
 type Vector []float64
 
-// Sum returns the total mass of the vector.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// ArgMax returns the index with the highest score, breaking ties toward
-// the lowest index. It returns -1 for an empty vector.
-func (v Vector) ArgMax() hin.NodeID {
-	best := hin.InvalidNode
-	bestScore := math.Inf(-1)
-	for i, x := range v {
-		if x > bestScore {
-			bestScore = x
-			best = hin.NodeID(i)
-		}
-	}
-	return best
-}
-
 // Params configures the PPR engines.
 type Params struct {
 	// Alpha is the teleportation probability of Eq. 1. The paper sets

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/fault"
@@ -179,7 +180,7 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 		{"K=3", NewReversePush(p), []hin.NodeID{0, 5, 9}},
 	} {
 		runs0, pushes0 := runsReverse.Value(), pushesReverse.Value()
-		mass0, sum0 := residualMassReverse.Count(), residualMassReverse.Sum()
+		mass0, sum0 := observations(t, "reverse_push"), residualMassReverse.Sum()
 		res, err := runMany(context.Background(), tc.e, g, tc.ts)
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +200,7 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 		if got := pushesReverse.Value() - pushes0; got != pushes || pushes == 0 {
 			t.Errorf("%s: %d reverse pushes recorded, the columns made %d", tc.name, got, pushes)
 		}
-		if got := residualMassReverse.Count() - mass0; got != K {
+		if got := observations(t, "reverse_push") - mass0; got != K {
 			t.Errorf("%s: %d residual-mass observations, want %d", tc.name, got, K)
 		}
 		if got := residualMassReverse.Sum() - sum0; math.Abs(got-mass) > 1e-12 {
@@ -211,13 +212,13 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		runs, pushes *obs.Counter
-		hist         *obs.Histogram
+		engine       string
 		run          func() (*PushResult, error)
 	}{
-		{"forward cold", runsForward, pushesForward, residualMassForward, func() (*PushResult, error) {
+		{"forward cold", runsForward, pushesForward, "forward_push", func() (*PushResult, error) {
 			return fwd.Run(g, 5)
 		}},
-		{"forward warm", runsForwardUpdate, pushesForwardUpdate, residualMassForwardUpdate, func() (*PushResult, error) {
+		{"forward warm", runsForwardUpdate, pushesForwardUpdate, "forward_update", func() (*PushResult, error) {
 			base, err := fwd.Run(g, 5)
 			if err != nil {
 				return nil, err
@@ -225,7 +226,7 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 			return fwd.UpdateForEdit(context.Background(), g, g.WithOutRow(5, nil, 0), base, []hin.NodeID{5}, nil)
 		}},
 	} {
-		runs0, pushes0, obs0 := tc.runs.Value(), tc.pushes.Value(), tc.hist.Count()
+		runs0, pushes0, obs0 := tc.runs.Value(), tc.pushes.Value(), observations(t, tc.engine)
 		res, err := tc.run()
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +237,7 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 		if got := tc.pushes.Value() - pushes0; got != int64(res.Pushes) || res.Pushes == 0 {
 			t.Errorf("%s: %d pushes recorded, the run made %d", tc.name, got, res.Pushes)
 		}
-		if got := tc.hist.Count() - obs0; got != 1 {
+		if got := observations(t, tc.engine) - obs0; got != 1 {
 			t.Errorf("%s: %d residual-mass observations, want 1", tc.name, got)
 		}
 	}
@@ -331,4 +332,18 @@ func TestColumnSumsBoundExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// observations reads the sample count of engine's residual-mass
+// histogram back from the rendered default registry.
+func observations(t *testing.T, engine string) int64 {
+	t.Helper()
+	var b strings.Builder
+	obs.Default().WritePrometheus(&b)
+	e, err := obs.ParseExposition([]byte(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := e.Family("emigre_ppr_residual_mass").Value("emigre_ppr_residual_mass_count", obs.L("engine", engine))
+	return int64(n)
 }

@@ -63,10 +63,11 @@ func BenchmarkCacheColdWarmForward(b *testing.B) {
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		c := New(Config{})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c.Purge()
+			b.StopTimer()
+			c := New(Config{})
+			b.StartTimer()
 			if _, hit, err := c.GetOrCompute(ctx, k, compute(u)); err != nil || hit {
 				b.Fatalf("hit=%v err=%v", hit, err)
 			}
@@ -106,10 +107,11 @@ func BenchmarkCacheColdWarmReverse(b *testing.B) {
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		c := New(Config{})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c.Purge()
+			b.StopTimer()
+			c := New(Config{})
+			b.StartTimer()
 			if _, hit, err := c.GetOrCompute(ctx, k, compute); err != nil || hit {
 				b.Fatalf("hit=%v err=%v", hit, err)
 			}

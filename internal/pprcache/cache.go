@@ -105,7 +105,7 @@ type Note interface {
 }
 
 // full reports whether the entry carries the residual half of the push
-// state, i.e. can serve warm-start (GetResult) consumers.
+// state, i.e. can serve warm-start (GetOrComputeResult) consumers.
 func (e *entry) full() bool { return e.res.Residuals != nil }
 
 // entrySize charges 8 bytes per resident float plus the bookkeeping
@@ -221,15 +221,6 @@ func (c *Cache) Get(ctx context.Context, k Key) (ppr.Vector, bool) {
 		return nil, false
 	}
 	return res.Estimates, true
-}
-
-// GetResult returns the cached push result for k without computing on
-// a miss. Only full entries (residuals resident) answer: a vector-only
-// entry cannot serve a warm start and reports a miss here while still
-// answering Get.
-func (c *Cache) GetResult(ctx context.Context, k Key) (*ppr.PushResult, bool) {
-	res, _, ok := c.resident(ctx, k, true)
-	return res, ok
 }
 
 // GetOrCompute returns the vector for k, computing it with compute on a
@@ -627,17 +618,4 @@ func (c *Cache) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Purge drops every resident entry (in-flight computations are not
-// interrupted; they will repopulate on completion).
-func (c *Cache) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.entries = make(map[Key]*list.Element)
-		sh.lru.Init()
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
 }

@@ -172,23 +172,6 @@ func TestComputeErrorIsNotCached(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(Config{})
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if _, _, err := c.GetOrCompute(ctx, testKey(1, i), constVec(8, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() != 4 {
-		t.Fatalf("len = %d, want 4", c.Len())
-	}
-	c.Purge()
-	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 {
-		t.Fatalf("purge left residency: %+v", s)
-	}
-}
-
 func TestRequestStatsTally(t *testing.T) {
 	c := New(Config{})
 	rs := &RequestStats{}

@@ -57,28 +57,6 @@ func TestGetOrComputeResultHitAndMiss(t *testing.T) {
 	}
 }
 
-func TestGetResultIgnoresVectorOnlyEntries(t *testing.T) {
-	c := New(Config{})
-	ctx := context.Background()
-	k := testKey(3, 1)
-	if _, _, err := c.GetOrCompute(ctx, k, constVec(4, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.GetResult(ctx, k); ok {
-		t.Fatal("GetResult answered from a vector-only entry")
-	}
-	if _, ok := c.Get(ctx, k); !ok {
-		t.Fatal("Get stopped answering from a vector-only entry")
-	}
-	if _, _, err := c.GetOrComputeResult(ctx, k, constResult(4, 1)); err != nil {
-		t.Fatal(err)
-	}
-	res, ok := c.GetResult(ctx, k)
-	if !ok || res.Residuals == nil {
-		t.Fatalf("GetResult after upgrade: ok=%v res=%+v", ok, res)
-	}
-}
-
 func TestResultUpgradesVectorOnlyEntry(t *testing.T) {
 	c := New(Config{})
 	ctx := context.Background()

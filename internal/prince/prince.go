@@ -67,9 +67,6 @@ type CFE struct {
 	Duration time.Duration
 }
 
-// Size returns the number of removed actions.
-func (c *CFE) Size() int { return len(c.Edges) }
-
 // Explainer computes counterfactual explanations for existing
 // recommendations.
 type Explainer struct {

@@ -86,8 +86,8 @@ func TestExplainChangesRecommendation(t *testing.T) {
 	if cfe.NewTop == cfe.OldTop {
 		t.Fatal("counterfactual did not change the recommendation")
 	}
-	if cfe.Size() == 0 || cfe.Size() == 3 {
-		t.Fatalf("CFE size = %d, want 1 or 2 (not empty, not all actions)", cfe.Size())
+	if len(cfe.Edges) == 0 || len(cfe.Edges) == 3 {
+		t.Fatalf("CFE size = %d, want 1 or 2 (not empty, not all actions)", len(cfe.Edges))
 	}
 	// Soundness: apply the removals and confirm the change.
 	o, err := hin.NewOverlay(g, cfe.Edges, nil)

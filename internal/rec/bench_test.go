@@ -1,6 +1,7 @@
 package rec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -69,7 +70,7 @@ func BenchmarkTopN(b *testing.B) {
 	}
 	r = r.WithCache(pprcache.New(pprcache.Config{}))
 	for _, u := range users {
-		if _, err := r.Scores(u); err != nil {
+		if _, err := r.ScoresContext(context.Background(), u); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +130,7 @@ func BenchmarkRankOf(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.RankOf(users[0], top[len(top)-1].Node); err != nil {
+		if _, err := r.RankOfContext(context.Background(), users[0], top[len(top)-1].Node); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package rec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestContributionsSumToScore(t *testing.T) {
 			sum += c.Share
 			transSum += c.Transition
 		}
-		scores, err := r.Scores(u)
+		scores, err := r.ScoresContext(context.Background(), u)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func liteRecommender(tb testing.TB) (*Recommender, []hin.NodeID) {
 // fullRanking is u's whole candidate ranking by a fresh selectInto.
 func fullRanking(t testing.TB, r *Recommender, u hin.NodeID) []Scored {
 	t.Helper()
-	scores, err := r.Scores(u)
+	scores, err := r.ScoresContext(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}

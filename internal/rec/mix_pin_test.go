@@ -1,6 +1,7 @@
 package rec
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -175,7 +176,7 @@ func TestPatchedRecommendNeverCached(t *testing.T) {
 		}
 		cache := pprcache.New(pprcache.Config{})
 		patched := r.WithCache(cache).WithUserPatch(o, u)
-		cached, err := patched.Scores(u)
+		cached, err := patched.ScoresContext(context.Background(), u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestPatchedRecommendNeverCached(t *testing.T) {
 		if n := cache.Len(); n != 0 {
 			t.Fatalf("β=%g: a patched copy cached %d vectors, want none", beta, n)
 		}
-		fresh, err := r.WithUserPatch(o, u).Scores(u)
+		fresh, err := r.WithUserPatch(o, u).ScoresContext(context.Background(), u)
 		if err != nil {
 			t.Fatal(err)
 		}

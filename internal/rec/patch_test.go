@@ -1,6 +1,7 @@
 package rec
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -37,11 +38,11 @@ func TestWithUserPatchEquivalentToRebuild(t *testing.T) {
 		}
 		patched := r.WithUserPatch(o, u)
 
-		sf, err := full.Scores(u)
+		sf, err := full.ScoresContext(context.Background(), u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := patched.Scores(u)
+		sp, err := patched.ScoresContext(context.Background(), u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestWithUserPatchDanglingUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	patched := r.WithUserPatch(o, u)
-	scores, err := patched.Scores(u)
+	scores, err := patched.ScoresContext(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@
 //
 // Every ranking is computed by one kernel over a score vector: a walk of
 // the candidate index (the item-typed node ids, built once in New) minus
-// the user's sorted out-row, under the order fmath.Before. RankOf, TopOf
-// and RankWithin run it on every call, as do Recommend and TopN without
+// the user's sorted out-row, under the order fmath.Before.
+// RankOfContext, TopOf and RankWithin run it on every call, as do Recommend and TopN without
 // a cache. With one, Recommend and TopN run it once per cached vector
 // and copy later answers from the ranked prefix kept on the vector's
 // cache entry (TopNContext).
@@ -95,23 +95,22 @@ type Scored struct {
 // overlays change edges, never node types or the node count. Nodes
 // added to the graph later need a new recommender.
 //
-// Concurrency contract: every scoring method (Recommend, TopN, RankOf,
-// their Context variants, TopOf and RankWithin) only reads the
+// Concurrency contract: every scoring method (Recommend, TopN, their
+// Context variants, RankOfContext, TopOf and RankWithin) only reads the
 // recommender's state and keeps its scratch on its own stack, so a
 // Recommender is safe for concurrent use once its flat snapshot exists —
 // call Flat() (or any scoring method) once before sharing it across
-// goroutines; the lazy build itself is not synchronized. The mutating
-// methods (SetCache) and the cheap rebinding constructor (WithUserPatch)
-// must not race with anything; rebinding returns a new instance and
-// never mutates the receiver, so concurrent explanation sessions can
-// call WithUserPatch over one warm shared recommender.
+// goroutines; the lazy build itself is not synchronized. The cheap
+// rebinding constructors (WithCache, WithUserPatch) return a new
+// instance and never mutate the receiver, so concurrent explanation
+// sessions can call WithUserPatch over one warm shared recommender.
 type Recommender struct {
 	cfg    Config
 	base   hin.View
 	flat   *hin.CSR // what pushes run over: lazy NewMixedCSR(base, Beta), or the parent's with u's row patched
 	engine *ppr.ForwardPush
 	items  []hin.NodeID    // candidate index: ascending ids of the item-typed nodes; immutable, shared by every copy
-	cache  *pprcache.Cache // optional shared vector cache (SetCache)
+	cache  *pprcache.Cache // optional shared vector cache (WithCache)
 	sums   *colSums        // ColumnSums of flat, shared by every copy; nil on a WithUserPatch recommender
 }
 
@@ -200,13 +199,6 @@ func (r *Recommender) ScoringView() hin.View { return r.Flat() }
 // Config returns the recommender's configuration.
 func (r *Recommender) Config() Config { return r.cfg }
 
-// SetCache attaches a shared PPR-vector cache. Scores computed by this
-// recommender are then served from c when its view is versioned (a
-// graph is). A WithUserPatch copy bound to an overlay inherits c but
-// never reads or fills it: the overlay is unversioned. Passing nil
-// detaches the cache. Not safe to call concurrently with scoring.
-func (r *Recommender) SetCache(c *pprcache.Cache) { r.cache = c }
-
 // WithCache returns a copy of the recommender with the shared PPR-
 // vector cache attached (nil detaches). The receiver is never mutated,
 // so callers that must not alias the original's future state — the
@@ -255,16 +247,10 @@ func (r *Recommender) IsCandidate(u, v hin.NodeID) bool {
 	return v != u && r.IsItem(v) && !r.base.HasEdge(u, v)
 }
 
-// Scores returns the full personalized score vector PPR(u, ·) over the
-// β-mixed snapshot Flat().
-func (r *Recommender) Scores(u hin.NodeID) (ppr.Vector, error) {
-	return r.ScoresContext(context.Background(), u)
-}
-
 // ScoresContext is Scores with cancellation: the underlying PPR run
 // aborts with ctx.Err() once ctx is canceled or its deadline passes.
 //
-// When a cache is attached (SetCache) the vector may be shared with
+// When a cache is attached (WithCache) the vector may be shared with
 // concurrent callers and MUST be treated as read-only. The cache key
 // names the β-mixed matrix of View() that Flat() materializes (key).
 func (r *Recommender) ScoresContext(ctx context.Context, u hin.NodeID) (ppr.Vector, error) {
@@ -496,12 +482,6 @@ func (r *Recommender) rankCold(ctx context.Context, u hin.NodeID, n int) ([]Scor
 }
 
 func noCandidates(u hin.NodeID) error { return fmt.Errorf("%w (user %d)", ErrNoCandidates, u) }
-
-// RankOf returns the 1-based rank of item v in u's candidate ranking.
-// It returns ErrNotCandidate when v cannot be recommended to u.
-func (r *Recommender) RankOf(u, v hin.NodeID) (int, error) {
-	return r.RankOfContext(context.Background(), u, v)
-}
 
 // RankOfContext is RankOf with cancellation.
 func (r *Recommender) RankOfContext(ctx context.Context, u, v hin.NodeID) (int, error) {

@@ -95,11 +95,11 @@ func TestNewAcceptsPaperPPRParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Scores(ids["u1"])
+	got, err := r.ScoresContext(context.Background(), ids["u1"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Scores(ids["u1"])
+	want, err := ref.ScoresContext(context.Background(), ids["u1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,24 +176,24 @@ func TestRankOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank, err := r.RankOf(ids["u1"], ids["i3"])
+	rank, err := r.RankOfContext(context.Background(), ids["u1"], ids["i3"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rank != 1 {
 		t.Fatalf("RankOf(i3) = %d, want 1", rank)
 	}
-	rank, err = r.RankOf(ids["u1"], ids["i4"])
+	rank, err = r.RankOfContext(context.Background(), ids["u1"], ids["i4"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rank != 2 {
 		t.Fatalf("RankOf(i4) = %d, want 2", rank)
 	}
-	if _, err := r.RankOf(ids["u1"], ids["i1"]); !errors.Is(err, ErrNotCandidate) {
+	if _, err := r.RankOfContext(context.Background(), ids["u1"], ids["i1"]); !errors.Is(err, ErrNotCandidate) {
 		t.Fatalf("RankOf(rated item) err = %v, want ErrNotCandidate", err)
 	}
-	if _, err := r.RankOf(ids["u1"], ids["cA"]); !errors.Is(err, ErrNotCandidate) {
+	if _, err := r.RankOfContext(context.Background(), ids["u1"], ids["cA"]); !errors.Is(err, ErrNotCandidate) {
 		t.Fatalf("RankOf(category) err = %v, want ErrNotCandidate", err)
 	}
 }
@@ -372,11 +372,11 @@ func TestBetaAffectsScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := r1.Scores(ids["u1"])
+	s1, err := r1.ScoresContext(context.Background(), ids["u1"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := r2.Scores(ids["u1"])
+	s2, err := r2.ScoresContext(context.Background(), ids["u1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func newRankGraph(t testing.TB, seed int64, beta float64) *rankGraph {
 // scan-and-sort reference on r's own score vector.
 func checkRanking(t *testing.T, name string, r *Recommender, u hin.NodeID) {
 	t.Helper()
-	scores, err := r.Scores(u)
+	scores, err := r.ScoresContext(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +586,7 @@ func checkRanking(t *testing.T, name string, r *Recommender, u hin.NodeID) {
 			}
 		}
 		if i%7 == 0 || i == len(full)-1 {
-			if rank, err := r.RankOf(u, sc.Node); err != nil || rank != i+1 {
+			if rank, err := r.RankOfContext(context.Background(), u, sc.Node); err != nil || rank != i+1 {
 				t.Fatalf("%s user %d: RankOf(%d) = %d, %v, want %d", name, u, sc.Node, rank, err, i+1)
 			}
 		}
@@ -620,7 +620,7 @@ func TestRankingKernelMatchesScanAndSort(t *testing.T) {
 		// at a positive score for a user who rated neither, the isolated
 		// items tie at zero, and the lower id comes first.
 		u := rg.users[1]
-		scores, err := r.Scores(u)
+		scores, err := r.ScoresContext(context.Background(), u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -628,8 +628,8 @@ func TestRankingKernelMatchesScanAndSort(t *testing.T) {
 		if !(scores[a] > 0) || !fmath.Eq(scores[a], scores[b]) {
 			t.Fatalf("seed %d: twins score %g and %g, want an exact positive tie", seed, scores[a], scores[b])
 		}
-		ra, _ := r.RankOf(u, a)
-		rb, _ := r.RankOf(u, b)
+		ra, _ := r.RankOfContext(context.Background(), u, a)
+		rb, _ := r.RankOfContext(context.Background(), u, b)
 		if rb != ra+1 {
 			t.Fatalf("seed %d: tied twins at ranks %d and %d, want adjacent with the lower id first", seed, ra, rb)
 		}
@@ -682,7 +682,7 @@ func TestRankingConcurrentReaders(t *testing.T) {
 	r.Flat()
 	want := map[hin.NodeID][]Scored{}
 	for _, u := range rg.users[:len(rg.users)-1] {
-		scores, err := r.Scores(u)
+		scores, err := r.ScoresContext(context.Background(), u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -712,7 +712,7 @@ func TestRankingConcurrentReaders(t *testing.T) {
 
 func mustScores(t testing.TB, r *Recommender, u hin.NodeID) ppr.Vector {
 	t.Helper()
-	scores, err := r.Scores(u)
+	scores, err := r.ScoresContext(context.Background(), u)
 	if err != nil {
 		t.Error(err)
 	}
@@ -735,7 +735,7 @@ func TestRankingAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := rg.users[1]
-	scores, err := r.Scores(u)
+	scores, err := r.ScoresContext(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestErrorBodiesPinned(t *testing.T) {
 	if err := rt.adm.Acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	defer rt.adm.Release(1)
+	defer rt.adm.ReleaseObserved(1, 0)
 	rec := postExplain(t, rt.Handler(), "Paul")
 	want := `{"error":"router saturated: too many requests in flight; retry later","retry_after_seconds":` +
 		rec.Header().Get("Retry-After") + "}\n"

@@ -102,12 +102,6 @@ func newRing(backends []string, vnodes int) (*ring, error) {
 	return r, nil
 }
 
-// owner returns the backend owning key: the first ring point clockwise
-// from the key's hash.
-func (r *ring) owner(key string) string {
-	return r.points[r.search(hashKey(key))].backend
-}
-
 // search returns the index of the first point with hash >= h, wrapping
 // to 0 past the last point.
 func (r *ring) search(h uint64) int {
@@ -119,7 +113,8 @@ func (r *ring) search(h uint64) int {
 }
 
 // successors returns up to n distinct backends in clockwise order
-// starting at key's owner. successors(key, 1)[0] == owner(key); the
+// starting at key's owner, the first ring point clockwise from the
+// key's hash; the
 // rest are the failover order — the backends that would inherit the
 // shard if earlier ones left the ring, so a failed-over request lands
 // where the user's state would migrate to anyway.

@@ -148,3 +148,9 @@ func TestRingRejectsBadMembership(t *testing.T) {
 		t.Fatal("empty backend accepted")
 	}
 }
+
+// owner returns the backend owning key: the first ring point clockwise
+// from the key's hash.
+func (r *ring) owner(key string) string {
+	return r.points[r.search(hashKey(key))].backend
+}

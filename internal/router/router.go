@@ -209,9 +209,6 @@ func normalizeBackend(b string) (string, error) {
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.handler }
 
-// Registry returns the router's metric registry.
-func (rt *Router) Registry() *obs.Registry { return rt.reg }
-
 // SetDraining flips /readyz to 503; implements server.ReadinessSetter
 // so cmd/emigre-router drains with server.DrainOrdered.
 func (rt *Router) SetDraining() { rt.draining.Store(true) }

@@ -106,10 +106,10 @@ func runQueries(t *testing.T, cl *client.Client, timeout time.Duration) ([]*clie
 //     deep-equal to the baseline: no poisoned cache entry, no stuck
 //     state, no answer drift.
 func TestChaosScheduleConvergesAndRecovers(t *testing.T) {
-	srv, cl := newChaosStack(t, nil)
+	_, warm := newChaosStack(t, nil)
 	t.Cleanup(fault.DisarmAll)
 
-	baseline, errs := runQueries(t, cl, 30*time.Second)
+	baseline, errs := runQueries(t, warm, 30*time.Second)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("baseline query %d: %v", i, err)
@@ -119,8 +119,9 @@ func TestChaosScheduleConvergesAndRecovers(t *testing.T) {
 		}
 	}
 
-	// Cold state for the chaos phase so pprcache.fill is reachable again.
-	srv.cache.Purge()
+	// A second, cold stack for the chaos phase so pprcache.fill is
+	// reachable again.
+	_, cl := newChaosStack(t, nil)
 
 	fault.SetSeed(7)
 	schedule := "server.explain.decode=error(chaos decode)*1;" +

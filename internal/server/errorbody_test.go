@@ -44,7 +44,7 @@ func TestErrorBodiesPinned(t *testing.T) {
 		if err := srv.adm.Acquire(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
-		defer srv.adm.Release(1)
+		defer srv.adm.ReleaseObserved(1, 0)
 		rec := do(t, srv.Handler(), "POST", "/explain", map[string]any{"user": "Paul", "wni": "Harry Potter"})
 		want := `{"error":"server saturated: too many concurrent explanations; retry later","retry_after_seconds":` +
 			rec.Header().Get("Retry-After") + "}\n"

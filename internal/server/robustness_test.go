@@ -94,7 +94,7 @@ func TestSaturation503(t *testing.T) {
 	if err := srv.adm.Acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.adm.Release(1)
+	defer srv.adm.ReleaseObserved(1, 0)
 
 	rec := do(t, srv.Handler(), "POST", "/explain", map[string]any{
 		"user": "Paul", "wni": "Harry Potter",
@@ -130,7 +130,7 @@ func TestQueuedRequestTimesOut(t *testing.T) {
 	if err := srv.adm.Acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.adm.Release(1)
+	defer srv.adm.ReleaseObserved(1, 0)
 
 	start := time.Now()
 	rec := do(t, srv.Handler(), "POST", "/explain", map[string]any{
