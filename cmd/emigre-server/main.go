@@ -39,7 +39,7 @@ func main() {
 	log.SetPrefix("emigre-server: ")
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		graphPath = flag.String("graph", "", "graph file (JSON/TSV from emigre-gen)")
+		graphPath = flag.String("graph", "", "JSON graph file from emigre-gen")
 		preset    = flag.String("preset", "", "built-in graph: books")
 		itemTypes = flag.String("item-types", "item", "comma-separated recommendable node types")
 		edgeTypes = flag.String("edge-types", "rated,reviewed", "comma-separated T_e (explanation edge types)")

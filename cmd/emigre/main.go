@@ -26,7 +26,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("emigre: ")
 	var (
-		graphPath = flag.String("graph", "", "graph file (JSON/TSV from emigre-gen); empty with -preset books uses the toy graph")
+		graphPath = flag.String("graph", "", "JSON graph file from emigre-gen; empty with -preset books uses the toy graph")
 		preset    = flag.String("preset", "", "built-in graph: books")
 		userArg   = flag.String("user", "", "user node (label or numeric id)")
 		wniArg    = flag.String("wni", "", "Why-Not item (label or numeric id)")
