@@ -84,8 +84,8 @@ func New(capacity int64, maxQueue int) *Controller {
 }
 
 // clamp bounds a request's weight to [1, capacity] so every request is
-// satisfiable. Acquire and Release apply the same clamp, so callers can
-// pass the raw weight to both.
+// satisfiable. Acquire and ReleaseObserved apply the same clamp, so
+// callers can pass the raw weight to both.
 func (a *Controller) clamp(n int64) int64 {
 	if n < 1 {
 		n = 1
@@ -102,8 +102,8 @@ func (a *Controller) clamp(n int64) int64 {
 // become available.
 func (a *Controller) Acquire(ctx context.Context, n int64) error {
 	if n > a.capacity {
-		// Counted here and not in clamp: Release re-clamps the same raw
-		// weight, which must not double-count the event.
+		// Counted here and not in clamp: ReleaseObserved re-clamps the
+		// same raw weight, which must not double-count the event.
 		a.Clamped.Inc()
 	}
 	n = a.clamp(n)
@@ -146,9 +146,9 @@ func (a *Controller) Acquire(ctx context.Context, n int64) error {
 	}
 }
 
-// ReleaseObserved returns n units like Release and, when held > 0,
-// folds the observed hold time into the per-unit EWMA behind
-// RetryAfterSeconds.
+// ReleaseObserved returns n units, wakes queued waiters that now fit
+// and, when held > 0, folds the observed hold time into the per-unit
+// EWMA behind RetryAfterSeconds.
 func (a *Controller) ReleaseObserved(n int64, held time.Duration) {
 	n = a.clamp(n)
 	a.mu.Lock()

@@ -165,9 +165,10 @@ func waitForWaiters(t *testing.T, a *Controller, n int) {
 
 // TestAdmissionClampContract documents the clamp contract end to end
 // and pins its observability counter: a weight outside [1, capacity]
-// is clamped on both Acquire and Release (so callers may pass the raw
-// weight to both), but only Acquire counts the clamp — Release
-// re-clamping the same raw weight must not double-count the event.
+// is clamped on both Acquire and ReleaseObserved (so callers may pass
+// the raw weight to both), but only Acquire counts the clamp —
+// ReleaseObserved re-clamping the same raw weight must not double-count
+// the event.
 func TestAdmissionClampContract(t *testing.T) {
 	a := New(4, 0)
 	reg := obs.NewRegistry()

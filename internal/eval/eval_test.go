@@ -128,10 +128,10 @@ func TestStatsAggregation(t *testing.T) {
 		}
 	}
 	if _, ok := statsFor(res, "remove_brute"); !ok {
-		t.Fatal("StatsFor(remove_brute) missing")
+		t.Fatal("statsFor(remove_brute) missing")
 	}
 	if _, ok := statsFor(res, "nope"); ok {
-		t.Fatal("StatsFor(nope) should not resolve")
+		t.Fatal("statsFor(nope) should not resolve")
 	}
 }
 

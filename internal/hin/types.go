@@ -15,7 +15,7 @@
 //     node's out-row patched — the one shape the PPR push kernels
 //     iterate;
 //   - degree statistics per node type (the paper's Table 4);
-//   - JSON and TSV serialization.
+//   - JSON serialization, the one graph file format.
 //
 // PPR and recommendation code accepts the read-only View interface, so
 // a Graph, an Overlay and a CSR are interchangeable as arguments; the
