@@ -5,12 +5,10 @@
 // deadline, and surfaces degraded responses (the server's unverified
 // partial answers) explicitly rather than hiding them.
 //
-// The retry policy is idempotency-aware: 429 and 503 are always safe to
-// retry (the request was never admitted), while transport errors and
-// 5xx responses are retried only for idempotent calls — every built-in
-// endpoint is a pure read over the graph, so all of them qualify, but
-// the classification is explicit so future mutating endpoints default
-// to the safe side.
+// Every endpoint is a pure read over the graph, so a failed attempt is
+// safe to resend: 429 and 503 (the request was never admitted),
+// transport errors and 500/502/504 are retried, and every other outcome
+// is definitive (Retryable).
 package client
 
 import (
@@ -254,7 +252,7 @@ func (c *Client) Explain(ctx context.Context, req ExplainRequest) (*ExplainRespo
 	var out ExplainResponse
 	// Pure read: no server state changes, so retrying is safe even
 	// after an ambiguous transport failure.
-	if err := c.do(ctx, http.MethodPost, "/explain", nil, req, &out, true, &out.Meta); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/explain", nil, req, &out, &out.Meta); err != nil {
 		return nil, err
 	}
 	if out.Degraded {
@@ -270,7 +268,7 @@ func (c *Client) Recommend(ctx context.Context, user string, n int) (*RecommendR
 		q.Set("n", fmt.Sprint(n))
 	}
 	var out RecommendResponse
-	if err := c.do(ctx, http.MethodGet, "/recommend", q, nil, &out, true, &out.Meta); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/recommend", q, nil, &out, &out.Meta); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -280,7 +278,7 @@ func (c *Client) Recommend(ctx context.Context, user string, n int) (*RecommendR
 // question.
 func (c *Client) Diagnose(ctx context.Context, req DiagnoseRequest) (*DiagnoseResponse, error) {
 	var out DiagnoseResponse
-	if err := c.do(ctx, http.MethodPost, "/diagnose", nil, req, &out, true, &out.Meta); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/diagnose", nil, req, &out, &out.Meta); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -291,7 +289,7 @@ func (c *Client) Ready(ctx context.Context) error {
 	var out struct {
 		Status string `json:"status"`
 	}
-	return c.do(ctx, http.MethodGet, "/readyz", nil, nil, &out, true, nil)
+	return c.do(ctx, http.MethodGet, "/readyz", nil, nil, &out, nil)
 }
 
 // do runs one logical API call: marshal, attempt, classify, back off,
@@ -300,7 +298,7 @@ func (c *Client) Ready(ctx context.Context) error {
 // (when non-nil) receives the call's correlation ID, attempt count and
 // server tally headers. Every attempt of the call carries the same
 // X-Emigre-Request-Id so server-side captures can group retries.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body, out any, idempotent bool, meta *Meta) error {
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, body, out any, meta *Meta) error {
 	var payload []byte
 	if body != nil {
 		var err error
@@ -337,7 +335,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			return nil
 		}
 		lastErr = err
-		if !Retryable(err, idempotent) {
+		if !Retryable(err) {
 			return err
 		}
 	}

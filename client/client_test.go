@@ -99,7 +99,7 @@ func TestNoRetryOn4xx(t *testing.T) {
 				t.Fatalf("message = %q, budget exhausted = %v; want %q, %v",
 					apiErr.Message, apiErr.BudgetExhausted, tc.message, tc.budget)
 			}
-			if Retryable(err, true) {
+			if Retryable(err) {
 				t.Fatalf("a %d is classified retryable", tc.status)
 			}
 			if calls.Load() != 1 {
@@ -189,32 +189,27 @@ func TestTransportErrorRetriesIdempotent(t *testing.T) {
 	}
 }
 
-// TestNonIdempotentNoTransportRetry: the classification keeps ambiguous
-// failures un-retried for non-idempotent calls, always retries shed
-// requests, and never retries definitive outcomes — a response that
-// arrived but does not decode included.
-func TestNonIdempotentNoTransportRetry(t *testing.T) {
+// TestRetryableClassification: the classification retries shed
+// requests and ambiguous failures, and never retries definitive
+// outcomes — a response that arrived but does not decode included.
+func TestRetryableClassification(t *testing.T) {
 	decodeErr := fmt.Errorf("client: decoding 200 response: %w", &json.SyntaxError{})
 	for _, tc := range []struct {
-		name       string
-		err        error
-		idempotent bool
-		want       bool
+		name string
+		err  error
+		want bool
 	}{
-		{"transport error, non-idempotent", &transportError{err: errors.New("reset")}, false, false},
-		{"transport error, idempotent", &transportError{err: errors.New("reset")}, true, true},
-		{"503, non-idempotent", &APIError{Status: 503}, false, true},
-		{"504, non-idempotent", &APIError{Status: 504}, false, false},
-		{"504, idempotent", &APIError{Status: 504}, true, true},
-		{"404, idempotent", &APIError{Status: 404}, true, false},
+		{"transport error", &transportError{err: errors.New("reset")}, true},
+		{"504", &APIError{Status: 504}, true},
+		{"404", &APIError{Status: 404}, false},
 		// /recommend for a user with no candidate item: the server answers
 		// 404 (it used to answer 500, which the next row shows is retried).
-		{"404 no candidates on /recommend, idempotent", &APIError{Status: 404, Message: "rec: user has no recommendable candidate items (user 0)"}, true, false},
-		{"500, idempotent", &APIError{Status: 500}, true, true},
-		{"decode error, idempotent", decodeErr, true, false},
-		{"context expiry, idempotent", context.DeadlineExceeded, true, false},
+		{"404 no candidates on /recommend", &APIError{Status: 404, Message: "rec: user has no recommendable candidate items (user 0)"}, false},
+		{"500", &APIError{Status: 500}, true},
+		{"decode error", decodeErr, false},
+		{"context expiry", context.DeadlineExceeded, false},
 	} {
-		if got := Retryable(tc.err, tc.idempotent); got != tc.want {
+		if got := Retryable(tc.err); got != tc.want {
 			t.Errorf("%s: Retryable = %v, want %v", tc.name, got, tc.want)
 		}
 	}

@@ -10,8 +10,7 @@ import (
 )
 
 // transportError wraps a failed round trip (connection refused, reset,
-// attempt deadline) — the request may or may not have reached the
-// server, so it is retried only for idempotent calls.
+// attempt deadline).
 type transportError struct{ err error }
 
 func (e *transportError) Error() string { return "client: " + e.err.Error() }
@@ -25,31 +24,24 @@ var jitter = rand.Float64
 // request again — to this server or, at the router tier, to another
 // backend — can change the outcome.
 //
-//   - 429 and 503 are always retryable: the server shed the request
-//     before doing any work, so even a non-idempotent call is safe.
-//   - Transport errors and 500/502/504 are ambiguous — the server may
-//     have processed the request — so they are retried only when the
-//     call is idempotent.
+//   - 429 and 503: the server shed the request before doing any work.
+//   - Transport errors and 500/502/504: the attempt failed on its way,
+//     and every call is a pure read, so resending is safe.
 //   - Everything else (4xx, decode errors, context expiry) is
 //     definitive: retrying cannot change the answer.
-func Retryable(err error, idempotent bool) bool {
+func Retryable(err error) bool {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		switch apiErr.Status {
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable,
+			http.StatusInternalServerError, http.StatusBadGateway, http.StatusGatewayTimeout:
 			return true
-		case http.StatusInternalServerError, http.StatusBadGateway,
-			http.StatusGatewayTimeout:
-			return idempotent
 		default:
 			return false
 		}
 	}
 	var tErr *transportError
-	if errors.As(err, &tErr) {
-		return idempotent
-	}
-	return false
+	return errors.As(err, &tErr)
 }
 
 // backoff computes the sleep before retry number attempt (1-based):

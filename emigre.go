@@ -60,8 +60,8 @@ import (
 type (
 	// Graph is a mutable heterogeneous information network.
 	Graph = hin.Graph
-	// View is the read-only graph interface shared by Graph, its
-	// counterfactual overlays and CSR snapshots.
+	// View is the read-only graph interface shared by Graph and its
+	// CSR snapshots.
 	View = hin.View
 	// NodeID identifies a node.
 	NodeID = hin.NodeID

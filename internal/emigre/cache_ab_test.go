@@ -285,8 +285,8 @@ func TestCheckVectorsStayOutOfCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := hin.ViewVersion(o); ok {
-			t.Fatal("the counterfactual overlay is versioned, so its vectors could be keyed")
+		if _, ok := f.r.WithUserPatch(o, expl.Query.User).Flat().Version(); ok {
+			t.Fatal("the counterfactual snapshot is versioned, so its vectors could be keyed")
 		}
 		for _, step := range []string{"explain", "verify"} {
 			if step == "verify" {

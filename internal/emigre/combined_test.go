@@ -125,11 +125,11 @@ func TestVerifyMixedExplanation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Independently compute the outcome.
-	o, err := hin.NewOverlay(f.g, expl.Removals, expl.Additions)
+	ref, err := edited(f.g, expl.Removals, expl.Additions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := rebuilt(f.r, o).Recommend(f.ids["u"])
+	top, err := rebuilt(f.r, ref).Recommend(f.ids["u"])
 	if err != nil {
 		t.Fatal(err)
 	}

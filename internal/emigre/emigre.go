@@ -439,6 +439,7 @@ func New(g *hin.Graph, r *rec.Recommender, opts Options) *Explainer {
 	if cache != nil && r.Cache() == nil {
 		r = r.WithCache(cache)
 	}
+	r.Flat() // build the snapshot before concurrent sessions share it
 	return &Explainer{
 		g:     g,
 		r:     r,
@@ -552,11 +553,10 @@ func (e *Explainer) VerifyContext(ctx context.Context, expl *Explanation) (bool,
 		}
 	}
 	s := &session{ex: e, ctx: ctx, q: expl.Query, mode: expl.Mode}
-	r2, err := s.counterfactual(cands)
-	if err != nil {
+	if err := s.edit(cands); err != nil {
 		return false, err
 	}
-	ok, _, err := s.rankCheck(ctx, r2)
+	ok, _, err := s.rankCheck(ctx, e.r.WithUserPatch(&s.cf, s.q.User))
 	return ok, s.wrapCtx(err)
 }
 
@@ -592,6 +592,12 @@ type session struct {
 	lastAttempt []candidate
 	// picked is the set a combination stream is yielding (pick).
 	picked []candidate
+	// cf is the counterfactual under CHECK, rebuilt in place by edit from
+	// the candidates' edges split into rm, add and rw; row is the user's
+	// β-mixed row under it, the one row the rival gate reads.
+	cf          hin.Overlay
+	rm, add, rw []hin.Edge
+	row         []hin.HalfEdge
 }
 
 // candidate is one entry of the paper's list H: an edge that could be
@@ -651,9 +657,9 @@ func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*sessio
 	return s, nil
 }
 
-// splitOps partitions a candidate selection into removal, addition and
-// reweight edge lists according to each candidate's op.
-func splitOps(cands []candidate) (removals, additions, reweights []hin.Edge) {
+// splitOps appends a candidate selection's edges to the removal,
+// addition and reweight lists according to each candidate's op.
+func splitOps(cands []candidate, removals, additions, reweights []hin.Edge) ([]hin.Edge, []hin.Edge, []hin.Edge) {
 	for _, c := range cands {
 		switch c.op {
 		case Add:
@@ -710,10 +716,11 @@ func (s *session) canceled() error {
 func (s *session) wrapCtx(err error) error { return wrapCtxErr(err, s.stats) }
 
 // check is the paper's CHECK/TEST step: cancellation poll, CHECK budget,
-// then overlay, patched recommender, rival gate and — when the gate
-// cannot reject — the cold rank comparison. Rejections, the overwhelming
-// majority of any CHECK stream, end at the gate for a few dot products or
-// at the cold push, which teaches the gate its winner. Every CHECK counts
+// then the counterfactual's row, the rival gate and — only when the gate
+// cannot reject — a recommender patched with that row for the cold rank
+// comparison. Rejections, the overwhelming majority of any CHECK stream,
+// end at the gate for a few dot products, allocating nothing, or at the
+// cold push, which teaches the gate its winner. Every CHECK counts
 // toward Tests and, once decided, toward Gated or Cold.
 func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 	if err := s.canceled(); err != nil {
@@ -727,16 +734,17 @@ func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 	if err := checkSite.Hit(s.ctx); err != nil {
 		return false, hin.InvalidNode, s.wrapCtx(err)
 	}
-	r2, err := s.counterfactual(cands)
-	if err != nil {
+	if err := s.edit(cands); err != nil {
 		return false, hin.InvalidNode, err
 	}
-	if s.gated(r2) {
+	var total float64
+	s.row, total = s.cf.MixedRow(s.row, s.q.User, s.ex.r.Config().Beta)
+	if s.gated(s.row, total) {
 		record(gatedChecks)
 		s.stats.Gated++
 		return false, hin.InvalidNode, nil
 	}
-	ok, top, err := s.rankCheck(s.ctx, r2)
+	ok, top, err := s.rankCheck(s.ctx, s.ex.r.WithUserPatch(&s.cf, s.q.User))
 	if err != nil {
 		return false, hin.InvalidNode, s.wrapCtx(err)
 	}
@@ -750,28 +758,27 @@ func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 	return ok, top, nil
 }
 
-// counterfactual applies the candidate selection as an overlay and
-// binds the recommender to it. A counterfactual edits only the user's
-// outgoing row — an edit rooted anywhere else is an error — so the
-// recommender scores over a one-row patch of its flat snapshot instead
-// of re-flattening the overlay. The overlay is unversioned, so the
-// binding builds no cache key and no CHECK vector is ever stored: each
-// is for a one-off counterfactual and would only be resident memory
-// (DESIGN.md §3.15).
-func (s *session) counterfactual(cands []candidate) (*rec.Recommender, error) {
-	removals, additions, reweights := splitOps(cands)
-	// A reweight is expressed as removing the typed edge and re-adding
-	// it with the counterfactual weight.
-	removals = append(removals, reweights...)
-	additions = append(additions, reweights...)
-	o, err := hin.NewOverlay(s.ex.g, removals, additions)
-	if err != nil {
-		return nil, fmt.Errorf("emigre: building counterfactual overlay: %w", err)
+// edit rebuilds the session's counterfactual cf from a candidate
+// selection. A counterfactual edits only the user's outgoing row — an
+// edit rooted anywhere else is an error — so it is that one row, and a
+// cold drain patches it into the recommender's snapshot instead of
+// re-flattening the graph. A patched snapshot is unversioned, so no
+// CHECK vector is ever cached: each is for a one-off counterfactual and
+// would only be resident memory (DESIGN.md §3.15). A reweight is
+// expressed as removing the typed edge and re-adding it with the
+// counterfactual weight.
+func (s *session) edit(cands []candidate) error {
+	for _, c := range cands {
+		if c.edge.From != s.q.User {
+			return fmt.Errorf("emigre: counterfactual edits node %d's row, not user %d's", c.edge.From, s.q.User)
+		}
 	}
-	if rows := o.RowEdits(); len(rows) > 0 && rows[0].Node != s.q.User {
-		return nil, fmt.Errorf("emigre: counterfactual edits node %d's row, not user %d's", rows[0].Node, s.q.User)
+	s.rm, s.add, s.rw = splitOps(cands, s.rm[:0], s.add[:0], s.rw[:0])
+	s.rm, s.add = append(s.rm, s.rw...), append(s.add, s.rw...)
+	if err := s.cf.Reset(s.ex.g, s.rm, s.add); err != nil {
+		return fmt.Errorf("emigre: building counterfactual overlay: %w", err)
 	}
-	return s.ex.r.WithUserPatch(o, s.q.User), nil
+	return nil
 }
 
 // rankCheck re-runs the recommender over the counterfactual — one cold
@@ -834,7 +841,7 @@ func (s *session) partialExplanation() *Explanation {
 }
 
 func (s *session) found(cands []candidate, verified bool, newTop hin.NodeID) *Explanation {
-	removals, additions, reweights := splitOps(cands)
+	removals, additions, reweights := splitOps(cands, nil, nil, nil)
 	edges := make([]hin.Edge, 0, len(cands))
 	edges = append(edges, removals...)
 	edges = append(edges, additions...)

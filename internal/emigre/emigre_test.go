@@ -591,12 +591,31 @@ func TestRandomGraphExplanationsAlwaysVerify(t *testing.T) {
 	}
 }
 
-// rebuilt is r's configuration and cache over o, flattened from
-// scratch: the full-rebuild reference for a counterfactual.
-func rebuilt(r *rec.Recommender, o hin.View) *rec.Recommender {
-	full, err := rec.New(o, r.Config())
+// rebuilt is r's configuration and cache over g, flattened from
+// scratch: over an edited graph, the full-rebuild reference for a
+// counterfactual.
+func rebuilt(r *rec.Recommender, g *hin.Graph) *rec.Recommender {
+	full, err := rec.New(g, r.Config())
 	if err != nil {
 		panic(err)
 	}
 	return full.WithCache(r.Cache())
+}
+
+// edited is a clone of g with the removals and then the additions
+// applied by RemoveEdge and AddEdge, the first failure returned: the
+// graph a counterfactual overlay edits one row of, materialized.
+func edited(g *hin.Graph, removals, additions []hin.Edge) (*hin.Graph, error) {
+	c := g.Clone()
+	for _, e := range removals {
+		if err := c.RemoveEdge(e.From, e.To, e.Type); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range additions {
+		if err := c.AddEdge(e.From, e.To, e.Type, e.Weight); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }

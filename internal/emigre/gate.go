@@ -7,7 +7,6 @@ import (
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/ppr"
 	"github.com/why-not-xai/emigre/internal/pprcache"
-	"github.com/why-not-xai/emigre/internal/rec"
 )
 
 // The rival gate is the step of the CHECK path that rejects a
@@ -57,18 +56,19 @@ func (rv *rivals) has(t hin.NodeID) bool {
 }
 
 // gated reports whether TargetRank learned rivals that are still
-// candidates of the counterfactual r2 provably outrank WNI on it. A
-// session that learns nothing (see learn), an empty row, a row that
-// reaches u itself and any gap inside the error margin answer false: on
-// to the cold push. It does not allocate.
-func (s *session) gated(r2 *rec.Recommender) bool {
+// candidates of the counterfactual provably outrank WNI on it, given the
+// user's new β-mixed row (weights row/total) — the row a cold drain
+// would patch into the snapshot. A session that learns nothing (see
+// learn), an empty row, a row that reaches u itself and any gap inside
+// the error margin answer false: on to the cold push. It does not
+// allocate.
+func (s *session) gated(row []hin.HalfEdge, total float64) bool {
 	rv := s.gate
 	k := s.ex.opts.TargetRank
 	if rv == nil || len(rv.list) < k {
 		return false
 	}
-	u, flat := s.q.User, r2.Flat()
-	row, total := flat.OutSlice(u), flat.OutWeightSum(u)
+	u := s.q.User
 	if len(row) == 0 || total <= 0 {
 		return false
 	}

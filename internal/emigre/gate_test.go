@@ -186,10 +186,7 @@ func TestRivalGateIdentityMatchesExact(t *testing.T) {
 			s := &session{ex: New(w.g, w.r, w.opts), q: Query{User: w.u, WNI: w.wni}}
 			emptied := false
 			for mask := 0; mask < 1<<len(w.universe); mask++ {
-				r2, err := s.counterfactual(w.edit(mask))
-				if err != nil {
-					t.Fatal(err)
-				}
+				r2 := counterfactual(t, s, w.edit(mask))
 				after, err := exact.FromSource(r2.Flat(), w.u)
 				if err != nil {
 					t.Fatal(err)
@@ -285,7 +282,7 @@ func TestRivalGateIsSound(t *testing.T) {
 						if okC || topC == w.wni {
 							t.Fatalf("%s mask %b: gated a set that passes the cold CHECK (cold top %d)", name, mask, topC)
 						}
-						if r2, _ := s.counterfactual(cands); len(r2.Flat().OutSlice(w.u)) == 0 {
+						if row, _ := mixedRow(t, s, cands); len(row) == 0 {
 							t.Fatalf("%s mask %b: gated an emptied row", name, mask)
 						}
 					}
@@ -304,11 +301,7 @@ func TestRivalGateIsSound(t *testing.T) {
 						}
 						restore := onlyRival(s, tie)
 						for mask := 0; mask < 1<<len(w.universe); mask++ {
-							r2, err := s.counterfactual(w.edit(mask))
-							if err != nil {
-								t.Fatal(err)
-							}
-							if s.gated(r2) {
+							if s.gated(mixedRow(t, s, w.edit(mask))) {
 								t.Fatalf("%s mask %b: gated on %s, whose lead over WNI is inside the margin", name, mask, w.g.Label(tie))
 							}
 						}
@@ -628,9 +621,8 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 }
 
 // gatedRemoval opens a Remove session on the Amazon Lite scenario and
-// returns it with the counterfactual of its first gated single-edge
-// removal.
-func gatedRemoval(tb testing.TB) (*session, *rec.Recommender) {
+// returns it with its first gated single-edge removal.
+func gatedRemoval(tb testing.TB) (*session, candidate) {
 	tb.Helper()
 	g, r, q, te := liteScenario(tb)
 	ex := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true})
@@ -640,31 +632,68 @@ func gatedRemoval(tb testing.TB) (*session, *rec.Recommender) {
 	}
 	for _, c := range s.cands {
 		if ok, _, gated := checkGated(tb, s, []candidate{c}); !ok && gated {
-			r2, _ := s.counterfactual([]candidate{c})
-			return s, r2
+			return s, c
 		}
 	}
 	tb.Fatal("no single-edge removal of the lite scenario is gated")
-	return nil, nil
+	return nil, candidate{}
+}
+
+// mixedRow rebuilds the session's counterfactual of cands as check does
+// and returns the user's β-mixed row under it: what the gate reads.
+func mixedRow(tb testing.TB, s *session, cands []candidate) ([]hin.HalfEdge, float64) {
+	tb.Helper()
+	if err := s.edit(cands); err != nil {
+		tb.Fatal(err)
+	}
+	return s.cf.MixedRow(nil, s.q.User, s.ex.r.Config().Beta)
+}
+
+// counterfactual is the recommender a cold CHECK of cands scores: the
+// session's counterfactual patched into the snapshot.
+func counterfactual(tb testing.TB, s *session, cands []candidate) *rec.Recommender {
+	tb.Helper()
+	if err := s.edit(cands); err != nil {
+		tb.Fatal(err)
+	}
+	return s.ex.r.WithUserPatch(&s.cf, s.q.User)
 }
 
 // TestRivalGateZeroAlloc pins one gate evaluation — every learned rival
 // against one counterfactual row — at zero allocations: the gate runs
 // before every cold CHECK, so one allocation here is one per candidate.
 func TestRivalGateZeroAlloc(t *testing.T) {
-	s, r2 := gatedRemoval(t)
-	if allocs := testing.AllocsPerRun(100, func() { s.gated(r2) }); allocs != 0 {
+	s, c := gatedRemoval(t)
+	row, total := mixedRow(t, s, []candidate{c})
+	if allocs := testing.AllocsPerRun(100, func() { s.gated(row, total) }); allocs != 0 {
 		t.Fatalf("one gate evaluation allocates %v times, want 0", allocs)
+	}
+}
+
+// TestGatedCheckZeroAlloc pins a whole gated CHECK — budget, failpoint,
+// the counterfactual row rebuilt in the session's buffers and the gate —
+// at zero allocations: gated CHECKs are 99 % of a search's, so one
+// allocation here is one per candidate set.
+func TestGatedCheckZeroAlloc(t *testing.T) {
+	s, c := gatedRemoval(t)
+	before := s.stats.Gated
+	allocs := testing.AllocsPerRun(100, func() { s.check([]candidate{c}) })
+	if gated := s.stats.Gated - before; gated != 101 {
+		t.Fatalf("%d of 101 CHECKs were gated; the pin is vacuous", gated)
+	}
+	if allocs != 0 {
+		t.Fatalf("one gated CHECK allocates %v times, want 0", allocs)
 	}
 }
 
 // BenchmarkRivalGate measures one gate evaluation on Amazon Lite.
 func BenchmarkRivalGate(b *testing.B) {
-	s, r2 := gatedRemoval(b)
+	s, c := gatedRemoval(b)
+	row, total := mixedRow(b, s, []candidate{c})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.gated(r2) {
+		if !s.gated(row, total) {
 			b.Fatal("verdict flipped")
 		}
 	}

@@ -24,16 +24,16 @@ func TestExplainGroupPromotesAMember(t *testing.T) {
 				t.Fatalf("NewTop = %v, not a group member", expl.NewTop)
 			}
 			// Replay: the new top-1 must be in the group.
-			var o *hin.Overlay
+			var o *hin.Graph
 			if mode == Remove {
 				var err error
-				o, err = hin.NewOverlay(f.g, expl.Edges, nil)
+				o, err = edited(f.g, expl.Edges, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 			} else {
 				var err error
-				o, err = hin.NewOverlay(f.g, nil, expl.Edges)
+				o, err = edited(f.g, nil, expl.Edges)
 				if err != nil {
 					t.Fatal(err)
 				}

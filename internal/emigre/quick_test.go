@@ -351,11 +351,11 @@ func TestQuickVerifyAgreesWithReplay(t *testing.T) {
 		if err != nil {
 			return true // e.g. WNI became invalid; not this property's concern
 		}
-		o, err := hin.NewOverlay(fx.g, removals, nil)
+		ref, err := edited(fx.g, removals, nil)
 		if err != nil {
 			return false
 		}
-		topAfter, err := rebuilt(fx.r, o).Recommend(u)
+		topAfter, err := rebuilt(fx.r, ref).Recommend(u)
 		if err != nil {
 			return !ok
 		}

@@ -83,11 +83,11 @@ func TestTargetRankRelaxedSuccess(t *testing.T) {
 }
 
 // overlayFor materializes an explanation's counterfactual as an
-// overlay of the fixture graph.
-func overlayFor(f *fixture, expl *Explanation) (*hin.Overlay, error) {
+// edited clone of the fixture graph.
+func overlayFor(f *fixture, expl *Explanation) (*hin.Graph, error) {
 	removals := append([]hin.Edge(nil), expl.Removals...)
 	additions := append([]hin.Edge(nil), expl.Additions...)
 	removals = append(removals, expl.Reweights...)
 	additions = append(additions, expl.Reweights...)
-	return hin.NewOverlay(f.g, removals, additions)
+	return edited(f.g, removals, additions)
 }

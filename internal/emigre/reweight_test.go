@@ -108,23 +108,24 @@ func TestOverlayReweightSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
+	row, sum := o.MixedRow(nil, u, 1)
+	count, reaches := 0, false
 	var got float64
-	o.OutEdges(u, func(h hin.HalfEdge) bool {
+	for _, h := range row {
 		if h.Node == p1 && h.Type == f.rated {
 			count++
 			got = h.Weight
 		}
-		return true
-	})
+		reaches = reaches || h.Node == p1
+	}
 	if count != 1 || got != 4 {
 		t.Fatalf("overlay shows %d edges with weight %g, want 1 edge at 4", count, got)
 	}
-	if !o.HasEdge(u, p1) {
-		t.Fatal("reweighted edge missing from HasEdge")
+	if !reaches {
+		t.Fatal("reweighted edge missing from the row")
 	}
 	// Out weight sum adjusted: base 3 (three unit edges) − 1 + 4 = 6.
-	if sum := o.OutWeightSum(u); sum != 6 {
+	if sum != 6 {
 		t.Fatalf("OutWeightSum = %g, want 6", sum)
 	}
 }

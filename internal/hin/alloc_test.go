@@ -37,10 +37,10 @@ func rowEdit(t *testing.T, g *Graph) (removals, additions []Edge) {
 	return nil, nil
 }
 
-// TestNewOverlayAllocs pins a counterfactual build at three
-// allocations — the overlay, its copied row and the row's collector —
-// whatever the size of the base graph: the Why-Not search builds one
-// per CHECK.
+// TestNewOverlayAllocs pins a counterfactual build at two allocations —
+// the overlay and its copied row — whatever the size of the base graph,
+// and a Reset of a built overlay and a MixedRow into a grown buffer at
+// none: the Why-Not search rebuilds one row per CHECK.
 func TestNewOverlayAllocs(t *testing.T) {
 	for _, g := range allocGraphs() {
 		removals, additions := rowEdit(t, g)
@@ -49,8 +49,22 @@ func TestNewOverlayAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 3 {
-			t.Errorf("NewOverlay on %d nodes allocates %.1f objects, want 3", g.NumNodes(), allocs)
+		if allocs != 2 {
+			t.Errorf("NewOverlay on %d nodes allocates %.1f objects, want 2", g.NumNodes(), allocs)
+		}
+		o, err := NewOverlay(g, removals, additions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, _ := o.MixedRow(nil, removals[0].From, 0.5)
+		allocs = testing.AllocsPerRun(100, func() {
+			if err := o.Reset(g, removals, additions); err != nil {
+				t.Fatal(err)
+			}
+			row, _ = o.MixedRow(row, removals[0].From, 0.5)
+		})
+		if allocs != 0 {
+			t.Errorf("Reset and MixedRow on %d nodes allocate %.1f objects, want 0", g.NumNodes(), allocs)
 		}
 	}
 }

@@ -50,29 +50,6 @@ func BenchmarkOverlayBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkOverlayOutEdges(b *testing.B) {
-	g := benchRandomGraph(b, 2000, 12000)
-	u := NodeID(7)
-	edges := g.OutEdgesOfType(u, NewEdgeTypeSet())
-	if len(edges) == 0 {
-		b.Skip("node 7 has no edges in this seed")
-	}
-	o, err := NewOverlay(g, edges[:1], nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	sum := 0.0
-	for i := 0; i < b.N; i++ {
-		v := NodeID(i % 2000)
-		o.OutEdges(v, func(h HalfEdge) bool {
-			sum += h.Weight
-			return true
-		})
-	}
-	_ = sum
-}
-
 func BenchmarkCSRBuild(b *testing.B) {
 	g := benchRandomGraph(b, 5000, 30000)
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package hin
 
 import (
 	"errors"
+	"math"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
 )
@@ -56,7 +57,7 @@ type CSR struct {
 	patchProb []float64
 
 	// version is the source view's version captured at flatten time and
-	// salted with β (MixedVersion): a CSR is a frozen snapshot, so it
+	// salted with β (NewMixedCSR): a CSR is a frozen snapshot, so it
 	// keeps identifying that state even if the source graph mutates
 	// afterwards. A row-patched snapshot is unversioned: it shares its
 	// base's arrays, never its identity.
@@ -73,10 +74,13 @@ func NewCSR(v View) *CSR {
 	return NewMixedCSR(v, 1)
 }
 
-// NewMixedCSR flattens v under the β-mix: every node's row is its
-// MixedRow, so at β < 1 a row's weights are its transition
-// probabilities and sum to 1. β = 1 is NewCSR's plain weighted walk.
-// The snapshot carries MixedVersion(v, β).
+// NewMixedCSR flattens v under the β-mix: every node's row is mixed as
+// Overlay.MixedRow mixes one, so at β < 1 a row's weights are its
+// transition probabilities and sum to 1. β = 1 is NewCSR's plain
+// weighted walk.
+// The snapshot carries v's version salted with β's bit pattern, or v's
+// own at β = 1, where the mix is the identity: two mixes of one view
+// share a version only under the same β.
 func NewMixedCSR(v View, beta float64) *CSR {
 	n := v.NumNodes()
 	c := &CSR{
@@ -88,7 +92,9 @@ func NewMixedCSR(v View, beta float64) *CSR {
 		outSum:    make([]float64, n),
 		patchNode: InvalidNode,
 	}
-	c.version, c.versioned = MixedVersion(v, beta)
+	if c.version, c.versioned = ViewVersion(v); c.versioned && !fmath.Eq(beta, 1) {
+		c.version = c.version.Mix(math.Float64bits(beta))
+	}
 	edges := 0
 	for i := range n {
 		edges += v.OutDegree(NodeID(i))
@@ -140,25 +146,8 @@ func NewMixedCSR(v View, beta float64) *CSR {
 	return c
 }
 
-// MixedRow returns u's out-row under v with every weight w replaced by
-// the RecWalk β-mixed transition probability
-//
-//	W(u,x) = β·w/Σw(u) + (1−β)/deg(u)
-//
-// and the row's weight sum: 1, or 0 with no edges when u has no
-// out-edge of positive total weight. β = 1 returns the raw row and its
-// sum, the plain weighted walk.
-func MixedRow(v View, u NodeID, beta float64) ([]HalfEdge, float64) {
-	row := make([]HalfEdge, 0, v.OutDegree(u))
-	v.OutEdges(u, func(h HalfEdge) bool {
-		row = append(row, h)
-		return true
-	})
-	return mixRow(row, v.OutWeightSum(u), beta)
-}
-
 // mixRow rewrites row, a node's out-edges of weight sum total, in place
-// into its β-mixed row (see MixedRow).
+// into its β-mixed row (see Overlay.MixedRow).
 func mixRow(row []HalfEdge, total, beta float64) ([]HalfEdge, float64) {
 	if fmath.Eq(beta, 1) {
 		return row, total

@@ -54,25 +54,21 @@ func TestCSRMatchesOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	g := randomGraph(rng, 12, 50)
 	et, _ := g.Types().LookupEdgeType("e")
-	// One overlay per edited row, stacked; the reference applies the
-	// same edits to a clone.
-	var view View = g
-	var removals, additions []Edge
+	// One overlay per edited row, patched into the snapshot; the
+	// reference applies the same edits to a clone.
 	for v := range NodeID(g.NumNodes()) {
 		rm, add := randomRowEdits(rng, g, v, et, 0.25, 1)
-		o, err := NewOverlay(view, rm, add)
+		o, err := NewOverlay(g, rm, add)
 		if err != nil {
 			t.Fatal(err)
 		}
-		view = o
-		removals, additions = append(removals, rm...), append(additions, add...)
+		ref, err := cloneWithEdits(g, rm, add)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viewsAgree(t, ref, patched(g, o, v))
+		viewsAgree(t, ref, NewCSR(patched(g, o, v)))
 	}
-	ref, err := cloneWithEdits(g, removals, additions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewsAgree(t, ref, view)
-	viewsAgree(t, ref, NewCSR(view))
 }
 
 func TestCSRIdempotent(t *testing.T) {

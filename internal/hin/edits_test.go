@@ -56,14 +56,6 @@ func TestRowEditsRemoveAddReweight(t *testing.T) {
 	if edits := o.RowEdits(); !reflect.DeepEqual(edits, want) {
 		t.Errorf("RowEdits = %+v, want %+v", edits, want)
 	}
-	// A second edited row takes a second, stacked overlay.
-	o2, err := NewOverlay(o, nil, []Edge{{From: x, To: b, Type: et, Weight: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if edits, want := o2.RowEdits(), []RowEdit{{Node: x, Changes: 1}}; !reflect.DeepEqual(edits, want) {
-		t.Errorf("stacked RowEdits = %+v, want %+v", edits, want)
-	}
 }
 
 func TestRowEditsDeterministic(t *testing.T) {

@@ -95,13 +95,18 @@ func decodeRowEdits(rated, similar EdgeTypeID, data []byte) (removals, additions
 // FuzzOverlayMatchesGraph holds NewOverlay to the edited-clone
 // reference (cloneWithEdits) on one source row: it accepts exactly the
 // edit lists the reference accepts, in any order, and an accepted
-// overlay presents the reference's rows edge for edge and its
-// out-weight sums to 1e-12 relative.
+// overlay reads the reference's rows edge for edge with its out-weight
+// sums to 1e-12 relative. Mixed at β ∈ {1, 0.5}, every row equals the
+// reference snapshot's (NewMixedCSR) bit for bit, sums included: the
+// row the rival gate reads is the row a cold CHECK drains.
 func FuzzOverlayMatchesGraph(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 5})
 	f.Add([]byte{1, 1, 2, 0, 9, 1, 0, 1, 17})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 0, 20})
+	// Row 0 emptied (0.2, 0.4 and 0.6 leave a 2e-16 residue), then an
+	// edge added: the sum must restart from 0 as RemoveEdge's does.
+	f.Add([]byte{0, 0, 1, 0, 4, 0, 3, 0, 4, 0, 5, 0, 4, 1, 2, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, rated, similar := fuzzBaseGraph()
 		removals, additions := decodeRowEdits(rated, similar, data)
@@ -124,18 +129,28 @@ func FuzzOverlayMatchesGraph(f *testing.F) {
 			return
 		}
 		for v := range NodeID(g.NumNodes()) {
-			var got, want []HalfEdge
-			o.OutEdges(v, func(h HalfEdge) bool { got = append(got, h); return true })
+			var want []HalfEdge
 			ref.OutEdges(v, func(h HalfEdge) bool { want = append(want, h); return true })
-			if !slices.Equal(got, want) || o.OutDegree(v) != len(want) {
-				t.Fatalf("row %d: overlay %v (degree %d), reference %v", v, got, o.OutDegree(v), want)
+			got, sum := o.MixedRow(nil, v, 1)
+			if !slices.Equal(got, want) {
+				t.Fatalf("row %d: overlay %v, reference %v", v, got, want)
 			}
-			if a, b := o.OutWeightSum(v), ref.OutWeightSum(v); math.Abs(a-b) > 1e-12*math.Max(math.Abs(a), math.Abs(b)) {
-				t.Fatalf("row %d: overlay sum %g, reference %g", v, a, b)
+			if b := ref.OutWeightSum(v); math.Abs(sum-b) > 1e-12*math.Max(math.Abs(sum), math.Abs(b)) {
+				t.Fatalf("row %d: overlay sum %g, reference %g", v, sum, b)
 			}
-			for w := range NodeID(g.NumNodes()) {
-				if o.HasEdge(v, w) != ref.HasEdge(v, w) {
-					t.Fatalf("HasEdge(%d,%d) disagrees", v, w)
+		}
+		for _, beta := range []float64{1, 0.5} {
+			flat := NewMixedCSR(ref, beta)
+			for v := range NodeID(g.NumNodes()) {
+				got, sum := o.MixedRow(nil, v, beta)
+				want, wantSum := flat.OutSlice(v), flat.OutWeightSum(v)
+				if len(got) != len(want) || math.Float64bits(sum) != math.Float64bits(wantSum) {
+					t.Fatalf("β=%g row %d: overlay %v (sum %g), reference snapshot %v (sum %g)", beta, v, got, sum, want, wantSum)
+				}
+				for i := range got {
+					if got[i].Node != want[i].Node || got[i].Type != want[i].Type || math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+						t.Fatalf("β=%g row %d edge %d: overlay %+v, reference snapshot %+v", beta, v, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -22,6 +22,13 @@ func edgesEqual(g View, v NodeID, want []HalfEdge) bool {
 	return true
 }
 
+// patched is g's snapshot with o's edited row of u patched in: the
+// counterfactual a cold CHECK drains, read as a View.
+func patched(g *Graph, o *Overlay, u NodeID) *CSR {
+	row, sum := o.MixedRow(nil, u, 1)
+	return NewCSR(g).WithOutRow(u, row, sum)
+}
+
 func TestOverlayRemove(t *testing.T) {
 	g, ids := buildTriangle(t)
 	u, a, b := ids[0], ids[1], ids[2]
@@ -31,16 +38,17 @@ func TestOverlayRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.HasEdge(u, a) {
+	p := patched(g, o, u)
+	if p.HasEdge(u, a) {
 		t.Fatal("removed edge still visible")
 	}
-	if !o.HasEdge(u, b) {
+	if !p.HasEdge(u, b) {
 		t.Fatal("untouched edge missing")
 	}
-	if got := o.OutDegree(u); got != 1 {
+	if got := p.OutDegree(u); got != 1 {
 		t.Fatalf("OutDegree = %d, want 1", got)
 	}
-	if got := o.OutWeightSum(u); math.Abs(got-2) > 1e-15 {
+	if got := p.OutWeightSum(u); math.Abs(got-2) > 1e-15 {
 		t.Fatalf("OutWeightSum = %g, want 2", got)
 	}
 	// Base graph unchanged.
@@ -58,17 +66,18 @@ func TestOverlayAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.HasEdge(u, c) {
+	p := patched(g, o, u)
+	if !p.HasEdge(u, c) {
 		t.Fatal("added edge not visible")
 	}
-	if got := o.OutDegree(u); got != 3 {
+	if got := p.OutDegree(u); got != 3 {
 		t.Fatalf("OutDegree = %d, want 3", got)
 	}
-	if got := o.OutWeightSum(u); math.Abs(got-7) > 1e-15 {
+	if got := p.OutWeightSum(u); math.Abs(got-7) > 1e-15 {
 		t.Fatalf("OutWeightSum = %g, want 7", got)
 	}
 	// The snapshot's in-row of the target must include the addition.
-	start, src, prob := NewCSR(o).InRows()
+	start, src, prob := NewCSR(p).InRows()
 	if !slices.Contains(src[start[c]:start[c+1]], u) || !slices.Contains(prob[start[c]:start[c+1]], 4.0/7) {
 		t.Fatal("added edge missing from the target's in-row")
 	}
@@ -129,36 +138,12 @@ func TestOverlayRemoveThenAddSamePairDifferentType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.HasEdge(u, a) {
+	p := patched(g, o, u)
+	if !p.HasEdge(u, a) {
 		t.Fatal("pair should still have an edge (reviewed added)")
 	}
-	if got := o.OutWeightSum(u); math.Abs(got-5) > 1e-15 { // 3 (base b) + 3 - 1
+	if got := p.OutWeightSum(u); math.Abs(got-5) > 1e-15 { // 3 (base b) + 3 - 1
 		t.Fatalf("OutWeightSum = %g, want 5", got)
-	}
-}
-
-func TestOverlayComposition(t *testing.T) {
-	g, ids := buildTriangle(t)
-	u, a, b := ids[0], ids[1], ids[2]
-	rated, _ := g.Types().LookupEdgeType("rated")
-
-	o1, err := NewOverlay(g, []Edge{{From: u, To: a, Type: rated}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := NewOverlay(o1, []Edge{{From: u, To: b, Type: rated}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o2.OutDegree(u) != 0 {
-		t.Fatalf("OutDegree = %d, want 0", o2.OutDegree(u))
-	}
-	if o2.OutWeightSum(u) != 0 {
-		t.Fatalf("OutWeightSum = %g, want 0", o2.OutWeightSum(u))
-	}
-	// Removing an already-removed edge through composition must fail.
-	if _, err := NewOverlay(o1, []Edge{{From: u, To: a, Type: rated}}, nil); !errors.Is(err, ErrNoSuchEdge) {
-		t.Fatalf("err = %v, want ErrNoSuchEdge", err)
 	}
 }
 
@@ -218,9 +203,9 @@ func TestOverlayMaterializeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
-		// The overlay and the edited clone must agree on every view
-		// query.
-		viewsAgree(t, m, o)
+		// The patched snapshot and the edited clone must agree on every
+		// view query.
+		viewsAgree(t, m, patched(g, o, v))
 	}
 }
 
@@ -244,8 +229,8 @@ func TestEmptiedRowSumsToZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := o.OutWeightSum(u); o.OutDegree(u) != 0 || got != 0 {
-		t.Errorf("overlay: emptied row has degree %d and sum %g, want 0 and 0", o.OutDegree(u), got)
+	if row, got := o.MixedRow(nil, u, 1); len(row) != 0 || got != 0 {
+		t.Errorf("overlay: emptied row has degree %d and sum %g, want 0 and 0", len(row), got)
 	}
 	for _, e := range edges {
 		if err := g.RemoveEdge(e.From, e.To, e.Type); err != nil {
@@ -254,23 +239,5 @@ func TestEmptiedRowSumsToZero(t *testing.T) {
 	}
 	if got := g.OutWeightSum(u); g.OutDegree(u) != 0 || got != 0 {
 		t.Errorf("graph: emptied row has degree %d and sum %g, want 0 and 0", g.OutDegree(u), got)
-	}
-}
-
-func TestOverlayEarlyStopIteration(t *testing.T) {
-	g, ids := buildTriangle(t)
-	u, c := ids[0], ids[3]
-	rated, _ := g.Types().LookupEdgeType("rated")
-	o, err := NewOverlay(g, nil, []Edge{{From: u, To: c, Type: rated, Weight: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	o.OutEdges(u, func(HalfEdge) bool {
-		count++
-		return false // stop immediately
-	})
-	if count != 1 {
-		t.Fatalf("iteration did not stop early: %d edges seen", count)
 	}
 }

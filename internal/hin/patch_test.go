@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestCSRRowPatchMatchesOverlay verifies that patching a single node's
-// out-row into a CSR is observationally identical to the overlay it
-// models, across every View method — and that re-flattening the patched
-// snapshot yields a plain one that still agrees.
+// TestCSRRowPatchMatchesOverlay verifies that patching an overlay's
+// edited row into a CSR is observationally identical to the edited
+// graph it models, across every View method — and that re-flattening
+// the patched snapshot yields a plain one that still agrees.
 func TestCSRRowPatchMatchesOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 15; trial++ {
@@ -48,25 +48,29 @@ func TestCSRRowPatchMatchesOverlay(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 
-		// Build the patch from the overlay's u-row.
-		var row []HalfEdge
-		o.OutEdges(u, func(h HalfEdge) bool { row = append(row, h); return true })
-		base := NewCSR(g)
-		p := base.WithOutRow(u, row, o.OutWeightSum(u))
+		ref, err := cloneWithEdits(g, removals, additions)
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trial, err)
+		}
 
-		viewsAgree(t, o, p)
+		// Build the patch from the overlay's u-row.
+		row, sum := o.MixedRow(nil, u, 1)
+		base := NewCSR(g)
+		p := base.WithOutRow(u, row, sum)
+
+		viewsAgree(t, ref, p)
 		viewsAgree(t, g, base) // the shared arrays are untouched
 		flat := NewCSR(p)
 		if flat == p {
 			t.Fatal("NewCSR must re-flatten a row-patched snapshot")
 		}
-		viewsAgree(t, o, flat)
-		// Same in-row order as flattening the overlay itself: what keeps
-		// a reverse push over either bit-identical.
+		viewsAgree(t, ref, flat)
+		// Same in-row order as flattening the edited graph itself: what
+		// keeps a reverse push over either bit-identical.
 		fs, fx, fp := flat.InRows()
-		ds, dx, dp := NewCSR(o).InRows()
+		ds, dx, dp := NewCSR(ref).InRows()
 		if !reflect.DeepEqual(fs, ds) || !reflect.DeepEqual(fx, dx) || !reflect.DeepEqual(fp, dp) {
-			t.Fatalf("trial %d: re-flattened in-rows differ from NewCSR(overlay)", trial)
+			t.Fatalf("trial %d: re-flattened in-rows differ from NewCSR(edited clone)", trial)
 		}
 	}
 }

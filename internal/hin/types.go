@@ -8,18 +8,19 @@
 //   - Graph: a mutable HIN with O(1) typed-edge lookup, per-node in/out
 //     adjacency, and cached out-weight sums (the denominators of the
 //     row-stochastic transition matrix W used by Personalized PageRank);
-//   - Overlay: a counterfactual view over a base graph with one node's
-//     out-row edited (edge removals and additions) — the workhorse of
-//     EMiGRe's CHECK step, which only ever edits the user's row;
 //   - CSR: an immutable flat snapshot of any View, optionally with one
 //     node's out-row patched — the one shape the PPR push kernels
 //     iterate;
+//   - Overlay: a counterfactual edit of one node's out-row of a Graph
+//     (edge removals and additions), read as that row (MixedRow) — the
+//     workhorse of EMiGRe's CHECK step, which only ever edits the
+//     user's row;
 //   - degree statistics per node type (the paper's Table 4);
 //   - JSON serialization, the one graph file format.
 //
 // PPR and recommendation code accepts the read-only View interface, so
-// a Graph, an Overlay and a CSR are interchangeable as arguments; the
-// push engines flatten whatever they are handed to a CSR once at entry.
+// a Graph and a CSR are interchangeable as arguments; the push engines
+// flatten whatever they are handed to a CSR once at entry.
 package hin
 
 import "fmt"
@@ -64,11 +65,11 @@ type HalfEdge struct {
 	Weight float64
 }
 
-// View is the read-only interface of the three graph shapes: a Graph, a
-// counterfactual Overlay of one, and the CSR snapshot the push kernels
-// walk. PPR engines, the recommender and the explainers are all written
-// against View so counterfactual overlays can be evaluated without
-// materializing modified graphs.
+// View is the read-only interface of the two graph shapes: a Graph and
+// the CSR snapshot the push kernels walk. PPR engines and the
+// recommender are written against View; a counterfactual is not one,
+// but one edited row (Overlay) patched into a snapshot
+// (CSR.WithOutRow).
 type View interface {
 	// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
 	NumNodes() int
@@ -91,7 +92,7 @@ type View interface {
 }
 
 // TypeRegistry maps node- and edge-type names to small dense IDs. A
-// registry is owned by a Graph and shared by all of its overlays.
+// registry is owned by a Graph and shared by all of its snapshots.
 type TypeRegistry struct {
 	nodeNames []string
 	nodeIDs   map[string]NodeTypeID

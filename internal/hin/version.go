@@ -1,11 +1,6 @@
 package hin
 
-import (
-	"math"
-	"sync/atomic"
-
-	"github.com/why-not-xai/emigre/internal/fmath"
-)
+import "sync/atomic"
 
 // Version identifies the content of a graph view for caching purposes.
 // Two views with equal versions are guaranteed to present the same
@@ -17,7 +12,7 @@ import (
 //     operation on a Graph assigns it a fresh stamp from a process-wide
 //     counter, so no two distinct graph states ever share one.
 //   - Digest folds in derived-view structure: a β-mixed snapshot folds
-//     β in via Mix (MixedVersion). It is 0 for a plain Graph.
+//     β in via Mix (NewMixedCSR). It is 0 for a plain Graph.
 type Version struct {
 	Stamp  uint64
 	Digest uint64
@@ -25,8 +20,8 @@ type Version struct {
 
 // Versioned is implemented by views that can identify their content.
 // The boolean reports whether a version is available: a row-patched CSR
-// answers false. A view that does not implement it — an Overlay, a
-// custom View — is not cacheable either.
+// answers false. A view that does not implement it — a custom View —
+// is not cacheable either.
 type Versioned interface {
 	Version() (Version, bool)
 }
@@ -64,16 +59,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// MixedVersion is the version of v's β-mixed transition matrix
-// (NewMixedCSR): v's version salted with β's bit pattern, or v's own at
-// β = 1, where the mix is the identity. Two mixes of one view share a
-// version only under the same β.
-func MixedVersion(v View, beta float64) (Version, bool) {
-	ver, ok := ViewVersion(v)
-	if !ok || fmath.Eq(beta, 1) {
-		return ver, ok
-	}
-	return ver.Mix(math.Float64bits(beta)), true
 }

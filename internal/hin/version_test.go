@@ -117,12 +117,4 @@ func TestUnversionedViewAnswersFalse(t *testing.T) {
 	if _, ok := ViewVersion(wrapped); ok {
 		t.Fatal("expected no version through an opaque wrapper")
 	}
-	// An overlay is unversioned even over a versioned base.
-	o, err := NewOverlay(g, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ViewVersion(o); ok {
-		t.Fatal("an overlay must not report a version")
-	}
 }

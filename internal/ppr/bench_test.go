@@ -97,7 +97,7 @@ func BenchmarkAblationWarmVsCold(b *testing.B) {
 	var patched []*hin.CSR
 	edges := g.OutEdgesOfType(u, hin.NewEdgeTypeSet())
 	for i := 0; i < 16 && i < len(edges); i++ {
-		o, err := hin.NewOverlay(csr, []hin.Edge{edges[i%len(edges)]},
+		o, err := hin.NewOverlay(g, []hin.Edge{edges[i%len(edges)]},
 			[]hin.Edge{{From: u, To: hin.NodeID((i*37 + 11) % 5000), Type: et, Weight: 0.8}})
 		if err != nil {
 			continue

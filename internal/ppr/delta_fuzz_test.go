@@ -35,13 +35,13 @@ func FuzzDeltaPPREquivalence(f *testing.F) {
 		params := testParams()
 		s := hin.NodeID(rng.Intn(nodes))
 
-		// Stack nEdits single-row overlays; the warm start sees only the
-		// outermost view plus the union of edited rows.
-		var view hin.View = g
+		// Stack nEdits single-row edits on a clone; the warm start sees
+		// only the edited view plus the union of edited rows.
+		view := g.Clone()
 		touched := map[hin.NodeID]bool{}
 		for i := 0; i < nEdits; i++ {
 			u := hin.NodeID(rng.Intn(nodes))
-			view = toggleRowOverlay(t, g, view, u, rng)
+			toggleRow(t, view, u, rng)
 			touched[u] = true
 		}
 		rows := make([]hin.NodeID, 0, len(touched))

@@ -10,8 +10,9 @@ import (
 )
 
 // applyUserEdits builds an overlay removing some of u's out-edges and
-// adding new ones, returning it with the edit lists.
-func applyUserEdits(t *testing.T, g *hin.Graph, u hin.NodeID, rng *rand.Rand) *hin.Overlay {
+// adding new ones, returning it with a clone of g the same edits were
+// applied to: the edited graph the overlay's row belongs to.
+func applyUserEdits(t *testing.T, g *hin.Graph, u hin.NodeID, rng *rand.Rand) (*hin.Overlay, *hin.Graph) {
 	t.Helper()
 	et, _ := g.Types().LookupEdgeType("e")
 	var removals, additions []hin.Edge
@@ -42,58 +43,54 @@ func applyUserEdits(t *testing.T, g *hin.Graph, u hin.NodeID, rng *rand.Rand) *h
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o
+	ed := g.Clone()
+	for _, e := range removals {
+		if err := ed.RemoveEdge(e.From, e.To, e.Type); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range additions {
+		if err := ed.AddEdge(e.From, e.To, e.Type, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return o, ed
 }
 
-// toggleRowOverlay returns an overlay over view editing exactly node
-// u's out-row: the first existing out-edge removed and one new edge
-// added toward a non-neighbor. Unlike applyUserEdits it accepts any
-// view, so edits can be stacked across rows.
-func toggleRowOverlay(t *testing.T, g *hin.Graph, view hin.View, u hin.NodeID, rng *rand.Rand) *hin.Overlay {
+// toggleRow edits exactly node u's out-row of g in place: the first
+// existing out-edge removed and one new edge added toward a
+// non-neighbor. Applied to a clone, it stacks edits across rows.
+func toggleRow(t *testing.T, g *hin.Graph, u hin.NodeID, rng *rand.Rand) {
 	t.Helper()
 	et, _ := g.Types().LookupEdgeType("e")
-	var rm, add []hin.Edge
-	view.OutEdges(u, func(h hin.HalfEdge) bool {
-		rm = append(rm, hin.Edge{From: u, To: h.Node, Type: h.Type, Weight: h.Weight})
-		return false
-	})
+	if out := g.OutEdgesOfType(u, hin.NewEdgeTypeSet()); len(out) > 0 {
+		if err := g.RemoveEdge(u, out[0].To, out[0].Type); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for attempt := 0; attempt < g.NumNodes(); attempt++ {
 		v := hin.NodeID(rng.Intn(g.NumNodes()))
-		if v == u {
-			continue
-		}
-		has := false
-		view.OutEdges(u, func(h hin.HalfEdge) bool {
-			if h.Node == v {
-				has = true
-				return false
+		if v != u && !g.HasEdge(u, v) {
+			if err := g.AddEdge(u, v, et, rng.Float64()+0.3); err != nil {
+				t.Fatal(err)
 			}
-			return true
-		})
-		if !has {
-			add = append(add, hin.Edge{From: u, To: v, Type: et, Weight: rng.Float64() + 0.3})
-			break
+			return
 		}
 	}
-	o, err := hin.NewOverlay(view, rm, add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o
 }
 
 // patchRow returns base with u's out-row replaced by u's row under o —
-// the row-patched snapshot CHECK hands the engines for the view o.
-func patchRow(base *hin.CSR, o hin.View, u hin.NodeID) *hin.CSR {
-	var row []hin.HalfEdge
-	o.OutEdges(u, func(h hin.HalfEdge) bool { row = append(row, h); return true })
-	return base.WithOutRow(u, row, o.OutWeightSum(u))
+// the row-patched snapshot CHECK hands the engines for the
+// counterfactual o.
+func patchRow(base *hin.CSR, o *hin.Overlay, u hin.NodeID) *hin.CSR {
+	row, sum := o.MixedRow(nil, u, 1)
+	return base.WithOutRow(u, row, sum)
 }
 
 // TestPushShapesBitIdentical is the one equivalence test behind the
 // single-shape kernels: a push entry point normalises whatever view it
 // is handed to a flat snapshot, so the same graph presented as a
-// *Graph, an *Overlay, NewCSR(overlay) or a row-patched snapshot must
+// *Graph, an edited clone, NewCSR of it or a row-patched snapshot must
 // produce bit-identical estimates, residuals and push counts — forward
 // cold, forward warm and reverse cold (the row-patched reverse push has
 // no production caller; it is exact by re-flattening).
@@ -116,7 +113,7 @@ func TestPushShapesBitIdentical(t *testing.T) {
 		g := randomBidirGraph(rng, 12+rng.Intn(20), 20+rng.Intn(40))
 		s := hin.NodeID(rng.Intn(g.NumNodes()))
 		u := hin.NodeID(rng.Intn(g.NumNodes()))
-		o := applyUserEdits(t, g, u, rng)
+		o, ed := applyUserEdits(t, g, u, rng)
 		base := hin.NewCSR(g)
 		fwd, rev := NewForwardPush(testParams()), NewReversePush(testParams())
 
@@ -131,7 +128,7 @@ func TestPushShapesBitIdentical(t *testing.T) {
 		// Each group presents one graph; its first shape is the reference.
 		for _, group := range [][]shape{
 			{{"NewCSR(graph)", base}, {"*Graph", g}},
-			{{"NewCSR(overlay)", hin.NewCSR(o)}, {"*Overlay", o}, {"row-patched", patchRow(base, o, u)}},
+			{{"NewCSR(edited)", hin.NewCSR(ed)}, {"edited *Graph", ed}, {"row-patched", patchRow(base, o, u)}},
 		} {
 			var want [3]*PushResult
 			for i, sh := range group {
@@ -171,7 +168,7 @@ func TestForwardUpdateForEditMatchesRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := applyUserEdits(t, g, u, rng)
+		_, o := applyUserEdits(t, g, u, rng)
 		warm, err := e.UpdateForEdit(context.Background(), g, o, base, []hin.NodeID{u}, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -212,9 +209,9 @@ func TestForwardUpdateForEditMultiRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two edited rows, composed overlays; old -> new differs at u1 and u2.
-		o1 := applyUserEdits(t, g, u1, rng)
-		o2 := toggleRowOverlay(t, g, o1, u2, rng)
+		// Two edited rows of one clone; old -> new differs at u1 and u2.
+		_, o2 := applyUserEdits(t, g, u1, rng)
+		toggleRow(t, o2, u2, rng)
 		warm, err := e.UpdateForEdit(context.Background(), g, o2, base, []hin.NodeID{u1, u2}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -264,7 +261,7 @@ func TestUpdateForEditCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := applyUserEdits(t, g, 0, rng)
+	_, o := applyUserEdits(t, g, 0, rng)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.UpdateForEdit(ctx, g, o, base, []hin.NodeID{0}, nil); err == nil {
@@ -280,7 +277,7 @@ func updateAllocs(t *testing.T, nodes, extra int) float64 {
 	rng := rand.New(rand.NewSource(7))
 	g := randomBidirGraph(rng, nodes, extra)
 	oldCSR := hin.NewCSR(g)
-	o := applyUserEdits(t, g, 0, rng)
+	_, o := applyUserEdits(t, g, 0, rng)
 	newCSR := hin.NewCSR(o)
 	e := NewForwardPush(DefaultParams())
 	base, err := e.Run(oldCSR, 0)

@@ -236,7 +236,7 @@ func cyclicHIN(t testing.TB, rng *rand.Rand, n int) *hin.Graph {
 // of ppr.Exact, C(t) the exact column sum. It drains both the snapshot
 // and a WithOutRow patch of the source's β-mixed row under an overlay
 // that rewires it (every edge dropped, some targets added at new
-// weights; hin.MixedRow), the latter held to Exact on the flattened
+// weights; hin.Overlay.MixedRow), the latter held to Exact on the flattened
 // patched snapshot: the path where the sweep pushes the patched row
 // between two body calls.
 func FuzzForwardWithinEpsilon(f *testing.F) {
@@ -268,7 +268,7 @@ func FuzzForwardWithinEpsilon(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, sum := hin.MixedRow(o, s, beta)
+		row, sum := o.MixedRow(nil, s, beta)
 		patched := g.WithOutRow(s, row, sum)
 		for _, run := range []struct {
 			name string

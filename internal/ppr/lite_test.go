@@ -23,7 +23,7 @@ var lite struct {
 	p            ppr.Params
 	users, items []hin.NodeID
 	rec          *rec.Recommender
-	raw          hin.View
+	raw          *hin.Graph
 	err          error
 }
 

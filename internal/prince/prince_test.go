@@ -90,11 +90,11 @@ func TestExplainChangesRecommendation(t *testing.T) {
 		t.Fatalf("CFE size = %d, want 1 or 2 (not empty, not all actions)", len(cfe.Edges))
 	}
 	// Soundness: apply the removals and confirm the change.
-	o, err := hin.NewOverlay(g, cfe.Edges, nil)
+	full, err := rebuilt(r, g, cfe.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newTop, err := rebuilt(r, o).Recommend(ids["u"])
+	newTop, err := full.Recommend(ids["u"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestPrinceAnswersADifferentQuestionThanEmigre(t *testing.T) {
 		t.Fatalf("EMiGRe explanation promotes %v, want %v", expl.NewTop, wni)
 	}
 	// And the PRINCE CFE is NOT a Why-Not explanation for f3.
-	o, err := hin.NewOverlay(g, cfe.Edges, nil)
+	full, err := rebuilt(r, g, cfe.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := rebuilt(r, o).Recommend(ids["u"])
+	top, err := full.Recommend(ids["u"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,11 @@ func TestQuickCFEAlwaysChangesRecommendation(t *testing.T) {
 		if err != nil {
 			return true // no CFE on this instance is fine
 		}
-		o, err := hin.NewOverlay(g, cfe.Edges, nil)
+		full, err := rebuilt(r, g, cfe.Edges)
 		if err != nil {
 			return false
 		}
-		newTop, err := rebuilt(r, o).Recommend(u)
+		newTop, err := full.Recommend(u)
 		if err != nil {
 			return false
 		}
@@ -222,12 +222,19 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-// rebuilt is r's configuration and cache over o, flattened from
-// scratch: the full-rebuild reference for a counterfactual.
-func rebuilt(r *rec.Recommender, o hin.View) *rec.Recommender {
-	full, err := rec.New(o, r.Config())
-	if err != nil {
-		panic(err)
+// rebuilt is r's configuration and cache over a clone of g with the
+// removals applied, flattened from scratch: the full-rebuild reference
+// for a counterfactual.
+func rebuilt(r *rec.Recommender, g *hin.Graph, removals []hin.Edge) (*rec.Recommender, error) {
+	c := g.Clone()
+	for _, e := range removals {
+		if err := c.RemoveEdge(e.From, e.To, e.Type); err != nil {
+			return nil, err
+		}
 	}
-	return full.WithCache(r.Cache())
+	full, err := rec.New(c, r.Config())
+	if err != nil {
+		return nil, err
+	}
+	return full.WithCache(r.Cache()), nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestWithUserPatchEquivalentToRebuild compares full scoring through a
-// recommender rebuilt over the overlay (New over it) against the
-// O(deg u) patched binding, for both β = 1 and the paper's β = 0.5 mix. The patched row carries exactly
+// recommender rebuilt over the edited graph (New over an edited clone)
+// against the O(deg u) patched binding, for both β = 1 and the paper's β = 0.5 mix. The patched row carries exactly
 // the β-mixed weights the flattened view does, so scores agree to the
 // bit — forward, and through the reverse column behind
 // Contributions (a reverse push over a row-patched snapshot).
@@ -26,13 +26,13 @@ func TestWithUserPatchEquivalentToRebuild(t *testing.T) {
 		}
 		u := ids["u1"]
 		rated, _ := g.Types().LookupEdgeType("rated")
-		o, err := hin.NewOverlay(g,
-			[]hin.Edge{{From: u, To: ids["i1"], Type: rated, Weight: 1}},
-			[]hin.Edge{{From: u, To: ids["i4"], Type: rated, Weight: 2}})
+		removals := []hin.Edge{{From: u, To: ids["i1"], Type: rated, Weight: 1}}
+		additions := []hin.Edge{{From: u, To: ids["i4"], Type: rated, Weight: 2}}
+		o, err := hin.NewOverlay(g, removals, additions)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := New(o, cfg)
+		full, err := New(edited(t, g, removals, additions), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestConfigAndViewAccessors(t *testing.T) {
 
 // TestColumnSumsOnUnpatchedSnapshotsOnly: ColumnSums is ppr.ColumnSums of
 // Flat(), built once and shared by WithCache copies; a recommender New
-// builds over an overlay has its own over its snapshot, and a
+// builds over an edited graph has its own over its snapshot, and a
 // WithUserPatch recommender, one row away from the snapshot the sums
 // bound, has none.
 func TestColumnSumsOnUnpatchedSnapshotsOnly(t *testing.T) {
@@ -146,26 +146,28 @@ func TestColumnSumsOnUnpatchedSnapshotsOnly(t *testing.T) {
 	}
 	u := ids["u1"]
 	rated, _ := g.Types().LookupEdgeType("rated")
-	o, err := hin.NewOverlay(g, []hin.Edge{{From: u, To: ids["i1"], Type: rated, Weight: 1}}, nil)
+	removals := []hin.Edge{{From: u, To: ids["i1"], Type: rated, Weight: 1}}
+	o, err := hin.NewOverlay(g, removals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.WithUserPatch(o, u).ColumnSums() != nil {
 		t.Fatal("a patched recommender claims column sums")
 	}
-	full, err := New(o, cfg)
+	ref := edited(t, g, removals, nil)
+	full, err := New(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := full.ColumnSums(); !reflect.DeepEqual(c, ppr.ColumnSums(hin.NewMixedCSR(o, cfg.Beta), cfg.PPR)) {
-		t.Fatal("an overlay recommender's column sums are not its own snapshot's")
+	if c := full.ColumnSums(); !reflect.DeepEqual(c, ppr.ColumnSums(hin.NewMixedCSR(ref, cfg.Beta), cfg.PPR)) {
+		t.Fatal("an edited graph's recommender's column sums are not its own snapshot's")
 	}
 }
 
 // TestPatchedOverlayIsOneRow: WithUserPatch reads only u's row, so an
 // edit to any other row would be silently dropped from the scores.
 // NewOverlay rejects an edit list spanning two rows instead; a second
-// row takes a stacked overlay and a recommender built over it.
+// row takes a recommender built over an edited graph.
 func TestPatchedOverlayIsOneRow(t *testing.T) {
 	g, _, ids := smallShop(t)
 	rated, _ := g.Types().LookupEdgeType("rated")
@@ -176,4 +178,23 @@ func TestPatchedOverlayIsOneRow(t *testing.T) {
 	if !errors.Is(err, hin.ErrMultiRow) {
 		t.Fatalf("two-row overlay: err = %v, want hin.ErrMultiRow", err)
 	}
+}
+
+// edited is a clone of g with the removals and then the additions
+// applied by RemoveEdge and AddEdge: the full-rebuild reference a
+// counterfactual overlay is checked against.
+func edited(tb testing.TB, g *hin.Graph, removals, additions []hin.Edge) *hin.Graph {
+	tb.Helper()
+	c := g.Clone()
+	for _, e := range removals {
+		if err := c.RemoveEdge(e.From, e.To, e.Type); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, e := range additions {
+		if err := c.AddEdge(e.From, e.To, e.Type, e.Weight); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
 }

@@ -12,7 +12,10 @@
 // walk; the paper's experimental setting uses β = 0.5). The mix is baked
 // into the recommender's CSR snapshot (hin.NewMixedCSR), so PPR engines,
 // the EMiGRe explainer and the PRINCE baseline all read exactly the same
-// transition matrix off Flat().
+// transition matrix off Flat(). A counterfactual — one edited row of the
+// user, a hin.Overlay — is scored by WithUserPatch, which patches that
+// row into the snapshot. The vector cache keys a vector by the version
+// of the snapshot it was pushed over, and a patched snapshot has none.
 //
 // Every ranking is computed by one kernel over a score vector: a walk of
 // the candidate index (the item-typed node ids, built once in New) minus
@@ -87,8 +90,8 @@ type Scored struct {
 }
 
 // Recommender ranks items for users over a fixed view. Use
-// WithUserPatch to rebind the same configuration to a counterfactual
-// overlay of the user's row.
+// WithUserPatch to score the same configuration over a counterfactual
+// edit of the user's row.
 //
 // A recommender ranks a fixed node set: the candidate index is built in
 // New and shared read-only by every copy (WithUserPatch, WithCache) —
@@ -151,22 +154,21 @@ func (r *Recommender) Flat() *hin.CSR {
 	return r.flat
 }
 
-// WithUserPatch returns a recommender bound to view v, which must
-// differ from this recommender's base view only in the outgoing edges
-// of node u — the shape of every EMiGRe counterfactual. The returned
-// recommender scores over a one-row patch of this recommender's flat
-// snapshot (hin.CSR.WithOutRow) with u's β-mixed row (hin.MixedRow), so
-// binding costs O(deg u) instead of the O(V+E) of New(v, cfg). A
-// patched copy bound to a hin.Overlay is never cached: the overlay is
-// unversioned, so the copy builds no cache key (key) even with a cache
-// attached. The receiver is never mutated and the shared snapshot is
-// only read, so concurrent WithUserPatch calls over one warm
-// recommender are safe (the clone-safety contract concurrent
-// explanation sessions rely on).
-func (r *Recommender) WithUserPatch(v hin.View, u hin.NodeID) *Recommender {
-	row, sum := hin.MixedRow(v, u, r.cfg.Beta)
+// WithUserPatch returns a recommender that scores the counterfactual o,
+// an edit of node u's out-row of this recommender's graph — the shape of
+// every EMiGRe counterfactual. It scores over a one-row patch of this
+// recommender's flat snapshot (hin.CSR.WithOutRow) with u's β-mixed row
+// under o, read into a fresh slice (hin.Overlay.MixedRow), so binding
+// costs O(deg u) instead of the O(V+E) of a new snapshot, and o may be
+// rebuilt afterwards. The patched snapshot is unversioned, so the copy
+// builds no cache key (key) even with a cache attached: a patched copy is
+// never cached. The receiver is never mutated and the shared snapshot is
+// only read, so concurrent WithUserPatch calls over one warm recommender
+// are safe (the clone-safety contract concurrent explanation sessions
+// rely on).
+func (r *Recommender) WithUserPatch(o *hin.Overlay, u hin.NodeID) *Recommender {
+	row, sum := o.MixedRow(nil, u, r.cfg.Beta)
 	c := *r
-	c.base = v
 	c.flat, c.sums = r.Flat().WithOutRow(u, row, sum), nil
 	return &c
 }
@@ -217,21 +219,22 @@ func (r *Recommender) WithCache(c *pprcache.Cache) *Recommender {
 // Cache returns the attached vector cache, nil when none.
 func (r *Recommender) Cache() *pprcache.Cache { return r.cache }
 
-// View returns the view the recommender was built over (New) or bound
-// to (WithUserPatch), before the β-mix: scores are taken on Flat(), and
-// transition probabilities read off it (Transitions).
+// View returns the view the recommender was built over (New), before
+// the β-mix and without a WithUserPatch copy's row: scores are taken on
+// Flat(), and transition probabilities read off it (Transitions).
 func (r *Recommender) View() hin.View { return r.base }
 
 // key is the cache key of the vector engine computes for node in
-// direction dir over Flat(). Its version is View()'s salted with β
-// (hin.MixedVersion), which is Flat()'s own. It reports false without a
-// cache or a versioned view — so always on a WithUserPatch copy bound
-// to an overlay, which is unversioned: a patched copy is never cached.
+// direction dir over Flat(). Its version is the snapshot's own, frozen
+// when it was flattened, so a key names the state the vector is pushed
+// over even after the graph mutates. It reports false without a cache or
+// a versioned snapshot — so always on a WithUserPatch copy, whose
+// row-patched snapshot is unversioned: a patched copy is never cached.
 func (r *Recommender) key(dir pprcache.Direction, engine ppr.Identifier, node hin.NodeID) (pprcache.Key, bool) {
 	if r.cache == nil {
 		return pprcache.Key{}, false
 	}
-	ver, ok := hin.MixedVersion(r.base, r.cfg.Beta)
+	ver, ok := r.Flat().Version()
 	return pprcache.Key{Version: ver, Dir: dir, Engine: engine.Identity(), Node: node}, ok
 }
 
@@ -242,9 +245,9 @@ func (r *Recommender) IsItem(v hin.NodeID) bool {
 }
 
 // IsCandidate reports whether v may appear in u's recommendation list:
-// v is an item, v ≠ u, and the user has no outgoing edge to v.
+// v is an item, v ≠ u, and u's row of Flat() has no edge to v.
 func (r *Recommender) IsCandidate(u, v hin.NodeID) bool {
-	return v != u && r.IsItem(v) && !r.base.HasEdge(u, v)
+	return v != u && r.IsItem(v) && !r.Flat().HasEdge(u, v)
 }
 
 // ScoresContext is Scores with cancellation: the underlying PPR run
@@ -252,7 +255,7 @@ func (r *Recommender) IsCandidate(u, v hin.NodeID) bool {
 //
 // When a cache is attached (WithCache) the vector may be shared with
 // concurrent callers and MUST be treated as read-only. The cache key
-// names the β-mixed matrix of View() that Flat() materializes (key).
+// names the snapshot Flat() froze (key).
 func (r *Recommender) ScoresContext(ctx context.Context, u hin.NodeID) (ppr.Vector, error) {
 	k, cached := r.key(pprcache.Forward, r.engine, u)
 	vec, _, err := r.scores(ctx, u, k, cached)

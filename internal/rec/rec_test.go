@@ -226,17 +226,12 @@ func TestWithViewOverlayChangesRecommendation(t *testing.T) {
 	}
 	rated, _ := g.Types().LookupEdgeType("rated")
 	// Remove u1's link into the cluster that reaches i3 (the i2 edge,
-	// both directions, one stacked overlay per row) — i4's relative
+	// both directions: two rows, so an edited graph) — i4's relative
 	// standing must not degrade.
-	o1, err := hin.NewOverlay(g, []hin.Edge{{From: ids["u1"], To: ids["i2"], Type: rated}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := hin.NewOverlay(o1, []hin.Edge{{From: ids["i2"], To: ids["u1"], Type: rated}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := New(o, cfg)
+	r2, err := New(edited(t, g, []hin.Edge{
+		{From: ids["u1"], To: ids["i2"], Type: rated},
+		{From: ids["i2"], To: ids["u1"], Type: rated},
+	}, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,14 +648,14 @@ func TestRankingKernelMatchesScanAndSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := New(o, rg.cfg)
+			full, err := New(edited(t, rg.g, edits[0], edits[1]), rg.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			view, patch := full.WithCache(cached.Cache()), r.WithUserPatch(o, u)
 			checkRanking(t, "WithUserPatch/"+name, patch, u)
 			for _, x := range rg.users {
-				checkRanking(t, "New(overlay)/"+name, view, x)
+				checkRanking(t, "New(edited)/"+name, view, x)
 			}
 			if name != "add" && !view.IsCandidate(u, gone) || name != "remove" && patch.IsCandidate(u, fresh) {
 				t.Fatalf("seed %d %s: overlay did not move the candidate set", seed, name)
@@ -767,5 +762,71 @@ func TestRankingAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(100, tc.read); got > tc.max {
 			t.Errorf("%s: %g allocations per run, want at most %g", tc.name, got, tc.max)
 		}
+	}
+}
+
+// TestSharedCacheServesNoStaleSnapshot: a cache key names the snapshot
+// its vector was pushed over. A recommender flattened before a graph
+// mutation keeps scoring its old snapshot after it, and what it stores
+// then must never reach a recommender over the mutated graph that shares
+// the cache — neither a score vector nor the reverse column behind
+// Contributions.
+func TestSharedCacheServesNoStaleSnapshot(t *testing.T) {
+	ctx := context.Background()
+	g := hin.NewGraph()
+	user, item := g.Types().NodeType("user"), g.Types().NodeType("item")
+	rated := g.Types().EdgeType("rated")
+	u, v := g.AddNode(user, "u"), g.AddNode(user, "v")
+	a, b, c := g.AddNode(item, "a"), g.AddNode(item, "b"), g.AddNode(item, "c")
+	for _, e := range [][2]hin.NodeID{{u, a}, {v, a}, {v, b}, {v, c}} {
+		if err := g.AddBidirectional(e[0], e[1], rated, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig(item)
+	cache := pprcache.New(pprcache.Config{})
+	old, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old = old.WithCache(cache)
+	if _, err := old.ScoresContext(ctx, u); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddBidirectional(u, c, rated, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.ScoresContext(ctx, u); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Contributions(u, c); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.ScoresContext(ctx, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.WithCache(cache).ScoresContext(ctx, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got, want) {
+		t.Fatalf("cached PPR(u,c) = %.4f, uncached %.4f: the cache served the pre-mutation snapshot's vector", got[c], want[c])
+	}
+	wantC, err := fresh.Contributions(u, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotC, err := fresh.WithCache(cache).Contributions(u, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotC, wantC) {
+		t.Fatalf("cached contributions %+v, uncached %+v: the cache served the pre-mutation snapshot's column", gotC, wantC)
 	}
 }

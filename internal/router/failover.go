@@ -19,8 +19,7 @@ type upstreamCall func(ctx context.Context, c *client.Client) (any, error)
 // would retry against the same server (a shed, a 5xx, a transport
 // error), counting each move in emigre_router_failovers_total; any
 // other outcome (a 2xx, a 4xx the backend meant, a body that does not
-// decode) is the answer. All routed ops are pure reads, so every
-// failure class is retried as idempotent.
+// decode) is the answer.
 //
 // err is non-nil only when no candidate answered, and is then the most
 // informative of the failures (an *client.APIError preferred over a
@@ -40,7 +39,7 @@ func (rt *Router) callOwnerFirst(ctx context.Context, candidates []string, call 
 			return b, v, nil
 		}
 		rt.m.upErrs[b].Inc()
-		if !client.Retryable(err, true) {
+		if !client.Retryable(err) {
 			return "", nil, err
 		}
 		if ctx.Err() != nil {
