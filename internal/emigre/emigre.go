@@ -439,7 +439,6 @@ func New(g *hin.Graph, r *rec.Recommender, opts Options) *Explainer {
 	if cache != nil && r.Cache() == nil {
 		r = r.WithCache(cache)
 	}
-	r.Flat() // build the snapshot before concurrent sessions share it
 	return &Explainer{
 		g:     g,
 		r:     r,

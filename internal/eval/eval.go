@@ -242,10 +242,7 @@ func (rn *Runner) Run(cfg Config) (*Results, error) {
 		return res, nil
 	}
 
-	// Parallel path: the recommender's flat snapshot is already warm
-	// (scenario enumeration scored every user), so shared explainers
-	// only perform read access on shared structures.
-	rn.r.Flat()
+	// Parallel path: shared explainers only read shared structures.
 	var (
 		next     atomic.Int64
 		done     atomic.Int64

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -174,7 +175,10 @@ func hasGoFiles(dir string) (bool, error) {
 	return len(names) > 0, err
 }
 
-// goFileNames lists the non-test .go files of dir in sorted order.
+// goFileNames lists the non-test .go files of dir that the go tool
+// builds on this platform, in sorted order: build.Default.MatchFile
+// drops a file whose name suffix or //go:build line names another
+// GOOS or GOARCH, as the go tool and go vet do.
 func goFileNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -187,6 +191,11 @@ func goFileNames(dir string) ([]string, error) {
 			continue
 		}
 		if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

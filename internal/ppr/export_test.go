@@ -12,3 +12,11 @@ var (
 	RunMany         = runMany
 	SameRun         = sameRun
 )
+
+// ScalarReversePush is NewReversePush with the packed body turned off:
+// every column drains through kernel.body.
+func ScalarReversePush(p Params) *ReversePush {
+	e := NewReversePush(p)
+	e.scalar = true
+	return e
+}

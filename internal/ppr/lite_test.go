@@ -70,12 +70,15 @@ func liteGraph(tb testing.TB) (g *hin.CSR, p ppr.Params, users, items []hin.Node
 	return lite.g, lite.p, lite.users, lite.items
 }
 
-// batches splits ts into consecutive batches of 1, 2 and 9 targets in
-// turn.
+// batches splits ts into consecutive batches of 1, 2, 3, 4, 5, 8, 9
+// and 10 targets in turn: every way ToTargets groups a batch for the
+// packed body — a full group of four, a masked group of two or three,
+// and a lone column left over — and the scalar single column.
 func batches(ts []hin.NodeID) [][]hin.NodeID {
+	sizes := []int{1, 2, 3, 4, 5, 8, 9, 10}
 	var out [][]hin.NodeID
 	for i, k := 0, 0; i < len(ts); k++ {
-		n := min([]int{1, 2, 9}[k%3], len(ts)-i)
+		n := min(sizes[k%len(sizes)], len(ts)-i)
 		out = append(out, ts[i:i+n])
 		i += n
 	}
@@ -85,22 +88,25 @@ func batches(ts []hin.NodeID) [][]hin.NodeID {
 // TestReverseMatchesReferenceOnLite holds the kernel to the reference
 // drain bit for bit — estimates, residuals and push counts — on the
 // graph the benchmark serves: 50 Why-Not item columns and 50 user
-// columns, drained in batches of 1, 2 and 9 as ToTargets drains them.
+// columns, drained in the batches above as ToTargets drains them, by
+// the packed body where the CPU has one and by kernel.body alone, so
+// the two bodies agree bit for bit.
 func TestReverseMatchesReferenceOnLite(t *testing.T) {
 	g, p, users, items := liteGraph(t)
-	e := ppr.NewReversePush(p)
-	for _, set := range []struct {
-		name string
-		ts   []hin.NodeID
-	}{{"item", items}, {"user", users}} {
-		for _, batch := range batches(set.ts) {
-			got, err := ppr.RunMany(context.Background(), e, g, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, tgt := range batch {
-				want, _ := ppr.RefReverse(g, p, tgt, ppr.Relaxation(p.Alpha))
-				ppr.SameRun(t, fmt.Sprintf("%s %d in a batch of %d", set.name, tgt, len(batch)), got[k], want)
+	for _, e := range []*ppr.ReversePush{ppr.NewReversePush(p), ppr.ScalarReversePush(p)} {
+		for _, set := range []struct {
+			name string
+			ts   []hin.NodeID
+		}{{"item", items}, {"user", users}} {
+			for _, batch := range batches(set.ts) {
+				got, err := ppr.RunMany(context.Background(), e, g, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, tgt := range batch {
+					want, _ := ppr.RefReverse(g, p, tgt, ppr.Relaxation(p.Alpha))
+					ppr.SameRun(t, fmt.Sprintf("%s %d in a batch of %d", set.name, tgt, len(batch)), got[k], want)
+				}
 			}
 		}
 	}
@@ -122,7 +128,7 @@ func BenchmarkReversePushLite(b *testing.B) {
 		_, work[t] = ppr.RefReverse(g, p, t, ppr.Relaxation(p.Alpha))
 	}
 	e := ppr.NewReversePush(p)
-	for _, K := range []int{1, 2, 9} {
+	for _, K := range []int{1, 2, 3, 4, 9} {
 		b.Run(fmt.Sprintf("K=%d", K), func(b *testing.B) {
 			b.ReportAllocs()
 			ts := make([]hin.NodeID, K)

@@ -19,18 +19,20 @@
 //   - ReversePush: Reverse Local Push toward a target node, maintaining
 //     the invariant of Eq. 4 — the engine EMiGRe's Add mode uses to
 //     discover candidate neighbors. Its one kernel sweeps the nodes in
-//     ascending id, over-relaxed (each push moves ω·r, ω derived from α),
-//     and drains one column at a time; a ToTargets batch is a loop of
-//     columns, and a column is bit-identical whatever batch drained it.
-//     Its estimates are within Params.ColumnErr of the exact column, on
-//     either side.
+//     ascending id, over-relaxed (each push moves ω·r, ω derived from α).
+//     A ToTargets batch drains its columns four at a time through a
+//     packed AVX2 body where the CPU has one (body4), one at a time
+//     otherwise, and a column is bit-identical whichever body and batch
+//     drained it. Its estimates are within Params.ColumnErr of the exact
+//     column, on either side.
 //
 // Both accept any hin.View and normalise it once at entry to the one
 // shape their kernels iterate, a flat *hin.CSR (optionally carrying a
 // one-row patch): a *hin.CSR is used as is, anything else is flattened
 // with hin.NewCSR. Each engine is a driver — the sweeps and the ω
 // guards — around one push body (kernel.body) that walks the CSR's
-// padded rows, out-rows forward and in-rows in reverse. Power (dense
+// padded rows, out-rows forward and in-rows in reverse; the reverse
+// driver has body4, its four-column packed twin, beside it. Power (dense
 // iteration) and Exact (Gaussian elimination) stay on hin.View as the
 // test references.
 //
@@ -185,17 +187,26 @@ func flatten(g hin.View) *hin.CSR {
 // residuals of every drain that does not hand them out, and the
 // estimates LendFromSource lends. A buffer of an n-node graph holds
 // n + hin.InLanes entries, the residuals' scratch slots included.
-var buffers freelist.List[Vector]
+// blocks is the packed reverse drain's (reverseDrain.group): its
+// interleaved residuals and estimates, lanes·(2n + hin.InLanes)
+// entries, one block per batch in flight.
+var buffers, blocks freelist.List[Vector]
 
-// borrow returns a zeroed buffer for an n-node graph from buffers, or a
-// new one when the buffer on top was sized for another graph (that one
-// is dropped, not resized). Give it back with buffers.Put.
+// borrow returns a zeroed buffer for an n-node graph from buffers. Give
+// it back with buffers.Put.
 func borrow(n int) Vector {
-	if v, ok := buffers.Get(); ok && len(v) == n+hin.InLanes {
-		clear(v)
+	v := take(&buffers, n+hin.InLanes)
+	clear(v)
+	return v
+}
+
+// take returns the buffer on top of l, not cleared, or a new one when
+// that one does not hold size entries (it is dropped, not resized).
+func take(l *freelist.List[Vector], size int) Vector {
+	if v, ok := l.Get(); ok && len(v) == size {
 		return v
 	}
-	return make(Vector, n+hin.InLanes)
+	return make(Vector, size)
 }
 
 // ReverseEngine computes the column PPR(·,t): the score of a fixed

@@ -2,6 +2,8 @@ package ppr
 
 import (
 	"context"
+	"slices"
+	"unsafe"
 
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/obs"
@@ -21,6 +23,10 @@ import (
 type ReversePush struct {
 	Params Params
 	id     identity
+
+	// scalar is a test seam, set only from _test.go files: it drains
+	// every column through kernel.body, as on a CPU without AVX2.
+	scalar bool
 }
 
 // NewReversePush returns a reverse-push engine with the given parameters.
@@ -47,11 +53,12 @@ func (e *ReversePush) ToTargetContext(ctx context.Context, g hin.View, t hin.Nod
 	return cols[0], nil
 }
 
-// ToTargets is ToTargetContext toward every target of ts, one column
-// after another over one borrowed residual vector. Column k is
+// ToTargets is ToTargetContext toward every target of ts. Column k is
 // bit-identical to ToTarget(g, ts[k]) whatever else is in the batch
 // (duplicated targets are computed once each) — so a cached column
 // never depends on who it was computed with. No targets touch nothing.
+// Where the CPU has AVX2 the batch drains four columns at a time
+// through the packed body (columns).
 func (e *ReversePush) ToTargets(ctx context.Context, g hin.View, ts []hin.NodeID) ([]Vector, error) {
 	if len(ts) == 0 {
 		return nil, nil
@@ -60,13 +67,9 @@ func (e *ReversePush) ToTargets(ctx context.Context, g hin.View, ts []hin.NodeID
 	if err != nil {
 		return nil, err
 	}
-	d.r = borrow(d.n())
-	defer buffers.Put(d.r)
 	cols := make([]Vector, len(ts))
-	for k, t := range ts {
-		if cols[k], _, err = d.column(ctx, t); err != nil {
-			return nil, err
-		}
+	if err := d.columns(ctx, ts, cols, nil); err != nil {
+		return nil, err
 	}
 	return cols, nil
 }
@@ -102,6 +105,7 @@ type reverseDrain struct {
 	inStart []int32
 	inSrc   []hin.NodeID
 	inProb  []float64
+	packed  bool // drain batches through body4 (columns)
 }
 
 // drain validates the parameters and every target of ts, then sets up a
@@ -121,7 +125,7 @@ func (e *ReversePush) drain(g hin.View, ts []hin.NodeID) (reverseDrain, error) {
 	}
 	csr := hin.NewCSR(g)
 	inStart, inSrc, inProb := csr.InRows()
-	return reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb,
+	return reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb, packed: packed && !e.scalar,
 		kernel: kernel{alpha: e.Params.Alpha, eps: e.Params.Epsilon}}, nil
 }
 
@@ -169,14 +173,146 @@ func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, push
 		}
 		bar = peak
 	}
-	if obs.Enabled() {
-		var mass float64
-		for _, x := range d.r[:n] {
-			mass += abs(x)
-		}
-		runsReverse.Inc()
-		pushesReverse.Add(int64(d.pushes))
-		residualMassReverse.Observe(mass)
-	}
+	d.finished(d.pushes, d.r, 1, 0)
 	return d.p, d.pushes, nil
+}
+
+// finished records a completed column on the engine's metrics: one
+// run, its pushes and its terminal residual mass, read from
+// r[stride·x+j] for every node x.
+func (d *reverseDrain) finished(pushes int, r Vector, stride, j int) {
+	if !obs.Enabled() {
+		return
+	}
+	var mass float64
+	for x := range d.n() {
+		mass += abs(r[stride*x+j])
+	}
+	runsReverse.Inc()
+	pushesReverse.Add(int64(pushes))
+	residualMassReverse.Observe(mass)
+}
+
+// columns drains PPR(·,ts[k]) into cols[k] for every k. On a packed
+// drain it takes the targets four at a time, then the last two or
+// three together, through body4 (group); a lone column, and every
+// column of a drain that is not packed, goes through kernel.body
+// (column). If res is not nil, res[k] receives column k's estimates,
+// a copy of its terminal residuals and its push count.
+func (d *reverseDrain) columns(ctx context.Context, ts []hin.NodeID, cols []Vector, res []*PushResult) error {
+	k := 0
+	if d.packed && len(ts) > 1 {
+		block := take(&blocks, lanes*(2*d.n()+hin.InLanes)) // group clears it
+		defer blocks.Put(block)
+		for ; len(ts)-k > 1; k += lanes {
+			m := min(lanes, len(ts)-k)
+			var rs []*PushResult
+			if res != nil {
+				rs = res[k : k+m]
+			}
+			if err := d.group(ctx, ts[k:k+m], cols[k:k+m], block, rs); err != nil {
+				return err
+			}
+		}
+	}
+	if k == len(ts) {
+		return nil
+	}
+	d.r = borrow(d.n())
+	defer buffers.Put(d.r)
+	for ; k < len(ts); k++ {
+		p, pushes, err := d.column(ctx, ts[k])
+		if err != nil {
+			return err
+		}
+		cols[k] = p
+		if res != nil {
+			res[k] = &PushResult{Estimates: p, Residuals: slices.Clone(d.r[:len(p)]), Pushes: pushes}
+		}
+	}
+	return nil
+}
+
+// lanes is the columns body4 drains at once.
+const lanes = 4
+
+// quad is one group's per-column state, lane j for column j: ω, the
+// sweep's peak |r| and its bar, and the pushes made. packed_amd64.s
+// reads the fields at fixed offsets.
+type quad struct {
+	omega, peak, bar [lanes]float64
+	pushes           [lanes]int64
+}
+
+// The offsets packed_amd64.s names.
+var (
+	_ = [1]struct{}{}[unsafe.Offsetof(quad{}.peak)-32]
+	_ = [1]struct{}{}[unsafe.Offsetof(quad{}.bar)-64]
+	_ = [1]struct{}{}[unsafe.Offsetof(quad{}.pushes)-96]
+)
+
+// group drains two to four columns, those of ts, together: as column
+// drains each, with the residuals and estimates interleaved in block —
+// r[4·x+j] is column j's residual at x, 4·(n + hin.InLanes) entries,
+// then p[4·x+j] its estimate, 4·n — and body4 for kernel.body. Each
+// column keeps its own ω, bar and termination (a whole sweep with no
+// push), so it makes exactly the pushes and floating-point operations of
+// its scalar drain and ends bit for bit the same; the group sweeps until
+// its last column is done, a finished column's lane pushing nothing. The
+// context and the ppr.reverse.loop failpoint are polled once per
+// ctxCheckInterval node visits for the whole group, not per column.
+// A column is copied out and recorded as it finishes; res is as in
+// columns.
+func (d *reverseDrain) group(ctx context.Context, ts []hin.NodeID, cols []Vector, block Vector, res []*PushResult) error {
+	n := d.n()
+	clear(block)
+	r, p := block[:lanes*(n+hin.InLanes)], block[lanes*(n+hin.InLanes):]
+	var q quad
+	omega := relaxation(d.alpha)
+	live := 0 // bit j: column j still sweeps
+	for j, t := range ts {
+		r[lanes*int(t)+j] = 1
+		q.omega[j], q.bar[j] = omega, (1-d.alpha)*omega
+		live |= 1 << j
+	}
+	for sweep := 1; live != 0; sweep++ {
+		q.peak = [lanes]float64{}
+		for lo := 0; lo < n; lo += ctxCheckInterval {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
+			if err := reverseLoopSite.Hit(ctx); err != nil {
+				return err
+			}
+			hi := min(lo+ctxCheckInterval, n)
+			body4(&q, d.inStart[lo:hi+1], d.inSrc, d.inProb, r, p, lo, d.alpha, 1-d.alpha, d.eps)
+		}
+		for j := range ts {
+			switch {
+			case live&(1<<j) == 0:
+			case q.peak[j] <= 0:
+				live &^= 1 << j
+				cols[j] = lane(p, n, j)
+				d.finished(int(q.pushes[j]), r, lanes, j)
+				if res != nil {
+					res[j] = &PushResult{Estimates: cols[j], Residuals: lane(r, n, j), Pushes: int(q.pushes[j])}
+				}
+			default:
+				if sweep >= relaxedSweeps {
+					q.omega[j] = 1
+				}
+				q.bar[j] = q.peak[j]
+			}
+		}
+	}
+	return nil
+}
+
+// lane copies column j's n entries out of the interleaved v.
+func lane(v Vector, n, j int) Vector {
+	out := make(Vector, n)
+	for x := range out {
+		out[x] = v[lanes*x+j]
+	}
+	return out
 }

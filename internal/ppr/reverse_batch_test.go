@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/fault"
@@ -93,8 +92,8 @@ func sameBits(t *testing.T, what string, a, b Vector) {
 	}
 }
 
-// runMany drains ts as ToTargets does, one column after another over one
-// residual vector, and returns the full push state of every column.
+// runMany drains ts as ToTargets does, through the same grouping and
+// bodies, and returns the full push state of every column.
 func runMany(ctx context.Context, e *ReversePush, g hin.View, ts []hin.NodeID) ([]*PushResult, error) {
 	if len(ts) == 0 {
 		return nil, nil
@@ -103,14 +102,9 @@ func runMany(ctx context.Context, e *ReversePush, g hin.View, ts []hin.NodeID) (
 	if err != nil {
 		return nil, err
 	}
-	d.r = make(Vector, d.n()+hin.InLanes)
 	out := make([]*PushResult, len(ts))
-	for k, t := range ts {
-		p, pushes, err := d.column(ctx, t)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = &PushResult{Estimates: p, Residuals: slices.Clone(d.r[:len(p)]), Pushes: pushes}
+	if err := d.columns(ctx, ts, make([]Vector, len(ts)), out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -178,6 +178,8 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 		{"K=1", NewReversePush(p), []hin.NodeID{5}},
 		{"K=2", NewReversePush(p), []hin.NodeID{5, 5}},
 		{"K=3", NewReversePush(p), []hin.NodeID{0, 5, 9}},
+		{"K=9", NewReversePush(p), []hin.NodeID{0, 5, 9, 1, 2, 3, 4, 5, 30}},
+		{"K=9 scalar", &ReversePush{Params: p, scalar: true}, []hin.NodeID{0, 5, 9, 1, 2, 3, 4, 5, 30}},
 	} {
 		runs0, pushes0 := runsReverse.Value(), pushesReverse.Value()
 		mass0, sum0 := observations(t, "reverse_push"), residualMassReverse.Sum()

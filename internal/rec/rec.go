@@ -98,27 +98,26 @@ type Scored struct {
 // overlays change edges, never node types or the node count. Nodes
 // added to the graph later need a new recommender.
 //
-// Concurrency contract: every scoring method (Recommend, TopN, their
-// Context variants, RankOfContext, TopOf and RankWithin) only reads the
-// recommender's state and keeps its scratch on its own stack, so a
-// Recommender is safe for concurrent use once its flat snapshot exists —
-// call Flat() (or any scoring method) once before sharing it across
-// goroutines; the lazy build itself is not synchronized. The cheap
-// rebinding constructors (WithCache, WithUserPatch) return a new
+// Concurrency contract: a Recommender is immutable from New on. Every
+// scoring method (Recommend, TopN, their Context variants,
+// RankOfContext, TopOf and RankWithin) only reads its state and keeps
+// its scratch on its own stack, so it is safe for concurrent use. The
+// cheap rebinding constructors (WithCache, WithUserPatch) return a new
 // instance and never mutate the receiver, so concurrent explanation
-// sessions can call WithUserPatch over one warm shared recommender.
+// sessions can call WithUserPatch over one shared recommender.
 type Recommender struct {
 	cfg    Config
 	base   hin.View
-	flat   *hin.CSR // what pushes run over: lazy NewMixedCSR(base, Beta), or the parent's with u's row patched
+	flat   *hin.CSR // what pushes run over: NewMixedCSR(base, Beta), or the parent's with u's row patched
 	engine *ppr.ForwardPush
 	items  []hin.NodeID    // candidate index: ascending ids of the item-typed nodes; immutable, shared by every copy
 	cache  *pprcache.Cache // optional shared vector cache (WithCache)
 	sums   *colSums        // ColumnSums of flat, shared by every copy; nil on a WithUserPatch recommender
 }
 
-// New builds a recommender over g. It returns an error for an invalid
-// configuration.
+// New builds a recommender over g: its candidate index and its flat
+// snapshot, g flattened under the β-mix (hin.NewMixedCSR). It returns an
+// error for an invalid configuration.
 func New(g hin.View, cfg Config) (*Recommender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -132,27 +131,18 @@ func New(g hin.View, cfg Config) (*Recommender, error) {
 	return &Recommender{
 		cfg:    cfg,
 		base:   g,
+		flat:   hin.NewMixedCSR(g, cfg.Beta),
 		engine: ppr.NewForwardPush(cfg.PPR),
 		items:  items,
+		sums:   &colSums{},
 	}, nil
 }
 
-// Flat returns the CSR snapshot every push runs over, built on first
-// use: View() flattened under the β-mix (hin.NewMixedCSR). On a
-// WithUserPatch recommender it is the parent's snapshot with the user's
-// row patched.
-//
-// The first call builds the snapshot without synchronization; warm it
-// single-threaded before sharing the recommender across goroutines.
-// Once built, the snapshot is immutable and read-shared by every copy
-// made with WithUserPatch.
-func (r *Recommender) Flat() *hin.CSR {
-	if r.flat == nil {
-		r.flat = hin.NewMixedCSR(r.base, r.cfg.Beta)
-		r.sums = &colSums{}
-	}
-	return r.flat
-}
+// Flat returns the CSR snapshot every push runs over: View() flattened
+// under the β-mix in New. On a WithUserPatch recommender it is the
+// parent's snapshot with the user's row patched. The snapshot is
+// immutable and read-shared by every copy.
+func (r *Recommender) Flat() *hin.CSR { return r.flat }
 
 // WithUserPatch returns a recommender that scores the counterfactual o,
 // an edit of node u's out-row of this recommender's graph — the shape of
@@ -163,13 +153,13 @@ func (r *Recommender) Flat() *hin.CSR {
 // rebuilt afterwards. The patched snapshot is unversioned, so the copy
 // builds no cache key (key) even with a cache attached: a patched copy is
 // never cached. The receiver is never mutated and the shared snapshot is
-// only read, so concurrent WithUserPatch calls over one warm recommender
+// only read, so concurrent WithUserPatch calls over one recommender
 // are safe (the clone-safety contract concurrent explanation sessions
 // rely on).
 func (r *Recommender) WithUserPatch(o *hin.Overlay, u hin.NodeID) *Recommender {
 	row, sum := o.MixedRow(nil, u, r.cfg.Beta)
 	c := *r
-	c.flat, c.sums = r.Flat().WithOutRow(u, row, sum), nil
+	c.flat, c.sums = r.flat.WithOutRow(u, row, sum), nil
 	return &c
 }
 
@@ -184,9 +174,8 @@ type colSums struct {
 // Flat(), computed on the first call and shared by every copy that
 // scores over the same snapshot; ppr.Params.ForwardErr(C(i)) bounds a
 // forward estimate's error at i. It is nil on a WithUserPatch
-// recommender. Safe for concurrent use once Flat() is built.
+// recommender. Safe for concurrent use.
 func (r *Recommender) ColumnSums() ppr.Vector {
-	r.Flat()
 	s := r.sums
 	if s == nil {
 		return nil
@@ -206,7 +195,7 @@ func (r *Recommender) Config() Config { return r.cfg }
 // so callers that must not alias the original's future state — the
 // server and the explainer both rebind a borrowed recommender to their
 // own cache — get a clone with the same safety contract as
-// WithUserPatch: the flat snapshot (when already built) is read-shared, everything
+// WithUserPatch: the flat snapshot is read-shared, everything
 // else is independent. Unlike a bare struct copy at the call site,
 // adding synchronization state to Recommender later only requires
 // updating this one constructor.

@@ -830,3 +830,34 @@ func TestSharedCacheServesNoStaleSnapshot(t *testing.T) {
 		t.Fatalf("cached contributions %+v, uncached %+v: the cache served the pre-mutation snapshot's column", gotC, wantC)
 	}
 }
+
+// TestFirstCallsRunConcurrently: a recommender is immutable from New,
+// so two goroutines may make the first scoring call on a fresh one. Run
+// under -race, this fails on a recommender that builds its snapshot on
+// first use.
+func TestFirstCallsRunConcurrently(t *testing.T) {
+	g, cfg, ids := smallShop(t)
+	r, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	lists := make([][]Scored, 2)
+	errs := make([]error, 2)
+	for i := range lists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lists[i], errs[i] = r.TopN(ids["u1"], 3)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(lists[0], lists[1]) {
+		t.Fatalf("concurrent first calls disagree: %v vs %v", lists[0], lists[1])
+	}
+}

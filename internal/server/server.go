@@ -135,8 +135,7 @@ type Server struct {
 	partials *obs.Counter
 }
 
-// New builds a server and eagerly warms the recommender's flat
-// snapshot so later reads are safe to serve concurrently.
+// New builds a server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Graph == nil || cfg.Recommender == nil {
 		return nil, errors.New("server: graph and recommender are required")
@@ -199,7 +198,6 @@ func New(cfg Config) (*Server, error) {
 		servePartial: !cfg.DisableDegraded,
 	}
 	s.registerMetrics()
-	s.r.Flat() // warm the shared snapshot before concurrency starts
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
