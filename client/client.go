@@ -173,7 +173,8 @@ type Edge struct {
 }
 
 // ExplainRequest is one Why-Not question. Exactly one of WNI, Items or
-// Category must be set.
+// Category must be set. TimeoutMS optionally tightens (never widens) the
+// server's explain deadline for this request.
 type ExplainRequest struct {
 	User      string   `json:"user"`
 	WNI       string   `json:"wni,omitempty"`
@@ -184,8 +185,9 @@ type ExplainRequest struct {
 	TimeoutMS int      `json:"timeout_ms,omitempty"`
 }
 
-// ExplainResponse mirrors the server's /explain payload, degraded
-// marks included.
+// ExplainResponse is the /explain payload, degraded marks included.
+// The server encodes this type, so a decode→re-encode round trip
+// through the router is byte-identical.
 type ExplainResponse struct {
 	Mode        string `json:"mode"`
 	Method      string `json:"method"`
@@ -216,9 +218,9 @@ type ScoredItem struct {
 	Score float64 `json:"score"`
 }
 
-// RecommendResponse is the /recommend payload. Field order matches the
-// server's wire order (alphabetical — it encodes via a map), so a
-// decode→re-encode round trip through the router is byte-identical.
+// RecommendResponse is the /recommend payload. The server encodes this
+// type, so a decode→re-encode round trip through the router is
+// byte-identical.
 type RecommendResponse struct {
 	Items []ScoredItem `json:"items"`
 	User  int64        `json:"user"`
@@ -234,9 +236,9 @@ type DiagnoseRequest struct {
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 }
 
-// DiagnoseResponse is the /diagnose payload. Field order matches the
-// server's wire order (alphabetical — it encodes via a map), so a
-// decode→re-encode round trip through the router is byte-identical.
+// DiagnoseResponse is the /diagnose payload. The server encodes this
+// type, so a decode→re-encode round trip through the router is
+// byte-identical.
 type DiagnoseResponse struct {
 	// Actions is the number of past user actions Remove mode can edit.
 	Actions     int    `json:"actions"`

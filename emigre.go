@@ -10,7 +10,7 @@
 //
 // The package re-exports the library's building blocks:
 //
-//   - the heterogeneous information network (Graph, View);
+//   - the heterogeneous information network (Graph);
 //   - the Personalized PageRank parameters (PPRParams);
 //   - the PPR recommender (Recommender);
 //   - the EMiGRe explainer (Explainer) with its Remove/Add modes and
@@ -60,9 +60,6 @@ import (
 type (
 	// Graph is a mutable heterogeneous information network.
 	Graph = hin.Graph
-	// View is the read-only graph interface shared by Graph and its
-	// CSR snapshots.
-	View = hin.View
 	// NodeID identifies a node.
 	NodeID = hin.NodeID
 	// NodeTypeID identifies a registered node type.
@@ -89,7 +86,7 @@ func NewGraph() *Graph { return hin.NewGraph() }
 func NewEdgeTypeSet(types ...EdgeTypeID) EdgeTypeSet { return hin.NewEdgeTypeSet(types...) }
 
 // DegreeStats computes per-node-type degree statistics (Table 4).
-func DegreeStats(g View) []TypeDegreeStats { return hin.DegreeStats(g) }
+func DegreeStats(g *Graph) []TypeDegreeStats { return hin.DegreeStats(g) }
 
 // ReadGraphJSON parses a graph written by Graph.WriteJSON.
 func ReadGraphJSON(r io.Reader) (*Graph, error) { return hin.ReadJSON(r) }
@@ -120,7 +117,7 @@ type (
 )
 
 // NewRecommender builds a recommender over g.
-func NewRecommender(g View, cfg RecommenderConfig) (*Recommender, error) { return rec.New(g, cfg) }
+func NewRecommender(g *Graph, cfg RecommenderConfig) (*Recommender, error) { return rec.New(g, cfg) }
 
 // PPR-vector caching (internal/pprcache): a versioned, sharded,
 // singleflight-deduplicating cache shared between the recommender's
@@ -333,7 +330,7 @@ func ExtensionMethods() []EvalMethodSpec { return eval.ExtensionMethods() }
 
 // RenderTable4 prints the graph's per-node-type degree statistics in
 // the layout of the paper's Table 4.
-func RenderTable4(w io.Writer, g View) error { return eval.RenderTable4(w, g) }
+func RenderTable4(w io.Writer, g *Graph) error { return eval.RenderTable4(w, g) }
 
 // RenderFigure4 prints the per-method success rates (Figure 4).
 func RenderFigure4(w io.Writer, r *EvalResults) error { return eval.RenderFigure4(w, r) }

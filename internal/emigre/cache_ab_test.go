@@ -121,13 +121,15 @@ func TestCacheABConcurrentSessionsOverlappingTargets(t *testing.T) {
 
 // TestParallelExplainUnderCacheChurn is the -race stress: several
 // goroutines answer the same query through one explainer whose vector
-// cache is small enough to evict constantly. Correctness bar: every
-// goroutine still gets the answer of an explainer with a default cache.
+// cache is small enough to evict constantly: one entry per shard, and
+// two vectors' payload. Correctness bar: every goroutine still gets the
+// answer of an explainer with a default cache.
 func TestParallelExplainUnderCacheChurn(t *testing.T) {
 	testleak.Check(t)
-	tiny := pprcache.New(pprcache.Config{MaxEntries: 4, Shards: 1})
+	ref := newFixture(t, Options{})
+	tiny := pprcache.New(pprcache.Config{MaxEntries: 4, MaxBytes: pprcache.DefaultShards * 16 * int64(ref.g.NumNodes())})
 	f := newFixture(t, Options{Cache: tiny})
-	want, err := newFixture(t, Options{}).ex.ExplainWith(f.query(), Remove, Powerset)
+	want, err := ref.ex.ExplainWith(f.query(), Remove, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestParallelExplainUnderCacheChurn(t *testing.T) {
 		}
 	}
 	if s := tiny.Stats(); s.Evictions == 0 {
-		t.Logf("warning: tiny cache saw no evictions (%+v); churn not exercised", s)
+		t.Fatalf("the tiny cache saw no evictions (%+v): churn not exercised", s)
 	}
 }
 

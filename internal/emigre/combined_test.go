@@ -30,7 +30,7 @@ func TestCombinedModeAllMethods(t *testing.T) {
 				}
 			}
 			for _, e := range expl.Additions {
-				if f.g.HasEdge(e.From, e.To) {
+				if hasEdge(f.g, e.From, e.To) {
 					t.Fatalf("addition %v already exists", e)
 				}
 			}
@@ -159,7 +159,7 @@ func TestCombinedSolvesRandomScenariosAtLeastAsOftenAsPureModes(t *testing.T) {
 		for i := 0; i < nUsers*4; i++ {
 			u := hin.NodeID(rng.Intn(nUsers))
 			it := hin.NodeID(nUsers + rng.Intn(nItems))
-			if !g.HasEdge(u, it) {
+			if !hasEdge(g, u, it) {
 				_ = g.AddBidirectional(u, it, rated, 1+rng.Float64()*3)
 			}
 		}

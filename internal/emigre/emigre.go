@@ -569,7 +569,7 @@ type session struct {
 	q     Query
 	mode  Mode
 	rec   hin.NodeID // current top-1 recommendation
-	view  hin.View   // the β-mixed snapshot scores are taken on (the recommender's Flat())
+	view  *hin.CSR   // the β-mixed snapshot scores are taken on (the recommender's Flat())
 	toRec ppr.Vector // PPR(·, rec)
 	toWNI ppr.Vector // PPR(·, WNI)
 	cands []candidate

@@ -115,7 +115,7 @@ func newGateWorld(t testing.TB, seed int64, beta, eps float64) *gateWorld {
 		if len(w.universe) == 10 {
 			break
 		}
-		if it != wni && !g.HasEdge(u, it) {
+		if it != wni && !hasEdge(g, u, it) {
 			w.universe = append(w.universe, candidate{
 				edge: hin.Edge{From: u, To: it, Type: rated, Weight: float64(1 + rng.Intn(5))}, op: Add})
 		}

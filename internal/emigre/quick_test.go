@@ -291,7 +291,7 @@ func TestQuickTauEqualsContributionSum(t *testing.T) {
 		for i := 0; i < nUsers*4; i++ {
 			u := hin.NodeID(rng.Intn(nUsers))
 			it := hin.NodeID(nUsers + rng.Intn(nItems))
-			if !g.HasEdge(u, it) {
+			if !hasEdge(g, u, it) {
 				_ = g.AddBidirectional(u, it, rated, 0.5+rng.Float64())
 			}
 		}
@@ -390,7 +390,7 @@ func buildQuickFixture(rng *rand.Rand) *quickFixture {
 	for i := 0; i < nUsers*4; i++ {
 		u := hin.NodeID(rng.Intn(nUsers))
 		it := hin.NodeID(nUsers + rng.Intn(nItems))
-		if !g.HasEdge(u, it) {
+		if !hasEdge(g, u, it) {
 			_ = g.AddBidirectional(u, it, rated, 0.5+rng.Float64())
 		}
 	}

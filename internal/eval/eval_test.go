@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestScenarioEnumeration(t *testing.T) {
 		if sc.Rank < 2 {
 			t.Fatalf("rank %d below 2: position 1 is the recommendation itself", sc.Rank)
 		}
-		if a.Graph.HasEdge(sc.User, sc.WNI) {
+		if slices.ContainsFunc(a.Graph.OutEdgesOfType(sc.User, hin.NewEdgeTypeSet()), func(e hin.Edge) bool { return e.To == sc.WNI }) {
 			t.Fatal("scenario WNI already interacted with")
 		}
 	}

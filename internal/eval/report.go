@@ -26,7 +26,7 @@ func bar(frac float64) string {
 
 // RenderTable4 prints the per-node-type degree statistics of the
 // evaluation graph — the paper's Table 4.
-func RenderTable4(w io.Writer, g hin.View) error {
+func RenderTable4(w io.Writer, g *hin.Graph) error {
 	if _, err := fmt.Fprintln(w, "Table 4: Node degree statistics per node type in the graph."); err != nil {
 		return err
 	}

@@ -25,14 +25,6 @@ func TestInDegree(t *testing.T) {
 	}
 }
 
-func TestCSRTypesShared(t *testing.T) {
-	g, _ := buildTriangle(t)
-	c := NewCSR(g)
-	if c.Types() != g.Types() {
-		t.Fatal("CSR must share the graph's type registry")
-	}
-}
-
 func TestTypeRegistryAccessors(t *testing.T) {
 	r := NewTypeRegistry()
 	a := r.NodeType("a")

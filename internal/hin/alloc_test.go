@@ -28,7 +28,7 @@ func rowEdit(t *testing.T, g *Graph) (removals, additions []Edge) {
 			continue
 		}
 		for v := range NodeID(g.NumNodes()) {
-			if v != u && !g.HasEdge(u, v) {
+			if v != u && !hasEdge(g.out[u], v) {
 				return out[:1], []Edge{{From: u, To: v, Type: et, Weight: 0.5}}
 			}
 		}

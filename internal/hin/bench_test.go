@@ -61,16 +61,6 @@ func BenchmarkCSRBuild(b *testing.B) {
 func BenchmarkCSRTraversal(b *testing.B) {
 	g := benchRandomGraph(b, 5000, 30000)
 	c := NewCSR(g)
-	b.Run("callback", func(b *testing.B) {
-		sum := 0.0
-		for i := 0; i < b.N; i++ {
-			c.OutEdges(NodeID(i%5000), func(h HalfEdge) bool {
-				sum += h.Weight
-				return true
-			})
-		}
-		_ = sum
-	})
 	b.Run("slice", func(b *testing.B) {
 		sum := 0.0
 		for i := 0; i < b.N; i++ {

@@ -7,24 +7,20 @@ import (
 	"github.com/why-not-xai/emigre/internal/fmath"
 )
 
-// CSR is an immutable, flat (compressed sparse row) snapshot of a View,
-// optionally β-mixed (NewMixedCSR) and optionally with one node's
-// outgoing row replaced (WithOutRow). It is the only shape the PPR push
-// kernels iterate: both walk padded rows of transition probabilities
-// (OutRows, InRows) precomputed here. EMiGRe's
+// CSR is an immutable, flat (compressed sparse row) snapshot of a
+// Graph, optionally β-mixed (NewMixedCSR) and optionally with one
+// node's outgoing row replaced (WithOutRow). It is the only shape the
+// PPR push kernels iterate: both walk padded rows of transition
+// probabilities (OutRows, InRows) precomputed here. EMiGRe's
 // counterfactuals only ever edit the query user's out-edges, so the
 // CHECK step scores an overlay by patching the user's new row
 // (O(deg u)) into the shared base snapshot instead of re-flattening
 // the whole graph.
 //
-// Every View method is exact under a row patch. The in-row arrays
-// (InRows) are what a patch cannot serve from shared storage; NewCSR
-// re-flattens a row-patched snapshot into a plain one for callers that
-// need them.
+// Every out-row reader (OutSlice, OutWeightSum, OutProbs) is exact
+// under a row patch. The in-row arrays (InRows) are what a patch
+// cannot serve from shared storage, so a patched snapshot refuses them.
 type CSR struct {
-	reg   *TypeRegistry
-	ntype []NodeTypeID
-
 	outStart []int32
 	outHalf  []HalfEdge
 	outSum   []float64
@@ -56,7 +52,7 @@ type CSR struct {
 	patchDst  []NodeID
 	patchProb []float64
 
-	// version is the source view's version captured at flatten time and
+	// version is the source graph's version captured at flatten time and
 	// salted with β (NewMixedCSR): a CSR is a frozen snapshot, so it
 	// keeps identifying that state even if the source graph mutates
 	// afterwards. A row-patched snapshot is unversioned: it shares its
@@ -65,53 +61,34 @@ type CSR struct {
 	versioned bool
 }
 
-// NewCSR flattens v. A *CSR without a row patch is returned as-is; a
-// row-patched one is re-flattened into a plain snapshot.
-func NewCSR(v View) *CSR {
-	if c, ok := v.(*CSR); ok && c.patchNode == InvalidNode {
-		return c
-	}
-	return NewMixedCSR(v, 1)
-}
+// NewCSR flattens g: NewMixedCSR at β = 1, the plain weighted walk.
+func NewCSR(g *Graph) *CSR { return NewMixedCSR(g, 1) }
 
-// NewMixedCSR flattens v under the β-mix: every node's row is mixed as
+// NewMixedCSR flattens g under the β-mix: every node's row is mixed as
 // Overlay.MixedRow mixes one, so at β < 1 a row's weights are its
 // transition probabilities and sum to 1. β = 1 is NewCSR's plain
 // weighted walk.
-// The snapshot carries v's version salted with β's bit pattern, or v's
-// own at β = 1, where the mix is the identity: two mixes of one view
-// share a version only under the same β.
-func NewMixedCSR(v View, beta float64) *CSR {
-	n := v.NumNodes()
+// The snapshot carries g's version salted with β's bit pattern, or g's
+// own at β = 1, where the mix is the identity: two mixes of one graph
+// state share a version only under the same β.
+func NewMixedCSR(g *Graph, beta float64) *CSR {
+	n := g.NumNodes()
 	c := &CSR{
-		reg:       v.Types(),
-		ntype:     make([]NodeTypeID, n),
 		outStart:  make([]int32, n+1),
 		rowStart:  make([]int32, n+1),
 		inStart:   make([]int32, n+1),
 		outSum:    make([]float64, n),
 		patchNode: InvalidNode,
 	}
-	if c.version, c.versioned = ViewVersion(v); c.versioned && !fmath.Eq(beta, 1) {
+	if c.version, c.versioned = g.Version(), true; !fmath.Eq(beta, 1) {
 		c.version = c.version.Mix(math.Float64bits(beta))
 	}
-	edges := 0
-	for i := range n {
-		edges += v.OutDegree(NodeID(i))
-	}
-	c.outHalf = make([]HalfEdge, 0, edges)
-	// One callback for every row: a closure per row would cost an
-	// allocation per node.
-	collect := func(h HalfEdge) bool {
-		c.outHalf = append(c.outHalf, h)
-		return true
-	}
+	c.outHalf = make([]HalfEdge, 0, g.numEdges)
 	inDeg := make([]int32, n)
-	for i := range n {
-		c.ntype[i] = v.NodeType(NodeID(i))
+	for i, out := range g.out {
 		at := len(c.outHalf)
-		v.OutEdges(NodeID(i), collect)
-		row, sum := mixRow(c.outHalf[at:], v.OutWeightSum(NodeID(i)), beta)
+		c.outHalf = append(c.outHalf, out...)
+		row, sum := mixRow(c.outHalf[at:], g.outWeight[i], beta)
 		c.outHalf, c.outSum[i] = c.outHalf[:at+len(row)], sum
 		for _, h := range row {
 			inDeg[h.Node]++
@@ -191,7 +168,7 @@ var errRowLayout = errors.New("hin: padded rows break their layout (see CSR.InRo
 // checkRows panics unless both row kinds keep the invariant OutRows and
 // InRows promise (see rowsPadded).
 func (c *CSR) checkRows() {
-	n := len(c.ntype)
+	n := c.NumNodes()
 	if !rowsPadded(n, c.rowStart, c.rowDst, c.rowProb) || !rowsPadded(n, c.inStart, c.inSrc, c.inProb) {
 		panic(errRowLayout)
 	}
@@ -211,18 +188,21 @@ func rowsPadded(n int, start []int32, node []NodeID, prob []float64) bool {
 	return !bad
 }
 
+var errPatchOnPatch = errors.New("hin: WithOutRow on a snapshot already patched at another node")
+
 // WithOutRow returns a snapshot sharing c's arrays with node's outgoing
 // row replaced by out (weight sum outSum), its padded out-row (see
 // PatchedRow) computed once here. The slice is retained; callers must
 // not mutate it afterwards. c is not modified. The result is
 // unversioned, so it can never be served from (or stored under) c's
-// cache keys. It panics if an edge of out leaves the graph.
+// cache keys. A snapshot holds one patch: re-patching the patched node
+// replaces its row, and patching another node panics, as does an edge
+// of out that leaves the graph.
 func (c *CSR) WithOutRow(node NodeID, out []HalfEdge, outSum float64) *CSR {
-	base := c
 	if c.patchNode != InvalidNode && c.patchNode != node {
-		base = NewCSR(c) // one patch per snapshot: materialize the other row first
+		panic(errPatchOnPatch)
 	}
-	n := len(base.ntype)
+	n := c.NumNodes()
 	lanes := padLanes(int32(len(out)))
 	dst, prob := make([]NodeID, lanes), make([]float64, lanes)
 	for i, h := range out {
@@ -232,39 +212,22 @@ func (c *CSR) WithOutRow(node NodeID, out []HalfEdge, outSum float64) *CSR {
 		dst[i], prob[i] = h.Node, transition(h.Weight, outSum)
 	}
 	padRow(dst, int32(len(out)), lanes, n)
-	p := *base
+	p := *c
 	p.patchNode, p.patchOut, p.patchSum = node, out, outSum
 	p.patchDst, p.patchProb = dst, prob
 	p.version, p.versioned = Version{}, false
 	return &p
 }
 
-// Version implements Versioned: the version of the view the snapshot
-// was flattened from.
+// Version returns the version of the graph the snapshot was flattened
+// from, salted with its β; false on a row-patched snapshot.
 func (c *CSR) Version() (Version, bool) { return c.version, c.versioned }
 
-// NumNodes implements View.
-func (c *CSR) NumNodes() int { return len(c.ntype) }
+// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
+func (c *CSR) NumNodes() int { return len(c.outSum) }
 
-// NodeType implements View.
-func (c *CSR) NodeType(v NodeID) NodeTypeID { return c.ntype[v] }
-
-// Types implements View.
-func (c *CSR) Types() *TypeRegistry { return c.reg }
-
-// OutEdges implements View.
-func (c *CSR) OutEdges(v NodeID, yield func(HalfEdge) bool) {
-	for _, h := range c.OutSlice(v) {
-		if !yield(h) {
-			return
-		}
-	}
-}
-
-// OutDegree implements View.
-func (c *CSR) OutDegree(v NodeID) int { return len(c.OutSlice(v)) }
-
-// OutWeightSum implements View.
+// OutWeightSum returns the sum of v's outgoing weights (the patch's for
+// the patched node): the denominator of W(v,·), 0 for a dangling node.
 func (c *CSR) OutWeightSum(v NodeID) float64 {
 	if v == c.patchNode {
 		return c.patchSum
@@ -273,9 +236,9 @@ func (c *CSR) OutWeightSum(v NodeID) float64 {
 }
 
 // OutSlice returns v's outgoing adjacency as a shared slice (the
-// patched row for a patched node). Callers must not mutate it; it
-// serves the row walks that need an edge's type or weight without the
-// callback overhead of OutEdges (the push kernels read OutRows).
+// patched row for a patched node), in the source graph's order. Callers
+// must not mutate it; it serves the row walks that need an edge's type
+// or weight (the push kernels read OutRows).
 func (c *CSR) OutSlice(v NodeID) []HalfEdge {
 	if v == c.patchNode {
 		return c.patchOut
@@ -313,12 +276,11 @@ func (c *CSR) PatchedRow() (node NodeID, dst []NodeID, prob []float64) {
 	return c.patchNode, c.patchDst, c.patchProb
 }
 
-var errPatchedInRows = errors.New("hin: in-row access on a row-patched CSR (flatten it with NewCSR first)")
+var errPatchedInRows = errors.New("hin: in-row access on a row-patched CSR")
 
 // InRows returns the in-row arrays (see CSR) as shared slices for the
 // reverse push kernel; callers must not mutate them. They are the
-// base's, so a row-patched snapshot cannot answer: flatten it with
-// NewCSR first.
+// base's, so a row-patched snapshot cannot answer and panics.
 //
 // The rows are padded: v's real in-edges sit at start[v] onwards in
 // ascending source order, and pad lanes fill the row up to start[v+1].
@@ -333,16 +295,4 @@ func (c *CSR) InRows() (start []int32, src []NodeID, prob []float64) {
 		panic(errPatchedInRows)
 	}
 	return c.inStart, c.inSrc, c.inProb
-}
-
-// HasEdge implements View by scanning v's out list (CSR is built for
-// push loops; candidate filtering keeps using the underlying graph's
-// indexed lookup).
-func (c *CSR) HasEdge(from, to NodeID) bool {
-	for _, h := range c.OutSlice(from) {
-		if h.Node == to {
-			return true
-		}
-	}
-	return false
 }

@@ -161,10 +161,9 @@ func FuzzOverlayMatchesGraph(f *testing.F) {
 // RemoveEdge, AddNode and Reserve, four bytes per operation, over a few
 // nodes and three edge types, so duplicates and parallel typed edges
 // are common. Every mutation must succeed exactly when a model of the
-// typed edge set says it should, and after each operation HasEdge must
-// equal a brute-force any-type scan of the out-lists (out-of-range IDs
-// included), Validate must pass, and a change of the node/edge state
-// (graphState) must have moved Version.
+// typed edge set says it should, and after each operation Validate must
+// pass and a change of the node/edge state (graphState) must have moved
+// Version.
 func FuzzGraphOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 1, 2, 0, 1, 0})             // parallel typed edges, then remove one
@@ -194,7 +193,7 @@ func FuzzGraphOps(f *testing.F) {
 			typ := types[data[i+3]%3]
 			w := float64(data[i+3]%7+1) / 4
 			k, rk := typedKey{from, to, typ}, typedKey{to, from, typ}
-			state, ver := graphState(g), version(t, g)
+			state, ver := graphState(g), g.Version()
 			switch op {
 			case 0:
 				want := addable(k)
@@ -232,23 +231,8 @@ func FuzzGraphOps(f *testing.F) {
 			}
 			// Whether the op succeeded or failed, changed state needs a
 			// fresh stamp: a cache keyed by the old one would go stale.
-			if graphState(g) != state && version(t, g) == ver {
+			if graphState(g) != state && g.Version() == ver {
 				t.Fatalf("op %d: changed the node/edge state without moving Version off %v", i/4, ver)
-			}
-			n := NodeID(g.NumNodes())
-			for u := NodeID(-1); u <= n; u++ {
-				for v := NodeID(-1); v <= n; v++ {
-					brute := false
-					if g.valid(u) {
-						g.OutEdges(u, func(h HalfEdge) bool {
-							brute = brute || h.Node == v
-							return !brute
-						})
-					}
-					if got := g.HasEdge(u, v); got != brute {
-						t.Fatalf("op %d: HasEdge(%d,%d) = %v, brute-force scan says %v", i/4, u, v, got, brute)
-					}
-				}
 			}
 			if g.NumEdges() != len(model) {
 				t.Fatalf("op %d: %d edges, model holds %d", i/4, g.NumEdges(), len(model))

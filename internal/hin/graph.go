@@ -40,13 +40,11 @@ func NewGraph() *Graph {
 	}
 }
 
-// Version implements Versioned: it identifies the graph's current
-// state with a process-unique stamp. Any mutation (AddNode, AddEdge,
-// RemoveEdge, ...) moves the graph to a fresh stamp, so cache entries
-// keyed by an old version can never be served against the new state.
-func (g *Graph) Version() (Version, bool) {
-	return Version{Stamp: g.version}, true
-}
+// Version identifies the graph's current state with a process-unique
+// stamp. Any mutation (AddNode, AddEdge, RemoveEdge, ...) moves the
+// graph to a fresh stamp, so cache entries keyed by an old version can
+// never be served against the new state.
+func (g *Graph) Version() Version { return Version{Stamp: g.version} }
 
 // bumpVersion moves the graph to a fresh state stamp. Every mutator
 // calls it; readers never do (TestGraphMutatorsBumpVersion lists each
@@ -268,20 +266,6 @@ func (g *Graph) EdgeWeight(from, to NodeID, typ EdgeTypeID) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// HasEdge reports whether at least one directed edge (from, to) of any
-// type exists. It scans the shorter of from's out-list and to's in-list,
-// so it costs O(min(out-degree of from, in-degree of to)).
-func (g *Graph) HasEdge(from, to NodeID) bool {
-	if !g.valid(from) || !g.valid(to) {
-		return false
-	}
-	out, in := g.out[from], g.in[to]
-	if len(out) <= len(in) {
-		return slices.ContainsFunc(out, func(h HalfEdge) bool { return h.Node == to })
-	}
-	return slices.ContainsFunc(in, func(h HalfEdge) bool { return h.Node == from })
 }
 
 // OutEdges iterates the outgoing edges of v.

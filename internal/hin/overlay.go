@@ -16,7 +16,7 @@ var overlaySite = fault.Register("hin.overlay.snapshot")
 // with edge removals and additions applied. A Why-Not explanation only
 // edits edges rooted at the query user, so every counterfactual the
 // explainers test is that one row, and the row is all an Overlay holds.
-// It is not a View: the CHECK step reads the row itself (MixedRow), and
+// It is not a graph: the CHECK step reads the row itself (MixedRow), and
 // a cold drain patches it into the recommender's snapshot
 // (rec.Recommender.WithUserPatch). Building one copies the row, never
 // the graph; Reset rebuilds one in place without allocating once its row

@@ -2,15 +2,14 @@ package hin
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
 
 // TestCSRRowPatchMatchesOverlay verifies that patching an overlay's
 // edited row into a CSR is observationally identical to the edited
-// graph it models, across every View method — and that re-flattening
-// the patched snapshot yields a plain one that still agrees.
+// graph it models — every out-row reader — and reads the same padded
+// out-rows as NewCSR of an edited clone.
 func TestCSRRowPatchMatchesOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 15; trial++ {
@@ -58,19 +57,21 @@ func TestCSRRowPatchMatchesOverlay(t *testing.T) {
 		base := NewCSR(g)
 		p := base.WithOutRow(u, row, sum)
 
-		viewsAgree(t, ref, p)
-		viewsAgree(t, g, base) // the shared arrays are untouched
-		flat := NewCSR(p)
-		if flat == p {
-			t.Fatal("NewCSR must re-flatten a row-patched snapshot")
+		csrMatches(t, ref, p)
+		csrMatches(t, g, base) // the shared arrays are untouched
+		// The same transition probabilities as flattening the edited
+		// graph itself: what keeps a forward push over either
+		// bit-identical.
+		flat := NewCSR(ref)
+		for v := range NodeID(g.NumNodes()) {
+			if !slices.Equal(p.OutProbs(v), flat.OutProbs(v)) {
+				t.Fatalf("trial %d: node %d's probabilities %v, NewCSR(edited clone) %v", trial, v, p.OutProbs(v), flat.OutProbs(v))
+			}
 		}
-		viewsAgree(t, ref, flat)
-		// Same in-row order as flattening the edited graph itself: what
-		// keeps a reverse push over either bit-identical.
-		fs, fx, fp := flat.InRows()
-		ds, dx, dp := NewCSR(ref).InRows()
-		if !reflect.DeepEqual(fs, ds) || !reflect.DeepEqual(fx, dx) || !reflect.DeepEqual(fp, dp) {
-			t.Fatalf("trial %d: re-flattened in-rows differ from NewCSR(edited clone)", trial)
+		_, udst, uprob := p.PatchedRow()
+		start, dst, prob := flat.OutRows()
+		if !slices.Equal(udst, dst[start[u]:start[u+1]]) || !slices.Equal(uprob, prob[start[u]:start[u+1]]) {
+			t.Fatalf("trial %d: patched row %v %v, NewCSR(edited clone) %v %v", trial, udst, uprob, dst[start[u]:start[u+1]], prob[start[u]:start[u+1]])
 		}
 	}
 }
@@ -80,41 +81,20 @@ func TestCSRRowPatchDangling(t *testing.T) {
 	g := randomGraph(rng, 8, 20)
 	u := NodeID(0)
 	p := NewCSR(g).WithOutRow(u, nil, 0)
-	if p.OutDegree(u) != 0 || p.OutWeightSum(u) != 0 {
+	if len(p.OutSlice(u)) != 0 || len(p.OutProbs(u)) != 0 || p.OutWeightSum(u) != 0 {
 		t.Fatal("empty patch should make the node dangling")
 	}
-	p.OutEdges(u, func(HalfEdge) bool {
-		t.Fatal("dangling patched node yielded an edge")
-		return false
-	})
 	// Other nodes unaffected.
 	for v := 1; v < g.NumNodes(); v++ {
-		if p.OutDegree(NodeID(v)) != g.OutDegree(NodeID(v)) {
+		if len(p.OutSlice(NodeID(v))) != g.OutDegree(NodeID(v)) {
 			t.Fatalf("node %d degree changed by unrelated patch", v)
 		}
-	}
-	// In-edges from u must vanish everywhere.
-	if _, src, _ := NewCSR(p).InRows(); slices.Contains(src, u) {
-		t.Fatal("an in-row still has a lane from the patched-dangling node")
-	}
-}
-
-func TestCSRRowPatchEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	g := randomGraph(rng, 8, 30)
-	u := NodeID(0)
-	et, _ := g.Types().LookupEdgeType("e")
-	row := []HalfEdge{{Node: 1, Type: et, Weight: 1}, {Node: 2, Type: et, Weight: 1}}
-	p := NewCSR(g).WithOutRow(u, row, 2)
-	n := 0
-	p.OutEdges(u, func(HalfEdge) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d edges", n)
 	}
 }
 
 // TestCSRRowPatchOnPatch: a second patch at the same node replaces the
-// first; one at a different node keeps both (the first is materialized).
+// first; one at a different node panics, since a snapshot holds one
+// patched row.
 func TestCSRRowPatchOnPatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	g := randomGraph(rng, 8, 30)
@@ -124,16 +104,15 @@ func TestCSRRowPatchOnPatch(t *testing.T) {
 	p := NewCSR(g).WithOutRow(0, rowA, 2)
 
 	same := p.WithOutRow(0, rowB, 5)
-	if same.OutDegree(0) != 1 || same.OutSlice(0)[0] != rowB[0] || same.OutWeightSum(0) != 5 {
+	if len(same.OutSlice(0)) != 1 || same.OutSlice(0)[0] != rowB[0] || same.OutWeightSum(0) != 5 {
 		t.Fatalf("re-patching node 0 kept the old row: %+v", same.OutSlice(0))
 	}
-	other := p.WithOutRow(1, rowB, 5)
-	if other.OutSlice(0)[0] != rowA[0] || other.OutWeightSum(0) != 2 {
-		t.Fatalf("patching node 1 lost node 0's patch: %+v", other.OutSlice(0))
-	}
-	if other.OutSlice(1)[0] != rowB[0] || other.OutWeightSum(1) != 5 {
-		t.Fatalf("node 1's patch missing: %+v", other.OutSlice(1))
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("patching node 1 of a snapshot patched at node 0 must panic")
+		}
+	}()
+	p.WithOutRow(1, rowB, 5)
 }
 
 // TestCSRRowPatchIsUnversioned: a row-patched snapshot shares its
@@ -149,9 +128,6 @@ func TestCSRRowPatchIsUnversioned(t *testing.T) {
 	p := base.WithOutRow(0, nil, 0)
 	if v, ok := p.Version(); ok {
 		t.Fatalf("row-patched snapshot reports version %+v", v)
-	}
-	if _, ok := NewCSR(p).Version(); ok {
-		t.Fatal("re-flattening must not resurrect a version")
 	}
 	if _, ok := base.Version(); !ok {
 		t.Fatal("patching mutated the base snapshot's version")

@@ -18,13 +18,13 @@ type TypeDegreeStats struct {
 	MaxDegree int
 }
 
-// DegreeStats computes per-node-type degree statistics over a view.
+// DegreeStats computes per-node-type degree statistics over a graph.
 // Because the paper's preprocessing makes every relationship
 // bidirectional, a node's "degree" is its out-degree (equal to its
 // in-degree on such graphs); on asymmetric graphs this still reports
 // out-degree, which is what the PPR transition uses. Rows are sorted by
 // type name for deterministic output.
-func DegreeStats(g View) []TypeDegreeStats {
+func DegreeStats(g *Graph) []TypeDegreeStats {
 	reg := g.Types()
 	n := g.NumNodes()
 	type acc struct {

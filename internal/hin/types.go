@@ -8,7 +8,7 @@
 //   - Graph: a mutable HIN with O(1) typed-edge lookup, per-node in/out
 //     adjacency, and cached out-weight sums (the denominators of the
 //     row-stochastic transition matrix W used by Personalized PageRank);
-//   - CSR: an immutable flat snapshot of any View, optionally with one
+//   - CSR: an immutable flat snapshot of a Graph, optionally with one
 //     node's out-row patched — the one shape the PPR push kernels
 //     iterate;
 //   - Overlay: a counterfactual edit of one node's out-row of a Graph
@@ -18,9 +18,8 @@
 //   - degree statistics per node type (the paper's Table 4);
 //   - JSON serialization, the one graph file format.
 //
-// PPR and recommendation code accepts the read-only View interface, so
-// a Graph and a CSR are interchangeable as arguments; the push engines
-// flatten whatever they are handed to a CSR once at entry.
+// Builders (the recommender, degree statistics) read a *Graph; every
+// PPR push, cache key and explanation session reads a *CSR.
 package hin
 
 import "fmt"
@@ -63,32 +62,6 @@ type HalfEdge struct {
 	Node   NodeID
 	Type   EdgeTypeID
 	Weight float64
-}
-
-// View is the read-only interface of the two graph shapes: a Graph and
-// the CSR snapshot the push kernels walk. PPR engines and the
-// recommender are written against View; a counterfactual is not one,
-// but one edited row (Overlay) patched into a snapshot
-// (CSR.WithOutRow).
-type View interface {
-	// NumNodes returns the number of nodes. Node IDs are 0..NumNodes-1.
-	NumNodes() int
-	// NodeType returns the type of node v.
-	NodeType(v NodeID) NodeTypeID
-	// OutEdges calls yield for every outgoing edge of v until yield
-	// returns false. The iteration order is deterministic.
-	OutEdges(v NodeID, yield func(HalfEdge) bool)
-	// OutDegree returns the number of outgoing edges of v.
-	OutDegree(v NodeID) int
-	// OutWeightSum returns the sum of outgoing edge weights of v — the
-	// denominator of the transition probability W(v, .). It returns 0
-	// for dangling nodes.
-	OutWeightSum(v NodeID) float64
-	// HasEdge reports whether at least one directed edge (from, to)
-	// exists, of any type.
-	HasEdge(from, to NodeID) bool
-	// Types returns the shared type registry.
-	Types() *TypeRegistry
 }
 
 // TypeRegistry maps node- and edge-type names to small dense IDs. A

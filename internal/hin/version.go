@@ -2,39 +2,23 @@ package hin
 
 import "sync/atomic"
 
-// Version identifies the content of a graph view for caching purposes.
-// Two views with equal versions are guaranteed to present the same
-// adjacency structure (up to digest collision odds of ~2^-64); views
-// with different versions may or may not differ — version inequality is
+// Version identifies the content of a graph or snapshot for caching
+// purposes. Two with equal versions are guaranteed to present the same
+// adjacency structure (up to digest collision odds of ~2^-64); two with
+// different versions may or may not differ — version inequality is
 // always safe, it only costs a cache miss.
 //
 //   - Stamp is a globally monotonic mutation stamp: every mutating
 //     operation on a Graph assigns it a fresh stamp from a process-wide
 //     counter, so no two distinct graph states ever share one.
-//   - Digest folds in derived-view structure: a β-mixed snapshot folds
+//   - Digest folds in derived structure: a β-mixed snapshot folds
 //     β in via Mix (NewMixedCSR). It is 0 for a plain Graph.
 type Version struct {
 	Stamp  uint64
 	Digest uint64
 }
 
-// Versioned is implemented by views that can identify their content.
-// The boolean reports whether a version is available: a row-patched CSR
-// answers false. A view that does not implement it — a custom View —
-// is not cacheable either.
-type Versioned interface {
-	Version() (Version, bool)
-}
-
-// ViewVersion returns the version of v when it supports versioning.
-func ViewVersion(v View) (Version, bool) {
-	if vv, ok := v.(Versioned); ok {
-		return vv.Version()
-	}
-	return Version{}, false
-}
-
-// Mix derives the version of a view computed from this one plus extra
+// Mix derives the version of a snapshot computed from this one plus extra
 // structure identified by salt (a parameter hash). Mixing is
 // deterministic, and distinct salts land on distinct digests with
 // overwhelming probability.

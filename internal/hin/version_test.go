@@ -27,43 +27,44 @@ func versionFixture(t *testing.T) (*Graph, EdgeTypeID) {
 	return g, rated
 }
 
-func version(t *testing.T, v View) Version {
+// snapshotVersion returns the version of an unpatched snapshot.
+func snapshotVersion(t *testing.T, c *CSR) Version {
 	t.Helper()
-	ver, ok := ViewVersion(v)
+	ver, ok := c.Version()
 	if !ok {
-		t.Fatalf("view %T is not versioned", v)
+		t.Fatal("the snapshot is not versioned")
 	}
 	return ver
 }
 
 func TestGraphVersionChangesOnMutation(t *testing.T) {
 	g, rated := versionFixture(t)
-	v0 := version(t, g)
+	v0 := g.Version()
 	if v0.Stamp == 0 {
 		t.Fatal("constructed graph has zero version stamp")
 	}
-	if v1 := version(t, g); v1 != v0 {
+	if v1 := g.Version(); v1 != v0 {
 		t.Fatalf("version changed without mutation: %v -> %v", v0, v1)
 	}
 
 	if err := g.AddEdge(1, 2, rated, 1); err != nil {
 		t.Fatal(err)
 	}
-	v1 := version(t, g)
+	v1 := g.Version()
 	if v1 == v0 {
 		t.Fatal("AddEdge did not change the version")
 	}
 	if err := g.RemoveEdge(1, 2, rated); err != nil {
 		t.Fatal(err)
 	}
-	v2 := version(t, g)
+	v2 := g.Version()
 	if v2 == v1 || v2 == v0 {
 		// Removing the edge restores the original content, but the
 		// stamp is deliberately conservative: it never goes back.
 		t.Fatalf("RemoveEdge produced a reused version: %v (prev %v, %v)", v2, v1, v0)
 	}
 	g.AddNode(g.Types().NodeType("user"), "")
-	if v3 := version(t, g); v3 == v2 {
+	if v3 := g.Version(); v3 == v2 {
 		t.Fatal("AddNode did not change the version")
 	}
 }
@@ -71,16 +72,16 @@ func TestGraphVersionChangesOnMutation(t *testing.T) {
 func TestGraphCloneHasDistinctVersion(t *testing.T) {
 	g, _ := versionFixture(t)
 	c := g.Clone()
-	if version(t, c) == version(t, g) {
+	if c.Version() == g.Version() {
 		t.Fatal("clone shares the original's version")
 	}
 }
 
 func TestCSRCapturesVersionAtSnapshot(t *testing.T) {
 	g, rated := versionFixture(t)
-	want := version(t, g)
+	want := g.Version()
 	c := NewCSR(g)
-	if got := version(t, c); got != want {
+	if got := snapshotVersion(t, c); got != want {
 		t.Fatalf("CSR version %v != source version %v", got, want)
 	}
 	// Mutating the graph moves the graph's version but not the frozen
@@ -88,10 +89,10 @@ func TestCSRCapturesVersionAtSnapshot(t *testing.T) {
 	if err := g.AddEdge(1, 2, rated, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := version(t, c); got != want {
+	if got := snapshotVersion(t, c); got != want {
 		t.Fatal("CSR version moved after a source mutation")
 	}
-	if version(t, g) == want {
+	if g.Version() == want {
 		t.Fatal("graph version did not move")
 	}
 }
@@ -107,14 +108,5 @@ func TestVersionMixDistinguishesSalts(t *testing.T) {
 	}
 	if a.Stamp != base.Stamp {
 		t.Fatal("Mix must preserve the stamp")
-	}
-}
-
-func TestUnversionedViewAnswersFalse(t *testing.T) {
-	g, _ := versionFixture(t)
-	// An anonymous wrapper hides the Versioned implementation.
-	wrapped := struct{ View }{g}
-	if _, ok := ViewVersion(wrapped); ok {
-		t.Fatal("expected no version through an opaque wrapper")
 	}
 }

@@ -105,8 +105,7 @@ func RawEngine() *Analyzer {
 }
 
 // isPPREngineCall reports whether sel selects a method or function of
-// a package named "ppr": a method on an engine value (including
-// interface dispatch through ppr.Engine / ppr.ReverseEngine), or a
+// a package named "ppr": a method on an engine value, or a
 // package-level function selected off the ppr import.
 func isPPREngineCall(info *types.Info, sel *ast.SelectorExpr) bool {
 	if s, ok := info.Selections[sel]; ok {

@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func pushAllocs(t *testing.T, nodes, extra int) float64 {
 	csr := hin.NewCSR(randomBidirGraph(rng, nodes, extra))
 	e := NewForwardPush(DefaultParams())
 	return testing.AllocsPerRun(50, func() {
-		if _, err := e.Run(csr, 0); err != nil {
+		if _, err := e.RunContext(context.Background(), csr, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

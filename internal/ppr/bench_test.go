@@ -25,20 +25,13 @@ func benchSizes() []struct{ nodes, extra int } {
 
 func BenchmarkForwardPush(b *testing.B) {
 	for _, sz := range benchSizes() {
-		g, csr := benchGraph(sz.nodes, sz.extra)
+		_, csr := benchGraph(sz.nodes, sz.extra)
 		params := DefaultParams()
-		b.Run(fmt.Sprintf("n=%d/graph", sz.nodes), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d", sz.nodes), func(b *testing.B) {
 			e := NewForwardPush(params)
+			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.FromSource(g, hin.NodeID(i%sz.nodes)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/csr", sz.nodes), func(b *testing.B) {
-			e := NewForwardPush(params)
-			for i := 0; i < b.N; i++ {
-				if _, err := e.FromSource(csr, hin.NodeID(i%sz.nodes)); err != nil {
+				if _, err := e.FromSourceContext(ctx, csr, hin.NodeID(i%sz.nodes)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -52,8 +45,9 @@ func BenchmarkReversePush(b *testing.B) {
 		params := DefaultParams()
 		b.Run(fmt.Sprintf("n=%d", sz.nodes), func(b *testing.B) {
 			e := NewReversePush(params)
+			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.ToTarget(csr, hin.NodeID(i%sz.nodes)); err != nil {
+				if _, err := e.ToTargetContext(ctx, csr, hin.NodeID(i%sz.nodes)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -62,7 +56,7 @@ func BenchmarkReversePush(b *testing.B) {
 }
 
 func BenchmarkPowerIteration(b *testing.B) {
-	g, _ := benchGraph(500, 2000)
+	_, g := benchGraph(500, 2000)
 	e := NewPower(DefaultParams())
 	e.Tol = 1e-10
 	b.Run("from-source", func(b *testing.B) {
@@ -108,20 +102,20 @@ func BenchmarkAblationWarmVsCold(b *testing.B) {
 		b.Skip("no overlays constructible")
 	}
 	e := NewForwardPush(params)
+	ctx := context.Background()
 
 	b.Run("cold-recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := e.FromSource(patched[i%len(patched)], s); err != nil {
+			if _, err := e.FromSourceContext(ctx, patched[i%len(patched)], s); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm-update", func(b *testing.B) {
-		base, err := e.Run(csr, s)
+		base, err := e.RunContext(ctx, csr, s)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ctx := context.Background()
 		sc := &UpdateScratch{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

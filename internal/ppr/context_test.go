@@ -19,7 +19,7 @@ func canceledCtx() context.Context {
 
 func TestEnginesHonorCanceledContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	g := randomBidirGraph(rng, 30, 60)
+	g := hin.NewCSR(randomBidirGraph(rng, 30, 60))
 	p := testParams()
 	s := hin.NodeID(3)
 
@@ -58,11 +58,16 @@ func TestEnginesHonorCanceledContext(t *testing.T) {
 	}
 }
 
+// TestNonContextEntryPointsIgnoreCancellation: the reference engines'
+// context-free entry points delegate to a background context and must
+// succeed.
 func TestNonContextEntryPointsIgnoreCancellation(t *testing.T) {
 	g, ids := lineGraph(t)
-	e := NewForwardPush(testParams())
-	// FromSource delegates to a background context and must succeed.
+	e := testPower(testParams())
 	if _, err := e.FromSource(g, ids[0]); err != nil {
 		t.Fatalf("FromSource: %v", err)
+	}
+	if _, err := e.ToTarget(g, ids[2]); err != nil {
+		t.Fatalf("ToTarget: %v", err)
 	}
 }

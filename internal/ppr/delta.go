@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the warm-start ("delta-PPR") entry point of the forward
-// push engine: given a completed base PushResult over one view and a
-// new view that differs only in the outgoing rows of a known node set,
+// push engine: given a completed base PushResult over one snapshot and
+// a new one that differs only in the outgoing rows of a known node set,
 // UpdateForEdit repairs the push invariant at the edited rows and the
 // forward sweep pushes the perturbed mass only, instead of a full
 // recomputation. The base state is never mutated, so any number of
@@ -115,7 +115,7 @@ func transitionDeltaInto(d *deltaAcc, oldView, newView *hin.CSR, u hin.NodeID) {
 
 // checkUpdateInputs validates the preconditions of the warm-start
 // entry point.
-func checkUpdateInputs(params Params, oldView, newView hin.View, base *PushResult) error {
+func checkUpdateInputs(params Params, oldView, newView *hin.CSR, base *PushResult) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
@@ -140,24 +140,23 @@ func checkUpdateInputs(params Params, oldView, newView hin.View, base *PushResul
 //
 // base is never mutated; the result aliases sc's buffers (see
 // UpdateScratch). sc may be nil for one-shot use.
-func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.View, base *PushResult, rows []hin.NodeID, sc *UpdateScratch) (*PushResult, error) {
+func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView *hin.CSR, base *PushResult, rows []hin.NodeID, sc *UpdateScratch) (*PushResult, error) {
 	if err := checkUpdateInputs(e.Params, oldView, newView, base); err != nil {
 		return nil, err
 	}
 	if sc == nil {
 		sc = &UpdateScratch{}
 	}
-	oldCSR, newCSR := flatten(oldView), flatten(newView)
-	sc.ensure(newCSR.NumNodes())
+	sc.ensure(newView.NumNodes())
 	copy(sc.p, base.Estimates)
 	copy(sc.r, base.Residuals)
 	alpha := e.Params.Alpha
 	for _, u := range rows {
-		if err := checkNode(newCSR, u); err != nil {
+		if err := checkNode(newView, u); err != nil {
 			return nil, err
 		}
 		sc.delta.reset()
-		transitionDeltaInto(&sc.delta, oldCSR, newCSR, u)
+		transitionDeltaInto(&sc.delta, oldView, newView, u)
 		scale := (1 - alpha) / alpha * sc.p[u]
 		if fmath.Eq(scale, 0) {
 			continue
@@ -166,7 +165,7 @@ func (e *ForwardPush) UpdateForEdit(ctx context.Context, oldView, newView hin.Vi
 			sc.r[y] += scale * sc.delta.val[y]
 		}
 	}
-	pushes, err := e.sweep(ctx, updateLoopSite, newCSR, sc.p, sc.r)
+	pushes, err := e.sweep(ctx, updateLoopSite, newView, sc.p, sc.r)
 	if err != nil {
 		return nil, err
 	}

@@ -51,15 +51,16 @@ func FuzzDeltaPPREquivalence(f *testing.F) {
 		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
 
 		fwd := NewForwardPush(params)
-		base, err := fwd.Run(g, s)
+		old, cur := hin.NewCSR(g), hin.NewCSR(view)
+		base, err := fwd.RunContext(context.Background(), old, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := fwd.UpdateForEdit(context.Background(), g, view, base, rows, nil)
+		warm, err := fwd.UpdateForEdit(context.Background(), old, cur, base, rows, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := testPower(params).FromSource(view, s)
+		exact, err := testPower(params).FromSource(cur, s)
 		if err != nil {
 			t.Fatal(err)
 		}

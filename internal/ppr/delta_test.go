@@ -70,7 +70,7 @@ func toggleRow(t *testing.T, g *hin.Graph, u hin.NodeID, rng *rand.Rand) {
 	}
 	for attempt := 0; attempt < g.NumNodes(); attempt++ {
 		v := hin.NodeID(rng.Intn(g.NumNodes()))
-		if v != u && !g.HasEdge(u, v) {
+		if _, ok := g.EdgeWeight(u, v, et); v != u && !ok {
 			if err := g.AddEdge(u, v, et, rng.Float64()+0.3); err != nil {
 				t.Fatal(err)
 			}
@@ -88,12 +88,10 @@ func patchRow(base *hin.CSR, o *hin.Overlay, u hin.NodeID) *hin.CSR {
 }
 
 // TestPushShapesBitIdentical is the one equivalence test behind the
-// single-shape kernels: a push entry point normalises whatever view it
-// is handed to a flat snapshot, so the same graph presented as a
-// *Graph, an edited clone, NewCSR of it or a row-patched snapshot must
-// produce bit-identical estimates, residuals and push counts — forward
-// cold, forward warm and reverse cold (the row-patched reverse push has
-// no production caller; it is exact by re-flattening).
+// single-shape kernels: a counterfactual presented as NewCSR of the
+// edited graph or as the base snapshot with the edited row patched in
+// must produce bit-identical estimates, residuals and push counts —
+// forward cold and forward warm.
 func TestPushShapesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	ctx := context.Background()
@@ -115,41 +113,28 @@ func TestPushShapesBitIdentical(t *testing.T) {
 		u := hin.NodeID(rng.Intn(g.NumNodes()))
 		o, ed := applyUserEdits(t, g, u, rng)
 		base := hin.NewCSR(g)
-		fwd, rev := NewForwardPush(testParams()), NewReversePush(testParams())
+		fwd := NewForwardPush(testParams())
 
-		cold, err := fwd.Run(base, s)
+		cold, err := fwd.RunContext(ctx, base, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		type shape struct {
-			name string
-			view hin.View
-		}
-		// Each group presents one graph; its first shape is the reference.
-		for _, group := range [][]shape{
-			{{"NewCSR(graph)", base}, {"*Graph", g}},
-			{{"NewCSR(edited)", hin.NewCSR(ed)}, {"edited *Graph", ed}, {"row-patched", patchRow(base, o, u)}},
-		} {
-			var want [3]*PushResult
-			for i, sh := range group {
-				var got [3]*PushResult
-				if got[0], err = fwd.Run(sh.view, s); err != nil {
-					t.Fatal(err)
-				}
-				// A nil scratch per call: warm results alias their scratch.
-				if got[1], err = fwd.UpdateForEdit(ctx, g, sh.view, cold, []hin.NodeID{u}, nil); err != nil {
-					t.Fatal(err)
-				}
-				if got[2], err = rev.Run(sh.view, s); err != nil {
-					t.Fatal(err)
-				}
-				if i == 0 {
-					want = got
-					continue
-				}
-				for k, kernel := range []string{"forward cold", "forward warm", "reverse cold"} {
-					same(t, kernel+" over "+sh.name, want[k], got[k])
-				}
+		var want [2]*PushResult
+		for i, view := range []*hin.CSR{hin.NewCSR(ed), patchRow(base, o, u)} {
+			var got [2]*PushResult
+			if got[0], err = fwd.RunContext(ctx, view, s); err != nil {
+				t.Fatal(err)
+			}
+			// A nil scratch per call: warm results alias their scratch.
+			if got[1], err = fwd.UpdateForEdit(ctx, base, view, cold, []hin.NodeID{u}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want = got
+				continue
+			}
+			for k, kernel := range []string{"forward cold", "forward warm"} {
+				same(t, kernel+" over the row-patched snapshot", want[k], got[k])
 			}
 		}
 	}
@@ -164,12 +149,14 @@ func TestForwardUpdateForEditMatchesRecompute(t *testing.T) {
 		s := hin.NodeID(rng.Intn(g.NumNodes()))
 		u := hin.NodeID(rng.Intn(g.NumNodes()))
 		e := NewForwardPush(params)
-		base, err := e.Run(g, s)
+		old := hin.NewCSR(g)
+		base, err := e.RunContext(context.Background(), old, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, o := applyUserEdits(t, g, u, rng)
-		warm, err := e.UpdateForEdit(context.Background(), g, o, base, []hin.NodeID{u}, sc)
+		_, ed := applyUserEdits(t, g, u, rng)
+		o := hin.NewCSR(ed)
+		warm, err := e.UpdateForEdit(context.Background(), old, o, base, []hin.NodeID{u}, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +171,7 @@ func TestForwardUpdateForEditMatchesRecompute(t *testing.T) {
 			}
 		}
 		// The base pair must be untouched: warm starts are stateless.
-		again, err := e.Run(g, s)
+		again, err := e.RunContext(context.Background(), old, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,14 +192,16 @@ func TestForwardUpdateForEditMultiRow(t *testing.T) {
 		u1 := hin.NodeID(rng.Intn(g.NumNodes()))
 		u2 := hin.NodeID((int(u1) + 1 + rng.Intn(g.NumNodes()-1)) % g.NumNodes())
 		e := NewForwardPush(params)
-		base, err := e.Run(g, s)
+		old := hin.NewCSR(g)
+		base, err := e.RunContext(context.Background(), old, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Two edited rows of one clone; old -> new differs at u1 and u2.
-		_, o2 := applyUserEdits(t, g, u1, rng)
-		toggleRow(t, o2, u2, rng)
-		warm, err := e.UpdateForEdit(context.Background(), g, o2, base, []hin.NodeID{u1, u2}, nil)
+		_, ed := applyUserEdits(t, g, u1, rng)
+		toggleRow(t, ed, u2, rng)
+		o2 := hin.NewCSR(ed)
+		warm, err := e.UpdateForEdit(context.Background(), old, o2, base, []hin.NodeID{u1, u2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,13 +220,13 @@ func TestForwardUpdateForEditMultiRow(t *testing.T) {
 
 func TestUpdateForEditRejectsBadInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
-	g := randomBidirGraph(rng, 10, 20)
+	g := hin.NewCSR(randomBidirGraph(rng, 10, 20))
 	e := NewForwardPush(testParams())
-	base, err := e.Run(g, 0)
+	base, err := e.RunContext(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigger := randomBidirGraph(rng, 11, 20)
+	bigger := hin.NewCSR(randomBidirGraph(rng, 11, 20))
 	if _, err := e.UpdateForEdit(context.Background(), g, bigger, base, []hin.NodeID{0}, nil); err == nil {
 		t.Error("node-count change accepted")
 	}
@@ -256,15 +245,16 @@ func TestUpdateForEditRejectsBadInputs(t *testing.T) {
 func TestUpdateForEditCanceled(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	g := randomBidirGraph(rng, 30, 80)
+	old := hin.NewCSR(g)
 	e := NewForwardPush(testParams())
-	base, err := e.Run(g, 0)
+	base, err := e.RunContext(context.Background(), old, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, o := applyUserEdits(t, g, 0, rng)
+	_, ed := applyUserEdits(t, g, 0, rng)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.UpdateForEdit(ctx, g, o, base, []hin.NodeID{0}, nil); err == nil {
+	if _, err := e.UpdateForEdit(ctx, old, hin.NewCSR(ed), base, []hin.NodeID{0}, nil); err == nil {
 		t.Error("canceled context accepted")
 	}
 }
@@ -280,7 +270,7 @@ func updateAllocs(t *testing.T, nodes, extra int) float64 {
 	_, o := applyUserEdits(t, g, 0, rng)
 	newCSR := hin.NewCSR(o)
 	e := NewForwardPush(DefaultParams())
-	base, err := e.Run(oldCSR, 0)
+	base, err := e.RunContext(context.Background(), oldCSR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,6 @@ type ForwardPush struct {
 // NewForwardPush returns a forward-push engine with the given parameters.
 func NewForwardPush(p Params) *ForwardPush { return &ForwardPush{Params: p} }
 
-// Name implements Engine.
-func (e *ForwardPush) Name() string { return "forward-push" }
-
 // Identity implements Identifier: the push loop's output depends on α
 // and the residual threshold ε only.
 func (e *ForwardPush) Identity() string { return e.id.of("forward-push", e.Params) }
@@ -45,24 +42,18 @@ type PushResult struct {
 	Pushes    int
 }
 
-// FromSource returns the estimate vector of Run.
-func (e *ForwardPush) FromSource(g hin.View, s hin.NodeID) (Vector, error) {
-	return e.FromSourceContext(context.Background(), g, s)
-}
-
-// FromSourceContext is FromSource with cancellation: the context is
-// checked every ctxCheckInterval node visits and the drain aborts with
-// ctx.Err(). Only the estimates are allocated; the residuals are
+// FromSourceContext returns the estimates of RunContext: the context
+// is checked every ctxCheckInterval node visits and the drain aborts
+// with ctx.Err(). Only the estimates are allocated; the residuals are
 // borrowed scratch.
-func (e *ForwardPush) FromSourceContext(ctx context.Context, g hin.View, s hin.NodeID) (Vector, error) {
-	csr, err := e.prepare(g, s)
-	if err != nil {
+func (e *ForwardPush) FromSourceContext(ctx context.Context, g *hin.CSR, s hin.NodeID) (Vector, error) {
+	if err := e.check(g, s); err != nil {
 		return nil, err
 	}
-	n := csr.NumNodes()
+	n := g.NumNodes()
 	p, r := make(Vector, n), borrow(n)
 	defer buffers.Put(r)
-	if _, err := e.drain(ctx, csr, s, p, r); err != nil {
+	if _, err := e.drain(ctx, g, s, p, r); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -74,58 +65,48 @@ func (e *ForwardPush) FromSourceContext(ctx context.Context, g hin.View, s hin.N
 // are borrowed scratch, so a drain whose scores serve one reading
 // allocates nothing graph-sized. Nothing hands back a vector that
 // another entry point returned, so a cached vector is never reused.
-func (e *ForwardPush) LendFromSource(ctx context.Context, g hin.View, s hin.NodeID, use func(Vector)) error {
-	csr, err := e.prepare(g, s)
-	if err != nil {
+func (e *ForwardPush) LendFromSource(ctx context.Context, g *hin.CSR, s hin.NodeID, use func(Vector)) error {
+	if err := e.check(g, s); err != nil {
 		return err
 	}
-	n := csr.NumNodes()
+	n := g.NumNodes()
 	p, r := borrow(n), borrow(n)
 	defer buffers.Put(p)
 	defer buffers.Put(r)
-	if _, err := e.drain(ctx, csr, s, p[:n], r); err != nil {
+	if _, err := e.drain(ctx, g, s, p[:n], r); err != nil {
 		return err
 	}
 	use(p[:n])
 	return nil
 }
 
-// Run performs forward local push from s until every residual is at
-// most Epsilon in absolute value, returning estimates and residuals.
-// Residuals may end negative, so Eq. 3 leaves each estimate within
-// ε·C(t) of the exact PPR(s, t) on either side, C(t) = Σ_x PPR(x,t):
-// |PPR(s,t) − Estimates[t]| ≤ Params.ForwardErr(C(t)).
-func (e *ForwardPush) Run(g hin.View, s hin.NodeID) (*PushResult, error) {
-	return e.RunContext(context.Background(), g, s)
-}
-
-// RunContext is Run with cancellation, checked every ctxCheckInterval
-// node visits of the sweep. It hands its residuals out, so it allocates
-// them.
-func (e *ForwardPush) RunContext(ctx context.Context, g hin.View, s hin.NodeID) (*PushResult, error) {
-	csr, err := e.prepare(g, s)
-	if err != nil {
+// RunContext performs forward local push from s over g until every
+// residual is at most Epsilon in absolute value, returning estimates
+// and residuals. Residuals may end negative, so Eq. 3 leaves each
+// estimate within ε·C(t) of the exact PPR(s, t) on either side,
+// C(t) = Σ_x PPR(x,t): |PPR(s,t) − Estimates[t]| ≤
+// Params.ForwardErr(C(t)). The context is checked every
+// ctxCheckInterval node visits of the sweep. It hands its residuals
+// out, so it allocates them.
+func (e *ForwardPush) RunContext(ctx context.Context, g *hin.CSR, s hin.NodeID) (*PushResult, error) {
+	if err := e.check(g, s); err != nil {
 		return nil, err
 	}
-	n := csr.NumNodes()
+	n := g.NumNodes()
 	p, r := make(Vector, n), make(Vector, n+hin.InLanes)
-	pushes, err := e.drain(ctx, csr, s, p, r)
+	pushes, err := e.drain(ctx, g, s, p, r)
 	if err != nil {
 		return nil, err
 	}
 	return &PushResult{Estimates: p, Residuals: r[:n], Pushes: pushes}, nil
 }
 
-// prepare validates the parameters and s and returns g as the forward
-// kernel's CSR.
-func (e *ForwardPush) prepare(g hin.View, s hin.NodeID) (*hin.CSR, error) {
+// check validates the parameters and s.
+func (e *ForwardPush) check(g *hin.CSR, s hin.NodeID) error {
 	if err := e.Params.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := checkNode(g, s); err != nil {
-		return nil, err
-	}
-	return flatten(g), nil
+	return checkNode(g, s)
 }
 
 // drain runs the forward sweep from e_s over csr into p and r, which

@@ -137,7 +137,7 @@ func TestForwardTerminatesWhereRelaxationDoesNot(t *testing.T) {
 		sums := ColumnSums(g, p)
 		for _, s := range []hin.NodeID{0, hin.NodeID(sh.n / 2), hin.NodeID(sh.n - 1)} {
 			what := fmt.Sprintf("%s, source %d", sh.name, s)
-			got, err := e.Run(g, s)
+			got, err := e.RunContext(context.Background(), g, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,8 +163,8 @@ func TestForwardTerminatesWhereRelaxationDoesNot(t *testing.T) {
 
 // TestForwardMatchesReference holds the kernel to the reference drain
 // bit for bit — estimates, residuals and push counts — on graphs with a
-// source nothing reaches (node 0), a dangling node (1), twins (2, 3) and
-// a dangling source (4). The entry points that borrow their buffers,
+// source nothing reaches (node 0), a dangling node (1) and twins (2, 3).
+// The entry points that borrow their buffers,
 // FromSourceContext and LendFromSource, must return the same estimates
 // whatever drain of this or another graph's size used the buffers last.
 func TestForwardMatchesReference(t *testing.T) {
@@ -213,7 +213,7 @@ func cyclicHIN(t testing.TB, rng *rand.Rand, n int) *hin.Graph {
 		g.AddNode(nt, "")
 	}
 	add := func(from, to int, w float64) {
-		if from != to && !g.HasEdge(hin.NodeID(from), hin.NodeID(to)) {
+		if _, dup := g.EdgeWeight(hin.NodeID(from), hin.NodeID(to), et); from != to && !dup {
 			if err := g.AddEdge(hin.NodeID(from), hin.NodeID(to), et, w); err != nil {
 				t.Fatal(err)
 			}
@@ -236,9 +236,9 @@ func cyclicHIN(t testing.TB, rng *rand.Rand, n int) *hin.Graph {
 // of ppr.Exact, C(t) the exact column sum. It drains both the snapshot
 // and a WithOutRow patch of the source's β-mixed row under an overlay
 // that rewires it (every edge dropped, some targets added at new
-// weights; hin.Overlay.MixedRow), the latter held to Exact on the flattened
-// patched snapshot: the path where the sweep pushes the patched row
-// between two body calls.
+// weights; hin.Overlay.MixedRow), the latter held to Exact over the
+// patched snapshot's rows: the path where the sweep pushes the patched
+// row between two body calls.
 func FuzzForwardWithinEpsilon(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint16(0), uint8(128))
 	f.Add(int64(2), uint8(20), uint16(40000), uint8(255))
@@ -274,19 +274,18 @@ func FuzzForwardWithinEpsilon(f *testing.F) {
 			name string
 			g    *hin.CSR
 		}{{"graph", g}, {"patched", patched}} {
-			flat := hin.NewCSR(run.g)
 			rows := make([]Vector, n)
 			sums := make(Vector, n)
 			for x := range rows {
 				var err error
-				if rows[x], err = NewExact(p).FromSource(flat, hin.NodeID(x)); err != nil {
+				if rows[x], err = NewExact(p).FromSource(run.g, hin.NodeID(x)); err != nil {
 					t.Fatal(err)
 				}
 				for i, v := range rows[x] {
 					sums[i] += v
 				}
 			}
-			res, err := NewForwardPush(p).Run(run.g, s)
+			res, err := NewForwardPush(p).RunContext(context.Background(), run.g, s)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -236,7 +236,7 @@ func TestForwardMatchesUnpaddedOnLite(t *testing.T) {
 			name string
 			g    *hin.CSR
 		}{{"base", g}, {"remove-patched", patched}} {
-			got, err := e.Run(run.g, u)
+			got, err := e.RunContext(context.Background(), run.g, u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,11 +256,11 @@ func TestForwardWithinEpsilonOnLite(t *testing.T) {
 	fine.Epsilon /= 1000
 	sums := ppr.ColumnSums(g, p)
 	for _, u := range users {
-		got, err := ppr.NewForwardPush(p).Run(g, u)
+		got, err := ppr.NewForwardPush(p).RunContext(context.Background(), g, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ppr.NewForwardPush(fine).Run(g, u)
+		want, err := ppr.NewForwardPush(fine).RunContext(context.Background(), g, u)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,18 +1,22 @@
 package ppr
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
+// TestEngineNames pins the name each engine's Identity — its cache key
+// component — starts with.
 func TestEngineNames(t *testing.T) {
 	p := DefaultParams()
-	names := map[string]string{
-		NewPower(p).Name():       "power",
-		NewForwardPush(p).Name(): "forward-push",
-		NewReversePush(p).Name(): "reverse-push",
-		NewExact(p).Name():       "exact",
+	names := map[string]Identifier{
+		"power/":        NewPower(p),
+		"forward-push/": NewForwardPush(p),
+		"reverse-push/": NewReversePush(p),
 	}
-	for got, want := range names {
-		if got != want {
-			t.Fatalf("engine name %q, want %q", got, want)
+	for want, e := range names {
+		if got := e.Identity(); !strings.HasPrefix(got, want) {
+			t.Fatalf("engine identity %q, want the prefix %q", got, want)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Power is the dense power-iteration engine: the exact reference
-// implementation the push engines are validated against. It implements
-// both Engine (rows) and ReverseEngine (columns).
+// implementation the push engines are validated against, for rows
+// (FromSource) and columns (ToTarget) alike.
 type Power struct {
 	Params Params
 	// MaxIter bounds the number of iterations.
@@ -24,9 +24,6 @@ type Power struct {
 // a 500-iteration cap and an L1 tolerance of 1e-12.
 func NewPower(p Params) *Power { return &Power{Params: p, MaxIter: 500, Tol: 1e-12} }
 
-// Name implements Engine.
-func (e *Power) Name() string { return "power" }
-
 // Identity implements Identifier: power iteration's output depends on
 // α, the convergence tolerance and the iteration cap.
 func (e *Power) Identity() string {
@@ -35,13 +32,13 @@ func (e *Power) Identity() string {
 
 // FromSource iterates p ← α·e_s + (1−α)·p·W until the L1 change drops
 // below Tol. Each iteration is O(E).
-func (e *Power) FromSource(g hin.View, s hin.NodeID) (Vector, error) {
+func (e *Power) FromSource(g *hin.CSR, s hin.NodeID) (Vector, error) {
 	return e.FromSourceContext(context.Background(), g, s)
 }
 
 // FromSourceContext is FromSource with cancellation: the context is
 // checked once per power sweep and the iteration aborts with ctx.Err().
-func (e *Power) FromSourceContext(ctx context.Context, g hin.View, s hin.NodeID) (Vector, error) {
+func (e *Power) FromSourceContext(ctx context.Context, g *hin.CSR, s hin.NodeID) (Vector, error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,10 +71,9 @@ func (e *Power) FromSourceContext(ctx context.Context, g hin.View, s hin.NodeID)
 				continue // dangling: walk absorbed
 			}
 			scale := (1 - alpha) * mass / total
-			g.OutEdges(hin.NodeID(v), func(h hin.HalfEdge) bool {
+			for _, h := range g.OutSlice(hin.NodeID(v)) {
 				next[h.Node] += scale * h.Weight
-				return true
-			})
+			}
 		}
 		var diff float64
 		for i := range p {
@@ -97,13 +93,13 @@ func (e *Power) FromSourceContext(ctx context.Context, g hin.View, s hin.NodeID)
 // follows from unrolling the first step of the walk:
 //
 //	PPR(s,t) = α·[s==t] + (1−α)·Σ_v W(s,v)·PPR(v,t)
-func (e *Power) ToTarget(g hin.View, t hin.NodeID) (Vector, error) {
+func (e *Power) ToTarget(g *hin.CSR, t hin.NodeID) (Vector, error) {
 	return e.ToTargetContext(context.Background(), g, t)
 }
 
 // ToTargetContext is ToTarget with cancellation: the context is checked
 // once per power sweep and the iteration aborts with ctx.Err().
-func (e *Power) ToTargetContext(ctx context.Context, g hin.View, t hin.NodeID) (Vector, error) {
+func (e *Power) ToTargetContext(ctx context.Context, g *hin.CSR, t hin.NodeID) (Vector, error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -132,10 +128,9 @@ func (e *Power) ToTargetContext(ctx context.Context, g hin.View, t hin.NodeID) (
 				continue
 			}
 			var acc float64
-			g.OutEdges(hin.NodeID(v), func(h hin.HalfEdge) bool {
+			for _, h := range g.OutSlice(hin.NodeID(v)) {
 				acc += h.Weight * c[h.Node]
-				return true
-			})
+			}
 			next[v] += (1 - alpha) * acc / total
 		}
 		var diff float64

@@ -1,4 +1,4 @@
-// Package ppr implements Personalized PageRank (PPR) over a HIN view,
+// Package ppr implements Personalized PageRank (PPR) over a HIN snapshot,
 // the scoring substrate of the paper's recommender (§3.2):
 //
 //	PPR(s,·) = α·e_s + (1−α)·PPR(s,·)·W           (Eq. 1)
@@ -26,15 +26,14 @@
 //     drained it. Its estimates are within Params.ColumnErr of the exact
 //     column, on either side.
 //
-// Both accept any hin.View and normalise it once at entry to the one
-// shape their kernels iterate, a flat *hin.CSR (optionally carrying a
-// one-row patch): a *hin.CSR is used as is, anything else is flattened
-// with hin.NewCSR. Each engine is a driver — the sweeps and the ω
-// guards — around one push body (kernel.body) that walks the CSR's
-// padded rows, out-rows forward and in-rows in reverse; the reverse
-// driver has body4, its four-column packed twin, beside it. Power (dense
-// iteration) and Exact (Gaussian elimination) stay on hin.View as the
-// test references.
+// Both push over a *hin.CSR, the flat snapshot of the transition
+// matrix; a forward push also takes one carrying a one-row patch
+// (hin.CSR.WithOutRow), a reverse push refuses it. Each engine is a
+// driver — the sweeps and the ω guards — around one push body
+// (kernel.body) that walks the CSR's padded rows, out-rows forward and
+// in-rows in reverse; the reverse driver has body4, its four-column
+// packed twin, beside it. Power (dense iteration) and Exact (Gaussian
+// elimination) read the same snapshot's rows as the test references.
 //
 // Dangling nodes (no outgoing edges) absorb the walk: the transition
 // matrix is sub-stochastic there and PPR mass is lost. This convention
@@ -103,7 +102,7 @@ var (
 	ErrNoConvergence  = errors.New("ppr: power iteration did not converge")
 )
 
-func checkNode(g hin.View, v hin.NodeID) error {
+func checkNode(g *hin.CSR, v hin.NodeID) error {
 	if v < 0 || int(v) >= g.NumNodes() {
 		return fmt.Errorf("%w: %d (graph has %d nodes)", ErrNodeOutOfRange, v, g.NumNodes())
 	}
@@ -124,17 +123,6 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// Engine computes the personalized score vector of a single source, the
-// row PPR(s,·) of Eq. 1. Every concrete engine additionally offers a
-// Context-suffixed variant of its methods that aborts mid-computation
-// with ctx.Err() once the context is canceled or its deadline passes.
-type Engine interface {
-	// FromSource returns PPR(s, v) for every node v.
-	FromSource(g hin.View, s hin.NodeID) (Vector, error)
-	// Name identifies the engine in reports.
-	Name() string
 }
 
 // Identifier is implemented by engines that can state their cache
@@ -174,15 +162,6 @@ func (id *identity) of(name string, p Params) string {
 	return last.s
 }
 
-// flatten returns g in the shape the forward kernels iterate: a
-// *hin.CSR (plain or row-patched) as is, anything else flattened once.
-func flatten(g hin.View) *hin.CSR {
-	if c, ok := g.(*hin.CSR); ok {
-		return c
-	}
-	return hin.NewCSR(g)
-}
-
 // buffers is the drains' free list of graph-length scratch: the
 // residuals of every drain that does not hand them out, and the
 // estimates LendFromSource lends. A buffer of an n-node graph holds
@@ -207,12 +186,4 @@ func take(l *freelist.List[Vector], size int) Vector {
 		return v
 	}
 	return make(Vector, size)
-}
-
-// ReverseEngine computes the column PPR(·,t): the score of a fixed
-// target t personalized to every possible source.
-type ReverseEngine interface {
-	// ToTarget returns PPR(x, t) for every node x.
-	ToTarget(g hin.View, t hin.NodeID) (Vector, error)
-	Name() string
 }

@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -26,8 +27,9 @@ func testPower(p Params) *Power {
 	return e
 }
 
-// lineGraph builds u -> a -> b with unit weights (b dangling).
-func lineGraph(t *testing.T) (*hin.Graph, []hin.NodeID) {
+// lineGraph builds u -> a -> b with unit weights (b dangling), and
+// flattens it.
+func lineGraph(t *testing.T) (*hin.CSR, []hin.NodeID) {
 	t.Helper()
 	g := hin.NewGraph()
 	nt := g.Types().NodeType("n")
@@ -41,7 +43,7 @@ func lineGraph(t *testing.T) (*hin.Graph, []hin.NodeID) {
 	if err := g.AddEdge(a, b, et, 1); err != nil {
 		t.Fatal(err)
 	}
-	return g, []hin.NodeID{u, a, b}
+	return hin.NewCSR(g), []hin.NodeID{u, a, b}
 }
 
 // randomBidirGraph builds a connected-ish random bidirectional graph.
@@ -93,7 +95,7 @@ func TestPowerLineGraphClosedForm(t *testing.T) {
 
 func TestPowerToTargetMatchesFromSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := randomBidirGraph(rng, 20, 30)
+	g := hin.NewCSR(randomBidirGraph(rng, 20, 30))
 	e := testPower(testParams())
 	tgt := hin.NodeID(7)
 	col, err := e.ToTarget(g, tgt)
@@ -114,7 +116,7 @@ func TestPowerToTargetMatchesFromSource(t *testing.T) {
 func TestForwardPushAgreesWithPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
-		g := randomBidirGraph(rng, 10+rng.Intn(20), rng.Intn(40))
+		g := hin.NewCSR(randomBidirGraph(rng, 10+rng.Intn(20), rng.Intn(40)))
 		pw := testPower(testParams())
 		fp := NewForwardPush(testParams())
 		s := hin.NodeID(rng.Intn(g.NumNodes()))
@@ -122,7 +124,7 @@ func TestForwardPushAgreesWithPower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := fp.FromSource(g, s)
+		approx, err := fp.FromSourceContext(context.Background(), g, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +139,7 @@ func TestForwardPushAgreesWithPower(t *testing.T) {
 func TestReversePushAgreesWithPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
-		g := randomBidirGraph(rng, 10+rng.Intn(20), rng.Intn(40))
+		g := hin.NewCSR(randomBidirGraph(rng, 10+rng.Intn(20), rng.Intn(40)))
 		pw := testPower(testParams())
 		rp := NewReversePush(testParams())
 		tgt := hin.NodeID(rng.Intn(g.NumNodes()))
@@ -145,7 +147,7 @@ func TestReversePushAgreesWithPower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := rp.ToTarget(g, tgt)
+		approx, err := rp.ToTargetContext(context.Background(), g, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,13 +163,13 @@ func TestForwardPushInvariantEq3(t *testing.T) {
 	// PPR(s,t) = P(s,t) + Σ_x R(s,x)·PPR(x,t): verify with a loose
 	// epsilon so residuals are substantial.
 	rng := rand.New(rand.NewSource(21))
-	g := randomBidirGraph(rng, 12, 20)
+	g := hin.NewCSR(randomBidirGraph(rng, 12, 20))
 	p := testParams()
 	p.Epsilon = 1e-3 // deliberately coarse
 	fp := NewForwardPush(p)
 	pw := testPower(testParams())
 	s := hin.NodeID(0)
-	res, err := fp.Run(g, s)
+	res, err := fp.RunContext(context.Background(), g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +195,13 @@ func TestForwardPushInvariantEq3(t *testing.T) {
 func TestReversePushInvariantEq4(t *testing.T) {
 	// PPR(s,t) = P(s,t) + Σ_x PPR(s,x)·R(x,t).
 	rng := rand.New(rand.NewSource(22))
-	g := randomBidirGraph(rng, 12, 20)
+	g := hin.NewCSR(randomBidirGraph(rng, 12, 20))
 	p := testParams()
 	p.Epsilon = 1e-3
 	rp := NewReversePush(p)
 	pw := testPower(testParams())
 	tgt := hin.NodeID(3)
-	res, err := rp.Run(g, tgt)
+	res, err := rp.RunContext(context.Background(), g, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +224,7 @@ func TestPPRLinearityOverOutEdges(t *testing.T) {
 	// PPR(u,t) = α[u==t] + (1−α) Σ_n W(u,n) PPR(n,t) — the identity
 	// EMiGRe's contribution functions rely on (DESIGN.md §3.1).
 	rng := rand.New(rand.NewSource(33))
-	g := randomBidirGraph(rng, 15, 25)
+	g := hin.NewCSR(randomBidirGraph(rng, 15, 25))
 	p := testParams()
 	pw := testPower(p)
 	tgt := hin.NodeID(9)
@@ -233,10 +235,9 @@ func TestPPRLinearityOverOutEdges(t *testing.T) {
 	for u := 0; u < g.NumNodes(); u++ {
 		var acc float64
 		total := g.OutWeightSum(hin.NodeID(u))
-		g.OutEdges(hin.NodeID(u), func(h hin.HalfEdge) bool {
+		for _, h := range g.OutSlice(hin.NodeID(u)) {
 			acc += h.Weight / total * col[h.Node]
-			return true
-		})
+		}
 		want := (1 - p.Alpha) * acc
 		if hin.NodeID(u) == tgt {
 			want += p.Alpha
@@ -249,7 +250,7 @@ func TestPPRLinearityOverOutEdges(t *testing.T) {
 
 func TestPPRSumsToOneOnStochasticGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	g := randomBidirGraph(rng, 20, 40) // bidirectional: no dangling nodes
+	g := hin.NewCSR(randomBidirGraph(rng, 20, 40)) // bidirectional: no dangling nodes
 	pw := testPower(testParams())
 	v, err := pw.FromSource(g, 4)
 	if err != nil {
@@ -285,18 +286,18 @@ func TestParamValidation(t *testing.T) {
 func TestEngineNodeRangeErrors(t *testing.T) {
 	g, _ := lineGraph(t)
 	p := testParams()
-	engines := []Engine{testPower(p), NewForwardPush(p)}
-	for _, e := range engines {
-		if _, err := e.FromSource(g, -1); !errors.Is(err, ErrNodeOutOfRange) {
-			t.Fatalf("%s: err = %v, want ErrNodeOutOfRange", e.Name(), err)
-		}
-		if _, err := e.FromSource(g, 99); !errors.Is(err, ErrNodeOutOfRange) {
-			t.Fatalf("%s: err = %v, want ErrNodeOutOfRange", e.Name(), err)
-		}
+	ctx := context.Background()
+	runs := map[string]func(hin.NodeID) (Vector, error){
+		"power":        func(s hin.NodeID) (Vector, error) { return testPower(p).FromSource(g, s) },
+		"forward-push": func(s hin.NodeID) (Vector, error) { return NewForwardPush(p).FromSourceContext(ctx, g, s) },
+		"power column": func(t hin.NodeID) (Vector, error) { return testPower(p).ToTarget(g, t) },
+		"reverse-push": func(t hin.NodeID) (Vector, error) { return NewReversePush(p).ToTargetContext(ctx, g, t) },
 	}
-	for _, e := range []ReverseEngine{testPower(p), NewReversePush(p)} {
-		if _, err := e.ToTarget(g, 99); !errors.Is(err, ErrNodeOutOfRange) {
-			t.Fatalf("%s: err = %v, want ErrNodeOutOfRange", e.Name(), err)
+	for name, run := range runs {
+		for _, v := range []hin.NodeID{-1, 99} {
+			if _, err := run(v); !errors.Is(err, ErrNodeOutOfRange) {
+				t.Fatalf("%s(%d): err = %v, want ErrNodeOutOfRange", name, v, err)
+			}
 		}
 	}
 }
@@ -306,15 +307,15 @@ func TestQuickPushAgreement(t *testing.T) {
 	// random graphs, sources and targets.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomBidirGraph(rng, 5+rng.Intn(15), rng.Intn(30))
+		g := hin.NewCSR(randomBidirGraph(rng, 5+rng.Intn(15), rng.Intn(30)))
 		s := hin.NodeID(rng.Intn(g.NumNodes()))
 		tgt := hin.NodeID(rng.Intn(g.NumNodes()))
 		p := testParams()
-		fwd, err := NewForwardPush(p).FromSource(g, s)
+		fwd, err := NewForwardPush(p).FromSourceContext(context.Background(), g, s)
 		if err != nil {
 			return false
 		}
-		rev, err := NewReversePush(p).ToTarget(g, tgt)
+		rev, err := NewReversePush(p).ToTargetContext(context.Background(), g, tgt)
 		if err != nil {
 			return false
 		}
@@ -327,7 +328,7 @@ func TestQuickPushAgreement(t *testing.T) {
 
 func TestPowerNoConvergenceError(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
-	g := randomBidirGraph(rng, 30, 60)
+	g := hin.NewCSR(randomBidirGraph(rng, 30, 60))
 	e := testPower(testParams())
 	e.MaxIter = 1
 	e.Tol = 1e-300

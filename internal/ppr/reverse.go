@@ -2,6 +2,8 @@ package ppr
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"unsafe"
 
@@ -32,20 +34,13 @@ type ReversePush struct {
 // NewReversePush returns a reverse-push engine with the given parameters.
 func NewReversePush(p Params) *ReversePush { return &ReversePush{Params: p} }
 
-// Name implements ReverseEngine.
-func (e *ReversePush) Name() string { return "reverse-push" }
-
 // Identity implements Identifier: the push loop's output depends on α
 // and the residual threshold ε only.
 func (e *ReversePush) Identity() string { return e.id.of("reverse-push", e.Params) }
 
-// ToTarget returns the estimate vector of Run.
-func (e *ReversePush) ToTarget(g hin.View, t hin.NodeID) (Vector, error) {
-	return e.ToTargetContext(context.Background(), g, t)
-}
-
-// ToTargetContext is ToTarget with cancellation.
-func (e *ReversePush) ToTargetContext(ctx context.Context, g hin.View, t hin.NodeID) (Vector, error) {
+// ToTargetContext returns the estimates of RunContext, aborting with
+// ctx.Err() once ctx is done.
+func (e *ReversePush) ToTargetContext(ctx context.Context, g *hin.CSR, t hin.NodeID) (Vector, error) {
 	cols, err := e.ToTargets(ctx, g, []hin.NodeID{t})
 	if err != nil {
 		return nil, err
@@ -54,12 +49,13 @@ func (e *ReversePush) ToTargetContext(ctx context.Context, g hin.View, t hin.Nod
 }
 
 // ToTargets is ToTargetContext toward every target of ts. Column k is
-// bit-identical to ToTarget(g, ts[k]) whatever else is in the batch
-// (duplicated targets are computed once each) — so a cached column
-// never depends on who it was computed with. No targets touch nothing.
+// bit-identical to ToTargetContext(ctx, g, ts[k]) whatever else is in
+// the batch (duplicated targets are computed once each) — so a cached
+// column never depends on who it was computed with. No targets touch
+// nothing.
 // Where the CPU has AVX2 the batch drains four columns at a time
 // through the packed body (columns).
-func (e *ReversePush) ToTargets(ctx context.Context, g hin.View, ts []hin.NodeID) ([]Vector, error) {
+func (e *ReversePush) ToTargets(ctx context.Context, g *hin.CSR, ts []hin.NodeID) ([]Vector, error) {
 	if len(ts) == 0 {
 		return nil, nil
 	}
@@ -74,17 +70,13 @@ func (e *ReversePush) ToTargets(ctx context.Context, g hin.View, ts []hin.NodeID
 	return cols, nil
 }
 
-// Run performs reverse local push toward t until every residual is at
-// most Epsilon in absolute value, returning estimates and residuals.
-// Residuals may end negative, so Eq. 4 leaves each estimate within ε of
-// the exact PPR(x, t) on either side: |PPR(x,t) − Estimates[x]| ≤
+// RunContext performs reverse local push toward t over g until every
+// residual is at most Epsilon in absolute value, returning estimates
+// and residuals, or ctx.Err() once ctx is done. Residuals may end
+// negative, so Eq. 4 leaves each estimate within ε of the exact
+// PPR(x, t) on either side: |PPR(x,t) − Estimates[x]| ≤
 // Params.ColumnErr().
-func (e *ReversePush) Run(g hin.View, t hin.NodeID) (*PushResult, error) {
-	return e.RunContext(context.Background(), g, t)
-}
-
-// RunContext is Run with cancellation.
-func (e *ReversePush) RunContext(ctx context.Context, g hin.View, t hin.NodeID) (*PushResult, error) {
+func (e *ReversePush) RunContext(ctx context.Context, g *hin.CSR, t hin.NodeID) (*PushResult, error) {
 	d, err := e.drain(g, []hin.NodeID{t})
 	if err != nil {
 		return nil, err
@@ -108,22 +100,27 @@ type reverseDrain struct {
 	packed  bool // drain batches through body4 (columns)
 }
 
-// drain validates the parameters and every target of ts, then sets up a
-// drain over g's in-rows; the caller supplies its residuals, d.n() +
-// hin.InLanes entries. Reverse push walks in-rows, which a row patch
-// cannot serve from the shared arrays: NewCSR re-flattens a patched
-// snapshot (no production caller reverses over one) and flattens any
-// other view.
-func (e *ReversePush) drain(g hin.View, ts []hin.NodeID) (reverseDrain, error) {
+// errPatchedSnapshot is the reverse push's refusal of a row-patched
+// snapshot: its in-rows are the base's (hin.CSR.InRows).
+var errPatchedSnapshot = errors.New("ppr: reverse push over a row-patched snapshot")
+
+// drain validates the parameters, csr and every target of ts, then sets
+// up a drain over csr's in-rows; the caller supplies its residuals,
+// d.n() + hin.InLanes entries. Reverse push walks in-rows, which a row
+// patch cannot serve from the shared arrays, so a patched snapshot is
+// refused: every reverse push runs over an unpatched one.
+func (e *ReversePush) drain(csr *hin.CSR, ts []hin.NodeID) (reverseDrain, error) {
 	if err := e.Params.Validate(); err != nil {
 		return reverseDrain{}, err
 	}
+	if u, _, _ := csr.PatchedRow(); u != hin.InvalidNode {
+		return reverseDrain{}, fmt.Errorf("%w (node %d)", errPatchedSnapshot, u)
+	}
 	for _, t := range ts {
-		if err := checkNode(g, t); err != nil {
+		if err := checkNode(csr, t); err != nil {
 			return reverseDrain{}, err
 		}
 	}
-	csr := hin.NewCSR(g)
 	inStart, inSrc, inProb := csr.InRows()
 	return reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb, packed: packed && !e.scalar,
 		kernel: kernel{alpha: e.Params.Alpha, eps: e.Params.Epsilon}}, nil

@@ -17,9 +17,7 @@ import (
 // reverse drain has to get right: node 0 has no in-edges (a target
 // nothing reaches), node 1 no out-edges (dangling: it absorbs), nodes 2
 // and 3 are twins (same in- and out-rows, so their columns tie entry
-// for entry), and node 4 keeps its out-row under a zero weight sum — a
-// dangling *source*, whose in-edges carry transition probability 0.
-// beta < 1 rewrites the weights to the recommender's β-mix.
+// for entry). beta < 1 rewrites the weights to the recommender's β-mix.
 func batchHIN(t testing.TB, rng *rand.Rand, nodes int, beta float64) *hin.CSR {
 	t.Helper()
 	g := hin.NewGraph()
@@ -28,7 +26,7 @@ func batchHIN(t testing.TB, rng *rand.Rand, nodes int, beta float64) *hin.CSR {
 		g.AddNode(nt, "")
 	}
 	add := func(from, to int, w float64) {
-		if from == to || from == 1 || to == 0 || g.HasEdge(hin.NodeID(from), hin.NodeID(to)) {
+		if _, dup := g.EdgeWeight(hin.NodeID(from), hin.NodeID(to), et); from == to || from == 1 || to == 0 || dup {
 			return
 		}
 		if err := g.AddEdge(hin.NodeID(from), hin.NodeID(to), et, w); err != nil {
@@ -56,7 +54,7 @@ func batchHIN(t testing.TB, rng *rand.Rand, nodes int, beta float64) *hin.CSR {
 	add(5, 1, 1)
 	add(4, 6, 1)
 
-	var view hin.View = g
+	view := g
 	if beta < 1 {
 		mixed := hin.NewGraph()
 		mixed.Types().NodeType("n")
@@ -75,8 +73,7 @@ func batchHIN(t testing.TB, rng *rand.Rand, nodes int, beta float64) *hin.CSR {
 		}
 		view = mixed
 	}
-	flat := hin.NewCSR(view)
-	return hin.NewCSR(flat.WithOutRow(4, flat.OutSlice(4), 0))
+	return hin.NewCSR(view)
 }
 
 // sameBits fails unless a and b agree bit for bit.
@@ -94,7 +91,7 @@ func sameBits(t *testing.T, what string, a, b Vector) {
 
 // runMany drains ts as ToTargets does, through the same grouping and
 // bodies, and returns the full push state of every column.
-func runMany(ctx context.Context, e *ReversePush, g hin.View, ts []hin.NodeID) ([]*PushResult, error) {
+func runMany(ctx context.Context, e *ReversePush, g *hin.CSR, ts []hin.NodeID) ([]*PushResult, error) {
 	if len(ts) == 0 {
 		return nil, nil
 	}
@@ -216,7 +213,7 @@ func checkReference(t *testing.T, what string, e *ReversePush, g *hin.CSR, ts []
 				t.Fatalf("%s target %d: residual %g at node %d beyond ε", what, tgt, r, x)
 			}
 		}
-		single, err := e.Run(g, tgt)
+		single, err := e.RunContext(context.Background(), g, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +224,7 @@ func checkReference(t *testing.T, what string, e *ReversePush, g *hin.CSR, ts []
 // TestReverseMatchesReference holds the padded kernel to the reference
 // drain bit for bit — estimates, residuals and push counts — on graphs
 // with a target nothing reaches (node 0), a dangling node (1), twin
-// columns (2, 3), a dangling source (4) and duplicated targets.
+// columns (2, 3) and duplicated targets.
 func TestReverseMatchesReference(t *testing.T) {
 	for _, eps := range []float64{2.7e-8, 1e-4} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -252,7 +249,7 @@ func TestReverseMatchesReference(t *testing.T) {
 
 // checkBatchIndependence asserts runMany(ts)[k] == Run(ts[k]) bit for
 // bit, Pushes included, for every k.
-func checkBatchIndependence(t *testing.T, e *ReversePush, g hin.View, ts []hin.NodeID) {
+func checkBatchIndependence(t *testing.T, e *ReversePush, g *hin.CSR, ts []hin.NodeID) {
 	t.Helper()
 	many, err := runMany(context.Background(), e, g, ts)
 	if err != nil {
@@ -266,7 +263,7 @@ func checkBatchIndependence(t *testing.T, e *ReversePush, g hin.View, ts []hin.N
 		t.Fatal(err)
 	}
 	for k, tgt := range ts {
-		single, err := e.Run(g, tgt)
+		single, err := e.RunContext(context.Background(), g, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,6 +315,25 @@ func TestReverseNoTargetsTouchNothing(t *testing.T) {
 	}
 	if runsReverse.Value() != runs {
 		t.Fatal("a batch of no targets recorded a run")
+	}
+}
+
+// TestReversePushRefusesRowPatch: a row-patched snapshot's in-rows are
+// its base's, so every reverse entry point refuses it with an error
+// rather than drain the base graph's column for a counterfactual.
+func TestReversePushRefusesRowPatch(t *testing.T) {
+	g := batchHIN(t, rand.New(rand.NewSource(5)), 20, 1)
+	p := g.WithOutRow(7, nil, 0)
+	e := NewReversePush(testParams())
+	ctx := context.Background()
+	if _, err := e.RunContext(ctx, p, 3); !errors.Is(err, errPatchedSnapshot) {
+		t.Errorf("RunContext over a row-patched snapshot: err = %v, want errPatchedSnapshot", err)
+	}
+	if _, err := e.ToTargets(ctx, p, []hin.NodeID{3, 9}); !errors.Is(err, errPatchedSnapshot) {
+		t.Errorf("ToTargets over a row-patched snapshot: err = %v, want errPatchedSnapshot", err)
+	}
+	if _, err := e.ToTargets(ctx, g, []hin.NodeID{3, 9}); err != nil {
+		t.Errorf("ToTargets over the unpatched base: %v", err)
 	}
 }
 
@@ -456,7 +472,7 @@ func TestReverseTerminatesWhereRelaxationDoesNot(t *testing.T) {
 		for _, tgt := range []hin.NodeID{0, hin.NodeID(sh.n / 2), hin.NodeID(sh.n - 1)} {
 			what := fmt.Sprintf("%s, target %d", sh.name, tgt)
 			checkReference(t, what, e, g, []hin.NodeID{tgt})
-			got, err := e.Run(g, tgt)
+			got, err := e.RunContext(context.Background(), g, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}

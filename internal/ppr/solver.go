@@ -29,11 +29,8 @@ const DefaultExactMaxNodes = 512
 // NewExact returns the dense direct solver.
 func NewExact(p Params) *Exact { return &Exact{Params: p, MaxNodes: DefaultExactMaxNodes} }
 
-// Name implements Engine.
-func (e *Exact) Name() string { return "exact" }
-
 // FromSource solves for the full row π_s.
-func (e *Exact) FromSource(g hin.View, s hin.NodeID) (Vector, error) {
+func (e *Exact) FromSource(g *hin.CSR, s hin.NodeID) (Vector, error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -60,11 +57,10 @@ func (e *Exact) FromSource(g hin.View, s hin.NodeID) (Vector, error) {
 		if total <= 0 {
 			continue
 		}
-		g.OutEdges(hin.NodeID(v), func(h hin.HalfEdge) bool {
+		for _, h := range g.OutSlice(hin.NodeID(v)) {
 			// W(v, h.Node) contributes to row h.Node of Wᵀ.
 			a[h.Node][v] -= (1 - alpha) * h.Weight / total
-			return true
-		})
+		}
 	}
 	b := make([]float64, n)
 	b[s] = alpha

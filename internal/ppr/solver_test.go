@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 func TestExactMatchesPowerIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 10; trial++ {
-		g := randomBidirGraph(rng, 5+rng.Intn(25), rng.Intn(60))
+		g := hin.NewCSR(randomBidirGraph(rng, 5+rng.Intn(25), rng.Intn(60)))
 		s := hin.NodeID(rng.Intn(g.NumNodes()))
 		params := testParams()
 		exact, err := NewExact(params).FromSource(g, s)
@@ -33,14 +34,14 @@ func TestExactMatchesPowerIteration(t *testing.T) {
 
 func TestExactMatchesForwardPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
-	g := randomBidirGraph(rng, 30, 80)
+	g := hin.NewCSR(randomBidirGraph(rng, 30, 80))
 	params := testParams()
 	s := hin.NodeID(3)
 	exact, err := NewExact(params).FromSource(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	push, err := NewForwardPush(params).FromSource(g, s)
+	push, err := NewForwardPush(params).FromSourceContext(context.Background(), g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestExactDanglingGraph(t *testing.T) {
 
 func TestExactNodeLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
-	g := randomBidirGraph(rng, 40, 60)
+	g := hin.NewCSR(randomBidirGraph(rng, 40, 60))
 	e := NewExact(testParams())
 	e.MaxNodes = 10
 	if _, err := e.FromSource(g, 0); err == nil {
@@ -83,14 +84,14 @@ func TestExactNodeLimit(t *testing.T) {
 func TestQuickExactAgreesWithPush(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomBidirGraph(rng, 4+rng.Intn(12), rng.Intn(24))
+		g := hin.NewCSR(randomBidirGraph(rng, 4+rng.Intn(12), rng.Intn(24)))
 		s := hin.NodeID(rng.Intn(g.NumNodes()))
 		params := testParams()
 		exact, err := NewExact(params).FromSource(g, s)
 		if err != nil {
 			return false
 		}
-		push, err := NewForwardPush(params).FromSource(g, s)
+		push, err := NewForwardPush(params).FromSourceContext(context.Background(), g, s)
 		if err != nil {
 			return false
 		}

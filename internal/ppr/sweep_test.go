@@ -35,7 +35,7 @@ func sweepCases(t *testing.T, g *hin.CSR) []sweepCase {
 		}
 	}
 	fwd := NewForwardPush(p)
-	base, err := fwd.Run(g, 3)
+	base, err := fwd.RunContext(context.Background(), g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestReverseResidualMassIsL1(t *testing.T) {
 	e := NewReversePush(testParams())
 	for tgt := range hin.NodeID(40) {
 		sum0 := residualMassReverse.Sum()
-		res, err := e.Run(g, tgt)
+		res, err := e.RunContext(context.Background(), g, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,10 +218,10 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 		run          func() (*PushResult, error)
 	}{
 		{"forward cold", runsForward, pushesForward, "forward_push", func() (*PushResult, error) {
-			return fwd.Run(g, 5)
+			return fwd.RunContext(context.Background(), g, 5)
 		}},
 		{"forward warm", runsForwardUpdate, pushesForwardUpdate, "forward_update", func() (*PushResult, error) {
-			base, err := fwd.Run(g, 5)
+			base, err := fwd.RunContext(context.Background(), g, 5)
 			if err != nil {
 				return nil, err
 			}
@@ -268,7 +268,7 @@ func TestForwardSweepDefinition(t *testing.T) {
 		}
 		edited := g.WithOutRow(u, row, sum)
 		for _, s := range []hin.NodeID{0, 2, 4, u, 11} {
-			cold, err := fwd.Run(g, s)
+			cold, err := fwd.RunContext(context.Background(), g, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func TestForwardSweepDefinition(t *testing.T) {
 			}
 			for _, step := range []struct {
 				name string
-				view hin.View
+				view *hin.CSR
 				res  *PushResult
 			}{{"cold", g, cold}, {"warm", edited, warm}} {
 				name := fmt.Sprintf("ε=%g %s from %d", eps, step.name, s)
@@ -309,7 +309,7 @@ func TestForwardSweepDefinition(t *testing.T) {
 }
 
 // TestColumnSumsBoundExact holds ColumnSums to the definition: on graphs
-// with a dangling source, a node nothing reaches and β-mixed rows, every
+// with a dangling node, a node nothing reaches and β-mixed rows, every
 // C(i) lies in [Σ_x PPR(x,i), Σ_x PPR(x,i) + columnSumSlack·α], the
 // sums taken over ppr.Exact rows.
 func TestColumnSumsBoundExact(t *testing.T) {

@@ -44,9 +44,6 @@ type Config struct {
 	// 8 bytes per vector element plus a small per-entry overhead.
 	// 0 means DefaultMaxBytes.
 	MaxBytes int64
-	// Shards is the lock-striping factor, rounded up to a power of two.
-	// 0 means DefaultShards.
-	Shards int
 }
 
 // Cache is a sharded, bounded, singleflight-deduplicating PPR-vector
@@ -56,8 +53,8 @@ type Cache struct {
 	shardMask uint64
 	// Per-shard budgets: the global bounds split evenly. A pathological
 	// workload hashing every key to one shard would see effective
-	// bounds of 1/Shards of the configured totals; with the SplitMix64
-	// key hash this does not happen in practice.
+	// bounds of 1/DefaultShards of the configured totals; with the
+	// SplitMix64 key hash this does not happen in practice.
 	entryBudget int
 	byteBudget  int64
 
@@ -135,20 +132,18 @@ type flight struct {
 	err     error
 }
 
-// New builds a cache with the given bounds.
-func New(cfg Config) *Cache {
+// New builds a cache with the given bounds, striped over DefaultShards
+// locks.
+func New(cfg Config) *Cache { return newCache(cfg, DefaultShards) }
+
+// newCache is New over shards lock stripes, a power of two: the seam
+// that lets a test put every key in one shard, under one LRU order.
+func newCache(cfg Config, shards int) *Cache {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = DefaultMaxEntries
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	shards := 1
-	for shards < cfg.Shards {
-		shards <<= 1
 	}
 	c := &Cache{
 		shards:      make([]shard, shards),

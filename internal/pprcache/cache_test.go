@@ -83,7 +83,7 @@ func TestDistinctKeysDoNotCollide(t *testing.T) {
 
 func TestEntryBoundEvictsLRU(t *testing.T) {
 	// Single shard so the LRU order is global and deterministic.
-	c := New(Config{MaxEntries: 3, Shards: 1})
+	c := newCache(Config{MaxEntries: 3}, 1)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, _, err := c.GetOrCompute(ctx, testKey(1, i), constVec(1, float64(i))); err != nil {
@@ -113,7 +113,7 @@ func TestEntryBoundEvictsLRU(t *testing.T) {
 func TestByteBoundEvicts(t *testing.T) {
 	// Each 100-element vector costs 800 bytes + overhead; a ~2-entry
 	// byte budget must keep residency at 2.
-	c := New(Config{MaxEntries: 100, MaxBytes: 2 * (100*8 + entryOverhead), Shards: 1})
+	c := newCache(Config{MaxEntries: 100, MaxBytes: 2 * (100*8 + entryOverhead)}, 1)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if _, _, err := c.GetOrCompute(ctx, testKey(1, i), constVec(100, 1)); err != nil {
@@ -133,7 +133,7 @@ func TestByteBoundEvicts(t *testing.T) {
 }
 
 func TestOversizedEntryIsNotRetained(t *testing.T) {
-	c := New(Config{MaxEntries: 10, MaxBytes: 100, Shards: 1})
+	c := newCache(Config{MaxEntries: 10, MaxBytes: 100}, 1)
 	ctx := context.Background()
 	vec, _, err := c.GetOrCompute(ctx, testKey(1, 0), constVec(1000, 1))
 	if err != nil {
@@ -200,19 +200,20 @@ func TestKeyHelpersRequireVersionedViews(t *testing.T) {
 	g := hin.NewGraph()
 	user := g.Types().NodeType("user")
 	g.AddNode(user, "")
+	c := hin.NewCSR(g)
 	eng := ppr.NewForwardPush(ppr.DefaultParams())
 
-	if _, ok := ForwardKey(g, eng, 0); !ok {
-		t.Fatal("graphs are versioned; ForwardKey must succeed")
+	if _, ok := ForwardKey(c, eng, 0); !ok {
+		t.Fatal("snapshots of a graph are versioned; ForwardKey must succeed")
 	}
-	k1, _ := ForwardKey(g, eng, 0)
-	k2, _ := ReverseKey(g, ppr.NewReversePush(ppr.DefaultParams()), 0)
+	k1, _ := ForwardKey(c, eng, 0)
+	k2, _ := ReverseKey(c, ppr.NewReversePush(ppr.DefaultParams()), 0)
 	if k1 == k2 {
 		t.Fatal("forward and reverse keys must differ")
 	}
-	unversioned := struct{ hin.View }{g}
+	unversioned := c.WithOutRow(0, nil, 0)
 	if _, ok := ForwardKey(unversioned, eng, 0); ok {
-		t.Fatal("unversioned views must not produce keys")
+		t.Fatal("unversioned snapshots must not produce keys")
 	}
 }
 

@@ -29,7 +29,7 @@ func noted(t *testing.T, c *Cache, k Key) (ppr.Vector, Note, bool) {
 // against another vector, and goes — with its bytes — when the entry is
 // evicted or upgraded.
 func TestNoteLivesAndDiesWithItsEntry(t *testing.T) {
-	c := New(Config{Shards: 1, MaxEntries: 2})
+	c := newCache(Config{MaxEntries: 2}, 1)
 	k1, k2, k3 := testKey(1, 1), testKey(1, 2), testKey(1, 3)
 	v1, note, hit := noted(t, c, k1)
 	if note != nil || hit {
@@ -84,7 +84,7 @@ func TestNoteLivesAndDiesWithItsEntry(t *testing.T) {
 // TestNoteCanEvictItsOwnEntry: a note that takes its shard past the
 // byte budget evicts like an insert, its own entry last.
 func TestNoteCanEvictItsOwnEntry(t *testing.T) {
-	c := New(Config{Shards: 1, MaxBytes: 4096})
+	c := newCache(Config{MaxBytes: 4096}, 1)
 	k := testKey(1, 1)
 	vec, _, _ := noted(t, c, k)
 	c.SetNote(k, vec, sizedNote(4096))

@@ -68,8 +68,8 @@ func (d Direction) String() string {
 // Key identifies one cached vector. Keys are value types usable as map
 // keys; equality of every field is required for a hit.
 type Key struct {
-	// Version identifies the graph view content the vector was computed
-	// over (see hin.ViewVersion).
+	// Version identifies the snapshot content the vector was computed
+	// over (see hin.CSR.Version).
 	Version hin.Version
 	// Dir is the computation direction.
 	Dir Direction
@@ -83,10 +83,10 @@ type Key struct {
 }
 
 // ForwardKey builds the key of the forward vector PPR(node,·) computed
-// by engine over view v. It reports false — caching impossible — when
-// the view does not support versioning.
-func ForwardKey(v hin.View, engine ppr.Identifier, node hin.NodeID) (Key, bool) {
-	ver, ok := hin.ViewVersion(v)
+// by engine over snapshot c. It reports false — caching impossible —
+// when c is unversioned (row-patched).
+func ForwardKey(c *hin.CSR, engine ppr.Identifier, node hin.NodeID) (Key, bool) {
+	ver, ok := c.Version()
 	if !ok {
 		return Key{}, false
 	}
@@ -94,9 +94,9 @@ func ForwardKey(v hin.View, engine ppr.Identifier, node hin.NodeID) (Key, bool) 
 }
 
 // ReverseKey builds the key of the reverse column PPR(·,node) computed
-// by engine over view v (see ForwardKey).
-func ReverseKey(v hin.View, engine ppr.Identifier, node hin.NodeID) (Key, bool) {
-	ver, ok := hin.ViewVersion(v)
+// by engine over snapshot c (see ForwardKey).
+func ReverseKey(c *hin.CSR, engine ppr.Identifier, node hin.NodeID) (Key, bool) {
+	ver, ok := c.Version()
 	if !ok {
 		return Key{}, false
 	}

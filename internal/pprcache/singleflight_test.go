@@ -257,7 +257,7 @@ func TestAbandonedFlightDoesNotPoisonLateJoiner(t *testing.T) {
 // collapses across many keys; correctness here is "no race detected and
 // every caller sees a well-formed vector".
 func TestConcurrentMixedWorkload(t *testing.T) {
-	c := New(Config{MaxEntries: 32, MaxBytes: 1 << 20, Shards: 4})
+	c := newCache(Config{MaxEntries: 32, MaxBytes: 1 << 20}, 4)
 	const goroutines = 32
 	const iters = 200
 	var wg sync.WaitGroup

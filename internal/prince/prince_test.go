@@ -183,7 +183,7 @@ func TestQuickCFEAlwaysChangesRecommendation(t *testing.T) {
 		for i := 0; i < nUsers*4; i++ {
 			u := hin.NodeID(rng.Intn(nUsers))
 			it := hin.NodeID(nUsers + rng.Intn(nItems))
-			if !g.HasEdge(u, it) {
+			if _, dup := g.EdgeWeight(u, it, rated); !dup {
 				_ = g.AddBidirectional(u, it, rated, 0.5+rng.Float64())
 			}
 		}

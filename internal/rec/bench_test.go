@@ -29,7 +29,7 @@ func benchGraph(b *testing.B) (*hin.Graph, []hin.NodeID, Config) {
 	for i := 0; i < nUsers*20; i++ {
 		u := users[rng.Intn(nUsers)]
 		it := hin.NodeID(nUsers + rng.Intn(nItems))
-		if !g.HasEdge(u, it) {
+		if !hasEdge(g, u, it) {
 			_ = g.AddBidirectional(u, it, rated, 0.5+rng.Float64())
 		}
 	}

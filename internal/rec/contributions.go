@@ -56,7 +56,8 @@ func (r *Recommender) Transitions(u hin.NodeID) map[Arc]float64 {
 // The returned shares therefore sum to PPR(u, target) when u ≠ target
 // (up to push tolerance). This is the "why is this item scored the way
 // it is" introspection the EMiGRe contribution functions build on, and
-// a useful white-box explanation in its own right.
+// a useful white-box explanation in its own right. A WithUserPatch copy
+// refuses it: the reverse push behind it needs an unpatched snapshot.
 func (r *Recommender) Contributions(u, target hin.NodeID) ([]EdgeContribution, error) {
 	n := r.base.NumNodes()
 	if u < 0 || int(u) >= n || target < 0 || int(target) >= n {

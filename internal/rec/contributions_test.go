@@ -67,7 +67,7 @@ func TestContributionsSelfTargetIncludesAlpha(t *testing.T) {
 	for _, c := range contribs {
 		sum += c.Share
 	}
-	col, err := ppr.NewReversePush(cfg.PPR).ToTarget(r.ScoringView(), u)
+	col, err := ppr.NewReversePush(cfg.PPR).ToTargetContext(context.Background(), r.ScoringView(), u)
 	if err != nil {
 		t.Fatal(err)
 	}

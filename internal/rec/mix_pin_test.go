@@ -91,14 +91,10 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// mixedVersion is the version a β-mixed snapshot of v carries: v's
+// mixedVersion is the version a β-mixed snapshot of g carries: g's
 // salted with β's bit pattern, unsalted at β = 1.
-func mixedVersion(t *testing.T, v hin.View, beta float64) hin.Version {
-	t.Helper()
-	ver, ok := hin.ViewVersion(v)
-	if !ok {
-		t.Fatal("view is unversioned")
-	}
+func mixedVersion(g *hin.Graph, beta float64) hin.Version {
+	ver := g.Version()
 	if beta == 1 {
 		return ver
 	}
@@ -112,7 +108,7 @@ func mixedVersion(t *testing.T, v hin.View, beta float64) hin.Version {
 // salted with β.
 func TestMixedSnapshotPinnedToFormula(t *testing.T) {
 	lr, _ := liteRecommender(t)
-	g := lr.base.(*hin.Graph)
+	g := lr.base
 	for _, beta := range []float64{0, 0.5, 1} {
 		cfg := lr.Config()
 		cfg.Beta = beta
@@ -144,7 +140,7 @@ func TestMixedSnapshotPinnedToFormula(t *testing.T) {
 		if !slices.Equal(start, want.inStart) || !slices.Equal(src, want.inSrc) || !sameBits(prob, want.inProb) {
 			t.Fatalf("β=%g: InRows differ from the formula", beta)
 		}
-		if got, ok := flat.Version(); !ok || got != mixedVersion(t, g, beta) {
+		if got, ok := flat.Version(); !ok || got != mixedVersion(g, beta) {
 			t.Fatalf("β=%g: snapshot version %+v (ok %v), want the graph's salted with β", beta, got, ok)
 		}
 	}
@@ -156,7 +152,7 @@ func TestMixedSnapshotPinnedToFormula(t *testing.T) {
 // β = 0.5 and at β = 1.
 func TestPatchedRecommendNeverCached(t *testing.T) {
 	lr, users := liteRecommender(t)
-	g := lr.base.(*hin.Graph)
+	g := lr.base
 	u := users[0]
 	var drop []hin.Edge
 	g.OutEdges(u, func(h hin.HalfEdge) bool {

@@ -107,7 +107,7 @@ type Scored struct {
 // sessions can call WithUserPatch over one shared recommender.
 type Recommender struct {
 	cfg    Config
-	base   hin.View
+	base   *hin.Graph
 	flat   *hin.CSR // what pushes run over: NewMixedCSR(base, Beta), or the parent's with u's row patched
 	engine *ppr.ForwardPush
 	items  []hin.NodeID    // candidate index: ascending ids of the item-typed nodes; immutable, shared by every copy
@@ -118,7 +118,7 @@ type Recommender struct {
 // New builds a recommender over g: its candidate index and its flat
 // snapshot, g flattened under the β-mix (hin.NewMixedCSR). It returns an
 // error for an invalid configuration.
-func New(g hin.View, cfg Config) (*Recommender, error) {
+func New(g *hin.Graph, cfg Config) (*Recommender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -184,8 +184,8 @@ func (r *Recommender) ColumnSums() ppr.Vector {
 	return s.c
 }
 
-// ScoringView returns Flat() as a hin.View.
-func (r *Recommender) ScoringView() hin.View { return r.Flat() }
+// ScoringView returns Flat().
+func (r *Recommender) ScoringView() *hin.CSR { return r.Flat() }
 
 // Config returns the recommender's configuration.
 func (r *Recommender) Config() Config { return r.cfg }
@@ -208,10 +208,10 @@ func (r *Recommender) WithCache(c *pprcache.Cache) *Recommender {
 // Cache returns the attached vector cache, nil when none.
 func (r *Recommender) Cache() *pprcache.Cache { return r.cache }
 
-// View returns the view the recommender was built over (New), before
+// View returns the graph the recommender was built over (New), before
 // the β-mix and without a WithUserPatch copy's row: scores are taken on
 // Flat(), and transition probabilities read off it (Transitions).
-func (r *Recommender) View() hin.View { return r.base }
+func (r *Recommender) View() *hin.Graph { return r.base }
 
 // key is the cache key of the vector engine computes for node in
 // direction dir over Flat(). Its version is the snapshot's own, frozen
@@ -236,7 +236,8 @@ func (r *Recommender) IsItem(v hin.NodeID) bool {
 // IsCandidate reports whether v may appear in u's recommendation list:
 // v is an item, v ≠ u, and u's row of Flat() has no edge to v.
 func (r *Recommender) IsCandidate(u, v hin.NodeID) bool {
-	return v != u && r.IsItem(v) && !r.Flat().HasEdge(u, v)
+	neighbour := func(h hin.HalfEdge) bool { return h.Node == v }
+	return v != u && r.IsItem(v) && !slices.ContainsFunc(r.Flat().OutSlice(u), neighbour)
 }
 
 // ScoresContext is Scores with cancellation: the underlying PPR run

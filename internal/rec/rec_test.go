@@ -264,11 +264,13 @@ func TestBetaViewRowStochastic(t *testing.T) {
 	for _, beta := range []float64{0, 0.25, 0.5, 0.75} {
 		v := hin.NewMixedCSR(g, beta)
 		for _, node := range ids {
-			if v.OutDegree(node) == 0 {
+			if len(v.OutSlice(node)) == 0 {
 				continue
 			}
 			var sum float64
-			v.OutEdges(node, func(h hin.HalfEdge) bool { sum += h.Weight; return true })
+			for _, h := range v.OutSlice(node) {
+				sum += h.Weight
+			}
 			if math.Abs(sum-1) > 1e-12 {
 				t.Fatalf("beta=%g node %d: weights sum to %g, want 1", beta, node, sum)
 			}
@@ -334,11 +336,11 @@ func TestBetaViewInOutConsistency(t *testing.T) {
 	fwd := ppr.NewForwardPush(params)
 	rev := ppr.NewReversePush(params)
 	src, tgt := hin.NodeID(0), hin.NodeID(7)
-	rowVec, err := fwd.FromSource(v, src)
+	rowVec, err := fwd.FromSourceContext(context.Background(), v, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	colVec, err := rev.ToTarget(v, tgt)
+	colVec, err := rev.ToTargetContext(context.Background(), v, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +500,7 @@ func newRankGraph(t testing.TB, seed int64, beta float64) *rankGraph {
 	rg.users = append(rg.users, g.AddNode(user, ""))
 	link := func(a, b hin.NodeID, typ hin.EdgeTypeID, w float64) {
 		t.Helper()
-		if g.HasEdge(a, b) {
+		if hasEdge(g, a, b) {
 			return
 		}
 		if err := g.AddBidirectional(a, b, typ, w); err != nil {
@@ -860,4 +862,10 @@ func TestFirstCallsRunConcurrently(t *testing.T) {
 	if !reflect.DeepEqual(lists[0], lists[1]) {
 		t.Fatalf("concurrent first calls disagree: %v vs %v", lists[0], lists[1])
 	}
+}
+
+// hasEdge reports whether g has an edge from → to, of any type.
+func hasEdge(g *hin.Graph, from, to hin.NodeID) (found bool) {
+	g.OutEdges(from, func(h hin.HalfEdge) bool { found = h.Node == to; return !found })
+	return found
 }

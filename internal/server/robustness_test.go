@@ -68,7 +68,7 @@ func TestExplainRequestTimeoutMS(t *testing.T) {
 	case http.StatusOK:
 		// The squeezed search answered with its partial — equally proof
 		// the 1ms deadline applied, as long as the response says so.
-		var body explainResponse
+		var body client.ExplainResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 			t.Fatalf("200 body is not JSON: %s", rec.Body.String())
 		}

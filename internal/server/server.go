@@ -401,19 +401,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, body)
 }
 
-type scoredItem struct {
-	Node  emigre.NodeID `json:"node"`
-	Label string        `json:"label,omitempty"`
-	Score float64       `json:"score"`
-}
-
-// recommendResponse is the /recommend body. Its fields are in the order
-// encoding/json writes a map's sorted keys, the body's earlier shape.
-type recommendResponse struct {
-	Items []scoredItem  `json:"items"`
-	User  emigre.NodeID `json:"user"`
-}
-
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	user, err := cli.ResolveNode(s.g, r.URL.Query().Get("user"))
 	if err != nil {
@@ -433,55 +420,12 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	items := make([]scoredItem, len(top))
+	items := make([]client.ScoredItem, len(top))
 	for i, sc := range top {
-		items[i] = scoredItem{Node: sc.Node, Label: s.g.Label(sc.Node), Score: sc.Score}
+		items[i] = client.ScoredItem{Node: int64(sc.Node), Label: s.g.Label(sc.Node), Score: sc.Score}
 	}
 	setTallyHeaders(w, r.Context())
-	s.writeJSON(w, http.StatusOK, recommendResponse{Items: items, User: user})
-}
-
-// explainRequest is the /explain body. WNI or Items (group form) must
-// be set; Category asks the category granularity. TimeoutMS optionally
-// tightens (never widens) the server's ExplainTimeout for this request.
-type explainRequest struct {
-	User      string   `json:"user"`
-	WNI       string   `json:"wni,omitempty"`
-	Items     []string `json:"items,omitempty"`
-	Category  string   `json:"category,omitempty"`
-	Mode      string   `json:"mode"`
-	Method    string   `json:"method"`
-	TimeoutMS int      `json:"timeout_ms,omitempty"`
-}
-
-type edgeBody struct {
-	From      emigre.NodeID `json:"from"`
-	To        emigre.NodeID `json:"to"`
-	ToLabel   string        `json:"to_label,omitempty"`
-	EdgeType  string        `json:"edge_type"`
-	Weight    float64       `json:"weight"`
-	Operation string        `json:"operation"`
-}
-
-type explainResponse struct {
-	Mode        string        `json:"mode"`
-	Method      string        `json:"method"`
-	Edges       []edgeBody    `json:"edges"`
-	Description string        `json:"description"`
-	OldTop      emigre.NodeID `json:"old_top"`
-	NewTop      emigre.NodeID `json:"new_top"`
-	Verified    bool          `json:"verified"`
-	Checks      int           `json:"checks"`
-	// Gated is how many of Checks the rival gate rejected without a push;
-	// like Checks it is the same for every run of the same question.
-	Gated      int   `json:"gated"`
-	DurationUS int64 `json:"duration_us"`
-	// Degraded marks a response served below full fidelity: the
-	// unverified best-effort answer of a search its deadline interrupted.
-	// DegradedLevel is then always "partial" and Partial is set.
-	Degraded      bool   `json:"degraded"`
-	DegradedLevel string `json:"degraded_level,omitempty"`
-	Partial       bool   `json:"partial,omitempty"`
+	s.writeJSON(w, http.StatusOK, client.RecommendResponse{Items: items, User: int64(user)})
 }
 
 // searchContext applies the effective deadline for one explanation
@@ -529,7 +473,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, cost int64) (
 // explainCost estimates a request's admission weight: group and
 // category questions run one search attempt per member, so they occupy
 // more of the capacity (clamped to it).
-func (s *Server) explainCost(req explainRequest) int64 {
+func (s *Server) explainCost(req client.ExplainRequest) int64 {
 	switch {
 	case req.Category != "":
 		return 2
@@ -547,7 +491,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("reading request: %w", err))
 		return
 	}
-	var req explainRequest
+	var req client.ExplainRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
@@ -638,12 +582,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if expl.Partial {
 		desc += " (unverified partial explanation: the search was interrupted before CHECK confirmed it)"
 	}
-	resp := explainResponse{
+	resp := client.ExplainResponse{
 		Mode:        expl.Mode.String(),
 		Method:      expl.Method.String(),
 		Description: desc,
-		OldTop:      expl.OldTop,
-		NewTop:      expl.NewTop,
+		OldTop:      int64(expl.OldTop),
+		NewTop:      int64(expl.NewTop),
 		Verified:    expl.Verified,
 		Checks:      expl.Stats.Tests,
 		Gated:       expl.Stats.Gated,
@@ -658,9 +602,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	appendEdges := func(edges []emigre.Edge, op string) {
 		for _, e := range edges {
-			resp.Edges = append(resp.Edges, edgeBody{
-				From:      e.From,
-				To:        e.To,
+			resp.Edges = append(resp.Edges, client.Edge{
+				From:      int64(e.From),
+				To:        int64(e.To),
 				ToLabel:   s.g.Label(e.To),
 				EdgeType:  s.g.Types().EdgeTypeName(e.Type),
 				Weight:    e.Weight,
@@ -674,15 +618,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-type diagnoseRequest struct {
-	User      string `json:"user"`
-	WNI       string `json:"wni"`
-	Mode      string `json:"mode"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
-}
-
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	var req diagnoseRequest
+	var req client.DiagnoseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
@@ -721,11 +658,11 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"kind":         d.Kind.String(),
-		"detail":       d.Detail,
-		"actions":      d.Actions,
-		"working_mode": d.WorkingMode.String(),
+	s.writeJSON(w, http.StatusOK, client.DiagnoseResponse{
+		Actions:     d.Actions,
+		Detail:      d.Detail,
+		Kind:        d.Kind.String(),
+		WorkingMode: d.WorkingMode.String(),
 	})
 }
 

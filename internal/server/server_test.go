@@ -7,10 +7,12 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	emigre "github.com/why-not-xai/emigre"
+	"github.com/why-not-xai/emigre/client"
 )
 
 func newTestServer(t *testing.T) (*Server, *emigre.Books) {
@@ -172,7 +174,7 @@ func TestRecommendNoCandidatesIs404(t *testing.T) {
 		books.Candide, books.TheAlchemist, books.Zadig,
 		books.C, books.Python, books.Java,
 	} {
-		if !books.Graph.HasEdge(books.Paul, item) {
+		if !slices.ContainsFunc(books.Graph.OutEdgesOfType(books.Paul, emigre.NewEdgeTypeSet()), func(e emigre.Edge) bool { return e.To == item }) {
 			if err := books.Graph.AddEdge(books.Paul, item, books.Types.Rated, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +199,7 @@ func TestExplainSingle(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var body explainResponse
+	var body client.ExplainResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +356,8 @@ func TestRecommendBodyBytesMatchMapEncoding(t *testing.T) {
 		}
 		return buf.String()
 	}
-	items := []scoredItem{{Node: 3, Label: "The Hobbit", Score: 0.25}, {Node: 5, Score: 1.5e-9}}
-	if got, want := encode(recommendResponse{Items: items, User: 7}), encode(map[string]any{"user": emigre.NodeID(7), "items": items}); got != want {
+	items := []client.ScoredItem{{Node: 3, Label: "The Hobbit", Score: 0.25}, {Node: 5, Score: 1.5e-9}}
+	if got, want := encode(client.RecommendResponse{Items: items, User: 7}), encode(map[string]any{"user": emigre.NodeID(7), "items": items}); got != want {
 		t.Fatalf("typed body %s, map body %s", got, want)
 	}
 	if strings.Contains(encode(items[1]), "label") {
@@ -367,11 +369,36 @@ func TestRecommendBodyBytesMatchMapEncoding(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%d: %s", rec.Code, rec.Body.String())
 	}
-	var body recommendResponse
+	var body client.RecommendResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
 	if want := encode(map[string]any{"user": body.User, "items": body.Items}); rec.Body.String() != want {
 		t.Fatalf("served body %s, map encoding %s", rec.Body.String(), want)
+	}
+}
+
+// TestDiagnoseBodyBytesMatchMapEncoding: the typed /diagnose body is
+// byte for byte the map encoding it replaced (sorted keys).
+func TestDiagnoseBodyBytesMatchMapEncoding(t *testing.T) {
+	srv, _ := newTestServer(t)
+	rec := do(t, srv.Handler(), "POST", "/diagnose", map[string]any{
+		"user": "Paul", "wni": "The Hobbit", "mode": "remove",
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var body client.DiagnoseResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(map[string]any{
+		"kind": body.Kind, "detail": body.Detail, "actions": body.Actions, "working_mode": body.WorkingMode,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Body.String() != want.String() {
+		t.Fatalf("served body %s, map encoding %s", rec.Body.String(), want.String())
 	}
 }

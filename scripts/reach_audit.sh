@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# reach_audit.sh — lists the functions and methods that nothing the
-# project ships reaches.
+# reach_audit.sh — checks the functions and methods that nothing the
+# project ships reaches against the audited keep-list,
+# scripts/reach_kept.txt.
 #
 # A declaration counts as reached when the linker keeps it in one of
 # the shipped builds: the binaries under cmd/, the programs under
@@ -9,14 +10,19 @@
 # and -ldflags=-dumpdep, which prints every edge of the linker's
 # reachability graph. Every func declared in a non-test file outside
 # testdata/ is matched against those symbols; generic instantiations
-# match through their base name.
+# match through their base name. The test-only packages internal/lint
+# and internal/testleak are left out: nothing shipped imports them.
 #
-# What is left still needs reading: a declaration an Example* function
-# or a README snippet names is a root, and a test-only package
-# (internal/lint, internal/testleak) is reported whole.
+# Each entry of the keep-list (its lines not starting with #, sorted
+# bytewise) was read and kept on purpose; its header says why.
+# The script prints the unreached symbols that differ from the list, as
+# a diff (- kept but now reached or gone, + newly unreached), and exits
+# 1; with no difference it prints the count and exits 0. A new entry is
+# either deleted or, once read, added to the list.
 #
-# Usage: scripts/reach_audit.sh   (prints "<symbol> <file>:<line>")
+# Usage: scripts/reach_audit.sh
 set -euo pipefail
+export LC_ALL=C # one sort order for the list and the keep-list
 cd "$(dirname "$0")/.."
 mod=$(go list -m)
 tmp=$(mktemp -d)
@@ -32,9 +38,11 @@ for t in ./cmd/* ./examples/* ./benchmark; do
 done
 sort -u -o "$tmp/reached" "$tmp/reached"
 
-# One "<symbol> <file>:<line>" per declaration, spelled as the linker
-# spells it: pkg.F, pkg.T.M or pkg.(*T).M; main packages as main@dir.
-grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '^func ' . |
+# One "<dir>|<receiver>|<name>" per declaration; the symbol is spelled
+# below as the linker spells it: pkg.F, pkg.T.M or pkg.(*T).M; main
+# packages as main@dir.
+grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
+	--exclude-dir=lint --exclude-dir=testleak '^func ' . |
 	sed -E 's#^\./##' |
 	awk -v mod="$mod" '{
 		split($0, p, ":"); file = p[1]; line = p[2]
@@ -49,12 +57,12 @@ grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '^func ' 
 		}
 		name = decl; sub(/[\[(].*/, "", name)
 		if (name == "init" || name == "_" || (name == "main" && recv == "")) next
-		print dir "|" recv "|" name "|" file ":" line
+		print dir "|" recv "|" name
 	}' >"$tmp/decls"
 grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=testdata '^package main$' . |
 	sed -E 's#^\./##; s#/[^/]*$##' | sort -u >"$tmp/mains"
 
-while IFS='|' read -r dir recv name at; do
+while IFS='|' read -r dir recv name; do
 	if grep -qxF -- "$dir" "$tmp/mains"; then
 		pkg="main@$dir"
 	elif [ "$dir" = . ]; then
@@ -71,5 +79,12 @@ while IFS='|' read -r dir recv name at; do
 	for s in $syms; do
 		if grep -qxF -- "$s" "$tmp/reached"; then hit=1; fi
 	done
-	if [ $hit = 0 ]; then echo "${syms%% *} $at"; fi
-done <"$tmp/decls"
+	if [ $hit = 0 ]; then echo "${syms%% *}"; fi
+done <"$tmp/decls" | sort >"$tmp/unreached"
+
+grep -v '^#' scripts/reach_kept.txt >"$tmp/kept"
+if ! diff -u --label scripts/reach_kept.txt --label unreached "$tmp/kept" "$tmp/unreached"; then
+	echo "reach audit: the unreached functions differ from scripts/reach_kept.txt" >&2
+	exit 1
+fi
+echo "reach audit: $(wc -l <"$tmp/unreached") unreached functions, each on the keep-list"
