@@ -91,7 +91,7 @@ func BenchmarkSearchSpaceDefinition(b *testing.B) {
 			f := newBenchFixture(b, Options{})
 			q := f.query()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.ex.newSession(context.Background(), q, mode); err != nil {
+				if _, err := f.ex.newSession(context.Background(), q, nil, mode, Powerset); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -228,11 +228,32 @@ func TestUncachedSessionRunsOneForwardPush(t *testing.T) {
 		f := newFixture(t, Options{DisableCache: true, TargetRank: rank})
 		q := Query{User: f.ids["u"], WNI: f.ids["f3"]}
 		before := runs.Value()
-		if _, err := f.ex.newSession(context.Background(), q, Remove); err != nil {
+		if _, err := f.ex.newSession(context.Background(), q, nil, Remove, Powerset); err != nil {
 			t.Fatal(err)
 		}
 		if got := runs.Value() - before; got != 1 {
 			t.Errorf("TargetRank %d: session set-up ran %d forward pushes, want 1", rank, got)
+		}
+	}
+}
+
+// TestUncachedExhaustiveRunsOneForwardPushPerColdCheck pins the
+// forward work of an Exhaustive explain without a cache: the session's
+// base push, whose scores give both the baseline top-1 and Alg. 5's
+// target list, and one per cold CHECK — no second drain for the
+// targets.
+func TestUncachedExhaustiveRunsOneForwardPushPerColdCheck(t *testing.T) {
+	runs := obs.Default().Counter("emigre_ppr_runs_total",
+		"PPR engine runs by engine.", obs.L("engine", "forward_push"))
+	for _, mode := range []Mode{Remove, Add} {
+		f := newFixture(t, Options{DisableCache: true})
+		before := runs.Value()
+		expl, err := f.ex.ExplainWith(f.query(), mode, Exhaustive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := runs.Value()-before, 1+int64(expl.Stats.Cold); got != want {
+			t.Errorf("%v: an uncached Exhaustive explain ran %d forward pushes, want 1 + %d cold CHECKs", mode, got, expl.Stats.Cold)
 		}
 	}
 }

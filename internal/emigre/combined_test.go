@@ -54,15 +54,15 @@ func TestCombinedBruteForceRejected(t *testing.T) {
 
 func TestCombinedSearchSpaceIsUnion(t *testing.T) {
 	f := newFixture(t, Options{})
-	sr, err := f.ex.newSession(context.Background(), f.query(), Remove)
+	sr, err := f.ex.newSession(context.Background(), f.query(), nil, Remove, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := f.ex.newSession(context.Background(), f.query(), Add)
+	sa, err := f.ex.newSession(context.Background(), f.query(), nil, Add, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := f.ex.newSession(context.Background(), f.query(), Combined)
+	sc, err := f.ex.newSession(context.Background(), f.query(), nil, Combined, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}

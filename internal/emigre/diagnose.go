@@ -76,7 +76,7 @@ func (e *Explainer) Diagnose(q Query, probed Mode) (*Diagnosis, error) {
 // full Exhaustive search — abort with a *CanceledError once ctx is
 // done, so a diagnosis is never mis-classified from a half-run probe.
 func (e *Explainer) DiagnoseContext(ctx context.Context, q Query, probed Mode) (*Diagnosis, error) {
-	s, err := e.newSession(ctx, q, probed)
+	s, err := e.newSession(ctx, q, nil, probed, probe)
 	if err != nil {
 		return nil, err
 	}

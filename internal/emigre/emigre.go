@@ -39,10 +39,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/why-not-xai/emigre/internal/fmath"
+	"github.com/why-not-xai/emigre/internal/freelist"
 	"github.com/why-not-xai/emigre/internal/hin"
 	"github.com/why-not-xai/emigre/internal/ppr"
 	"github.com/why-not-xai/emigre/internal/pprcache"
@@ -467,12 +469,11 @@ func (e *Explainer) ExplainWithContext(ctx context.Context, q Query, mode Mode, 
 // accept" — the group-granularity semantics of ExplainGroup.
 func (e *Explainer) explain(ctx context.Context, q Query, accept map[hin.NodeID]bool, mode Mode, method Method) (*Explanation, error) {
 	start := time.Now()
-	s, err := e.newSession(ctx, q, mode)
+	s, err := e.newSession(ctx, q, accept, mode, method)
 	if err != nil {
 		return nil, err
 	}
 	defer s.release()
-	s.accept = accept
 	var expl *Explanation
 	switch method {
 	case Incremental:
@@ -570,8 +571,17 @@ type session struct {
 	mode  Mode
 	rec   hin.NodeID // current top-1 recommendation
 	view  *hin.CSR   // the β-mixed snapshot scores are taken on (the recommender's Flat())
+	base  ppr.Vector // the user's scores on view: the baseline ranking
 	toRec ppr.Vector // PPR(·, rec)
 	toWNI ppr.Vector // PPR(·, WNI)
+	// held are the other columns the opening batch drained (open): Alg.
+	// 5's targets, PPR(·,u) and the likely rivals. spare holds the
+	// vectors of the last two, the session's own, for release to recycle.
+	held  []column
+	spare []ppr.Vector
+	// top is the first topN entries of the baseline ranking (topList).
+	top   []rec.Scored
+	topN  int
 	cands []candidate
 	// npos counts the positive-contribution candidates, which lead cands,
 	// and cands[:sorted] is in final order (candCmp): Add mode sorts only
@@ -624,7 +634,15 @@ func (e *Explainer) validate(q Query) error {
 	return nil
 }
 
-func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*session, error) {
+// probe is the Method of a session opened only to validate its question
+// (Diagnose): its opening batch is the pair alone.
+const probe Method = -1
+
+// newSession validates q, ranks the user's baseline and opens a session
+// for a search by method in mode (accept as in explain): one opening
+// batch drains the reverse columns the search will read (open), then
+// the search space is built.
+func (e *Explainer) newSession(ctx context.Context, q Query, accept map[hin.NodeID]bool, mode Mode, method Method) (*session, error) {
 	if err := e.validate(q); err != nil {
 		return nil, err
 	}
@@ -644,12 +662,10 @@ func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*sessio
 			return nil, fmt.Errorf("%w: item %d already at rank %d ≤ target %d", ErrAlreadyTop, q.WNI, rank, k)
 		}
 	}
-	s := &session{ex: e, ctx: ctx, q: q, mode: mode, rec: current, view: e.r.Flat()}
-	cols, err := s.reverseColumns(current, q.WNI) // one graph pass for the pair
-	if err != nil {
+	s := &session{ex: e, ctx: ctx, q: q, mode: mode, rec: current, view: e.r.Flat(), base: base, accept: accept}
+	if err := s.open(method); err != nil {
 		return nil, wrapCtxErr(err, Stats{})
 	}
-	s.toRec, s.toWNI = cols[0], cols[1]
 	if err := s.defineSearchSpace(); err != nil {
 		return nil, err
 	}
@@ -672,29 +688,134 @@ func splitOps(cands []candidate, removals, additions, reweights []hin.Edge) ([]h
 	return removals, additions, reweights
 }
 
+// column is a reverse column the session holds: PPR(·, node).
+type column struct {
+	node hin.NodeID
+	col  ppr.Vector
+}
+
+// open drains the session's opening batch: the columns its search will
+// read and those it is likely to read, in one ToTargets call
+// (DESIGN.md §3.15). PPR(·,rec) and PPR(·,WNI), and Alg. 5's targets
+// when method compares against them, go through reverseColumns — cached
+// and singleflighted. Where the session can learn rivals (learns) and
+// method runs CHECKs, PPR(·,u) and, in Remove mode, the base top items
+// after rec and WNI in rank order ride along uncached (ahead): the gate
+// reads u's column at its first rejection, and most Remove winners sit
+// in the base top ranks. Only a pass that drains anyway takes them.
+func (s *session) open(method Method) error {
+	ts := []hin.NodeID{s.rec, s.q.WNI}
+	if method == Exhaustive || method == ExhaustiveDirect {
+		for _, t := range s.exhaustiveTargets() {
+			if t != s.rec {
+				ts = append(ts, t)
+			}
+		}
+	}
+	var ahead []hin.NodeID
+	if method != probe && method != ExhaustiveDirect && s.learns() {
+		ahead = append(ahead, s.q.User)
+		if s.mode == Remove {
+			width := s.ex.rev.PassWidth()
+			for _, sc := range s.topList(width + 1) {
+				if !slices.Contains(ts, sc.Node) && len(ahead) < width {
+					ahead = append(ahead, sc.Node)
+				}
+			}
+		}
+	}
+	var spare []ppr.Vector
+	if len(ahead) > 0 {
+		spare, _ = aheadColumns.Get()
+	}
+	cols, fetched, err := s.reverseColumns(ts, ahead, spare)
+	if err != nil {
+		return err
+	}
+	s.toRec, s.toWNI = cols[0], cols[1]
+	for i, t := range ts[2:] {
+		s.held = append(s.held, column{t, cols[2+i]})
+	}
+	s.held = append(s.held, fetched...)
+	for i, c := range fetched { // c.col is spare[i], or new where that did not fit
+		if i < len(spare) {
+			spare[i] = c.col
+		} else {
+			spare = append(spare, c.col)
+		}
+	}
+	s.spare = spare
+	return nil
+}
+
+// aheadColumns is the free list of the vectors sessions fetch columns
+// ahead into (open). Those columns are the session's own — uncached,
+// read by nothing once its explain returns — so release hands them to
+// a later session's opening batch rather than leave several
+// graph-length vectors of garbage per explain.
+var aheadColumns freelist.List[[]ppr.Vector]
+
+// topList returns the first n entries of the user's baseline ranking,
+// selected off the session's base scores — no push, cached or not —
+// and kept: a shorter list is a prefix of a longer one.
+func (s *session) topList(n int) []rec.Scored {
+	if n > s.topN {
+		s.top, s.topN = s.ex.r.TopWithin(s.q.User, s.base, n), n
+	}
+	return s.top[:min(n, len(s.top))]
+}
+
 // reverseColumns returns PPR(·, t) for every t of ts over the session's
 // scoring view, the missing columns drained in one reverse-push batch
 // and served through the explainer's vector cache when one is attached
 // (the CSR snapshot carries its graph's β-salted version, so a column is
 // reused by every later request over the same graph, bit-identical
 // whatever batch computed it). The vectors are shared: do not mutate.
-func (s *session) reverseColumns(ts ...hin.NodeID) ([]ppr.Vector, error) {
+// When that batch drains, ahead[0] and as many more of ahead as fit in
+// one pass with the missing columns (ReversePush.PassWidth) join it,
+// drained into the vectors of spare where they fit
+// (ReversePush.ToTargetsInto); their columns come back in fetched,
+// uncached, and nothing is fetched ahead when every column of ts is
+// resident.
+func (s *session) reverseColumns(ts, ahead []hin.NodeID, spare []ppr.Vector) (cols []ppr.Vector, fetched []column, err error) {
+	drain := func(ctx context.Context, need []hin.NodeID) ([]ppr.Vector, error) {
+		if len(ahead) == 0 || fetched != nil { // a cache retry fetches nothing twice
+			return s.ex.rev.ToTargets(ctx, s.view, need)
+		}
+		extra := ahead[:min(len(ahead), max(1, s.ex.rev.PassWidth()-len(need)))]
+		all := make([]ppr.Vector, len(need)+len(extra))
+		copy(all[len(need):], spare)
+		if err := s.ex.rev.ToTargetsInto(ctx, s.view, slices.Concat(need, extra), all); err != nil {
+			return nil, err
+		}
+		for i, t := range extra {
+			fetched = append(fetched, column{t, all[len(need)+i]})
+		}
+		return all[:len(need)], nil
+	}
 	if c := s.ex.cache; c != nil && len(ts) > 0 {
 		if k, ok := pprcache.ReverseKey(s.view, s.ex.rev, ts[0]); ok {
 			keys := make([]pprcache.Key, len(ts))
 			for i, t := range ts {
 				keys[i], keys[i].Node = k, t
 			}
-			return c.GetOrComputeMany(s.ctx, keys, func(cctx context.Context, missing []int) ([]ppr.Vector, error) {
+			cols, err := c.GetOrComputeMany(s.ctx, keys, func(cctx context.Context, missing []int) ([]ppr.Vector, error) {
 				need := make([]hin.NodeID, len(missing))
 				for j, i := range missing {
 					need[j] = ts[i]
 				}
-				return s.ex.rev.ToTargets(cctx, s.view, need)
+				return drain(cctx, need)
 			})
+			if err != nil { // a canceled caller may not wait for the fill that writes fetched
+				return nil, nil, err
+			}
+			return cols, fetched, nil
 		}
 	}
-	return s.ex.rev.ToTargets(s.ctx, s.view, ts)
+	if cols, err = drain(s.ctx, ts); err != nil {
+		return nil, nil, err
+	}
+	return cols, fetched, nil
 }
 
 // canceled reports a pending cancellation of the session's context as

@@ -243,7 +243,7 @@ func TestTauMatchesPPRGap(t *testing.T) {
 	f := newFixture(t, Options{AllowedEdgeTypes: hin.NewEdgeTypeSet()})
 	// Force the all-types set (newFixture only overrides the zero set).
 	f.ex.opts.AllowedEdgeTypes = hin.EdgeTypeSet{}
-	s, err := f.ex.newSession(context.Background(), f.query(), Remove)
+	s, err := f.ex.newSession(context.Background(), f.query(), nil, Remove, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestTauMatchesPPRGap(t *testing.T) {
 
 func TestSearchSpaceRemove(t *testing.T) {
 	f := newFixture(t, Options{})
-	s, err := f.ex.newSession(context.Background(), f.query(), Remove)
+	s, err := f.ex.newSession(context.Background(), f.query(), nil, Remove, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestSearchSpaceRemove(t *testing.T) {
 
 func TestSearchSpaceAdd(t *testing.T) {
 	f := newFixture(t, Options{})
-	s, err := f.ex.newSession(context.Background(), f.query(), Add)
+	s, err := f.ex.newSession(context.Background(), f.query(), nil, Add, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestBruteForceMinimality(t *testing.T) {
 	// Every strictly smaller subset of the user's actions must fail.
 	if expl.Size() != 1 {
 		// Size 1 is trivially minimal; for larger sizes check subsets.
-		s, err := f.ex.newSession(context.Background(), f.query(), Remove)
+		s, err := f.ex.newSession(context.Background(), f.query(), nil, Remove, Powerset)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,10 +36,7 @@ import (
 // pull down a third item (§5.2.2). H is capped at MaxSearchSpace by
 // absolute contribution to bound the combination sweep.
 func (s *session) exhaustive(withCheck bool) (*Explanation, error) {
-	targets, err := s.exhaustiveTargets()
-	if err != nil {
-		return nil, err
-	}
+	targets := s.exhaustiveTargets()
 	cols, err := s.targetColumns(targets)
 	if err != nil {
 		return nil, err
@@ -158,14 +155,11 @@ func comboContainsAddedEndpoint(h []candidate, idx []int, t hin.NodeID) bool {
 
 // exhaustiveTargets returns T: the current top-K candidate items
 // excluding WNI (the paper's recommendation list with the Why-Not item
-// removed, as in the running example).
-func (s *session) exhaustiveTargets() ([]hin.NodeID, error) {
-	top, err := s.ex.r.TopNContext(s.ctx, s.q.User, s.ex.opts.TopKTargets+1)
-	if err != nil {
-		return nil, s.wrapCtx(err)
-	}
+// removed, as in the running example), read off the session's baseline
+// ranking (topList).
+func (s *session) exhaustiveTargets() []hin.NodeID {
 	targets := make([]hin.NodeID, 0, s.ex.opts.TopKTargets)
-	for _, sc := range top {
+	for _, sc := range s.topList(s.ex.opts.TopKTargets + 1) {
 		if sc.Node == s.q.WNI {
 			continue
 		}
@@ -174,21 +168,33 @@ func (s *session) exhaustiveTargets() ([]hin.NodeID, error) {
 			break
 		}
 	}
-	return targets, nil
+	return targets
 }
 
-// targetColumns returns PPR(·, t) for every target, fetched together
-// through session.reverseColumns: one graph pass drains whatever the
-// vector cache does not hold. The current recommendation is usually
-// among the targets and its column is the session's own.
+// targetColumns returns PPR(·, t) for every target: the session's own
+// where it holds one (rec's, and every target of an Exhaustive
+// session's opening batch), the rest fetched together through
+// session.reverseColumns — one graph pass drains whatever the vector
+// cache does not hold.
 func (s *session) targetColumns(targets []hin.NodeID) ([]ppr.Vector, error) {
-	need := slices.DeleteFunc(slices.Clone(targets), func(t hin.NodeID) bool { return t == s.rec })
-	cols, err := s.reverseColumns(need...)
+	cols := make([]ppr.Vector, len(targets))
+	var need []hin.NodeID
+	for k, t := range targets {
+		if cols[k] = s.sessionColumn(t); cols[k] == nil {
+			need = append(need, t)
+		}
+	}
+	if len(need) == 0 {
+		return cols, nil
+	}
+	fetched, _, err := s.reverseColumns(need, nil, nil)
 	if err != nil {
 		return nil, s.wrapCtx(err)
 	}
-	if k := slices.Index(targets, s.rec); k >= 0 {
-		cols = slices.Insert(cols, k, s.toRec)
+	for k := range cols {
+		if cols[k] == nil {
+			cols[k], fetched = fetched[0], fetched[1:]
+		}
 	}
 	return cols, nil
 }

@@ -107,31 +107,34 @@ func rivalMargin(row []hin.HalfEdge, total float64, u, t hin.NodeID, toWNI, toT,
 	return m / total, candidate
 }
 
+// learns reports whether the session learns rivals at all. This is the
+// one place the gate is switched off: under the test seam, on group
+// queries, whose accept set the pairwise identity does not cover, and
+// over a recommender without column sums (a patch), nothing is learned
+// and gated never fires.
+func (s *session) learns() bool {
+	return !s.ex.noGate && s.accept == nil && s.ex.r.ColumnSums() != nil
+}
+
 // learn remembers the winner of a rejected CHECK. The first rejection
-// also fetches PPR(·,u) and seeds the list with rec, whose column the
-// session already holds. This is the one place the gate is switched off:
-// under the test seam, on group queries, whose accept set the pairwise
-// identity does not cover, and over a recommender without column sums
-// (a patch), nothing is learned and gated never fires. A learn cut short
-// by its context changes nothing.
+// also takes PPR(·,u) and seeds the list with rec, whose column the
+// session already holds. A learn cut short by its context changes
+// nothing.
 func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	rv := s.gate
-	off := s.ex.noGate || s.accept != nil
-	if off || winner == hin.InvalidNode || (rv != nil && (rv.has(winner) || len(rv.list) >= maxRivals)) {
+	if !s.learns() || winner == hin.InvalidNode || (rv != nil && (rv.has(winner) || len(rv.list) >= maxRivals)) {
 		return nil
 	}
 	sums := s.ex.r.ColumnSums()
-	if sums == nil {
-		return nil
-	}
 	p := s.ex.r.Config().PPR
 	fwdErr := func(t hin.NodeID) float64 {
 		return p.ForwardErr(sums[t] + (1-p.Alpha)/p.Alpha*sums[s.q.User])
 	}
-	// One graph pass fetches what the gate lacks: PPR(·,u) on the first
-	// rejection, and the winner's column unless it is already held.
+	// One graph pass fetches what the gate lacks and the session does not
+	// hold: PPR(·,u) on the first rejection, and the winner's column.
 	var need []hin.NodeID
-	if rv == nil {
+	toU := s.sessionColumn(s.q.User)
+	if rv == nil && toU == nil {
 		need = append(need, s.q.User)
 	}
 	col := s.heldColumn(ctx, winner)
@@ -146,7 +149,10 @@ func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 		}
 	}
 	if rv == nil {
-		rv = &rivals{toU: cols[0], wniErr: fwdErr(s.q.WNI)}
+		if toU == nil {
+			toU = cols[0]
+		}
+		rv = &rivals{toU: toU, wniErr: fwdErr(s.q.WNI)}
 		rv.list = []rival{{node: s.rec, col: s.toRec, fwdErr: fwdErr(s.rec)}}
 		s.gate = rv
 	}
@@ -159,18 +165,33 @@ func (s *session) learn(ctx context.Context, winner hin.NodeID) error {
 	return nil
 }
 
-// heldColumn returns PPR(·,t) when it costs no push, else nil: rec's is
-// the session's own, and Alg. 5's targets — the base top-10, where most
-// Remove rivals come from — sit in the vector cache. That lookup is
-// read-only: a miss computes and inserts nothing.
+// heldColumn returns PPR(·,t) when it costs no push, else nil: the
+// session's own (sessionColumn) — where a Remove session's opening
+// batch put the base top ranks most of its rivals come from — or one
+// the vector cache holds, as Alg. 5's targets of an earlier question.
+// That lookup is read-only: a miss computes and inserts nothing.
 func (s *session) heldColumn(ctx context.Context, t hin.NodeID) (col ppr.Vector) {
-	if t == s.rec {
-		return s.toRec
+	if col = s.sessionColumn(t); col != nil {
+		return col
 	}
 	if k, ok := pprcache.ReverseKey(s.view, s.ex.rev, t); ok && s.ex.cache != nil {
 		col, _ = s.ex.cache.Get(ctx, k)
 	}
 	return col
+}
+
+// sessionColumn returns PPR(·,t) when the session holds it — rec's, or
+// one its opening batch drained (open) — else nil.
+func (s *session) sessionColumn(t hin.NodeID) ppr.Vector {
+	if t == s.rec {
+		return s.toRec
+	}
+	for _, c := range s.held {
+		if c.node == t {
+			return c.col
+		}
+	}
+	return nil
 }
 
 // gateColumns computes PPR(·,t) for the gate straight off the engine,

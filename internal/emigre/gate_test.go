@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
@@ -140,7 +141,7 @@ func (w *gateWorld) session(t testing.TB, mutate func(*Explainer)) *session {
 	if mutate != nil {
 		mutate(ex)
 	}
-	s, err := ex.newSession(context.Background(), Query{User: w.u, WNI: w.wni}, Combined)
+	s, err := ex.newSession(context.Background(), Query{User: w.u, WNI: w.wni}, nil, Combined, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +452,7 @@ func TestRivalGateActuallyGates(t *testing.T) {
 	}
 	// The first item of the user's top list whose search runs out of budget.
 	for _, wni := range top[1:] {
-		s, err := ex.newSession(context.Background(), Query{User: q.User, WNI: wni.Node}, Remove)
+		s, err := ex.newSession(context.Background(), Query{User: q.User, WNI: wni.Node}, nil, Remove, Powerset)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,7 +496,7 @@ func TestRivalGateSplitRepeats(t *testing.T) {
 	}
 	run := func(wni hin.NodeID, method Method) (Stats, string) {
 		ex := New(g, r, Options{AllowedEdgeTypes: te, MaxTests: 40})
-		s, err := ex.newSession(context.Background(), Query{User: q.User, WNI: wni}, Remove)
+		s, err := ex.newSession(context.Background(), Query{User: q.User, WNI: wni}, nil, Remove, method)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,13 +545,23 @@ func (c coldCtx) Done() <-chan struct{} { return nil }
 
 // TestRivalGateCancellationMidLearn cancels inside the reverse push that
 // learns the first winner: the search ends in a *CanceledError carrying
-// what it had committed, and nothing half-learned is published.
+// what it had committed, and nothing half-learned is published. The
+// question's pair is resident first, so the session's opening batch
+// fetches nothing ahead and that learn pushes PPR(·,u) and the winner's
+// column itself.
 func TestRivalGateCancellationMidLearn(t *testing.T) {
 	f := newFixture(t, Options{})
+	q := Query{User: f.ids["u"], WNI: f.ids["f3"]}
+	if _, err := f.ex.newSession(context.Background(), q, nil, Remove, probe); err != nil { // drains the pair alone
+		t.Fatal(err)
+	}
 	ctx := coldCtx{Context: context.Background(), after: coldChecks.Value()}
-	s, err := f.ex.newSession(ctx, Query{User: f.ids["u"], WNI: f.ids["f3"]}, Remove)
+	s, err := f.ex.newSession(ctx, q, nil, Remove, BruteForce)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(s.held) != 0 {
+		t.Fatalf("a session whose pair is resident fetched %d columns ahead", len(s.held))
 	}
 	_, err = s.bruteForce()
 	var ce *CanceledError
@@ -565,22 +576,28 @@ func TestRivalGateCancellationMidLearn(t *testing.T) {
 	}
 }
 
-// TestRivalGateLearnsFromHeldColumns pins what learn may push: PPR(·,u)
-// once, plus the winner's column only when neither the session (rec)
-// nor the vector cache holds it — and a cache lookup that misses
-// inserts nothing.
+// TestRivalGateLearnsFromHeldColumns pins what learn may push: nothing
+// for a column the session holds — rec's, and PPR(·,u) and the base
+// top ranks its opening batch drained — or the vector cache holds, and
+// one push for a winner outside both, once. A cache lookup that misses
+// inserts nothing. A session whose pair is resident fetches nothing
+// ahead, and its first learn pushes PPR(·,u).
 func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 	runs := obs.Default().Counter("emigre_ppr_runs_total",
 		"PPR engine runs by engine.", obs.L("engine", "reverse_push"))
 	ctx := context.Background()
+	q := func(f *fixture) Query { return Query{User: f.ids["u"], WNI: f.ids["f3"]} }
 	for _, cached := range []bool{true, false} {
 		f := newFixture(t, Options{DisableCache: !cached})
-		s, err := f.ex.newSession(ctx, Query{User: f.ids["u"], WNI: f.ids["f3"]}, Remove)
+		s, err := f.ex.newSession(ctx, q(f), nil, Remove, Powerset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		held, fresh := f.ids["p1"], f.ids["f2"]
-		want, err := s.reverseColumns(held) // as Alg. 5's target fetch would leave it
+		// p1 is fetched as Alg. 5's target fetch would leave it; f2 ranks
+		// after rec (p3) in the base top list, so the opening batch drained
+		// it; p2 is outside the batch.
+		held, batched, fresh := f.ids["p1"], f.ids["f2"], f.ids["p2"]
+		want, _, err := s.reverseColumns([]hin.NodeID{held, batched}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,8 +607,8 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 		}
 		for _, step := range []struct {
 			winner hin.NodeID
-			pushes int64 // reverse runs with a cache; one more per fresh winner without
-		}{{s.rec, 1}, {held, 0}, {fresh, 1}, {fresh, 0}} {
+			pushes int64 // reverse runs with a cache; one more for p1 without
+		}{{s.rec, 0}, {held, 0}, {batched, 0}, {fresh, 1}, {fresh, 0}} {
 			wantRuns := step.pushes
 			if !cached && step.winner == held {
 				wantRuns = 1
@@ -605,19 +622,76 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 			}
 		}
 		rv := s.gate
-		if len(rv.list) != 3 || rv.list[0].node != s.rec || rv.list[1].node != held || rv.list[2].node != fresh {
-			t.Fatalf("cache=%v: learned %+v, want rec, p1, f2", cached, rv.list)
+		if len(rv.list) != 4 || rv.list[0].node != s.rec || rv.list[1].node != held || rv.list[2].node != batched || rv.list[3].node != fresh {
+			t.Fatalf("cache=%v: learned %+v, want rec, p1, f2, p2", cached, rv.list)
+		}
+		if &rv.toU[0] != &s.sessionColumn(s.q.User)[0] || &rv.list[2].col[0] != &s.sessionColumn(batched)[0] {
+			t.Fatal("PPR(·,u) and a batched winner must be learned from the opening batch's vectors")
 		}
 		if cached && &rv.list[1].col[0] != &want[0][0] {
 			t.Fatal("a resident winner must be learned from the cache's own vector")
 		}
-		if !reflect.DeepEqual(rv.list[1].col, want[0]) {
-			t.Fatal("a pushed gate column differs from the cached route's")
+		for k, c := range []ppr.Vector{rv.list[1].col, rv.list[2].col} {
+			if !reflect.DeepEqual(c, want[k]) {
+				t.Fatalf("cache=%v: gate column %d differs from the cached route's", cached, k)
+			}
 		}
 		if cached && f.ex.cache.Len() != entries {
 			t.Fatalf("learning changed cache residency: %d entries, had %d", f.ex.cache.Len(), entries)
 		}
+		if !cached {
+			continue
+		}
+		// The pair is resident now: a second session fetches nothing ahead.
+		warm, err := f.ex.newSession(ctx, q(f), nil, Remove, Powerset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runs.Value()
+		if err := warm.learn(ctx, warm.rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(warm.held) != 0 || runs.Value()-before != 1 {
+			t.Fatalf("warm pair: %d columns fetched ahead, first learn ran %d pushes; want 0 and 1 (PPR(·,u))", len(warm.held), runs.Value()-before)
+		}
 	}
+}
+
+// TestRemoveWinnersInOpeningBatchPushNothing pins the opening batch's
+// point on Amazon Lite: a Remove search whose learned winners all lie in
+// its opening batch — rec, and the base top ranks drained beside the
+// pair with PPR(·,u) — runs no reverse push after newSession, however
+// many rejections it learns from.
+func TestRemoveWinnersInOpeningBatchPushNothing(t *testing.T) {
+	g, r, q, te := liteScenario(t)
+	top, err := r.TopN(q.User, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := obs.Default().Counter("emigre_ppr_runs_total",
+		"PPR engine runs by engine.", obs.L("engine", "reverse_push"))
+	ex := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true, MaxTests: 40})
+	for _, wni := range top[1:] {
+		s, err := ex.newSession(context.Background(), Query{User: q.User, WNI: wni.Node}, nil, Remove, Powerset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runs.Value()
+		_, err = s.powerset()
+		if err != nil && !errors.Is(err, ErrNoExplanation) {
+			t.Fatal(err)
+		}
+		if s.gate == nil || len(s.gate.list) < 2 || slices.ContainsFunc(s.gate.list, func(rv rival) bool { return s.sessionColumn(rv.node) == nil }) {
+			s.release()
+			continue // no rival learned beyond rec, or one outside the batch
+		}
+		if got := runs.Value() - before; got != 0 {
+			t.Fatalf("WNI %d: the search learned %d rivals, all held, and ran %d reverse pushes; want 0", wni.Node, len(s.gate.list), got)
+		}
+		s.release()
+		return
+	}
+	t.Fatal("no Remove question of the scenario learned a rival beyond rec from its opening batch; the test is vacuous")
 }
 
 // gatedRemoval opens a Remove session on the Amazon Lite scenario and
@@ -626,7 +700,7 @@ func gatedRemoval(tb testing.TB) (*session, candidate) {
 	tb.Helper()
 	g, r, q, te := liteScenario(tb)
 	ex := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true})
-	s, err := ex.newSession(context.Background(), q, Remove)
+	s, err := ex.newSession(context.Background(), q, nil, Remove, Powerset)
 	if err != nil {
 		tb.Fatal(err)
 	}

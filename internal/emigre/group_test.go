@@ -155,11 +155,11 @@ func TestGroupCheckAcceptsAnyMemberMidSearch(t *testing.T) {
 	// Directly exercise the widened CHECK: a session seeded on f3 with
 	// accept={f2,f3} must report success for an edit that promotes f2.
 	f := newFixture(t, Options{})
-	s, err := f.ex.newSession(context.Background(), Query{User: f.ids["u"], WNI: f.ids["f3"]}, Remove)
+	accept := map[hin.NodeID]bool{f.ids["f2"]: true, f.ids["f3"]: true}
+	s, err := f.ex.newSession(context.Background(), Query{User: f.ids["u"], WNI: f.ids["f3"]}, accept, Remove, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.accept = map[hin.NodeID]bool{f.ids["f2"]: true, f.ids["f3"]: true}
 	cands := []candidate{
 		{edge: hin.Edge{From: f.ids["u"], To: f.ids["p1"], Type: f.rated, Weight: 1}, op: Remove},
 		{edge: hin.Edge{From: f.ids["u"], To: f.ids["p2"], Type: f.rated, Weight: 1}, op: Remove},

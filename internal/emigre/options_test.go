@@ -40,7 +40,7 @@ func TestExhaustiveCandidateCap(t *testing.T) {
 		{"fixture", f.ex, f.query()},
 		{"lite", New(g, r, Options{AllowedEdgeTypes: te, MaxSearchSpace: 8}), q},
 	} {
-		s, err := tc.ex.newSession(context.Background(), tc.q, Add)
+		s, err := tc.ex.newSession(context.Background(), tc.q, nil, Add, Powerset)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -307,7 +307,7 @@ func TestQuickTauEqualsContributionSum(t *testing.T) {
 		if err != nil || len(top) < 2 {
 			return true // no scenario, vacuously fine
 		}
-		s, err := ex.newSession(context.Background(), Query{User: u, WNI: top[len(top)-1].Node}, Remove)
+		s, err := ex.newSession(context.Background(), Query{User: u, WNI: top[len(top)-1].Node}, nil, Remove, Powerset)
 		if err != nil {
 			return true
 		}

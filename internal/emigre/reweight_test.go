@@ -78,7 +78,7 @@ func TestReweightNoCandidatesAtTarget(t *testing.T) {
 	// search space must be empty and the explainer must report a clean
 	// miss.
 	f := newFixture(t, Options{ReweightTo: 1})
-	s, err := f.ex.newSession(context.Background(), f.query(), Reweight)
+	s, err := f.ex.newSession(context.Background(), f.query(), nil, Reweight, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestColdCheckAllocatesNoGraphVector(t *testing.T) {
 	g, r, q, te := liteScenario(t)
 	ex := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true})
 	ex.noGate = true
-	s, err := ex.newSession(context.Background(), q, Remove)
+	s, err := ex.newSession(context.Background(), q, nil, Remove, Powerset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,9 @@ func TestLargeRankingIsNotKept(t *testing.T) {
 // TestRecycledScratchUnderConcurrency races Remove and Add explains of
 // all three methods, Verify calls and recommends — cached and uncached —
 // over one explainer and one cache on Amazon Lite, so the recycled
-// scratch (residual vectors, lent scores, search spaces) passes between
-// goroutines. Every answer must equal that of a sequential explainer
-// without a cache. Run under -race.
+// scratch (residual vectors, lent scores, search spaces, the columns
+// fetched ahead) passes between goroutines. Every answer must equal
+// that of a sequential explainer without a cache. Run under -race.
 func TestRecycledScratchUnderConcurrency(t *testing.T) {
 	testleak.Check(t)
 	g, r, q, te := liteScenario(t)

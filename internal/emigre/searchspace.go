@@ -73,12 +73,18 @@ func (s *session) defineSearchSpace() error {
 // per explain would be most of an explain's garbage.
 var searchSpaces freelist.List[[]candidate]
 
-// release gives the session's search space back to searchSpaces. It
-// runs when the explain returns, after the last read of s.cands: no
-// answer refers to the buffer, since found and noteAttempt copy.
+// release gives the session's search space back to searchSpaces and
+// the vectors it fetched columns ahead into back to aheadColumns. It
+// runs when the explain returns, after the last read of s.cands and of
+// any column: no answer refers to either, since found and noteAttempt
+// copy.
 func (s *session) release() {
 	searchSpaces.Put(s.cands[:0])
 	s.cands = nil
+	if len(s.spare) > 0 {
+		aheadColumns.Put(s.spare)
+		s.spare, s.held, s.gate = nil, nil, nil
+	}
 }
 
 // addCandidates appends the candidates of Algorithm 2 to cands: the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -70,17 +71,23 @@ func liteGraph(tb testing.TB) (g *hin.CSR, p ppr.Params, users, items []hin.Node
 	return lite.g, lite.p, lite.users, lite.items
 }
 
-// batches splits ts into consecutive batches of 1, 2, 3, 4, 5, 8, 9
-// and 10 targets in turn: every way ToTargets groups a batch for the
-// packed body — a full group of four, a masked group of two or three,
-// and a lone column left over — and the scalar single column.
+// batchSizes are the batch sizes the Lite tests drain: every way
+// columns splits a batch into passes — a lone column, a 4-lane group of
+// two to four, an 8-lane group of five to eight, and the tails of 8 + 1
+// to 8 + 4 and 8 + 8 where the CPU runs body8.
+var batchSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16}
+
+// batches cuts consecutive batches of batchSizes out of ts, starting
+// over from ts[0] when one would run past its end.
 func batches(ts []hin.NodeID) [][]hin.NodeID {
-	sizes := []int{1, 2, 3, 4, 5, 8, 9, 10}
 	var out [][]hin.NodeID
-	for i, k := 0, 0; i < len(ts); k++ {
-		n := min(sizes[k%len(sizes)], len(ts)-i)
-		out = append(out, ts[i:i+n])
-		i += n
+	at := 0
+	for _, k := range batchSizes {
+		if at+k > len(ts) {
+			at = 0
+		}
+		out = append(out, ts[at:at+k])
+		at += k
 	}
 	return out
 }
@@ -88,12 +95,19 @@ func batches(ts []hin.NodeID) [][]hin.NodeID {
 // TestReverseMatchesReferenceOnLite holds the kernel to the reference
 // drain bit for bit — estimates, residuals and push counts — on the
 // graph the benchmark serves: 50 Why-Not item columns and 50 user
-// columns, drained in the batches above as ToTargets drains them, by
-// the packed body where the CPU has one and by kernel.body alone, so
-// the two bodies agree bit for bit.
+// columns, drained in the batches above as ToTargets drains them, at
+// every pass width the CPU runs (kernel.body alone, body4, body8), so
+// every body agrees with the scalar one bit for bit.
 func TestReverseMatchesReferenceOnLite(t *testing.T) {
 	g, p, users, items := liteGraph(t)
-	for _, e := range []*ppr.ReversePush{ppr.NewReversePush(p), ppr.ScalarReversePush(p)} {
+	want := make(map[hin.NodeID]*ppr.PushResult)
+	for _, tgt := range append(slices.Clone(items), users...) {
+		if want[tgt] == nil {
+			want[tgt], _ = ppr.RefReverse(g, p, tgt, ppr.Relaxation(p.Alpha))
+		}
+	}
+	for _, w := range ppr.HostWidths() {
+		e := ppr.WidthReversePush(p, w)
 		for _, set := range []struct {
 			name string
 			ts   []hin.NodeID
@@ -104,8 +118,7 @@ func TestReverseMatchesReferenceOnLite(t *testing.T) {
 					t.Fatal(err)
 				}
 				for k, tgt := range batch {
-					want, _ := ppr.RefReverse(g, p, tgt, ppr.Relaxation(p.Alpha))
-					ppr.SameRun(t, fmt.Sprintf("%s %d in a batch of %d", set.name, tgt, len(batch)), got[k], want)
+					ppr.SameRun(t, fmt.Sprintf("%d wide: %s %d in a batch of %d", w, set.name, tgt, len(batch)), got[k], want[tgt])
 				}
 			}
 		}
@@ -128,7 +141,7 @@ func BenchmarkReversePushLite(b *testing.B) {
 		_, work[t] = ppr.RefReverse(g, p, t, ppr.Relaxation(p.Alpha))
 	}
 	e := ppr.NewReversePush(p)
-	for _, K := range []int{1, 2, 3, 4, 9} {
+	for _, K := range []int{1, 2, 3, 4, 5, 8, 9, 12} {
 		b.Run(fmt.Sprintf("K=%d", K), func(b *testing.B) {
 			b.ReportAllocs()
 			ts := make([]hin.NodeID, K)

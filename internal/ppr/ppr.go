@@ -20,10 +20,10 @@
 //     the invariant of Eq. 4 — the engine EMiGRe's Add mode uses to
 //     discover candidate neighbors. Its one kernel sweeps the nodes in
 //     ascending id, over-relaxed (each push moves ω·r, ω derived from α).
-//     A ToTargets batch drains its columns four at a time through a
-//     packed AVX2 body where the CPU has one (body4), one at a time
-//     otherwise, and a column is bit-identical whichever body and batch
-//     drained it. Its estimates are within Params.ColumnErr of the exact
+//     A ToTargets batch drains up to eight columns a pass through a
+//     packed AVX-512 body where the CPU has one (body8), four through a
+//     packed AVX2 body (body4), one at a time otherwise, and a column is
+//     bit-identical whichever body and batch drained it. Its estimates are within Params.ColumnErr of the exact
 //     column, on either side.
 //
 // Both push over a *hin.CSR, the flat snapshot of the transition
@@ -31,9 +31,10 @@
 // (hin.CSR.WithOutRow), a reverse push refuses it. Each engine is a
 // driver — the sweeps and the ω guards — around one push body
 // (kernel.body) that walks the CSR's padded rows, out-rows forward and
-// in-rows in reverse; the reverse driver has body4, its four-column
-// packed twin, beside it. Power (dense iteration) and Exact (Gaussian
-// elimination) read the same snapshot's rows as the test references.
+// in-rows in reverse; the reverse driver has body4 and body8, its
+// four- and eight-column packed twins, beside it. Power (dense
+// iteration) and Exact (Gaussian elimination) read the same snapshot's
+// rows as the test references.
 //
 // Dangling nodes (no outgoing edges) absorb the walk: the transition
 // matrix is sub-stochastic there and PPR mass is lost. This convention
@@ -167,8 +168,9 @@ func (id *identity) of(name string, p Params) string {
 // estimates LendFromSource lends. A buffer of an n-node graph holds
 // n + hin.InLanes entries, the residuals' scratch slots included.
 // blocks is the packed reverse drain's (reverseDrain.group): its
-// interleaved residuals and estimates, lanes·(2n + hin.InLanes)
-// entries, one block per batch in flight.
+// interleaved residuals and estimates, w·(2n + hin.InLanes) entries for
+// the drain's widest pass w, one block per batch in flight, which its
+// 4- and 8-lane groups share.
 var buffers, blocks freelist.List[Vector]
 
 // borrow returns a zeroed buffer for an n-node graph from buffers. Give

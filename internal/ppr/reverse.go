@@ -26,13 +26,24 @@ type ReversePush struct {
 	Params Params
 	id     identity
 
-	// scalar is a test seam, set only from _test.go files: it drains
-	// every column through kernel.body, as on a CPU without AVX2.
-	scalar bool
+	// width is a test seam, set only from _test.go files: 1, 4 or 8
+	// drains a batch as on a CPU whose widest pass is that many columns
+	// (columns); 0, the default, is this CPU's own.
+	width int
 }
 
 // NewReversePush returns a reverse-push engine with the given parameters.
 func NewReversePush(p Params) *ReversePush { return &ReversePush{Params: p} }
+
+// PassWidth is the most columns one ToTargets pass drains on this CPU:
+// 8 with AVX-512, 4 with AVX2 alone, else 1. A batch of up to PassWidth
+// columns costs one graph pass.
+func (e *ReversePush) PassWidth() int {
+	if e.width != 0 {
+		return min(e.width, wide)
+	}
+	return wide
+}
 
 // Identity implements Identifier: the push loop's output depends on α
 // and the residual threshold ε only.
@@ -53,21 +64,34 @@ func (e *ReversePush) ToTargetContext(ctx context.Context, g *hin.CSR, t hin.Nod
 // the batch (duplicated targets are computed once each) — so a cached
 // column never depends on who it was computed with. No targets touch
 // nothing.
-// Where the CPU has AVX2 the batch drains four columns at a time
-// through the packed body (columns).
+// Where the CPU has AVX-512 the batch drains up to eight columns at a
+// time through a packed body, with AVX2 alone four (columns).
 func (e *ReversePush) ToTargets(ctx context.Context, g *hin.CSR, ts []hin.NodeID) ([]Vector, error) {
 	if len(ts) == 0 {
 		return nil, nil
 	}
-	d, err := e.drain(g, ts)
-	if err != nil {
-		return nil, err
-	}
 	cols := make([]Vector, len(ts))
-	if err := d.columns(ctx, ts, cols, nil); err != nil {
+	if err := e.ToTargetsInto(ctx, g, ts, cols); err != nil {
 		return nil, err
 	}
 	return cols, nil
+}
+
+// ToTargetsInto is ToTargets writing column k to cols[k], in place when
+// cols[k] holds exactly one entry per node of g — a caller recycling
+// the columns of an earlier batch, which no two slots may share — and
+// into a new vector otherwise. After an error no slot of cols is to be
+// read: each holds a finished column, a half-written one or what it
+// held before.
+func (e *ReversePush) ToTargetsInto(ctx context.Context, g *hin.CSR, ts []hin.NodeID, cols []Vector) error {
+	if len(ts) == 0 {
+		return nil
+	}
+	d, err := e.drain(g, ts)
+	if err != nil {
+		return err
+	}
+	return d.columns(ctx, ts, cols, nil)
 }
 
 // RunContext performs reverse local push toward t over g until every
@@ -82,7 +106,7 @@ func (e *ReversePush) RunContext(ctx context.Context, g *hin.CSR, t hin.NodeID) 
 		return nil, err
 	}
 	d.r = make(Vector, d.n()+hin.InLanes) // handed out: not borrowed
-	p, pushes, err := d.column(ctx, t)
+	p, pushes, err := d.column(ctx, t, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +121,7 @@ type reverseDrain struct {
 	inStart []int32
 	inSrc   []hin.NodeID
 	inProb  []float64
-	packed  bool // drain batches through body4 (columns)
+	width   int // the widest pass: ReversePush.PassWidth
 }
 
 // errPatchedSnapshot is the reverse push's refusal of a row-patched
@@ -122,15 +146,16 @@ func (e *ReversePush) drain(csr *hin.CSR, ts []hin.NodeID) (reverseDrain, error)
 		}
 	}
 	inStart, inSrc, inProb := csr.InRows()
-	return reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb, packed: packed && !e.scalar,
+	return reverseDrain{inStart: inStart, inSrc: inSrc, inProb: inProb, width: e.PassWidth(),
 		kernel: kernel{alpha: e.Params.Alpha, eps: e.Params.Epsilon}}, nil
 }
 
 // n is the node count of the drained graph.
 func (d *reverseDrain) n() int { return len(d.inStart) - 1 }
 
-// column drains PPR(·,t) from r = e_t and returns its estimates and push
-// count; r is left holding the column's terminal residuals. Nodes are
+// column drains PPR(·,t) from r = e_t into p — a new vector unless p
+// holds one entry per node — and returns its estimates and push count;
+// r is left holding the column's terminal residuals. Nodes are
 // visited in ascending id and v pushes iff |r[v]| > ε, moving δ = ω·r[v]:
 // off r[v], α·δ into its estimate and (1−α)·δ·W(x,v) onto every
 // in-neighbour x, until a whole sweep pushes nothing. ω = relaxation(α)
@@ -143,11 +168,15 @@ func (d *reverseDrain) n() int { return len(d.inStart) - 1 }
 // hence ToTargets' batch independence. The context and the
 // ppr.reverse.loop failpoint are polled every ctxCheckInterval node
 // visits.
-func (d *reverseDrain) column(ctx context.Context, t hin.NodeID) (p Vector, pushes int, err error) {
+func (d *reverseDrain) column(ctx context.Context, t hin.NodeID, p Vector) (Vector, int, error) {
 	n := d.n()
 	clear(d.r)
 	d.r[t] = 1
-	d.p, d.pushes = make(Vector, n), 0
+	if len(p) != n {
+		p = make(Vector, n)
+	}
+	clear(p)
+	d.p, d.pushes = p, 0
 	omega := relaxation(d.alpha)
 	bar := (1 - d.alpha) * omega
 	for sweep := 1; ; sweep++ {
@@ -190,26 +219,34 @@ func (d *reverseDrain) finished(pushes int, r Vector, stride, j int) {
 	residualMassReverse.Observe(mass)
 }
 
-// columns drains PPR(·,ts[k]) into cols[k] for every k. On a packed
-// drain it takes the targets four at a time, then the last two or
-// three together, through body4 (group); a lone column, and every
-// column of a drain that is not packed, goes through kernel.body
-// (column). If res is not nil, res[k] receives column k's estimates,
-// a copy of its terminal residuals and its push count.
+// columns drains PPR(·,ts[k]) into cols[k] (as ToTargetsInto) for
+// every k, in passes chosen from BenchmarkReversePushLite's cost table:
+// while five or more columns are left and the drain is 8 wide, the next
+// eight (or all that are left) go through body8; while two to four are
+// left, through body4; a lone column, and every column of a drain 1
+// wide, through kernel.body (column). Both packed widths share one
+// block from blocks, sized for the drain's widest pass. If res is not
+// nil, res[k] receives column k's estimates, a copy of its terminal
+// residuals and its push count.
 func (d *reverseDrain) columns(ctx context.Context, ts []hin.NodeID, cols []Vector, res []*PushResult) error {
 	k := 0
-	if d.packed && len(ts) > 1 {
-		block := take(&blocks, lanes*(2*d.n()+hin.InLanes)) // group clears it
+	if d.width > 1 && len(ts) > 1 {
+		block := take(&blocks, d.width*(2*d.n()+hin.InLanes)) // group clears what it uses
 		defer blocks.Put(block)
-		for ; len(ts)-k > 1; k += lanes {
-			m := min(lanes, len(ts)-k)
+		for left := len(ts); left > 1; left = len(ts) - k {
+			w := 4
+			if d.width == 8 && left >= 5 {
+				w = 8
+			}
+			m := min(w, left)
 			var rs []*PushResult
 			if res != nil {
 				rs = res[k : k+m]
 			}
-			if err := d.group(ctx, ts[k:k+m], cols[k:k+m], block, rs); err != nil {
+			if err := d.group(ctx, ts[k:k+m], cols[k:k+m], block, w, rs); err != nil {
 				return err
 			}
+			k += m
 		}
 	}
 	if k == len(ts) {
@@ -218,7 +255,7 @@ func (d *reverseDrain) columns(ctx context.Context, ts []hin.NodeID, cols []Vect
 	d.r = borrow(d.n())
 	defer buffers.Put(d.r)
 	for ; k < len(ts); k++ {
-		p, pushes, err := d.column(ctx, ts[k])
+		p, pushes, err := d.column(ctx, ts[k], cols[k])
 		if err != nil {
 			return err
 		}
@@ -230,50 +267,52 @@ func (d *reverseDrain) columns(ctx context.Context, ts []hin.NodeID, cols []Vect
 	return nil
 }
 
-// lanes is the columns body4 drains at once.
-const lanes = 4
+// maxLanes is the columns body8, the widest packed body, drains at once.
+const maxLanes = 8
 
-// quad is one group's per-column state, lane j for column j: ω, the
-// sweep's peak |r| and its bar, and the pushes made. packed_amd64.s
-// reads the fields at fixed offsets.
-type quad struct {
-	omega, peak, bar [lanes]float64
-	pushes           [lanes]int64
+// laneState is one group's per-column state, lane j for column j: ω,
+// the sweep's peak |r| and its bar, and the pushes made. body4 reads
+// the first four entries of each array, body8 all eight;
+// packed_amd64.s reads the fields at fixed offsets.
+type laneState struct {
+	omega, peak, bar [maxLanes]float64
+	pushes           [maxLanes]int64
 }
 
 // The offsets packed_amd64.s names.
 var (
-	_ = [1]struct{}{}[unsafe.Offsetof(quad{}.peak)-32]
-	_ = [1]struct{}{}[unsafe.Offsetof(quad{}.bar)-64]
-	_ = [1]struct{}{}[unsafe.Offsetof(quad{}.pushes)-96]
+	_ = [1]struct{}{}[unsafe.Offsetof(laneState{}.peak)-64]
+	_ = [1]struct{}{}[unsafe.Offsetof(laneState{}.bar)-128]
+	_ = [1]struct{}{}[unsafe.Offsetof(laneState{}.pushes)-192]
 )
 
-// group drains two to four columns, those of ts, together: as column
-// drains each, with the residuals and estimates interleaved in block —
-// r[4·x+j] is column j's residual at x, 4·(n + hin.InLanes) entries,
-// then p[4·x+j] its estimate, 4·n — and body4 for kernel.body. Each
-// column keeps its own ω, bar and termination (a whole sweep with no
-// push), so it makes exactly the pushes and floating-point operations of
-// its scalar drain and ends bit for bit the same; the group sweeps until
-// its last column is done, a finished column's lane pushing nothing. The
-// context and the ppr.reverse.loop failpoint are polled once per
-// ctxCheckInterval node visits for the whole group, not per column.
-// A column is copied out and recorded as it finishes; res is as in
-// columns.
-func (d *reverseDrain) group(ctx context.Context, ts []hin.NodeID, cols []Vector, block Vector, res []*PushResult) error {
+// group drains the columns of ts, at most w of them, together, w = 4
+// or 8: as column drains each, with the residuals and estimates
+// interleaved in block — r[w·x+j] is column j's residual at x, w·(n +
+// hin.InLanes) entries, then p[w·x+j] its estimate, w·n — and body4 or
+// body8 for kernel.body. Each column keeps its own ω, bar and
+// termination (a whole sweep with no push), so it makes exactly the
+// pushes and floating-point operations of its scalar drain and ends bit
+// for bit the same; the group sweeps until its last column is done, a
+// finished or empty lane pushing nothing. The context and the
+// ppr.reverse.loop failpoint are polled once per ctxCheckInterval node
+// visits for the whole group, not per column. A column is copied out
+// and recorded as it finishes; res is as in columns.
+func (d *reverseDrain) group(ctx context.Context, ts []hin.NodeID, cols []Vector, block Vector, w int, res []*PushResult) error {
 	n := d.n()
+	block = block[:w*(2*n+hin.InLanes)]
 	clear(block)
-	r, p := block[:lanes*(n+hin.InLanes)], block[lanes*(n+hin.InLanes):]
-	var q quad
+	r, p := block[:w*(n+hin.InLanes)], block[w*(n+hin.InLanes):]
+	var q laneState
 	omega := relaxation(d.alpha)
 	live := 0 // bit j: column j still sweeps
 	for j, t := range ts {
-		r[lanes*int(t)+j] = 1
+		r[w*int(t)+j] = 1
 		q.omega[j], q.bar[j] = omega, (1-d.alpha)*omega
 		live |= 1 << j
 	}
 	for sweep := 1; live != 0; sweep++ {
-		q.peak = [lanes]float64{}
+		q.peak = [maxLanes]float64{}
 		for lo := 0; lo < n; lo += ctxCheckInterval {
 			if err := ctxErr(ctx); err != nil {
 				return err
@@ -282,17 +321,21 @@ func (d *reverseDrain) group(ctx context.Context, ts []hin.NodeID, cols []Vector
 				return err
 			}
 			hi := min(lo+ctxCheckInterval, n)
-			body4(&q, d.inStart[lo:hi+1], d.inSrc, d.inProb, r, p, lo, d.alpha, 1-d.alpha, d.eps)
+			if w == 8 { // a direct call: through a func value q would escape
+				body8(&q, d.inStart[lo:hi+1], d.inSrc, d.inProb, r, p, lo, d.alpha, 1-d.alpha, d.eps)
+			} else {
+				body4(&q, d.inStart[lo:hi+1], d.inSrc, d.inProb, r, p, lo, d.alpha, 1-d.alpha, d.eps)
+			}
 		}
 		for j := range ts {
 			switch {
 			case live&(1<<j) == 0:
 			case q.peak[j] <= 0:
 				live &^= 1 << j
-				cols[j] = lane(p, n, j)
-				d.finished(int(q.pushes[j]), r, lanes, j)
+				cols[j] = lane(cols[j], p, n, w, j)
+				d.finished(int(q.pushes[j]), r, w, j)
 				if res != nil {
-					res[j] = &PushResult{Estimates: cols[j], Residuals: lane(r, n, j), Pushes: int(q.pushes[j])}
+					res[j] = &PushResult{Estimates: cols[j], Residuals: lane(nil, r, n, w, j), Pushes: int(q.pushes[j])}
 				}
 			default:
 				if sweep >= relaxedSweeps {
@@ -305,11 +348,14 @@ func (d *reverseDrain) group(ctx context.Context, ts []hin.NodeID, cols []Vector
 	return nil
 }
 
-// lane copies column j's n entries out of the interleaved v.
-func lane(v Vector, n, j int) Vector {
-	out := make(Vector, n)
+// lane copies column j's n entries out of v, w columns interleaved,
+// into out — a new vector unless out holds n entries — and returns it.
+func lane(out, v Vector, n, w, j int) Vector {
+	if len(out) != n {
+		out = make(Vector, n)
+	}
 	for x := range out {
-		out[x] = v[lanes*x+j]
+		out[x] = v[w*x+j]
 	}
 	return out
 }

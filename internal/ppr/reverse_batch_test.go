@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/fault"
@@ -262,6 +263,25 @@ func checkBatchIndependence(t *testing.T, e *ReversePush, g *hin.CSR, ts []hin.N
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same batch again into recycled, dirty vectors: each is written
+	// in place and ends bit for bit the fresh column.
+	into := make([]Vector, len(ts))
+	for k := range into {
+		into[k] = make(Vector, g.NumNodes())
+		for x := range into[k] {
+			into[k][x] = math.NaN()
+		}
+	}
+	recycled := slices.Clone(into)
+	if err := e.ToTargetsInto(context.Background(), g, ts, into); err != nil {
+		t.Fatal(err)
+	}
+	for k := range ts {
+		if &into[k][0] != &recycled[k][0] {
+			t.Fatalf("slot %d of %v: ToTargetsInto did not write the recycled vector", k, ts)
+		}
+		sameBits(t, "ToTargetsInto", into[k], ests[k])
+	}
 	for k, tgt := range ts {
 		single, err := e.RunContext(context.Background(), g, tgt)
 		if err != nil {
@@ -340,6 +360,8 @@ func TestReversePushRefusesRowPatch(t *testing.T) {
 // FuzzReverseBatchIndependence drives the same contract, the reference
 // drain's and the drain's end state — every |residual| ≤ ε — from fuzz
 // input: 8 seed bytes pick the graph, then one byte each for K, β and ε.
+// K < 17 covers a full 8-lane pass plus a split tail (8 + 8, 8 + 4, 8 +
+// a lone column) where the CPU runs body8.
 // Seeds — and any crasher a fuzz run finds — live under testdata/fuzz.
 func FuzzReverseBatchIndependence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0})
@@ -354,7 +376,7 @@ func FuzzReverseBatchIndependence(f *testing.F) {
 		g := batchHIN(t, rng, nodes, []float64{1, 0.5}[data[9]%2])
 		p := testParams()
 		p.Epsilon = []float64{2.7e-8, 1e-4, 1e-9}[data[10]%3]
-		ts := make([]hin.NodeID, int(data[8]%12))
+		ts := make([]hin.NodeID, int(data[8]%17))
 		for k := range ts {
 			ts[k] = hin.NodeID(rng.Intn(nodes))
 		}
@@ -570,18 +592,26 @@ func TestReverseBatchPollCadence(t *testing.T) {
 	}
 }
 
-// reverseAllocs measures allocations per ToTargets batch of K columns.
-func reverseAllocs(t *testing.T, nodes, extra, K int) float64 {
+// reverseAllocs measures allocations per ToTargets batch of K columns,
+// or per ToTargetsInto batch into recycled vectors.
+func reverseAllocs(t *testing.T, nodes, extra, K int, recycled bool) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	csr := hin.NewCSR(randomBidirGraph(rng, nodes, extra))
 	e := NewReversePush(DefaultParams())
 	ts := make([]hin.NodeID, K)
+	cols := make([]Vector, K)
 	for k := range ts {
-		ts[k] = hin.NodeID(k * 3)
+		ts[k], cols[k] = hin.NodeID(k*3), make(Vector, nodes)
 	}
 	return testing.AllocsPerRun(20, func() {
-		if _, err := e.ToTargets(context.Background(), csr, ts); err != nil {
+		var err error
+		if recycled {
+			err = e.ToTargetsInto(context.Background(), csr, ts, cols)
+		} else {
+			_, err = e.ToTargets(context.Background(), csr, ts)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -590,15 +620,20 @@ func reverseAllocs(t *testing.T, nodes, extra, K int) float64 {
 // TestReversePushAllocs pins the kernel's allocation shape: a batch
 // allocates one estimate vector per column and the result slice — its
 // residual vector is borrowed — and nothing per push, so the count does
-// not move with the graph and grows by one per column.
+// not move with the graph and grows by one per column, whichever passes
+// (8-lane, 4-lane, lone) the batch splits into. Into recycled vectors
+// it allocates nothing.
 func TestReversePushAllocs(t *testing.T) {
-	for _, K := range []int{1, 10} {
-		small, large := reverseAllocs(t, 50, 100, K), reverseAllocs(t, 2000, 8000, K)
+	for _, K := range []int{1, 2, 5, 8, 9, 10, 12, 13, 16} {
+		small, large := reverseAllocs(t, 50, 100, K, false), reverseAllocs(t, 2000, 8000, K, false)
 		if small != large {
 			t.Errorf("K=%d: %.1f allocs on 50 nodes vs %.1f on 2000; the sweep is allocating per push", K, small, large)
 		}
 		if small > float64(K+1) {
 			t.Errorf("K=%d: %.1f allocs per batch, want at most K+1", K, small)
+		}
+		if into := reverseAllocs(t, 2000, 8000, K, true); into != 0 {
+			t.Errorf("K=%d: %.1f allocs per batch into recycled vectors, want 0", K, into)
 		}
 	}
 }

@@ -162,7 +162,8 @@ func TestReverseResidualMassIsL1(t *testing.T) {
 
 // TestSweepsRecordRunCounters pins that every body reports its runs:
 // one run, its pushes and its residual mass Σ|r| per column (reverse) or
-// per call (forward), whichever body drained it.
+// per call (forward), whichever body drained it — an 8-lane group (K=6,
+// K=9, K=12 where the CPU runs body8), a 4-lane one and kernel.body.
 func TestSweepsRecordRunCounters(t *testing.T) {
 	if !obs.Enabled() {
 		t.Skip("metrics disabled")
@@ -178,8 +179,11 @@ func TestSweepsRecordRunCounters(t *testing.T) {
 		{"K=1", NewReversePush(p), []hin.NodeID{5}},
 		{"K=2", NewReversePush(p), []hin.NodeID{5, 5}},
 		{"K=3", NewReversePush(p), []hin.NodeID{0, 5, 9}},
+		{"K=6", NewReversePush(p), []hin.NodeID{0, 5, 9, 1, 2, 30}},
 		{"K=9", NewReversePush(p), []hin.NodeID{0, 5, 9, 1, 2, 3, 4, 5, 30}},
-		{"K=9 scalar", &ReversePush{Params: p, scalar: true}, []hin.NodeID{0, 5, 9, 1, 2, 3, 4, 5, 30}},
+		{"K=12", NewReversePush(p), []hin.NodeID{0, 5, 9, 1, 2, 3, 4, 5, 30, 7, 8, 11}},
+		{"K=9 4 wide", &ReversePush{Params: p, width: 4}, []hin.NodeID{0, 5, 9, 1, 2, 3, 4, 5, 30}},
+		{"K=9 scalar", &ReversePush{Params: p, width: 1}, []hin.NodeID{0, 5, 9, 1, 2, 3, 4, 5, 30}},
 	} {
 		runs0, pushes0 := runsReverse.Value(), pushesReverse.Value()
 		mass0, sum0 := observations(t, "reverse_push"), residualMassReverse.Sum()

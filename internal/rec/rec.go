@@ -372,6 +372,13 @@ func (r *Recommender) selectInto(u hin.NodeID, scores ppr.Vector, buf []Scored) 
 	return buf
 }
 
+// TopWithin returns the first n entries of u's candidate ranking on
+// scores (a caller's estimates or ScoresContext's), fewer when u has
+// fewer candidates: TopN's list, selected without a push.
+func (r *Recommender) TopWithin(u hin.NodeID, scores ppr.Vector, n int) []Scored {
+	return r.selectInto(u, scores, make([]Scored, 0, max(1, min(n, len(r.items)))))
+}
+
 // TopOf returns the first entry of u's candidate ranking on scores (a
 // caller's estimates or ScoresContext's), hin.InvalidNode when there is
 // no candidate. It does not allocate.
