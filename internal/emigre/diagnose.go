@@ -76,11 +76,8 @@ func (e *Explainer) Diagnose(q Query, probed Mode) (*Diagnosis, error) {
 // full Exhaustive search — abort with a *CanceledError once ctx is
 // done, so a diagnosis is never mis-classified from a half-run probe.
 func (e *Explainer) DiagnoseContext(ctx context.Context, q Query, probed Mode) (*Diagnosis, error) {
-	s, err := e.newSession(ctx, q, nil, probed, probe)
-	if err != nil {
-		return nil, err
-	}
-	s.release()
+	// The first probe validates the question: its errors, Definition
+	// 4.1's included, are returned unchanged.
 	if _, err := e.ExplainWithContext(ctx, q, probed, Exhaustive); err == nil {
 		return &Diagnosis{Kind: FailureNone, Detail: "the question is answerable in this mode"}, nil
 	} else if !errors.Is(err, ErrNoExplanation) {

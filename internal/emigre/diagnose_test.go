@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
+	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/rec"
 )
 
@@ -16,6 +17,38 @@ func TestDiagnoseAnswerable(t *testing.T) {
 	}
 	if d.Kind != FailureNone {
 		t.Fatalf("Kind = %v, want FailureNone", d.Kind)
+	}
+}
+
+// TestUncachedDiagnoseRunsOneExplain pins what an answerable diagnosis
+// costs without a vector cache: the reverse and forward pushes of the
+// one Exhaustive explain that answers it, and no second opening of the
+// same session to validate the question first.
+func TestUncachedDiagnoseRunsOneExplain(t *testing.T) {
+	runs := func() int64 {
+		var n int64
+		for _, engine := range []string{"reverse_push", "forward_push"} {
+			n += obs.Default().Counter("emigre_ppr_runs_total",
+				"PPR engine runs by engine.", obs.L("engine", engine)).Value()
+		}
+		return n
+	}
+	f := newFixture(t, Options{DisableCache: true})
+	before := runs()
+	if _, err := f.ex.ExplainWith(f.query(), Remove, Exhaustive); err != nil {
+		t.Fatal(err)
+	}
+	explain := runs() - before
+	before = runs()
+	d, err := f.ex.Diagnose(f.query(), Remove)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Kind != FailureNone {
+		t.Fatalf("Kind = %v, want FailureNone", d.Kind)
+	}
+	if got := runs() - before; got != explain {
+		t.Fatalf("an uncached diagnosis ran %d pushes, its Exhaustive explain %d", got, explain)
 	}
 }
 

@@ -634,10 +634,6 @@ func (e *Explainer) validate(q Query) error {
 	return nil
 }
 
-// probe is the Method of a session opened only to validate its question
-// (Diagnose): its opening batch is the pair alone.
-const probe Method = -1
-
 // newSession validates q, ranks the user's baseline and opens a session
 // for a search by method in mode (accept as in explain): one opening
 // batch drains the reverse columns the search will read (open), then
@@ -702,7 +698,8 @@ type column struct {
 // method runs CHECKs, PPR(·,u) and, in Remove mode, the base top items
 // after rec and WNI in rank order ride along uncached (ahead): the gate
 // reads u's column at its first rejection, and most Remove winners sit
-// in the base top ranks. Only a pass that drains anyway takes them.
+// in the base top ranks. Only a pass that drains anyway, and has room
+// beside the missing columns, takes them.
 func (s *session) open(method Method) error {
 	ts := []hin.NodeID{s.rec, s.q.WNI}
 	if method == Exhaustive || method == ExhaustiveDirect {
@@ -713,7 +710,7 @@ func (s *session) open(method Method) error {
 		}
 	}
 	var ahead []hin.NodeID
-	if method != probe && method != ExhaustiveDirect && s.learns() {
+	if method != ExhaustiveDirect && s.learns() {
 		ahead = append(ahead, s.q.User)
 		if s.mode == Remove {
 			width := s.ex.rev.PassWidth()
@@ -771,25 +768,29 @@ func (s *session) topList(n int) []rec.Scored {
 // (the CSR snapshot carries its graph's β-salted version, so a column is
 // reused by every later request over the same graph, bit-identical
 // whatever batch computed it). The vectors are shared: do not mutate.
-// When that batch drains, ahead[0] and as many more of ahead as fit in
-// one pass with the missing columns (ReversePush.PassWidth) join it,
-// drained into the vectors of spare where they fit
-// (ReversePush.ToTargetsInto); their columns come back in fetched,
-// uncached, and nothing is fetched ahead when every column of ts is
-// resident.
-func (s *session) reverseColumns(ts, ahead []hin.NodeID, spare []ppr.Vector) (cols []ppr.Vector, fetched []column, err error) {
+// When that batch drains and its pass has room (ReversePush.PassWidth),
+// as many of ahead as fit join it, drained into the vectors of spare
+// where they fit (ReversePush.ToTargetsInto); their columns come back in
+// fetched, uncached. Nothing is fetched ahead when every column of ts is
+// resident or the missing ones fill a pass.
+func (s *session) reverseColumns(ts, ahead []hin.NodeID, spare []ppr.Vector) ([]ppr.Vector, []column, error) {
+	// got is written by drain alone: under a cache, drain may run in a
+	// fill that outlives a canceled caller, so only a caller that waited
+	// for the fill (a nil error) reads it.
+	var got []column
 	drain := func(ctx context.Context, need []hin.NodeID) ([]ppr.Vector, error) {
-		if len(ahead) == 0 || fetched != nil { // a cache retry fetches nothing twice
+		room := s.ex.rev.PassWidth() - len(need)
+		if len(ahead) == 0 || room <= 0 || got != nil { // a cache retry fetches nothing twice
 			return s.ex.rev.ToTargets(ctx, s.view, need)
 		}
-		extra := ahead[:min(len(ahead), max(1, s.ex.rev.PassWidth()-len(need)))]
+		extra := ahead[:min(len(ahead), room)]
 		all := make([]ppr.Vector, len(need)+len(extra))
 		copy(all[len(need):], spare)
 		if err := s.ex.rev.ToTargetsInto(ctx, s.view, slices.Concat(need, extra), all); err != nil {
 			return nil, err
 		}
 		for i, t := range extra {
-			fetched = append(fetched, column{t, all[len(need)+i]})
+			got = append(got, column{t, all[len(need)+i]})
 		}
 		return all[:len(need)], nil
 	}
@@ -806,16 +807,17 @@ func (s *session) reverseColumns(ts, ahead []hin.NodeID, spare []ppr.Vector) (co
 				}
 				return drain(cctx, need)
 			})
-			if err != nil { // a canceled caller may not wait for the fill that writes fetched
+			if err != nil {
 				return nil, nil, err
 			}
-			return cols, fetched, nil
+			return cols, got, nil
 		}
 	}
-	if cols, err = drain(s.ctx, ts); err != nil {
+	cols, err := drain(s.ctx, ts)
+	if err != nil {
 		return nil, nil, err
 	}
-	return cols, fetched, nil
+	return cols, got, nil
 }
 
 // canceled reports a pending cancellation of the session's context as

@@ -546,13 +546,13 @@ func (c coldCtx) Done() <-chan struct{} { return nil }
 // TestRivalGateCancellationMidLearn cancels inside the reverse push that
 // learns the first winner: the search ends in a *CanceledError carrying
 // what it had committed, and nothing half-learned is published. The
-// question's pair is resident first, so the session's opening batch
-// fetches nothing ahead and that learn pushes PPR(·,u) and the winner's
-// column itself.
+// question's pair is resident first — an ExhaustiveDirect session, which
+// runs no CHECK, fetches nothing ahead — so the session's opening batch
+// fetches nothing ahead and that learn pushes PPR(·,u) itself.
 func TestRivalGateCancellationMidLearn(t *testing.T) {
 	f := newFixture(t, Options{})
 	q := Query{User: f.ids["u"], WNI: f.ids["f3"]}
-	if _, err := f.ex.newSession(context.Background(), q, nil, Remove, probe); err != nil { // drains the pair alone
+	if _, err := f.ex.newSession(context.Background(), q, nil, Remove, ExhaustiveDirect); err != nil {
 		t.Fatal(err)
 	}
 	ctx := coldCtx{Context: context.Background(), after: coldChecks.Value()}
@@ -581,7 +581,10 @@ func TestRivalGateCancellationMidLearn(t *testing.T) {
 // top ranks its opening batch drained — or the vector cache holds, and
 // one push for a winner outside both, once. A cache lookup that misses
 // inserts nothing. A session whose pair is resident fetches nothing
-// ahead, and its first learn pushes PPR(·,u).
+// ahead, and its first learn pushes PPR(·,u). Where the host drains one
+// column a pass (PassWidth 1), no pass has room beside the pair: nothing
+// is fetched ahead, and PPR(·,u) and f2 are pushed by the learns that
+// read them.
 func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 	runs := obs.Default().Counter("emigre_ppr_runs_total",
 		"PPR engine runs by engine.", obs.L("engine", "reverse_push"))
@@ -595,8 +598,16 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 		}
 		// p1 is fetched as Alg. 5's target fetch would leave it; f2 ranks
 		// after rec (p3) in the base top list, so the opening batch drained
-		// it; p2 is outside the batch.
+		// it (with a cache, want's fetch leaves it resident besides); p2 is
+		// outside the batch.
 		held, batched, fresh := f.ids["p1"], f.ids["f2"], f.ids["p2"]
+		ahead := s.ex.rev.PassWidth() >= 4 // the pair, u and f2 fill a 4-lane pass
+		if got := s.sessionColumn(s.q.User) != nil && s.sessionColumn(batched) != nil; got != ahead {
+			t.Fatalf("cache=%v, pass width %d: PPR(·,u) and f2 fetched ahead = %v, want %v", cached, s.ex.rev.PassWidth(), got, ahead)
+		}
+		if !ahead && len(s.held) != 0 {
+			t.Fatalf("cache=%v: %d columns fetched ahead with no room in the pair's pass", cached, len(s.held))
+		}
 		want, _, err := s.reverseColumns([]hin.NodeID{held, batched}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -610,7 +621,7 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 			pushes int64 // reverse runs with a cache; one more for p1 without
 		}{{s.rec, 0}, {held, 0}, {batched, 0}, {fresh, 1}, {fresh, 0}} {
 			wantRuns := step.pushes
-			if !cached && step.winner == held {
+			if !cached && (step.winner == held || !ahead && step.winner == batched) || !ahead && step.winner == s.rec {
 				wantRuns = 1
 			}
 			before := runs.Value()
@@ -625,7 +636,7 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 		if len(rv.list) != 4 || rv.list[0].node != s.rec || rv.list[1].node != held || rv.list[2].node != batched || rv.list[3].node != fresh {
 			t.Fatalf("cache=%v: learned %+v, want rec, p1, f2, p2", cached, rv.list)
 		}
-		if &rv.toU[0] != &s.sessionColumn(s.q.User)[0] || &rv.list[2].col[0] != &s.sessionColumn(batched)[0] {
+		if ahead && (&rv.toU[0] != &s.sessionColumn(s.q.User)[0] || &rv.list[2].col[0] != &s.sessionColumn(batched)[0]) {
 			t.Fatal("PPR(·,u) and a batched winner must be learned from the opening batch's vectors")
 		}
 		if cached && &rv.list[1].col[0] != &want[0][0] {
@@ -664,6 +675,9 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 // many rejections it learns from.
 func TestRemoveWinnersInOpeningBatchPushNothing(t *testing.T) {
 	g, r, q, te := liteScenario(t)
+	if New(g, r, Options{}).rev.PassWidth() == 1 {
+		t.Skip("one column a pass: no opening batch has room for columns ahead")
+	}
 	top, err := r.TopN(q.User, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -77,16 +77,18 @@ func liteGraph(tb testing.TB) (g *hin.CSR, p ppr.Params, users, items []hin.Node
 // to 8 + 4 and 8 + 8 where the CPU runs body8.
 var batchSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16}
 
-// batches cuts consecutive batches of batchSizes out of ts, starting
-// over from ts[0] when one would run past its end.
+// batches cuts one batch of each of batchSizes out of ts, in turn, each
+// starting where the last one ended and wrapping round past ts' end, so
+// that (the sizes summing past len(ts)) every target of ts lies in one.
 func batches(ts []hin.NodeID) [][]hin.NodeID {
 	var out [][]hin.NodeID
 	at := 0
 	for _, k := range batchSizes {
-		if at+k > len(ts) {
-			at = 0
+		batch := make([]hin.NodeID, k)
+		for i := range batch {
+			batch[i] = ts[(at+i)%len(ts)]
 		}
-		out = append(out, ts[at:at+k])
+		out = append(out, batch)
 		at += k
 	}
 	return out
@@ -112,6 +114,7 @@ func TestReverseMatchesReferenceOnLite(t *testing.T) {
 			name string
 			ts   []hin.NodeID
 		}{{"item", items}, {"user", users}} {
+			checked := make(map[hin.NodeID]bool)
 			for _, batch := range batches(set.ts) {
 				got, err := ppr.RunMany(context.Background(), e, g, batch)
 				if err != nil {
@@ -119,6 +122,12 @@ func TestReverseMatchesReferenceOnLite(t *testing.T) {
 				}
 				for k, tgt := range batch {
 					ppr.SameRun(t, fmt.Sprintf("%d wide: %s %d in a batch of %d", w, set.name, tgt, len(batch)), got[k], want[tgt])
+					checked[tgt] = true
+				}
+			}
+			for _, tgt := range set.ts {
+				if !checked[tgt] {
+					t.Fatalf("%d wide: %s %d lies in no batch", w, set.name, tgt)
 				}
 			}
 		}
