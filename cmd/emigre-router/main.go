@@ -98,7 +98,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	//lint:allow goroleak listener runs for the process lifetime; ListenAndServe returns into the buffered errc when DrainOrdered shuts it down below
+	// The listener runs for the process lifetime: ListenAndServe returns
+	// into the buffered errc when DrainOrdered shuts it down below.
 	go func() { errc <- httpServer.ListenAndServe() }()
 	select {
 	case err := <-errc:

@@ -170,7 +170,8 @@ func main() {
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		log.Printf("debug endpoints (pprof, /metrics) on %s", *debugAddr)
-		//lint:allow goroleak listener runs for the process lifetime; ListenAndServe returns when the deferred debugServer.Close fires at shutdown
+		// The listener runs for the process lifetime: ListenAndServe
+		// returns when the deferred debugServer.Close fires at shutdown.
 		go func() {
 			if err := debugServer.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("debug listener: %v", err)
@@ -185,7 +186,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	//lint:allow goroleak listener runs for the process lifetime; ListenAndServe returns into the buffered errc when Shutdown drains below
+	// The listener runs for the process lifetime: ListenAndServe returns
+	// into the buffered errc when Shutdown drains below.
 	go func() { errc <- httpServer.ListenAndServe() }()
 	select {
 	case err := <-errc:

@@ -9,7 +9,6 @@ import (
 
 	"github.com/why-not-xai/emigre/internal/fault"
 	"github.com/why-not-xai/emigre/internal/hin"
-	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/pprcache"
 	"github.com/why-not-xai/emigre/internal/testleak"
 )
@@ -222,8 +221,7 @@ func TestCacheABTopNIdentical(t *testing.T) {
 // and both the baseline top-1 and the TargetRank > 1 rank are read off
 // its estimates instead of re-running the recommender.
 func TestUncachedSessionRunsOneForwardPush(t *testing.T) {
-	runs := obs.Default().Counter("emigre_ppr_runs_total",
-		"PPR engine runs by engine.", obs.L("engine", "forward_push"))
+	runs := pprRuns("forward_push")
 	for _, rank := range []int{1, 2} {
 		f := newFixture(t, Options{DisableCache: true, TargetRank: rank})
 		q := Query{User: f.ids["u"], WNI: f.ids["f3"]}
@@ -243,8 +241,7 @@ func TestUncachedSessionRunsOneForwardPush(t *testing.T) {
 // target list, and one per cold CHECK — no second drain for the
 // targets.
 func TestUncachedExhaustiveRunsOneForwardPushPerColdCheck(t *testing.T) {
-	runs := obs.Default().Counter("emigre_ppr_runs_total",
-		"PPR engine runs by engine.", obs.L("engine", "forward_push"))
+	runs := pprRuns("forward_push")
 	for _, mode := range []Mode{Remove, Add} {
 		f := newFixture(t, Options{DisableCache: true})
 		before := runs.Value()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
-	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/rec"
 )
 
@@ -28,8 +27,7 @@ func TestUncachedDiagnoseRunsOneExplain(t *testing.T) {
 	runs := func() int64 {
 		var n int64
 		for _, engine := range []string{"reverse_push", "forward_push"} {
-			n += obs.Default().Counter("emigre_ppr_runs_total",
-				"PPR engine runs by engine.", obs.L("engine", engine)).Value()
+			n += pprRuns(engine).Value()
 		}
 		return n
 	}

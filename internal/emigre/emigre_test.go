@@ -9,9 +9,17 @@ import (
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
+	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/ppr"
 	"github.com/why-not-xai/emigre/internal/rec"
 )
+
+// pprRuns is ppr's counter of completed runs of one engine, requested
+// with ppr's help string: the registry panics on any other.
+func pprRuns(engine string) *obs.Counter {
+	return obs.Default().Counter("emigre_ppr_runs_total",
+		"Completed PPR engine runs by engine.", obs.L("engine", engine))
+}
 
 // fixture is a two-cluster book-shop graph:
 //

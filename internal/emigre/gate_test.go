@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/hin"
-	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/ppr"
 	"github.com/why-not-xai/emigre/internal/rec"
 	"github.com/why-not-xai/emigre/internal/testleak"
@@ -441,10 +440,8 @@ func TestRivalGateLeavesGroupQueriesAlone(t *testing.T) {
 // with at most one reverse push per distinct winner plus one toward u.
 func TestRivalGateActuallyGates(t *testing.T) {
 	g, r, q, te := liteScenario(t)
-	reverse := obs.Default().Counter("emigre_ppr_runs_total",
-		"PPR engine runs by engine.", obs.L("engine", "reverse_push"))
-	forward := obs.Default().Counter("emigre_ppr_runs_total",
-		"PPR engine runs by engine.", obs.L("engine", "forward_push"))
+	reverse := pprRuns("reverse_push")
+	forward := pprRuns("forward_push")
 	ex := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true, MaxTests: 40})
 	top, err := r.TopN(q.User, 10)
 	if err != nil {
@@ -581,90 +578,94 @@ func TestRivalGateCancellationMidLearn(t *testing.T) {
 // top ranks its opening batch drained — or the vector cache holds, and
 // one push for a winner outside both, once. A cache lookup that misses
 // inserts nothing. A session whose pair is resident fetches nothing
-// ahead, and its first learn pushes PPR(·,u). Where the host drains one
-// column a pass (PassWidth 1), no pass has room beside the pair: nothing
-// is fetched ahead, and PPR(·,u) and f2 are pushed by the learns that
-// read them.
+// ahead, and its first learn pushes PPR(·,u). It runs at every pass
+// width the host has: at width 1 no pass has room beside the pair,
+// nothing is fetched ahead, and PPR(·,u) and f2 are pushed by the
+// learns that read them.
 func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
-	runs := obs.Default().Counter("emigre_ppr_runs_total",
-		"PPR engine runs by engine.", obs.L("engine", "reverse_push"))
+	runs := pprRuns("reverse_push")
 	ctx := context.Background()
 	q := func(f *fixture) Query { return Query{User: f.ids["u"], WNI: f.ids["f3"]} }
-	for _, cached := range []bool{true, false} {
-		f := newFixture(t, Options{DisableCache: !cached})
-		s, err := f.ex.newSession(ctx, q(f), nil, Remove, Powerset)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// p1 is fetched as Alg. 5's target fetch would leave it; f2 ranks
-		// after rec (p3) in the base top list, so the opening batch drained
-		// it (with a cache, want's fetch leaves it resident besides); p2 is
-		// outside the batch.
-		held, batched, fresh := f.ids["p1"], f.ids["f2"], f.ids["p2"]
-		ahead := s.ex.rev.PassWidth() >= 4 // the pair, u and f2 fill a 4-lane pass
-		if got := s.sessionColumn(s.q.User) != nil && s.sessionColumn(batched) != nil; got != ahead {
-			t.Fatalf("cache=%v, pass width %d: PPR(·,u) and f2 fetched ahead = %v, want %v", cached, s.ex.rev.PassWidth(), got, ahead)
-		}
-		if !ahead && len(s.held) != 0 {
-			t.Fatalf("cache=%v: %d columns fetched ahead with no room in the pair's pass", cached, len(s.held))
-		}
-		want, _, err := s.reverseColumns([]hin.NodeID{held, batched}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries := 0
-		if cached {
-			entries = f.ex.cache.Len()
-		}
-		for _, step := range []struct {
-			winner hin.NodeID
-			pushes int64 // reverse runs with a cache; one more for p1 without
-		}{{s.rec, 0}, {held, 0}, {batched, 0}, {fresh, 1}, {fresh, 0}} {
-			wantRuns := step.pushes
-			if !cached && (step.winner == held || !ahead && step.winner == batched) || !ahead && step.winner == s.rec {
-				wantRuns = 1
+	for _, w := range ppr.HostWidths() {
+		t.Run(fmt.Sprintf("width%d", w), func(t *testing.T) {
+			for _, cached := range []bool{true, false} {
+				f := newFixture(t, Options{DisableCache: !cached})
+				atWidth(f.ex, w)
+				s, err := f.ex.newSession(ctx, q(f), nil, Remove, Powerset)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// p1 is fetched as Alg. 5's target fetch would leave it; f2 ranks
+				// after rec (p3) in the base top list, so the opening batch drained
+				// it (with a cache, want's fetch leaves it resident besides); p2 is
+				// outside the batch.
+				held, batched, fresh := f.ids["p1"], f.ids["f2"], f.ids["p2"]
+				ahead := s.ex.rev.PassWidth() >= 4 // the pair, u and f2 fill a 4-lane pass
+				if got := s.sessionColumn(s.q.User) != nil && s.sessionColumn(batched) != nil; got != ahead {
+					t.Fatalf("cache=%v, pass width %d: PPR(·,u) and f2 fetched ahead = %v, want %v", cached, s.ex.rev.PassWidth(), got, ahead)
+				}
+				if !ahead && len(s.held) != 0 {
+					t.Fatalf("cache=%v: %d columns fetched ahead with no room in the pair's pass", cached, len(s.held))
+				}
+				want, _, err := s.reverseColumns([]hin.NodeID{held, batched}, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries := 0
+				if cached {
+					entries = f.ex.cache.Len()
+				}
+				for _, step := range []struct {
+					winner hin.NodeID
+					pushes int64 // reverse runs with a cache; one more for p1 without
+				}{{s.rec, 0}, {held, 0}, {batched, 0}, {fresh, 1}, {fresh, 0}} {
+					wantRuns := step.pushes
+					if !cached && (step.winner == held || !ahead && step.winner == batched) || !ahead && step.winner == s.rec {
+						wantRuns = 1
+					}
+					before := runs.Value()
+					if err := s.learn(ctx, step.winner); err != nil {
+						t.Fatal(err)
+					}
+					if got := runs.Value() - before; got != wantRuns {
+						t.Fatalf("cache=%v: learning %s ran %d reverse pushes, want %d", cached, f.g.Label(step.winner), got, wantRuns)
+					}
+				}
+				rv := s.gate
+				if len(rv.list) != 4 || rv.list[0].node != s.rec || rv.list[1].node != held || rv.list[2].node != batched || rv.list[3].node != fresh {
+					t.Fatalf("cache=%v: learned %+v, want rec, p1, f2, p2", cached, rv.list)
+				}
+				if ahead && (&rv.toU[0] != &s.sessionColumn(s.q.User)[0] || &rv.list[2].col[0] != &s.sessionColumn(batched)[0]) {
+					t.Fatal("PPR(·,u) and a batched winner must be learned from the opening batch's vectors")
+				}
+				if cached && &rv.list[1].col[0] != &want[0][0] {
+					t.Fatal("a resident winner must be learned from the cache's own vector")
+				}
+				for k, c := range []ppr.Vector{rv.list[1].col, rv.list[2].col} {
+					if !reflect.DeepEqual(c, want[k]) {
+						t.Fatalf("cache=%v: gate column %d differs from the cached route's", cached, k)
+					}
+				}
+				if cached && f.ex.cache.Len() != entries {
+					t.Fatalf("learning changed cache residency: %d entries, had %d", f.ex.cache.Len(), entries)
+				}
+				if !cached {
+					continue
+				}
+				// The pair is resident now: a second session fetches nothing ahead.
+				warm, err := f.ex.newSession(ctx, q(f), nil, Remove, Powerset)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := runs.Value()
+				if err := warm.learn(ctx, warm.rec); err != nil {
+					t.Fatal(err)
+				}
+				if len(warm.held) != 0 || runs.Value()-before != 1 {
+					t.Fatalf("warm pair: %d columns fetched ahead, first learn ran %d pushes; want 0 and 1 (PPR(·,u))", len(warm.held), runs.Value()-before)
+				}
 			}
-			before := runs.Value()
-			if err := s.learn(ctx, step.winner); err != nil {
-				t.Fatal(err)
-			}
-			if got := runs.Value() - before; got != wantRuns {
-				t.Fatalf("cache=%v: learning %s ran %d reverse pushes, want %d", cached, f.g.Label(step.winner), got, wantRuns)
-			}
-		}
-		rv := s.gate
-		if len(rv.list) != 4 || rv.list[0].node != s.rec || rv.list[1].node != held || rv.list[2].node != batched || rv.list[3].node != fresh {
-			t.Fatalf("cache=%v: learned %+v, want rec, p1, f2, p2", cached, rv.list)
-		}
-		if ahead && (&rv.toU[0] != &s.sessionColumn(s.q.User)[0] || &rv.list[2].col[0] != &s.sessionColumn(batched)[0]) {
-			t.Fatal("PPR(·,u) and a batched winner must be learned from the opening batch's vectors")
-		}
-		if cached && &rv.list[1].col[0] != &want[0][0] {
-			t.Fatal("a resident winner must be learned from the cache's own vector")
-		}
-		for k, c := range []ppr.Vector{rv.list[1].col, rv.list[2].col} {
-			if !reflect.DeepEqual(c, want[k]) {
-				t.Fatalf("cache=%v: gate column %d differs from the cached route's", cached, k)
-			}
-		}
-		if cached && f.ex.cache.Len() != entries {
-			t.Fatalf("learning changed cache residency: %d entries, had %d", f.ex.cache.Len(), entries)
-		}
-		if !cached {
-			continue
-		}
-		// The pair is resident now: a second session fetches nothing ahead.
-		warm, err := f.ex.newSession(ctx, q(f), nil, Remove, Powerset)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := runs.Value()
-		if err := warm.learn(ctx, warm.rec); err != nil {
-			t.Fatal(err)
-		}
-		if len(warm.held) != 0 || runs.Value()-before != 1 {
-			t.Fatalf("warm pair: %d columns fetched ahead, first learn ran %d pushes; want 0 and 1 (PPR(·,u))", len(warm.held), runs.Value()-before)
-		}
+		})
 	}
 }
 
@@ -672,40 +673,58 @@ func TestRivalGateLearnsFromHeldColumns(t *testing.T) {
 // point on Amazon Lite: a Remove search whose learned winners all lie in
 // its opening batch — rec, and the base top ranks drained beside the
 // pair with PPR(·,u) — runs no reverse push after newSession, however
-// many rejections it learns from.
+// many rejections it learns from. It runs at every pass width the host
+// has; at width 1 no pass has room beside the pair, and the session
+// holds no column ahead.
 func TestRemoveWinnersInOpeningBatchPushNothing(t *testing.T) {
 	g, r, q, te := liteScenario(t)
-	if New(g, r, Options{}).rev.PassWidth() == 1 {
-		t.Skip("one column a pass: no opening batch has room for columns ahead")
-	}
 	top, err := r.TopN(q.User, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := obs.Default().Counter("emigre_ppr_runs_total",
-		"PPR engine runs by engine.", obs.L("engine", "reverse_push"))
-	ex := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true, MaxTests: 40})
-	for _, wni := range top[1:] {
-		s, err := ex.newSession(context.Background(), Query{User: q.User, WNI: wni.Node}, nil, Remove, Powerset)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := runs.Value()
-		_, err = s.powerset()
-		if err != nil && !errors.Is(err, ErrNoExplanation) {
-			t.Fatal(err)
-		}
-		if s.gate == nil || len(s.gate.list) < 2 || slices.ContainsFunc(s.gate.list, func(rv rival) bool { return s.sessionColumn(rv.node) == nil }) {
-			s.release()
-			continue // no rival learned beyond rec, or one outside the batch
-		}
-		if got := runs.Value() - before; got != 0 {
-			t.Fatalf("WNI %d: the search learned %d rivals, all held, and ran %d reverse pushes; want 0", wni.Node, len(s.gate.list), got)
-		}
-		s.release()
-		return
+	runs := pprRuns("reverse_push")
+	for _, w := range ppr.HostWidths() {
+		t.Run(fmt.Sprintf("width%d", w), func(t *testing.T) {
+			ex := atWidth(New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true, MaxTests: 40}), w)
+			for _, wni := range top[1:] {
+				s, err := ex.newSession(context.Background(), Query{User: q.User, WNI: wni.Node}, nil, Remove, Powerset)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w == 1 {
+					if len(s.held) != 0 {
+						t.Fatalf("WNI %d: %d columns fetched ahead with no room in the pair's pass", wni.Node, len(s.held))
+					}
+					s.release()
+					continue
+				}
+				before := runs.Value()
+				_, err = s.powerset()
+				if err != nil && !errors.Is(err, ErrNoExplanation) {
+					t.Fatal(err)
+				}
+				if s.gate == nil || len(s.gate.list) < 2 || slices.ContainsFunc(s.gate.list, func(rv rival) bool { return s.sessionColumn(rv.node) == nil }) {
+					s.release()
+					continue // no rival learned beyond rec, or one outside the batch
+				}
+				if got := runs.Value() - before; got != 0 {
+					t.Fatalf("WNI %d: the search learned %d rivals, all held, and ran %d reverse pushes; want 0", wni.Node, len(s.gate.list), got)
+				}
+				s.release()
+				return
+			}
+			if w > 1 {
+				t.Fatal("no Remove question of the scenario learned a rival beyond rec from its opening batch; the test is vacuous")
+			}
+		})
 	}
-	t.Fatal("no Remove question of the scenario learned a rival beyond rec from its opening batch; the test is vacuous")
+}
+
+// atWidth makes ex drain its reverse columns as a CPU whose widest pass
+// is w columns would.
+func atWidth(ex *Explainer, w int) *Explainer {
+	ex.rev = ppr.WidthReversePush(ex.r.Config().PPR, w)
+	return ex
 }
 
 // gatedRemoval opens a Remove session on the Amazon Lite scenario and

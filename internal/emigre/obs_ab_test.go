@@ -63,8 +63,7 @@ func TestObsDisabledRecordsNothing(t *testing.T) {
 	runs := func() int64 {
 		var total int64
 		for _, e := range engines {
-			total += obs.Default().Counter("emigre_ppr_runs_total",
-				"PPR engine runs by engine.", obs.L("engine", e)).Value()
+			total += pprRuns(e).Value()
 		}
 		return total
 	}

@@ -6,12 +6,14 @@ import (
 	"github.com/why-not-xai/emigre/internal/dataset"
 	"github.com/why-not-xai/emigre/internal/emigre"
 	"github.com/why-not-xai/emigre/internal/rec"
+	"github.com/why-not-xai/emigre/internal/testleak"
 )
 
 // TestParallelRunMatchesSerial runs the same configuration serially and
 // with four workers: outcome correctness flags and sizes must be
 // identical pairwise (durations naturally differ).
 func TestParallelRunMatchesSerial(t *testing.T) {
+	testleak.Check(t)
 	cfg := dataset.SmallConfig()
 	cfg.Users = 12
 	cfg.Items = 120

@@ -25,8 +25,9 @@
 //
 // While no site in the process is armed, Hit is one atomic load of a
 // package-global counter — the same cost for every site, regardless of
-// how many are registered. Site names must be unique string literals;
-// the internal/lint faultsite analyzer enforces both properties.
+// how many are registered. Site names are unique string literals:
+// Register panics on a duplicate at init, and internal/server's
+// TestFailpointCatalog lists every site the serving stack links.
 //
 // # Schedules
 //
@@ -184,8 +185,7 @@ func rngFloat() float64 {
 
 // Register creates and registers a failpoint site. It must be called
 // once per name, from a package-level var initializer, with a string
-// literal name (the internal/lint faultsite analyzer enforces this); a
-// duplicate or empty name panics.
+// literal name; a duplicate or empty name panics.
 func Register(name string) *Site {
 	if name == "" {
 		panic("fault: Register with empty site name")

@@ -110,12 +110,8 @@ func TestAnalyzers(t *testing.T) {
 		{"atomicmix", AtomicMix(), []string{"./atomicmix", "./atomicmix/sub"}},
 		{"ctxpoll", CtxPoll(), []string{"./ctxpoll", "./ctxpoll/emigre"}},
 		{"errcmp", ErrCmp(), []string{"./errcmp"}},
-		{"goroleak", GoroLeak(), []string{"./goroleak"}},
 		{"lockorder", LockOrder(), []string{"./lockorder"}},
-		{"faultsite", FaultSite(), []string{"./faultsite", "./faultsite/sub"}},
 		{"floateq", FloatEq(), []string{"./floateq"}},
-		{"metricname", MetricName(), []string{"./metricname", "./metricname/sub"}},
-		{"rawengine", RawEngine(), []string{"./rawengine/rec", "./rawengine/emigre"}},
 	}
 	var suite, table []string
 	for _, a := range Suite() {
@@ -176,12 +172,10 @@ func TestDirectives(t *testing.T) {
 // fixture package at once: analyzers must stay inside their scoped
 // package names and diagnostics must come out sorted.
 func TestSuiteOverWholeFixtureModule(t *testing.T) {
-	pkgs := loadFixture(t, "./ctxpoll", "./ctxpoll/emigre", "./rawengine/ppr", "./rawengine/rec", "./rawengine/emigre",
-		"./atomicmix", "./atomicmix/sub", "./goroleak", "./lockorder")
+	pkgs := loadFixture(t, "./ctxpoll", "./ctxpoll/emigre", "./atomicmix", "./atomicmix/sub", "./lockorder")
 	res := Analyze(pkgs, Suite())
 	// The ctxpoll fixture is a package named ppr with no float or error
-	// comparisons; the rawengine ppr fixture must not be flagged (only
-	// callers in emigre/rec are).
+	// comparisons.
 	wants := fixtureWants(t, pkgs)
 	checkDiagnostics(t, res.Diagnostics, wants)
 	for i := 1; i < len(res.Diagnostics); i++ {

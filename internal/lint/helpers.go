@@ -27,20 +27,6 @@ func buildParents(file *ast.File) parentMap {
 	return parents
 }
 
-// enclosingFuncName returns the name of the innermost *declared*
-// function containing n ("" inside a function literal or at top
-// level). Analyzers that approve specific routing helpers climb
-// through closures: a closure inside an approved helper is part of the
-// helper.
-func enclosingFuncName(parents parentMap, n ast.Node) string {
-	for p := parents[n]; p != nil; p = parents[p] {
-		if fd, ok := p.(*ast.FuncDecl); ok {
-			return fd.Name.Name
-		}
-	}
-	return ""
-}
-
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	named, ok := t.(*types.Named)
@@ -71,16 +57,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// typePkgName returns the name of the package the (possibly pointer)
-// named type t was declared in, "" for unnamed or universe types.
-func typePkgName(t types.Type) string {
-	named := namedOf(t)
-	if named == nil || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Name()
 }
 
 // trackableVar reports whether v is a field or a package-level

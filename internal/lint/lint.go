@@ -5,24 +5,25 @@
 // golang.org/x/tools dependency — and runs one way: TestRepoIsClean
 // applies every analyzer to the whole module under `go test ./...`.
 //
-// Suite holds nine analyzers:
+// Suite holds five analyzers, each for a bug class no test, -race or
+// go vet catches:
 //
 //   - ctxpoll: unbounded search loops in ppr/emigre poll cancellation.
 //   - floateq: float ==/!= goes through the internal/fmath helpers.
-//   - rawengine: explainer and recommender code routes PPR vectors
-//     through the cache helpers.
 //   - errcmp: errors are compared with errors.Is, not == or !=.
-//   - faultsite: fault.Register takes a unique string-literal site name.
-//   - metricname: obs registry metrics take a unique string-literal
-//     family name.
 //   - lockorder (whole program): struct-owned mutexes are acquired in
 //     an acyclic order and never reacquired while held.
-//   - goroleak: every go statement carries bounded-lifetime evidence.
 //   - atomicmix: no sync/atomic function is used; every atomic is typed,
 //     and go vet's copylocks reports a copied one.
 //
-// The version stamp of hin.Graph is guarded at run time instead, by
-// hin's TestGraphMutatorsBumpVersion.
+// Other invariants are held at run time instead: hin's
+// TestGraphMutatorsBumpVersion guards the graph's version stamp,
+// fault.Register panics on a duplicate site and server's
+// TestFailpointCatalog pins the site list, obs.Registry panics on a
+// family requested with another kind, help string or bucket layout,
+// internal/testleak fails a test that leaves a goroutine running, and
+// the cache A/B and push-count tests of emigre and rec pin that vectors
+// are served through the cache.
 //
 // A diagnostic can be suppressed with a directive comment
 //
@@ -64,12 +65,8 @@ func Suite() []*Analyzer {
 		AtomicMix(),
 		CtxPoll(),
 		ErrCmp(),
-		FaultSite(),
 		FloatEq(),
-		GoroLeak(),
 		LockOrder(),
-		MetricName(),
-		RawEngine(),
 	}
 }
 
@@ -160,7 +157,7 @@ func Run(cfg LoadConfig, analyzers []*Analyzer, patterns []string) (*Result, err
 func Analyze(pkgs []*Package, analyzers []*Analyzer) *Result {
 	res := &Result{Packages: len(pkgs)}
 	// Directive names validate against the whole suite, not just the
-	// analyzers selected for this run: a fixture run of goroleak alone
+	// analyzers selected for this run: a fixture run of ctxpoll alone
 	// must not flag every //lint:allow floateq in it as unknown.
 	known := map[string]bool{}
 	for _, a := range Suite() {

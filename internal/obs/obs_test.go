@@ -70,6 +70,52 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.GaugeFunc("test_total", "h", func() int64 { return 0 })
 }
 
+// TestHelpDriftPanics: a family requested again with another help
+// string panics, whatever its kind, even for a new label set — the
+// exposition carries one help line per family, so one of the two call
+// sites would be silently wrong.
+func TestHelpDriftPanics(t *testing.T) {
+	for _, register := range []func(r *Registry, help string){
+		func(r *Registry, help string) { r.Counter("test_total", help, L("a", help)) },
+		func(r *Registry, help string) { r.CounterFunc("test_total", help, func() int64 { return 0 }) },
+		func(r *Registry, help string) { r.GaugeFunc("test_total", help, func() int64 { return 0 }) },
+		func(r *Registry, help string) { r.Histogram("test_total", help, DefBuckets()) },
+	} {
+		r := NewRegistry()
+		register(r, "h")
+		register(r, "h") // the same help string is a plain get
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("requesting a family with another help string must panic")
+				}
+			}()
+			register(r, "drift")
+		}()
+	}
+}
+
+// TestBucketDriftPanics: every series of a histogram family shares the
+// bounds of its first registration; a request with other bounds panics,
+// for the same series and for a new one.
+func TestBucketDriftPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("test_seconds", "h", []float64{0.1, 1}, L("route", "/a"))
+	r.Histogram("test_seconds", "h", []float64{0.1, 1}, L("route", "/b"))
+	for _, buckets := range [][]float64{{0.1, 1, 10}, {0.1, 2}, nil} {
+		for _, route := range []string{"/a", "/c"} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("buckets %v for route %s must panic", buckets, route)
+					}
+				}()
+				r.Histogram("test_seconds", "h", buckets, L("route", route))
+			}()
+		}
+	}
+}
+
 func TestInvalidNamePanics(t *testing.T) {
 	for _, name := range []string{"", "2leading", "has space", "dash-ed"} {
 		func() {

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"github.com/why-not-xai/emigre/internal/fmath"
 )
 
 // kind is the metric family type.
@@ -40,12 +43,14 @@ type Registry struct {
 	families map[string]*family
 }
 
-// family groups every series sharing one metric name.
+// family groups every series sharing one metric name. help, kind and,
+// for a histogram, buckets are fixed by the first registration.
 type family struct {
-	name   string
-	help   string
-	kind   kind
-	series map[string]*series
+	name    string
+	help    string
+	kind    kind
+	buckets []float64
+	series  map[string]*series
 }
 
 // series is one labeled instance within a family. Exactly one of the
@@ -65,11 +70,12 @@ func NewRegistry() *Registry {
 
 // Counter returns the counter for (name, labels), creating the family
 // and series on first use. It panics if the name is already registered
-// with a different kind, or the series is callback-backed.
+// with a different kind or help string, or the series is
+// callback-backed.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindCounter, labels)
+	s := r.seriesLocked(name, help, kindCounter, nil, labels)
 	if s.fn != nil {
 		panic("obs: " + name + ": series is callback-backed (CounterFunc)")
 	}
@@ -92,7 +98,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Lab
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindCounter, labels)
+	s := r.seriesLocked(name, help, kindCounter, nil, labels)
 	if s.c != nil {
 		panic("obs: " + name + ": series is value-backed (Counter)")
 	}
@@ -107,17 +113,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seriesLocked(name, help, kindGauge, labels).fn = fn
+	r.seriesLocked(name, help, kindGauge, nil, labels).fn = fn
 }
 
 // Histogram returns the histogram for (name, labels), creating it with
 // the given bucket upper bounds on first use (a +Inf bucket is always
-// implicit). On a get of an existing series the buckets argument is
-// ignored — the first registration wins.
+// implicit). Every series of a family shares the bounds of its first
+// registration: a request with other bounds panics.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindHistogram, labels)
+	s := r.seriesLocked(name, help, kindHistogram, buckets, labels)
 	if s.hist == nil {
 		s.hist = newHistogram(buckets)
 	}
@@ -125,8 +131,12 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 }
 
 // seriesLocked resolves (name, labels) to its series, creating family
-// and series as needed. The caller holds r.mu.
-func (r *Registry) seriesLocked(name, help string, k kind, labels []Label) *series {
+// and series as needed. A family requested again must match its first
+// registration's kind, help string and buckets (nil but for
+// histograms): two call sites that drift apart panic on the first run
+// that links both, instead of exporting whichever registered first. The
+// caller holds r.mu.
+func (r *Registry) seriesLocked(name, help string, k kind, buckets []float64, labels []Label) *series {
 	if !validMetricName(name) {
 		panic("obs: invalid metric name " + strconv.Quote(name))
 	}
@@ -140,10 +150,14 @@ func (r *Registry) seriesLocked(name, help string, k kind, labels []Label) *seri
 	}
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: k, series: make(map[string]*series)}
+		f = &family{name: name, help: help, kind: k, buckets: slices.Clone(buckets), series: make(map[string]*series)}
 		r.families[name] = f
 	} else if f.kind != k {
 		panic(fmt.Sprintf("obs: metric %s already registered as %s, requested %s", name, f.kind, k))
+	} else if f.help != help {
+		panic(fmt.Sprintf("obs: metric %s already registered with help %q, requested %q", name, f.help, help))
+	} else if !slices.EqualFunc(f.buckets, buckets, fmath.Eq) {
+		panic(fmt.Sprintf("obs: metric %s already registered with buckets %v, requested %v", name, f.buckets, buckets))
 	}
 	key := labelKey(labels)
 	s := f.series[key]

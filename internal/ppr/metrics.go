@@ -10,8 +10,8 @@ import "github.com/why-not-xai/emigre/internal/obs"
 // otherwise compute; it is gated on obs.Enabled so disabling metrics
 // removes the pass entirely.
 // Each family's name literal lives in exactly one helper so help
-// strings and bucket layouts cannot drift between per-engine variants
-// (the metricname vet check enforces this repo-wide).
+// strings and bucket layouts cannot drift between per-engine variants;
+// obs.Registry panics on a family requested with other ones.
 func runsCounter(engine string) *obs.Counter {
 	return obs.Default().Counter("emigre_ppr_runs_total",
 		"Completed PPR engine runs by engine.", obs.L("engine", engine))

@@ -26,7 +26,7 @@ type ReversePush struct {
 	Params Params
 	id     identity
 
-	// width is a test seam, set only from _test.go files: 1, 4 or 8
+	// width is a test seam, set only by WidthReversePush: 1, 4 or 8
 	// drains a batch as on a CPU whose widest pass is that many columns
 	// (columns); 0, the default, is this CPU's own.
 	width int
@@ -34,6 +34,29 @@ type ReversePush struct {
 
 // NewReversePush returns a reverse-push engine with the given parameters.
 func NewReversePush(p Params) *ReversePush { return &ReversePush{Params: p} }
+
+// WidthReversePush is NewReversePush draining as a CPU whose widest
+// pass is w columns would: 1 through kernel.body alone, 4 through body4,
+// 8 through body8 as well. It is a test seam: the tests of ppr and of
+// its callers run each of HostWidths through it, and nothing shipped
+// calls it.
+func WidthReversePush(p Params, w int) *ReversePush {
+	e := NewReversePush(p)
+	e.width = w
+	return e
+}
+
+// HostWidths lists the pass widths this CPU runs, narrowest first: the
+// widths WidthReversePush can test here.
+func HostWidths() []int {
+	var ws []int
+	for _, w := range []int{1, 4, 8} {
+		if w <= wide {
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
 
 // PassWidth is the most columns one ToTargets pass drains on this CPU:
 // 8 with AVX-512, 4 with AVX2 alone, else 1. A batch of up to PassWidth

@@ -11,6 +11,7 @@ import (
 
 	"github.com/why-not-xai/emigre/internal/fault"
 	"github.com/why-not-xai/emigre/internal/ppr"
+	"github.com/why-not-xai/emigre/internal/testleak"
 )
 
 // nodeVecs is a batch compute that answers key i with the one-entry
@@ -238,6 +239,7 @@ func TestGetOrComputeManyFailureWakesWaitersLast(t *testing.T) {
 // canceled too and inserts nothing, while a waiter still attached to
 // one of the keys keeps it alive and receives the result.
 func TestGetOrComputeManyCancellation(t *testing.T) {
+	testleak.Check(t)
 	keys := []Key{testKey(1, 1), testKey(1, 2)}
 	for _, withJoiner := range []bool{false, true} {
 		c := New(Config{})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/why-not-xai/emigre/internal/ppr"
+	"github.com/why-not-xai/emigre/internal/testleak"
 )
 
 func constResult(n int, val float64) func(context.Context) (*ppr.PushResult, error) {
@@ -105,6 +106,7 @@ func TestResultUpgradesVectorOnlyEntry(t *testing.T) {
 }
 
 func TestResultSingleflightCollapse(t *testing.T) {
+	testleak.Check(t)
 	c := New(Config{})
 	ctx := context.Background()
 	k := testKey(5, 5)

@@ -9,12 +9,14 @@ import (
 	"time"
 
 	"github.com/why-not-xai/emigre/internal/ppr"
+	"github.com/why-not-xai/emigre/internal/testleak"
 )
 
 // TestSingleflightCollapsesColdKey is the dedup stress test: N
 // goroutines racing on one cold key must trigger exactly one compute,
 // and every goroutine must observe the same result. Run under -race.
 func TestSingleflightCollapsesColdKey(t *testing.T) {
+	testleak.Check(t)
 	const goroutines = 64
 	c := New(Config{})
 	k := testKey(1, 0)
@@ -77,6 +79,7 @@ func TestSingleflightCollapsesColdKey(t *testing.T) {
 // cause immediately, while the computation — still wanted by another
 // caller — finishes and populates the cache.
 func TestCanceledWaiterGetsCauseComputationSurvives(t *testing.T) {
+	testleak.Check(t)
 	c := New(Config{})
 	k := testKey(1, 0)
 
@@ -142,6 +145,7 @@ func TestCanceledWaiterGetsCauseComputationSurvives(t *testing.T) {
 // caller has gone away the compute context is canceled so the engine
 // stops burning CPU on a result nobody will read.
 func TestLastWaiterCancelsCompute(t *testing.T) {
+	testleak.Check(t)
 	c := New(Config{})
 	k := testKey(1, 0)
 
@@ -190,6 +194,7 @@ func TestLastWaiterCancelsCompute(t *testing.T) {
 // without the retry a canceled explanation could poison the next one's
 // checks on a shared key.
 func TestAbandonedFlightDoesNotPoisonLateJoiner(t *testing.T) {
+	testleak.Check(t)
 	c := New(Config{})
 	k := testKey(1, 0)
 
@@ -257,6 +262,7 @@ func TestAbandonedFlightDoesNotPoisonLateJoiner(t *testing.T) {
 // collapses across many keys; correctness here is "no race detected and
 // every caller sees a well-formed vector".
 func TestConcurrentMixedWorkload(t *testing.T) {
+	testleak.Check(t)
 	c := newCache(Config{MaxEntries: 32, MaxBytes: 1 << 20}, 4)
 	const goroutines = 32
 	const iters = 200

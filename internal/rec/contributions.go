@@ -89,9 +89,8 @@ func (r *Recommender) Contributions(u, target hin.NodeID) ([]EdgeContribution, e
 // reverseColumn returns PPR(·, target) over the recommender's scoring
 // view, served through the attached vector cache when the view is
 // versioned — the recommender-side twin of the explainer's
-// session.reverseColumns, and (with ScoresContext) one of the two
-// routing helpers the rawengine analyzer permits to invoke an engine
-// directly.
+// session.reverseColumns. TestContributionsColumnCached pins that a
+// repeat column is a cache hit.
 func (r *Recommender) reverseColumn(ctx context.Context, target hin.NodeID) (ppr.Vector, error) {
 	rev := ppr.NewReversePush(r.cfg.PPR)
 	if k, ok := r.key(pprcache.Reverse, rev, target); ok {

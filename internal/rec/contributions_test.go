@@ -3,9 +3,12 @@ package rec
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/why-not-xai/emigre/internal/obs"
 	"github.com/why-not-xai/emigre/internal/ppr"
+	"github.com/why-not-xai/emigre/internal/pprcache"
 )
 
 func TestContributionsSumToScore(t *testing.T) {
@@ -101,5 +104,43 @@ func TestContributionsErrorsAndDangling(t *testing.T) {
 	}
 	if len(contribs) != 0 {
 		t.Fatal("dangling node should have no contributions")
+	}
+}
+
+// TestContributionsColumnCached: a recommender with a cache serves
+// Contributions' column PPR(·,target) through it, so a second call for
+// the same target runs no reverse push and reads the first call's
+// vector.
+func TestContributionsColumnCached(t *testing.T) {
+	g, cfg, ids := smallShop(t)
+	plain, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := plain.WithCache(pprcache.New(pprcache.Config{}))
+	runs := obs.Default().Counter("emigre_ppr_runs_total",
+		"Completed PPR engine runs by engine.", obs.L("engine", "reverse_push"))
+	u, target := ids["u1"], ids["i3"]
+	before := runs.Value()
+	first, err := r.Contributions(u, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Value() - before; got != 1 {
+		t.Fatalf("first Contributions call ran %d reverse pushes, want 1", got)
+	}
+	before = runs.Value()
+	again, err := r.Contributions(u, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Value() - before; got != 0 {
+		t.Fatalf("second Contributions call for the same target ran %d reverse pushes, want 0", got)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("cached contributions differ:\nfirst %+v\nagain %+v", first, again)
+	}
+	if s := r.Cache().Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("cache stats = %+v, want 1 miss / 1 hit", s)
 	}
 }

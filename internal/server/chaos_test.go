@@ -25,6 +25,34 @@ import (
 // ppr.reverse.loop, hin.overlay.snapshot, emigre.check, plus the
 // armed-only server.health.cache and server.health.graph.
 
+// TestFailpointCatalog pins the failpoint sites the serving stack
+// registers, so the catalog reads in one place. fault.Register panics on
+// a duplicate name at init, before any test runs; a site added, renamed
+// or dropped anywhere internal/server links fails here until the list is
+// edited with it.
+func TestFailpointCatalog(t *testing.T) {
+	want := []string{
+		"emigre.check",
+		"hin.overlay.snapshot",
+		"ppr.forward.loop",
+		"ppr.power.sweep",
+		"ppr.reverse.loop",
+		"ppr.update.loop",
+		"pprcache.fill",
+		"server.explain.decode",
+		"server.health.cache",
+		"server.health.graph",
+		"server.response.write",
+	}
+	var got []string
+	for _, s := range fault.Sites() {
+		got = append(got, s.Name())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("registered failpoint sites:\n got %q\nwant %q", got, want)
+	}
+}
+
 // newChaosStack boots a books-graph server over real HTTP and returns a
 // resilient client pointed at it.
 func newChaosStack(t *testing.T, mutate func(*Config)) (*Server, *client.Client) {

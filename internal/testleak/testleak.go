@@ -2,10 +2,10 @@
 // snapshots the live goroutines when called and, at cleanup, fails the
 // test if goroutines born since are still running.
 //
-// It is the runtime complement to the static goroleak analyzer
-// (internal/lint): goroleak proves each `go` statement carries
-// bounded-lifetime evidence at compile time; testleak verifies at run
-// time that the bound actually fired before the test returned.
+// It is how the repo holds every goroutine to a bounded lifetime: each
+// package that spawns one (pprcache's fills, eval's and load's worker
+// pools, the router's health probes, the servers' drains) has tests
+// that call Check, so a goroutine left running fails them.
 //
 //	func TestDrain(t *testing.T) {
 //		testleak.Check(t)
